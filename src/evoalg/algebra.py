@@ -73,19 +73,6 @@ class EvolutionAlgebra:
         return Subspace.coordinate(idx, self.dim, self.field)
 
 
-def new_algebra(n: int, structure: Matrix,
-                field: FieldDescriptor) -> EvolutionAlgebra:
-    return EvolutionAlgebra(n, structure, field)
-
-
-def multiply(E: EvolutionAlgebra, x, y):
-    return E.multiply(x, y)
-
-
-def annihilator(E: EvolutionAlgebra) -> Subspace:
-    return E.annihilator()
-
-
 def quotient_by_block(E: EvolutionAlgebra, keep) -> EvolutionAlgebra:
     """Quotient by the span of the discarded basis vectors.
 

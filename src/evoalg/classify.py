@@ -12,7 +12,10 @@ Labels are field-independent data (parameters are extracted through
 rational expressions plus canonical square roots); witness bases, which
 realize the template by an explicit change of basis, may need roots that
 the coefficient field lacks, in which case the label carries a
-no-witness flag.
+no-witness flag.  The normalizer builds and verifies the witness basis
+once, in the same pass that produces the label, and
+``witness_isomorphism`` composes the two stored witnesses instead of
+normalizing again.
 """
 
 from __future__ import annotations
@@ -321,6 +324,12 @@ def _pairing_split(E):
 
 def classify(E: EvolutionAlgebra):
     """Canonical label of E, or the Decomposed list of summand labels."""
+    return _classify(E)[0]
+
+
+def _classify(E):
+    """The label of E and its verified witness basis, the latter None
+    for Decomposed labels and whenever the label carries no_witness."""
     if E.dim > 5:
         raise UnsupportedDim("classification covers dimension at most 5")
     series = upper_series(E)
@@ -329,21 +338,21 @@ def classify(E: EvolutionAlgebra):
 
     comps = component_index_sets(E)
     if len(comps) > 1:
-        return _gather([restrict_to_indices(E, idx) for idx in comps])
+        return _gather([restrict_to_indices(E, idx) for idx in comps]), None
 
     n, field = E.dim, E.field
     ann = E.annihilator()
     sq = square_subspace(E)
     if n >= 2 and not sq.contains(ann):
-        return _gather(_refine_split(E, ann, sq))
+        return _gather(_refine_split(E, ann, sq)), None
     if n >= 2 and 2 * ann.dim >= n:
         parts = _pairing_split(E)
         if parts is not None:
-            return _gather(parts)
+            return _gather(parts), None
 
     result = _normalize(E, series)
     if isinstance(result, list):  # an ann-dim-2 special split
-        return _gather(result)
+        return _gather(result), None
     return result
 
 
@@ -361,7 +370,7 @@ def _gather(parts):
 
 def _normalize(E, series):
     """Adapted reorder + per-type normalizer for an indecomposable
-    candidate."""
+    candidate: (label, witness basis or None), or a list of summands."""
     tv = tuple(series.type_vector)
     perm = [i for blk in reversed(series.blocks) for i in blk]
     field = E.field
@@ -378,13 +387,13 @@ def _normalize(E, series):
     variant, params, boundary, builder = out
     entry = find_entry(E.dim, tv, variant)
     params = orbit_min(entry, tuple(params), field) if params else ()
-    no_witness = False
     try:
-        _witness_basis(E, Ead, perm, entry, params, builder)
+        witness = _witness_basis(E, Ead, perm, entry, params, builder)
     except SqrtUnavailable:
-        no_witness = True
-    return CanonicalLabel(E.dim, tv, variant, params,
-                          boundary=boundary, no_witness=no_witness)
+        witness = None
+    label = CanonicalLabel(E.dim, tv, variant, params, boundary=boundary,
+                           no_witness=witness is None)
+    return label, witness
 
 
 def _witness_basis(E, Ead, perm, entry, params, builder) -> Matrix:
@@ -392,7 +401,6 @@ def _witness_basis(E, Ead, perm, entry, params, builder) -> Matrix:
     E's coordinates, verified against the template."""
     template = entry.template(params, E.field)
     n = E.dim
-    last_err = None
     found_any = False
     for cols_ad in builder(Ead, params):
         found_any = True
@@ -404,15 +412,11 @@ def _witness_basis(E, Ead, perm, entry, params, builder) -> Matrix:
             cols.append(w)
         m = Matrix([[cols[j][i] for j in range(n)] for i in range(n)],
                    E.field, n)
-        try:
-            if m.is_invertible() and verify_hom(template, E, m):
-                return m
-        except Exception as exc:  # singular candidate etc.
-            last_err = exc
+        if m.is_invertible() and verify_hom(template, E, m):
+            return m
     if not found_any:
         raise SqrtUnavailable("no normalizing basis candidates")
-    raise SqrtUnavailable(
-        f"no candidate basis realizes the template ({last_err})")
+    raise SqrtUnavailable("no candidate basis realizes the template")
 
 
 def witness_isomorphism(E1: EvolutionAlgebra, E2: EvolutionAlgebra):
@@ -420,19 +424,15 @@ def witness_isomorphism(E1: EvolutionAlgebra, E2: EvolutionAlgebra):
     labels agree and the needed roots exist; None when labels differ."""
     if E1.dim > 5 or E2.dim > 5:
         raise UnsupportedDim("classification covers dimension at most 5")
-    l1, l2 = classify(E1), classify(E2)
+    (l1, b1), (l2, b2) = _classify(E1), _classify(E2)
     if not labels_equal(l1, l2):
         return None
     if E1 == E2:
         return Matrix.identity(E1.dim, E1.field)
-    try:
-        b1 = _witness_for(E1, l1)
-        b2 = _witness_for(E2, _use_params_of(l1, l2))
+    if b1 is not None and b2 is not None:
         m = b2 * b1.inverse()
         if verify_hom(E1, E2, m):
             return m
-    except SqrtUnavailable:
-        pass
     # root-free fallback over finite fields: delegate to the oracle
     if E1.field.kind == PRIME and not isinstance(l1, Decomposed):
         from .oracle import (RANDOMIZED, SearchBudget, exhaustive_iso,
@@ -447,29 +447,6 @@ def witness_isomorphism(E1: EvolutionAlgebra, E2: EvolutionAlgebra):
             return m
     raise SqrtUnavailable(
         "labels agree but no witness basis exists over this field")
-
-
-def _use_params_of(l1, l2):
-    return l2
-
-
-def _witness_for(E, label) -> Matrix:
-    if isinstance(label, Decomposed):
-        raise SqrtUnavailable("witness bases are built per indecomposable "
-                              "summand only")
-    series = upper_series(E)
-    perm = [i for blk in reversed(series.blocks) for i in blk]
-    field = E.field
-    rows = [[E.structure[perm[i], perm[j]] for j in range(E.dim)]
-            for i in range(E.dim)]
-    Ead = EvolutionAlgebra(E.dim, Matrix(rows, field, E.dim), field)
-    handler = _HANDLERS[tuple(series.type_vector)]
-    out = handler(Ead, tuple(series.type_vector))
-    if isinstance(out, list):
-        raise SqrtUnavailable("decomposable input")
-    variant, params, boundary, builder = out
-    entry = find_entry(E.dim, label.type_vector, label.variant)
-    return _witness_basis(E, Ead, perm, entry, tuple(label.params), builder)
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +629,6 @@ def _h_11n(Ead, tv):
         gslot."""
         base, cval = assign["base"], assign["gap"]
         tb2 = (tvals[cval] - tvals[base]) / (lam[base] * gw)
-        tb = _sqrt(tb2)
         out = {}
         for k in range(m):
             tk = _sqrt(tb2 * lam[base] / lam[k])

@@ -12,8 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import (AlgebraSyntaxError, DomainError, EvoalgError,
-                     NotNilpotent, SqrtUnavailable)
+from .errors import AlgebraSyntaxError, DomainError, EvoalgError
 from .fields import GF, QI, QQ, FieldDescriptor, parse_element
 from .linalg import Matrix
 from .algebra import (EvolutionAlgebra, WeightedGraph, decomposability_check,
@@ -289,8 +288,7 @@ def dispatch(argv) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.run(args)
-    except (AlgebraSyntaxError, NotNilpotent, SqrtUnavailable,
-            EvoalgError, OSError) as exc:
+    except (EvoalgError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

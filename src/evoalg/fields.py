@@ -40,8 +40,6 @@ class FieldDescriptor:
             p = self.modulus
             if p is None or p < 3 or not _is_prime(p):
                 raise DomainError(f"modulus must be an odd prime, got {p}")
-            if p == 2:
-                raise DomainError("characteristic 2 is not supported")
         elif self.modulus is not None:
             raise DomainError("modulus only applies to prime fields")
 
@@ -317,11 +315,7 @@ def total_order(a: FieldElement, b: FieldElement) -> int:
     """Total order: -1, 0 or 1.  Rationals by value, Gaussian rationals
     lexicographically by (re, im), prime fields by residue."""
     a._check(b)
-    k = a.field.kind
-    if k == GAUSSIAN:
-        ka, kb = a.value, b.value
-    else:
-        ka, kb = a.value, b.value
+    ka, kb = a.value, b.value
     return (ka > kb) - (ka < kb)
 
 

@@ -275,15 +275,3 @@ def kernel(m: Matrix) -> Subspace:
             v[piv] = -red.rows[r][j]
         vecs.append(v)
     return Subspace.from_vectors(vecs, n, field)
-
-
-def subspace_sum(s: Subspace, t: Subspace) -> Subspace:
-    return s + t
-
-
-def subspace_intersect(s: Subspace, t: Subspace) -> Subspace:
-    return s.intersect(t)
-
-
-def contains_vector(s: Subspace, v: list[FieldElement]) -> bool:
-    return s.contains_vector(v)

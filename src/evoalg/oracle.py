@@ -120,27 +120,12 @@ def _is_hom_int(A1, A2, m, p, n) -> bool:
     return True
 
 
-def _pattern_slots(series1, series2, n):
-    """The free matrix slots of the adapted block pattern, as a list of
-    (row, col) positions in original coordinates; row indexes E2's basis,
-    col indexes E1's basis."""
-    slots = []
-    b1, b2 = series1.blocks, series2.blocks
-    for i, blk in enumerate(b1):
-        for col in blk:
-            for row in b2[i]:
-                slots.append((row, col))
-            if i > 0:
-                for row in b2[0]:
-                    slots.append((row, col))
-    return slots
-
-
 def _pattern_blocks(series1, series2):
-    """The same free slots grouped as (diagonal blocks, annihilator
-    slots): each diagonal block is (rows of E2's block i, cols of E1's
-    block i); the annihilator slots are the (row, col) pairs of the
-    first block row under the non-annihilator columns."""
+    """The free matrix slots of the adapted block pattern, grouped as
+    (diagonal blocks, annihilator slots); rows index E2's basis, cols
+    index E1's basis.  Each diagonal block is (rows of E2's block i,
+    cols of E1's block i); the annihilator slots are the (row, col)
+    pairs of the first block row under the non-annihilator columns."""
     b1, b2 = series1.blocks, series2.blocks
     diag = [(b2[i], b1[i]) for i in range(len(b1))]
     ann = [(row, col)
@@ -151,8 +136,8 @@ def _pattern_blocks(series1, series2):
 
 
 def _search_common(E1, E2):
-    """Shared validation; returns (A1, A2, p, n, slots) or None when the
-    answer is immediately None."""
+    """Shared validation; returns (A1, A2, p, n, diag, ann) or None when
+    the answer is immediately None."""
     if E1.field.kind != PRIME or E2.field.kind != PRIME \
             or E1.field != E2.field:
         raise UnsupportedField("oracle search requires a shared prime field")
@@ -162,9 +147,8 @@ def _search_common(E1, E2):
     if not s1.nilpotent or not s2.nilpotent \
             or s1.type_vector != s2.type_vector:
         return None
-    n = E1.dim
-    return (_int_structure(E1), _int_structure(E2), E1.field.modulus, n,
-            _pattern_slots(s1, s2, n))
+    return (_int_structure(E1), _int_structure(E2), E1.field.modulus,
+            E1.dim) + _pattern_blocks(s1, s2)
 
 
 def _as_matrix(m_int, field, n) -> Matrix:
@@ -182,7 +166,14 @@ def exhaustive_iso(E1: EvolutionAlgebra, E2: EvolutionAlgebra,
     common = _search_common(E1, E2)
     if common is None:
         return None
-    A1, A2, p, n, slots = common
+    A1, A2, p, n, diag, ann = common
+    # the slot order decides which witness comes first: column by column,
+    # the diagonal-block rows, then the annihilator rows
+    ann_rows = {}
+    for r, c in ann:
+        ann_rows.setdefault(c, []).append(r)
+    slots = [(r, c) for rows, cols in diag for c in cols
+             for r in [*rows, *ann_rows.get(c, ())]]
     if p ** len(slots) > _EXHAUSTIVE_LIMIT:
         raise BudgetExceeded(
             f"{p}^{len(slots)} block-patterned matrices exceed the "
@@ -195,7 +186,8 @@ def exhaustive_iso(E1: EvolutionAlgebra, E2: EvolutionAlgebra,
             continue
         if _is_hom_int(A1, A2, m, p, n):
             witness = _as_matrix(m, E1.field, n)
-            assert verify_hom(E1, E2, witness)
+            if not verify_hom(E1, E2, witness):
+                raise AssertionError("search hit failed re-verification")
             return witness
     return None
 
@@ -217,9 +209,7 @@ def randomized_iso(E1: EvolutionAlgebra, E2: EvolutionAlgebra,
     common = _search_common(E1, E2)
     if common is None:
         return None
-    A1, A2, p, n, _ = common
-    s1, s2 = upper_series(E1), upper_series(E2)
-    diag, ann = _pattern_blocks(s1, s2)
+    A1, A2, p, n, diag, ann = common
     rng = random.Random(budget.seed)
     rand, randrange, shuffle = rng.random, rng.randrange, rng.shuffle
     m = [[0] * n for _ in range(n)]
@@ -241,6 +231,7 @@ def randomized_iso(E1: EvolutionAlgebra, E2: EvolutionAlgebra,
         # cheap algebraic rejection first; rank only on the rare pass
         if _is_hom_int(A1, A2, m, p, n) and _mat_rank(m, p) == n:
             witness = _as_matrix(m, E1.field, n)
-            assert verify_hom(E1, E2, witness)
+            if not verify_hom(E1, E2, witness):
+                raise AssertionError("search hit failed re-verification")
             return witness
     return None

@@ -71,6 +71,21 @@ def random_large_annihilator(rng, field=F13):
         return E
 
 
+def random_monomial_relabelling(E, rng):
+    """E in the natural basis f_pi(i) = c_i e_i for a random permutation
+    pi and random nonzero scalars c_i, so that
+    A'[pi(i)][pi(j)] = c_i^2 A[i][j] / c_j."""
+    n, field = E.dim, E.field
+    perm = list(range(n))
+    rng.shuffle(perm)
+    c = [field.from_int(rng.randrange(1, field.modulus)) for _ in range(n)]
+    rows = [[field.zero()] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            rows[perm[i]][perm[j]] = c[i] * c[i] * E.structure[i, j] / c[j]
+    return EvolutionAlgebra(n, Matrix(rows, field, n), field)
+
+
 def random_block_basis_change(E, rng, attempts=300):
     """Apply a random invertible block-patterned basis change that again
     yields a natural basis; returns the transformed algebra or None when

@@ -1,5 +1,6 @@
 """Canonical labels, classification, and witness isomorphisms."""
 
+import importlib
 import random
 
 import pytest
@@ -12,7 +13,8 @@ from evoalg.fields import GF, QI
 from evoalg.oracle import verify_hom
 from evoalg.tables import canonical_table, find_entry
 
-from helpers import (F13, random_block_basis_change, random_nilpotent,
+from helpers import (F13, random_block_basis_change,
+                     random_monomial_relabelling, random_nilpotent,
                      random_nilpotent_of_type)
 
 
@@ -154,6 +156,8 @@ def test_witness_isomorphism_sqrt_unavailable():
 
 def test_random_classifications_have_valid_witnesses():
     rng = random.Random(2)
+    # a separate stream keeps the sampled algebras those of seed 2
+    grng = random.Random(3)
     done = 0
     while done < 40:
         E = random_nilpotent(rng.randrange(1, 6), rng)
@@ -167,3 +171,27 @@ def test_random_classifications_have_valid_witnesses():
             T = entry.template(lab.params, F13)
             m = witness_isomorphism(T, E)
             assert m is not None and verify_hom(T, E, m)
+            # neither side a template: E against a relabelled copy
+            gE = random_monomial_relabelling(E, grng)
+            glab = classify(gE)
+            if isinstance(glab, CanonicalLabel) and not glab.no_witness:
+                m = witness_isomorphism(E, gE)
+                assert m is not None and verify_hom(E, gE, m)
+
+
+def test_witness_isomorphism_normalizes_each_input_once(monkeypatch):
+    classify_module = importlib.import_module("evoalg.classify")
+    calls = []
+    for tv, handler in list(classify_module._HANDLERS.items()):
+        def counted(Ead, tv, handler=handler):
+            calls.append(tv)
+            return handler(Ead, tv)
+        monkeypatch.setitem(classify_module._HANDLERS, tv, counted)
+    e = find_entry(5, (1, 2, 2), 1)
+    E1 = e.template((F13.from_int(2),), F13)
+    E2 = e.template((F13.from_int(11),), F13)
+    assert not classify(E1).no_witness and not classify(E2).no_witness
+    calls.clear()
+    m = witness_isomorphism(E1, E2)
+    assert m is not None and verify_hom(E1, E2, m)
+    assert calls == [(1, 2, 2), (1, 2, 2)]

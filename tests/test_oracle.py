@@ -1,8 +1,14 @@
 """Finite-field brute-force isomorphism oracle."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
+
+import evoalg
 
 from evoalg.algebra import EvolutionAlgebra
 from evoalg.errors import BudgetExceeded, ShapeError, Singular, UnsupportedField
@@ -119,3 +125,32 @@ def test_oracle_symmetry_over_f3():
         m21 = exhaustive_iso(E2, E1)
         assert (m12 is None) == (m21 is None)
         checked += 1
+
+
+def test_reverification_survives_optimize_flag():
+    # under python -O a bare assert would vanish and the unverified hit
+    # would be returned; the explicit check must still raise
+    code = textwrap.dedent("""
+        import sys
+        import evoalg.oracle as oracle
+        from evoalg.algebra import EvolutionAlgebra
+        from evoalg.fields import GF
+        if not sys.flags.optimize:
+            sys.exit("not running under -O")
+        oracle.verify_hom = lambda *args: False
+        E = EvolutionAlgebra.from_ints(
+            [[0, 1, 0], [0, 0, 1], [0, 0, 0]], GF(3))
+        for search in (oracle.exhaustive_iso, oracle.randomized_iso):
+            try:
+                m = search(E, E)
+            except AssertionError:
+                continue
+            sys.exit(f"{search.__name__} returned {m!r}")
+    """)
+    src = os.path.dirname(os.path.dirname(evoalg.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
