@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import NotAnIdeal, NotNilpotent, ShapeError
 from .fields import FieldDescriptor, FieldElement
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, _combine, _kernel_rows
 
 
 class EvolutionAlgebra:
@@ -27,11 +27,13 @@ class EvolutionAlgebra:
             raise ShapeError(
                 f"structure must be {dim}x{dim}, got "
                 f"{structure.nrows}x{structure.ncols}")
-        if structure.field != field:
+        if structure.field is not field and structure.field != field:
             raise ShapeError("structure entries come from a different field")
         self.dim = dim
         self.field = field
         self.structure = structure
+        # payload rows of the structure matrix, for the exact core
+        self._rows = structure._payloads()
 
     @classmethod
     def from_ints(cls, rows: list[list[int]], field: FieldDescriptor):
@@ -57,20 +59,31 @@ class EvolutionAlgebra:
         """Product of two coordinate vectors: sum_i x_i y_i e_i^2."""
         if len(x) != self.dim or len(y) != self.dim:
             raise ShapeError("vector length mismatch")
-        out = [self.field.zero()] * self.dim
-        for i in range(self.dim):
-            c = x[i] * y[i]
-            if c.is_zero():
-                continue
-            row = self.structure.rows[i]
-            out = [a + c * b for a, b in zip(out, row)]
-        return out
+        field = self.field
+        prod = _product(self._rows, field.payloads(x), field.payloads(y),
+                        field.ops)
+        return [FieldElement(field, v) for v in prod]
 
     def annihilator(self) -> Subspace:
         """Span of the natural basis vectors with zero square."""
-        idx = [i for i in range(self.dim)
-               if all(x.is_zero() for x in self.structure.rows[i])]
-        return Subspace.coordinate(idx, self.dim, self.field)
+        return Subspace.coordinate(_zero_rows(self), self.dim, self.field)
+
+
+def _product(rows: list[list], x: list, y: list, ops) -> list:
+    """Payload product sum_i x_i y_i e_i^2, where rows[i] holds e_i^2."""
+    Z, mul, addmul = ops.zero, ops.mul, ops.addmul
+    out = [Z] * len(rows)
+    for a, b, row in zip(x, y, rows):
+        c = mul(a, b)
+        if c != Z:
+            out = addmul(out, c, row)
+    return out
+
+
+def _zero_rows(E: EvolutionAlgebra) -> list[int]:
+    """Indices of the natural basis vectors with zero square."""
+    Z = E.field.ops.zero
+    return [i for i, row in enumerate(E._rows) if all(x == Z for x in row)]
 
 
 def quotient_by_block(E: EvolutionAlgebra, keep) -> EvolutionAlgebra:
@@ -112,20 +125,25 @@ class AnnSeries:
 
 
 def upper_series(E: EvolutionAlgebra) -> AnnSeries:
-    """Compute ann^1 <= ann^2 <= ... and the type vector."""
+    """Compute ann^1 <= ann^2 <= ... and the type vector.
+
+    Every term is the span of the natural basis vectors placed so far, so
+    e_i^2 lies in it exactly when the support of e_i^2 does: membership
+    is read off the nonzero pattern of the structure rows.
+    """
+    Z = E.field.ops.zero
+    supports = [{j for j, x in enumerate(row) if x != Z} for row in E._rows]
     placed: set[int] = set()
     chain: list[Subspace] = []
     blocks: list[list[int]] = []
-    prev = Subspace.zero(E.dim, E.field)
     while True:
-        new = [i for i in range(E.dim) if i not in placed
-               and prev.contains_vector(E.square_of_basis(i))]
+        new = [i for i in range(E.dim)
+               if i not in placed and supports[i] <= placed]
         if not new:
             break
         placed.update(new)
         blocks.append(new)
-        prev = Subspace.coordinate(placed, E.dim, E.field)
-        chain.append(prev)
+        chain.append(Subspace.coordinate(placed, E.dim, E.field))
         if len(placed) == E.dim:
             break
     return AnnSeries(chain=chain, blocks=blocks,
@@ -135,16 +153,17 @@ def upper_series(E: EvolutionAlgebra) -> AnnSeries:
 
 def product_subspace(E: EvolutionAlgebra, s: Subspace, t: Subspace) -> Subspace:
     """Span of all products of basis vectors of s with basis vectors of t."""
-    vecs = [E.multiply(x, y) for x in s.vectors() for y in t.vectors()]
-    if not vecs:
-        return Subspace.zero(E.dim, E.field)
-    return Subspace.from_vectors(vecs, E.dim, E.field)
+    E.field.require(s.field)
+    E.field.require(t.field)
+    ops = E.field.ops
+    return Subspace._span([_product(E._rows, x, y, ops)
+                           for x in s._rows for y in t._rows],
+                          E.dim, E.field)
 
 
 def square_subspace(E: EvolutionAlgebra) -> Subspace:
     """E^2 = span of the squares of the natural basis vectors."""
-    return Subspace.from_vectors(
-        [E.square_of_basis(i) for i in range(E.dim)], E.dim, E.field)
+    return Subspace._span(list(E._rows), E.dim, E.field)
 
 
 RIGHT = "Right"
@@ -201,25 +220,22 @@ def relative_annihilator(E: EvolutionAlgebra, inside: Subspace,
     if inside.ambient_dim != E.dim or against.ambient_dim != E.dim:
         from .errors import AmbientMismatch
         raise AmbientMismatch("subspace ambient must equal algebra dim")
-    gens = inside.vectors()
+    E.field.require(inside.field)
+    E.field.require(against.field)
+    gens = inside._rows
     if not gens:
         return Subspace.zero(E.dim, E.field)
+    ops = E.field.ops
     constraints = []
-    for t in against.vectors():
-        prods = [E.multiply(g, t) for g in gens]
+    for t in against._rows:
+        prods = [_product(E._rows, g, t, ops) for g in gens]
         for j in range(E.dim):
             constraints.append([p[j] for p in prods])
     if not constraints:
         return inside
-    from .linalg import kernel
-    coef = kernel(Matrix(constraints, E.field, len(gens)))
-    vecs = []
-    for c in coef.vectors():
-        v = [E.field.zero()] * E.dim
-        for ci, g in zip(c, gens):
-            v = [a + ci * b for a, b in zip(v, g)]
-        vecs.append(v)
-    return Subspace.from_vectors(vecs, E.dim, E.field)
+    coefs = _kernel_rows(constraints, len(gens), ops)
+    return Subspace._span([_combine(c, gens, E.dim, ops) for c in coefs],
+                          E.dim, E.field)
 
 
 @dataclass
@@ -249,7 +265,10 @@ def component_index_sets(E: EvolutionAlgebra) -> list[list[int]]:
             a = parent[a]
         return a
 
-    for i, j, _ in graph_of(E).edges:
+    Z = E.field.ops.zero
+    edges = [(i, j) for i, row in enumerate(E._rows)
+             for j, x in enumerate(row) if x != Z]
+    for i, j in edges:
         ri, rj = find(i), find(j)
         if ri != rj:
             parent[max(ri, rj)] = min(ri, rj)
@@ -290,13 +309,12 @@ def _complement_inside(small: Subspace, big: Subspace) -> Subspace:
     reducible against small."""
     vecs = []
     current = small
-    for v in big.vectors():
-        if not current.contains_vector(v):
+    for v in big._rows:
+        if not current._contains_row(v):
             vecs.append(v)
-            current = current + Subspace.from_vectors(
-                [v], big.ambient_dim, big.field)
-    return Subspace.from_vectors(vecs, big.ambient_dim, big.field) \
-        if vecs else Subspace.zero(big.ambient_dim, big.field)
+            current = Subspace._span(current._rows + [v], big.ambient_dim,
+                                     big.field)
+    return Subspace._span(vecs, big.ambient_dim, big.field)
 
 
 def decomposability_check(E: EvolutionAlgebra) -> DecompVerdict:

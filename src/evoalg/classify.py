@@ -32,9 +32,8 @@ from .errors import (
 from .fields import (
     PRIME,
     RATIONALS,
-    GAUSSIAN,
-    FieldDescriptor,
     FieldElement,
+    _cube_root_mod,
     order_key,
     sqrt_if_square,
 )
@@ -46,6 +45,7 @@ from .algebra import (
     square_subspace,
     upper_series,
     _complement_inside,
+    _zero_rows,
 )
 from .tables import find_entry, orbit_min
 from .oracle import verify_hom
@@ -136,10 +136,10 @@ def _cbrt(x: FieldElement) -> FieldElement:
     """A cube root, when one can be found exactly."""
     field = x.field
     if field.kind == PRIME:
-        for c in field.elements():
-            if c * c * c == x:
-                return c
-        raise SqrtUnavailable(f"{x} has no cube root in {field}")
+        r = _cube_root_mod(x.value, field.modulus)
+        if r is None:
+            raise SqrtUnavailable(f"{x} has no cube root in {field}")
+        return FieldElement(field, r)
     if field.kind == RATIONALS:
         q = x.value
     elif x.value[1] == 0:
@@ -240,12 +240,10 @@ class _DiagForm:
 # ---------------------------------------------------------------------------
 # natural-basis-preserving decompositions
 
-def _solve_coords(basis_vecs, v, field):
-    """Coordinates of v in the given basis of the ambient space."""
-    n = len(v)
-    cols = Matrix([[basis_vecs[j][i] for j in range(len(basis_vecs))]
-                   for i in range(n)], field, len(basis_vecs))
-    return cols.inverse().apply(v)
+def _coords_matrix(basis_vecs, field):
+    """The matrix taking a vector to its coordinates in the given basis of
+    the ambient space: the inverse of the matrix with those columns."""
+    return Matrix(basis_vecs, field).transpose().inverse()
 
 
 def _algebra_in_basis(E, basis_vecs):
@@ -257,8 +255,8 @@ def _algebra_in_basis(E, basis_vecs):
             prod = E.multiply(basis_vecs[i], basis_vecs[j])
             if any(not x.is_zero() for x in prod):
                 raise SpecMismatch("candidate basis is not natural")
-    rows = [_solve_coords(basis_vecs, E.multiply(b, b), field)
-            for b in basis_vecs]
+    coords = _coords_matrix(basis_vecs, field)
+    rows = [coords.apply(E.multiply(b, b)) for b in basis_vecs]
     return EvolutionAlgebra(n, Matrix(rows, field, n), field)
 
 
@@ -270,21 +268,21 @@ def _refine_split(E, ann, sq):
     ann_sq = ann.intersect(sq)
     c_part = _complement_inside(ann_sq, ann)
     i_part = sq + _complement_inside(sq + c_part, Subspace.full(n, field))
-    i_vecs = [list(v) for v in i_part.vectors()]
-    c_vecs = [list(v) for v in c_part.vectors()]
+    i_vecs = i_part.vectors()
+    c_vecs = c_part.vectors()
     mixed = i_vecs + c_vecs
-    ann_idx = {i for i in range(n)
-               if all(x.is_zero() for x in E.structure.rows[i])}
+    ann_idx = set(_zero_rows(E))
+    to_mixed = _coords_matrix(mixed, field)
     new_basis = []
     for k in range(n):
         if k in ann_idx:
             continue
-        coords = _solve_coords(mixed, _unit(k, n, field), field)
+        coords = to_mixed.col(k)  # e_k in the mixed basis
         c_comp = _zeros(n, field)
         for ci, cv in zip(coords[len(i_vecs):], c_vecs):
             c_comp = _vadd(c_comp, _vscale(ci, cv))
         new_basis.append(_vsub(_unit(k, n, field), c_comp))
-    new_basis += [list(v) for v in ann_sq.vectors()]
+    new_basis += ann_sq.vectors()
     split_at = len(new_basis)
     new_basis += c_vecs
     adjusted = _algebra_in_basis(E, new_basis)

@@ -9,8 +9,9 @@ between threads.
 from __future__ import annotations
 
 import math
+import operator
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -28,7 +29,12 @@ PRIME = "GF"
 
 @dataclass(frozen=True)
 class FieldDescriptor:
-    """Identifies one of the supported coefficient fields."""
+    """Identifies one of the supported coefficient fields.
+
+    ``GF``, ``QQ`` and ``QI`` hand out one shared descriptor per field, so
+    hot paths compare fields by identity first; equality stays by value.
+    ``ops`` is the field's table of raw-payload operations.
+    """
 
     kind: str
     modulus: int | None = None
@@ -40,8 +46,15 @@ class FieldDescriptor:
             p = self.modulus
             if p is None or p < 3 or not _is_prime(p):
                 raise DomainError(f"modulus must be an odd prime, got {p}")
+            ops = _PrimeOps(p)
         elif self.modulus is not None:
             raise DomainError("modulus only applies to prime fields")
+        else:
+            ops = _RATIONAL_OPS if self.kind == RATIONALS else _GAUSSIAN_OPS
+        object.__setattr__(self, "ops", ops)
+
+    def __reduce__(self):
+        return _interned, (self.kind, self.modulus)
 
     @property
     def has_i(self) -> bool:
@@ -53,34 +66,35 @@ class FieldDescriptor:
         return False
 
     def zero(self) -> "FieldElement":
-        return self.from_int(0)
+        return FieldElement(self, self.ops.zero)
 
     def one(self) -> "FieldElement":
-        return self.from_int(1)
+        return FieldElement(self, self.ops.one)
 
     def from_int(self, n: int) -> "FieldElement":
-        if self.kind == RATIONALS:
-            return FieldElement(self, Fraction(n))
-        if self.kind == GAUSSIAN:
-            return FieldElement(self, (Fraction(n), Fraction(0)))
-        return FieldElement(self, n % self.modulus)
+        return FieldElement(self, self.ops.of_int(n))
+
+    def require(self, other: "FieldDescriptor"):
+        """Raise MixedFields unless ``other`` is this field."""
+        if other is not self and other != self:
+            raise MixedFields(f"{self} vs {other}")
+
+    def payloads(self, v) -> list:
+        """The payloads of the elements v, which must lie in this field."""
+        for x in v:
+            if x.field is not self:
+                self.require(x.field)
+        return [x.value for x in v]
 
     def i(self) -> "FieldElement":
         """The distinguished square root of -1."""
         if self.kind == GAUSSIAN:
-            return FieldElement(self, (Fraction(0), Fraction(1)))
+            return FieldElement(self, (_Q0, Fraction(1)))
         if self.kind == PRIME and self.has_i:
             r = sqrt_if_square(self.from_int(-1))
             assert r is not None
             return r
         raise FieldLacksI(f"{self} has no square root of -1")
-
-    def elements(self):
-        """Iterate all field elements (prime fields only)."""
-        if self.kind != PRIME:
-            raise DomainError("only prime fields are finite")
-        for v in range(self.modulus):
-            yield FieldElement(self, v)
 
     def __str__(self):
         if self.kind == PRIME:
@@ -88,16 +102,26 @@ class FieldDescriptor:
         return "Q(i)" if self.kind == GAUSSIAN else "Q"
 
 
+_DESCRIPTORS: dict = {}
+
+
+def _interned(kind: str, modulus: int | None = None) -> FieldDescriptor:
+    desc = _DESCRIPTORS.get((kind, modulus))
+    if desc is None:
+        desc = _DESCRIPTORS[kind, modulus] = FieldDescriptor(kind, modulus)
+    return desc
+
+
 def QQ() -> FieldDescriptor:
-    return FieldDescriptor(RATIONALS)
+    return _interned(RATIONALS)
 
 
 def QI() -> FieldDescriptor:
-    return FieldDescriptor(GAUSSIAN)
+    return _interned(GAUSSIAN)
 
 
 def GF(p: int) -> FieldDescriptor:
-    return FieldDescriptor(PRIME, p)
+    return _interned(PRIME, p)
 
 
 def _is_prime(n: int) -> bool:
@@ -113,70 +137,153 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+# ---------------------------------------------------------------------------
+# raw-payload operations, one table per field
+
+class FieldOps:
+    """Arithmetic on the raw payloads of one field.
+
+    This is the exact core that linear algebra and algebra products run
+    on: kernels unwrap ``FieldElement`` values once, compute here, and
+    wrap once at the output.  Payloads compare with ``==`` exactly when
+    the elements do, so ``x != ops.zero`` tests for a nonzero payload.
+    The row operations take and return lists.
+    """
+
+    def __init__(self, zero, one, of_int, add, sub, neg, mul, inv):
+        self.zero, self.one, self.of_int = zero, one, of_int
+        self.add, self.sub, self.neg, self.mul, self.inv = \
+            add, sub, neg, mul, inv
+
+    def dot(self, u, v):
+        """sum_k u_k v_k"""
+        add, mul = self.add, self.mul
+        acc = self.zero
+        for a, b in zip(u, v):
+            acc = add(acc, mul(a, b))
+        return acc
+
+    def scale(self, c, v):
+        """c v"""
+        mul = self.mul
+        return [mul(c, b) for b in v]
+
+    def addmul(self, u, c, v):
+        """u + c v"""
+        add, mul = self.add, self.mul
+        return [add(a, mul(c, b)) for a, b in zip(u, v)]
+
+
+class _PrimeOps(FieldOps):
+    """GF(p): the row operations reduce once per entry, inline."""
+
+    def __init__(self, p):
+        super().__init__(
+            0, 1, lambda n: n % p, lambda a, b: (a + b) % p,
+            lambda a, b: (a - b) % p, lambda a: -a % p,
+            lambda a, b: a * b % p, lambda a: pow(a, -1, p))
+        self.p = p
+
+    def dot(self, u, v):
+        return sum(map(operator.mul, u, v)) % self.p
+
+    def scale(self, c, v):
+        p = self.p
+        return [c * b % p for b in v]
+
+    def addmul(self, u, c, v):
+        p = self.p
+        return [(a + c * b) % p for a, b in zip(u, v)]
+
+
+def _gmul(x, y):
+    (a, b), (c, d) = x, y
+    return (a * c - b * d, a * d + b * c)
+
+
+def _ginv(x):
+    a, b = x
+    n = a * a + b * b
+    return (a / n, -b / n)
+
+
+_Q0 = Fraction(0)
+_RATIONAL_OPS = FieldOps(_Q0, Fraction(1), Fraction, operator.add,
+                         operator.sub, operator.neg, operator.mul,
+                         lambda a: 1 / a)
+_GAUSSIAN_OPS = FieldOps(
+    (_Q0, _Q0), (Fraction(1), _Q0), lambda n: (Fraction(n), _Q0),
+    lambda x, y: (x[0] + y[0], x[1] + y[1]),
+    lambda x, y: (x[0] - y[0], x[1] - y[1]),
+    lambda x: (-x[0], -x[1]), _gmul, _ginv)
+
+
 class FieldElement:
     """An exact scalar.  The payload depends on the field kind:
 
     Q      -> Fraction
     Q(i)   -> (Fraction, Fraction) pair (re, im)
     GF(p)  -> reduced residue in 0..p-1
+
+    Elements are immutable, compare by field and payload and hash alike.
     """
 
-    field: FieldDescriptor
-    value: object
+    __slots__ = ("field", "value")
+
+    def __init__(self, field: FieldDescriptor, value):
+        _set_field(self, field)
+        _set_value(self, value)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return FieldElement, (self.field, self.value)
+
+    def __eq__(self, other):
+        if other.__class__ is not FieldElement:
+            return NotImplemented
+        return self.value == other.value and (
+            self.field is other.field or self.field == other.field)
+
+    def __hash__(self):
+        return hash((self.field, self.value))
 
     # -- arithmetic -------------------------------------------------
 
     def _check(self, other: "FieldElement"):
         if not isinstance(other, FieldElement):
             raise TypeError(f"expected FieldElement, got {type(other).__name__}")
-        if other.field != self.field:
-            raise MixedFields(f"{self.field} vs {other.field}")
+        if other.field is not self.field:
+            self.field.require(other.field)
 
     def __add__(self, other):
         self._check(other)
-        k = self.field.kind
-        if k == RATIONALS:
-            return FieldElement(self.field, self.value + other.value)
-        if k == GAUSSIAN:
-            (a, b), (c, d) = self.value, other.value
-            return FieldElement(self.field, (a + c, b + d))
-        return FieldElement(self.field, (self.value + other.value) % self.field.modulus)
+        f = self.field
+        return FieldElement(f, f.ops.add(self.value, other.value))
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        f = self.field
+        return FieldElement(f, f.ops.sub(self.value, other.value))
 
     def __neg__(self):
-        k = self.field.kind
-        if k == RATIONALS:
-            return FieldElement(self.field, -self.value)
-        if k == GAUSSIAN:
-            a, b = self.value
-            return FieldElement(self.field, (-a, -b))
-        return FieldElement(self.field, (-self.value) % self.field.modulus)
+        f = self.field
+        return FieldElement(f, f.ops.neg(self.value))
 
     def __mul__(self, other):
         self._check(other)
-        k = self.field.kind
-        if k == RATIONALS:
-            return FieldElement(self.field, self.value * other.value)
-        if k == GAUSSIAN:
-            (a, b), (c, d) = self.value, other.value
-            return FieldElement(self.field, (a * c - b * d, a * d + b * c))
-        return FieldElement(self.field, (self.value * other.value) % self.field.modulus)
+        f = self.field
+        return FieldElement(f, f.ops.mul(self.value, other.value))
 
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise DivisionByZero("zero has no inverse")
-        k = self.field.kind
-        if k == RATIONALS:
-            return FieldElement(self.field, 1 / self.value)
-        if k == GAUSSIAN:
-            a, b = self.value
-            n = a * a + b * b
-            return FieldElement(self.field, (a / n, -b / n))
-        p = self.field.modulus
-        return FieldElement(self.field, pow(self.value, p - 2, p))
+        f = self.field
+        return FieldElement(f, f.ops.inv(self.value))
 
     def __truediv__(self, other):
         self._check(other)
@@ -197,9 +304,7 @@ class FieldElement:
     # -- predicates -------------------------------------------------
 
     def is_zero(self) -> bool:
-        if self.field.kind == GAUSSIAN:
-            return self.value[0] == 0 and self.value[1] == 0
-        return self.value == 0
+        return self.value == self.field.ops.zero
 
     def is_one(self) -> bool:
         return self == self.field.one()
@@ -223,6 +328,11 @@ class FieldElement:
 
     def __repr__(self):
         return f"<{self} in {self.field}>"
+
+
+# the slot setters fill a new element past the frozen __setattr__
+_set_field = FieldElement.field.__set__
+_set_value = FieldElement.value.__set__
 
 
 def _fmt_frac(q: Fraction) -> str:
@@ -359,6 +469,43 @@ def _tonelli_shanks(n: int, p: int) -> int | None:
         m, c = i, b * b % p
         t, r = t * c % p, r * b % p
     return r
+
+
+def _cube_root_mod(a: int, p: int) -> int | None:
+    """The smallest residue r with r^3 = a mod p, or None.
+
+    For p = 3 cubing is the identity, and for p = 2 mod 3 it is a
+    bijection inverted by x^((2p-1)/3).  For p = 1 mod 3 a nonzero cube
+    has three roots r, rw, rw^2 with w a primitive cube root of unity;
+    one is found by the Adleman-Manders-Miller method: write
+    p - 1 = 3^s t with 3 not dividing t and take x = a^(1/3 mod t); then
+    a / x^3 lies in the cyclic 3-Sylow subgroup, and a discrete logarithm
+    there, taken one base-3 digit at a time, gives its cube root z, so
+    that xz is a root.
+    """
+    a %= p
+    if a == 0 or p == 3:
+        return a
+    if p % 3 == 2:
+        return pow(a, (2 * p - 1) // 3, p)
+    if pow(a, (p - 1) // 3, p) != 1:
+        return None
+    s, t = 0, p - 1
+    while t % 3 == 0:
+        s, t = s + 1, t // 3
+    x = pow(a, pow(3, -1, t), p)
+    b = 2
+    while pow(b, (p - 1) // 3, p) == 1:
+        b += 1
+    g = pow(b, t, p)                 # generates the 3-Sylow subgroup
+    w = pow(g, 3 ** (s - 1), p)      # a primitive cube root of unity
+    h = a * pow(x, -3, p) % p        # want z in <g> with z^3 = h
+    log = 0                          # g^log = h, found digit by digit
+    for k in range(s):
+        y = pow(h * pow(g, -log, p) % p, 3 ** (s - 1 - k), p)
+        log += (0 if y == 1 else 1 if y == w else 2) * 3 ** k
+    r = x * pow(g, log // 3, p) % p
+    return min(r, r * w % p, r * w * w % p)
 
 
 def sqrt_if_square(a: FieldElement) -> FieldElement | None:

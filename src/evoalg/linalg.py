@@ -4,9 +4,15 @@ Matrices are stored as lists of row lists of FieldElement.  Subspaces are
 kept in reduced row echelon form, so two equal subspaces are structurally
 equal and can be compared entrywise.  Everything here is small (at most a
 handful of rows/columns), so plain Gaussian elimination is all we need.
+
+The kernels compute on raw payload rows through the field's ``ops``
+table (see ``fields.FieldOps``): a public operation unwraps its entries
+once and wraps its result once.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from .errors import AmbientMismatch, ShapeError, Singular
 from .fields import FieldDescriptor, FieldElement
@@ -29,8 +35,22 @@ class Matrix:
             if len(r) != cols:
                 raise ShapeError("ragged rows")
             for x in r:
-                if x.field != field:
+                if x.field is not field and x.field != field:
                     raise ShapeError("entry from a different field")
+
+    @classmethod
+    def _wrap(cls, prows: list[list], field: FieldDescriptor,
+              ncols: int) -> "Matrix":
+        """A matrix over ``field`` from payload rows, which are trusted."""
+        m = cls.__new__(cls)
+        m.field = field
+        m.rows = [[FieldElement(field, x) for x in r] for r in prows]
+        m.nrows = len(prows)
+        m.ncols = ncols
+        return m
+
+    def _payloads(self) -> list[list]:
+        return [[x.value for x in r] for r in self.rows]
 
     @classmethod
     def from_ints(cls, rows: list[list[int]], field: FieldDescriptor,
@@ -39,14 +59,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int, field: FieldDescriptor):
-        z, o = field.zero(), field.one()
-        return cls([[o if i == j else z for j in range(n)] for i in range(n)],
-                   field, n)
-
-    @classmethod
-    def zero(cls, nrows: int, ncols: int, field: FieldDescriptor):
-        z = field.zero()
-        return cls([[z] * ncols for _ in range(nrows)], field, ncols)
+        return cls._wrap(_identity_rows(n, field.ops), field, n)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
@@ -75,47 +88,36 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ShapeError(f"{self.nrows}x{self.ncols} * "
                              f"{other.nrows}x{other.ncols}")
-        z = self.field.zero()
-        out = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = z
-                for k in range(self.ncols):
-                    acc = acc + self.rows[i][k] * other.rows[k][j]
-                row.append(acc)
-            out.append(row)
-        return Matrix(out, self.field, other.ncols)
+        self.field.require(other.field)
+        dot = self.field.ops.dot
+        b = other._payloads()
+        cols = [[r[j] for r in b] for j in range(other.ncols)]
+        out = [[dot(r, c) for c in cols] for r in self._payloads()]
+        return Matrix._wrap(out, self.field, other.ncols)
 
     def apply(self, v: list[FieldElement]) -> list[FieldElement]:
         """Matrix times column vector."""
         if len(v) != self.ncols:
             raise ShapeError("vector length mismatch")
-        z = self.field.zero()
-        out = []
-        for i in range(self.nrows):
-            acc = z
-            for k in range(self.ncols):
-                acc = acc + self.rows[i][k] * v[k]
-            out.append(acc)
-        return out
+        field = self.field
+        dot = field.ops.dot
+        w = field.payloads(v)
+        return [FieldElement(field, dot(r, w)) for r in self._payloads()]
 
     def is_invertible(self) -> bool:
         if self.nrows != self.ncols:
             return False
-        _, rank = rref(self)
-        return rank == self.nrows
+        return _rank(self._payloads(), self.ncols, self.field.ops) == self.nrows
 
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
             raise ShapeError("only square matrices invert")
         n = self.nrows
-        aug = Matrix([self.rows[i] + Matrix.identity(n, self.field).rows[i]
-                      for i in range(n)], self.field, 2 * n)
-        red, rank = rref(aug)
-        if rank < n or any(red.rows[i][i].is_zero() for i in range(n)):
+        ops = self.field.ops
+        aug = [r + e for r, e in zip(self._payloads(), _identity_rows(n, ops))]
+        if _rref_rows(aug, n, ops) != list(range(n)):
             raise Singular("matrix is not invertible")
-        return Matrix([red.rows[i][n:] for i in range(n)], self.field, n)
+        return Matrix._wrap([r[n:] for r in aug], self.field, n)
 
     def __str__(self):
         return "\n".join(" ".join(str(x) for x in r) for r in self.rows)
@@ -124,43 +126,105 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols} over {self.field})"
 
 
-def rref(m: Matrix) -> tuple[Matrix, int]:
-    """Reduced row echelon form and rank."""
-    rows = [list(r) for r in m.rows]
-    nrows, ncols = m.nrows, m.ncols
-    pivot_row = 0
+# ---------------------------------------------------------------------------
+# payload kernels: lists of payload rows, arithmetic through a FieldOps
+
+def _identity_rows(n, ops) -> list[list]:
+    return [[ops.one if i == j else ops.zero for j in range(n)]
+            for i in range(n)]
+
+
+def _rref_rows(rows: list[list], ncols: int, ops) -> list[int]:
+    """Bring the payload rows to reduced row echelon form, looking for
+    pivots in the first ``ncols`` columns; returns the pivot columns.
+    Trailing columns ride along, so [A | B] reduces A and transforms B.
+    The list is reordered and its rows replaced in place, but no row list
+    is ever mutated, so callers may share rows with other objects."""
+    Z, inv, neg, scale, addmul = ops.zero, ops.inv, ops.neg, ops.scale, \
+        ops.addmul
+    nrows = len(rows)
+    pivots = []
     for col in range(ncols):
-        pr = None
-        for r in range(pivot_row, nrows):
-            if not rows[r][col].is_zero():
-                pr = r
-                break
+        top = len(pivots)
+        pr = next((r for r in range(top, nrows) if rows[r][col] != Z), None)
         if pr is None:
             continue
-        rows[pivot_row], rows[pr] = rows[pr], rows[pivot_row]
-        inv = rows[pivot_row][col].inverse()
-        rows[pivot_row] = [x * inv for x in rows[pivot_row]]
+        rows[top], rows[pr] = rows[pr], rows[top]
+        prow = rows[top] = scale(inv(rows[top][col]), rows[top])
         for r in range(nrows):
-            if r != pivot_row and not rows[r][col].is_zero():
-                c = rows[r][col]
-                rows[r] = [a - c * b for a, b in zip(rows[r], rows[pivot_row])]
-        pivot_row += 1
-        if pivot_row == nrows:
+            c = rows[r][col]
+            if r != top and c != Z:
+                rows[r] = addmul(rows[r], neg(c), prow)
+        pivots.append(col)
+        if len(pivots) == nrows:
             break
-    return Matrix(rows, m.field, ncols), pivot_row
+    return pivots
+
+
+def _rank(rows: list[list], ncols: int, ops) -> int:
+    """Rank of payload rows, which are left untouched."""
+    return len(_rref_rows(list(rows), ncols, ops))
+
+
+def _kernel_rows(rows: list[list], ncols: int, ops) -> list[list]:
+    """The reduced basis of {x : rows . x = 0} as payload rows."""
+    red = list(rows)
+    pivots = _rref_rows(red, ncols, ops)
+    neg = ops.neg
+    vecs = []
+    for j in range(ncols):
+        if j in pivots:
+            continue
+        v = [ops.zero] * ncols
+        v[j] = ops.one
+        for r, piv in enumerate(pivots):
+            v[piv] = neg(red[r][j])
+        vecs.append(v)
+    _rref_rows(vecs, ncols, ops)
+    return vecs
+
+
+def _combine(coefs, rows, ncols, ops) -> list:
+    """sum_k coefs[k] rows[k] as one payload row."""
+    Z, addmul = ops.zero, ops.addmul
+    v = [Z] * ncols
+    for c, row in zip(coefs, rows):
+        if c != Z:
+            v = addmul(v, c, row)
+    return v
+
+
+def rref(m: Matrix) -> tuple[Matrix, int]:
+    """Reduced row echelon form and rank."""
+    rows = m._payloads()
+    rank = len(_rref_rows(rows, m.ncols, m.field.ops))
+    return Matrix._wrap(rows, m.field, m.ncols), rank
 
 
 class Subspace:
     """A subspace of F^n held as an RREF basis (zero rows dropped)."""
 
     def __init__(self, ambient_dim: int, basis: Matrix):
-        self.ambient_dim = ambient_dim
-        self.field = basis.field
         if basis.ncols != ambient_dim:
             raise AmbientMismatch(
                 f"basis has {basis.ncols} columns, ambient is {ambient_dim}")
-        red, rank = rref(basis)
-        self.basis = Matrix(red.rows[:rank], basis.field, ambient_dim)
+        self._init(basis._payloads(), ambient_dim, basis.field)
+
+    def _init(self, rows, ambient_dim, field, reduced=False):
+        if not reduced:
+            del rows[len(_rref_rows(rows, ambient_dim, field.ops)):]
+        self.ambient_dim = ambient_dim
+        self.field = field
+        self._rows = rows
+
+    @classmethod
+    def _span(cls, rows: list[list], ambient_dim: int, field: FieldDescriptor,
+              reduced: bool = False) -> "Subspace":
+        """The span of payload rows, which the subspace takes over; pass
+        ``reduced`` when they already are an RREF basis."""
+        s = cls.__new__(cls)
+        s._init(rows, ambient_dim, field, reduced)
+        return s
 
     @classmethod
     def from_vectors(cls, vectors: list[list[FieldElement]],
@@ -169,30 +233,44 @@ class Subspace:
 
     @classmethod
     def zero(cls, ambient_dim: int, field: FieldDescriptor):
-        return cls(ambient_dim, Matrix.zero(0, ambient_dim, field))
+        return cls._span([], ambient_dim, field, reduced=True)
 
     @classmethod
     def full(cls, ambient_dim: int, field: FieldDescriptor):
-        return cls(ambient_dim, Matrix.identity(ambient_dim, field))
+        return cls._span(_identity_rows(ambient_dim, field.ops), ambient_dim,
+                         field, reduced=True)
 
     @classmethod
     def coordinate(cls, indices, ambient_dim: int, field: FieldDescriptor):
-        """Span of the coordinate vectors with the given indices."""
-        vecs = []
-        for i in sorted(indices):
-            v = [field.zero()] * ambient_dim
-            v[i] = field.one()
-            vecs.append(v)
-        return cls.from_vectors(vecs, ambient_dim, field)
+        """Span of the coordinate vectors with the given indices; the unit
+        rows in increasing order already are its RREF basis."""
+        ops = field.ops
+        axes = range(ambient_dim)
+        rows = []
+        for i in sorted({axes[i] for i in indices}):
+            v = [ops.zero] * ambient_dim
+            v[i] = ops.one
+            rows.append(v)
+        return cls._span(rows, ambient_dim, field, reduced=True)
+
+    @cached_property
+    def basis(self) -> Matrix:
+        return Matrix._wrap(self._rows, self.field, self.ambient_dim)
+
+    @cached_property
+    def _pivots(self) -> list[int]:
+        Z = self.field.ops.zero
+        return [next(j for j, x in enumerate(r) if x != Z) for r in self._rows]
 
     @property
     def dim(self) -> int:
-        return self.basis.nrows
+        return len(self._rows)
 
     def __eq__(self, other):
         return (isinstance(other, Subspace)
                 and self.ambient_dim == other.ambient_dim
-                and self.basis == other.basis)
+                and self.field == other.field
+                and self._rows == other._rows)
 
     def __hash__(self):
         return hash((self.ambient_dim, self.basis))
@@ -200,46 +278,49 @@ class Subspace:
     def vectors(self) -> list[list[FieldElement]]:
         return [list(r) for r in self.basis.rows]
 
+    def _contains_row(self, w: list) -> bool:
+        ops = self.field.ops
+        Z, neg, addmul = ops.zero, ops.neg, ops.addmul
+        for row, piv in zip(self._rows, self._pivots):
+            c = w[piv]
+            if c != Z:
+                w = addmul(w, neg(c), row)
+        return all(x == Z for x in w)
+
     def contains_vector(self, v: list[FieldElement]) -> bool:
         if len(v) != self.ambient_dim:
             raise AmbientMismatch("vector length mismatch")
-        v = list(v)
-        for row in self.basis.rows:
-            piv = next(j for j, x in enumerate(row) if not x.is_zero())
-            if not v[piv].is_zero():
-                c = v[piv]
-                v = [a - c * b for a, b in zip(v, row)]
-        return all(x.is_zero() for x in v)
+        return self._contains_row(self.field.payloads(v))
+
+    def _require_like(self, other: "Subspace"):
+        if self.ambient_dim != other.ambient_dim:
+            raise AmbientMismatch("ambient dimensions differ")
+        self.field.require(other.field)
 
     def contains(self, other: "Subspace") -> bool:
-        return all(self.contains_vector(v) for v in other.vectors())
+        self._require_like(other)
+        return all(self._contains_row(r) for r in other._rows)
 
     def __add__(self, other: "Subspace") -> "Subspace":
-        if self.ambient_dim != other.ambient_dim:
-            raise AmbientMismatch("ambient dimensions differ")
-        return Subspace.from_vectors(self.vectors() + other.vectors(),
-                                     self.ambient_dim, self.field)
+        self._require_like(other)
+        return Subspace._span(self._rows + other._rows, self.ambient_dim,
+                              self.field)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        if self.ambient_dim != other.ambient_dim:
-            raise AmbientMismatch("ambient dimensions differ")
-        # Zassenhaus-free route: x in S cap T  iff  x = c.S_basis and
-        # x is killed by a matrix whose kernel is T.
+        self._require_like(other)
+        n, field = self.ambient_dim, self.field
         if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.ambient_dim, self.field)
-        constraints = _annihilating_matrix(other)
-        # rows of self.basis, combined with coefficient vector c
-        prod = Matrix(self.basis.rows, self.field,
-                      self.ambient_dim).transpose()
-        system = constraints * prod  # (k x n)(n x d) -> k x d
-        ker = kernel(system)
-        vecs = []
-        for coef in ker.vectors():
-            v = [self.field.zero()] * self.ambient_dim
-            for c, row in zip(coef, self.basis.rows):
-                v = [a + c * b for a, b in zip(v, row)]
-            vecs.append(v)
-        return Subspace.from_vectors(vecs, self.ambient_dim, self.field)
+            return Subspace.zero(n, field)
+        ops = field.ops
+        # x = c . self_rows lies in other iff every row y of the kernel of
+        # other's basis has y . x = 0, a linear system in c
+        constraints = _kernel_rows(other._rows, n, ops)
+        if not constraints:
+            return self
+        system = [[ops.dot(y, s) for s in self._rows] for y in constraints]
+        coefs = _kernel_rows(system, self.dim, ops)
+        return Subspace._span([_combine(c, self._rows, n, ops) for c in coefs],
+                              n, field)
 
     def is_zero(self) -> bool:
         return self.dim == 0
@@ -248,30 +329,7 @@ class Subspace:
         return f"Subspace(dim {self.dim} of {self.ambient_dim} over {self.field})"
 
 
-def _annihilating_matrix(s: Subspace) -> Matrix:
-    """A matrix whose kernel is exactly s (rows = basis of the kernel of
-    s's basis viewed column-wise, i.e. the orthogonal complement)."""
-    comp = kernel(Matrix(s.basis.rows, s.field, s.ambient_dim))
-    if comp.dim == 0:
-        return Matrix.zero(1, s.ambient_dim, s.field)
-    return Matrix(comp.basis.rows, s.field, s.ambient_dim)
-
-
 def kernel(m: Matrix) -> Subspace:
     """The right kernel {x : m x = 0} as a Subspace of F^ncols."""
-    red, rank = rref(m)
-    field = m.field
-    n = m.ncols
-    pivots = []
-    for r in range(rank):
-        piv = next(j for j, x in enumerate(red.rows[r]) if not x.is_zero())
-        pivots.append(piv)
-    free = [j for j in range(n) if j not in pivots]
-    vecs = []
-    for j in free:
-        v = [field.zero()] * n
-        v[j] = field.one()
-        for r, piv in enumerate(pivots):
-            v[piv] = -red.rows[r][j]
-        vecs.append(v)
-    return Subspace.from_vectors(vecs, n, field)
+    return Subspace._span(_kernel_rows(m._payloads(), m.ncols, m.field.ops),
+                          m.ncols, m.field, reduced=True)

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceeded, ShapeError, Singular, UnsupportedField
 from .fields import PRIME
-from .linalg import Matrix
-from .algebra import EvolutionAlgebra, upper_series
+from .linalg import Matrix, _rank
+from .algebra import EvolutionAlgebra, _product, upper_series
 
 EXHAUSTIVE = "Exhaustive"
 RANDOMIZED = "Randomized"
@@ -49,73 +49,25 @@ def verify_hom(E1: EvolutionAlgebra, E2: EvolutionAlgebra,
         raise ShapeError("isomorphism candidate has wrong shape")
     if not m.is_invertible():
         raise Singular("isomorphism candidate is singular")
-    n = E1.dim
-    images = [m.apply(E1.basis_vector(i)) for i in range(n)]
+    E1.field.require(E2.field)
+    E1.field.require(m.field)
+    return _is_hom(E1._rows, E2._rows, m._payloads(), E1.field.ops)
+
+
+def _is_hom(A1, A2, m, ops) -> bool:
+    """The payload form of verify_hom's product test: A1 and A2 are the
+    structure rows, m the payload rows of the candidate matrix, whose
+    columns are the images of E1's basis vectors."""
+    n = len(m)
+    dot, Z = ops.dot, ops.zero
+    cols = [[row[c] for row in m] for c in range(n)]
     for i in range(n):
-        lhs = m.apply(E1.square_of_basis(i))
-        rhs = E2.multiply(images[i], images[i])
-        if lhs != rhs:
+        col = cols[i]
+        if [dot(row, A1[i]) for row in m] != _product(A2, col, col, ops):
             return False
     for i in range(n):
         for j in range(i + 1, n):
-            prod = E2.multiply(images[i], images[j])
-            if any(not x.is_zero() for x in prod):
-                return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# fast modular internals (plain ints mod p)
-
-def _int_structure(E: EvolutionAlgebra) -> list[list[int]]:
-    return [[x.value for x in row] for row in E.structure.rows]
-
-
-def _mat_rank(rows: list[list[int]], p: int) -> int:
-    rows = [r[:] for r in rows]
-    n = len(rows)
-    cols = len(rows[0]) if rows else 0
-    rank = 0
-    for c in range(cols):
-        piv = next((r for r in range(rank, n) if rows[r][c] % p), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][c], p - 2, p)
-        rows[rank] = [(x * inv) % p for x in rows[rank]]
-        for r in range(n):
-            if r != rank and rows[r][c]:
-                f = rows[r][c]
-                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == n:
-            break
-    return rank
-
-
-def _is_hom_int(A1, A2, m, p, n) -> bool:
-    """m maps E1 coordinates to E2 coordinates; columns are basis images."""
-    cols = [[m[r][c] for r in range(n)] for c in range(n)]
-    # squares: m . A1[i] == sum_k cols[i][k]^2 A2[k]
-    for i in range(n):
-        col = cols[i]
-        for j in range(n):
-            lhs = sum(m[j][k] * A1[i][k] for k in range(n)) % p
-            rhs = sum(col[k] * col[k] % p * A2[k][j] for k in range(n)) % p
-            if lhs != rhs:
-                return False
-    # cross products vanish
-    for i in range(n):
-        ci = cols[i]
-        for j in range(i + 1, n):
-            cj = cols[j]
-            prod = [0] * n
-            for k in range(n):
-                c = ci[k] * cj[k] % p
-                if c:
-                    for l in range(n):
-                        prod[l] = (prod[l] + c * A2[k][l]) % p
-            if any(prod):
+            if any(x != Z for x in _product(A2, cols[i], cols[j], ops)):
                 return False
     return True
 
@@ -136,7 +88,7 @@ def _pattern_blocks(series1, series2):
 
 
 def _search_common(E1, E2):
-    """Shared validation; returns (A1, A2, p, n, diag, ann) or None when
+    """Shared validation; returns (A1, A2, ops, n, diag, ann) or None when
     the answer is immediately None."""
     if E1.field.kind != PRIME or E2.field.kind != PRIME \
             or E1.field != E2.field:
@@ -147,13 +99,16 @@ def _search_common(E1, E2):
     if not s1.nilpotent or not s2.nilpotent \
             or s1.type_vector != s2.type_vector:
         return None
-    return (_int_structure(E1), _int_structure(E2), E1.field.modulus,
-            E1.dim) + _pattern_blocks(s1, s2)
+    return (E1._rows, E2._rows, E1.field.ops, E1.dim) \
+        + _pattern_blocks(s1, s2)
 
 
-def _as_matrix(m_int, field, n) -> Matrix:
-    return Matrix([[field.from_int(m_int[i][j]) for j in range(n)]
-                   for i in range(n)], field, n)
+def _verified(E1, E2, m) -> Matrix:
+    """The search hit m (payload rows) as a matrix, re-verified."""
+    witness = Matrix._wrap([list(r) for r in m], E1.field, len(m))
+    if not verify_hom(E1, E2, witness):
+        raise AssertionError("search hit failed re-verification")
+    return witness
 
 
 def exhaustive_iso(E1: EvolutionAlgebra, E2: EvolutionAlgebra,
@@ -166,7 +121,8 @@ def exhaustive_iso(E1: EvolutionAlgebra, E2: EvolutionAlgebra,
     common = _search_common(E1, E2)
     if common is None:
         return None
-    A1, A2, p, n, diag, ann = common
+    A1, A2, ops, n, diag, ann = common
+    p = E1.field.modulus
     # the slot order decides which witness comes first: column by column,
     # the diagonal-block rows, then the annihilator rows
     ann_rows = {}
@@ -182,13 +138,9 @@ def exhaustive_iso(E1: EvolutionAlgebra, E2: EvolutionAlgebra,
     for values in itertools.product(range(p), repeat=len(slots)):
         for (r, c), v in zip(slots, values):
             m[r][c] = v
-        if _mat_rank(m, p) < n:
-            continue
-        if _is_hom_int(A1, A2, m, p, n):
-            witness = _as_matrix(m, E1.field, n)
-            if not verify_hom(E1, E2, witness):
-                raise AssertionError("search hit failed re-verification")
-            return witness
+        # cheap algebraic rejection first; rank only on the rare pass
+        if _is_hom(A1, A2, m, ops) and _rank(m, n, ops) == n:
+            return _verified(E1, E2, m)
     return None
 
 
@@ -209,7 +161,8 @@ def randomized_iso(E1: EvolutionAlgebra, E2: EvolutionAlgebra,
     common = _search_common(E1, E2)
     if common is None:
         return None
-    A1, A2, p, n, diag, ann = common
+    A1, A2, ops, n, diag, ann = common
+    p = E1.field.modulus
     rng = random.Random(budget.seed)
     rand, randrange, shuffle = rng.random, rng.randrange, rng.shuffle
     m = [[0] * n for _ in range(n)]
@@ -229,9 +182,6 @@ def randomized_iso(E1: EvolutionAlgebra, E2: EvolutionAlgebra,
         for r, c in ann:
             m[r][c] = 0 if rand() < 0.5 else randrange(1, p)
         # cheap algebraic rejection first; rank only on the rare pass
-        if _is_hom_int(A1, A2, m, p, n) and _mat_rank(m, p) == n:
-            witness = _as_matrix(m, E1.field, n)
-            if not verify_hom(E1, E2, witness):
-                raise AssertionError("search hit failed re-verification")
-            return witness
+        if _is_hom(A1, A2, m, ops) and _rank(m, n, ops) == n:
+            return _verified(E1, E2, m)
     return None

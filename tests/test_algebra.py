@@ -1,8 +1,10 @@
 """Evolution algebras: series, powers, graphs, decomposability."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evoalg.algebra import (DECOMPOSABLE, INDECOMPOSABLE, PLENARY, RIGHT,
                             EvolutionAlgebra, component_index_sets,
@@ -13,7 +15,7 @@ from evoalg.algebra import (DECOMPOSABLE, INDECOMPOSABLE, PLENARY, RIGHT,
                             restrict_to_indices, split_components,
                             square_subspace, upper_series)
 from evoalg.errors import NotAnIdeal, NotNilpotent, ShapeError
-from evoalg.fields import GF, QQ
+from evoalg.fields import GF, QI, QQ, FieldElement
 from evoalg.linalg import Matrix, Subspace
 
 from helpers import (F13, random_algebra, random_large_annihilator,
@@ -182,3 +184,62 @@ def test_invariant_profile_chain4():
     assert prof.dim_sq == 3
     assert prof.u4_sq_in_u3 is True
     assert prof.ann_in_sq is True
+
+
+def reference_upper_series(E):
+    """The series by its definition: e_i joins once e_i^2 lies in the
+    span of the vectors placed so far, tested by elimination."""
+    placed, blocks, chain = set(), [], []
+    prev = Subspace.zero(E.dim, E.field)
+    while True:
+        new = [i for i in range(E.dim) if i not in placed
+               and prev.contains_vector(E.square_of_basis(i))]
+        if not new:
+            break
+        placed.update(new)
+        blocks.append(new)
+        prev = Subspace.from_vectors(
+            [E.basis_vector(i) for i in sorted(placed)], E.dim, E.field)
+        chain.append(prev)
+        if len(placed) == E.dim:
+            break
+    return blocks, chain, len(placed) == E.dim
+
+
+def _small_fraction():
+    return st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2))
+
+
+_SERIES_FIELDS = [(F13, st.integers(0, 12)), (QQ(), _small_fraction()),
+                  (QI(), st.tuples(_small_fraction(), _small_fraction()))]
+
+
+@st.composite
+def sparse_algebras(draw):
+    """Algebras of dim 1-5 over GF(13), Q or Q(i); half of them are made
+    nilpotent by keeping only entries above the diagonal of a hidden
+    order, the rest are arbitrary and mostly not nilpotent."""
+    field, payload = draw(st.sampled_from(_SERIES_FIELDS))
+    n = draw(st.integers(1, 5))
+    order = draw(st.permutations(range(n)))
+    nilpotent = draw(st.booleans())
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            x = draw(st.one_of(st.just(field.ops.zero), payload))
+            if nilpotent and order[i] >= order[j]:
+                x = field.ops.zero
+            row.append(FieldElement(field, x))
+        rows.append(row)
+    return EvolutionAlgebra(n, Matrix(rows, field, n), field)
+
+
+@settings(max_examples=150)
+@given(sparse_algebras())
+def test_upper_series_matches_containment_definition(E):
+    s = upper_series(E)
+    blocks, chain, nilpotent = reference_upper_series(E)
+    assert s.blocks == blocks and s.chain == chain
+    assert s.nilpotent == nilpotent
+    assert s.type_vector == [len(b) for b in blocks]

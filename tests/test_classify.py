@@ -2,6 +2,7 @@
 
 import importlib
 import random
+import time
 
 import pytest
 
@@ -195,3 +196,84 @@ def test_witness_isomorphism_normalizes_each_input_once(monkeypatch):
     m = witness_isomorphism(E1, E2)
     assert m is not None and verify_hom(E1, E2, m)
     assert calls == [(1, 2, 2), (1, 2, 2)]
+
+
+_cbrt = importlib.import_module("evoalg.classify")._cbrt
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 31, 109])
+def test_cbrt_matches_brute_force_scan(p):
+    # the smallest residue root, as a scan over 0..p-1 finds it; 109 - 1
+    # = 4 * 27 takes several base-3 digits of the discrete logarithm
+    F = GF(p)
+    for a in range(p):
+        scan = next((r for r in range(p) if r ** 3 % p == a), None)
+        if scan is None:
+            with pytest.raises(SqrtUnavailable):
+                _cbrt(F.from_int(a))
+        else:
+            assert _cbrt(F.from_int(a)) == F.from_int(scan)
+
+
+def test_cbrt_near_1e9_is_fast():
+    start = time.monotonic()
+    for p in (1000000007, 1000000009):    # p = 2 and p = 1 mod 3
+        F = GF(p)
+        # a primitive cube root of unity, or 1 when cubing is a bijection
+        w = next(pow(g, (p - 1) // 3, p) for g in range(2, p)
+                 if pow(g, (p - 1) // 3, p) != 1) if p % 3 == 1 else 1
+        for a in range(2, 400):
+            try:
+                r = _cbrt(F.from_int(a)).value
+            except SqrtUnavailable:
+                assert p % 3 == 1 and pow(a, (p - 1) // 3, p) != 1
+                continue
+            assert pow(r, 3, p) == a
+            # the smallest of the roots r, rw, rw^2
+            assert r == min(r, r * w % p, r * w * w % p)
+    assert time.monotonic() - start < 5.0
+
+
+def test_series_and_basis_changes_skip_redundant_elimination(monkeypatch):
+    # call counts, not timings: upper_series reads membership off the
+    # structure rows without any elimination, and _algebra_in_basis
+    # inverts its basis matrix once rather than once per vector
+    linalg = importlib.import_module("evoalg.linalg")
+    classify_module = importlib.import_module("evoalg.classify")
+    algebra = importlib.import_module("evoalg.algebra")
+    counts = {"rref": 0, "inverse": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(linalg, "_rref_rows",
+                        counting("rref", linalg._rref_rows))
+    monkeypatch.setattr(linalg.Matrix, "inverse",
+                        counting("inverse", linalg.Matrix.inverse))
+    inverses_per_call = []
+    original_in_basis = classify_module._algebra_in_basis
+
+    def in_basis(E, basis_vecs):
+        before = counts["inverse"]
+        try:
+            return original_in_basis(E, basis_vecs)
+        finally:
+            inverses_per_call.append(counts["inverse"] - before)
+    monkeypatch.setattr(classify_module, "_algebra_in_basis", in_basis)
+
+    rng = random.Random(5)
+    for _ in range(60):
+        E = random_nilpotent(5, rng)
+        for A in (E, random_monomial_relabelling(E, rng)):
+            counts["rref"] = 0
+            series = algebra.upper_series(A)
+            assert counts["rref"] == 0 and series.nilpotent
+            try:
+                classify(A)
+            except SqrtUnavailable:
+                pass
+    assert len(inverses_per_call) >= 10
+    assert set(inverses_per_call) == {1}

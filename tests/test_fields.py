@@ -1,13 +1,16 @@
 """Exact field arithmetic: rationals, Gaussian rationals, prime fields."""
 
+import pickle
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from evoalg.errors import (AlgebraSyntaxError, DivisionByZero, DomainError,
                            FieldLacksI, MixedFields)
-from evoalg.fields import (GF, QI, QQ, is_square, order_key, parse_element,
+from evoalg.fields import (GF, PRIME, QI, QQ, FieldDescriptor, FieldElement,
+                           is_square, order_key, parse_element,
                            sqrt_if_square, total_order)
 
 
@@ -136,3 +139,53 @@ def test_total_order_is_total():
     ordered = sorted(xs, key=order_key)
     for a, b in zip(ordered, ordered[1:]):
         assert total_order(a, b) <= 0
+
+
+def test_descriptors_are_interned_and_compare_by_value():
+    assert GF(13) is GF(13) and QQ() is QQ() and QI() is QI()
+    direct = FieldDescriptor(PRIME, 13)
+    assert direct is not GF(13)
+    assert direct == GF(13) and hash(direct) == hash(GF(13))
+    # elements over an equal but separately built descriptor still mix
+    a = FieldElement(direct, 5)
+    assert a + GF(13).from_int(8) == GF(13).zero()
+    assert GF(13).one() * a == a
+
+
+def _small_fraction():
+    return st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+# one strategy per field: (descriptor, payload strategy)
+FIELD_PAYLOADS = [
+    (GF(13), st.integers(0, 12)),
+    (QQ(), _small_fraction()),
+    (QI(), st.tuples(_small_fraction(), _small_fraction())),
+]
+
+
+ELEMENTS = st.sampled_from(FIELD_PAYLOADS).flatmap(
+    lambda fp: st.builds(FieldElement, st.just(fp[0]), fp[1]))
+
+
+@given(ELEMENTS)
+def test_elements_stay_immutable_and_hashable(x):
+    field, payload = x.field, x.value
+    twin = FieldElement(FieldDescriptor(field.kind, field.modulus), payload)
+    assert x == twin and hash(x) == hash(twin) and len({x, twin}) == 1
+    assert pickle.loads(pickle.dumps(x)) == x
+    with pytest.raises(FrozenInstanceError):
+        x.value = payload
+    with pytest.raises(FrozenInstanceError):
+        del x.field
+    # arithmetic returns new elements and leaves its operands alone
+    y = x + x * x - x
+    assert x.value == payload and x.field is field and y.field is field
+
+
+@given(ELEMENTS, ELEMENTS)
+def test_mixing_fields_raises(a, b):
+    assume(a.field != b.field)
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a / b):
+        with pytest.raises(MixedFields):
+            op()

@@ -1,12 +1,14 @@
 """Exact linear algebra: matrices, RREF, kernels, subspaces."""
 
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from evoalg.errors import AmbientMismatch, ShapeError, Singular
-from evoalg.fields import GF, QQ
+from evoalg.algebra import EvolutionAlgebra
+from evoalg.errors import AmbientMismatch, MixedFields, ShapeError, Singular
+from evoalg.fields import GF, QI, QQ, FieldElement
 from evoalg.linalg import Matrix, Subspace, kernel, rref
 
 F13 = GF(13)
@@ -93,3 +95,105 @@ def test_dimension_formula(rows_s, rows_t):
     t = Subspace.from_vectors(
         [[F13.from_int(x) for x in r] for r in rows_t], 3, F13)
     assert s.dim + t.dim == (s + t).dim + s.intersect(t).dim
+
+
+# ---------------------------------------------------------------------------
+# properties over GF(13), Q and Q(i)
+
+def _small_fraction():
+    return st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2))
+
+
+_PAYLOADS = {
+    "GF13": (F13, st.integers(0, 12)),
+    "Q": (QQ(), _small_fraction()),
+    "Qi": (QI(), st.tuples(_small_fraction(), _small_fraction())),
+}
+
+
+@st.composite
+def matrices(draw, square=False):
+    field, payload = _PAYLOADS[draw(st.sampled_from(sorted(_PAYLOADS)))]
+    nrows = draw(st.integers(1, 4))
+    ncols = nrows if square else draw(st.integers(1, 4))
+    # zeros are frequent, so rank drops and free columns both occur
+    entry = st.one_of(st.just(field.ops.zero), payload)
+    rows = [[FieldElement(field, draw(entry)) for _ in range(ncols)]
+            for _ in range(nrows)]
+    return Matrix(rows, field, ncols)
+
+
+def reference_rref(m):
+    """Gauss-Jordan elimination on FieldElement entries, one scalar
+    operation at a time."""
+    rows = [list(r) for r in m.rows]
+    top = 0
+    for col in range(m.ncols):
+        pr = next((r for r in range(top, m.nrows)
+                   if not rows[r][col].is_zero()), None)
+        if pr is None:
+            continue
+        rows[top], rows[pr] = rows[pr], rows[top]
+        inv = rows[top][col].inverse()
+        rows[top] = [x * inv for x in rows[top]]
+        for r in range(m.nrows):
+            if r != top and not rows[r][col].is_zero():
+                c = rows[r][col]
+                rows[r] = [a - c * b for a, b in zip(rows[r], rows[top])]
+        top += 1
+    return Matrix(rows, m.field, m.ncols), top
+
+
+@settings(max_examples=60)
+@given(matrices())
+def test_rref_matches_reference_and_is_idempotent(m):
+    r, rank = rref(m)
+    assert (r, rank) == reference_rref(m)
+    assert rref(r) == (r, rank)
+
+
+@settings(max_examples=60)
+@given(matrices())
+def test_rank_equals_rank_of_transpose(m):
+    assert rref(m)[1] == rref(m.transpose())[1]
+
+
+@settings(max_examples=60)
+@given(matrices(square=True))
+def test_inverse_round_trip(m):
+    ident = Matrix.identity(m.nrows, m.field)
+    if not m.is_invertible():
+        with pytest.raises(Singular):
+            m.inverse()
+        return
+    inv = m.inverse()
+    assert m * inv == ident and inv * m == ident
+
+
+@settings(max_examples=60)
+@given(matrices())
+def test_kernel_vectors_are_annihilated(m):
+    k = kernel(m)
+    assert k.dim + rref(m)[1] == m.ncols
+    for v in k.vectors():
+        assert all(x.is_zero() for x in m.apply(v))
+
+
+@settings(max_examples=30)
+@given(matrices(square=True), st.sampled_from(sorted(_PAYLOADS)))
+def test_mixing_fields_raises_in_the_kernels(m, other_name):
+    # the payload kernels take one field's ops, so operands from another
+    # field must be refused rather than computed with the wrong arithmetic
+    other = _PAYLOADS[other_name][0]
+    assume(other != m.field)
+    n, field = m.nrows, m.field
+    foreign = Matrix.identity(n, other)
+    v = foreign.rows[0]
+    E = EvolutionAlgebra(n, m, field)
+    S, T = Subspace.full(n, field), Subspace.full(n, other)
+    for op in (lambda: m * foreign, lambda: foreign * m,
+               lambda: m.apply(v), lambda: E.multiply(v, v),
+               lambda: S + T, lambda: S.intersect(T), lambda: S.contains(T),
+               lambda: S.contains_vector(v)):
+        with pytest.raises(MixedFields):
+            op()

@@ -83,6 +83,28 @@ def test_exhaustive_finds_rescaled_copy_over_f5():
     E2 = EvolutionAlgebra(4, Matrix(new_rows, F5, 4), F5)
     m = exhaustive_iso(E1, E2)
     assert m is not None and verify_hom(E1, E2, m)
+    # the first witness in slot order, whichever test rejects a candidate
+    # first
+    assert m == Matrix.from_ints([[2, 0, 0, 0], [0, 1, 0, 0],
+                                  [0, 0, 2, 0], [0, 0, 0, 4]], F5)
+
+
+@pytest.mark.parametrize("A1, A2, first", [
+    ([[0, 0, 0], [4, 0, 0], [0, 1, 0]], [[0, 2, 0], [0, 0, 0], [1, 0, 0]],
+     [[0, 1, 0], [3, 0, 0], [0, 0, 1]]),
+    ([[0, 0, 0], [4, 0, 0], [4, 0, 0]], [[0, 1, 0], [0, 0, 0], [0, 4, 0]],
+     [[0, 0, 2], [1, 0, 0], [0, 1, 0]]),
+    ([[0, 4, 0], [0, 0, 0], [1, 1, 0]], [[0, 2, 1], [0, 0, 1], [0, 0, 0]],
+     [[0, 0, 1], [2, 0, 0], [0, 1, 0]]),
+    ([[0, 4, 4], [0, 0, 0], [0, 2, 0]], [[0, 3, 3], [0, 0, 4], [0, 0, 0]],
+     [[1, 0, 0], [0, 0, 2], [0, 3, 4]]),
+])
+def test_exhaustive_returns_the_first_witness(A1, A2, first):
+    # pinned from the search that ran the rank test before the product
+    # test: testing the products first must not change which witness wins
+    E1 = EvolutionAlgebra.from_ints(A1, F5)
+    E2 = EvolutionAlgebra.from_ints(A2, F5)
+    assert exhaustive_iso(E1, E2) == Matrix.from_ints(first, F5)
 
 
 def test_exhaustive_none_is_conclusive():
