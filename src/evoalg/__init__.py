@@ -27,6 +27,19 @@ from .classify import (CanonicalLabel, Decomposed, classify, labels_equal,
                        witness_isomorphism)
 from .oracle import (SearchBudget, exhaustive_iso, randomized_iso,
                      verify_hom)
-from .cli import dispatch, emit_dot, parse_algebra_file, write_algebra_text
+
+# The CLI (and argparse) loads on first use of one of its names, so that
+# ``python -m evoalg.cli`` runs cli.py once, as __main__, and a plain
+# ``import evoalg`` stays cheap.
+_CLI_NAMES = ("dispatch", "emit_dot", "parse_algebra_file",
+              "write_algebra_text")
 
 __all__ = [name for name in dir() if not name.startswith("_")]
+__all__ += _CLI_NAMES
+
+
+def __getattr__(name):
+    if name in _CLI_NAMES:
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -10,8 +10,7 @@ ideals where the supporting theory provides one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
+from ._values import Value
 from .errors import NotAnIdeal, NotNilpotent, ShapeError
 from .fields import FieldDescriptor, FieldElement
 from .linalg import Matrix, Subspace, _combine, _kernel_rows
@@ -105,8 +104,7 @@ def quotient_by_block(E: EvolutionAlgebra, keep) -> EvolutionAlgebra:
                             Matrix(rows, E.field, len(keep)), E.field)
 
 
-@dataclass
-class AnnSeries:
+class AnnSeries(Value):
     """The upper annihilating series of an evolution algebra.
 
     chain[i] is ann^{i+1}; blocks[i] lists the basis indices entering the
@@ -114,10 +112,14 @@ class AnnSeries:
     stabilizes short of the full space the algebra is not nilpotent.
     """
 
-    chain: list = dc_field(default_factory=list)
-    blocks: list = dc_field(default_factory=list)
-    type_vector: list = dc_field(default_factory=list)
-    nilpotent: bool = False
+    __slots__ = _fields = ("chain", "blocks", "type_vector", "nilpotent")
+
+    def __init__(self, chain=None, blocks=None, type_vector=None,
+                 nilpotent: bool = False):
+        self.chain = [] if chain is None else chain
+        self.blocks = [] if blocks is None else blocks
+        self.type_vector = [] if type_vector is None else type_vector
+        self.nilpotent = nilpotent
 
     @property
     def r(self) -> int:
@@ -238,13 +240,15 @@ def relative_annihilator(E: EvolutionAlgebra, inside: Subspace,
                           E.dim, E.field)
 
 
-@dataclass
-class WeightedGraph:
+class WeightedGraph(Value):
     """Directed weighted graph of an evolution algebra: an edge (i, j, w)
     for each nonzero structure entry A[i][j] = w."""
 
-    vertex_count: int
-    edges: list
+    __slots__ = _fields = ("vertex_count", "edges")
+
+    def __init__(self, vertex_count: int, edges: list):
+        self.vertex_count = vertex_count
+        self.edges = edges
 
 
 def graph_of(E: EvolutionAlgebra) -> WeightedGraph:
@@ -297,11 +301,14 @@ INDECOMPOSABLE = "Indecomposable"
 UNKNOWN = "Unknown"
 
 
-@dataclass
-class DecompVerdict:
-    status: str
-    reason: str
-    witness: tuple | None = None  # pair of complementary ideal Subspaces
+class DecompVerdict(Value):
+    __slots__ = _fields = ("status", "reason", "witness")
+
+    def __init__(self, status: str, reason: str,
+                 witness: tuple | None = None):
+        self.status = status
+        self.reason = reason
+        self.witness = witness  # pair of complementary ideal Subspaces
 
 
 def _complement_inside(small: Subspace, big: Subspace) -> Subspace:
@@ -393,17 +400,23 @@ def decomposability_check(E: EvolutionAlgebra) -> DecompVerdict:
     return DecompVerdict(UNKNOWN, "no applicable criterion")
 
 
-@dataclass
-class InvariantProfile:
+class InvariantProfile(Value):
     """Dimension/containment data distinguishing canonical classes."""
 
-    type_vector: list
-    dim_sq: int
-    dim_block_sq: dict          # i -> dim (U_i + U_1)^2, for i >= 2
-    dim_u3_sq_sq: int | None    # dim ((U_3 + U_1)^2)^2
-    u4_sq_in_u3: bool | None    # (U_4 + U_1)^2 subset of U_3 + U_1
-    ann_in_sq: bool
-    dim_sq_cap_u3: int | None   # dim (E^2 cap (U_3 + U_1))
+    __slots__ = _fields = ("type_vector", "dim_sq", "dim_block_sq",
+                           "dim_u3_sq_sq", "u4_sq_in_u3", "ann_in_sq",
+                           "dim_sq_cap_u3")
+
+    def __init__(self, type_vector: list, dim_sq: int, dim_block_sq: dict,
+                 dim_u3_sq_sq: int | None, u4_sq_in_u3: bool | None,
+                 ann_in_sq: bool, dim_sq_cap_u3: int | None):
+        self.type_vector = type_vector
+        self.dim_sq = dim_sq
+        self.dim_block_sq = dim_block_sq    # i -> dim (U_i + U_1)^2, i >= 2
+        self.dim_u3_sq_sq = dim_u3_sq_sq    # dim ((U_3 + U_1)^2)^2
+        self.u4_sq_in_u3 = u4_sq_in_u3      # (U_4 + U_1)^2 in U_3 + U_1
+        self.ann_in_sq = ann_in_sq
+        self.dim_sq_cap_u3 = dim_sq_cap_u3  # dim (E^2 cap (U_3 + U_1))
 
 
 def block_subspace(E: EvolutionAlgebra, series: AnnSeries, i: int) -> Subspace:

@@ -20,9 +20,9 @@ normalizing again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
+from ._values import Frozen, Value, set_fields
 from .errors import (
     NotNilpotent,
     SpecMismatch,
@@ -51,14 +51,15 @@ from .tables import find_entry, orbit_min
 from .oracle import verify_hom
 
 
-@dataclass(frozen=True)
-class CanonicalLabel:
-    dim: int
-    type_vector: tuple
-    variant: int
-    params: tuple = ()
-    boundary: bool = False
-    no_witness: bool = False
+class CanonicalLabel(Frozen):
+    __slots__ = _fields = ("dim", "type_vector", "variant", "params",
+                           "boundary", "no_witness")
+
+    def __init__(self, dim: int, type_vector: tuple, variant: int,
+                 params: tuple = (), boundary: bool = False,
+                 no_witness: bool = False):
+        set_fields(self, dim, type_vector, variant, params, boundary,
+                   no_witness)
 
     def serialize(self) -> str:
         tv = ",".join(str(k) for k in self.type_vector)
@@ -71,12 +72,14 @@ class CanonicalLabel:
         return (self.dim, self.type_vector, self.variant)
 
 
-@dataclass
-class Decomposed:
+class Decomposed(Value):
     """A direct-sum decomposition into indecomposable summand labels,
     sorted by serialization for determinism."""
 
-    labels: list = dc_field(default_factory=list)
+    __slots__ = _fields = ("labels",)
+
+    def __init__(self, labels: list | None = None):
+        self.labels = [] if labels is None else labels
 
     def serialize(self) -> str:
         return " + ".join(l.serialize() for l in self.labels)

@@ -19,7 +19,7 @@ from .algebra import (EvolutionAlgebra, WeightedGraph, decomposability_check,
                       graph_of, upper_series)
 from .classify import classify, labels_equal, witness_isomorphism
 from .families import (UB, UBFG, UBG, UBU, FamilySpec, build)
-from .oracle import (EXHAUSTIVE, RANDOMIZED, SearchBudget, exhaustive_iso,
+from .oracle import (RANDOMIZED, SearchBudget, exhaustive_iso,
                      randomized_iso)
 
 
@@ -171,11 +171,13 @@ def _cmd_iso(args) -> int:
     E1 = parse_algebra_file(args.file1)
     E2 = parse_algebra_file(args.file2)
     if args.oracle is not None:
-        mode = EXHAUSTIVE if args.oracle == "exhaustive" else RANDOMIZED
-        budget = SearchBudget(mode=mode, max_trials=args.trials,
-                              seed=args.seed)
-        search = exhaustive_iso if mode == EXHAUSTIVE else randomized_iso
-        m = search(E1, E2, budget)
+        if args.oracle == "exhaustive":
+            m = exhaustive_iso(E1, E2)
+        else:
+            m = randomized_iso(E1, E2, SearchBudget(
+                RANDOMIZED,
+                100000 if args.trials is None else args.trials,
+                0 if args.seed is None else args.seed))
         if m is None:
             print("no witness found")
         else:
@@ -253,9 +255,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file1")
     sp.add_argument("file2")
     sp.add_argument("--oracle", choices=("exhaustive", "randomized"))
-    sp.add_argument("--trials", type=int, default=100000)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(run=_cmd_iso)
+    sp.add_argument("--trials", type=int,
+                    help="randomized search only (default 100000)")
+    sp.add_argument("--seed", type=int,
+                    help="randomized search only (default 0)")
+    sp.set_defaults(run=_cmd_iso, parser=sp)
 
     sp = sub.add_parser("family", help="emit a family algebra file")
     sp.add_argument("--kind", required=True,
@@ -284,6 +288,10 @@ def dispatch(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.run is _cmd_iso and args.oracle != "randomized" and (
+                args.trials is not None or args.seed is not None):
+            args.parser.error("--trials and --seed apply only to "
+                              "--oracle randomized")
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -16,8 +16,7 @@ basis presentations:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._values import Frozen, set_fields
 from .errors import KindMismatch, SpecMismatch, UnsupportedField
 from .fields import FieldDescriptor, FieldElement, order_key
 from .linalg import Matrix
@@ -30,16 +29,17 @@ UBFG = "Ubfg"
 UBU = "Ubu"
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    kind: str
-    n: int
-    b_diag: tuple
-    f_eigs: tuple | None = None
-    g_eigs: tuple | None = None
-    u_coords: tuple | None = None
+class FamilySpec(Frozen):
+    __slots__ = _fields = ("kind", "n", "b_diag", "f_eigs", "g_eigs",
+                           "u_coords")
 
-    def __post_init__(self):
+    def __init__(self, kind: str, n: int, b_diag: tuple,
+                 f_eigs: tuple | None = None, g_eigs: tuple | None = None,
+                 u_coords: tuple | None = None):
+        set_fields(self, kind, n, b_diag, f_eigs, g_eigs, u_coords)
+        self._validate()
+
+    def _validate(self):
         if self.kind not in (UB, UBG, UBFG, UBU):
             raise SpecMismatch(f"unknown family kind {self.kind!r}")
         if self.n < 1 or len(self.b_diag) != self.n:

@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 
+from ._values import Frozen, frozen_error, set_fields
 from .errors import (
     DivisionByZero,
     DomainError,
@@ -27,8 +27,7 @@ GAUSSIAN = "Qi"
 PRIME = "GF"
 
 
-@dataclass(frozen=True)
-class FieldDescriptor:
+class FieldDescriptor(Frozen):
     """Identifies one of the supported coefficient fields.
 
     ``GF``, ``QQ`` and ``QI`` hand out one shared descriptor per field, so
@@ -36,21 +35,22 @@ class FieldDescriptor:
     ``ops`` is the field's table of raw-payload operations.
     """
 
-    kind: str
-    modulus: int | None = None
+    __slots__ = ("kind", "modulus", "ops")
+    _fields = ("kind", "modulus")
 
-    def __post_init__(self):
-        if self.kind not in (RATIONALS, GAUSSIAN, PRIME):
-            raise DomainError(f"unknown field kind {self.kind!r}")
-        if self.kind == PRIME:
-            p = self.modulus
+    def __init__(self, kind: str, modulus: int | None = None):
+        if kind not in (RATIONALS, GAUSSIAN, PRIME):
+            raise DomainError(f"unknown field kind {kind!r}")
+        if kind == PRIME:
+            p = modulus
             if p is None or p < 3 or not _is_prime(p):
                 raise DomainError(f"modulus must be an odd prime, got {p}")
             ops = _PrimeOps(p)
-        elif self.modulus is not None:
+        elif modulus is not None:
             raise DomainError("modulus only applies to prime fields")
         else:
-            ops = _RATIONAL_OPS if self.kind == RATIONALS else _GAUSSIAN_OPS
+            ops = _RATIONAL_OPS if kind == RATIONALS else _GAUSSIAN_OPS
+        set_fields(self, kind, modulus)
         object.__setattr__(self, "ops", ops)
 
     def __reduce__(self):
@@ -235,10 +235,10 @@ class FieldElement:
         _set_value(self, value)
 
     def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        frozen_error("assign to", name)
 
     def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        frozen_error("delete", name)
 
     def __reduce__(self):
         return FieldElement, (self.field, self.value)

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 
+from ._values import Frozen, set_fields
 from .errors import BudgetExceeded, ShapeError, Singular, UnsupportedField
 from .fields import PRIME
 from .linalg import Matrix, _rank
@@ -31,11 +31,12 @@ RANDOMIZED = "Randomized"
 _EXHAUSTIVE_LIMIT = 10 ** 8
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    mode: str = EXHAUSTIVE
-    max_trials: int = 100000
-    seed: int = 0
+class SearchBudget(Frozen):
+    __slots__ = _fields = ("mode", "max_trials", "seed")
+
+    def __init__(self, mode: str = EXHAUSTIVE, max_trials: int = 100000,
+                 seed: int = 0):
+        set_fields(self, mode, max_trials, seed)
 
 
 def verify_hom(E1: EvolutionAlgebra, E2: EvolutionAlgebra,
@@ -111,8 +112,8 @@ def _verified(E1, E2, m) -> Matrix:
     return witness
 
 
-def exhaustive_iso(E1: EvolutionAlgebra, E2: EvolutionAlgebra,
-                   budget: SearchBudget = SearchBudget()) -> Matrix | None:
+def exhaustive_iso(E1: EvolutionAlgebra,
+                   E2: EvolutionAlgebra) -> Matrix | None:
     """Enumerate every block-patterned matrix over the prime field.
 
     Returns the lexicographically first witness, or None once the space

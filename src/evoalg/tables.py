@@ -11,25 +11,27 @@ closed fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
+from ._values import Frozen, set_fields
 from .errors import DomainError, FieldLacksI, UnsupportedDim
 from .fields import FieldDescriptor, FieldElement, order_key
 from .linalg import Matrix
 from .algebra import EvolutionAlgebra
 
 
-@dataclass(frozen=True)
-class ClassEntry:
-    dim: int
-    type_vector: tuple
-    variant: int
-    param_arity: int
-    build: Callable  # (params tuple, field) -> EvolutionAlgebra
-    orbit: Callable  # (params tuple, field) -> list of param tuples
-    param_ok: Callable  # (params tuple) -> bool
-    needs_i: bool = False
+class ClassEntry(Frozen):
+    """One canonical class.  ``build(params, field)`` gives the template
+    algebra, ``orbit(params, field)`` the parameter tuples naming the same
+    class, and ``param_ok(params)`` says whether params lie in the
+    domain."""
+
+    __slots__ = _fields = ("dim", "type_vector", "variant", "param_arity",
+                           "build", "orbit", "param_ok", "needs_i")
+
+    def __init__(self, dim: int, type_vector: tuple, variant: int,
+                 param_arity: int, build, orbit, param_ok,
+                 needs_i: bool = False):
+        set_fields(self, dim, type_vector, variant, param_arity, build,
+                   orbit, param_ok, needs_i)
 
     def template(self, params, field: FieldDescriptor) -> EvolutionAlgebra:
         if len(params) != self.param_arity:

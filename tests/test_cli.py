@@ -1,6 +1,12 @@
 """Command-line interface: file format, subcommands, exit codes."""
 
+import os
+import subprocess
+import sys
+
 import pytest
+
+import evoalg
 
 from evoalg.algebra import EvolutionAlgebra, graph_of
 from evoalg.cli import (dispatch, emit_dot, parse_algebra_text,
@@ -137,3 +143,60 @@ def test_exit_codes(tmp_path, capsys):
     # classify of a non-nilpotent algebra is a domain error
     f = algfile(tmp_path, "field Q\ndim 1\nrow 1\n", "d.alg")
     assert dispatch(["classify", f]) == 1
+
+
+def test_oracle_budget_flags_need_the_randomized_oracle(tmp_path, capsys):
+    f1 = algfile(tmp_path, "field GF 3\ndim 2\nrow 0 1\nrow 0 0\n", "a.alg")
+    f2 = algfile(tmp_path, "field GF 3\ndim 2\nrow 0 2\nrow 0 0\n", "b.alg")
+    for extra in (["--trials", "5"], ["--seed", "1"]):
+        for oracle in (["--oracle", "exhaustive"], []):
+            assert dispatch(["iso", f1, f2, *oracle, *extra]) == 2
+            err = capsys.readouterr().err
+            assert "apply only to --oracle randomized" in err
+    assert dispatch(["iso", f1, f2, "--oracle", "randomized",
+                     "--trials", "500", "--seed", "1"]) == 0
+    assert "witness:" in capsys.readouterr().out
+
+
+def run_python(*args):
+    """A fresh interpreter that finds this checkout's evoalg first."""
+    src = os.path.dirname(os.path.dirname(evoalg.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=60)
+
+
+def test_module_run_is_quiet_and_cli_names_stay_public(tmp_path):
+    f = algfile(tmp_path, CHAIN4)
+    done = run_python("-m", "evoalg.cli", "type", f)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[1,1,1,1]\n",
+                                                          "")
+    done = run_python("-W", "error", "-c", (
+        "from evoalg import dispatch, emit_dot\n"
+        "import evoalg, evoalg.cli\n"
+        "assert dispatch is evoalg.cli.dispatch\n"
+        "ns = {}\n"
+        "exec('from evoalg import *', ns)\n"
+        "names = ('dispatch', 'emit_dot', 'parse_algebra_file',\n"
+        "         'write_algebra_text', 'classify', 'GF')\n"
+        "assert all(n in evoalg.__all__ and n in ns for n in names)\n"
+        "assert ns['parse_algebra_file'] is evoalg.cli.parse_algebra_file\n"))
+    assert (done.returncode, done.stderr) == (0, "")
+
+
+def test_import_adds_no_heavy_modules():
+    # measured against the bare interpreter's own modules, which site
+    # hooks make differ from one installation to the next
+    done = run_python("-c", (
+        "import sys\n"
+        "bare = set(sys.modules)\n"
+        "import evoalg\n"
+        "print(' '.join(sorted(set(sys.modules) - bare)))\n"))
+    assert done.returncode == 0, done.stderr
+    added = set(done.stdout.split())
+    assert "evoalg.classify" in added
+    for heavy in ("dataclasses", "inspect", "typing", "argparse",
+                  "evoalg.cli"):
+        assert heavy not in added
