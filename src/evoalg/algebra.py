@@ -10,6 +10,8 @@ ideals where the supporting theory provides one.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from ._values import Value
 from .errors import NotAnIdeal, NotNilpotent, ShapeError
 from .fields import FieldDescriptor, FieldElement
@@ -33,6 +35,20 @@ class EvolutionAlgebra:
         self.structure = structure
         # payload rows of the structure matrix, for the exact core
         self._rows = structure._payloads()
+
+    @classmethod
+    def _wrap(cls, rows: list[list], field: FieldDescriptor):
+        """The algebra with the given payload structure rows, which are
+        trusted and kept; the structure matrix wraps them on first use."""
+        E = cls.__new__(cls)
+        E.dim = len(rows)
+        E.field = field
+        E._rows = rows
+        return E
+
+    @cached_property
+    def structure(self) -> Matrix:
+        return Matrix._wrap(self._rows, self.field, self.dim)
 
     @classmethod
     def from_ints(cls, rows: list[list[int]], field: FieldDescriptor):
@@ -283,13 +299,22 @@ def component_index_sets(E: EvolutionAlgebra) -> list[list[int]]:
 
 
 def restrict_to_indices(E: EvolutionAlgebra, idx: list[int]) -> EvolutionAlgebra:
-    rows = [[E.structure[i, j] for j in idx] for i in idx]
-    return EvolutionAlgebra(len(idx), Matrix(rows, E.field, len(idx)), E.field)
+    if not idx:
+        raise ShapeError("dimension must be at least 1")
+    return _subalgebra(E._rows, idx, E.field)
+
+
+def _subalgebra(rows: list[list], idx, field) -> EvolutionAlgebra:
+    """The algebra on the basis vectors idx of the payload structure
+    rows, by row and column selection."""
+    return EvolutionAlgebra._wrap([[rows[i][j] for j in idx] for i in idx],
+                                  field)
 
 
 def split_components(E: EvolutionAlgebra) -> list[EvolutionAlgebra]:
     """The induced subalgebras on the weakly connected graph components."""
-    return [restrict_to_indices(E, idx) for idx in component_index_sets(E)]
+    return [_subalgebra(E._rows, idx, E.field)
+            for idx in component_index_sets(E)]
 
 
 def is_ideal(E: EvolutionAlgebra, s: Subspace) -> bool:

@@ -16,6 +16,14 @@ no-witness flag.  The normalizer builds and verifies the witness basis
 once, in the same pass that produces the label, and
 ``witness_isomorphism`` composes the two stored witnesses instead of
 normalizing again.
+
+The splitting stages, the adapted reorder and the witness check compute
+on raw payload rows through the field's ``ops`` table: a change of
+natural basis inverts its basis once, summands are row and column
+selections, and each witness candidate gets one rank test and the
+product test of ``verify_hom``.  Only the per-type normalizers work with
+``FieldElement`` values: a summand's structure matrix is built only when
+a normalizer reads it, and only the accepted witness is wrapped.
 """
 
 from __future__ import annotations
@@ -37,18 +45,19 @@ from .fields import (
     order_key,
     sqrt_if_square,
 )
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, _combine, _inverse_rows, _rank
 from .algebra import (
     EvolutionAlgebra,
     component_index_sets,
-    restrict_to_indices,
     square_subspace,
     upper_series,
     _complement_inside,
+    _product,
+    _subalgebra,
     _zero_rows,
 )
 from .tables import find_entry, orbit_min
-from .oracle import verify_hom
+from .oracle import _is_hom, verify_hom
 
 
 class CanonicalLabel(Frozen):
@@ -241,26 +250,37 @@ class _DiagForm:
 
 
 # ---------------------------------------------------------------------------
-# natural-basis-preserving decompositions
+# natural-basis-preserving decompositions, on payload rows
 
-def _coords_matrix(basis_vecs, field):
-    """The matrix taking a vector to its coordinates in the given basis of
-    the ambient space: the inverse of the matrix with those columns."""
-    return Matrix(basis_vecs, field).transpose().inverse()
+def _unit_row(i, n, ops):
+    v = [ops.zero] * n
+    v[i] = ops.one
+    return v
 
 
-def _algebra_in_basis(E, basis_vecs):
-    """Present E in a new natural basis; raises if not natural."""
-    field = E.field
-    n = E.dim
-    for i in range(len(basis_vecs)):
-        for j in range(i + 1, len(basis_vecs)):
-            prod = E.multiply(basis_vecs[i], basis_vecs[j])
-            if any(not x.is_zero() for x in prod):
+def _adjusted_rows(E, basis):
+    """The structure rows of E in the natural basis given by the payload
+    rows ``basis``; raises SpecMismatch if the basis is not natural and
+    Singular if it is not a basis.
+
+    With M the matrix whose rows are the basis vectors, a vector w has
+    coordinates w M^-1 in the new basis, so one inversion of M serves
+    every new square."""
+    ops = E.field.ops
+    A, Z, n = E._rows, ops.zero, E.dim
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            if any(x != Z for x in _product(A, basis[i], basis[j], ops)):
                 raise SpecMismatch("candidate basis is not natural")
-    coords = _coords_matrix(basis_vecs, field)
-    rows = [coords.apply(E.multiply(b, b)) for b in basis_vecs]
-    return EvolutionAlgebra(n, Matrix(rows, field, n), field)
+    inv = _inverse_rows(basis, ops)
+    return [_combine(_product(A, b, b, ops), inv, n, ops) for b in basis]
+
+
+def _split_in_basis(E, basis, groups):
+    """The summands of E on the index groups of the natural basis given
+    by payload rows."""
+    rows = _adjusted_rows(E, basis)
+    return [_subalgebra(rows, g, E.field) for g in groups]
 
 
 def _refine_split(E, ann, sq):
@@ -268,56 +288,49 @@ def _refine_split(E, ann, sq):
     vector by an annihilator summand so that the basis splits into an
     ideal containing E^2 plus a zero-algebra complement."""
     n, field = E.dim, E.field
+    ops = field.ops
     ann_sq = ann.intersect(sq)
     c_part = _complement_inside(ann_sq, ann)
     i_part = sq + _complement_inside(sq + c_part, Subspace.full(n, field))
-    i_vecs = i_part.vectors()
-    c_vecs = c_part.vectors()
-    mixed = i_vecs + c_vecs
-    ann_idx = set(_zero_rows(E))
-    to_mixed = _coords_matrix(mixed, field)
+    c_rows = c_part._rows
+    ni = i_part.dim
+    # row k of the inverse holds the coordinates of e_k in the mixed basis
+    to_mixed = _inverse_rows(i_part._rows + c_rows, ops)
+    zero_rows = set(_zero_rows(E))
     new_basis = []
     for k in range(n):
-        if k in ann_idx:
-            continue
-        coords = to_mixed.col(k)  # e_k in the mixed basis
-        c_comp = _zeros(n, field)
-        for ci, cv in zip(coords[len(i_vecs):], c_vecs):
-            c_comp = _vadd(c_comp, _vscale(ci, cv))
-        new_basis.append(_vsub(_unit(k, n, field), c_comp))
-    new_basis += ann_sq.vectors()
+        if k not in zero_rows:
+            c_comp = _combine(to_mixed[k][ni:], c_rows, n, ops)
+            new_basis.append([ops.sub(a, b)
+                              for a, b in zip(_unit_row(k, n, ops), c_comp)])
+    new_basis += ann_sq._rows
     split_at = len(new_basis)
-    new_basis += c_vecs
-    adjusted = _algebra_in_basis(E, new_basis)
-    head = restrict_to_indices(adjusted, list(range(split_at)))
+    new_basis += c_rows
+    adjusted = _adjusted_rows(E, new_basis)
     # the head must really be closed: its rows may not leak into the tail
-    for i in range(split_at):
-        for j in range(split_at, n):
-            if not adjusted.structure[i, j].is_zero():
-                raise SpecMismatch("refined split failed to close")
-    tails = [restrict_to_indices(adjusted, [j])
-             for j in range(split_at, n)]
-    return [head] + tails
+    Z = ops.zero
+    if any(x != Z for row in adjusted[:split_at] for x in row[split_at:]):
+        raise SpecMismatch("refined split failed to close")
+    return [_subalgebra(adjusted, range(split_at), field)] \
+        + [_subalgebra(adjusted, [j], field) for j in range(split_at, n)]
 
 
 def _pairing_split(E):
     """For E^2 = ann with independent squares and dim = 2 * dim ann:
     the ideals span{e_i, e_i^2}."""
-    n, field = E.dim, E.field
-    nonzero = [i for i in range(n)
-               if any(not x.is_zero() for x in E.structure.rows[i])]
+    n, ops = E.dim, E.field.ops
+    zero_rows = set(_zero_rows(E))
+    nonzero = [i for i in range(n) if i not in zero_rows]
     if len(nonzero) < 2 or 2 * len(nonzero) != n:
         return None
     basis = []
     for i in nonzero:
-        basis.append(_unit(i, n, field))
-        basis.append(list(E.square_of_basis(i)))
-    rank = Subspace.from_vectors(basis, n, field).dim
-    if rank != n:
+        basis.append(_unit_row(i, n, ops))
+        basis.append(E._rows[i])
+    if _rank(basis, n, ops) != n:
         return None
-    adjusted = _algebra_in_basis(E, basis)
-    return [restrict_to_indices(adjusted, [2 * k, 2 * k + 1])
-            for k in range(len(nonzero))]
+    return _split_in_basis(E, basis, [[2 * k, 2 * k + 1]
+                                      for k in range(len(nonzero))])
 
 
 # ---------------------------------------------------------------------------
@@ -333,20 +346,26 @@ def _classify(E):
     for Decomposed labels and whenever the label carries no_witness."""
     if E.dim > 5:
         raise UnsupportedDim("classification covers dimension at most 5")
+    ops = E.field.ops
+    if E._rows == [[ops.zero]]:
+        # E is then the template of d1:[1]:v1 itself, so the identity is
+        # trivially a witness
+        return CanonicalLabel(1, (1,), 1), Matrix.identity(1, E.field)
     series = upper_series(E)
     if not series.nilpotent:
         raise NotNilpotent("classification applies to nilpotent algebras")
 
     comps = component_index_sets(E)
     if len(comps) > 1:
-        return _gather([restrict_to_indices(E, idx) for idx in comps]), None
+        return _gather([_subalgebra(E._rows, idx, E.field)
+                        for idx in comps]), None
 
-    n, field = E.dim, E.field
+    # from here on E is nilpotent of dimension at least 2
     ann = E.annihilator()
     sq = square_subspace(E)
-    if n >= 2 and not sq.contains(ann):
+    if not sq.contains(ann):
         return _gather(_refine_split(E, ann, sq)), None
-    if n >= 2 and 2 * ann.dim >= n:
+    if 2 * ann.dim >= E.dim:
         parts = _pairing_split(E)
         if parts is not None:
             return _gather(parts), None
@@ -375,9 +394,7 @@ def _normalize(E, series):
     tv = tuple(series.type_vector)
     perm = [i for blk in reversed(series.blocks) for i in blk]
     field = E.field
-    rows = [[E.structure[perm[i], perm[j]] for j in range(E.dim)]
-            for i in range(E.dim)]
-    Ead = EvolutionAlgebra(E.dim, Matrix(rows, field, E.dim), field)
+    Ead = _subalgebra(E._rows, perm, field)
 
     handler = _HANDLERS.get(tv)
     if handler is None:
@@ -399,25 +416,34 @@ def _normalize(E, series):
 
 def _witness_basis(E, Ead, perm, entry, params, builder) -> Matrix:
     """A matrix whose columns express the template's natural basis in
-    E's coordinates, verified against the template."""
-    template = entry.template(params, E.field)
+    E's coordinates, verified against the template: each candidate is
+    assembled as payload rows, passes one rank test and the product test
+    of ``verify_hom``, and only the accepted one is wrapped."""
+    field = E.field
+    template = entry.template(params, field)
     n = E.dim
     found_any = False
     for cols_ad in builder(Ead, params):
         found_any = True
-        cols = []
-        for v in cols_ad:
-            w = _zeros(n, E.field)
-            for k in range(n):
-                w[perm[k]] = v[k]
-            cols.append(w)
-        m = Matrix([[cols[j][i] for j in range(n)] for i in range(n)],
-                   E.field, n)
-        if m.is_invertible() and verify_hom(template, E, m):
-            return m
+        m = [[None] * n for _ in range(n)]
+        for j, v in enumerate(cols_ad):
+            for k, x in enumerate(v):
+                m[perm[k]][j] = x.value
+        if _realizes(template._rows, E, m):
+            return Matrix._wrap(m, field, n)
     if not found_any:
         raise SqrtUnavailable("no normalizing basis candidates")
     raise SqrtUnavailable("no candidate basis realizes the template")
+
+
+def _realizes(template_rows, E, m) -> bool:
+    """Whether the payload rows m are invertible (one rank test) and
+    carry the template's products to E's (the product test of
+    verify_hom): then m's columns are a natural basis of E realizing the
+    template."""
+    ops = E.field.ops
+    return _rank(m, E.dim, ops) == E.dim \
+        and _is_hom(template_rows, E._rows, m, ops)
 
 
 def witness_isomorphism(E1: EvolutionAlgebra, E2: EvolutionAlgebra):
@@ -436,14 +462,13 @@ def witness_isomorphism(E1: EvolutionAlgebra, E2: EvolutionAlgebra):
             return m
     # root-free fallback over finite fields: delegate to the oracle
     if E1.field.kind == PRIME and not isinstance(l1, Decomposed):
-        from .oracle import (RANDOMIZED, SearchBudget, exhaustive_iso,
-                             randomized_iso)
+        from .oracle import SearchBudget, exhaustive_iso, randomized_iso
         from .errors import BudgetExceeded
         try:
             m = exhaustive_iso(E1, E2)
         except BudgetExceeded:
             m = randomized_iso(E1, E2, SearchBudget(
-                mode=RANDOMIZED, max_trials=200000, seed=1))
+                max_trials=200000, seed=1))
         if m is not None:
             return m
     raise SqrtUnavailable(
@@ -453,17 +478,11 @@ def witness_isomorphism(E1: EvolutionAlgebra, E2: EvolutionAlgebra):
 # ---------------------------------------------------------------------------
 # per-type normalizers.  Each receives the algebra in adapted coordinates
 # (top block first, annihilator last) and returns
-# (variant, raw params, boundary, builder) or a list of summands.
+# (variant, raw params, boundary, builder) or a list of summands.  Type
+# [1] has none: _classify labels the one-dimensional zero algebra itself.
 
 def _signs(x):
     return (x, -x) if not x.is_zero() else (x,)
-
-
-def _h_zero(Ead, tv):
-    # type [1]: the one-dimensional zero algebra
-    def build(Ead, params):
-        yield [[Ead.field.one()]]
-    return 1, (), False, build
 
 
 def _chain_builder(Ead, params):
@@ -1538,12 +1557,10 @@ def _h_23(Ead, tv):
             if dep(sqs[i], sqs[j]):
                 k = 3 - i - j
                 # split off span{e_k, e_k^2}
-                basis = [_unit(i, n, field), _unit(j, n, field),
-                         Ead.square_of_basis(i),
-                         _unit(k, n, field), Ead.square_of_basis(k)]
-                adjusted = _algebra_in_basis(Ead, basis)
-                return [restrict_to_indices(adjusted, [0, 1, 2]),
-                        restrict_to_indices(adjusted, [3, 4])]
+                ops = field.ops
+                basis = [_unit_row(i, n, ops), _unit_row(j, n, ops),
+                         Ead._rows[i], _unit_row(k, n, ops), Ead._rows[k]]
+                return _split_in_basis(Ead, basis, [[0, 1, 2], [3, 4]])
 
     def build(Ead, params):
         # pick the frame (x, z) = (0, 2); decompose e1^2 = al x^2 + be z^2
@@ -1569,14 +1586,12 @@ def _h_221(Ead, tv):
     field = Ead.field
     al, be = Ead.structure[0, 1], Ead.structure[0, 2]
     if al.is_zero() or be.is_zero():
-        keep, drop = (2, 1) if al.is_zero() else (1, 2)
-        x2 = Ead.square_of_basis(0)
-        x4 = Ead.multiply(x2, x2)
-        basis = [_unit(0, n, field), x2, x4,
-                 _unit(drop, n, field), Ead.square_of_basis(drop)]
-        adjusted = _algebra_in_basis(Ead, basis)
-        return [restrict_to_indices(adjusted, [0, 1, 2]),
-                restrict_to_indices(adjusted, [3, 4])]
+        drop = 1 if al.is_zero() else 2
+        ops = field.ops
+        x2 = Ead._rows[0]
+        basis = [_unit_row(0, n, ops), x2, _product(Ead._rows, x2, x2, ops),
+                 _unit_row(drop, n, ops), Ead._rows[drop]]
+        return _split_in_basis(Ead, basis, [[0, 1, 2], [3, 4]])
 
     def build(Ead, params):
         x2 = Ead.square_of_basis(0)
@@ -1621,7 +1636,6 @@ def _h_2111(Ead, tv):
 
 
 _HANDLERS = {
-    (1,): _h_zero,
     (1, 1): _h_chain,
     (1, 2): _h_star,
     (1, 1, 1): _h_chain,

@@ -19,8 +19,7 @@ from .algebra import (EvolutionAlgebra, WeightedGraph, decomposability_check,
                       graph_of, upper_series)
 from .classify import classify, labels_equal, witness_isomorphism
 from .families import (UB, UBFG, UBG, UBU, FamilySpec, build)
-from .oracle import (RANDOMIZED, SearchBudget, exhaustive_iso,
-                     randomized_iso)
+from .oracle import SearchBudget, exhaustive_iso, randomized_iso
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +174,6 @@ def _cmd_iso(args) -> int:
             m = exhaustive_iso(E1, E2)
         else:
             m = randomized_iso(E1, E2, SearchBudget(
-                RANDOMIZED,
                 100000 if args.trials is None else args.trials,
                 0 if args.seed is None else args.seed))
         if m is None:

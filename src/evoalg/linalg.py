@@ -112,12 +112,8 @@ class Matrix:
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
             raise ShapeError("only square matrices invert")
-        n = self.nrows
-        ops = self.field.ops
-        aug = [r + e for r, e in zip(self._payloads(), _identity_rows(n, ops))]
-        if _rref_rows(aug, n, ops) != list(range(n)):
-            raise Singular("matrix is not invertible")
-        return Matrix._wrap([r[n:] for r in aug], self.field, n)
+        return Matrix._wrap(_inverse_rows(self._payloads(), self.field.ops),
+                            self.field, self.nrows)
 
     def __str__(self):
         return "\n".join(" ".join(str(x) for x in r) for r in self.rows)
@@ -159,6 +155,16 @@ def _rref_rows(rows: list[list], ncols: int, ops) -> list[int]:
         if len(pivots) == nrows:
             break
     return pivots
+
+
+def _inverse_rows(rows: list[list], ops) -> list[list]:
+    """The inverse of a square matrix given by payload rows, by one
+    elimination of [A | I]; raises Singular."""
+    n = len(rows)
+    aug = [r + e for r, e in zip(rows, _identity_rows(n, ops))]
+    if _rref_rows(aug, n, ops) != list(range(n)):
+        raise Singular("matrix is not invertible")
+    return [r[n:] for r in aug]
 
 
 def _rank(rows: list[list], ncols: int, ops) -> int:

@@ -25,18 +25,16 @@ from .fields import PRIME
 from .linalg import Matrix, _rank
 from .algebra import EvolutionAlgebra, _product, upper_series
 
-EXHAUSTIVE = "Exhaustive"
-RANDOMIZED = "Randomized"
-
 _EXHAUSTIVE_LIMIT = 10 ** 8
 
 
 class SearchBudget(Frozen):
-    __slots__ = _fields = ("mode", "max_trials", "seed")
+    """The trial count and the seed of a randomized_iso search."""
 
-    def __init__(self, mode: str = EXHAUSTIVE, max_trials: int = 100000,
-                 seed: int = 0):
-        set_fields(self, mode, max_trials, seed)
+    __slots__ = _fields = ("max_trials", "seed")
+
+    def __init__(self, max_trials: int = 100000, seed: int = 0):
+        set_fields(self, max_trials, seed)
 
 
 def verify_hom(E1: EvolutionAlgebra, E2: EvolutionAlgebra,
@@ -146,8 +144,7 @@ def exhaustive_iso(E1: EvolutionAlgebra,
 
 
 def randomized_iso(E1: EvolutionAlgebra, E2: EvolutionAlgebra,
-                   budget: SearchBudget = SearchBudget(
-                       mode=RANDOMIZED)) -> Matrix | None:
+                   budget: SearchBudget = SearchBudget()) -> Matrix | None:
     """Sample block-patterned matrices; a hit is a verified witness, a
     miss after max_trials is *not* evidence of non-isomorphism.
 

@@ -457,11 +457,16 @@ def canonical_table(dim: int, field: FieldDescriptor) -> list[ClassEntry]:
     return entries
 
 
+_BY_KEY = {e.key(): e for e in ENTRIES}
+
+
 def find_entry(dim, type_vector, variant) -> ClassEntry:
-    for e in ENTRIES:
-        if e.key() == (dim, tuple(type_vector), variant):
-            return e
-    raise DomainError(f"no table entry ({dim}, {type_vector}, v{variant})")
+    key = (dim, tuple(type_vector), variant)
+    try:
+        return _BY_KEY[key]
+    except (KeyError, TypeError):   # TypeError: an unhashable key part
+        raise DomainError(
+            f"no table entry ({dim}, {type_vector}, v{variant})") from None
 
 
 def orbit_min(entry: ClassEntry, params, field) -> tuple:

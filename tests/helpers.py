@@ -1,21 +1,28 @@
 """Shared random generators for the test suite.
 
 All randomness is drawn from caller-provided ``random.Random`` instances
-so every test is reproducible from its seed.
+so every test is reproducible from its seed.  Over GF(p) scalars are
+drawn from the whole field; over Q and Q(i) from the integers 0..13, as
+the benchmark's generators draw them.
 """
 
 from __future__ import annotations
 
 from evoalg.algebra import EvolutionAlgebra, upper_series
-from evoalg.fields import GF
+from evoalg.fields import GF, PRIME
 from evoalg.linalg import Matrix
 
 F13 = GF(13)
 
 
+def scalar_limit(field):
+    """Scalars are drawn from range(scalar_limit(field))."""
+    return field.modulus if field.kind == PRIME else 14
+
+
 def random_algebra(dim, rng, field=F13, density=0.6):
     """A random evolution algebra (not necessarily nilpotent)."""
-    rows = [[field.from_int(rng.randrange(field.modulus))
+    rows = [[field.from_int(rng.randrange(scalar_limit(field)))
              if rng.random() < density else field.zero()
              for _ in range(dim)] for _ in range(dim)]
     return EvolutionAlgebra(dim, Matrix(rows, field, dim), field)
@@ -30,7 +37,8 @@ def random_nilpotent(dim, rng, field=F13, density=0.6):
         for i in range(dim):
             for j in range(i + 1, dim):
                 if rng.random() < density:
-                    rows[i][j] = field.from_int(rng.randrange(field.modulus))
+                    rows[i][j] = field.from_int(
+                        rng.randrange(scalar_limit(field)))
         perm = list(range(dim))
         rng.shuffle(perm)
         prows = [[field.zero()] * dim for _ in range(dim)]
@@ -78,7 +86,8 @@ def random_monomial_relabelling(E, rng):
     n, field = E.dim, E.field
     perm = list(range(n))
     rng.shuffle(perm)
-    c = [field.from_int(rng.randrange(1, field.modulus)) for _ in range(n)]
+    c = [field.from_int(rng.randrange(1, scalar_limit(field)))
+         for _ in range(n)]
     rows = [[field.zero()] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -96,7 +105,7 @@ def random_block_basis_change(E, rng, attempts=300):
     """
     series = upper_series(E)
     field = E.field
-    p = field.modulus
+    p = scalar_limit(field)
     n = E.dim
     for _ in range(attempts):
         m = [[field.zero()] * n for _ in range(n)]

@@ -126,6 +126,11 @@ def test_graph_and_components():
     assert parts[0].structure == Matrix.from_ints([[0, 1], [0, 0]], QQ())
 
 
+def test_restrict_to_no_indices_is_a_shape_error():
+    with pytest.raises(ShapeError):
+        restrict_to_indices(chain(3), [])
+
+
 def test_split_components_soundness():
     rng = random.Random(5)
     for _ in range(20):

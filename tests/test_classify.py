@@ -5,11 +5,13 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evoalg.algebra import EvolutionAlgebra
-from evoalg.classify import (CanonicalLabel, Decomposed, classify,
+from evoalg.classify import (CanonicalLabel, Decomposed, _classify, classify,
                              labels_equal, witness_isomorphism)
-from evoalg.errors import (NotNilpotent, SqrtUnavailable, UnsupportedDim)
+from evoalg.errors import (EvoalgError, NotNilpotent, SqrtUnavailable,
+                           UnsupportedDim)
 from evoalg.fields import GF, QI
 from evoalg.oracle import verify_hom
 from evoalg.tables import canonical_table, find_entry
@@ -155,6 +157,18 @@ def test_witness_isomorphism_sqrt_unavailable():
         witness_isomorphism(E1, E2)
 
 
+@pytest.mark.parametrize("field", [GF(5), F13, QI()])
+def test_dim1_zero_algebra_is_its_own_template(field):
+    # classify labels the 1x1 zero algebra in closed form; the table's
+    # template for that label must be the same algebra
+    E = EvolutionAlgebra.from_ints([[0]], field)
+    T = find_entry(1, (1,), 1).template((), field)
+    assert T == E
+    lab, w = _classify(E)
+    assert lab == CanonicalLabel(1, (1,), 1)
+    assert verify_hom(T, E, w)
+
+
 def test_random_classifications_have_valid_witnesses():
     rng = random.Random(2)
     # a separate stream keeps the sampled algebras those of seed 2
@@ -178,6 +192,38 @@ def test_random_classifications_have_valid_witnesses():
             if isinstance(glab, CanonicalLabel) and not glab.no_witness:
                 m = witness_isomorphism(E, gE)
                 assert m is not None and verify_hom(E, gE, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dim=st.integers(1, 5), field=st.sampled_from([GF(5), F13, QI()]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_relabelling_keeps_the_label_and_witnesses_verify(dim, field, seed):
+    # a monomial relabelling is a change of natural basis, so both sides
+    # get equal labels or raise the same error; every witness _classify
+    # keeps realizes the template.  (no_witness itself is not compared:
+    # it may differ between the two presentations.)
+    rng = random.Random(seed)
+    E = random_nilpotent(dim, rng, field)
+    G = random_monomial_relabelling(E, rng)
+    outcomes = []
+    for A in (E, G):
+        try:
+            label, witness = _classify(A)
+        except EvoalgError as exc:
+            outcomes.append(type(exc))
+            continue
+        outcomes.append(label)
+        if isinstance(label, Decomposed) or label.no_witness:
+            assert witness is None
+        else:
+            entry = find_entry(label.dim, label.type_vector, label.variant)
+            assert verify_hom(entry.template(label.params, field), A,
+                              witness)
+    first, second = outcomes
+    if isinstance(first, type) or isinstance(second, type):
+        assert first == second
+    else:
+        assert labels_equal(first, second)
 
 
 def test_witness_isomorphism_normalizes_each_input_once(monkeypatch):
@@ -236,12 +282,13 @@ def test_cbrt_near_1e9_is_fast():
 
 def test_series_and_basis_changes_skip_redundant_elimination(monkeypatch):
     # call counts, not timings: upper_series reads membership off the
-    # structure rows without any elimination, and _algebra_in_basis
-    # inverts its basis matrix once rather than once per vector
+    # structure rows without any elimination, a basis change eliminates
+    # exactly once (to invert its basis), and the witness search runs
+    # exactly one rank test per candidate basis
     linalg = importlib.import_module("evoalg.linalg")
     classify_module = importlib.import_module("evoalg.classify")
     algebra = importlib.import_module("evoalg.algebra")
-    counts = {"rref": 0, "inverse": 0}
+    counts = {"rref": 0, "rank": 0, "candidates": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -251,18 +298,37 @@ def test_series_and_basis_changes_skip_redundant_elimination(monkeypatch):
 
     monkeypatch.setattr(linalg, "_rref_rows",
                         counting("rref", linalg._rref_rows))
-    monkeypatch.setattr(linalg.Matrix, "inverse",
-                        counting("inverse", linalg.Matrix.inverse))
-    inverses_per_call = []
-    original_in_basis = classify_module._algebra_in_basis
+    rank = counting("rank", linalg._rank)
+    monkeypatch.setattr(linalg, "_rank", rank)
+    monkeypatch.setattr(classify_module, "_rank", rank)
 
-    def in_basis(E, basis_vecs):
-        before = counts["inverse"]
-        try:
-            return original_in_basis(E, basis_vecs)
-        finally:
-            inverses_per_call.append(counts["inverse"] - before)
-    monkeypatch.setattr(classify_module, "_algebra_in_basis", in_basis)
+    def windowed(name, fn, per_call):
+        # per_call(before, after) records what happened inside one call
+        def wrapper(*args):
+            before = dict(counts)
+            try:
+                return fn(*args)
+            finally:
+                per_call.append((before, dict(counts)))
+        monkeypatch.setattr(classify_module, name, wrapper)
+
+    basis_changes, witness_searches = [], []
+    windowed("_adjusted_rows", classify_module._adjusted_rows, basis_changes)
+    windowed("_witness_basis", classify_module._witness_basis,
+             witness_searches)
+    for tv, handler in list(classify_module._HANDLERS.items()):
+        def counted(Ead, tv, handler=handler):
+            out = handler(Ead, tv)
+            if isinstance(out, list):
+                return out
+            variant, params, boundary, builder = out
+
+            def build(Ead, params):
+                for cols in builder(Ead, params):
+                    counts["candidates"] += 1
+                    yield cols
+            return variant, params, boundary, build
+        monkeypatch.setitem(classify_module._HANDLERS, tv, counted)
 
     rng = random.Random(5)
     for _ in range(60):
@@ -275,5 +341,11 @@ def test_series_and_basis_changes_skip_redundant_elimination(monkeypatch):
                 classify(A)
             except SqrtUnavailable:
                 pass
-    assert len(inverses_per_call) >= 10
-    assert set(inverses_per_call) == {1}
+    assert len(basis_changes) >= 10
+    assert {after["rref"] - before["rref"]
+            for before, after in basis_changes} == {1}
+    assert sum(after["candidates"] - before["candidates"]
+               for before, after in witness_searches) >= 20
+    for before, after in witness_searches:
+        assert after["rank"] - before["rank"] \
+            == after["candidates"] - before["candidates"]

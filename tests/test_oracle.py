@@ -14,8 +14,8 @@ from evoalg.algebra import EvolutionAlgebra
 from evoalg.errors import BudgetExceeded, ShapeError, Singular, UnsupportedField
 from evoalg.fields import GF, QQ
 from evoalg.linalg import Matrix
-from evoalg.oracle import (RANDOMIZED, SearchBudget, exhaustive_iso,
-                           randomized_iso, verify_hom)
+from evoalg.oracle import (SearchBudget, exhaustive_iso, randomized_iso,
+                           verify_hom)
 from evoalg.tables import find_entry
 
 from helpers import random_nilpotent
@@ -124,7 +124,7 @@ def test_exhaustive_budget_exceeded():
 
 def test_randomized_zero_budget_returns_none():
     E = chain(3, F5)
-    assert randomized_iso(E, E, SearchBudget(RANDOMIZED, max_trials=0)) \
+    assert randomized_iso(E, E, SearchBudget(max_trials=0)) \
         is None
 
 
@@ -132,8 +132,7 @@ def test_randomized_finds_self_isomorphism():
     entry = find_entry(4, (1, 2, 1), 1)
     F13 = GF(13)
     E = entry.template((), F13)
-    m = randomized_iso(E, E, SearchBudget(RANDOMIZED, max_trials=50000,
-                                          seed=0))
+    m = randomized_iso(E, E, SearchBudget(max_trials=50000, seed=0))
     assert m is not None and verify_hom(E, E, m)
 
 

@@ -116,3 +116,16 @@ def test_needs_i_entries_refuse_q():
 def test_find_entry_missing():
     with pytest.raises(DomainError):
         find_entry(4, (1, 2, 1), 9)
+    with pytest.raises(DomainError):
+        find_entry(6, (1, 5), 1)
+    with pytest.raises(DomainError):
+        find_entry(4, (1, 2, 1), [1])   # an unhashable variant
+
+
+def test_find_entry_returns_each_table_entry():
+    for d in range(1, 6):
+        for entry in canonical_table(d, QI()):
+            assert find_entry(*entry.key()) is entry
+            # the type vector may come as a list, as AnnSeries holds it
+            assert find_entry(d, list(entry.type_vector),
+                              entry.variant) is entry

@@ -14,7 +14,7 @@ from evoalg.algebra import (AnnSeries, DecompVerdict, EvolutionAlgebra,
 from evoalg.classify import CanonicalLabel, Decomposed, classify
 from evoalg.families import UBG, FamilySpec
 from evoalg.fields import GF, PRIME, QI, QQ, FieldDescriptor
-from evoalg.oracle import RANDOMIZED, SearchBudget
+from evoalg.oracle import SearchBudget
 from evoalg.tables import ClassEntry, canonical_table
 
 F13 = GF(13)
@@ -45,7 +45,7 @@ FACTORIES = {
     "FamilySpec": lambda: FamilySpec(
         UBG, 2, (F13.from_int(1), F13.from_int(2)),
         g_eigs=(F13.zero(), F13.from_int(5))),
-    "SearchBudget": lambda: SearchBudget(RANDOMIZED, 10, seed=3),
+    "SearchBudget": lambda: SearchBudget(10, seed=3),
     "ClassEntry": lambda: canonical_table(3, F13)[-1],
 }
 CLASSES = {
@@ -197,7 +197,7 @@ REPRS = {
         "FamilySpec(kind='Ubg', n=2, b_diag=(<1 in GF(13)>, <2 in GF(13)>),"
         " f_eigs=None, g_eigs=(<0 in GF(13)>, <5 in GF(13)>), "
         "u_coords=None)"),
-    "SearchBudget": "SearchBudget(mode='Randomized', max_trials=10, seed=3)",
+    "SearchBudget": "SearchBudget(max_trials=10, seed=3)",
 }
 
 
@@ -211,8 +211,7 @@ def test_repr_of_defaults_and_class_entries():
                                  "type_vector=[], nilpotent=False)")
     assert repr(Decomposed()) == "Decomposed(labels=[])"
     assert repr(QQ()) == "FieldDescriptor(kind='Q', modulus=None)"
-    assert repr(SearchBudget()) == ("SearchBudget(mode='Exhaustive', "
-                                    "max_trials=100000, seed=0)")
+    assert repr(SearchBudget()) == "SearchBudget(max_trials=100000, seed=0)"
     text = repr(FACTORIES["ClassEntry"]())
     assert text.startswith("ClassEntry(dim=3, type_vector=(1, 1, 1), "
                            "variant=1, param_arity=0, build=<function ")
