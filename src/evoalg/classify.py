@@ -11,11 +11,14 @@ normalized parameters.
 Labels are field-independent data (parameters are extracted through
 rational expressions plus canonical square roots); witness bases, which
 realize the template by an explicit change of basis, may need roots that
-the coefficient field lacks, in which case the label carries a
-no-witness flag.  The normalizer builds and verifies the witness basis
-once, in the same pass that produces the label, and
-``witness_isomorphism`` composes the two stored witnesses instead of
-normalizing again.
+the coefficient field lacks.  Each normalizer hands over a builder that
+yields candidate bases, one per choice of the square roots it needs; a
+root missing from the field simply yields no candidate, and a template
+that needs i has none over a field without i.  When no candidate
+realizes the template the label carries a no-witness flag.  The
+normalizer builds and verifies the witness basis once, in the same pass
+that produces the label, and ``witness_isomorphism`` composes the two
+stored witnesses instead of normalizing again.
 
 The splitting stages, the adapted reorder and the witness check compute
 on raw payload rows through the field's ``ops`` table: a change of
@@ -28,10 +31,12 @@ a normalizer reads it, and only the accepted witness is wrapped.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from ._values import Frozen, Value, set_fields
 from .errors import (
+    BudgetExceeded,
     NotNilpotent,
     SpecMismatch,
     SqrtUnavailable,
@@ -45,7 +50,8 @@ from .fields import (
     order_key,
     sqrt_if_square,
 )
-from .linalg import Matrix, Subspace, _combine, _inverse_rows, _rank
+from .linalg import (Matrix, Subspace, _combine, _inverse_rows, _rank,
+                     kernel)
 from .algebra import (
     EvolutionAlgebra,
     component_index_sets,
@@ -57,7 +63,8 @@ from .algebra import (
     _zero_rows,
 )
 from .tables import find_entry, orbit_min
-from .oracle import _is_hom, verify_hom
+from .oracle import (SearchBudget, _is_hom, exhaustive_iso, randomized_iso,
+                     verify_hom)
 
 
 class CanonicalLabel(Frozen):
@@ -137,11 +144,37 @@ def _vscale(c, v):
     return [c * x for x in v]
 
 
-def _sqrt(x: FieldElement) -> FieldElement:
+def _placed(n, field, start, coords, last=None):
+    """The length-n vector with coords at start, start + 1, ... and, when
+    given, ``last`` as its final (annihilator) coordinate."""
+    v = _zeros(n, field)
+    v[start:start + len(coords)] = coords
+    if last is not None:
+        v[n - 1] = last
+    return v
+
+
+def _roots(x: FieldElement) -> tuple:
+    """The square roots of x: (r, -r), or (0,) when x is 0, or () when x
+    is not a square in its field.  A builder loops over them, so a missing
+    root yields no candidate."""
     r = sqrt_if_square(x)
     if r is None:
-        raise SqrtUnavailable(f"{x} is not a square in {x.field}")
-    return r
+        return ()
+    return (r,) if r.is_zero() else (r, -r)
+
+
+def _both_signs(cols, k):
+    """The candidate cols, then cols with column k negated."""
+    yield cols
+    yield cols[:k] + [[-x for x in cols[k]]] + cols[k + 1:]
+
+
+def _root_choices(xs):
+    """Every choice of one square root of each x in xs, the first choice
+    changing fastest; no choice at all when some x is not a square."""
+    for picks in itertools.product(*map(_roots, reversed(xs))):
+        yield picks[::-1]
 
 
 def _cbrt(x: FieldElement) -> FieldElement:
@@ -199,7 +232,6 @@ class _DiagForm:
         possible, of the orthogonal complement of span(vecs)."""
         m = len(self.diag)
         rows = [[v[k] * self.diag[k] for k in range(m)] for v in vecs]
-        from .linalg import kernel
         comp = kernel(Matrix(rows, self.field, m)) if rows \
             else Subspace.full(m, self.field)
         basis = [list(v) for v in comp.vectors()]
@@ -247,6 +279,14 @@ class _DiagForm:
         two = self.field.from_int(2)
         d2 = _vsub(d, _vscale(self.q(d) / (two * h0), a))
         return d2, self.b(a, d2)
+
+    def hyperbolic_pair(self, a, d, delta):
+        """u = a/2 + delta d and v = -i (a/2 - delta d), so that u + iv = a:
+        for isotropic a and an isotropic partner d the form takes the
+        common value q(u) = q(v) = delta b(a, d) on them, and b(u, v) = 0."""
+        half_a = _vscale(self.field.from_int(2).inverse(), a)
+        dd = _vscale(delta, d)
+        return _vadd(half_a, dd), _vscale(-self.field.i(), _vsub(half_a, dd))
 
 
 # ---------------------------------------------------------------------------
@@ -405,35 +445,33 @@ def _normalize(E, series):
     variant, params, boundary, builder = out
     entry = find_entry(E.dim, tv, variant)
     params = orbit_min(entry, tuple(params), field) if params else ()
-    try:
-        witness = _witness_basis(E, Ead, perm, entry, params, builder)
-    except SqrtUnavailable:
-        witness = None
+    witness = _witness_basis(E, Ead, perm, entry, params, builder)
     label = CanonicalLabel(E.dim, tv, variant, params, boundary=boundary,
                            no_witness=witness is None)
     return label, witness
 
 
-def _witness_basis(E, Ead, perm, entry, params, builder) -> Matrix:
+def _witness_basis(E, Ead, perm, entry, params, builder):
     """A matrix whose columns express the template's natural basis in
     E's coordinates, verified against the template: each candidate is
     assembled as payload rows, passes one rank test and the product test
-    of ``verify_hom``, and only the accepted one is wrapped."""
+    of ``verify_hom``, and only the accepted one is wrapped.  None when no
+    candidate realizes the template: a builder yields no candidate for a
+    square root the field lacks, and a template that needs i has no
+    witness over a field without i."""
     field = E.field
+    if entry.needs_i and not field.has_i:
+        return None
     template = entry.template(params, field)
     n = E.dim
-    found_any = False
     for cols_ad in builder(Ead, params):
-        found_any = True
         m = [[None] * n for _ in range(n)]
         for j, v in enumerate(cols_ad):
             for k, x in enumerate(v):
                 m[perm[k]][j] = x.value
         if _realizes(template._rows, E, m):
             return Matrix._wrap(m, field, n)
-    if not found_any:
-        raise SqrtUnavailable("no normalizing basis candidates")
-    raise SqrtUnavailable("no candidate basis realizes the template")
+    return None
 
 
 def _realizes(template_rows, E, m) -> bool:
@@ -462,8 +500,6 @@ def witness_isomorphism(E1: EvolutionAlgebra, E2: EvolutionAlgebra):
             return m
     # root-free fallback over finite fields: delegate to the oracle
     if E1.field.kind == PRIME and not isinstance(l1, Decomposed):
-        from .oracle import SearchBudget, exhaustive_iso, randomized_iso
-        from .errors import BudgetExceeded
         try:
             m = exhaustive_iso(E1, E2)
         except BudgetExceeded:
@@ -480,10 +516,9 @@ def witness_isomorphism(E1: EvolutionAlgebra, E2: EvolutionAlgebra):
 # (top block first, annihilator last) and returns
 # (variant, raw params, boundary, builder) or a list of summands.  Type
 # [1] has none: _classify labels the one-dimensional zero algebra itself.
-
-def _signs(x):
-    return (x, -x) if not x.is_zero() else (x,)
-
+# A builder yields candidate bases, one per choice of the square roots it
+# needs (_roots); it never raises for a missing root, it just yields
+# nothing more.
 
 def _chain_builder(Ead, params):
     """Basis x, x^2, (x^2)^2, ... for plain chains."""
@@ -506,17 +541,11 @@ def _h_star(Ead, tv):
     def build(Ead, params):
         field = Ead.field
         lam = [Ead.structure[i, n - 1] for i in range(n - 1)]
-        try:
-            scales = [_sqrt(lam[0] / lam[i]) for i in range(1, n - 1)]
-        except SqrtUnavailable:
-            return
-        for flip in range(1 << len(scales)):
-            cols = [_unit(0, n, field)]
-            for k, t in enumerate(scales):
-                tt = -t if (flip >> k) & 1 else t
-                cols.append(_vscale(tt, _unit(k + 1, n, field)))
-            cols.append(Ead.square_of_basis(0))
-            yield cols
+        for ts in _root_choices([lam[0] / lam[i] for i in range(1, n - 1)]):
+            yield ([_unit(0, n, field)]
+                   + [_vscale(t, _unit(k, n, field))
+                      for k, t in enumerate(ts, 1)]
+                   + [Ead.square_of_basis(0)])
     return 1, (), False, build
 
 
@@ -534,78 +563,44 @@ def _h_1n1(Ead, tv):
         def build(Ead, params):
             x2 = Ead.square_of_basis(0)
             comp = form.orth_complement_basis([a])
-            scales = []
-            for w in comp:
-                qw = form.q(w)
-                if qw.is_zero():
-                    return
-                scales.append((w, qa / qw))
-            try:
-                roots = [_sqrt(r) for _, r in scales]
-            except SqrtUnavailable:
+            if any(form.q(w).is_zero() for w in comp):
                 return
-            for flip in range(1 << len(roots)):
-                cols = [_unit(0, n, field), x2]
-                for k, ((w, _), t) in enumerate(zip(scales, roots)):
-                    tt = -t if (flip >> k) & 1 else t
-                    vec = _zeros(n, field)
-                    for j in range(m):
-                        vec[1 + j] = tt * w[j]
-                    cols.append(vec)
-                cols.append(Ead.multiply(x2, x2))
-                yield cols
+            for ts in _root_choices([qa / form.q(w) for w in comp]):
+                yield ([_unit(0, n, field), x2]
+                       + [_placed(n, field, 1, _vscale(t, w))
+                          for t, w in zip(ts, comp)]
+                       + [Ead.multiply(x2, x2)])
         return 1, (), False, build
 
     def build_iso(Ead, params):
         # a is isotropic: hyperbolic pair gives x^2 = u1 + i u2
-        i_elt = field.i()
         dprime, h = form.hyperbolic_partner(a)
         comp = form.orth_complement_basis([a, dprime])
-        half = field.from_int(2).inverse()
+        delta = field.one()
+        # the first complement direction sets the common square value
+        # (delta = q(comp[0]) / h), so it enters unscaled; the remaining
+        # orthogonal directions are scaled to that value
+        rest = []
         if comp:
             g3 = form.q(comp[0])
             if g3.is_zero():
                 return
             delta = g3 / h
-        else:
-            delta = field.one()
-        u1 = _vadd(_vscale(half, a), _vscale(delta, dprime))
-        u2 = _vscale(-i_elt, _vsub(_vscale(half, a),
-                                   _vscale(delta, dprime)))
-        mu = Ead.structure[0, n - 1]
-        cols = [_unit(0, n, field)]
-        v1 = _zeros(n, field)
-        for j in range(m):
-            v1[1 + j] = u1[j]
-        v1[n - 1] = mu
-        cols.append(v1)
-        v2 = _zeros(n, field)
-        for j in range(m):
-            v2[1 + j] = u2[j]
-        cols.append(v2)
-        if comp:
-            # the first complement direction sets the common square value
-            # (delta = q(comp[0]) / h), so it enters unscaled
-            vec = _zeros(n, field)
-            for j in range(m):
-                vec[1 + j] = comp[0][j]
-            cols.append(vec)
+            rest.append(comp[0])
         for w in comp[1:]:
-            # remaining orthogonal directions, scaled to the common value
             qw = form.q(w)
             if qw.is_zero():
                 return
-            t = _sqrt(form.q(comp[0]) / qw)
-            vec = _zeros(n, field)
-            for j in range(m):
-                vec[1 + j] = t * w[j]
-            cols.append(vec)
-        cols.append(Ead.multiply(v1, v1))
-        yield cols
-        # sign variant on u2
-        alt = list(cols)
-        alt[2] = _vscale(field.from_int(-1), cols[2])
-        yield alt
+            t = sqrt_if_square(g3 / qw)
+            if t is None:
+                return
+            rest.append(_vscale(t, w))
+        u1, u2 = form.hyperbolic_pair(a, dprime, delta)
+        v1 = _placed(n, field, 1, u1, Ead.structure[0, n - 1])
+        yield from _both_signs([_unit(0, n, field), v1,
+                                _placed(n, field, 1, u2)]
+                               + [_placed(n, field, 1, w) for w in rest]
+                               + [Ead.multiply(v1, v1)], 2)
     return 2, (), False, build_iso
 
 
@@ -624,65 +619,43 @@ def _h_11n(Ead, tv):
             distinct.append(t)
 
     def build_equal(Ead, params):
-        base = 0
-        try:
-            roots = [_sqrt(lam[base] / lam[k]) for k in range(m) if k != base]
-        except SqrtUnavailable:
-            return
-        others = [k for k in range(m) if k != base]
-        for flip in range(1 << len(roots)):
-            cols = [_unit(base, n, field)]
-            for j, k in enumerate(others):
-                t = -roots[j] if (flip >> j) & 1 else roots[j]
-                cols.append(_vscale(t, _unit(k, n, field)))
-            wn = Ead.square_of_basis(base)
-            cols.append(wn)
-            cols.append(Ead.multiply(wn, wn))
-            yield cols
+        for ts in _root_choices([lam[0] / lam[k] for k in range(1, m)]):
+            wn = Ead.square_of_basis(0)
+            yield ([_unit(0, n, field)]
+                   + [_vscale(t, _unit(k, n, field))
+                      for k, t in enumerate(ts, 1)]
+                   + [wn, Ead.multiply(wn, wn)])
 
     if len(distinct) == 1:
         return 1, (), False, build_equal
 
-    def scaled_cols(assign):
-        """assign maps template slot -> raw index; slot order is the
-        template's u-order; the template's g-values per slot are given by
-        gslot."""
-        base, cval = assign["base"], assign["gap"]
-        tb2 = (tvals[cval] - tvals[base]) / (lam[base] * gw)
-        out = {}
-        for k in range(m):
-            tk = _sqrt(tb2 * lam[base] / lam[k])
-            out[k] = tk
-        return out
+    def gap_square(base, gap, k):
+        """The square of the scaling of u_k that puts the template's unit
+        gap between the slopes of u_base and u_gap."""
+        return (tvals[gap] - tvals[base]) / (lam[base] * gw) \
+            * lam[base] / lam[k]
 
     if m == 2:
         # two eigenvalues: template u1^2 = w, u2^2 = w + s
         def build(Ead, params):
             for base, gap in ((0, 1), (1, 0)):
-                try:
-                    sc = scaled_cols({"base": base, "gap": gap})
-                except SqrtUnavailable:
-                    continue
-                for s0 in _signs(sc[base]):
-                    for s1 in _signs(sc[gap]):
+                for s0 in _roots(gap_square(base, gap, base)):
+                    for s1 in _roots(gap_square(base, gap, gap)):
                         ub = _vscale(s0, _unit(base, n, field))
                         ug = _vscale(s1, _unit(gap, n, field))
                         wn = Ead.multiply(ub, ub)
-                        cols = [ub, ug, wn, Ead.multiply(wn, wn)]
-                        yield cols
+                        yield [ub, ug, wn, Ead.multiply(wn, wn)]
         return 2, (), False, build
 
     # m == 3
     if len(distinct) == 2:
         def build(Ead, params):
-            import itertools
-            for order in itertools.permutations(range(3)):
-                a, b, c = order  # slots u1, u2 (g=0), u3 (g=1)
+            for a, b, c in itertools.permutations(range(3)):
+                # slots u1, u2 (g=0), u3 (g=1)
                 if tvals[a] != tvals[b]:
                     continue
-                try:
-                    sc = scaled_cols({"base": a, "gap": c})
-                except SqrtUnavailable:
+                sc = [sqrt_if_square(gap_square(a, c, k)) for k in range(3)]
+                if None in sc:
                     continue
                 ua = _vscale(sc[a], _unit(a, n, field))
                 ub = _vscale(sc[b], _unit(b, n, field))
@@ -695,20 +668,14 @@ def _h_11n(Ead, tv):
     alpha = (tvals[0] - tvals[1]) / (tvals[2] - tvals[1])
 
     def build(Ead, params):
-        import itertools
         (target,) = params
-        for order in itertools.permutations(range(3)):
-            a, b, c = order  # slots: u1 (g=alpha), u2 (g=0), u3 (g=1)
-            cand = (tvals[a] - tvals[b]) / (tvals[c] - tvals[b])
-            if cand != target:
+        for a, b, c in itertools.permutations(range(3)):
+            # slots: u1 (g=alpha), u2 (g=0), u3 (g=1)
+            if (tvals[a] - tvals[b]) / (tvals[c] - tvals[b]) != target:
                 continue
-            try:
-                sc = scaled_cols({"base": b, "gap": c})
-            except SqrtUnavailable:
-                continue
-            for sa in _signs(sc[a]):
-                for sb in _signs(sc[b]):
-                    for scc in _signs(sc[c]):
+            for sa in _roots(gap_square(b, c, a)):
+                for sb in _roots(gap_square(b, c, b)):
+                    for scc in _roots(gap_square(b, c, c)):
                         ua = _vscale(sa, _unit(a, n, field))
                         ub = _vscale(sb, _unit(b, n, field))
                         uc = _vscale(scc, _unit(c, n, field))
@@ -734,23 +701,14 @@ def _h_111n(Ead, tv):
 
     if m == 1:
         if f[0].is_zero():
-            def build(Ead, params):
-                yield from _chain_builder(Ead, params)
-            return 1, (), False, build
+            return 1, (), False, _chain_builder
 
         def build_v2(Ead, params):
-            eps2 = mu[0] / (lam[0] * lam[0] * aw)
-            try:
-                eps = _sqrt(eps2)
-            except SqrtUnavailable:
-                return
-            for e in _signs(eps):
+            for e in _roots(mu[0] / (lam[0] * lam[0] * aw)):
                 un = _vscale(e, _unit(0, n, field))
                 usq = Ead.multiply(un, un)
                 a = usq[1]  # w-coefficient
-                tn = _zeros(n, field)
-                tn[2] = a * a * aw
-                tn[3] = a * a * bw
+                tn = _placed(n, field, 2, [a * a * aw], a * a * bw)
                 wn = _vsub(usq, tn)
                 yield [un, wn, tn, Ead.multiply(tn, tn)]
         return 2, (), False, build_v2
@@ -762,11 +720,7 @@ def _h_111n(Ead, tv):
             def build(Ead, params):
                 wn = Ead.square_of_basis(0)
                 tn = Ead.multiply(wn, wn)
-                try:
-                    t2 = _sqrt(lam[0] / lam[1])
-                except SqrtUnavailable:
-                    return
-                for s in _signs(t2):
+                for s in _roots(lam[0] / lam[1]):
                     yield [_unit(0, n, field),
                            _vscale(s, _unit(1, n, field)),
                            wn, tn, Ead.multiply(tn, tn)]
@@ -778,12 +732,10 @@ def _h_111n(Ead, tv):
                     / (lam[base] ** 3 * aw * aw * gt)
                 try:
                     tb2 = _cbrt(c6)
-                    tb = _sqrt(tb2)
-                    tg = _sqrt(tb2 * lam[base] / lam[gap])
                 except SqrtUnavailable:
                     continue
-                for sb in _signs(tb):
-                    for sg in _signs(tg):
+                for sb in _roots(tb2):
+                    for sg in _roots(tb2 * lam[base] / lam[gap]):
                         ub = _vscale(sb, _unit(base, n, field))
                         ug = _vscale(sg, _unit(gap, n, field))
                         wn = Ead.multiply(ub, ub)
@@ -798,14 +750,8 @@ def _h_111n(Ead, tv):
 
         def build(Ead, params):
             tb2 = mu[a] / (lam[a] * lam[z] * aw)
-            ta2 = tb2 * lam[z] / lam[a]
-            try:
-                tb = _sqrt(tb2)
-                ta = _sqrt(ta2)
-            except SqrtUnavailable:
-                return
-            for sb in _signs(tb):
-                for sa in _signs(ta):
+            for sb in _roots(tb2):
+                for sa in _roots(tb2 * lam[z] / lam[a]):
                     ub = _vscale(sb, _unit(z, n, field))
                     ua = _vscale(sa, _unit(a, n, field))
                     wn = Ead.multiply(ub, ub)
@@ -824,29 +770,19 @@ def _h_111n(Ead, tv):
             z = 1 - a
             if cand[a] != tuple(params):
                 continue
-            beta = cand[a][0]
             avec = mu[a] / (lam[a] * aw)
-            ta2 = avec / lam[a]
-            tb2 = avec / lam[z]
-            try:
-                ta = _sqrt(ta2)
-                tb = _sqrt(tb2)
-            except SqrtUnavailable:
-                continue
             gamma = cand[a][1]
-            tn = _zeros(n, field)
-            tn[m + 1] = avec * avec * aw
-            tn[n - 1] = avec * avec * bw
+            tn = _placed(n, field, m + 1, [avec * avec * aw],
+                         avec * avec * bw)
             sn = Ead.multiply(tn, tn)
-            for sa in _signs(ta):
-                for sb in _signs(tb):
+            for sa in _roots(avec / lam[a]):
+                for sb in _roots(avec / lam[z]):
                     ua = _vscale(sa, _unit(a, n, field))
                     ub = _vscale(sb, _unit(z, n, field))
                     wn = _vsub(_vsub(Ead.multiply(ua, ua), tn),
                                _vscale(gamma, sn))
                     yield [ua, ub, wn, tn, sn]
-    return 4, min((c for c in cand),
-                  key=lambda t: (order_key(t[0]), order_key(t[1]))), \
+    return 4, min(cand, key=lambda t: (order_key(t[0]), order_key(t[1]))), \
         False, build
 
 
@@ -862,24 +798,11 @@ def _h_122(Ead, tv):
     mu_x = Ead.structure[0, 4]
     nu_y = Ead.structure[1, 4]
     qa, qb, qab = form.q(a), form.q(b), form.b(a, b)
-    swapped = False
+    xi, yi = 0, 1
     if qa.is_zero() and not qb.is_zero():
         a, b, mu_x, nu_y = b, a, nu_y, mu_x
         qa, qb = qb, qa
-        swapped = True
-
-    def x_idx():
-        return 1 if swapped else 0
-
-    def y_idx():
-        return 0 if swapped else 1
-
-    def u_part(vec2, extra_s=None):
-        v = _zeros(n, field)
-        v[2], v[3] = vec2[0], vec2[1]
-        if extra_s is not None:
-            v[4] = extra_s
-        return v
+        xi, yi = 1, 0
 
     if not qa.is_zero():
         det = qa * qb - qab * qab
@@ -905,24 +828,19 @@ def _h_122(Ead, tv):
                 A, B = coeff
                 if B.is_zero():
                     return
-                try:
-                    t0 = _sqrt(qa / qw0)
-                except SqrtUnavailable:
-                    return
-                for t in _signs(t0):
+                for t in _roots(qa / qw0):
                     if t * A / B != target:
                         continue
                     eps2 = t / B
-                    try:
-                        eps = _sqrt(eps2)
-                    except SqrtUnavailable:
+                    eps = sqrt_if_square(eps2)
+                    if eps is None:
                         continue
-                    un = u_part(a, mu_x)
+                    un = _placed(n, field, 2, a, mu_x)
                     sn = Ead.multiply(un, un)
                     sigma = eps2 * (nu_y - A * mu_x)
-                    vn = u_part(_vscale(t, w0), sigma)
-                    xn = _unit(x_idx(), n, field)
-                    yn = _vscale(eps, _unit(y_idx(), n, field))
+                    vn = _placed(n, field, 2, _vscale(t, w0), sigma)
+                    xn = _unit(xi, n, field)
+                    yn = _vscale(eps, _unit(yi, n, field))
                     yield [xn, yn, un, vn, sn]
             return 1, (alpha,), False, build
 
@@ -934,18 +852,13 @@ def _h_122(Ead, tv):
                 comp = form.orth_complement_basis([a])
                 w0 = comp[0]
                 qw0 = form.q(w0)
-                try:
-                    ey = _sqrt(A.inverse())
-                    t = _sqrt(qa / qw0)
-                except SqrtUnavailable:
-                    return
-                for e in _signs(ey):
-                    for tt in _signs(t):
-                        un = u_part(a, mu_x)
+                for e in _roots(A.inverse()):
+                    for tt in _roots(qa / qw0):
+                        un = _placed(n, field, 2, a, mu_x)
                         sn = Ead.multiply(un, un)
-                        vn = u_part(_vscale(tt, w0))
-                        yield [_unit(x_idx(), n, field),
-                               _vscale(e, _unit(y_idx(), n, field)),
+                        vn = _placed(n, field, 2, _vscale(tt, w0))
+                        yield [_unit(xi, n, field),
+                               _vscale(e, _unit(yi, n, field)),
                                un, vn, sn]
             return 2, (), False, build
 
@@ -954,39 +867,28 @@ def _h_122(Ead, tv):
             w0 = comp[0]
             qw0 = form.q(w0)
             ex2 = kappa / (A * qa)
-            try:
-                ex = _sqrt(ex2)
-                ey = _sqrt(ex2 / A)
-                t = _sqrt(ex2 * ex2 * qa / qw0)
-            except SqrtUnavailable:
-                return
-            for sx in _signs(ex):
-                for sy in _signs(ey):
-                    for st in _signs(t):
-                        xn = _vscale(sx, _unit(x_idx(), n, field))
+            for sx in _roots(ex2):
+                for sy in _roots(ex2 / A):
+                    for st in _roots(ex2 * ex2 * qa / qw0):
+                        xn = _vscale(sx, _unit(xi, n, field))
                         un = Ead.multiply(xn, xn)
                         sn = Ead.multiply(un, un)
-                        vn = u_part(_vscale(st, w0))
+                        vn = _placed(n, field, 2, _vscale(st, w0))
                         yield [xn,
-                               _vscale(sy, _unit(y_idx(), n, field)),
+                               _vscale(sy, _unit(yi, n, field)),
                                un, vn, sn]
         return 3, (), False, build_v3
 
     # both squares isotropic
-    if not field.has_i:
-        raise SqrtUnavailable(f"{field} lacks i, needed for this class")
-    i_elt = field.i()
     dprime, h = form.hyperbolic_partner(a)
-    half = field.from_int(2).inverse()
     gram = Matrix([[qa, h], [h, form.q(dprime)]], field, 2)
     cc = gram.inverse().apply([form.b(b, a), form.b(b, dprime)])
     c_plus, c_minus = cc  # b = c_plus a + c_minus d'
 
-    def pair_cols(delta, sigma_x):
-        u0 = _vadd(_vscale(half, a), _vscale(delta, dprime))
-        v0 = _vscale(-i_elt, _vsub(_vscale(half, a),
-                                   _vscale(delta, dprime)))
-        return u_part(u0, sigma_x), u_part(v0)
+    def pair_cols(delta, sigma_u, sigma_v=None):
+        u0, v0 = form.hyperbolic_pair(a, dprime, delta)
+        return (_placed(n, field, 2, u0, sigma_u),
+                _placed(n, field, 2, v0, sigma_v))
 
     if not c_minus.is_zero() and not c_plus.is_zero():
         raise SpecMismatch("isotropic squares must lie on isotropic lines")
@@ -994,25 +896,15 @@ def _h_122(Ead, tv):
     if c_minus.is_zero():
         rho = c_plus
         kappa = nu_y / rho - mu_x
-        if kappa.is_zero():
-            variant = 4
-        else:
-            variant = 5
+        # variant 4 when kappa = 0; otherwise delta = kappa / h != 0
+        variant = 4 if kappa.is_zero() else 5
 
         def build(Ead, params):
-            try:
-                ey = _sqrt(rho.inverse())
-            except SqrtUnavailable:
-                return
-            if variant == 4:
-                delta = field.one()
-            else:
-                delta = kappa / h
-                if delta.is_zero():
-                    return
-            un, vn = pair_cols(delta, mu_x)
+            eys = _roots(rho.inverse())
+            un, vn = pair_cols(field.one() if variant == 4 else kappa / h,
+                               mu_x)
             sn = Ead.multiply(un, un)
-            for e in _signs(ey):
+            for e in eys:
                 yield [_unit(0, n, field),
                        _vscale(e, _unit(1, n, field)), un, vn, sn]
         return variant, (), False, build
@@ -1020,18 +912,13 @@ def _h_122(Ead, tv):
     # b on the opposite isotropic line
     def build_v6(Ead, params):
         ey2 = field.from_int(2) / c_minus
-        try:
-            ey = _sqrt(ey2)
-        except SqrtUnavailable:
-            return
         # shift the pair by tau*s: u -> u - i tau s, v -> v + tau s keeps
         # x^2 = u + iv while fixing the s-part of u - iv to match y^2
-        tau = -i_elt * (mu_x - ey2 * nu_y) * half
-        u0, v0 = pair_cols(field.one(), mu_x)
-        un = _vsub(u0, u_part([field.zero()] * 2, i_elt * tau))
-        vn = _vadd(v0, u_part([field.zero()] * 2, tau))
+        i = field.i()
+        tau = -i * (mu_x - ey2 * nu_y) / field.from_int(2)
+        un, vn = pair_cols(field.one(), mu_x - i * tau, tau)
         sn = Ead.multiply(un, un)
-        for e in _signs(ey):
+        for e in _roots(ey2):
             yield [_unit(0, n, field),
                    _vscale(e, _unit(1, n, field)), un, vn, sn]
     return 6, (), False, build_v6
@@ -1051,13 +938,6 @@ def _h_1211(Ead, tv):
     nu_x = Ead.structure[0, 4]
     qby = form.q(by)
 
-    def u2vec(c2, s=None):
-        v = _zeros(n, field)
-        v[2], v[3] = c2[0], c2[1]
-        if s is not None:
-            v[4] = s
-        return v
-
     if not qby.is_zero():
         A = form.b(ax, by) / qby
         wvec = _vsub(ax, _vscale(A, by))
@@ -1067,24 +947,16 @@ def _h_1211(Ead, tv):
         qw0 = form.q(w0)
 
         def common_cols(ey, sy_shift, tvar):
-            yn = _vadd(_vscale(ey, _unit(1, n, field)),
-                       u2vec([field.zero()] * 2, sy_shift)
-                       if sy_shift is not None else _zeros(n, field))
-            yn = [a for a in yn]
+            yn = _placed(n, field, 1, [ey], sy_shift)
             un = Ead.multiply(yn, yn)
             sn = Ead.multiply(un, un)
-            vn = u2vec(_vscale(tvar, w0))
+            vn = _placed(n, field, 2, _vscale(tvar, w0))
             return yn, un, sn, vn
 
         if A.is_zero() and all(x.is_zero() for x in wvec):
             def build(Ead, params):
-                ey = lam
-                try:
-                    t0 = _sqrt(ey ** 4 * qby / qw0)
-                except SqrtUnavailable:
-                    return
-                for t in _signs(t0):
-                    yn, un, sn, vn = common_cols(ey, nu_x, t)
+                for t in _roots(lam ** 4 * qby / qw0):
+                    yn, un, sn, vn = common_cols(lam, nu_x, t)
                     yield [_unit(0, n, field), yn, un, vn, sn]
             return 1, (), False, build
 
@@ -1092,21 +964,10 @@ def _h_1211(Ead, tv):
             def build_v2(Ead, params):
                 # decompose the U_2 part of x^2 along w0
                 B = form.b(ax, w0) / qw0
-                ex4 = B * B * qw0 / (lam ** 4 * qby)
-                try:
-                    ex2 = _sqrt(ex4)
-                except SqrtUnavailable:
-                    return
-                for e2 in _signs(ex2):
-                    try:
-                        ex = _sqrt(e2)
-                    except SqrtUnavailable:
-                        continue
-                    for sx in _signs(ex):
-                        ey = sx * sx * lam
-                        t = sx * sx * B
+                for e2 in _roots(B * B * qw0 / (lam ** 4 * qby)):
+                    for sx in _roots(e2):
                         yn, un, sn, vn = common_cols(
-                            ey, sx * sx * nu_x, t)
+                            sx * sx * lam, sx * sx * nu_x, sx * sx * B)
                         yield [_vscale(sx, _unit(0, n, field)),
                                yn, un, vn, sn]
             return 2, (), False, build_v2
@@ -1122,16 +983,10 @@ def _h_1211(Ead, tv):
             B = form.b(ax, w0) / qw0
             ex2 = A / (lam * lam)
             ey = A / lam
-            try:
-                ex = _sqrt(ex2)
-                t0 = _sqrt(ey ** 4 * qby / qw0)
-            except SqrtUnavailable:
-                return
-            for t in _signs(t0):
-                realized = ex2 * B / t
-                if realized != target:
+            for t in _roots(ey ** 4 * qby / qw0):
+                if ex2 * B / t != target:
                     continue
-                for sx in _signs(ex):
+                for sx in _roots(ex2):
                     sy_shift = ex2 * (nu_x - A * mu_y)
                     yn, un, sn, vn = common_cols(ey, sy_shift, t)
                     yield [_vscale(sx, _unit(0, n, field)),
@@ -1139,97 +994,55 @@ def _h_1211(Ead, tv):
         return 3, (beta,), False, build_v3
 
     # second class: y^2 isotropic
-    if not field.has_i:
-        raise SqrtUnavailable(f"{field} lacks i, needed for this class")
-    i_elt = field.i()
     dprime, h = form.hyperbolic_partner(by)
-    half = field.from_int(2).inverse()
     gram = Matrix([[qby, h], [h, form.q(dprime)]], field, 2)
     cc = gram.inverse().apply([form.b(ax, by), form.b(ax, dprime)])
     c_plus, c_minus = cc
     qax = form.q(ax)
 
-    def second_class_cols(ex, delta_coef, base_scale):
-        """base_scale scales y; the hyperbolic pair is built from the
-        rescaled y's square."""
-        yn = _vadd(_vscale(base_scale, _unit(1, n, field)),
-                   u2vec([field.zero()] * 2))
+    def second_class_cols(delta, base):
+        """u, v, s for y scaled by base: the hyperbolic pair is built from
+        the rescaled y's square (whose s-part y itself does not touch)."""
+        yn = _placed(n, field, 1, [base])
         ysq = Ead.multiply(yn, yn)
-        bpair = [ysq[2], ysq[3]]
-        u0 = _vadd(_vscale(half, bpair), _vscale(delta_coef, dprime))
-        v0 = _vscale(-i_elt, _vsub(_vscale(half, bpair),
-                                   _vscale(delta_coef, dprime)))
-        un = u2vec(u0, ysq[4])
-        vn = u2vec(v0)
-        sn = Ead.multiply(un, un)
-        return yn, un, vn, sn
+        u0, v0 = form.hyperbolic_pair(ysq[2:4], dprime, delta)
+        un = _placed(n, field, 2, u0, ysq[4])
+        return un, _placed(n, field, 2, v0), Ead.multiply(un, un)
 
     if all(x.is_zero() for x in ax):
         def build_v4(Ead, params):
             # x^2 = lam y + nu_x s: fold into y
-            yn = _vadd(_vscale(lam, _unit(1, n, field)),
-                       u2vec([field.zero()] * 2, nu_x))
-            ysq = Ead.multiply(yn, yn)
-            bpair = [ysq[2], ysq[3]]
-            u0 = _vadd(_vscale(half, bpair), dprime)
-            v0 = _vscale(-i_elt, _vsub(_vscale(half, bpair), dprime))
-            un = u2vec(u0, ysq[4])
-            vn = u2vec(v0)
-            sn = Ead.multiply(un, un)
-            yield [_unit(0, n, field), yn, un, vn, sn]
-            alt = [_unit(0, n, field), yn, un,
-                   _vscale(field.from_int(-1), vn), sn]
-            yield alt
+            un, vn, sn = second_class_cols(field.one(), lam)
+            yn = _placed(n, field, 1, [lam], nu_x)
+            yield from _both_signs([_unit(0, n, field), yn, un, vn, sn], 3)
         return 4, (), False, build_v4
 
     if not qax.is_zero():
         def build_v5(Ead, params):
-            ex2 = field.from_int(2) * c_plus / (lam * lam)
-            try:
-                ex = _sqrt(ex2)
-            except SqrtUnavailable:
-                return
-            for sx in _signs(ex):
+            for sx in _roots(field.from_int(2) * c_plus / (lam * lam)):
                 e2 = sx * sx
-                delta = e2 * c_minus
-                base = e2 * lam
-                yn0, un, vn, sn = second_class_cols(sx, delta, base)
+                un, vn, sn = second_class_cols(e2 * c_minus, e2 * lam)
                 # absorb s-components into the y column
-                sigma_u = un[4]
-                sigma_y = e2 * nu_x - sigma_u
-                yn = _vadd(yn0, u2vec([field.zero()] * 2, sigma_y))
+                yn = _placed(n, field, 1, [e2 * lam], e2 * nu_x - un[4])
                 yield [_vscale(sx, _unit(0, n, field)), yn, un, vn, sn]
         return 5, (), False, build_v5
 
     # a_x isotropic and nonzero
     if c_minus.is_zero():
         def build_v6(Ead, params):
-            ex2 = c_plus / (lam * lam)
-            try:
-                ex = _sqrt(ex2)
-            except SqrtUnavailable:
-                return
-            for sx in _signs(ex):
+            for sx in _roots(c_plus / (lam * lam)):
                 e2 = sx * sx
-                base = e2 * lam
-                yn0, un, vn, sn = second_class_cols(sx, e2 * c_plus, base)
-                sigma_y = e2 * nu_x - un[4] * (field.one())
-                yn = _vadd(yn0, u2vec([field.zero()] * 2, sigma_y))
-                yield [_vscale(sx, _unit(0, n, field)), yn, un, vn, sn]
-                yield [_vscale(sx, _unit(0, n, field)), yn, un,
-                       _vscale(field.from_int(-1), vn), sn]
+                un, vn, sn = second_class_cols(e2 * c_plus, e2 * lam)
+                yn = _placed(n, field, 1, [e2 * lam], e2 * nu_x - un[4])
+                yield from _both_signs(
+                    [_vscale(sx, _unit(0, n, field)), yn, un, vn, sn], 3)
         return 6, (), False, build_v6
 
     def build_v7(Ead, params):
         # x's U_2 part lies on the opposite isotropic line
-        delta = c_minus * half
-        base = lam
-        yn0, un, vn, sn = second_class_cols(field.one(), delta, base)
-        sigma_y = nu_x - un[4]
-        yn = _vadd(yn0, u2vec([field.zero()] * 2, sigma_y))
-        yield [_unit(0, n, field), yn, un, vn, sn]
-        yield [_unit(0, n, field), yn, un,
-               _vscale(field.from_int(-1), vn), sn]
+        un, vn, sn = second_class_cols(c_minus / field.from_int(2), lam)
+        yn = _placed(n, field, 1, [lam], nu_x - un[4])
+        yield from _both_signs([_unit(0, n, field), yn, un, vn, sn], 3)
     return 7, (), False, build_v7
 
 
@@ -1244,13 +1057,6 @@ def _h_1121(Ead, tv):
     c3, c4 = Ead.structure[0, 3], Ead.structure[0, 4]
     delta = q1 / p1 - q2 / p2
 
-    def u3vec(cy, cz, s=None):
-        v = _zeros(n, field)
-        v[1], v[2] = cy, cz
-        if s is not None:
-            v[4] = s
-        return v
-
     if delta.is_zero():
         form = _DiagForm([p1, p2])
         c = [c1, c2]
@@ -1261,144 +1067,91 @@ def _h_1121(Ead, tv):
             qw0 = form.q(w0)
             if c3.is_zero():
                 def build(Ead, params):
-                    yn = u3vec(c1, c2, c4)
+                    yn = _placed(n, field, 1, c, c4)
                     wn = Ead.multiply(yn, yn)
                     sn = Ead.multiply(wn, wn)
-                    try:
-                        t0 = _sqrt(qc / qw0)
-                    except SqrtUnavailable:
-                        return
-                    for t in _signs(t0):
-                        zn = u3vec(t * w0[0], t * w0[1])
+                    for t in _roots(qc / qw0):
+                        zn = _placed(n, field, 1, _vscale(t, w0))
                         yield [_unit(0, n, field), yn, zn, wn, sn]
                 return 1, (), False, build
 
             def build_v2(Ead, params):
-                ex2 = c3 / qc
-                try:
-                    ex = _sqrt(ex2)
-                except SqrtUnavailable:
-                    return
-                for sx in _signs(ex):
+                for sx in _roots(c3 / qc):
                     e2 = sx * sx
                     xn = _vscale(sx, _unit(0, n, field))
                     xsq = Ead.multiply(xn, xn)
                     # y_n = x_n^2 minus its w,s tail beyond the U3 part
-                    yn = u3vec(xsq[1], xsq[2], xsq[4] - e2 * c3 * (q1 / p1))
+                    yn = _placed(n, field, 1, xsq[1:3],
+                                 xsq[4] - e2 * c3 * (q1 / p1))
                     wn = Ead.multiply(yn, yn)
                     sn = Ead.multiply(wn, wn)
-                    try:
-                        t0 = _sqrt(e2 * e2 * qc / qw0)
-                    except SqrtUnavailable:
-                        continue
-                    for t in _signs(t0):
-                        zn = u3vec(t * w0[0], t * w0[1])
+                    for t in _roots(e2 * e2 * qc / qw0):
+                        zn = _placed(n, field, 1, _vscale(t, w0))
                         yield [xn, yn, zn, wn, sn]
             return 2, (), False, build_v2
 
         # isotropic top square
-        if not field.has_i:
-            raise SqrtUnavailable(f"{field} lacks i, needed here")
-        i_elt = field.i()
         dprime, h = form.hyperbolic_partner(c)
-        half = field.from_int(2).inverse()
 
         def build_iso(Ead, params):
-            if c3.is_zero():
-                delta_c = field.one()
-            else:
-                delta_c = c3 / h
-            y0 = _vadd(_vscale(half, c), _vscale(delta_c, dprime))
-            z0 = _vscale(-i_elt, _vsub(_vscale(half, c),
-                                       _vscale(delta_c, dprime)))
-            yn = u3vec(y0[0], y0[1], c4)
-            zn = u3vec(z0[0], z0[1])
+            delta_c = field.one() if c3.is_zero() else c3 / h
+            y0, z0 = form.hyperbolic_pair(c, dprime, delta_c)
+            yn = _placed(n, field, 1, y0, c4)
+            zn = _placed(n, field, 1, z0)
             wn = Ead.multiply(yn, yn)
             sn = Ead.multiply(wn, wn)
-            yield [_unit(0, n, field), yn, zn, wn, sn]
-            yield [_unit(0, n, field), yn,
-                   _vscale(field.from_int(-1), zn), wn, sn]
+            yield from _both_signs([_unit(0, n, field), yn, zn, wn, sn], 2)
         return (3 if c3.is_zero() else 4), (), False, build_iso
 
     # delta != 0: the two U_3 lines are intrinsic (only permutations and
     # scalings of them extend to natural basis changes)
     def role_data(Y):
+        """Line Y as the template y and 3 - Y as z: (Z, p_Y, p_Z, c_Y,
+        c_Z, the s-gap p_Y q_Z / p_Z - q_Y)."""
         Z = 3 - Y  # indices 1 and 2
-        pY = p1 if Y == 1 else p2
-        pZ = p2 if Y == 1 else p1
-        qY = q1 if Y == 1 else q2
-        qZ = q2 if Y == 1 else q1
-        cY = c1 if Y == 1 else c2
-        cZ = c2 if Y == 1 else c1
-        dprim = pY * qZ / pZ - qY
-        return Z, pY, pZ, qY, qZ, cY, cZ, dprim
+        pY, qY, cY = (p1, q1, c1) if Y == 1 else (p2, q2, c2)
+        pZ, qZ, cZ = (p2, q2, c2) if Y == 1 else (p1, q1, c1)
+        return Z, pY, pZ, cY, cZ, pY * qZ / pZ - qY
 
     def v5_builder(Y):
-        Z0, pY, pZ, _, _, cY, _, dpr = role_data(Y)
+        Z0, pY, pZ, cY, _, dpr = role_data(Y)
 
         def build(Ead, params):
             (target,) = params
-            try:
-                ey = _sqrt(dpr / (pY * pY * gw))
-            except SqrtUnavailable:
-                return
-            for sy in _signs(ey):
+            for sy in _roots(dpr / (pY * pY * gw)):
                 if c3 / (cY * sy * pY) != target:
                     continue
-                yn = _zeros(n, field)
-                yn[Y] = sy
+                yn = _placed(n, field, Y, [sy])
                 wn = Ead.multiply(yn, yn)
                 sn = Ead.multiply(wn, wn)
-                try:
-                    ez = _sqrt(sy * sy * pY / pZ)
-                    ex = _sqrt(sy / cY)
-                except SqrtUnavailable:
-                    continue
-                for sz in _signs(ez):
-                    zn = _zeros(n, field)
-                    zn[Z0] = sz
-                    for sx in _signs(ex):
+                for sz in _roots(sy * sy * pY / pZ):
+                    zn = _placed(n, field, Z0, [sz])
+                    for sx in _roots(sy / cY):
                         xn = _vscale(sx, _unit(0, n, field))
                         xsq = Ead.multiply(xn, xn)
-                        yshift = list(yn)
-                        yshift[4] = yshift[4] + xsq[4] - target * wn[4]
+                        yshift = _placed(n, field, Y, [sy],
+                                         xsq[4] - target * wn[4])
                         yield [xn, yshift, zn, wn, sn]
         return build
 
     def v6_builder(roles):
         def build(Ead, params):
             for Y in roles:
-                Z0, pY, pZ, _, _, cY, cZ, dpr = role_data(Y)
-                try:
-                    ey = _sqrt(dpr / (pY * pY * gw))
-                except SqrtUnavailable:
-                    continue
-                for sy in _signs(ey):
-                    yn = _zeros(n, field)
-                    yn[Y] = sy
+                Z0, pY, pZ, cY, cZ, dpr = role_data(Y)
+                for sy in _roots(dpr / (pY * pY * gw)):
+                    yn = _placed(n, field, Y, [sy])
                     wn = Ead.multiply(yn, yn)
                     sn = Ead.multiply(wn, wn)
-                    try:
-                        ez = _sqrt(sy * sy * pY / pZ)
-                    except SqrtUnavailable:
-                        continue
-                    for sz in _signs(ez):
+                    for sz in _roots(sy * sy * pY / pZ):
                         realized_b = (sz / cZ) * cY / sy
                         realized_g = (sz / cZ) * c3 / (sy * sy * pY)
                         if (realized_b, realized_g) != tuple(params):
                             continue
-                        try:
-                            ex = _sqrt(sz / cZ)
-                        except SqrtUnavailable:
-                            continue
-                        for sx in _signs(ex):
+                        for sx in _roots(sz / cZ):
                             xn = _vscale(sx, _unit(0, n, field))
                             xsq = Ead.multiply(xn, xn)
-                            zn = _zeros(n, field)
-                            zn[Z0] = sz
-                            zshift = list(zn)
-                            zshift[4] = zshift[4] + xsq[4] \
-                                - realized_g * wn[4]
+                            zshift = _placed(n, field, Z0, [sz],
+                                             xsq[4] - realized_g * wn[4])
                             yield [xn, yn, zshift, wn, sn]
         return build
 
@@ -1407,13 +1160,13 @@ def _h_1121(Ead, tv):
         # template y (x^2 = y + alpha w, the other line carrying the s
         # gap) is decided by a scaling invariant that must be a square
         Yc = 1 if c2.is_zero() else 2
-        _, pYc, _, _, _, cYc, _, dprc = role_data(Yc)
+        _, _, _, cYc, _, dprc = role_data(Yc)
         alpha = sqrt_if_square(c3 * c3 * gw / (cYc * cYc * dprc))
         if alpha is not None:
             return 5, (alpha,), False, v5_builder(Yc)
         # boundary configuration: x couples only to the template z line
         Yf = 3 - Yc
-        _, pYf, pZf, _, _, _, cZf, dprf = role_data(Yf)
+        _, pYf, pZf, _, cZf, dprf = role_data(Yf)
         gamma = sqrt_if_square(
             c3 * c3 * pYf * gw / (cZf * cZf * pZf * dprf))
         if gamma is None:
@@ -1424,7 +1177,7 @@ def _h_1121(Ead, tv):
     # both coefficients nonzero: variant 6
     cands = []
     for Y in (1, 2):
-        _, pY, pZ, _, _, cY, cZ, dpr = role_data(Y)
+        _, pY, pZ, cY, cZ, dpr = role_data(Y)
         beta = sqrt_if_square((cY / cZ) ** 2 * pY / pZ)
         gamma = sqrt_if_square(c3 * c3 * pY * gw / (cZ * cZ * pZ * dpr))
         if beta is None or gamma is None:
@@ -1447,43 +1200,34 @@ def _h_11111(Ead, tv):
 
     if not b4.is_zero():
         eps22 = b4 / (b3 * b3 * c4)
-        eps2 = sqrt_if_square(eps22)  # the forced scaling of x2
-        if eps2 is None:
-            if a3.is_zero() and a4.is_zero():
-                cands = [(field.zero(), field.zero())]
-            else:
-                raise SqrtUnavailable(
-                    f"the chain-family parameters are not representable "
-                    f"in {field}")
-        else:
+        eps2s = _roots(eps22)  # the forced scalings of x2
+        if eps2s:
             cands = [(a3 / (e * a2 * b3),
                       a4 / (e ** 3 * a2 * b3 * b3 * c4))
-                     for e in _signs(eps2)]
+                     for e in eps2s]
+        elif a3.is_zero() and a4.is_zero():
+            cands = [(field.zero(), field.zero())]
+        else:
+            raise SqrtUnavailable(
+                f"the chain-family parameters are not representable "
+                f"in {field}")
         params0 = min(cands, key=lambda t: (order_key(t[0]),
                                             order_key(t[1])))
 
         def build_v4(Ead, params):
-            if eps2 is None:
-                return
-            for e2 in _signs(eps2):
+            for e2 in eps2s:
                 realized = (a3 / (e2 * a2 * b3),
                             a4 / (e2 ** 3 * a2 * b3 * b3 * c4))
                 if realized != tuple(params):
                     continue
-                try:
-                    e1 = _sqrt(e2 / a2)
-                except SqrtUnavailable:
-                    continue
-                y3 = _zeros(n, field)
-                y3[2] = eps22 * b3
+                y3 = _placed(n, field, 2, [eps22 * b3])
                 y4 = Ead.multiply(y3, y3)
                 y5 = Ead.multiply(y4, y4)
-                for s1 in _signs(e1):
+                for s1 in _roots(e2 / a2):
                     x2n = _vscale(e2, _unit(1, n, field))
                     x1n = _vscale(s1, _unit(0, n, field))
                     x1sq = Ead.multiply(x1n, x1n)
-                    used = _vadd(_vadd(list(x2n),
-                                       _vscale(realized[0], y3)),
+                    used = _vadd(_vadd(x2n, _vscale(realized[0], y3)),
                                  _vscale(realized[1], y4))
                     # x2's column absorbs the leftover x5 component
                     x2shift = list(x2n)
@@ -1500,18 +1244,13 @@ def _h_11111(Ead, tv):
         alpha = a4 * a2 * a2 * b3 / (a3 ** 3 * c4)
 
         def build_v3(Ead, params):
-            try:
-                e1 = _sqrt(e12)
-            except SqrtUnavailable:
-                return
-            for s1 in _signs(e1):
+            for s1 in _roots(e12):
                 x1n = _vscale(s1, _unit(0, n, field))
                 x1sq = Ead.multiply(x1n, x1n)
-                y2 = _zeros(n, field)
-                y2[1] = e12 * a2
+                y2 = _placed(n, field, 1, [e12 * a2])
                 y3 = Ead.multiply(y2, y2)
                 y4 = Ead.multiply(y3, y3)
-                used = _vadd(_vadd(list(y2), y3), _vscale(alpha, y4))
+                used = _vadd(_vadd(y2, y3), _vscale(alpha, y4))
                 y2shift = list(y2)
                 y2shift[4] = y2shift[4] + (x1sq[4] - used[4])
                 yield [x1n, y2shift, y3, y4, Ead.multiply(y4, y4)]
@@ -1522,17 +1261,15 @@ def _h_11111(Ead, tv):
             e6 = a4 / (a2 ** 4 * b3 * b3 * c4)
             try:
                 e2 = _cbrt(e6)
-                e = _sqrt(e2)
             except SqrtUnavailable:
                 return
-            for s in _signs(e):
+            for s in _roots(e2):
                 x1n = _vscale(s, _unit(0, n, field))
                 x1sq = Ead.multiply(x1n, x1n)
-                y2 = _zeros(n, field)
-                y2[1] = e2 * a2
+                y2 = _placed(n, field, 1, [e2 * a2])
                 y3 = Ead.multiply(y2, y2)
                 y4 = Ead.multiply(y3, y3)
-                used = _vadd(list(y2), y4)
+                used = _vadd(y2, y4)
                 y2shift = list(y2)
                 y2shift[4] = y2shift[4] + (x1sq[4] - used[4])
                 yield [x1n, y2shift, y3, y4, Ead.multiply(y4, y4)]
@@ -1567,13 +1304,8 @@ def _h_23(Ead, tv):
         gram = Matrix([[sqs[0][0], sqs[2][0]],
                        [sqs[0][1], sqs[2][1]]], field, 2)
         al, be = gram.inverse().apply(sqs[1])
-        try:
-            sa = _sqrt(al)
-            sb = _sqrt(be)
-        except SqrtUnavailable:
-            return
-        for fa in _signs(sa):
-            for fb in _signs(sb):
+        for fa in _roots(al):
+            for fb in _roots(be):
                 xn = _vscale(fa, _unit(0, n, field))
                 zn = _vscale(fb, _unit(2, n, field))
                 yield [xn, _unit(1, n, field), zn,
@@ -1595,8 +1327,7 @@ def _h_221(Ead, tv):
 
     def build(Ead, params):
         x2 = Ead.square_of_basis(0)
-        ann_part = [field.zero()] * n
-        ann_part[3], ann_part[4] = x2[3], x2[4]
+        ann_part = _placed(n, field, 3, x2[3:])
         an = _vadd(_vscale(al, _unit(1, n, field)), ann_part)
         bn = _vscale(be, _unit(2, n, field))
         yield [_unit(0, n, field), an, bn,
@@ -1618,11 +1349,7 @@ def _h_212(Ead, tv):
     def build(Ead, params):
         an = Ead.square_of_basis(0)  # = c_x a + annihilator tail
         un = Ead.multiply(an, an)
-        try:
-            ey = _sqrt(cx / cy)
-        except SqrtUnavailable:
-            return
-        for s in _signs(ey):
+        for s in _roots(cx / cy):
             yn = _vscale(s, _unit(1, n, field))
             vn = _vsub(Ead.multiply(yn, yn), an)
             yield [_unit(0, n, field), yn, an, un, vn]

@@ -3,6 +3,7 @@
 import importlib
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,8 @@ from evoalg.classify import (CanonicalLabel, Decomposed, _classify, classify,
                              labels_equal, witness_isomorphism)
 from evoalg.errors import (EvoalgError, NotNilpotent, SqrtUnavailable,
                            UnsupportedDim)
-from evoalg.fields import GF, QI
+from evoalg.fields import GF, QI, QQ, FieldElement
+from evoalg.linalg import Matrix
 from evoalg.oracle import verify_hom
 from evoalg.tables import canonical_table, find_entry
 
@@ -137,6 +139,103 @@ def test_witness_isomorphism_identity_and_cross():
     assert witness_isomorphism(A, B) is None   # the two dim-3 classes
     m = witness_isomorphism(A, A)
     assert verify_hom(A, A, m)
+
+
+@pytest.mark.parametrize("field, lam2", [(GF(3), 2), (GF(7), 6), (QQ(), -1),
+                                         (F13, 12), (QI(), -1)])
+def test_template_needing_i_has_no_witness_without_i(field, lam2):
+    # x^2 = u1 + u2 with q(u1 + u2) = 1 + lam2 = 0 gives the isotropic
+    # class d4:[1,2,1]:v2, whose template needs a square root of -1: a
+    # field without one labels it with no_witness instead of raising
+    rows = [[0, 0, 0, 1], [0, 0, 0, lam2], [1, 1, 0, 0], [0, 0, 0, 0]]
+    lab, witness = _classify(EvolutionAlgebra.from_ints(rows, field))
+    assert lab.serialize() == "d4:[1,2,1]:v2"
+    assert lab.no_witness == (not field.has_i)
+    assert (witness is None) == lab.no_witness
+
+
+@pytest.mark.parametrize("p, rows, expected", [
+    (3, [[0, 1, 2, 1, 0], [0, 0, 1, 0, 0], [0, 0, 0, 0, 0], [0, 0, 2, 0, 0],
+         [0, 1, 0, 2, 0]], "d5:[1,2,2]:v6"),
+    (7, [[0, 0, 0, 0, 0], [1, 0, 0, 0, 0], [1, 1, 0, 0, 4], [5, 0, 0, 0, 0],
+         [0, 5, 0, 4, 0]], "d5:[1,2,1,1]:v5"),
+    (7, [[0, 0, 1, 0, 5], [0, 0, 5, 0, 4], [0, 0, 0, 0, 0], [3, 6, 0, 0, 0],
+         [0, 0, 4, 0, 0]], "d5:[1,1,2,1]:v3"),
+])
+def test_isotropic_classes_are_labelled_without_i(p, rows, expected):
+    # choosing the variant of these parameter-free classes needs no i;
+    # only their witness does
+    lab = classify(EvolutionAlgebra.from_ints(rows, GF(p)))
+    assert lab.serialize() == expected and lab.no_witness
+
+
+def _summands(label):
+    return label.labels if isinstance(label, Decomposed) else [label]
+
+
+def _assert_needs_i_means_no_witness(label):
+    for lab in _summands(label):
+        if find_entry(lab.dim, lab.type_vector, lab.variant).needs_i:
+            assert lab.no_witness, lab
+
+
+def _in_qi(x, Qi):
+    return FieldElement(Qi, (x.value, Fraction(0)))
+
+
+def _label_in_qi(label, Qi):
+    if isinstance(label, Decomposed):
+        return Decomposed([_label_in_qi(l, Qi) for l in label.labels])
+    return CanonicalLabel(label.dim, label.type_vector, label.variant,
+                          tuple(_in_qi(p, Qi) for p in label.params),
+                          label.boundary, label.no_witness)
+
+
+def test_labels_over_q_agree_with_q_i():
+    # the same rows over Q and over Q(i) get equal labels, the Q
+    # parameters read in Q(i); labels whose template needs i carry
+    # no_witness over Q.  Boundary labels are left out: the [1,1,2,1]
+    # choice between v5 and the boundary v6(0, g) tests squareness in
+    # the ground field, so Q can read v6(0, g) where Q(i) reads v5(g i).
+    Q, Qi = QQ(), QI()
+    rng = random.Random(9)
+    algebras = [random_nilpotent(rng.randrange(1, 6), rng, Q)
+                for _ in range(300)]
+    for tv, count in (([1, 1, 2, 1], 100), ([1, 2, 1], 20), ([1, 3, 1], 20),
+                      ([1, 2, 2], 20), ([1, 2, 1, 1], 20)):
+        algebras += [random_nilpotent_of_type(tv, rng, Q)
+                     for _ in range(count)]
+    compared = 0
+    for E in algebras:
+        try:
+            label = classify(E)
+        except SqrtUnavailable:
+            continue
+        _assert_needs_i_means_no_witness(label)
+        if any(l.boundary for l in _summands(label)):
+            continue
+        rows = [[_in_qi(x, Qi) for x in r] for r in E.structure.rows]
+        label_qi = classify(EvolutionAlgebra(E.dim, Matrix(rows, Qi, E.dim),
+                                             Qi))
+        assert labels_equal(label_qi, _label_in_qi(label, Qi)), \
+            (label, label_qi)
+        compared += 1
+    assert compared >= 350
+
+
+def test_labels_needing_i_have_no_witness_over_gf7():
+    rng = random.Random(4)
+    seen = 0
+    for tv in ([1, 2, 1], [1, 3, 1], [1, 1, 2, 1], [1, 2, 2], [1, 2, 1, 1]):
+        for _ in range(60):
+            try:
+                label = classify(random_nilpotent_of_type(tv, rng, GF(7)))
+            except SqrtUnavailable:
+                continue
+            _assert_needs_i_means_no_witness(label)
+            seen += any(find_entry(l.dim, l.type_vector, l.variant).needs_i
+                        for l in _summands(label))
+    assert seen >= 10
 
 
 def test_witness_isomorphism_122_rescaled():
