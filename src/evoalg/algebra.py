@@ -6,6 +6,15 @@ e_i^2 = sum_j A[i][j] e_j.  This module computes products, annihilators,
 the upper annihilating series and its type vector, power chains, the
 attached weighted digraph, and decomposability verdicts with witness
 ideals where the supporting theory provides one.
+
+Several invariants are read off index sets of the natural basis rather
+than eliminated for: ann(E) is spanned by the e_i with e_i^2 = 0, every
+term of the upper annihilating series is a coordinate subspace (the
+series keeps its blocks, and builds ``AnnSeries.chain`` on first read),
+ann lies in E^2 exactly when E^2's reduced basis holds the unit row of
+each such e_i, and the split along an annihilator vector outside E^2
+(``_annihilator_split``) picks its unit complements by the last nonzero
+columns of one reduced basis each.
 """
 
 from __future__ import annotations
@@ -15,7 +24,8 @@ from functools import cached_property
 from ._values import Value
 from .errors import NotAnIdeal, NotNilpotent, ShapeError
 from .fields import FieldDescriptor, FieldElement
-from .linalg import Matrix, Subspace, _combine, _kernel_rows
+from . import linalg
+from .linalg import Matrix, Subspace, _combine, _kernel_rows, _unit_row
 
 
 class EvolutionAlgebra:
@@ -126,16 +136,47 @@ class AnnSeries(Value):
     chain[i] is ann^{i+1}; blocks[i] lists the basis indices entering the
     series at step i+1; type_vector[i] = len(blocks[i]).  When the chain
     stabilizes short of the full space the algebra is not nilpotent.
+    ``upper_series`` leaves the chain of coordinate subspaces to be built
+    from the blocks on first read.
     """
 
-    __slots__ = _fields = ("chain", "blocks", "type_vector", "nilpotent")
+    __slots__ = ("_chain", "_ambient", "blocks", "type_vector", "nilpotent")
+    _fields = ("chain", "blocks", "type_vector", "nilpotent")
 
     def __init__(self, chain=None, blocks=None, type_vector=None,
                  nilpotent: bool = False):
-        self.chain = [] if chain is None else chain
+        self._chain = [] if chain is None else chain
         self.blocks = [] if blocks is None else blocks
         self.type_vector = [] if type_vector is None else type_vector
         self.nilpotent = nilpotent
+
+    @classmethod
+    def _lazy(cls, blocks, nilpotent: bool, dim: int, field):
+        """The series with these blocks in F^dim, chain not yet built."""
+        s = cls.__new__(cls)
+        s._ambient = (dim, field)
+        s.blocks = blocks
+        s.type_vector = [len(b) for b in blocks]
+        s.nilpotent = nilpotent
+        return s
+
+    @property
+    def chain(self) -> list:
+        try:
+            return self._chain
+        except AttributeError:
+            # a lazy series: every term is a coordinate span
+            dim, field = self._ambient
+            placed: list[int] = []
+            chain = self._chain = []
+            for blk in self.blocks:
+                placed += blk
+                chain.append(Subspace.coordinate(placed, dim, field))
+            return chain
+
+    @chain.setter
+    def chain(self, value):
+        self._chain = value
 
     @property
     def r(self) -> int:
@@ -147,12 +188,12 @@ def upper_series(E: EvolutionAlgebra) -> AnnSeries:
 
     Every term is the span of the natural basis vectors placed so far, so
     e_i^2 lies in it exactly when the support of e_i^2 does: membership
-    is read off the nonzero pattern of the structure rows.
+    is read off the nonzero pattern of the structure rows.  Only the
+    blocks are computed here; the chain is built when first read.
     """
     Z = E.field.ops.zero
     supports = [{j for j, x in enumerate(row) if x != Z} for row in E._rows]
     placed: set[int] = set()
-    chain: list[Subspace] = []
     blocks: list[list[int]] = []
     while True:
         new = [i for i in range(E.dim)
@@ -161,12 +202,9 @@ def upper_series(E: EvolutionAlgebra) -> AnnSeries:
             break
         placed.update(new)
         blocks.append(new)
-        chain.append(Subspace.coordinate(placed, E.dim, E.field))
         if len(placed) == E.dim:
             break
-    return AnnSeries(chain=chain, blocks=blocks,
-                     type_vector=[len(b) for b in blocks],
-                     nilpotent=len(placed) == E.dim)
+    return AnnSeries._lazy(blocks, len(placed) == E.dim, E.dim, E.field)
 
 
 def product_subspace(E: EvolutionAlgebra, s: Subspace, t: Subspace) -> Subspace:
@@ -251,7 +289,7 @@ def relative_annihilator(E: EvolutionAlgebra, inside: Subspace,
             constraints.append([p[j] for p in prods])
     if not constraints:
         return inside
-    coefs = _kernel_rows(constraints, len(gens), ops)
+    coefs, _ = _kernel_rows(constraints, len(gens), ops)
     return Subspace._span([_combine(c, gens, E.dim, ops) for c in coefs],
                           E.dim, E.field)
 
@@ -336,17 +374,60 @@ class DecompVerdict(Value):
         self.witness = witness  # pair of complementary ideal Subspaces
 
 
-def _complement_inside(small: Subspace, big: Subspace) -> Subspace:
-    """A complement of small inside big, spanned by basis rows of big not
-    reducible against small."""
-    vecs = []
-    current = small
-    for v in big._rows:
-        if not current._contains_row(v):
-            vecs.append(v)
-            current = Subspace._span(current._rows + [v], big.ambient_dim,
-                                     big.field)
-    return Subspace._span(vecs, big.ambient_dim, big.field)
+def _holds_units(s: Subspace, indices) -> bool:
+    """Whether s contains e_k for every k in indices.  The coordinates of
+    e_k at the pivots of s's reduced basis pick the one combination that
+    could equal it, so e_k lies in s exactly when that basis holds the
+    unit row e_k."""
+    Z, n = s.field.ops.zero, s.ambient_dim
+    units = {piv for row, piv in zip(s._rows, s._pivots)
+             if row.count(Z) == n - 1}
+    return all(k in units for k in indices)
+
+
+def _last_columns(rows: list[list], n: int, ops) -> set[int]:
+    """The columns k at which some vector of span(rows) has its last
+    nonzero entry: the pivots of one elimination over reversed columns.
+    Walking e_0, e_1, ... and keeping each e_k outside span(rows) plus
+    the e_j already walked keeps exactly the k not in this set."""
+    rev = [r[::-1] for r in rows]
+    return {n - 1 - p for p in linalg._rref_rows(rev, n, ops)}
+
+
+def _annihilator_split(E: EvolutionAlgebra, zero: list[int],
+                       sq: Subspace):
+    """(ann cap E^2, C, I) for the split along an annihilator vector
+    outside E^2, where zero lists the e_k with e_k^2 = 0 (they span ann)
+    and sq is E^2.  C is spanned by the e_k, k in zero, that the greedy
+    walk keeps outside ann cap E^2, so ann = (ann cap E^2) + C; I is E^2
+    plus the e_k the walk keeps outside E^2 + C, so E = I + C.
+
+    ann cap E^2 comes from one elimination of E^2's rows with the zero
+    columns last: the reduced rows with a pivot among them vanish on
+    every other column and span exactly the part of E^2 inside ann."""
+    n, field = E.dim, E.field
+    ops = field.ops
+    zset = set(zero)
+    order = [j for j in range(n) if j not in zset] + list(zero)
+    rows = [[r[j] for j in order] for r in sq._rows]
+    head = n - len(zero)
+    ann_rows, ann_pivots = [], []
+    for r, p in zip(rows, linalg._rref_rows(rows, n, ops)):
+        if p >= head:
+            v = [ops.zero] * n
+            for j, x in zip(zero, r[head:]):
+                v[j] = x
+            ann_rows.append(v)
+            ann_pivots.append(order[p])
+    ann_sq = Subspace._span(ann_rows, n, field, ann_pivots)
+    taken = _last_columns(ann_rows, n, ops)
+    c_idx = [k for k in zero if k not in taken]
+    c_rows = [_unit_row(k, n, ops) for k in c_idx]
+    taken = _last_columns(sq._rows + c_rows, n, ops)
+    i_part = Subspace._span(sq._rows + [_unit_row(k, n, ops)
+                                        for k in range(n) if k not in taken],
+                            n, field)
+    return ann_sq, Subspace._span(c_rows, n, field, c_idx), i_part
 
 
 def decomposability_check(E: EvolutionAlgebra) -> DecompVerdict:
@@ -364,23 +445,22 @@ def decomposability_check(E: EvolutionAlgebra) -> DecompVerdict:
         return DecompVerdict(DECOMPOSABLE, "attached graph is disconnected",
                              (i_part, j_part))
 
-    ann = E.annihilator()
+    zero = _zero_rows(E)
     sq = square_subspace(E)
+    ann_in_sq = _holds_units(sq, zero)
 
     # (b) annihilator not inside E^2: any complement of ann cap E^2
     # inside ann is a nonzero ideal with an ideal complement containing E^2
-    if n >= 2 and not sq.contains(ann):
-        c_part = _complement_inside(ann.intersect(sq), ann)
-        i_part = sq + _complement_inside(sq + c_part,
-                                         Subspace.full(n, field))
+    if n >= 2 and not ann_in_sq:
+        _, c_part, i_part = _annihilator_split(E, zero, sq)
         return DecompVerdict(
             DECOMPOSABLE, "annihilator is not contained in E^2",
             (i_part, c_part))
 
     # (c) large annihilator: forces n = 2r with E^2 = ann and the r
     # nonzero squares independent; pair each non-annihilator basis vector
-    # with its square
-    if ann.dim >= 1 and 2 * ann.dim >= n:
+    # with its square (the one-dimensional zero algebra has none to pair)
+    if 2 * len(zero) >= n > len(zero):
         nonzero_idx = [i for i in range(n)
                        if not all(x.is_zero() for x in E.structure.rows[i])]
         first = nonzero_idx[0]
@@ -410,7 +490,7 @@ def decomposability_check(E: EvolutionAlgebra) -> DecompVerdict:
             return DecompVerdict(
                 INDECOMPOSABLE, "nilpotent dim 2 with nonzero product")
         # (d) type [n,1,m] with ann inside E^2 is indecomposable
-        if r == 3 and tv[1] == 1 and sq.contains(ann):
+        if r == 3 and tv[1] == 1 and ann_in_sq:
             return DecompVerdict(
                 INDECOMPOSABLE,
                 "type [n,1,m] with annihilator inside E^2")
@@ -478,6 +558,6 @@ def invariant_profile(E: EvolutionAlgebra) -> InvariantProfile:
         dim_block_sq=dim_block_sq,
         dim_u3_sq_sq=dim_u3_sq_sq,
         u4_sq_in_u3=u4_in,
-        ann_in_sq=sq.contains(E.annihilator()),
+        ann_in_sq=_holds_units(sq, _zero_rows(E)),
         dim_sq_cap_u3=dim_cap,
     )

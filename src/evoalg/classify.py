@@ -27,6 +27,14 @@ selections, and each witness candidate gets one rank test and the
 product test of ``verify_hom``.  Only the per-type normalizers work with
 ``FieldElement`` values: a summand's structure matrix is built only when
 a normalizer reads it, and only the accepted witness is wrapped.
+
+The invariants that decide the split are read off index sets of the
+natural basis: the series blocks (its chain of subspaces is never
+built), ann(E) as the indices of the zero squares, ann inside E^2 as
+unit rows of E^2's reduced basis, and the refined split's pieces from
+``algebra._annihilator_split``.  A template's payload rows are built
+only once a builder yields its first candidate, and those of a
+parameter-free template once per field.
 """
 
 from __future__ import annotations
@@ -51,13 +59,14 @@ from .fields import (
     sqrt_if_square,
 )
 from .linalg import (Matrix, Subspace, _combine, _inverse_rows, _rank,
-                     kernel)
+                     _unit_row, kernel)
 from .algebra import (
     EvolutionAlgebra,
     component_index_sets,
     square_subspace,
     upper_series,
-    _complement_inside,
+    _annihilator_split,
+    _holds_units,
     _product,
     _subalgebra,
     _zero_rows,
@@ -292,12 +301,6 @@ class _DiagForm:
 # ---------------------------------------------------------------------------
 # natural-basis-preserving decompositions, on payload rows
 
-def _unit_row(i, n, ops):
-    v = [ops.zero] * n
-    v[i] = ops.one
-    return v
-
-
 def _adjusted_rows(E, basis):
     """The structure rows of E in the natural basis given by the payload
     rows ``basis``; raises SpecMismatch if the basis is not natural and
@@ -323,20 +326,19 @@ def _split_in_basis(E, basis, groups):
     return [_subalgebra(rows, g, E.field) for g in groups]
 
 
-def _refine_split(E, ann, sq):
+def _refine_split(E, zero, sq):
     """When ann is not inside E^2: adjust each non-annihilator basis
     vector by an annihilator summand so that the basis splits into an
-    ideal containing E^2 plus a zero-algebra complement."""
+    ideal containing E^2 plus a zero-algebra complement.  zero lists the
+    e_k with e_k^2 = 0 and sq is E^2."""
     n, field = E.dim, E.field
     ops = field.ops
-    ann_sq = ann.intersect(sq)
-    c_part = _complement_inside(ann_sq, ann)
-    i_part = sq + _complement_inside(sq + c_part, Subspace.full(n, field))
+    ann_sq, c_part, i_part = _annihilator_split(E, zero, sq)
     c_rows = c_part._rows
     ni = i_part.dim
     # row k of the inverse holds the coordinates of e_k in the mixed basis
     to_mixed = _inverse_rows(i_part._rows + c_rows, ops)
-    zero_rows = set(_zero_rows(E))
+    zero_rows = set(zero)
     new_basis = []
     for k in range(n):
         if k not in zero_rows:
@@ -355,11 +357,11 @@ def _refine_split(E, ann, sq):
         + [_subalgebra(adjusted, [j], field) for j in range(split_at, n)]
 
 
-def _pairing_split(E):
+def _pairing_split(E, zero):
     """For E^2 = ann with independent squares and dim = 2 * dim ann:
-    the ideals span{e_i, e_i^2}."""
+    the ideals span{e_i, e_i^2}; zero lists the e_k with e_k^2 = 0."""
     n, ops = E.dim, E.field.ops
-    zero_rows = set(_zero_rows(E))
+    zero_rows = set(zero)
     nonzero = [i for i in range(n) if i not in zero_rows]
     if len(nonzero) < 2 or 2 * len(nonzero) != n:
         return None
@@ -400,13 +402,14 @@ def _classify(E):
         return _gather([_subalgebra(E._rows, idx, E.field)
                         for idx in comps]), None
 
-    # from here on E is nilpotent of dimension at least 2
-    ann = E.annihilator()
+    # from here on E is nilpotent of dimension at least 2; ann(E) is the
+    # span of the e_k in zero
+    zero = _zero_rows(E)
     sq = square_subspace(E)
-    if not sq.contains(ann):
-        return _gather(_refine_split(E, ann, sq)), None
-    if 2 * ann.dim >= E.dim:
-        parts = _pairing_split(E)
+    if not _holds_units(sq, zero):
+        return _gather(_refine_split(E, zero, sq)), None
+    if 2 * len(zero) >= E.dim:
+        parts = _pairing_split(E, zero)
         if parts is not None:
             return _gather(parts), None
 
@@ -458,20 +461,42 @@ def _witness_basis(E, Ead, perm, entry, params, builder):
     of ``verify_hom``, and only the accepted one is wrapped.  None when no
     candidate realizes the template: a builder yields no candidate for a
     square root the field lacks, and a template that needs i has no
-    witness over a field without i."""
+    witness over a field without i.  The template's rows are built only
+    once a candidate exists."""
     field = E.field
     if entry.needs_i and not field.has_i:
         return None
-    template = entry.template(params, field)
+    template_rows = None
     n = E.dim
     for cols_ad in builder(Ead, params):
         m = [[None] * n for _ in range(n)]
         for j, v in enumerate(cols_ad):
             for k, x in enumerate(v):
                 m[perm[k]][j] = x.value
-        if _realizes(template._rows, E, m):
+        if template_rows is None:
+            template_rows = _template_rows(entry, params, field)
+        if _realizes(template_rows, E, m):
             return Matrix._wrap(m, field, n)
     return None
+
+
+# payload rows of the parameter-free templates, per (entry key, field);
+# parametrised templates are not kept, as over Q there is no bound on
+# how many distinct parameter tuples come by
+_TEMPLATE_ROWS: dict = {}
+
+
+def _template_rows(entry, params, field) -> list[list]:
+    """The payload structure rows of entry's template over field, built
+    through ``entry.template`` (which checks params and the need for i);
+    those of a parameter-free template are built once per field."""
+    if params:
+        return entry.template(params, field)._rows
+    key = (entry.key(), field)
+    rows = _TEMPLATE_ROWS.get(key)
+    if rows is None:
+        rows = _TEMPLATE_ROWS[key] = entry.template(params, field)._rows
+    return rows
 
 
 def _realizes(template_rows, E, m) -> bool:

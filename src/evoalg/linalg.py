@@ -125,6 +125,13 @@ class Matrix:
 # ---------------------------------------------------------------------------
 # payload kernels: lists of payload rows, arithmetic through a FieldOps
 
+def _unit_row(i, n, ops) -> list:
+    """The payload unit row e_i of length n."""
+    v = [ops.zero] * n
+    v[i] = ops.one
+    return v
+
+
 def _identity_rows(n, ops) -> list[list]:
     return [[ops.one if i == j else ops.zero for j in range(n)]
             for i in range(n)]
@@ -172,8 +179,9 @@ def _rank(rows: list[list], ncols: int, ops) -> int:
     return len(_rref_rows(list(rows), ncols, ops))
 
 
-def _kernel_rows(rows: list[list], ncols: int, ops) -> list[list]:
-    """The reduced basis of {x : rows . x = 0} as payload rows."""
+def _kernel_rows(rows: list[list], ncols: int, ops):
+    """The reduced basis of {x : rows . x = 0} as payload rows, and its
+    pivot columns."""
     red = list(rows)
     pivots = _rref_rows(red, ncols, ops)
     neg = ops.neg
@@ -186,8 +194,7 @@ def _kernel_rows(rows: list[list], ncols: int, ops) -> list[list]:
         for r, piv in enumerate(pivots):
             v[piv] = neg(red[r][j])
         vecs.append(v)
-    _rref_rows(vecs, ncols, ops)
-    return vecs
+    return vecs, _rref_rows(vecs, ncols, ops)
 
 
 def _combine(coefs, rows, ncols, ops) -> list:
@@ -216,20 +223,22 @@ class Subspace:
                 f"basis has {basis.ncols} columns, ambient is {ambient_dim}")
         self._init(basis._payloads(), ambient_dim, basis.field)
 
-    def _init(self, rows, ambient_dim, field, reduced=False):
-        if not reduced:
-            del rows[len(_rref_rows(rows, ambient_dim, field.ops)):]
+    def _init(self, rows, ambient_dim, field, pivots=None):
+        if pivots is None:
+            pivots = _rref_rows(rows, ambient_dim, field.ops)
+            del rows[len(pivots):]
         self.ambient_dim = ambient_dim
         self.field = field
         self._rows = rows
+        self._pivots = pivots
 
     @classmethod
     def _span(cls, rows: list[list], ambient_dim: int, field: FieldDescriptor,
-              reduced: bool = False) -> "Subspace":
+              pivots: list[int] | None = None) -> "Subspace":
         """The span of payload rows, which the subspace takes over; pass
-        ``reduced`` when they already are an RREF basis."""
+        their ``pivots`` when they already are an RREF basis."""
         s = cls.__new__(cls)
-        s._init(rows, ambient_dim, field, reduced)
+        s._init(rows, ambient_dim, field, pivots)
         return s
 
     @classmethod
@@ -239,34 +248,25 @@ class Subspace:
 
     @classmethod
     def zero(cls, ambient_dim: int, field: FieldDescriptor):
-        return cls._span([], ambient_dim, field, reduced=True)
+        return cls._span([], ambient_dim, field, [])
 
     @classmethod
     def full(cls, ambient_dim: int, field: FieldDescriptor):
         return cls._span(_identity_rows(ambient_dim, field.ops), ambient_dim,
-                         field, reduced=True)
+                         field, list(range(ambient_dim)))
 
     @classmethod
     def coordinate(cls, indices, ambient_dim: int, field: FieldDescriptor):
         """Span of the coordinate vectors with the given indices; the unit
         rows in increasing order already are its RREF basis."""
-        ops = field.ops
         axes = range(ambient_dim)
-        rows = []
-        for i in sorted({axes[i] for i in indices}):
-            v = [ops.zero] * ambient_dim
-            v[i] = ops.one
-            rows.append(v)
-        return cls._span(rows, ambient_dim, field, reduced=True)
+        pivots = sorted({axes[i] for i in indices})
+        return cls._span([_unit_row(i, ambient_dim, field.ops)
+                          for i in pivots], ambient_dim, field, pivots)
 
     @cached_property
     def basis(self) -> Matrix:
         return Matrix._wrap(self._rows, self.field, self.ambient_dim)
-
-    @cached_property
-    def _pivots(self) -> list[int]:
-        Z = self.field.ops.zero
-        return [next(j for j, x in enumerate(r) if x != Z) for r in self._rows]
 
     @property
     def dim(self) -> int:
@@ -320,11 +320,11 @@ class Subspace:
         ops = field.ops
         # x = c . self_rows lies in other iff every row y of the kernel of
         # other's basis has y . x = 0, a linear system in c
-        constraints = _kernel_rows(other._rows, n, ops)
+        constraints, _ = _kernel_rows(other._rows, n, ops)
         if not constraints:
             return self
         system = [[ops.dot(y, s) for s in self._rows] for y in constraints]
-        coefs = _kernel_rows(system, self.dim, ops)
+        coefs, _ = _kernel_rows(system, self.dim, ops)
         return Subspace._span([_combine(c, self._rows, n, ops) for c in coefs],
                               n, field)
 
@@ -337,5 +337,5 @@ class Subspace:
 
 def kernel(m: Matrix) -> Subspace:
     """The right kernel {x : m x = 0} as a Subspace of F^ncols."""
-    return Subspace._span(_kernel_rows(m._payloads(), m.ncols, m.field.ops),
-                          m.ncols, m.field, reduced=True)
+    rows, pivots = _kernel_rows(m._payloads(), m.ncols, m.field.ops)
+    return Subspace._span(rows, m.ncols, m.field, pivots)

@@ -1,5 +1,6 @@
 """Evolution algebras: series, powers, graphs, decomposability."""
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from evoalg.algebra import (DECOMPOSABLE, INDECOMPOSABLE, PLENARY, RIGHT,
-                            EvolutionAlgebra, component_index_sets,
+                            UNKNOWN, AnnSeries, EvolutionAlgebra,
+                            _annihilator_split, _holds_units, _zero_rows,
+                            component_index_sets,
                             decomposability_check, graph_of,
                             invariant_profile, is_ideal, power_nilpotency,
                             power_subspaces, product_subspace,
@@ -170,6 +173,14 @@ def test_decomposable_witnesses_are_complementary_ideals():
         assert i_part.dim > 0 and j_part.dim > 0
 
 
+def test_decomposability_of_the_one_dimensional_zero_algebra():
+    # no criterion applies; the large-annihilator pairing has no
+    # nonzero square to pair and must not be tried
+    for field in (F13, QQ(), QI()):
+        E = EvolutionAlgebra.from_ints([[0]], field)
+        assert decomposability_check(E).status == UNKNOWN
+
+
 def test_indecomposable_n1m():
     # type [1,1,1] chain: middle block size 1 and ann inside E^2
     E = chain(3)
@@ -248,3 +259,118 @@ def test_upper_series_matches_containment_definition(E):
     assert s.blocks == blocks and s.chain == chain
     assert s.nilpotent == nilpotent
     assert s.type_vector == [len(b) for b in blocks]
+
+
+def test_upper_series_builds_no_subspace_until_the_chain_is_read(
+        monkeypatch):
+    built = []
+    init = Subspace._init
+
+    def counting(self, *args):
+        built.append(self)
+        return init(self, *args)
+    monkeypatch.setattr(Subspace, "_init", counting)
+    rng = random.Random(3)
+    for field in (F13, QQ(), QI()):
+        for E in (random_nilpotent(5, rng, field),
+                  random_algebra(4, rng, field)):
+            s = upper_series(E)
+            assert built == []
+            blocks, chain, nilpotent = reference_upper_series(E)
+            built.clear()
+            eager = AnnSeries(chain=chain, blocks=blocks,
+                              type_vector=[len(b) for b in blocks],
+                              nilpotent=nilpotent)
+            # equality, repr and pickling read the chain, which is built
+            # once and then equals the eager one
+            assert pickle.loads(pickle.dumps(s)) == eager
+            assert len(built) == len(blocks)
+            assert s.chain is s.chain and len(built) == len(blocks)
+            assert s == eager and repr(s) == repr(eager)
+            built.clear()
+
+
+# ---------------------------------------------------------------------------
+# the split along an annihilator vector outside E^2, against the generic
+# subspace composition it replaces
+
+def _complement_inside(small, big):
+    """A complement of small inside big, spanned by basis rows of big not
+    reducible against small."""
+    vecs = []
+    current = small
+    for v in big.vectors():
+        if not current.contains_vector(v):
+            vecs.append(v)
+            current = current + Subspace.from_vectors(
+                [v], big.ambient_dim, big.field)
+    return Subspace.from_vectors(vecs, big.ambient_dim, big.field)
+
+
+def reference_annihilator_split(E):
+    ann, sq = E.annihilator(), square_subspace(E)
+    ann_sq = ann.intersect(sq)
+    c_part = _complement_inside(ann_sq, ann)
+    i_part = sq + _complement_inside(sq + c_part,
+                                     Subspace.full(E.dim, E.field))
+    return ann_sq, c_part, i_part
+
+
+_SPLIT_FIELDS = [(GF(5), st.integers(0, 4))] + _SERIES_FIELDS
+
+
+@st.composite
+def algebras_with_zero_squares(draw):
+    """Algebras of dim 1-5 over GF(5), GF(13), Q or Q(i) with at least
+    one zero square, so that ann != 0 and often ann is not inside E^2;
+    half of them are nilpotent."""
+    field, payload = draw(st.sampled_from(_SPLIT_FIELDS))
+    n = draw(st.integers(1, 5))
+    zero = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    order = draw(st.permutations(range(n)))
+    nilpotent = draw(st.booleans())
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            x = draw(st.one_of(st.just(field.ops.zero), payload))
+            if i in zero or (nilpotent and order[i] >= order[j]):
+                x = field.ops.zero
+            row.append(FieldElement(field, x))
+        rows.append(row)
+    return EvolutionAlgebra(n, Matrix(rows, field, n), field)
+
+
+@settings(max_examples=200)
+@given(algebras_with_zero_squares())
+def test_annihilator_split_matches_the_subspace_composition(E):
+    zero, sq = _zero_rows(E), square_subspace(E)
+    ann_in_sq = sq.contains(E.annihilator())
+    assert _holds_units(sq, zero) == ann_in_sq
+    got = _annihilator_split(E, zero, sq)
+    for mine, ref in zip(got, reference_annihilator_split(E)):
+        assert mine._rows == ref._rows and mine._pivots == ref._pivots
+    verdict = decomposability_check(E)
+    split_case = (E.dim >= 2 and len(component_index_sets(E)) == 1
+                  and not ann_in_sq)
+    assert (verdict.reason == "annihilator is not contained in E^2") \
+        == split_case
+    if split_case:
+        ann_sq, c_part, i_part = got
+        assert verdict.witness == (i_part, c_part)
+        assert not c_part.is_zero() and (i_part + c_part).dim == E.dim
+        assert i_part.intersect(c_part).is_zero()
+
+
+def test_annihilator_split_on_a_vector_outside_the_square():
+    # e0^2 = e1 + e2, e1^2 = e3^2 = 0, e2^2 = e3: ann = <e1, e3> meets
+    # E^2 = <e1 + e2, e3> in <e3>, so the split keeps e1 and picks e0
+    E = EvolutionAlgebra.from_ints(
+        [[0, 1, 1, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]], QQ())
+    zero, sq = _zero_rows(E), square_subspace(E)
+    assert zero == [1, 3] and not _holds_units(sq, zero)
+    ann_sq, c_part, i_part = _annihilator_split(E, zero, sq)
+    assert ann_sq == Subspace.coordinate([3], 4, QQ())
+    assert c_part == Subspace.coordinate([1], 4, QQ())
+    assert i_part == sq + Subspace.coordinate([0], 4, QQ())
+    assert (ann_sq, c_part, i_part) == reference_annihilator_split(E)

@@ -16,7 +16,7 @@ from evoalg.errors import (EvoalgError, NotNilpotent, SqrtUnavailable,
 from evoalg.fields import GF, QI, QQ, FieldElement
 from evoalg.linalg import Matrix
 from evoalg.oracle import verify_hom
-from evoalg.tables import canonical_table, find_entry
+from evoalg.tables import ENTRIES, canonical_table, find_entry
 
 from helpers import (F13, random_block_basis_change,
                      random_monomial_relabelling, random_nilpotent,
@@ -448,3 +448,88 @@ def test_series_and_basis_changes_skip_redundant_elimination(monkeypatch):
     for before, after in witness_searches:
         assert after["rank"] - before["rank"] \
             == after["candidates"] - before["candidates"]
+
+
+@pytest.fixture
+def template_builds(monkeypatch):
+    """Counts entry.build calls per (entry key, field, params), with the
+    template cache emptied; yields the counts and the per-search windows
+    of _witness_basis as (builds, candidates) pairs."""
+    classify_module = importlib.import_module("evoalg.classify")
+    monkeypatch.setattr(classify_module, "_TEMPLATE_ROWS", {})
+    builds, candidates, searches = {}, [0], []
+
+    def counting(entry, build):
+        def wrapper(params, field):
+            key = (entry.key(), field, tuple(params))
+            builds[key] = builds.get(key, 0) + 1
+            return build(params, field)
+        return wrapper
+
+    for tv, handler in list(classify_module._HANDLERS.items()):
+        def counted(Ead, tv, handler=handler):
+            out = handler(Ead, tv)
+            if isinstance(out, list):
+                return out
+            variant, params, boundary, builder = out
+
+            def build(Ead, params):
+                for cols in builder(Ead, params):
+                    candidates[0] += 1
+                    yield cols
+            return variant, params, boundary, build
+        monkeypatch.setitem(classify_module._HANDLERS, tv, counted)
+
+    witness_basis = classify_module._witness_basis
+
+    def windowed(*args):
+        before = (sum(builds.values()), candidates[0])
+        try:
+            return witness_basis(*args)
+        finally:
+            searches.append((sum(builds.values()) - before[0],
+                             candidates[0] - before[1]))
+    monkeypatch.setattr(classify_module, "_witness_basis", windowed)
+    # entries are frozen, so their build slot is swapped past __setattr__
+    originals = [(entry, entry.build) for entry in ENTRIES]
+    for entry, build in originals:
+        object.__setattr__(entry, "build", counting(entry, build))
+    try:
+        yield builds, searches
+    finally:
+        for entry, build in originals:
+            object.__setattr__(entry, "build", build)
+
+
+def test_parameter_free_templates_are_built_once_per_field(template_builds):
+    builds, searches = template_builds
+    rng = random.Random(11)
+    corpus = []
+    for field in (F13, GF(5), QI()):
+        for _ in range(40):
+            E = random_nilpotent(rng.randrange(3, 6), rng, field)
+            corpus += [E, random_monomial_relabelling(E, rng)]
+    for _ in range(2):
+        for E in corpus:
+            try:
+                _classify(E)
+            except SqrtUnavailable:
+                pass
+    free = {key: count for key, count in builds.items() if not key[2]}
+    assert sum(builds.values()) >= 20 and len(searches) > sum(free.values())
+    assert set(free.values()) == {1}
+
+
+def test_witness_search_without_candidates_builds_no_template(
+        template_builds):
+    builds, searches = template_builds
+    rng = random.Random(12)
+    for _ in range(150):
+        try:
+            _classify(random_nilpotent(5, rng, F13))
+        except SqrtUnavailable:
+            pass
+    empty = [n_builds for n_builds, n_candidates in searches
+             if n_candidates == 0]
+    assert len(empty) >= 5 and set(empty) == {0}
+    assert any(n_builds for n_builds, _ in searches)

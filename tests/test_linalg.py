@@ -197,3 +197,25 @@ def test_mixing_fields_raises_in_the_kernels(m, other_name):
                lambda: S.contains_vector(v)):
         with pytest.raises(MixedFields):
             op()
+
+
+def _first_nonzero_columns(s):
+    Z = s.field.ops.zero
+    return [next(j for j, x in enumerate(r) if x != Z) for r in s._rows]
+
+
+@settings(max_examples=60)
+@given(matrices(), matrices())
+def test_subspaces_keep_the_pivots_of_their_reduced_basis(m, other):
+    # every way of making a subspace records the pivot columns of its
+    # RREF basis, which membership tests read instead of scanning again
+    n, field = m.ncols, m.field
+    s = Subspace(n, m)
+    made = [s, kernel(m), Subspace.zero(n, field), Subspace.full(n, field),
+            Subspace.coordinate([n - 1, 0], n, field)]
+    if other.ncols == n and other.field == field:
+        t = Subspace(n, other)
+        made += [s + t, s.intersect(t)]
+    for sub in made:
+        assert sub._pivots == _first_nonzero_columns(sub)
+        assert sub == Subspace(n, sub.basis)
