@@ -15,6 +15,13 @@ ann lies in E^2 exactly when E^2's reduced basis holds the unit row of
 each such e_i, and the split along an annihilator vector outside E^2
 (``_annihilator_split``) picks its unit complements by the last nonzero
 columns of one reduced basis each.
+
+The decomposability criteria that split E into ideals spanned by a
+natural basis (a disconnected graph, an annihilator vector outside E^2,
+dim ann >= dim/2) live in one place, ``_natural_split``, which returns
+the split's natural basis and its index groups: ``decomposability_check``
+spans its witness ideals from them and ``classify`` carves its summands
+from them.
 """
 
 from __future__ import annotations
@@ -25,7 +32,8 @@ from ._values import Value
 from .errors import NotAnIdeal, NotNilpotent, ShapeError
 from .fields import FieldDescriptor, FieldElement
 from . import linalg
-from .linalg import Matrix, Subspace, _combine, _kernel_rows, _unit_row
+from .linalg import (Matrix, Subspace, _combine, _identity_rows,
+                     _inverse_rows, _kernel_rows, _unit_row)
 
 
 class EvolutionAlgebra:
@@ -118,7 +126,7 @@ def quotient_by_block(E: EvolutionAlgebra, keep) -> EvolutionAlgebra:
     means every discarded vector's square is supported on discarded
     coordinates.
     """
-    keep = sorted(keep)
+    keep = sorted(_checked_indices(keep, E.dim))
     discard = [i for i in range(E.dim) if i not in keep]
     for i in discard:
         for j in keep:
@@ -339,7 +347,15 @@ def component_index_sets(E: EvolutionAlgebra) -> list[list[int]]:
 def restrict_to_indices(E: EvolutionAlgebra, idx: list[int]) -> EvolutionAlgebra:
     if not idx:
         raise ShapeError("dimension must be at least 1")
-    return _subalgebra(E._rows, idx, E.field)
+    return _subalgebra(E._rows, _checked_indices(idx, E.dim), E.field)
+
+
+def _checked_indices(idx, n: int) -> list[int]:
+    """idx as a list, when it names distinct basis indices of F^n."""
+    idx = list(idx)
+    if len(set(idx)) != len(idx) or not all(0 <= i < n for i in idx):
+        raise ShapeError(f"indices must be distinct and in 0..{n - 1}")
+    return idx
 
 
 def _subalgebra(rows: list[list], idx, field) -> EvolutionAlgebra:
@@ -430,77 +446,91 @@ def _annihilator_split(E: EvolutionAlgebra, zero: list[int],
     return ann_sq, Subspace._span(c_rows, n, field, c_idx), i_part
 
 
-def decomposability_check(E: EvolutionAlgebra) -> DecompVerdict:
-    """Apply the sufficient decomposability/indecomposability criteria in
-    a fixed order; Unknown when none of them applies."""
-    n = E.dim
-    field = E.field
+def _natural_split(E: EvolutionAlgebra):
+    """The first split of E into ideals spanned by a natural basis that
+    the decomposability criteria find, as (reason, basis, groups), or
+    None.  basis holds the payload rows of that natural basis, or is None
+    for E's own basis, and groups lists for each summand the indices of
+    the basis rows that span it.  The criteria, in order:
 
-    # (a) disconnected attached graph
+    - the attached graph is disconnected: the components;
+    - an annihilator vector lies outside E^2: E = I + C with I an ideal
+      containing E^2 and C inside ann (``_annihilator_split``); each
+      non-annihilator e_k moves into I by dropping its C-component, and
+      C's unit rows are one-dimensional summands;
+    - dim ann >= dim / 2 with ann inside E^2: then dim ann <= dim E^2 <=
+      n - dim ann forces n = 2 dim ann, E^2 = ann and independent nonzero
+      squares, so the pairs e_i, e_i^2 span ideals (when there are at
+      least two of them).
+    """
     comps = component_index_sets(E)
     if len(comps) > 1:
-        i_part = Subspace.coordinate(comps[0], n, field)
-        j_part = Subspace.coordinate(
-            [i for c in comps[1:] for i in c], n, field)
-        return DecompVerdict(DECOMPOSABLE, "attached graph is disconnected",
-                             (i_part, j_part))
-
+        return "attached graph is disconnected", None, comps
+    n, ops = E.dim, E.field.ops
     zero = _zero_rows(E)
+    zset = set(zero)
     sq = square_subspace(E)
-    ann_in_sq = _holds_units(sq, zero)
+    if n >= 2 and not _holds_units(sq, zero):
+        ann_sq, c_part, i_part = _annihilator_split(E, zero, sq)
+        c_rows = c_part._rows
+        ni = i_part.dim
+        # row k of the inverse holds the coordinates of e_k in the basis
+        # of I followed by that of C
+        to_mixed = _inverse_rows(i_part._rows + c_rows, ops)
+        basis = []
+        for k in range(n):
+            if k not in zset:
+                c_comp = _combine(to_mixed[k][ni:], c_rows, n, ops)
+                basis.append([ops.sub(a, b) for a, b
+                              in zip(_unit_row(k, n, ops), c_comp)])
+        basis += ann_sq._rows
+        head = len(basis)
+        basis += c_rows
+        return ("annihilator is not contained in E^2", basis,
+                [list(range(head))] + [[j] for j in range(head, n)])
+    pairs = n - len(zero)
+    if 2 * len(zero) >= n and pairs >= 2:
+        basis = []
+        for i in range(n):
+            if i not in zset:
+                basis += [_unit_row(i, n, ops), E._rows[i]]
+        return ("annihilator has dimension at least dim/2", basis,
+                [[2 * k, 2 * k + 1] for k in range(pairs)])
+    return None
 
-    # (b) annihilator not inside E^2: any complement of ann cap E^2
-    # inside ann is a nonzero ideal with an ideal complement containing E^2
-    if n >= 2 and not ann_in_sq:
-        _, c_part, i_part = _annihilator_split(E, zero, sq)
-        return DecompVerdict(
-            DECOMPOSABLE, "annihilator is not contained in E^2",
-            (i_part, c_part))
 
-    # (c) large annihilator: forces n = 2r with E^2 = ann and the r
-    # nonzero squares independent; pair each non-annihilator basis vector
-    # with its square (the one-dimensional zero algebra has none to pair)
-    if 2 * len(zero) >= n > len(zero):
-        nonzero_idx = [i for i in range(n)
-                       if not all(x.is_zero() for x in E.structure.rows[i])]
-        first = nonzero_idx[0]
-        i_vecs = [E.basis_vector(first), E.square_of_basis(first)]
-        j_vecs = []
-        for i in nonzero_idx[1:]:
-            j_vecs.append(E.basis_vector(i))
-            j_vecs.append(E.square_of_basis(i))
-        i_part = Subspace.from_vectors(i_vecs, n, field)
-        j_part = (Subspace.from_vectors(j_vecs, n, field) if j_vecs
-                  else Subspace.zero(n, field))
-        if (j_part.dim > 0 and i_part.intersect(j_part).is_zero()
-                and (i_part + j_part).dim == n
-                and is_ideal(E, i_part) and is_ideal(E, j_part)):
-            return DecompVerdict(
-                DECOMPOSABLE, "annihilator has dimension at least dim/2",
-                (i_part, j_part))
+def decomposability_check(E: EvolutionAlgebra) -> DecompVerdict:
+    """Apply the sufficient decomposability/indecomposability criteria in
+    a fixed order; Unknown when none of them applies.  A decomposable
+    verdict carries the natural split's first summand and the sum of the
+    others as its witness."""
+    n, field = E.dim, E.field
+    split = _natural_split(E)
+    if split is not None:
+        reason, basis, groups = split
+        rows = _identity_rows(n, field.ops) if basis is None else basis
+        head = Subspace._span([rows[i] for i in groups[0]], n, field)
+        tail = Subspace._span([rows[i] for g in groups[1:] for i in g],
+                              n, field)
+        return DecompVerdict(DECOMPOSABLE, reason, (head, tail))
 
+    # past the split criteria E is connected, and ann lies inside E^2
+    # whenever n >= 2
     series = upper_series(E)
     if series.nilpotent:
         tv = series.type_vector
-        r = len(tv)
-        # (d0) a nilpotent dim-2 algebra with E^2 != 0 is the two-element
-        # chain: any 1-dim nilpotent ideal squares to zero, so a direct
-        # sum of two of them would force E^2 = 0
-        if n == 2 and sq.dim > 0:
+        # (d0) a connected nilpotent dim-2 algebra has a nonzero square,
+        # so it is the two-element chain: any 1-dim nilpotent ideal
+        # squares to zero, so a direct sum of two of them would force
+        # E^2 = 0
+        if n == 2:
             return DecompVerdict(
                 INDECOMPOSABLE, "nilpotent dim 2 with nonzero product")
         # (d) type [n,1,m] with ann inside E^2 is indecomposable
-        if r == 3 and tv[1] == 1 and ann_in_sq:
+        if len(tv) == 3 and tv[1] == 1:
             return DecompVerdict(
                 INDECOMPOSABLE,
                 "type [n,1,m] with annihilator inside E^2")
-        # (e) r >= 3 with a wide annihilator block is always decomposable;
-        # in that regime the annihilator cannot sit inside E^2, so case
-        # (b) above already produced the witness.  Kept as a safety net.
-        if r >= 3 and 2 * tv[0] > n - r + 2:
-            return DecompVerdict(
-                DECOMPOSABLE,
-                "nilpotent with r >= 3 and 2*n1 > n-r+2", None)
 
     return DecompVerdict(UNKNOWN, "no applicable criterion")
 

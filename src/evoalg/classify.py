@@ -3,10 +3,12 @@
 ``classify`` maps an algebra presented in a natural basis to its
 canonical label: first it peels off direct-sum decompositions that can
 be realized by natural bases (graph components, an annihilator vector
-outside E^2, a large annihilator, and the two ann-dim-2 special splits),
-then it reorders the basis into blocks adapted to the upper annihilating
-series and runs a per-type normalizer that extracts the variant and the
-normalized parameters.
+outside E^2 and a large annihilator, found by the split stage
+``algebra._natural_split`` that ``decomposability_check`` shares, and
+the two ann-dim-2 special splits of the normalizers), then it reorders
+the basis into blocks adapted to the upper annihilating series and runs
+a per-type normalizer that extracts the variant and the normalized
+parameters.
 
 Labels are field-independent data (parameters are extracted through
 rational expressions plus canonical square roots); witness bases, which
@@ -23,8 +25,10 @@ stored witnesses instead of normalizing again.
 The splitting stages, the adapted reorder and the witness check compute
 on raw payload rows through the field's ``ops`` table: a change of
 natural basis inverts its basis once, summands are row and column
-selections, and each witness candidate gets one rank test and the
-product test of ``verify_hom``.  Only the per-type normalizers work with
+selections (graph components need no basis change at all), every split
+is checked to close (each adjusted row stays inside its own group), and
+each witness candidate gets one rank test and the product test of
+``verify_hom``.  Only the per-type normalizers work with
 ``FieldElement`` values: a summand's structure matrix is built only when
 a normalizer reads it, and only the accepted witness is wrapped.
 
@@ -34,7 +38,9 @@ built), ann(E) as the indices of the zero squares, ann inside E^2 as
 unit rows of E^2's reduced basis, and the refined split's pieces from
 ``algebra._annihilator_split``.  A template's payload rows are built
 only once a builder yields its first candidate, and those of a
-parameter-free template once per field.
+parameter-free template once per field.  Cube roots over Q and Q(i)
+are exact at any size (an integer cube root of the numerator and of
+the denominator).
 """
 
 from __future__ import annotations
@@ -60,17 +66,8 @@ from .fields import (
 )
 from .linalg import (Matrix, Subspace, _combine, _inverse_rows, _rank,
                      _unit_row, kernel)
-from .algebra import (
-    EvolutionAlgebra,
-    component_index_sets,
-    square_subspace,
-    upper_series,
-    _annihilator_split,
-    _holds_units,
-    _product,
-    _subalgebra,
-    _zero_rows,
-)
+from .algebra import (EvolutionAlgebra, _natural_split, _product,
+                      _subalgebra, upper_series)
 from .tables import find_entry, orbit_min
 from .oracle import (SearchBudget, _is_hom, exhaustive_iso, randomized_iso,
                      verify_hom)
@@ -200,18 +197,29 @@ def _cbrt(x: FieldElement) -> FieldElement:
         q = x.value[0]
     else:
         raise SqrtUnavailable(f"no exact cube root of {x} available")
-    sign = -1 if q < 0 else 1
-    q = abs(q)
-    rn = round(q.numerator ** (1 / 3))
-    rd = round(q.denominator ** (1 / 3))
-    for dn in (rn - 1, rn, rn + 1):
-        for dd in (rd - 1, rd, rd + 1):
-            if dn ** 3 == q.numerator and dd > 0 and dd ** 3 == q.denominator:
-                root = Fraction(sign * dn, dd)
-                if field.kind == RATIONALS:
-                    return FieldElement(field, root)
-                return FieldElement(field, (root, Fraction(0)))
-    raise SqrtUnavailable(f"{x} has no rational cube root")
+    # a fraction in lowest terms is a cube exactly when its numerator
+    # and its denominator are
+    num, den = abs(q.numerator), q.denominator
+    rn, rd = _icbrt(num), _icbrt(den)
+    if rn ** 3 != num or rd ** 3 != den:
+        raise SqrtUnavailable(f"{x} has no rational cube root")
+    root = Fraction(-rn if q < 0 else rn, rd)
+    if field.kind == RATIONALS:
+        return FieldElement(field, root)
+    return FieldElement(field, (root, Fraction(0)))
+
+
+def _icbrt(m: int) -> int:
+    """The integer cube root floor(m^(1/3)) of m >= 0, by integer Newton
+    iteration from a power of two above it (exact at any size)."""
+    if m < 2:
+        return m
+    x = 1 << -(-m.bit_length() // 3)
+    while True:
+        y = (2 * x + m // (x * x)) // 3
+        if y >= x:
+            return x
+        x = y
 
 
 # ---------------------------------------------------------------------------
@@ -321,58 +329,16 @@ def _adjusted_rows(E, basis):
 
 def _split_in_basis(E, basis, groups):
     """The summands of E on the index groups of the natural basis given
-    by payload rows."""
+    by payload rows; raises SpecMismatch unless every group spans an
+    ideal, that is, unless each adjusted row stays inside its own group."""
     rows = _adjusted_rows(E, basis)
+    Z = E.field.ops.zero
+    for g in groups:
+        inside = set(g)
+        if any(x != Z for i in g for j, x in enumerate(rows[i])
+               if j not in inside):
+            raise SpecMismatch("split failed to close")
     return [_subalgebra(rows, g, E.field) for g in groups]
-
-
-def _refine_split(E, zero, sq):
-    """When ann is not inside E^2: adjust each non-annihilator basis
-    vector by an annihilator summand so that the basis splits into an
-    ideal containing E^2 plus a zero-algebra complement.  zero lists the
-    e_k with e_k^2 = 0 and sq is E^2."""
-    n, field = E.dim, E.field
-    ops = field.ops
-    ann_sq, c_part, i_part = _annihilator_split(E, zero, sq)
-    c_rows = c_part._rows
-    ni = i_part.dim
-    # row k of the inverse holds the coordinates of e_k in the mixed basis
-    to_mixed = _inverse_rows(i_part._rows + c_rows, ops)
-    zero_rows = set(zero)
-    new_basis = []
-    for k in range(n):
-        if k not in zero_rows:
-            c_comp = _combine(to_mixed[k][ni:], c_rows, n, ops)
-            new_basis.append([ops.sub(a, b)
-                              for a, b in zip(_unit_row(k, n, ops), c_comp)])
-    new_basis += ann_sq._rows
-    split_at = len(new_basis)
-    new_basis += c_rows
-    adjusted = _adjusted_rows(E, new_basis)
-    # the head must really be closed: its rows may not leak into the tail
-    Z = ops.zero
-    if any(x != Z for row in adjusted[:split_at] for x in row[split_at:]):
-        raise SpecMismatch("refined split failed to close")
-    return [_subalgebra(adjusted, range(split_at), field)] \
-        + [_subalgebra(adjusted, [j], field) for j in range(split_at, n)]
-
-
-def _pairing_split(E, zero):
-    """For E^2 = ann with independent squares and dim = 2 * dim ann:
-    the ideals span{e_i, e_i^2}; zero lists the e_k with e_k^2 = 0."""
-    n, ops = E.dim, E.field.ops
-    zero_rows = set(zero)
-    nonzero = [i for i in range(n) if i not in zero_rows]
-    if len(nonzero) < 2 or 2 * len(nonzero) != n:
-        return None
-    basis = []
-    for i in nonzero:
-        basis.append(_unit_row(i, n, ops))
-        basis.append(E._rows[i])
-    if _rank(basis, n, ops) != n:
-        return None
-    return _split_in_basis(E, basis, [[2 * k, 2 * k + 1]
-                                      for k in range(len(nonzero))])
 
 
 # ---------------------------------------------------------------------------
@@ -397,21 +363,14 @@ def _classify(E):
     if not series.nilpotent:
         raise NotNilpotent("classification applies to nilpotent algebras")
 
-    comps = component_index_sets(E)
-    if len(comps) > 1:
-        return _gather([_subalgebra(E._rows, idx, E.field)
-                        for idx in comps]), None
-
-    # from here on E is nilpotent of dimension at least 2; ann(E) is the
-    # span of the e_k in zero
-    zero = _zero_rows(E)
-    sq = square_subspace(E)
-    if not _holds_units(sq, zero):
-        return _gather(_refine_split(E, zero, sq)), None
-    if 2 * len(zero) >= E.dim:
-        parts = _pairing_split(E, zero)
-        if parts is not None:
-            return _gather(parts), None
+    split = _natural_split(E)
+    if split is not None:
+        _, basis, groups = split
+        if basis is None:  # graph components: no basis change needed
+            parts = [_subalgebra(E._rows, g, E.field) for g in groups]
+        else:
+            parts = _split_in_basis(E, basis, groups)
+        return _gather(parts), None
 
     result = _normalize(E, series)
     if isinstance(result, list):  # an ann-dim-2 special split
@@ -512,8 +471,6 @@ def _realizes(template_rows, E, m) -> bool:
 def witness_isomorphism(E1: EvolutionAlgebra, E2: EvolutionAlgebra):
     """Change-of-basis matrix carrying E1's products to E2's, when the
     labels agree and the needed roots exist; None when labels differ."""
-    if E1.dim > 5 or E2.dim > 5:
-        raise UnsupportedDim("classification covers dimension at most 5")
     (l1, b1), (l2, b2) = _classify(E1), _classify(E2)
     if not labels_equal(l1, l2):
         return None

@@ -1,5 +1,6 @@
 """Evolution algebras: series, powers, graphs, decomposability."""
 
+import importlib
 import pickle
 import random
 from fractions import Fraction
@@ -9,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from evoalg.algebra import (DECOMPOSABLE, INDECOMPOSABLE, PLENARY, RIGHT,
                             UNKNOWN, AnnSeries, EvolutionAlgebra,
-                            _annihilator_split, _holds_units, _zero_rows,
+                            _annihilator_split, _holds_units,
+                            _natural_split, _zero_rows,
                             component_index_sets,
                             decomposability_check, graph_of,
                             invariant_profile, is_ideal, power_nilpotency,
@@ -17,8 +19,9 @@ from evoalg.algebra import (DECOMPOSABLE, INDECOMPOSABLE, PLENARY, RIGHT,
                             quotient_by_block, relative_annihilator,
                             restrict_to_indices, split_components,
                             square_subspace, upper_series)
-from evoalg.errors import NotAnIdeal, NotNilpotent, ShapeError
-from evoalg.fields import GF, QI, QQ, FieldElement
+from evoalg.errors import (NotAnIdeal, NotNilpotent, ShapeError,
+                           SpecMismatch, SqrtUnavailable)
+from evoalg.fields import GF, PRIME, QI, QQ, FieldElement
 from evoalg.linalg import Matrix, Subspace
 
 from helpers import (F13, random_algebra, random_large_annihilator,
@@ -374,3 +377,231 @@ def test_annihilator_split_on_a_vector_outside_the_square():
     assert c_part == Subspace.coordinate([1], 4, QQ())
     assert i_part == sq + Subspace.coordinate([0], 4, QQ())
     assert (ann_sq, c_part, i_part) == reference_annihilator_split(E)
+
+
+# ---------------------------------------------------------------------------
+# the natural split shared by decomposability_check and classify, against
+# the constructions it replaces
+
+def reference_split_verdict(E):
+    """(reason, witness) of cases (a)-(c) as decomposability_check built
+    them before the shared split: coordinate witnesses for (a), the
+    subspace composition for (b), and for (c) the pairs e_i, e_i^2 as
+    FieldElement subspaces that must be complementary ideals."""
+    n, field = E.dim, E.field
+    comps = component_index_sets(E)
+    if len(comps) > 1:
+        rest = [i for c in comps[1:] for i in c]
+        return ("attached graph is disconnected",
+                (Subspace.coordinate(comps[0], n, field),
+                 Subspace.coordinate(rest, n, field)))
+    ann, sq = E.annihilator(), square_subspace(E)
+    if n >= 2 and not sq.contains(ann):
+        _, c_part, i_part = reference_annihilator_split(E)
+        return "annihilator is not contained in E^2", (i_part, c_part)
+    if 2 * ann.dim >= n > ann.dim:
+        nonzero = [i for i in range(n)
+                   if not all(x.is_zero() for x in E.structure.rows[i])]
+        i_part = Subspace.from_vectors(
+            [E.basis_vector(nonzero[0]), E.square_of_basis(nonzero[0])],
+            n, field)
+        j_vecs = [v for i in nonzero[1:]
+                  for v in (E.basis_vector(i), E.square_of_basis(i))]
+        j_part = (Subspace.from_vectors(j_vecs, n, field) if j_vecs
+                  else Subspace.zero(n, field))
+        if (j_part.dim > 0 and i_part.intersect(j_part).is_zero()
+                and (i_part + j_part).dim == n
+                and is_ideal(E, i_part) and is_ideal(E, j_part)):
+            return ("annihilator has dimension at least dim/2",
+                    (i_part, j_part))
+    return None
+
+
+def _random_entry(field, rnd):
+    """A random scalar of field, nonzero three times in four: small
+    fractions over Q, with an imaginary part half the time over Q(i)."""
+    if rnd.randrange(4) == 0:
+        return field.zero()
+    x = field.from_int(rnd.randrange(1, 9))
+    if field.kind != PRIME:
+        x = x / field.from_int(rnd.randrange(1, 4))
+        if field == QI() and rnd.randrange(2):
+            x = x + field.from_int(rnd.randrange(-3, 4)) * field.i()
+    return x
+
+
+@st.composite
+def split_algebras(draw):
+    """Algebras of dim 1-5 over GF(5), GF(13), Q or Q(i), nilpotent or
+    arbitrary.  A drawn set of squares is zero, and a third of the
+    algebras keep every square inside the span of about half the basis
+    vectors, whose squares are zero, so the large-annihilator pairing
+    comes up often.  The entries come from a drawn Random, so that
+    hypothesis's bias towards zero does not leave most graphs
+    disconnected."""
+    field, _ = draw(st.sampled_from(_SPLIT_FIELDS))
+    n = draw(st.integers(1, 5))
+    shape = draw(st.sampled_from(["nilpotent", "arbitrary", "into ann"]))
+    if shape == "into ann":
+        size = draw(st.sampled_from([n // 2, (n + 1) // 2]))
+        zero = set(draw(st.permutations(range(n)))[:size])
+    else:
+        zero = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+    order = draw(st.permutations(range(n)))
+    rnd = draw(st.randoms(use_true_random=False))
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            x = _random_entry(field, rnd)
+            if (i in zero or (shape == "nilpotent" and order[i] >= order[j])
+                    or (shape == "into ann" and j not in zero)):
+                x = field.zero()
+            row.append(x)
+        rows.append(row)
+    return EvolutionAlgebra(n, Matrix(rows, field, n), field)
+
+
+@settings(max_examples=300)
+@given(split_algebras())
+def test_natural_split_verdicts_match_the_old_construction(E):
+    ref = reference_split_verdict(E)
+    verdict = decomposability_check(E)
+    split = _natural_split(E)
+    if ref is None:
+        assert split is None and verdict.status != DECOMPOSABLE
+        return
+    assert verdict.status == DECOMPOSABLE
+    assert (verdict.reason, verdict.witness) == ref
+    assert split[0] == verdict.reason
+    # the groups partition the basis rows
+    assert sorted(i for g in split[2] for i in g) == list(range(E.dim))
+
+
+@st.composite
+def nilpotent_of_type(draw, types):
+    """A nilpotent algebra of one of the given types over GF(5), GF(13),
+    Q or Q(i): block k squares into the blocks below it, reaching block
+    k - 1, in a drawn order of the basis."""
+    field, payload = draw(st.sampled_from(_SPLIT_FIELDS))
+    tv = draw(st.sampled_from(types))
+    n = sum(tv)
+    blocks, start = [], 0
+    for k in tv:
+        blocks.append(list(range(start, start + k)))
+        start += k
+    nonzero = payload.filter(lambda x: x != field.ops.zero)
+    rows = [[field.ops.zero] * n for _ in range(n)]
+    for k in range(1, len(tv)):
+        below = [j for b in blocks[:k] for j in b]
+        for i in blocks[k]:
+            for j in below:
+                rows[i][j] = draw(st.one_of(st.just(field.ops.zero),
+                                            payload))
+            rows[i][draw(st.sampled_from(blocks[k - 1]))] = draw(nonzero)
+    perm = draw(st.permutations(range(n)))
+    prows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            prows[perm[i]][perm[j]] = FieldElement(field, rows[i][j])
+    return EvolutionAlgebra(n, Matrix(prows, field, n), field)
+
+
+# types whose algebras split in every way classify knows: the ann-dim-2
+# splits of [2,3] and [2,2,1], the pairing of [2,2], the annihilator
+# split of [3,2] and [2,1,1,1]
+_SPLIT_TYPES = [[2, 3], [2, 2, 1], [2, 1, 2], [2, 2], [3, 2], [2, 1, 1, 1],
+                [1, 2, 2]]
+
+
+def _record_splits(classify_module, seen):
+    """Wrap classify's _natural_split and _split_in_basis so that every
+    split classify applies is recorded as (E, adjusted rows, groups)."""
+    natural, in_basis = classify_module._natural_split, \
+        classify_module._split_in_basis
+
+    def natural_split(E):
+        split = natural(E)
+        if split is not None and split[1] is None:
+            seen.append((E, E._rows, split[2]))
+        return split
+
+    def split_in_basis(E, basis, groups):
+        seen.append((E, classify_module._adjusted_rows(E, basis), groups))
+        return in_basis(E, basis, groups)
+    return natural_split, split_in_basis
+
+
+@settings(max_examples=300)
+@given(st.one_of(split_algebras(), nilpotent_of_type(_SPLIT_TYPES)))
+def test_every_split_classify_applies_is_block_diagonal(E):
+    classify_module = importlib.import_module("evoalg.classify")
+    seen = []
+    natural_split, split_in_basis = _record_splits(classify_module, seen)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classify_module, "_natural_split", natural_split)
+        mp.setattr(classify_module, "_split_in_basis", split_in_basis)
+        try:
+            classify_module.classify(E)
+        except (NotNilpotent, SqrtUnavailable):
+            pass
+    for A, rows, groups in seen:
+        assert sorted(i for g in groups for i in g) == list(range(A.dim))
+        Z = A.field.ops.zero
+        for g in groups:
+            for i in g:
+                assert all(rows[i][j] == Z
+                           for j in range(A.dim) if j not in g)
+
+
+def _swap_members(groups):
+    """groups with the first members of its first two groups swapped."""
+    g0, g1 = list(groups[0]), list(groups[1])
+    g0[0], g1[0] = g1[0], g0[0]
+    return [g0, g1] + [list(g) for g in groups[2:]]
+
+
+@pytest.mark.parametrize("rows, reason", [
+    # e0^2 = e2 + e3, e1^2 = e2 + 2 e3: ann = E^2 = <e2, e3>, paired
+    ([[0, 0, 1, 1], [0, 0, 1, 2], [0, 0, 0, 0], [0, 0, 0, 0]],
+     "annihilator has dimension at least dim/2"),
+    # e0^2 = e1 + e2, e2^2 = e3: e1 is an annihilator vector outside E^2
+    ([[0, 1, 1, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]],
+     "annihilator is not contained in E^2"),
+])
+def test_a_split_with_swapped_groups_does_not_close(rows, reason):
+    classify_module = importlib.import_module("evoalg.classify")
+    E = EvolutionAlgebra.from_ints(rows, GF(5))
+    got, basis, groups = _natural_split(E)
+    assert got == reason
+    assert len(classify_module._split_in_basis(E, basis, groups)) \
+        == len(groups)
+    with pytest.raises(SpecMismatch):
+        classify_module._split_in_basis(E, basis, _swap_members(groups))
+
+
+@settings(max_examples=300)
+@given(nilpotent_of_type([[2, 1, 1], [3, 1, 1], [4, 1, 1], [3, 1, 1, 1],
+                          [2, 2, 1], [3, 2, 1], [4, 2, 1], [2, 1, 1, 1],
+                          [3, 1, 2], [2, 1, 2], [4, 1, 1, 1]]))
+def test_a_wide_annihilator_block_lies_outside_the_square(E):
+    # for r >= 3, e_i^2 of one e_i in each block U_k, k = 3..r, lies in
+    # ann^{k-1} but not ann^{k-2}, so these r - 2 squares meet ann only
+    # in 0 and dim (E^2 cap ann) <= (n - n1) - (r - 2); ann inside E^2
+    # then gives 2 n1 <= n - r + 2, so no decomposability criterion on
+    # 2 n1 > n - r + 2 can fire after the annihilator split
+    series = upper_series(E)
+    tv, n, r = series.type_vector, E.dim, series.r
+    assert series.nilpotent and r >= 3
+    if square_subspace(E).contains(E.annihilator()):
+        assert 2 * tv[0] <= n - r + 2
+
+
+@pytest.mark.parametrize("fn, idx", [
+    (restrict_to_indices, [0, 3]), (restrict_to_indices, [-1]),
+    (restrict_to_indices, [0, 0]), (quotient_by_block, [0, 3]),
+    (quotient_by_block, [-1, 0]), (quotient_by_block, [0, 1, 1]),
+])
+def test_block_indices_must_be_distinct_and_in_range(fn, idx):
+    with pytest.raises(ShapeError):
+        fn(chain(3), idx)

@@ -37,6 +37,10 @@ def test_not_nilpotent_and_unsupported_dim():
     big = EvolutionAlgebra.from_ints([[0] * 6 for _ in range(6)], F13)
     with pytest.raises(UnsupportedDim):
         classify(big)
+    small = EvolutionAlgebra.from_ints([[0]], F13)
+    for pair in ((big, big), (small, big), (big, small)):
+        with pytest.raises(UnsupportedDim):
+            witness_isomorphism(*pair)
 
 
 def test_chain_dim4_is_variant1():
@@ -377,6 +381,40 @@ def test_cbrt_near_1e9_is_fast():
             # the smallest of the roots r, rw, rw^2
             assert r == min(r, r * w % p, r * w * w % p)
     assert time.monotonic() - start < 5.0
+
+
+def _rational(field, q):
+    return FieldElement(field, q if field == QQ() else (q, Fraction(0)))
+
+
+@pytest.mark.parametrize("field", [QQ(), QI()])
+@pytest.mark.parametrize("k", [
+    Fraction(0), Fraction(-5, 7), Fraction(10 ** 30),
+    Fraction(-(10 ** 200) + 7), Fraction(2 ** 160 + 1, 3 ** 101),
+    Fraction(-1, 10 ** 50)], ids=["0", "-5/7", "1e30", "-1e200+7",
+                                  "2^160+1/3^101", "-1/1e50"])
+def test_cbrt_over_q_is_exact_at_any_size(field, k):
+    assert _cbrt(_rational(field, k ** 3)) == _rational(field, k)
+    if k:
+        # one off a cube, in the numerator or in the denominator
+        for q in (k ** 3 + 1, k ** 3 / (k.denominator ** 3 + 1)):
+            with pytest.raises(SqrtUnavailable):
+                _cbrt(_rational(field, q))
+
+
+@pytest.mark.parametrize("a4", [64 * 10 ** 18, 10 ** 90, 10 ** 600],
+                         ids=["64e18", "1e90", "1e600"])
+def test_chain_with_a_huge_cube_gets_a_witness_over_q(a4):
+    # the normalizer needs the cube root of a4, a square; floats lost it
+    # from about 10^45 on and overflowed at 10^600
+    E = EvolutionAlgebra.from_ints(
+        [[0, 1, 0, a4, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0],
+         [0, 0, 0, 0, 1], [0] * 5], QQ())
+    label, witness = _classify(E)
+    assert label.serialize() == "d5:[1,1,1,1,1]:v2"
+    assert not label.no_witness and witness is not None
+    T = find_entry(5, (1, 1, 1, 1, 1), 2).template((), QQ())
+    assert verify_hom(T, E, witness)
 
 
 def test_series_and_basis_changes_skip_redundant_elimination(monkeypatch):
