@@ -68,6 +68,14 @@ class EvolutionAlgebra:
     def structure(self) -> Matrix:
         return Matrix._wrap(self._rows, self.field, self.dim)
 
+    @cached_property
+    def _supports(self) -> list[set[int]]:
+        """The nonzero pattern of the structure rows: for each e_i, the
+        indices j with A[i][j] != 0.  One pass serves the series, the
+        graph components and the zero squares."""
+        Z = self.field.ops.zero
+        return [{j for j, x in enumerate(row) if x != Z} for row in self._rows]
+
     @classmethod
     def from_ints(cls, rows: list[list[int]], field: FieldDescriptor):
         return cls(len(rows), Matrix.from_ints(rows, field), field)
@@ -75,7 +83,7 @@ class EvolutionAlgebra:
     def __eq__(self, other):
         return (isinstance(other, EvolutionAlgebra)
                 and self.dim == other.dim and self.field == other.field
-                and self.structure == other.structure)
+                and self._rows == other._rows)
 
     def __repr__(self):
         return f"EvolutionAlgebra(dim {self.dim} over {self.field})"
@@ -115,8 +123,7 @@ def _product(rows: list[list], x: list, y: list, ops) -> list:
 
 def _zero_rows(E: EvolutionAlgebra) -> list[int]:
     """Indices of the natural basis vectors with zero square."""
-    Z = E.field.ops.zero
-    return [i for i, row in enumerate(E._rows) if all(x == Z for x in row)]
+    return [i for i, s in enumerate(E._supports) if not s]
 
 
 def quotient_by_block(E: EvolutionAlgebra, keep) -> EvolutionAlgebra:
@@ -196,11 +203,11 @@ def upper_series(E: EvolutionAlgebra) -> AnnSeries:
 
     Every term is the span of the natural basis vectors placed so far, so
     e_i^2 lies in it exactly when the support of e_i^2 does: membership
-    is read off the nonzero pattern of the structure rows.  Only the
-    blocks are computed here; the chain is built when first read.
+    is read off the nonzero pattern of the structure rows, which the
+    algebra keeps.  Only the blocks are computed here; the chain is built
+    when first read.
     """
-    Z = E.field.ops.zero
-    supports = [{j for j, x in enumerate(row) if x != Z} for row in E._rows]
+    supports = E._supports
     placed: set[int] = set()
     blocks: list[list[int]] = []
     while True:
@@ -331,13 +338,11 @@ def component_index_sets(E: EvolutionAlgebra) -> list[list[int]]:
             a = parent[a]
         return a
 
-    Z = E.field.ops.zero
-    edges = [(i, j) for i, row in enumerate(E._rows)
-             for j, x in enumerate(row) if x != Z]
-    for i, j in edges:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
+    for i, support in enumerate(E._supports):
+        for j in support:
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
     groups: dict[int, list[int]] = {}
     for i in range(E.dim):
         groups.setdefault(find(i), []).append(i)

@@ -22,15 +22,21 @@ normalizer builds and verifies the witness basis once, in the same pass
 that produces the label, and ``witness_isomorphism`` composes the two
 stored witnesses instead of normalizing again.
 
-The splitting stages, the adapted reorder and the witness check compute
-on raw payload rows through the field's ``ops`` table: a change of
-natural basis inverts its basis once, summands are row and column
-selections (graph components need no basis change at all), every split
-is checked to close (each adjusted row stays inside its own group), and
-each witness candidate gets one rank test and the product test of
-``verify_hom``.  Only the per-type normalizers work with
-``FieldElement`` values: a summand's structure matrix is built only when
-a normalizer reads it, and only the accepted witness is wrapped.
+Everything below the public boundary computes on raw payloads through
+the field's ``ops`` table: the splitting stages, the adapted reorder,
+the per-type normalizers (they read the structure rows, take roots
+with ``ops.sqrt`` and ``ops.cbrt`` and divide with ``ops.div``, which
+raises DivisionByZero), their builders (payload columns, products by
+``algebra._product``), the templates' rows and the witness check.  A
+change of natural basis inverts its basis once, summands are row and
+column selections (graph components need no basis change at all),
+every split is checked to close (each adjusted row stays inside its own
+group), and each witness candidate gets one rank test and the product
+test of ``verify_hom``.  ``FieldElement`` values appear only at the
+public boundary: a normalizer's raw parameters are wrapped once, to
+pick their orbit representative for the label, ``classify`` builds no
+witness matrix, and ``_classify`` and ``witness_isomorphism`` wrap the
+witness rows they return or compose.
 
 The invariants that decide the split are read off index sets of the
 natural basis: the series blocks (its chain of subspaces is never
@@ -39,14 +45,13 @@ unit rows of E^2's reduced basis, and the refined split's pieces from
 ``algebra._annihilator_split``.  A template's payload rows are built
 only once a builder yields its first candidate, and those of a
 parameter-free template once per field.  Cube roots over Q and Q(i)
-are exact at any size (an integer cube root of the numerator and of
-the denominator).
+are exact at any size (``fields._frac_cbrt``: an integer cube root of
+the numerator and of the denominator).
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from ._values import Frozen, Value, set_fields
 from .errors import (
@@ -56,16 +61,9 @@ from .errors import (
     SqrtUnavailable,
     UnsupportedDim,
 )
-from .fields import (
-    PRIME,
-    RATIONALS,
-    FieldElement,
-    _cube_root_mod,
-    order_key,
-    sqrt_if_square,
-)
-from .linalg import (Matrix, Subspace, _combine, _inverse_rows, _rank,
-                     _unit_row, kernel)
+from .fields import PRIME, FieldElement
+from .linalg import (Matrix, _combine, _identity_rows, _inverse_rows,
+                     _kernel_rows, _rank, _unit_row)
 from .algebra import (EvolutionAlgebra, _natural_split, _product,
                       _subalgebra, upper_series)
 from .tables import find_entry, orbit_min
@@ -126,143 +124,110 @@ def labels_equal(l1, l2) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# small vector helpers (coordinate lists of FieldElement)
+# payload vector helpers for the normalizers (rows of one field's payloads,
+# arithmetic through its ops table)
 
-def _zeros(n, field):
-    return [field.zero()] * n
-
-
-def _unit(i, n, field):
-    v = _zeros(n, field)
-    v[i] = field.one()
-    return v
-
-
-def _vadd(u, v):
-    return [a + b for a, b in zip(u, v)]
-
-
-def _vsub(u, v):
-    return [a - b for a, b in zip(u, v)]
-
-
-def _vscale(c, v):
-    return [c * x for x in v]
-
-
-def _placed(n, field, start, coords, last=None):
-    """The length-n vector with coords at start, start + 1, ... and, when
+def _placed(ops, n, start, coords, last=None):
+    """The length-n row with coords at start, start + 1, ... and, when
     given, ``last`` as its final (annihilator) coordinate."""
-    v = _zeros(n, field)
+    v = [ops.zero] * n
     v[start:start + len(coords)] = coords
     if last is not None:
         v[n - 1] = last
     return v
 
 
-def _roots(x: FieldElement) -> tuple:
+def _sum(ops, u, v):
+    add = ops.add
+    return [add(a, b) for a, b in zip(u, v)]
+
+
+def _diff(ops, u, v):
+    sub = ops.sub
+    return [sub(a, b) for a, b in zip(u, v)]
+
+
+def _power(ops, x, k):
+    """x^k for k >= 1."""
+    out = x
+    for _ in range(k - 1):
+        out = ops.mul(out, x)
+    return out
+
+
+def _sq(Ead, v):
+    """The square of the row v in Ead."""
+    return _product(Ead._rows, v, v, Ead.field.ops)
+
+
+def _solve(ops, rows, rhs):
+    """The x with rows . x = rhs, for an invertible square matrix of
+    payload rows; raises Singular."""
+    return [ops.dot(r, rhs) for r in _inverse_rows(rows, ops)]
+
+
+def _roots(ops, x) -> tuple:
     """The square roots of x: (r, -r), or (0,) when x is 0, or () when x
     is not a square in its field.  A builder loops over them, so a missing
     root yields no candidate."""
-    r = sqrt_if_square(x)
+    r = ops.sqrt(x)
     if r is None:
         return ()
-    return (r,) if r.is_zero() else (r, -r)
+    return (r,) if r == ops.zero else (r, ops.neg(r))
 
 
-def _both_signs(cols, k):
+def _both_signs(ops, cols, k):
     """The candidate cols, then cols with column k negated."""
     yield cols
-    yield cols[:k] + [[-x for x in cols[k]]] + cols[k + 1:]
+    yield cols[:k] + [[ops.neg(x) for x in cols[k]]] + cols[k + 1:]
 
 
-def _root_choices(xs):
+def _root_choices(ops, xs):
     """Every choice of one square root of each x in xs, the first choice
     changing fastest; no choice at all when some x is not a square."""
-    for picks in itertools.product(*map(_roots, reversed(xs))):
+    for picks in itertools.product(*[_roots(ops, x) for x in reversed(xs)]):
         yield picks[::-1]
-
-
-def _cbrt(x: FieldElement) -> FieldElement:
-    """A cube root, when one can be found exactly."""
-    field = x.field
-    if field.kind == PRIME:
-        r = _cube_root_mod(x.value, field.modulus)
-        if r is None:
-            raise SqrtUnavailable(f"{x} has no cube root in {field}")
-        return FieldElement(field, r)
-    if field.kind == RATIONALS:
-        q = x.value
-    elif x.value[1] == 0:
-        q = x.value[0]
-    else:
-        raise SqrtUnavailable(f"no exact cube root of {x} available")
-    # a fraction in lowest terms is a cube exactly when its numerator
-    # and its denominator are
-    num, den = abs(q.numerator), q.denominator
-    rn, rd = _icbrt(num), _icbrt(den)
-    if rn ** 3 != num or rd ** 3 != den:
-        raise SqrtUnavailable(f"{x} has no rational cube root")
-    root = Fraction(-rn if q < 0 else rn, rd)
-    if field.kind == RATIONALS:
-        return FieldElement(field, root)
-    return FieldElement(field, (root, Fraction(0)))
-
-
-def _icbrt(m: int) -> int:
-    """The integer cube root floor(m^(1/3)) of m >= 0, by integer Newton
-    iteration from a power of two above it (exact at any size)."""
-    if m < 2:
-        return m
-    x = 1 << -(-m.bit_length() // 3)
-    while True:
-        y = (2 * x + m // (x * x)) // 3
-        if y >= x:
-            return x
-        x = y
 
 
 # ---------------------------------------------------------------------------
 # diagonal quadratic form utilities
 
 class _DiagForm:
-    """The form Q(v) = sum v_k^2 d_k on a coordinate space."""
+    """The form Q(v) = sum v_k^2 d_k on a coordinate space of payloads."""
 
-    def __init__(self, diag):
+    def __init__(self, ops, diag):
+        self.ops = ops
         self.diag = list(diag)
-        self.field = diag[0].field
 
     def q(self, v):
-        acc = self.field.zero()
-        for x, d in zip(v, self.diag):
-            acc = acc + x * x * d
-        return acc
+        return self.b(v, v)
 
     def b(self, u, v):
-        acc = self.field.zero()
+        add, mul = self.ops.add, self.ops.mul
+        acc = self.ops.zero
         for x, y, d in zip(u, v, self.diag):
-            acc = acc + x * y * d
+            acc = add(acc, mul(mul(x, y), d))
         return acc
 
     def orth_complement_basis(self, vecs):
         """An orthogonal basis, with anisotropic members whenever
         possible, of the orthogonal complement of span(vecs)."""
+        ops = self.ops
+        Z, mul = ops.zero, ops.mul
         m = len(self.diag)
-        rows = [[v[k] * self.diag[k] for k in range(m)] for v in vecs]
-        comp = kernel(Matrix(rows, self.field, m)) if rows \
-            else Subspace.full(m, self.field)
-        basis = [list(v) for v in comp.vectors()]
+        rows = [[mul(x, d) for x, d in zip(v, self.diag)] for v in vecs]
+        basis = _kernel_rows(rows, m, ops)[0]
         # Gram-Schmidt with isotropic-pivot repair
         out = []
         while basis:
-            pick = next((v for v in basis if not self.q(v).is_zero()), None)
+            pick = next((v for v in basis if self.q(v) != Z), None)
             if pick is None and len(basis) >= 2:
                 # all remaining basis vectors isotropic; if the restricted
                 # form is nondegenerate some sum is anisotropic
                 for a in range(len(basis)):
                     for b in range(a + 1, len(basis)):
-                        cand = _vadd(basis[a], basis[b])
-                        if not self.q(cand).is_zero():
+                        cand = _sum(ops, basis[a], basis[b])
+                        if self.q(cand) != Z:
                             basis[a] = cand
                             pick = cand
                             break
@@ -276,34 +241,39 @@ class _DiagForm:
             basis.remove(pick)
             out.append(pick)
             qp = self.q(pick)
-            basis = [_vsub(v, _vscale(self.b(v, pick) / qp, pick))
+            basis = [_diff(ops, v, ops.scale(ops.div(self.b(v, pick), qp),
+                                              pick))
                      for v in basis]
-            basis = [v for v in basis if any(not x.is_zero() for x in v)]
+            basis = [v for v in basis if any(x != Z for x in v)]
         return out
 
     def hyperbolic_partner(self, a):
         """For isotropic a != 0: an isotropic d' with b(a, d') != 0."""
+        ops = self.ops
         m = len(self.diag)
         d = None
         for k in range(m):
-            cand = _unit(k, m, self.field)
-            if not self.b(a, cand).is_zero():
+            cand = _unit_row(k, m, ops)
+            if self.b(a, cand) != ops.zero:
                 d = cand
                 break
         if d is None:
             raise SpecMismatch("vector lies in the radical of the form")
         h0 = self.b(a, d)
-        two = self.field.from_int(2)
-        d2 = _vsub(d, _vscale(self.q(d) / (two * h0), a))
+        two = ops.of_int(2)
+        d2 = _diff(ops, d, ops.scale(ops.div(self.q(d), ops.mul(two, h0)),
+                                     a))
         return d2, self.b(a, d2)
 
     def hyperbolic_pair(self, a, d, delta):
         """u = a/2 + delta d and v = -i (a/2 - delta d), so that u + iv = a:
         for isotropic a and an isotropic partner d the form takes the
         common value q(u) = q(v) = delta b(a, d) on them, and b(u, v) = 0."""
-        half_a = _vscale(self.field.from_int(2).inverse(), a)
-        dd = _vscale(delta, d)
-        return _vadd(half_a, dd), _vscale(-self.field.i(), _vsub(half_a, dd))
+        ops = self.ops
+        half_a = ops.scale(ops.div(ops.one, ops.of_int(2)), a)
+        dd = ops.scale(delta, d)
+        return (_sum(ops, half_a, dd),
+                ops.scale(ops.neg(ops.i), _diff(ops, half_a, dd)))
 
 
 # ---------------------------------------------------------------------------
@@ -346,19 +316,28 @@ def _split_in_basis(E, basis, groups):
 
 def classify(E: EvolutionAlgebra):
     """Canonical label of E, or the Decomposed list of summand labels."""
-    return _classify(E)[0]
+    return _classify_rows(E)[0]
 
 
 def _classify(E):
-    """The label of E and its verified witness basis, the latter None
-    for Decomposed labels and whenever the label carries no_witness."""
+    """The label of E and its verified witness basis as a Matrix, the
+    latter None for Decomposed labels and whenever the label carries
+    no_witness."""
+    label, witness = _classify_rows(E)
+    if witness is not None:
+        witness = Matrix._wrap(witness, E.field, E.dim)
+    return label, witness
+
+
+def _classify_rows(E):
+    """``_classify`` with the witness as payload rows."""
     if E.dim > 5:
         raise UnsupportedDim("classification covers dimension at most 5")
     ops = E.field.ops
     if E._rows == [[ops.zero]]:
         # E is then the template of d1:[1]:v1 itself, so the identity is
         # trivially a witness
-        return CanonicalLabel(1, (1,), 1), Matrix.identity(1, E.field)
+        return CanonicalLabel(1, (1,), 1), _identity_rows(1, ops)
     series = upper_series(E)
     if not series.nilpotent:
         raise NotNilpotent("classification applies to nilpotent algebras")
@@ -392,12 +371,13 @@ def _gather(parts):
 
 def _normalize(E, series):
     """Adapted reorder + per-type normalizer for an indecomposable
-    candidate: (label, witness basis or None), or a list of summands."""
+    candidate: (label, witness rows or None), or a list of summands.
+    The normalizer's raw parameters are wrapped here, once, to pick the
+    orbit representative that the label carries."""
     tv = tuple(series.type_vector)
     perm = [i for blk in reversed(series.blocks) for i in blk]
     field = E.field
     Ead = _subalgebra(E._rows, perm, field)
-
     handler = _HANDLERS.get(tv)
     if handler is None:
         raise SpecMismatch(f"no normalizer for type {list(tv)}")
@@ -406,7 +386,9 @@ def _normalize(E, series):
         return out
     variant, params, boundary, builder = out
     entry = find_entry(E.dim, tv, variant)
-    params = orbit_min(entry, tuple(params), field) if params else ()
+    if params:
+        params = orbit_min(entry, tuple(FieldElement(field, x)
+                                        for x in params), field)
     witness = _witness_basis(E, Ead, perm, entry, params, builder)
     label = CanonicalLabel(E.dim, tv, variant, params, boundary=boundary,
                            no_witness=witness is None)
@@ -414,28 +396,28 @@ def _normalize(E, series):
 
 
 def _witness_basis(E, Ead, perm, entry, params, builder):
-    """A matrix whose columns express the template's natural basis in
-    E's coordinates, verified against the template: each candidate is
-    assembled as payload rows, passes one rank test and the product test
-    of ``verify_hom``, and only the accepted one is wrapped.  None when no
-    candidate realizes the template: a builder yields no candidate for a
-    square root the field lacks, and a template that needs i has no
-    witness over a field without i.  The template's rows are built only
-    once a candidate exists."""
+    """The payload rows of a matrix whose columns express the template's
+    natural basis in E's coordinates, verified against the template:
+    each candidate the builder yields (as payload columns, handed the
+    payloads of params) passes one rank test and the product test of
+    ``verify_hom``.  None when no candidate realizes the template: a
+    builder yields no candidate for a square root the field lacks, and a
+    template that needs i has no witness over a field without i.  The
+    template's rows are built only once a candidate exists."""
     field = E.field
     if entry.needs_i and not field.has_i:
         return None
     template_rows = None
     n = E.dim
-    for cols_ad in builder(Ead, params):
+    for cols_ad in builder(Ead, field.payloads(params)):
         m = [[None] * n for _ in range(n)]
         for j, v in enumerate(cols_ad):
             for k, x in enumerate(v):
-                m[perm[k]][j] = x.value
+                m[perm[k]][j] = x
         if template_rows is None:
             template_rows = _template_rows(entry, params, field)
         if _realizes(template_rows, E, m):
-            return Matrix._wrap(m, field, n)
+            return m
     return None
 
 
@@ -447,14 +429,14 @@ _TEMPLATE_ROWS: dict = {}
 
 def _template_rows(entry, params, field) -> list[list]:
     """The payload structure rows of entry's template over field, built
-    through ``entry.template`` (which checks params and the need for i);
+    by ``entry.template_rows`` (which checks params and the need for i);
     those of a parameter-free template are built once per field."""
     if params:
-        return entry.template(params, field)._rows
+        return entry.template_rows(params, field)
     key = (entry.key(), field)
     rows = _TEMPLATE_ROWS.get(key)
     if rows is None:
-        rows = _TEMPLATE_ROWS[key] = entry.template(params, field)._rows
+        rows = _TEMPLATE_ROWS[key] = entry.template_rows(params, field)
     return rows
 
 
@@ -471,13 +453,14 @@ def _realizes(template_rows, E, m) -> bool:
 def witness_isomorphism(E1: EvolutionAlgebra, E2: EvolutionAlgebra):
     """Change-of-basis matrix carrying E1's products to E2's, when the
     labels agree and the needed roots exist; None when labels differ."""
-    (l1, b1), (l2, b2) = _classify(E1), _classify(E2)
+    (l1, b1), (l2, b2) = _classify_rows(E1), _classify_rows(E2)
     if not labels_equal(l1, l2):
         return None
     if E1 == E2:
         return Matrix.identity(E1.dim, E1.field)
     if b1 is not None and b2 is not None:
-        m = b2 * b1.inverse()
+        field, n = E1.field, E1.dim
+        m = Matrix._wrap(b2, field, n) * Matrix._wrap(b1, field, n).inverse()
         if verify_hom(E1, E2, m):
             return m
     # root-free fallback over finite fields: delegate to the oracle
@@ -495,20 +478,19 @@ def witness_isomorphism(E1: EvolutionAlgebra, E2: EvolutionAlgebra):
 
 # ---------------------------------------------------------------------------
 # per-type normalizers.  Each receives the algebra in adapted coordinates
-# (top block first, annihilator last) and returns
-# (variant, raw params, boundary, builder) or a list of summands.  Type
-# [1] has none: _classify labels the one-dimensional zero algebra itself.
-# A builder yields candidate bases, one per choice of the square roots it
-# needs (_roots); it never raises for a missing root, it just yields
-# nothing more.
+# (top block first, annihilator last), reads its payload rows, and
+# returns (variant, raw payload params, boundary, builder) or a list of
+# summands.  Type [1] has none: _classify labels the one-dimensional zero
+# algebra itself.  A builder receives the payloads of the label's
+# params and yields candidate bases as payload columns, one per choice
+# of the square roots it needs (_roots); it never raises for a missing
+# root, it just yields nothing more.
 
 def _chain_builder(Ead, params):
     """Basis x, x^2, (x^2)^2, ... for plain chains."""
-    n = Ead.dim
-    field = Ead.field
-    cols = [_unit(0, n, field)]
-    for _ in range(n - 1):
-        cols.append(Ead.multiply(cols[-1], cols[-1]))
+    cols = [_unit_row(0, Ead.dim, Ead.field.ops)]
+    for _ in range(Ead.dim - 1):
+        cols.append(_sq(Ead, cols[-1]))
     yield cols
 
 
@@ -521,13 +503,13 @@ def _h_star(Ead, tv):
     n = Ead.dim
 
     def build(Ead, params):
-        field = Ead.field
-        lam = [Ead.structure[i, n - 1] for i in range(n - 1)]
-        for ts in _root_choices([lam[0] / lam[i] for i in range(1, n - 1)]):
-            yield ([_unit(0, n, field)]
-                   + [_vscale(t, _unit(k, n, field))
-                      for k, t in enumerate(ts, 1)]
-                   + [Ead.square_of_basis(0)])
+        S, ops = Ead._rows, Ead.field.ops
+        lam = [S[i][n - 1] for i in range(n - 1)]
+        for ts in _root_choices(ops, [ops.div(lam[0], lam[i])
+                                      for i in range(1, n - 1)]):
+            yield ([_unit_row(0, n, ops)]
+                   + [_placed(ops, n, k, [t]) for k, t in enumerate(ts, 1)]
+                   + [S[0]])
     return 1, (), False, build
 
 
@@ -535,54 +517,55 @@ def _h_1n1(Ead, tv):
     # adapted (x, u_1..u_m, s); x^2 = a + mu s with a in U_2
     m = tv[1]
     n = Ead.dim
-    field = Ead.field
-    lam = [Ead.structure[1 + k, n - 1] for k in range(m)]
-    form = _DiagForm(lam)
-    a = [Ead.structure[0, 1 + k] for k in range(m)]
+    S, ops = Ead._rows, Ead.field.ops
+    Z, div = ops.zero, ops.div
+    lam = [S[1 + k][n - 1] for k in range(m)]
+    form = _DiagForm(ops, lam)
+    a = [S[0][1 + k] for k in range(m)]
     qa = form.q(a)
 
-    if not qa.is_zero():
+    if qa != Z:
         def build(Ead, params):
-            x2 = Ead.square_of_basis(0)
+            x2 = Ead._rows[0]
             comp = form.orth_complement_basis([a])
-            if any(form.q(w).is_zero() for w in comp):
+            if any(form.q(w) == Z for w in comp):
                 return
-            for ts in _root_choices([qa / form.q(w) for w in comp]):
-                yield ([_unit(0, n, field), x2]
-                       + [_placed(n, field, 1, _vscale(t, w))
+            for ts in _root_choices(ops, [div(qa, form.q(w)) for w in comp]):
+                yield ([_unit_row(0, n, ops), x2]
+                       + [_placed(ops, n, 1, ops.scale(t, w))
                           for t, w in zip(ts, comp)]
-                       + [Ead.multiply(x2, x2)])
+                       + [_sq(Ead, x2)])
         return 1, (), False, build
 
     def build_iso(Ead, params):
         # a is isotropic: hyperbolic pair gives x^2 = u1 + i u2
         dprime, h = form.hyperbolic_partner(a)
         comp = form.orth_complement_basis([a, dprime])
-        delta = field.one()
+        delta = ops.one
         # the first complement direction sets the common square value
         # (delta = q(comp[0]) / h), so it enters unscaled; the remaining
         # orthogonal directions are scaled to that value
         rest = []
         if comp:
             g3 = form.q(comp[0])
-            if g3.is_zero():
+            if g3 == Z:
                 return
-            delta = g3 / h
+            delta = div(g3, h)
             rest.append(comp[0])
         for w in comp[1:]:
             qw = form.q(w)
-            if qw.is_zero():
+            if qw == Z:
                 return
-            t = sqrt_if_square(g3 / qw)
+            t = ops.sqrt(div(g3, qw))
             if t is None:
                 return
-            rest.append(_vscale(t, w))
+            rest.append(ops.scale(t, w))
         u1, u2 = form.hyperbolic_pair(a, dprime, delta)
-        v1 = _placed(n, field, 1, u1, Ead.structure[0, n - 1])
-        yield from _both_signs([_unit(0, n, field), v1,
-                                _placed(n, field, 1, u2)]
-                               + [_placed(n, field, 1, w) for w in rest]
-                               + [Ead.multiply(v1, v1)], 2)
+        v1 = _placed(ops, n, 1, u1, Ead._rows[0][n - 1])
+        yield from _both_signs(ops, [_unit_row(0, n, ops), v1,
+                                     _placed(ops, n, 1, u2)]
+                               + [_placed(ops, n, 1, w) for w in rest]
+                               + [_sq(Ead, v1)], 2)
     return 2, (), False, build_iso
 
 
@@ -590,23 +573,24 @@ def _h_11n(Ead, tv):
     # adapted (u_1..u_m, w, s): u_i^2 = lam_i w + nu_i s, w^2 = gw s
     m = tv[2]
     n = Ead.dim
-    field = Ead.field
-    lam = [Ead.structure[k, m] for k in range(m)]
-    nu = [Ead.structure[k, n - 1] for k in range(m)]
-    gw = Ead.structure[m, n - 1]
-    tvals = [nu[k] / lam[k] for k in range(m)]
+    S, ops = Ead._rows, Ead.field.ops
+    sub, mul, div = ops.sub, ops.mul, ops.div
+    lam = [S[k][m] for k in range(m)]
+    nu = [S[k][n - 1] for k in range(m)]
+    gw = S[m][n - 1]
+    tvals = [div(nu[k], lam[k]) for k in range(m)]
     distinct = []
     for t in tvals:
         if t not in distinct:
             distinct.append(t)
 
     def build_equal(Ead, params):
-        for ts in _root_choices([lam[0] / lam[k] for k in range(1, m)]):
-            wn = Ead.square_of_basis(0)
-            yield ([_unit(0, n, field)]
-                   + [_vscale(t, _unit(k, n, field))
-                      for k, t in enumerate(ts, 1)]
-                   + [wn, Ead.multiply(wn, wn)])
+        for ts in _root_choices(ops, [div(lam[0], lam[k])
+                                      for k in range(1, m)]):
+            wn = Ead._rows[0]
+            yield ([_unit_row(0, n, ops)]
+                   + [_placed(ops, n, k, [t]) for k, t in enumerate(ts, 1)]
+                   + [wn, _sq(Ead, wn)])
 
     if len(distinct) == 1:
         return 1, (), False, build_equal
@@ -614,19 +598,19 @@ def _h_11n(Ead, tv):
     def gap_square(base, gap, k):
         """The square of the scaling of u_k that puts the template's unit
         gap between the slopes of u_base and u_gap."""
-        return (tvals[gap] - tvals[base]) / (lam[base] * gw) \
-            * lam[base] / lam[k]
+        return div(mul(div(sub(tvals[gap], tvals[base]), mul(lam[base], gw)),
+                       lam[base]), lam[k])
 
     if m == 2:
         # two eigenvalues: template u1^2 = w, u2^2 = w + s
         def build(Ead, params):
             for base, gap in ((0, 1), (1, 0)):
-                for s0 in _roots(gap_square(base, gap, base)):
-                    for s1 in _roots(gap_square(base, gap, gap)):
-                        ub = _vscale(s0, _unit(base, n, field))
-                        ug = _vscale(s1, _unit(gap, n, field))
-                        wn = Ead.multiply(ub, ub)
-                        yield [ub, ug, wn, Ead.multiply(wn, wn)]
+                for s0 in _roots(ops, gap_square(base, gap, base)):
+                    for s1 in _roots(ops, gap_square(base, gap, gap)):
+                        ub = _placed(ops, n, base, [s0])
+                        ug = _placed(ops, n, gap, [s1])
+                        wn = _sq(Ead, ub)
+                        yield [ub, ug, wn, _sq(Ead, wn)]
         return 2, (), False, build
 
     # m == 3
@@ -636,33 +620,34 @@ def _h_11n(Ead, tv):
                 # slots u1, u2 (g=0), u3 (g=1)
                 if tvals[a] != tvals[b]:
                     continue
-                sc = [sqrt_if_square(gap_square(a, c, k)) for k in range(3)]
+                sc = [ops.sqrt(gap_square(a, c, k)) for k in range(3)]
                 if None in sc:
                     continue
-                ua = _vscale(sc[a], _unit(a, n, field))
-                ub = _vscale(sc[b], _unit(b, n, field))
-                uc = _vscale(sc[c], _unit(c, n, field))
-                wn = Ead.multiply(ua, ua)
-                yield [ua, ub, uc, wn, Ead.multiply(wn, wn)]
+                ua = _placed(ops, n, a, [sc[a]])
+                ub = _placed(ops, n, b, [sc[b]])
+                uc = _placed(ops, n, c, [sc[c]])
+                wn = _sq(Ead, ua)
+                yield [ua, ub, uc, wn, _sq(Ead, wn)]
         return 2, (), False, build
 
     # three distinct eigenvalues: anharmonic parameter
-    alpha = (tvals[0] - tvals[1]) / (tvals[2] - tvals[1])
+    alpha = div(sub(tvals[0], tvals[1]), sub(tvals[2], tvals[1]))
 
     def build(Ead, params):
         (target,) = params
         for a, b, c in itertools.permutations(range(3)):
             # slots: u1 (g=alpha), u2 (g=0), u3 (g=1)
-            if (tvals[a] - tvals[b]) / (tvals[c] - tvals[b]) != target:
+            if div(sub(tvals[a], tvals[b]),
+                   sub(tvals[c], tvals[b])) != target:
                 continue
-            for sa in _roots(gap_square(b, c, a)):
-                for sb in _roots(gap_square(b, c, b)):
-                    for scc in _roots(gap_square(b, c, c)):
-                        ua = _vscale(sa, _unit(a, n, field))
-                        ub = _vscale(sb, _unit(b, n, field))
-                        uc = _vscale(scc, _unit(c, n, field))
-                        wn = Ead.multiply(ub, ub)
-                        yield [ua, ub, uc, wn, Ead.multiply(wn, wn)]
+            for sa in _roots(ops, gap_square(b, c, a)):
+                for sb in _roots(ops, gap_square(b, c, b)):
+                    for scc in _roots(ops, gap_square(b, c, c)):
+                        ua = _placed(ops, n, a, [sa])
+                        ub = _placed(ops, n, b, [sb])
+                        uc = _placed(ops, n, c, [scc])
+                        wn = _sq(Ead, ub)
+                        yield [ua, ub, uc, wn, _sq(Ead, wn)]
     return 3, (alpha,), False, build
 
 
@@ -670,127 +655,130 @@ def _h_111n(Ead, tv):
     # adapted (u_1..u_m, w, t, s)
     m = tv[3]
     n = Ead.dim
-    field = Ead.field
-    lam = [Ead.structure[k, m] for k in range(m)]
-    mu = [Ead.structure[k, m + 1] for k in range(m)]
-    nu = [Ead.structure[k, n - 1] for k in range(m)]
-    aw = Ead.structure[m, m + 1]
-    bw = Ead.structure[m, n - 1]
-    gt = Ead.structure[m + 1, n - 1]
-    f = [mu[k] / (aw * lam[k]) for k in range(m)]
-    g = [(nu[k] - mu[k] * bw / aw) / (aw * aw * gt * lam[k])
+    S, ops = Ead._rows, Ead.field.ops
+    Z, sub, mul, div = ops.zero, ops.sub, ops.mul, ops.div
+    lam = [S[k][m] for k in range(m)]
+    mu = [S[k][m + 1] for k in range(m)]
+    nu = [S[k][n - 1] for k in range(m)]
+    aw = S[m][m + 1]
+    bw = S[m][n - 1]
+    gt = S[m + 1][n - 1]
+    f = [div(mu[k], mul(aw, lam[k])) for k in range(m)]
+    g = [div(sub(nu[k], div(mul(mu[k], bw), aw)),
+             mul(mul(mul(aw, aw), gt), lam[k]))
          for k in range(m)]
 
     if m == 1:
-        if f[0].is_zero():
+        if f[0] == Z:
             return 1, (), False, _chain_builder
 
         def build_v2(Ead, params):
-            for e in _roots(mu[0] / (lam[0] * lam[0] * aw)):
-                un = _vscale(e, _unit(0, n, field))
-                usq = Ead.multiply(un, un)
-                a = usq[1]  # w-coefficient
-                tn = _placed(n, field, 2, [a * a * aw], a * a * bw)
-                wn = _vsub(usq, tn)
-                yield [un, wn, tn, Ead.multiply(tn, tn)]
+            for e in _roots(ops, div(mu[0], mul(mul(lam[0], lam[0]), aw))):
+                un = _placed(ops, n, 0, [e])
+                usq = _sq(Ead, un)
+                a2 = mul(usq[1], usq[1])  # the w-coefficient, squared
+                tn = _placed(ops, n, 2, [mul(a2, aw)], mul(a2, bw))
+                wn = _diff(ops, usq, tn)
+                yield [un, wn, tn, _sq(Ead, tn)]
         return 2, (), False, build_v2
 
+    def cols(Ead, first, second):
+        """The u columns, then w = second^2, t = w^2 and s = t^2."""
+        wn = _sq(Ead, second)
+        tn = _sq(Ead, wn)
+        return [first, second, wn, tn, _sq(Ead, tn)]
+
     # m == 2
-    zf = [k for k in range(2) if f[k].is_zero()]
+    zf = [k for k in range(2) if f[k] == Z]
     if len(zf) == 2:
         if g[0] == g[1]:
             def build(Ead, params):
-                wn = Ead.square_of_basis(0)
-                tn = Ead.multiply(wn, wn)
-                for s in _roots(lam[0] / lam[1]):
-                    yield [_unit(0, n, field),
-                           _vscale(s, _unit(1, n, field)),
-                           wn, tn, Ead.multiply(tn, tn)]
+                wn = Ead._rows[0]
+                tn = _sq(Ead, wn)
+                for s in _roots(ops, div(lam[0], lam[1])):
+                    yield [_unit_row(0, n, ops), _placed(ops, n, 1, [s]),
+                           wn, tn, _sq(Ead, tn)]
             return 1, (), False, build
 
         def build_v2(Ead, params):
             for base, gap in ((0, 1), (1, 0)):
-                c6 = (nu[gap] / lam[gap] - nu[base] / lam[base]) \
-                    / (lam[base] ** 3 * aw * aw * gt)
-                try:
-                    tb2 = _cbrt(c6)
-                except SqrtUnavailable:
+                c6 = div(sub(div(nu[gap], lam[gap]), div(nu[base], lam[base])),
+                         mul(mul(mul(_power(ops, lam[base], 3), aw), aw), gt))
+                tb2 = ops.cbrt(c6)
+                if tb2 is None:
                     continue
-                for sb in _roots(tb2):
-                    for sg in _roots(tb2 * lam[base] / lam[gap]):
-                        ub = _vscale(sb, _unit(base, n, field))
-                        ug = _vscale(sg, _unit(gap, n, field))
-                        wn = Ead.multiply(ub, ub)
-                        tn = Ead.multiply(wn, wn)
-                        yield [ug, ub, wn, tn, Ead.multiply(tn, tn)]
+                for sb in _roots(ops, tb2):
+                    for sg in _roots(ops, div(mul(tb2, lam[base]), lam[gap])):
+                        yield cols(Ead, _placed(ops, n, gap, [sg]),
+                                   _placed(ops, n, base, [sb]))
         return 2, (), False, build_v2
 
     if len(zf) == 1:
         z = zf[0]
         a = 1 - z
-        gamma = (g[a] - g[z]) / (f[a] ** 3)
+        gamma = div(sub(g[a], g[z]), _power(ops, f[a], 3))
 
         def build(Ead, params):
-            tb2 = mu[a] / (lam[a] * lam[z] * aw)
-            for sb in _roots(tb2):
-                for sa in _roots(tb2 * lam[z] / lam[a]):
-                    ub = _vscale(sb, _unit(z, n, field))
-                    ua = _vscale(sa, _unit(a, n, field))
-                    wn = Ead.multiply(ub, ub)
-                    tn = Ead.multiply(wn, wn)
-                    yield [ua, ub, wn, tn, Ead.multiply(tn, tn)]
+            tb2 = div(mu[a], mul(mul(lam[a], lam[z]), aw))
+            for sb in _roots(ops, tb2):
+                for sa in _roots(ops, div(mul(tb2, lam[z]), lam[a])):
+                    yield cols(Ead, _placed(ops, n, a, [sa]),
+                               _placed(ops, n, z, [sb]))
         return 3, (gamma,), False, build
 
     # both f nonzero
     cand = []
     for a in range(2):
         z = 1 - a
-        cand.append((f[z] / f[a], (g[a] - g[z]) / (f[a] ** 3)))
+        cand.append((div(f[z], f[a]),
+                     div(sub(g[a], g[z]), _power(ops, f[a], 3))))
 
     def build(Ead, params):
         for a in range(2):
             z = 1 - a
             if cand[a] != tuple(params):
                 continue
-            avec = mu[a] / (lam[a] * aw)
+            avec = div(mu[a], mul(lam[a], aw))
             gamma = cand[a][1]
-            tn = _placed(n, field, m + 1, [avec * avec * aw],
-                         avec * avec * bw)
-            sn = Ead.multiply(tn, tn)
-            for sa in _roots(avec / lam[a]):
-                for sb in _roots(avec / lam[z]):
-                    ua = _vscale(sa, _unit(a, n, field))
-                    ub = _vscale(sb, _unit(z, n, field))
-                    wn = _vsub(_vsub(Ead.multiply(ua, ua), tn),
-                               _vscale(gamma, sn))
+            av2 = mul(avec, avec)
+            tn = _placed(ops, n, m + 1, [mul(av2, aw)], mul(av2, bw))
+            sn = _sq(Ead, tn)
+            for sa in _roots(ops, div(avec, lam[a])):
+                for sb in _roots(ops, div(avec, lam[z])):
+                    ua = _placed(ops, n, a, [sa])
+                    ub = _placed(ops, n, z, [sb])
+                    wn = _diff(ops, _diff(ops, _sq(Ead, ua), tn),
+                               ops.scale(gamma, sn))
                     yield [ua, ub, wn, tn, sn]
-    return 4, min(cand, key=lambda t: (order_key(t[0]), order_key(t[1]))), \
-        False, build
+    return 4, min(cand), False, build
 
 
 def _h_122(Ead, tv):
     # adapted (x, y, u, v, s)
     n = Ead.dim
-    field = Ead.field
-    lam_u = Ead.structure[2, 4]
-    lam_v = Ead.structure[3, 4]
-    form = _DiagForm([lam_u, lam_v])
-    a = [Ead.structure[0, 2], Ead.structure[0, 3]]
-    b = [Ead.structure[1, 2], Ead.structure[1, 3]]
-    mu_x = Ead.structure[0, 4]
-    nu_y = Ead.structure[1, 4]
+    S, ops, field = Ead._rows, Ead.field.ops, Ead.field
+    Z, sub, mul, div = ops.zero, ops.sub, ops.mul, ops.div
+    form = _DiagForm(ops, [S[2][4], S[3][4]])
+    a = [S[0][2], S[0][3]]
+    b = [S[1][2], S[1][3]]
+    mu_x = S[0][4]
+    nu_y = S[1][4]
     qa, qb, qab = form.q(a), form.q(b), form.b(a, b)
     xi, yi = 0, 1
-    if qa.is_zero() and not qb.is_zero():
+    if qa == Z and qb != Z:
         a, b, mu_x, nu_y = b, a, nu_y, mu_x
         qa, qb = qb, qa
         xi, yi = 1, 0
 
-    if not qa.is_zero():
-        det = qa * qb - qab * qab
-        if not det.is_zero():
-            alpha2 = qab * qab / det
-            alpha = sqrt_if_square(alpha2)
+    def complement():
+        """The first vector of a's orthogonal complement, and its q."""
+        w0 = form.orth_complement_basis([a])[0]
+        return w0, form.q(w0)
+
+    if qa != Z:
+        det = sub(mul(qa, qb), mul(qab, qab))
+        if det != Z:
+            alpha = ops.sqrt(div(mul(qab, qab), det))
             if alpha is None:
                 raise SqrtUnavailable(
                     "the [1,2,2] parameter is not representable in "
@@ -798,277 +786,263 @@ def _h_122(Ead, tv):
 
             def build(Ead, params):
                 (target,) = params
-                comp = form.orth_complement_basis([a])
-                w0 = comp[0]
-                qw0 = form.q(w0)
-                if qw0.is_zero():
+                w0, qw0 = complement()
+                if qw0 == Z:
                     return
                 # decompose b = A a + B w0
-                gram = Matrix([[qa, form.b(a, w0)],
-                               [form.b(a, w0), qw0]], field, 2)
-                coeff = gram.inverse().apply([form.b(b, a), form.b(b, w0)])
-                A, B = coeff
-                if B.is_zero():
+                baw0 = form.b(a, w0)
+                A, B = _solve(ops, [[qa, baw0], [baw0, qw0]],
+                               [form.b(b, a), form.b(b, w0)])
+                if B == Z:
                     return
-                for t in _roots(qa / qw0):
-                    if t * A / B != target:
+                for t in _roots(ops, div(qa, qw0)):
+                    if div(mul(t, A), B) != target:
                         continue
-                    eps2 = t / B
-                    eps = sqrt_if_square(eps2)
+                    eps2 = div(t, B)
+                    eps = ops.sqrt(eps2)
                     if eps is None:
                         continue
-                    un = _placed(n, field, 2, a, mu_x)
-                    sn = Ead.multiply(un, un)
-                    sigma = eps2 * (nu_y - A * mu_x)
-                    vn = _placed(n, field, 2, _vscale(t, w0), sigma)
-                    xn = _unit(xi, n, field)
-                    yn = _vscale(eps, _unit(yi, n, field))
-                    yield [xn, yn, un, vn, sn]
+                    un = _placed(ops, n, 2, a, mu_x)
+                    sn = _sq(Ead, un)
+                    sigma = mul(eps2, sub(nu_y, mul(A, mu_x)))
+                    vn = _placed(ops, n, 2, ops.scale(t, w0), sigma)
+                    yield [_unit_row(xi, n, ops), _placed(ops, n, yi, [eps]),
+                           un, vn, sn]
             return 1, (alpha,), False, build
 
         # b parallel to a: variants 2 / 3
-        A = (form.b(b, a)) / qa
-        kappa = nu_y - A * mu_x
-        if kappa.is_zero():
+        A = div(form.b(b, a), qa)
+        kappa = sub(nu_y, mul(A, mu_x))
+        if kappa == Z:
             def build(Ead, params):
-                comp = form.orth_complement_basis([a])
-                w0 = comp[0]
-                qw0 = form.q(w0)
-                for e in _roots(A.inverse()):
-                    for tt in _roots(qa / qw0):
-                        un = _placed(n, field, 2, a, mu_x)
-                        sn = Ead.multiply(un, un)
-                        vn = _placed(n, field, 2, _vscale(tt, w0))
-                        yield [_unit(xi, n, field),
-                               _vscale(e, _unit(yi, n, field)),
-                               un, vn, sn]
+                w0, qw0 = complement()
+                for e in _roots(ops, div(ops.one, A)):
+                    for tt in _roots(ops, div(qa, qw0)):
+                        un = _placed(ops, n, 2, a, mu_x)
+                        sn = _sq(Ead, un)
+                        vn = _placed(ops, n, 2, ops.scale(tt, w0))
+                        yield [_unit_row(xi, n, ops),
+                               _placed(ops, n, yi, [e]), un, vn, sn]
             return 2, (), False, build
 
         def build_v3(Ead, params):
-            comp = form.orth_complement_basis([a])
-            w0 = comp[0]
-            qw0 = form.q(w0)
-            ex2 = kappa / (A * qa)
-            for sx in _roots(ex2):
-                for sy in _roots(ex2 / A):
-                    for st in _roots(ex2 * ex2 * qa / qw0):
-                        xn = _vscale(sx, _unit(xi, n, field))
-                        un = Ead.multiply(xn, xn)
-                        sn = Ead.multiply(un, un)
-                        vn = _placed(n, field, 2, _vscale(st, w0))
-                        yield [xn,
-                               _vscale(sy, _unit(yi, n, field)),
-                               un, vn, sn]
+            w0, qw0 = complement()
+            ex2 = div(kappa, mul(A, qa))
+            for sx in _roots(ops, ex2):
+                for sy in _roots(ops, div(ex2, A)):
+                    for st in _roots(ops, div(mul(mul(ex2, ex2), qa), qw0)):
+                        xn = _placed(ops, n, xi, [sx])
+                        un = _sq(Ead, xn)
+                        sn = _sq(Ead, un)
+                        vn = _placed(ops, n, 2, ops.scale(st, w0))
+                        yield [xn, _placed(ops, n, yi, [sy]), un, vn, sn]
         return 3, (), False, build_v3
 
     # both squares isotropic
     dprime, h = form.hyperbolic_partner(a)
-    gram = Matrix([[qa, h], [h, form.q(dprime)]], field, 2)
-    cc = gram.inverse().apply([form.b(b, a), form.b(b, dprime)])
-    c_plus, c_minus = cc  # b = c_plus a + c_minus d'
+    # b = c_plus a + c_minus d'
+    c_plus, c_minus = _solve(ops, [[qa, h], [h, form.q(dprime)]],
+                              [form.b(b, a), form.b(b, dprime)])
 
     def pair_cols(delta, sigma_u, sigma_v=None):
         u0, v0 = form.hyperbolic_pair(a, dprime, delta)
-        return (_placed(n, field, 2, u0, sigma_u),
-                _placed(n, field, 2, v0, sigma_v))
+        return (_placed(ops, n, 2, u0, sigma_u),
+                _placed(ops, n, 2, v0, sigma_v))
 
-    if not c_minus.is_zero() and not c_plus.is_zero():
+    if c_minus != Z and c_plus != Z:
         raise SpecMismatch("isotropic squares must lie on isotropic lines")
 
-    if c_minus.is_zero():
+    if c_minus == Z:
         rho = c_plus
-        kappa = nu_y / rho - mu_x
+        kappa = sub(div(nu_y, rho), mu_x)
         # variant 4 when kappa = 0; otherwise delta = kappa / h != 0
-        variant = 4 if kappa.is_zero() else 5
+        variant = 4 if kappa == Z else 5
 
         def build(Ead, params):
-            eys = _roots(rho.inverse())
-            un, vn = pair_cols(field.one() if variant == 4 else kappa / h,
+            eys = _roots(ops, div(ops.one, rho))
+            un, vn = pair_cols(ops.one if variant == 4 else div(kappa, h),
                                mu_x)
-            sn = Ead.multiply(un, un)
+            sn = _sq(Ead, un)
             for e in eys:
-                yield [_unit(0, n, field),
-                       _vscale(e, _unit(1, n, field)), un, vn, sn]
+                yield [_unit_row(0, n, ops), _placed(ops, n, 1, [e]),
+                       un, vn, sn]
         return variant, (), False, build
 
     # b on the opposite isotropic line
     def build_v6(Ead, params):
-        ey2 = field.from_int(2) / c_minus
+        two = ops.of_int(2)
+        ey2 = div(two, c_minus)
         # shift the pair by tau*s: u -> u - i tau s, v -> v + tau s keeps
         # x^2 = u + iv while fixing the s-part of u - iv to match y^2
-        i = field.i()
-        tau = -i * (mu_x - ey2 * nu_y) / field.from_int(2)
-        un, vn = pair_cols(field.one(), mu_x - i * tau, tau)
-        sn = Ead.multiply(un, un)
-        for e in _roots(ey2):
-            yield [_unit(0, n, field),
-                   _vscale(e, _unit(1, n, field)), un, vn, sn]
+        i = ops.i
+        tau = div(mul(ops.neg(i), sub(mu_x, mul(ey2, nu_y))), two)
+        un, vn = pair_cols(ops.one, sub(mu_x, mul(i, tau)), tau)
+        sn = _sq(Ead, un)
+        for e in _roots(ops, ey2):
+            yield [_unit_row(0, n, ops), _placed(ops, n, 1, [e]), un, vn, sn]
     return 6, (), False, build_v6
 
 
 def _h_1211(Ead, tv):
     # adapted (x, y, u, v, s)
     n = Ead.dim
-    field = Ead.field
-    lam_u = Ead.structure[2, 4]
-    lam_v = Ead.structure[3, 4]
-    form = _DiagForm([lam_u, lam_v])
-    by = [Ead.structure[1, 2], Ead.structure[1, 3]]
-    mu_y = Ead.structure[1, 4]
-    lam = Ead.structure[0, 1]
-    ax = [Ead.structure[0, 2], Ead.structure[0, 3]]
-    nu_x = Ead.structure[0, 4]
+    S, ops, field = Ead._rows, Ead.field.ops, Ead.field
+    Z, sub, mul, div = ops.zero, ops.sub, ops.mul, ops.div
+    form = _DiagForm(ops, [S[2][4], S[3][4]])
+    by = [S[1][2], S[1][3]]
+    mu_y = S[1][4]
+    lam = S[0][1]
+    ax = [S[0][2], S[0][3]]
+    nu_x = S[0][4]
     qby = form.q(by)
 
-    if not qby.is_zero():
-        A = form.b(ax, by) / qby
-        wvec = _vsub(ax, _vscale(A, by))
+    if qby != Z:
+        A = div(form.b(ax, by), qby)
+        wvec = _diff(ops, ax, ops.scale(A, by))
         qw = form.q(wvec)
-        comp = form.orth_complement_basis([by])
-        w0 = comp[0]
+        w0 = form.orth_complement_basis([by])[0]
         qw0 = form.q(w0)
 
         def common_cols(ey, sy_shift, tvar):
-            yn = _placed(n, field, 1, [ey], sy_shift)
-            un = Ead.multiply(yn, yn)
-            sn = Ead.multiply(un, un)
-            vn = _placed(n, field, 2, _vscale(tvar, w0))
+            yn = _placed(ops, n, 1, [ey], sy_shift)
+            un = _sq(Ead, yn)
+            sn = _sq(Ead, un)
+            vn = _placed(ops, n, 2, ops.scale(tvar, w0))
             return yn, un, sn, vn
 
-        if A.is_zero() and all(x.is_zero() for x in wvec):
+        if A == Z and all(x == Z for x in wvec):
             def build(Ead, params):
-                for t in _roots(lam ** 4 * qby / qw0):
+                for t in _roots(ops, div(mul(_power(ops, lam, 4), qby), qw0)):
                     yn, un, sn, vn = common_cols(lam, nu_x, t)
-                    yield [_unit(0, n, field), yn, un, vn, sn]
+                    yield [_unit_row(0, n, ops), yn, un, vn, sn]
             return 1, (), False, build
 
-        if A.is_zero():
+        if A == Z:
             def build_v2(Ead, params):
                 # decompose the U_2 part of x^2 along w0
-                B = form.b(ax, w0) / qw0
-                for e2 in _roots(B * B * qw0 / (lam ** 4 * qby)):
-                    for sx in _roots(e2):
+                B = div(form.b(ax, w0), qw0)
+                for e2 in _roots(ops, div(mul(mul(B, B), qw0),
+                                          mul(_power(ops, lam, 4), qby))):
+                    for sx in _roots(ops, e2):
+                        sx2 = mul(sx, sx)
                         yn, un, sn, vn = common_cols(
-                            sx * sx * lam, sx * sx * nu_x, sx * sx * B)
-                        yield [_vscale(sx, _unit(0, n, field)),
-                               yn, un, vn, sn]
+                            mul(sx2, lam), mul(sx2, nu_x), mul(sx2, B))
+                        yield [_placed(ops, n, 0, [sx]), yn, un, vn, sn]
             return 2, (), False, build_v2
 
-        beta2 = qw / (A * A * qby)
-        beta = sqrt_if_square(beta2)
+        beta = ops.sqrt(div(qw, mul(mul(A, A), qby)))
         if beta is None:
             raise SqrtUnavailable(
                 f"the [1,2,1,1] parameter is not representable in {field}")
 
         def build_v3(Ead, params):
             (target,) = params
-            B = form.b(ax, w0) / qw0
-            ex2 = A / (lam * lam)
-            ey = A / lam
-            for t in _roots(ey ** 4 * qby / qw0):
-                if ex2 * B / t != target:
+            B = div(form.b(ax, w0), qw0)
+            ex2 = div(A, mul(lam, lam))
+            ey = div(A, lam)
+            for t in _roots(ops, div(mul(_power(ops, ey, 4), qby), qw0)):
+                if div(mul(ex2, B), t) != target:
                     continue
-                for sx in _roots(ex2):
-                    sy_shift = ex2 * (nu_x - A * mu_y)
+                for sx in _roots(ops, ex2):
+                    sy_shift = mul(ex2, sub(nu_x, mul(A, mu_y)))
                     yn, un, sn, vn = common_cols(ey, sy_shift, t)
-                    yield [_vscale(sx, _unit(0, n, field)),
-                           yn, un, vn, sn]
+                    yield [_placed(ops, n, 0, [sx]), yn, un, vn, sn]
         return 3, (beta,), False, build_v3
 
     # second class: y^2 isotropic
     dprime, h = form.hyperbolic_partner(by)
-    gram = Matrix([[qby, h], [h, form.q(dprime)]], field, 2)
-    cc = gram.inverse().apply([form.b(ax, by), form.b(ax, dprime)])
-    c_plus, c_minus = cc
+    c_plus, c_minus = _solve(ops, [[qby, h], [h, form.q(dprime)]],
+                              [form.b(ax, by), form.b(ax, dprime)])
     qax = form.q(ax)
 
     def second_class_cols(delta, base):
         """u, v, s for y scaled by base: the hyperbolic pair is built from
         the rescaled y's square (whose s-part y itself does not touch)."""
-        yn = _placed(n, field, 1, [base])
-        ysq = Ead.multiply(yn, yn)
+        ysq = _sq(Ead, _placed(ops, n, 1, [base]))
         u0, v0 = form.hyperbolic_pair(ysq[2:4], dprime, delta)
-        un = _placed(n, field, 2, u0, ysq[4])
-        return un, _placed(n, field, 2, v0), Ead.multiply(un, un)
+        un = _placed(ops, n, 2, u0, ysq[4])
+        return un, _placed(ops, n, 2, v0), _sq(Ead, un)
 
-    if all(x.is_zero() for x in ax):
+    def x_scaled(sx, c):
+        """x scaled by sx, and the rest for y scaled by sx^2 lam, the pair
+        at delta = sx^2 c: the s-components are absorbed into y."""
+        e2 = mul(sx, sx)
+        un, vn, sn = second_class_cols(mul(e2, c), mul(e2, lam))
+        yn = _placed(ops, n, 1, [mul(e2, lam)], sub(mul(e2, nu_x), un[4]))
+        return [_placed(ops, n, 0, [sx]), yn, un, vn, sn]
+
+    if all(x == Z for x in ax):
         def build_v4(Ead, params):
             # x^2 = lam y + nu_x s: fold into y
-            un, vn, sn = second_class_cols(field.one(), lam)
-            yn = _placed(n, field, 1, [lam], nu_x)
-            yield from _both_signs([_unit(0, n, field), yn, un, vn, sn], 3)
+            un, vn, sn = second_class_cols(ops.one, lam)
+            yn = _placed(ops, n, 1, [lam], nu_x)
+            yield from _both_signs(ops, [_unit_row(0, n, ops), yn, un, vn, sn],
+                                   3)
         return 4, (), False, build_v4
 
-    if not qax.is_zero():
+    if qax != Z:
         def build_v5(Ead, params):
-            for sx in _roots(field.from_int(2) * c_plus / (lam * lam)):
-                e2 = sx * sx
-                un, vn, sn = second_class_cols(e2 * c_minus, e2 * lam)
-                # absorb s-components into the y column
-                yn = _placed(n, field, 1, [e2 * lam], e2 * nu_x - un[4])
-                yield [_vscale(sx, _unit(0, n, field)), yn, un, vn, sn]
+            for sx in _roots(ops, div(mul(ops.of_int(2), c_plus),
+                                      mul(lam, lam))):
+                yield x_scaled(sx, c_minus)
         return 5, (), False, build_v5
 
     # a_x isotropic and nonzero
-    if c_minus.is_zero():
+    if c_minus == Z:
         def build_v6(Ead, params):
-            for sx in _roots(c_plus / (lam * lam)):
-                e2 = sx * sx
-                un, vn, sn = second_class_cols(e2 * c_plus, e2 * lam)
-                yn = _placed(n, field, 1, [e2 * lam], e2 * nu_x - un[4])
-                yield from _both_signs(
-                    [_vscale(sx, _unit(0, n, field)), yn, un, vn, sn], 3)
+            for sx in _roots(ops, div(c_plus, mul(lam, lam))):
+                yield from _both_signs(ops, x_scaled(sx, c_plus), 3)
         return 6, (), False, build_v6
 
     def build_v7(Ead, params):
         # x's U_2 part lies on the opposite isotropic line
-        un, vn, sn = second_class_cols(c_minus / field.from_int(2), lam)
-        yn = _placed(n, field, 1, [lam], nu_x - un[4])
-        yield from _both_signs([_unit(0, n, field), yn, un, vn, sn], 3)
+        un, vn, sn = second_class_cols(div(c_minus, ops.of_int(2)), lam)
+        yn = _placed(ops, n, 1, [lam], sub(nu_x, un[4]))
+        yield from _both_signs(ops, [_unit_row(0, n, ops), yn, un, vn, sn], 3)
     return 7, (), False, build_v7
 
 
 def _h_1121(Ead, tv):
     # adapted (x, y, z, w, s)
     n = Ead.dim
-    field = Ead.field
-    p1, q1 = Ead.structure[1, 3], Ead.structure[1, 4]
-    p2, q2 = Ead.structure[2, 3], Ead.structure[2, 4]
-    gw = Ead.structure[3, 4]
-    c1, c2 = Ead.structure[0, 1], Ead.structure[0, 2]
-    c3, c4 = Ead.structure[0, 3], Ead.structure[0, 4]
-    delta = q1 / p1 - q2 / p2
+    S, ops, field = Ead._rows, Ead.field.ops, Ead.field
+    Z, sub, mul, div = ops.zero, ops.sub, ops.mul, ops.div
+    p1, q1 = S[1][3], S[1][4]
+    p2, q2 = S[2][3], S[2][4]
+    gw = S[3][4]
+    c1, c2 = S[0][1], S[0][2]
+    c3, c4 = S[0][3], S[0][4]
+    delta = sub(div(q1, p1), div(q2, p2))
 
-    if delta.is_zero():
-        form = _DiagForm([p1, p2])
+    if delta == Z:
+        form = _DiagForm(ops, [p1, p2])
         c = [c1, c2]
         qc = form.q(c)
-        if not qc.is_zero():
-            comp = form.orth_complement_basis([c])
-            w0 = comp[0]
+        if qc != Z:
+            w0 = form.orth_complement_basis([c])[0]
             qw0 = form.q(w0)
-            if c3.is_zero():
+            if c3 == Z:
                 def build(Ead, params):
-                    yn = _placed(n, field, 1, c, c4)
-                    wn = Ead.multiply(yn, yn)
-                    sn = Ead.multiply(wn, wn)
-                    for t in _roots(qc / qw0):
-                        zn = _placed(n, field, 1, _vscale(t, w0))
-                        yield [_unit(0, n, field), yn, zn, wn, sn]
+                    yn = _placed(ops, n, 1, c, c4)
+                    wn = _sq(Ead, yn)
+                    sn = _sq(Ead, wn)
+                    for t in _roots(ops, div(qc, qw0)):
+                        zn = _placed(ops, n, 1, ops.scale(t, w0))
+                        yield [_unit_row(0, n, ops), yn, zn, wn, sn]
                 return 1, (), False, build
 
             def build_v2(Ead, params):
-                for sx in _roots(c3 / qc):
-                    e2 = sx * sx
-                    xn = _vscale(sx, _unit(0, n, field))
-                    xsq = Ead.multiply(xn, xn)
+                for sx in _roots(ops, div(c3, qc)):
+                    e2 = mul(sx, sx)
+                    xn = _placed(ops, n, 0, [sx])
+                    xsq = _sq(Ead, xn)
                     # y_n = x_n^2 minus its w,s tail beyond the U3 part
-                    yn = _placed(n, field, 1, xsq[1:3],
-                                 xsq[4] - e2 * c3 * (q1 / p1))
-                    wn = Ead.multiply(yn, yn)
-                    sn = Ead.multiply(wn, wn)
-                    for t in _roots(e2 * e2 * qc / qw0):
-                        zn = _placed(n, field, 1, _vscale(t, w0))
+                    yn = _placed(ops, n, 1, xsq[1:3],
+                                 sub(xsq[4], mul(mul(e2, c3), div(q1, p1))))
+                    wn = _sq(Ead, yn)
+                    sn = _sq(Ead, wn)
+                    for t in _roots(ops, div(mul(mul(e2, e2), qc), qw0)):
+                        zn = _placed(ops, n, 1, ops.scale(t, w0))
                         yield [xn, yn, zn, wn, sn]
             return 2, (), False, build_v2
 
@@ -1076,43 +1050,46 @@ def _h_1121(Ead, tv):
         dprime, h = form.hyperbolic_partner(c)
 
         def build_iso(Ead, params):
-            delta_c = field.one() if c3.is_zero() else c3 / h
+            delta_c = ops.one if c3 == Z else div(c3, h)
             y0, z0 = form.hyperbolic_pair(c, dprime, delta_c)
-            yn = _placed(n, field, 1, y0, c4)
-            zn = _placed(n, field, 1, z0)
-            wn = Ead.multiply(yn, yn)
-            sn = Ead.multiply(wn, wn)
-            yield from _both_signs([_unit(0, n, field), yn, zn, wn, sn], 2)
-        return (3 if c3.is_zero() else 4), (), False, build_iso
+            yn = _placed(ops, n, 1, y0, c4)
+            wn = _sq(Ead, yn)
+            yield from _both_signs(ops, [_unit_row(0, n, ops), yn,
+                                         _placed(ops, n, 1, z0), wn,
+                                         _sq(Ead, wn)], 2)
+        return (3 if c3 == Z else 4), (), False, build_iso
 
     # delta != 0: the two U_3 lines are intrinsic (only permutations and
     # scalings of them extend to natural basis changes)
     def role_data(Y):
-        """Line Y as the template y and 3 - Y as z: (Z, p_Y, p_Z, c_Y,
+        """Line Y as the template y and 3 - Y as z: (3 - Y, p_Y, p_Z, c_Y,
         c_Z, the s-gap p_Y q_Z / p_Z - q_Y)."""
-        Z = 3 - Y  # indices 1 and 2
         pY, qY, cY = (p1, q1, c1) if Y == 1 else (p2, q2, c2)
         pZ, qZ, cZ = (p2, q2, c2) if Y == 1 else (p1, q1, c1)
-        return Z, pY, pZ, cY, cZ, pY * qZ / pZ - qY
+        return 3 - Y, pY, pZ, cY, cZ, sub(div(mul(pY, qZ), pZ), qY)
+
+    def x_col(sx):
+        """x scaled by sx, and its square."""
+        xn = _placed(ops, n, 0, [sx])
+        return xn, _sq(Ead, xn)
 
     def v5_builder(Y):
         Z0, pY, pZ, cY, _, dpr = role_data(Y)
 
         def build(Ead, params):
             (target,) = params
-            for sy in _roots(dpr / (pY * pY * gw)):
-                if c3 / (cY * sy * pY) != target:
+            for sy in _roots(ops, div(dpr, mul(mul(pY, pY), gw))):
+                if div(c3, mul(mul(cY, sy), pY)) != target:
                     continue
-                yn = _placed(n, field, Y, [sy])
-                wn = Ead.multiply(yn, yn)
-                sn = Ead.multiply(wn, wn)
-                for sz in _roots(sy * sy * pY / pZ):
-                    zn = _placed(n, field, Z0, [sz])
-                    for sx in _roots(sy / cY):
-                        xn = _vscale(sx, _unit(0, n, field))
-                        xsq = Ead.multiply(xn, xn)
-                        yshift = _placed(n, field, Y, [sy],
-                                         xsq[4] - target * wn[4])
+                yn = _placed(ops, n, Y, [sy])
+                wn = _sq(Ead, yn)
+                sn = _sq(Ead, wn)
+                for sz in _roots(ops, div(mul(mul(sy, sy), pY), pZ)):
+                    zn = _placed(ops, n, Z0, [sz])
+                    for sx in _roots(ops, div(sy, cY)):
+                        xn, xsq = x_col(sx)
+                        yshift = _placed(ops, n, Y, [sy],
+                                         sub(xsq[4], mul(target, wn[4])))
                         yield [xn, yshift, zn, wn, sn]
         return build
 
@@ -1120,141 +1097,146 @@ def _h_1121(Ead, tv):
         def build(Ead, params):
             for Y in roles:
                 Z0, pY, pZ, cY, cZ, dpr = role_data(Y)
-                for sy in _roots(dpr / (pY * pY * gw)):
-                    yn = _placed(n, field, Y, [sy])
-                    wn = Ead.multiply(yn, yn)
-                    sn = Ead.multiply(wn, wn)
-                    for sz in _roots(sy * sy * pY / pZ):
-                        realized_b = (sz / cZ) * cY / sy
-                        realized_g = (sz / cZ) * c3 / (sy * sy * pY)
+                for sy in _roots(ops, div(dpr, mul(mul(pY, pY), gw))):
+                    yn = _placed(ops, n, Y, [sy])
+                    wn = _sq(Ead, yn)
+                    sn = _sq(Ead, wn)
+                    for sz in _roots(ops, div(mul(mul(sy, sy), pY), pZ)):
+                        realized_b = div(mul(div(sz, cZ), cY), sy)
+                        realized_g = div(mul(div(sz, cZ), c3),
+                                         mul(mul(sy, sy), pY))
                         if (realized_b, realized_g) != tuple(params):
                             continue
-                        for sx in _roots(sz / cZ):
-                            xn = _vscale(sx, _unit(0, n, field))
-                            xsq = Ead.multiply(xn, xn)
-                            zshift = _placed(n, field, Z0, [sz],
-                                             xsq[4] - realized_g * wn[4])
+                        for sx in _roots(ops, div(sz, cZ)):
+                            xn, xsq = x_col(sx)
+                            zshift = _placed(ops, n, Z0, [sz],
+                                             sub(xsq[4],
+                                                 mul(realized_g, wn[4])))
                             yield [xn, yn, zshift, wn, sn]
         return build
 
-    if c1.is_zero() or c2.is_zero():
+    def s_gap_root(cZ, pY, pZ, dpr):
+        """sqrt(c_3^2 p_Y gw / (c_Z^2 p_Z dpr)), or None."""
+        return ops.sqrt(div(mul(mul(mul(c3, c3), pY), gw),
+                            mul(mul(mul(cZ, cZ), pZ), dpr)))
+
+    if c1 == Z or c2 == Z:
         # x couples to a single line; whether that line can serve as the
         # template y (x^2 = y + alpha w, the other line carrying the s
         # gap) is decided by a scaling invariant that must be a square
-        Yc = 1 if c2.is_zero() else 2
+        Yc = 1 if c2 == Z else 2
         _, _, _, cYc, _, dprc = role_data(Yc)
-        alpha = sqrt_if_square(c3 * c3 * gw / (cYc * cYc * dprc))
+        alpha = ops.sqrt(div(mul(mul(c3, c3), gw), mul(mul(cYc, cYc), dprc)))
         if alpha is not None:
             return 5, (alpha,), False, v5_builder(Yc)
         # boundary configuration: x couples only to the template z line
         Yf = 3 - Yc
         _, pYf, pZf, _, cZf, dprf = role_data(Yf)
-        gamma = sqrt_if_square(
-            c3 * c3 * pYf * gw / (cZf * cZf * pZf * dprf))
+        gamma = s_gap_root(cZf, pYf, pZf, dprf)
         if gamma is None:
             raise SqrtUnavailable(
                 f"the [1,1,2,1] parameter is not representable in {field}")
-        return 6, (field.zero(), gamma), True, v6_builder([Yf])
+        return 6, (Z, gamma), True, v6_builder([Yf])
 
     # both coefficients nonzero: variant 6
     cands = []
     for Y in (1, 2):
         _, pY, pZ, cY, cZ, dpr = role_data(Y)
-        beta = sqrt_if_square((cY / cZ) ** 2 * pY / pZ)
-        gamma = sqrt_if_square(c3 * c3 * pY * gw / (cZ * cZ * pZ * dpr))
+        cyz = div(cY, cZ)
+        beta = ops.sqrt(div(mul(mul(cyz, cyz), pY), pZ))
+        gamma = s_gap_root(cZ, pY, pZ, dpr)
         if beta is None or gamma is None:
             continue
         cands.append((beta, gamma))
     if not cands:
         raise SqrtUnavailable(
             f"the [1,1,2,1] parameters are not representable in {field}")
-    params0 = min(cands,
-                  key=lambda t: (order_key(t[0]), order_key(t[1])))
-    return 6, params0, False, v6_builder([1, 2])
+    return 6, min(cands), False, v6_builder([1, 2])
 
 
 def _h_11111(Ead, tv):
     n = Ead.dim
-    field = Ead.field
-    a2, a3, a4 = Ead.structure[0, 1], Ead.structure[0, 2], Ead.structure[0, 3]
-    b3, b4 = Ead.structure[1, 2], Ead.structure[1, 3]
-    c4 = Ead.structure[2, 3]
+    S, ops, field = Ead._rows, Ead.field.ops, Ead.field
+    Z, add, sub, mul, div = ops.zero, ops.add, ops.sub, ops.mul, ops.div
+    a2, a3, a4 = S[0][1], S[0][2], S[0][3]
+    b3, b4 = S[1][2], S[1][3]
+    c4 = S[2][3]
 
-    if not b4.is_zero():
-        eps22 = b4 / (b3 * b3 * c4)
-        eps2s = _roots(eps22)  # the forced scalings of x2
+    def shifted(col, by):
+        """col with by added to its last (x5) coordinate."""
+        out = list(col)
+        out[4] = add(out[4], by)
+        return out
+
+    if b4 != Z:
+        eps22 = div(b4, mul(mul(b3, b3), c4))
+        eps2s = _roots(ops, eps22)  # the forced scalings of x2
+
+        def realized(e):
+            return (div(a3, mul(mul(e, a2), b3)),
+                    div(a4, mul(mul(mul(mul(_power(ops, e, 3), a2), b3), b3),
+                                c4)))
+
         if eps2s:
-            cands = [(a3 / (e * a2 * b3),
-                      a4 / (e ** 3 * a2 * b3 * b3 * c4))
-                     for e in eps2s]
-        elif a3.is_zero() and a4.is_zero():
-            cands = [(field.zero(), field.zero())]
+            cands = [realized(e) for e in eps2s]
+        elif a3 == Z and a4 == Z:
+            cands = [(Z, Z)]
         else:
             raise SqrtUnavailable(
                 f"the chain-family parameters are not representable "
                 f"in {field}")
-        params0 = min(cands, key=lambda t: (order_key(t[0]),
-                                            order_key(t[1])))
 
         def build_v4(Ead, params):
             for e2 in eps2s:
-                realized = (a3 / (e2 * a2 * b3),
-                            a4 / (e2 ** 3 * a2 * b3 * b3 * c4))
-                if realized != tuple(params):
+                r0, r1 = realized(e2)
+                if (r0, r1) != tuple(params):
                     continue
-                y3 = _placed(n, field, 2, [eps22 * b3])
-                y4 = Ead.multiply(y3, y3)
-                y5 = Ead.multiply(y4, y4)
-                for s1 in _roots(e2 / a2):
-                    x2n = _vscale(e2, _unit(1, n, field))
-                    x1n = _vscale(s1, _unit(0, n, field))
-                    x1sq = Ead.multiply(x1n, x1n)
-                    used = _vadd(_vadd(x2n, _vscale(realized[0], y3)),
-                                 _vscale(realized[1], y4))
+                y3 = _placed(ops, n, 2, [mul(eps22, b3)])
+                y4 = _sq(Ead, y3)
+                y5 = _sq(Ead, y4)
+                for s1 in _roots(ops, div(e2, a2)):
+                    x2n = _placed(ops, n, 1, [e2])
+                    x1n = _placed(ops, n, 0, [s1])
+                    x1sq = _sq(Ead, x1n)
+                    used = add(add(x2n[4], mul(r0, y3[4])), mul(r1, y4[4]))
                     # x2's column absorbs the leftover x5 component
-                    x2shift = list(x2n)
-                    x2shift[4] = x2shift[4] + (x1sq[4] - used[4])
+                    x2shift = shifted(x2n, sub(x1sq[4], used))
                     # x2's own square closes on y3 + y4 via a y3 shift
-                    x2sq = Ead.multiply(x2shift, x2shift)
-                    y3shift = list(y3)
-                    y3shift[4] = y3shift[4] + (x2sq[4] - y3[4] - y4[4])
+                    x2sq = _sq(Ead, x2shift)
+                    y3shift = shifted(y3, sub(sub(x2sq[4], y3[4]), y4[4]))
                     yield [x1n, x2shift, y3shift, y4, y5]
-        return 4, params0, False, build_v4
+        return 4, min(cands), False, build_v4
 
-    if not a3.is_zero():
-        e12 = a3 / (a2 * a2 * b3)
-        alpha = a4 * a2 * a2 * b3 / (a3 ** 3 * c4)
+    def chain_cols(Ead, x1n, y2, k3, k4):
+        """x1, then y2 shifted by the x5 leftover of x1^2 = y2 + k3 y3 +
+        k4 y4, and y2's powers y3, y4, y5."""
+        y3 = _sq(Ead, y2)
+        y4 = _sq(Ead, y3)
+        used = add(add(y2[4], mul(k3, y3[4])), mul(k4, y4[4]))
+        return [x1n, shifted(y2, sub(_sq(Ead, x1n)[4], used)), y3, y4,
+                _sq(Ead, y4)]
+
+    if a3 != Z:
+        e12 = div(a3, mul(mul(a2, a2), b3))
+        alpha = div(mul(mul(mul(a4, a2), a2), b3), mul(_power(ops, a3, 3), c4))
 
         def build_v3(Ead, params):
-            for s1 in _roots(e12):
-                x1n = _vscale(s1, _unit(0, n, field))
-                x1sq = Ead.multiply(x1n, x1n)
-                y2 = _placed(n, field, 1, [e12 * a2])
-                y3 = Ead.multiply(y2, y2)
-                y4 = Ead.multiply(y3, y3)
-                used = _vadd(_vadd(y2, y3), _vscale(alpha, y4))
-                y2shift = list(y2)
-                y2shift[4] = y2shift[4] + (x1sq[4] - used[4])
-                yield [x1n, y2shift, y3, y4, Ead.multiply(y4, y4)]
+            for s1 in _roots(ops, e12):
+                yield chain_cols(Ead, _placed(ops, n, 0, [s1]),
+                                 _placed(ops, n, 1, [mul(e12, a2)]),
+                                 ops.one, alpha)
         return 3, (alpha,), False, build_v3
 
-    if not a4.is_zero():
+    if a4 != Z:
         def build_v2(Ead, params):
-            e6 = a4 / (a2 ** 4 * b3 * b3 * c4)
-            try:
-                e2 = _cbrt(e6)
-            except SqrtUnavailable:
+            e2 = ops.cbrt(div(a4, mul(mul(mul(_power(ops, a2, 4), b3), b3),
+                                      c4)))
+            if e2 is None:
                 return
-            for s in _roots(e2):
-                x1n = _vscale(s, _unit(0, n, field))
-                x1sq = Ead.multiply(x1n, x1n)
-                y2 = _placed(n, field, 1, [e2 * a2])
-                y3 = Ead.multiply(y2, y2)
-                y4 = Ead.multiply(y3, y3)
-                used = _vadd(y2, y4)
-                y2shift = list(y2)
-                y2shift[4] = y2shift[4] + (x1sq[4] - used[4])
-                yield [x1n, y2shift, y3, y4, Ead.multiply(y4, y4)]
+            for s in _roots(ops, e2):
+                yield chain_cols(Ead, _placed(ops, n, 0, [s]),
+                                 _placed(ops, n, 1, [mul(e2, a2)]),
+                                 Z, ops.one)
         return 2, (), False, build_v2
 
     return 1, (), False, _chain_builder
@@ -1265,76 +1247,73 @@ def _h_11111(Ead, tv):
 
 def _h_23(Ead, tv):
     n = Ead.dim
-    field = Ead.field
-    sqs = [[Ead.structure[k, 3], Ead.structure[k, 4]] for k in range(3)]
+    S, ops = Ead._rows, Ead.field.ops
+    sub, mul = ops.sub, ops.mul
+    sqs = [[S[k][3], S[k][4]] for k in range(3)]
 
     def dep(u, v):
-        return (u[0] * v[1] - u[1] * v[0]).is_zero()
+        return sub(mul(u[0], v[1]), mul(u[1], v[0])) == ops.zero
 
     for i in range(3):
         for j in range(i + 1, 3):
             if dep(sqs[i], sqs[j]):
                 k = 3 - i - j
                 # split off span{e_k, e_k^2}
-                ops = field.ops
                 basis = [_unit_row(i, n, ops), _unit_row(j, n, ops),
-                         Ead._rows[i], _unit_row(k, n, ops), Ead._rows[k]]
+                         S[i], _unit_row(k, n, ops), S[k]]
                 return _split_in_basis(Ead, basis, [[0, 1, 2], [3, 4]])
 
     def build(Ead, params):
         # pick the frame (x, z) = (0, 2); decompose e1^2 = al x^2 + be z^2
-        gram = Matrix([[sqs[0][0], sqs[2][0]],
-                       [sqs[0][1], sqs[2][1]]], field, 2)
-        al, be = gram.inverse().apply(sqs[1])
-        for fa in _roots(al):
-            for fb in _roots(be):
-                xn = _vscale(fa, _unit(0, n, field))
-                zn = _vscale(fb, _unit(2, n, field))
-                yield [xn, _unit(1, n, field), zn,
-                       Ead.multiply(xn, xn), Ead.multiply(zn, zn)]
+        al, be = _solve(ops, [[sqs[0][0], sqs[2][0]],
+                               [sqs[0][1], sqs[2][1]]], sqs[1])
+        for fa in _roots(ops, al):
+            for fb in _roots(ops, be):
+                xn = _placed(ops, n, 0, [fa])
+                zn = _placed(ops, n, 2, [fb])
+                yield [xn, _unit_row(1, n, ops), zn, _sq(Ead, xn),
+                       _sq(Ead, zn)]
     return 1, (), False, build
 
 
 def _h_221(Ead, tv):
     n = Ead.dim
-    field = Ead.field
-    al, be = Ead.structure[0, 1], Ead.structure[0, 2]
-    if al.is_zero() or be.is_zero():
-        drop = 1 if al.is_zero() else 2
-        ops = field.ops
-        x2 = Ead._rows[0]
-        basis = [_unit_row(0, n, ops), x2, _product(Ead._rows, x2, x2, ops),
-                 _unit_row(drop, n, ops), Ead._rows[drop]]
+    S, ops = Ead._rows, Ead.field.ops
+    Z = ops.zero
+    al, be = S[0][1], S[0][2]
+    if al == Z or be == Z:
+        drop = 1 if al == Z else 2
+        x2 = S[0]
+        basis = [_unit_row(0, n, ops), x2, _product(S, x2, x2, ops),
+                 _unit_row(drop, n, ops), S[drop]]
         return _split_in_basis(Ead, basis, [[0, 1, 2], [3, 4]])
 
     def build(Ead, params):
-        x2 = Ead.square_of_basis(0)
-        ann_part = _placed(n, field, 3, x2[3:])
-        an = _vadd(_vscale(al, _unit(1, n, field)), ann_part)
-        bn = _vscale(be, _unit(2, n, field))
-        yield [_unit(0, n, field), an, bn,
-               Ead.multiply(an, an), Ead.multiply(bn, bn)]
+        ann_part = _placed(ops, n, 3, Ead._rows[0][3:])
+        x = _unit_row(0, n, ops)
+        an = _sum(ops, _placed(ops, n, 1, [al]), ann_part)
+        bn = _placed(ops, n, 2, [be])
+        yield [x, an, bn, _sq(Ead, an), _sq(Ead, bn)]
         # or put the annihilator tail on b instead
-        an2 = _vscale(al, _unit(1, n, field))
-        bn2 = _vadd(_vscale(be, _unit(2, n, field)), ann_part)
-        yield [_unit(0, n, field), an2, bn2,
-               Ead.multiply(an2, an2), Ead.multiply(bn2, bn2)]
+        an2 = _placed(ops, n, 1, [al])
+        bn2 = _sum(ops, _placed(ops, n, 2, [be]), ann_part)
+        yield [x, an2, bn2, _sq(Ead, an2), _sq(Ead, bn2)]
     return 1, (), False, build
 
 
 def _h_212(Ead, tv):
     n = Ead.dim
-    field = Ead.field
-    cx = Ead.structure[0, 2]
-    cy = Ead.structure[1, 2]
+    S, ops = Ead._rows, Ead.field.ops
+    cx = S[0][2]
+    cy = S[1][2]
 
     def build(Ead, params):
-        an = Ead.square_of_basis(0)  # = c_x a + annihilator tail
-        un = Ead.multiply(an, an)
-        for s in _roots(cx / cy):
-            yn = _vscale(s, _unit(1, n, field))
-            vn = _vsub(Ead.multiply(yn, yn), an)
-            yield [_unit(0, n, field), yn, an, un, vn]
+        an = Ead._rows[0]  # = c_x a + annihilator tail
+        un = _sq(Ead, an)
+        for s in _roots(ops, ops.div(cx, cy)):
+            yn = _placed(ops, n, 1, [s])
+            vn = _diff(ops, _sq(Ead, yn), an)
+            yield [_unit_row(0, n, ops), yn, an, un, vn]
     return 1, (), False, build
 
 

@@ -59,11 +59,7 @@ class FieldDescriptor(Frozen):
     @property
     def has_i(self) -> bool:
         """True when the field contains a square root of -1."""
-        if self.kind == GAUSSIAN:
-            return True
-        if self.kind == PRIME:
-            return self.modulus % 4 == 1
-        return False
+        return self.ops.i is not None
 
     def zero(self) -> "FieldElement":
         return FieldElement(self, self.ops.zero)
@@ -88,13 +84,9 @@ class FieldDescriptor(Frozen):
 
     def i(self) -> "FieldElement":
         """The distinguished square root of -1."""
-        if self.kind == GAUSSIAN:
-            return FieldElement(self, (_Q0, Fraction(1)))
-        if self.kind == PRIME and self.has_i:
-            r = sqrt_if_square(self.from_int(-1))
-            assert r is not None
-            return r
-        raise FieldLacksI(f"{self} has no square root of -1")
+        if self.ops.i is None:
+            raise FieldLacksI(f"{self} has no square root of -1")
+        return FieldElement(self, self.ops.i)
 
     def __str__(self):
         if self.kind == PRIME:
@@ -143,17 +135,29 @@ def _is_prime(n: int) -> bool:
 class FieldOps:
     """Arithmetic on the raw payloads of one field.
 
-    This is the exact core that linear algebra and algebra products run
-    on: kernels unwrap ``FieldElement`` values once, compute here, and
-    wrap once at the output.  Payloads compare with ``==`` exactly when
-    the elements do, so ``x != ops.zero`` tests for a nonzero payload.
-    The row operations take and return lists.
+    This is the exact core that linear algebra, algebra products and the
+    classify normalizers run on: public functions unwrap ``FieldElement``
+    values once, compute here, and wrap once at the output.  Payloads
+    compare with ``==`` exactly when the elements do, so ``x != ops.zero``
+    tests for a nonzero payload, and a payload is its own sort key (see
+    ``order_key``).  ``sqrt`` and ``cbrt`` return the canonical root or
+    None, and ``i`` is the payload of the distinguished square root of
+    -1, or None.  The row operations take and return lists.
     """
 
-    def __init__(self, zero, one, of_int, add, sub, neg, mul, inv):
+    def __init__(self, zero, one, of_int, add, sub, neg, mul, inv, sqrt,
+                 cbrt):
         self.zero, self.one, self.of_int = zero, one, of_int
         self.add, self.sub, self.neg, self.mul, self.inv = \
             add, sub, neg, mul, inv
+        self.sqrt, self.cbrt = sqrt, cbrt
+        self.i = sqrt(of_int(-1))
+
+    def div(self, a, b):
+        """a / b; raises DivisionByZero for b = 0."""
+        if b == self.zero:
+            raise DivisionByZero("zero has no inverse")
+        return self.mul(a, self.inv(b))
 
     def dot(self, u, v):
         """sum_k u_k v_k"""
@@ -178,11 +182,18 @@ class _PrimeOps(FieldOps):
     """GF(p): the row operations reduce once per entry, inline."""
 
     def __init__(self, p):
+        self.p = p  # first: FieldOps.__init__ takes the root of -1 by _sqrt
         super().__init__(
             0, 1, lambda n: n % p, lambda a, b: (a + b) % p,
             lambda a, b: (a - b) % p, lambda a: -a % p,
-            lambda a, b: a * b % p, lambda a: pow(a, -1, p))
-        self.p = p
+            lambda a, b: a * b % p, lambda a: pow(a, -1, p),
+            self._sqrt, lambda a: _cube_root_mod(a, p))
+
+    def _sqrt(self, a):
+        """The smaller of the two roots, or None."""
+        p = self.p
+        r = _tonelli_shanks(a, p)
+        return None if r is None else min(r, (p - r) % p)
 
     def dot(self, u, v):
         return sum(map(operator.mul, u, v)) % self.p
@@ -205,17 +216,6 @@ def _ginv(x):
     a, b = x
     n = a * a + b * b
     return (a / n, -b / n)
-
-
-_Q0 = Fraction(0)
-_RATIONAL_OPS = FieldOps(_Q0, Fraction(1), Fraction, operator.add,
-                         operator.sub, operator.neg, operator.mul,
-                         lambda a: 1 / a)
-_GAUSSIAN_OPS = FieldOps(
-    (_Q0, _Q0), (Fraction(1), _Q0), lambda n: (Fraction(n), _Q0),
-    lambda x, y: (x[0] + y[0], x[1] + y[1]),
-    lambda x, y: (x[0] - y[0], x[1] - y[1]),
-    lambda x: (-x[0], -x[1]), _gmul, _ginv)
 
 
 class FieldElement:
@@ -307,7 +307,7 @@ class FieldElement:
         return self.value == self.field.ops.zero
 
     def is_one(self) -> bool:
-        return self == self.field.one()
+        return self.value == self.field.ops.one
 
     # -- display ----------------------------------------------------
 
@@ -430,7 +430,8 @@ def total_order(a: FieldElement, b: FieldElement) -> int:
 
 
 def order_key(a: FieldElement):
-    """Sort key consistent with total_order."""
+    """Sort key consistent with total_order: the payload, which is its
+    own sort key."""
     return a.value
 
 
@@ -508,30 +509,17 @@ def _cube_root_mod(a: int, p: int) -> int | None:
     return min(r, r * w % p, r * w * w % p)
 
 
-def sqrt_if_square(a: FieldElement) -> FieldElement | None:
-    """Return r with r*r == a when such r exists in the field, else None.
-
-    The returned root is canonical: nonnegative over Q, smallest residue
-    over GF(p), and over Q(i) the root with re > 0, or re == 0 and im >= 0.
-    """
-    k = a.field.kind
-    if k == RATIONALS:
-        r = _frac_sqrt(a.value)
-        return None if r is None else FieldElement(a.field, r)
-    if k == PRIME:
-        p = a.field.modulus
-        r = _tonelli_shanks(a.value, p)
-        if r is None:
-            return None
-        return FieldElement(a.field, min(r, (p - r) % p))
-    re_, im = a.value
+def _gauss_sqrt(a):
+    """The root with re > 0, or re == 0 and im >= 0, of a Gaussian
+    rational payload, or None."""
+    re_, im = a
     if im == 0:
         r = _frac_sqrt(re_)
         if r is not None:
-            return FieldElement(a.field, (r, Fraction(0)))
+            return (r, _Q0)
         r = _frac_sqrt(-re_)
         if r is not None:
-            return FieldElement(a.field, (Fraction(0), r))
+            return (_Q0, r)
         return None
     # solve (x + yi)^2 = re + im*i: x^2 - y^2 = re, 2xy = im
     t = _frac_sqrt(re_ * re_ + im * im)
@@ -544,7 +532,61 @@ def sqrt_if_square(a: FieldElement) -> FieldElement | None:
     y = im / (2 * x)
     if x < 0 or (x == 0 and y < 0):
         x, y = -x, -y
-    return FieldElement(a.field, (x, y))
+    return (x, y)
+
+
+def _icbrt(m: int) -> int:
+    """The integer cube root floor(m^(1/3)) of m >= 0, by integer Newton
+    iteration from a power of two above it (exact at any size)."""
+    if m < 2:
+        return m
+    x = 1 << -(-m.bit_length() // 3)
+    while True:
+        y = (2 * x + m // (x * x)) // 3
+        if y >= x:
+            return x
+        x = y
+
+
+def _frac_cbrt(q: Fraction) -> Fraction | None:
+    """The rational cube root of q, or None: a fraction in lowest terms
+    is a cube exactly when its numerator and its denominator are, so it
+    is exact at any size."""
+    num, den = abs(q.numerator), q.denominator
+    rn, rd = _icbrt(num), _icbrt(den)
+    if rn ** 3 != num or rd ** 3 != den:
+        return None
+    return Fraction(-rn if q < 0 else rn, rd)
+
+
+def _gauss_cbrt(a):
+    """The cube root of a real Gaussian rational payload, or None; no
+    root of a payload with nonzero imaginary part is sought."""
+    if a[1] != 0:
+        return None
+    r = _frac_cbrt(a[0])
+    return None if r is None else (r, _Q0)
+
+
+_Q0 = Fraction(0)
+_RATIONAL_OPS = FieldOps(_Q0, Fraction(1), Fraction, operator.add,
+                         operator.sub, operator.neg, operator.mul,
+                         lambda a: 1 / a, _frac_sqrt, _frac_cbrt)
+_GAUSSIAN_OPS = FieldOps(
+    (_Q0, _Q0), (Fraction(1), _Q0), lambda n: (Fraction(n), _Q0),
+    lambda x, y: (x[0] + y[0], x[1] + y[1]),
+    lambda x, y: (x[0] - y[0], x[1] - y[1]),
+    lambda x: (-x[0], -x[1]), _gmul, _ginv, _gauss_sqrt, _gauss_cbrt)
+
+
+def sqrt_if_square(a: FieldElement) -> FieldElement | None:
+    """Return r with r*r == a when such r exists in the field, else None.
+
+    The returned root is canonical: nonnegative over Q, smallest residue
+    over GF(p), and over Q(i) the root with re > 0, or re == 0 and im >= 0.
+    """
+    r = a.field.ops.sqrt(a.value)
+    return None if r is None else FieldElement(a.field, r)
 
 
 def is_square(a: FieldElement) -> bool:

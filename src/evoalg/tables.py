@@ -14,15 +14,14 @@ from __future__ import annotations
 from ._values import Frozen, set_fields
 from .errors import DomainError, FieldLacksI, UnsupportedDim
 from .fields import FieldDescriptor, FieldElement, order_key
-from .linalg import Matrix
 from .algebra import EvolutionAlgebra
 
 
 class ClassEntry(Frozen):
-    """One canonical class.  ``build(params, field)`` gives the template
-    algebra, ``orbit(params, field)`` the parameter tuples naming the same
-    class, and ``param_ok(params)`` says whether params lie in the
-    domain."""
+    """One canonical class.  ``build(params, field)`` gives the payload
+    structure rows of the template from payload params, ``orbit(params,
+    field)`` the parameter tuples naming the same class, and
+    ``param_ok(params)`` says whether params lie in the domain."""
 
     __slots__ = _fields = ("dim", "type_vector", "variant", "param_arity",
                            "build", "orbit", "param_ok", "needs_i")
@@ -34,6 +33,12 @@ class ClassEntry(Frozen):
                    orbit, param_ok, needs_i)
 
     def template(self, params, field: FieldDescriptor) -> EvolutionAlgebra:
+        return EvolutionAlgebra._wrap(self.template_rows(params, field),
+                                      field)
+
+    def template_rows(self, params, field: FieldDescriptor) -> list[list]:
+        """The payload structure rows of the template; params are
+        elements of field."""
         if len(params) != self.param_arity:
             raise DomainError(
                 f"entry {self.key()} takes {self.param_arity} parameters")
@@ -42,7 +47,7 @@ class ClassEntry(Frozen):
                 f"parameters outside the domain of entry {self.key()}")
         if self.needs_i and not field.has_i:
             raise FieldLacksI(f"entry {self.key()} needs a square root of -1")
-        return self.build(params, field)
+        return self.build(field.payloads(params), field)
 
     def param_orbit(self, params, field: FieldDescriptor) -> list:
         return _dedupe(self.orbit(params, field))
@@ -60,13 +65,12 @@ def _dedupe(tuples):
 
 
 def _alg(rows_fn, params, field):
-    """rows_fn receives helpers (zero, one, i, params) and returns int/
-    element rows; ints are lifted into the field."""
-    rows = rows_fn(field, params)
-    n = len(rows)
-    lifted = [[x if isinstance(x, FieldElement) else field.from_int(x)
-               for x in row] for row in rows]
-    return EvolutionAlgebra(n, Matrix(lifted, field, n), field)
+    """rows_fn receives the field's ops and the payload params and returns
+    rows of ints and payloads; the ints are lifted into the field (over
+    GF(p) lifting a payload leaves it as it is)."""
+    of_int = field.ops.of_int
+    return [[of_int(x) if isinstance(x, int) else x for x in row]
+            for row in rows_fn(field.ops, params)]
 
 
 def _trivial_orbit(params, field):
@@ -89,7 +93,7 @@ def _any_params(params) -> bool:
 # template row builders
 
 def _chain(n):
-    def rows(field, params):
+    def rows(ops, params):
         m = [[0] * n for _ in range(n)]
         for k in range(n - 1):
             m[k][k + 1] = 1
@@ -99,7 +103,7 @@ def _chain(n):
 
 def _star(n):
     # type [1, n-1]: every non-annihilator vector squares to the last one
-    def rows(field, params):
+    def rows(ops, params):
         m = [[0] * n for _ in range(n)]
         for k in range(n - 1):
             m[k][n - 1] = 1
@@ -107,223 +111,223 @@ def _star(n):
     return rows
 
 
-def _rows_121_v1(field, params):
+def _rows_121_v1(ops, params):
     # (x, u, v, s): x^2 = u, u^2 = s, v^2 = s
     return [[0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 0]]
 
 
-def _rows_121_v2(field, params):
-    return [[0, 1, field.i(), 0], [0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 0]]
+def _rows_121_v2(ops, params):
+    return [[0, 1, ops.i, 0], [0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 0]]
 
 
-def _rows_112_v1(field, params):
+def _rows_112_v1(ops, params):
     # (u1, u2, w, s): u_i^2 = w, w^2 = s
     return [[0, 0, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]]
 
 
-def _rows_112_v2(field, params):
+def _rows_112_v2(ops, params):
     return [[0, 0, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1], [0, 0, 0, 0]]
 
 
-def _rows_1111_v2(field, params):
+def _rows_1111_v2(ops, params):
     # x1^2 = x2 + x3, x2^2 = x3, x3^2 = x4
     return [[0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]]
 
 
-def _rows_23(field, params):
+def _rows_23(ops, params):
     # (x, y, z, u, v): x^2 = u, y^2 = u + v, z^2 = v
     return [[0, 0, 0, 1, 0], [0, 0, 0, 1, 1], [0, 0, 0, 0, 1],
             [0] * 5, [0] * 5]
 
 
-def _rows_221(field, params):
+def _rows_221(ops, params):
     # (x, a, b, u, v): x^2 = a + b, a^2 = u, b^2 = v
     return [[0, 1, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1],
             [0] * 5, [0] * 5]
 
 
-def _rows_212(field, params):
+def _rows_212(ops, params):
     # (x, y, a, u, v): x^2 = a, y^2 = a + v, a^2 = u
     return [[0, 0, 1, 0, 0], [0, 0, 1, 0, 1], [0, 0, 0, 1, 0],
             [0] * 5, [0] * 5]
 
 
-def _rows_131_v1(field, params):
+def _rows_131_v1(ops, params):
     # (a, u1, u2, u3, s): a^2 = u1, u_i^2 = s
     return [[0, 1, 0, 0, 0], [0, 0, 0, 0, 1], [0, 0, 0, 0, 1],
             [0, 0, 0, 0, 1], [0] * 5]
 
 
-def _rows_131_v2(field, params):
-    return [[0, 1, field.i(), 0, 0], [0, 0, 0, 0, 1], [0, 0, 0, 0, 1],
+def _rows_131_v2(ops, params):
+    return [[0, 1, ops.i, 0, 0], [0, 0, 0, 0, 1], [0, 0, 0, 0, 1],
             [0, 0, 0, 0, 1], [0] * 5]
 
 
-def _rows_113_v1(field, params):
+def _rows_113_v1(ops, params):
     # (u1, u2, u3, w, s): u_i^2 = w, w^2 = s
     return [[0, 0, 0, 1, 0], [0, 0, 0, 1, 0], [0, 0, 0, 1, 0],
             [0, 0, 0, 0, 1], [0] * 5]
 
 
-def _rows_113_v2(field, params):
+def _rows_113_v2(ops, params):
     return [[0, 0, 0, 1, 0], [0, 0, 0, 1, 0], [0, 0, 0, 1, 1],
             [0, 0, 0, 0, 1], [0] * 5]
 
 
-def _rows_113_v3(field, params):
+def _rows_113_v3(ops, params):
     # u1^2 = w + alpha s, u2^2 = w, u3^2 = w + s
     (alpha,) = params
     return [[0, 0, 0, 1, alpha], [0, 0, 0, 1, 0], [0, 0, 0, 1, 1],
             [0, 0, 0, 0, 1], [0] * 5]
 
 
-def _rows_1112_v1(field, params):
+def _rows_1112_v1(ops, params):
     # (u1, u2, w, t, s): u_i^2 = w, w^2 = t, t^2 = s
     return [[0, 0, 1, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0],
             [0, 0, 0, 0, 1], [0] * 5]
 
 
-def _rows_1112_v2(field, params):
+def _rows_1112_v2(ops, params):
     return [[0, 0, 1, 0, 1], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0],
             [0, 0, 0, 0, 1], [0] * 5]
 
 
-def _rows_1112_v3(field, params):
+def _rows_1112_v3(ops, params):
     (gamma,) = params
     return [[0, 0, 1, 1, gamma], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0],
             [0, 0, 0, 0, 1], [0] * 5]
 
 
-def _rows_1112_v4(field, params):
+def _rows_1112_v4(ops, params):
     beta, gamma = params
     return [[0, 0, 1, 1, gamma], [0, 0, 1, beta, 0], [0, 0, 0, 1, 0],
             [0, 0, 0, 0, 1], [0] * 5]
 
 
-def _rows_122_v1(field, params):
+def _rows_122_v1(ops, params):
     # (x, y, u, v, s): x^2 = u, y^2 = alpha u + v, u^2 = v^2 = s
     (alpha,) = params
     return [[0, 0, 1, 0, 0], [0, 0, alpha, 1, 0], [0, 0, 0, 0, 1],
             [0, 0, 0, 0, 1], [0] * 5]
 
 
-def _rows_122_v2(field, params):
+def _rows_122_v2(ops, params):
     return [[0, 0, 1, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 0, 1],
             [0, 0, 0, 0, 1], [0] * 5]
 
 
-def _rows_122_v3(field, params):
+def _rows_122_v3(ops, params):
     return [[0, 0, 1, 0, 0], [0, 0, 1, 0, 1], [0, 0, 0, 0, 1],
             [0, 0, 0, 0, 1], [0] * 5]
 
 
-def _rows_122_v4(field, params):
-    i = field.i()
+def _rows_122_v4(ops, params):
+    i = ops.i
     return [[0, 0, 1, i, 0], [0, 0, 1, i, 0], [0, 0, 0, 0, 1],
             [0, 0, 0, 0, 1], [0] * 5]
 
 
-def _rows_122_v5(field, params):
-    i = field.i()
+def _rows_122_v5(ops, params):
+    i = ops.i
     return [[0, 0, 1, i, 0], [0, 0, 1, i, 1], [0, 0, 0, 0, 1],
             [0, 0, 0, 0, 1], [0] * 5]
 
 
-def _rows_122_v6(field, params):
-    i = field.i()
-    return [[0, 0, 1, i, 0], [0, 0, 1, -i, 0], [0, 0, 0, 0, 1],
+def _rows_122_v6(ops, params):
+    i = ops.i
+    return [[0, 0, 1, i, 0], [0, 0, 1, ops.neg(i), 0], [0, 0, 0, 0, 1],
             [0, 0, 0, 0, 1], [0] * 5]
 
 
-def _rows_1211_v1(field, params):
+def _rows_1211_v1(ops, params):
     # (x, y, u, v, s): x^2 = y, y^2 = u, u^2 = v^2 = s
     return [[0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 0, 1],
             [0, 0, 0, 0, 1], [0] * 5]
 
 
-def _rows_1211_v2(field, params):
+def _rows_1211_v2(ops, params):
     return [[0, 1, 0, 1, 0], [0, 0, 1, 0, 0], [0, 0, 0, 0, 1],
             [0, 0, 0, 0, 1], [0] * 5]
 
 
-def _rows_1211_v3(field, params):
+def _rows_1211_v3(ops, params):
     (beta,) = params
     return [[0, 1, 1, beta, 0], [0, 0, 1, 0, 0], [0, 0, 0, 0, 1],
             [0, 0, 0, 0, 1], [0] * 5]
 
 
-def _rows_1211_v4(field, params):
-    i = field.i()
+def _rows_1211_v4(ops, params):
+    i = ops.i
     return [[0, 1, 0, 0, 0], [0, 0, 1, i, 0], [0, 0, 0, 0, 1],
             [0, 0, 0, 0, 1], [0] * 5]
 
 
-def _rows_1211_v5(field, params):
-    i = field.i()
+def _rows_1211_v5(ops, params):
+    i = ops.i
     return [[0, 1, 1, 0, 0], [0, 0, 1, i, 0], [0, 0, 0, 0, 1],
             [0, 0, 0, 0, 1], [0] * 5]
 
 
-def _rows_1211_v6(field, params):
-    i = field.i()
+def _rows_1211_v6(ops, params):
+    i = ops.i
     return [[0, 1, 1, i, 0], [0, 0, 1, i, 0], [0, 0, 0, 0, 1],
             [0, 0, 0, 0, 1], [0] * 5]
 
 
-def _rows_1211_v7(field, params):
-    i = field.i()
-    return [[0, 1, 1, -i, 0], [0, 0, 1, i, 0], [0, 0, 0, 0, 1],
+def _rows_1211_v7(ops, params):
+    i = ops.i
+    return [[0, 1, 1, ops.neg(i), 0], [0, 0, 1, i, 0], [0, 0, 0, 0, 1],
             [0, 0, 0, 0, 1], [0] * 5]
 
 
-def _rows_1121_v1(field, params):
+def _rows_1121_v1(ops, params):
     # (x, y, z, w, s): x^2 = y, y^2 = w, z^2 = w, w^2 = s
     return [[0, 1, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 1, 0],
             [0, 0, 0, 0, 1], [0] * 5]
 
 
-def _rows_1121_v2(field, params):
+def _rows_1121_v2(ops, params):
     return [[0, 1, 0, 1, 0], [0, 0, 0, 1, 0], [0, 0, 0, 1, 0],
             [0, 0, 0, 0, 1], [0] * 5]
 
 
-def _rows_1121_v3(field, params):
-    i = field.i()
+def _rows_1121_v3(ops, params):
+    i = ops.i
     return [[0, 1, i, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 1, 0],
             [0, 0, 0, 0, 1], [0] * 5]
 
 
-def _rows_1121_v4(field, params):
-    i = field.i()
+def _rows_1121_v4(ops, params):
+    i = ops.i
     return [[0, 1, i, 1, 0], [0, 0, 0, 1, 0], [0, 0, 0, 1, 0],
             [0, 0, 0, 0, 1], [0] * 5]
 
 
-def _rows_1121_v5(field, params):
+def _rows_1121_v5(ops, params):
     # x^2 = y + alpha w, y^2 = w, z^2 = w + s, w^2 = s
     (alpha,) = params
     return [[0, 1, 0, alpha, 0], [0, 0, 0, 1, 0], [0, 0, 0, 1, 1],
             [0, 0, 0, 0, 1], [0] * 5]
 
 
-def _rows_1121_v6(field, params):
+def _rows_1121_v6(ops, params):
     beta, gamma = params
     return [[0, beta, 1, gamma, 0], [0, 0, 0, 1, 0], [0, 0, 0, 1, 1],
             [0, 0, 0, 0, 1], [0] * 5]
 
 
-def _rows_11111_v2(field, params):
+def _rows_11111_v2(ops, params):
     return [[0, 1, 0, 1, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0],
             [0, 0, 0, 0, 1], [0] * 5]
 
 
-def _rows_11111_v3(field, params):
+def _rows_11111_v3(ops, params):
     (alpha,) = params
     return [[0, 1, 1, alpha, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0],
             [0, 0, 0, 0, 1], [0] * 5]
 
 
-def _rows_11111_v4(field, params):
+def _rows_11111_v4(ops, params):
     alpha, beta = params
     return [[0, 1, alpha, beta, 0], [0, 0, 1, 1, 0], [0, 0, 0, 1, 0],
             [0, 0, 0, 0, 1], [0] * 5]
@@ -365,10 +369,6 @@ def _orbit_1121_v6(params, field):
             for g in (i * binv * gamma, -(i * binv * gamma)):
                 out.append((b, g))
     return out
-
-
-def _no_params(p):
-    return len(p) == 0
 
 
 ENTRIES: list[ClassEntry] = []

@@ -1,12 +1,13 @@
 """Evolution algebras: series, powers, graphs, decomposability."""
 
+import collections
 import importlib
 import pickle
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from evoalg.algebra import (DECOMPOSABLE, INDECOMPOSABLE, PLENARY, RIGHT,
                             UNKNOWN, AnnSeries, EvolutionAlgebra,
@@ -21,7 +22,7 @@ from evoalg.algebra import (DECOMPOSABLE, INDECOMPOSABLE, PLENARY, RIGHT,
                             square_subspace, upper_series)
 from evoalg.errors import (NotAnIdeal, NotNilpotent, ShapeError,
                            SpecMismatch, SqrtUnavailable)
-from evoalg.fields import GF, PRIME, QI, QQ, FieldElement
+from evoalg.fields import GF, PRIME, QI, QQ, FieldDescriptor, FieldElement
 from evoalg.linalg import Matrix, Subspace
 
 from helpers import (F13, random_algebra, random_large_annihilator,
@@ -33,6 +34,25 @@ def chain(n, field=QQ()):
     for i in range(n - 1):
         rows[i][i + 1] = 1
     return EvolutionAlgebra.from_ints(rows, field)
+
+
+def test_algebras_compare_by_dim_field_and_structure_rows():
+    rows = [[0, 1, 2], [0, 0, 3], [0, 0, 0]]
+    A = EvolutionAlgebra.from_ints(rows, F13)
+    # separately built copies, one over a descriptor built directly
+    assert A == EvolutionAlgebra.from_ints(rows, F13)
+    assert A == EvolutionAlgebra.from_ints(rows, FieldDescriptor(PRIME, 13))
+    assert A == restrict_to_indices(
+        EvolutionAlgebra.from_ints([[0, 1, 2, 0], [0, 0, 3, 0],
+                                    [0, 0, 0, 0], [0, 0, 0, 0]], F13),
+        [0, 1, 2])
+    # the same payload rows over other fields
+    assert A != EvolutionAlgebra.from_ints(rows, GF(5))
+    assert A != EvolutionAlgebra.from_ints(rows, QQ())
+    assert A != EvolutionAlgebra.from_ints([[0, 1, 2], [0, 0, 4],
+                                            [0, 0, 0]], F13)
+    assert A != EvolutionAlgebra.from_ints([[0, 1], [0, 0]], F13)
+    assert A != rows
 
 
 def test_zero_algebra_dim1():
@@ -233,23 +253,39 @@ _SERIES_FIELDS = [(F13, st.integers(0, 12)), (QQ(), _small_fraction()),
                   (QI(), st.tuples(_small_fraction(), _small_fraction()))]
 
 
+def _random_entry(field, rnd):
+    """A random scalar of field, nonzero three times in four: small
+    fractions over Q, with an imaginary part half the time over Q(i)."""
+    if rnd.randrange(4) == 0:
+        return field.zero()
+    x = field.from_int(rnd.randrange(1, 9))
+    if field.kind != PRIME:
+        x = x / field.from_int(rnd.randrange(1, 4))
+        if field == QI() and rnd.randrange(2):
+            x = x + field.from_int(rnd.randrange(-3, 4)) * field.i()
+    return x
+
+
 @st.composite
 def sparse_algebras(draw):
     """Algebras of dim 1-5 over GF(13), Q or Q(i); half of them are made
     nilpotent by keeping only entries above the diagonal of a hidden
-    order, the rest are arbitrary and mostly not nilpotent."""
-    field, payload = draw(st.sampled_from(_SERIES_FIELDS))
+    order, the rest are arbitrary and mostly not nilpotent.  The entries
+    come from a drawn Random, so that hypothesis's bias towards zero does
+    not make most of them the zero algebra."""
+    field, _ = draw(st.sampled_from(_SERIES_FIELDS))
     n = draw(st.integers(1, 5))
     order = draw(st.permutations(range(n)))
     nilpotent = draw(st.booleans())
+    rnd = draw(st.randoms(use_true_random=False))
     rows = []
     for i in range(n):
         row = []
         for j in range(n):
-            x = draw(st.one_of(st.just(field.ops.zero), payload))
+            x = _random_entry(field, rnd)
             if nilpotent and order[i] >= order[j]:
-                x = field.ops.zero
-            row.append(FieldElement(field, x))
+                x = field.zero()
+            row.append(x)
         rows.append(row)
     return EvolutionAlgebra(n, Matrix(rows, field, n), field)
 
@@ -326,20 +362,23 @@ _SPLIT_FIELDS = [(GF(5), st.integers(0, 4))] + _SERIES_FIELDS
 def algebras_with_zero_squares(draw):
     """Algebras of dim 1-5 over GF(5), GF(13), Q or Q(i) with at least
     one zero square, so that ann != 0 and often ann is not inside E^2;
-    half of them are nilpotent."""
-    field, payload = draw(st.sampled_from(_SPLIT_FIELDS))
+    half of them are nilpotent.  The entries come from a drawn Random,
+    as in split_algebras."""
+    field, _ = draw(st.sampled_from(_SPLIT_FIELDS))
     n = draw(st.integers(1, 5))
-    zero = draw(st.sets(st.integers(0, n - 1), min_size=1))
+    zero = draw(st.sets(st.integers(0, n - 1), min_size=1,
+                        max_size=max(1, n - 1)))
     order = draw(st.permutations(range(n)))
     nilpotent = draw(st.booleans())
+    rnd = draw(st.randoms(use_true_random=False))
     rows = []
     for i in range(n):
         row = []
         for j in range(n):
-            x = draw(st.one_of(st.just(field.ops.zero), payload))
+            x = _random_entry(field, rnd)
             if i in zero or (nilpotent and order[i] >= order[j]):
-                x = field.ops.zero
-            row.append(FieldElement(field, x))
+                x = field.zero()
+            row.append(x)
         rows.append(row)
     return EvolutionAlgebra(n, Matrix(rows, field, n), field)
 
@@ -363,6 +402,34 @@ def test_annihilator_split_matches_the_subspace_composition(E):
         assert verdict.witness == (i_part, c_part)
         assert not c_part.is_zero() and (i_part + c_part).dim == E.dim
         assert i_part.intersect(c_part).is_zero()
+
+
+def _census(strategy, record):
+    """Run record on a fixed-seed sample of 200 draws of strategy."""
+    @settings(max_examples=200, derandomize=True, database=None,
+              phases=[Phase.generate])
+    @given(strategy)
+    def census(E):
+        record(E)
+    census()
+
+
+def test_the_strategies_reach_the_annihilator_split():
+    # a fixed-seed census: the draws reach the split along an annihilator
+    # vector outside E^2 often, and are the zero algebra mostly where the
+    # drawn shape forces it (dim 1, or one nonzero square masked away)
+    seen = collections.Counter()
+
+    def record(E):
+        split = _natural_split(E)
+        seen[split[0] if split else None] += 1
+        seen["zero"] += _zero_rows(E) == list(range(E.dim))
+    _census(algebras_with_zero_squares(), record)
+    assert seen["annihilator is not contained in E^2"] >= 40
+    assert seen["zero"] < 200 // 3
+    seen.clear()
+    _census(sparse_algebras(), record)
+    assert seen["zero"] < 200 // 4
 
 
 def test_annihilator_split_on_a_vector_outside_the_square():
@@ -415,19 +482,6 @@ def reference_split_verdict(E):
             return ("annihilator has dimension at least dim/2",
                     (i_part, j_part))
     return None
-
-
-def _random_entry(field, rnd):
-    """A random scalar of field, nonzero three times in four: small
-    fractions over Q, with an imaginary part half the time over Q(i)."""
-    if rnd.randrange(4) == 0:
-        return field.zero()
-    x = field.from_int(rnd.randrange(1, 9))
-    if field.kind != PRIME:
-        x = x / field.from_int(rnd.randrange(1, 4))
-        if field == QI() and rnd.randrange(2):
-            x = x + field.from_int(rnd.randrange(-3, 4)) * field.i()
-    return x
 
 
 @st.composite

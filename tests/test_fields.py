@@ -69,6 +69,13 @@ def test_division_by_zero():
     one = QQ().one()
     with pytest.raises(DivisionByZero):
         one / QQ().zero()
+    # the payload division the classify normalizers use raises alike
+    for F in (QQ(), QI(), GF(13)):
+        ops = F.ops
+        with pytest.raises(DivisionByZero):
+            ops.div(ops.one, ops.zero)
+        three, five = F.from_int(3), F.from_int(5)
+        assert ops.div(three.value, five.value) == (three / five).value
 
 
 def test_mixed_fields_rejected():

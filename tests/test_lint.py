@@ -40,6 +40,52 @@ def test_the_lint_sees_an_unused_import():
     assert _unused_imports(tree) == ["os (line 1)", "c (line 2)"]
 
 
+def _dead_private_helpers(trees: dict) -> list[str]:
+    """The top-level private functions and classes (``_name``) of the
+    modules in trees (file name -> ast.Module) that no module reads, by
+    name or as an attribute."""
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [f"{name}:{node.name}"
+            for name, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and node.name not in read]
+
+
+# private helpers that only the tests read, each kept on purpose
+KEPT_FOR_TESTS = {
+    # the (label, witness Matrix) contract that test_normalizer_golden
+    # pins; the package itself reads the payload form, _classify_rows
+    "classify.py:_classify",
+}
+
+
+def test_no_dead_private_helpers():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p))
+             for p in SRC.glob("*.py")}
+    assert set(_dead_private_helpers(trees)) == KEPT_FOR_TESTS
+
+
+def test_the_lint_sees_a_dead_private_helper():
+    trees = {
+        "a.py": ast.parse("def _called(): pass\ndef _dead(): pass\n"
+                          "class _Gone: pass\ndef _by_attr(): pass\n"
+                          "def __dunder__(): pass\ndef public(): pass\n"
+                          "def _imported_only(): _called()\n"),
+        "b.py": ast.parse("import a\nfrom a import _imported_only\n"
+                          "a._by_attr()\n_dead = 1\n"),
+    }
+    assert _dead_private_helpers(trees) == [
+        "a.py:_dead", "a.py:_Gone", "a.py:_imported_only"]
+
+
 def test_the_lint_covers_the_package():
     assert {p.name for p in MODULES} >= {"algebra.py", "classify.py",
                                          "linalg.py", "fields.py"}
