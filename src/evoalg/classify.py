@@ -241,8 +241,8 @@ class _DiagForm:
             basis.remove(pick)
             out.append(pick)
             qp = self.q(pick)
-            basis = [_diff(ops, v, ops.scale(ops.div(self.b(v, pick), qp),
-                                              pick))
+            basis = [ops.addmul(v, ops.neg(ops.div(self.b(v, pick), qp)),
+                                pick)
                      for v in basis]
             basis = [v for v in basis if any(x != Z for x in v)]
         return out
@@ -261,8 +261,8 @@ class _DiagForm:
             raise SpecMismatch("vector lies in the radical of the form")
         h0 = self.b(a, d)
         two = ops.of_int(2)
-        d2 = _diff(ops, d, ops.scale(ops.div(self.q(d), ops.mul(two, h0)),
-                                     a))
+        d2 = ops.addmul(d, ops.neg(ops.div(self.q(d), ops.mul(two, h0))),
+                        a)
         return d2, self.b(a, d2)
 
     def hyperbolic_pair(self, a, d, delta):
@@ -747,8 +747,8 @@ def _h_111n(Ead, tv):
                 for sb in _roots(ops, div(avec, lam[z])):
                     ua = _placed(ops, n, a, [sa])
                     ub = _placed(ops, n, z, [sb])
-                    wn = _diff(ops, _diff(ops, _sq(Ead, ua), tn),
-                               ops.scale(gamma, sn))
+                    wn = ops.addmul(_diff(ops, _sq(Ead, ua), tn),
+                                    ops.neg(gamma), sn)
                     yield [ua, ub, wn, tn, sn]
     return 4, min(cand), False, build
 
@@ -898,7 +898,7 @@ def _h_1211(Ead, tv):
 
     if qby != Z:
         A = div(form.b(ax, by), qby)
-        wvec = _diff(ops, ax, ops.scale(A, by))
+        wvec = ops.addmul(ax, ops.neg(A), by)
         qw = form.q(wvec)
         w0 = form.orth_complement_basis([by])[0]
         qw0 = form.q(w0)

@@ -254,16 +254,24 @@ _SERIES_FIELDS = [(F13, st.integers(0, 12)), (QQ(), _small_fraction()),
 
 
 def _random_entry(field, rnd):
-    """A random scalar of field, nonzero three times in four: small
-    fractions over Q, with an imaginary part half the time over Q(i)."""
+    """A random scalar of field, nonzero three times in four: any nonzero
+    residue over GF(p); a signed fraction k/d with 0 < |k| <= 8 and
+    1 <= d <= 3 over Q; over Q(i) such a fraction as the real part, the
+    imaginary part or each of both."""
     if rnd.randrange(4) == 0:
         return field.zero()
-    x = field.from_int(rnd.randrange(1, 9))
-    if field.kind != PRIME:
-        x = x / field.from_int(rnd.randrange(1, 4))
-        if field == QI() and rnd.randrange(2):
-            x = x + field.from_int(rnd.randrange(-3, 4)) * field.i()
-    return x
+    if field.kind == PRIME:
+        return field.from_int(rnd.randrange(1, field.modulus))
+
+    def fraction():
+        return (field.from_int(rnd.choice([k for k in range(-8, 9) if k]))
+                / field.from_int(rnd.randrange(1, 4)))
+    if field != QI():
+        return fraction()
+    part = rnd.randrange(3)  # 0: real, 1: imaginary, 2: both
+    re = fraction() if part != 1 else field.zero()
+    im = fraction() if part != 0 else field.zero()
+    return re + im * field.i()
 
 
 @st.composite
