@@ -111,14 +111,9 @@ class EvolutionAlgebra:
 
 
 def _product(rows: list[list], x: list, y: list, ops) -> list:
-    """Payload product sum_i x_i y_i e_i^2, where rows[i] holds e_i^2."""
-    Z, mul, addmul = ops.zero, ops.mul, ops.addmul
-    out = [Z] * len(rows)
-    for a, b, row in zip(x, y, rows):
-        c = mul(a, b)
-        if c != Z:
-            out = addmul(out, c, row)
-    return out
+    """Payload product sum_i x_i y_i e_i^2, where rows[i] holds e_i^2
+    (``FieldOps.product``)."""
+    return ops.product(rows, x, y)
 
 
 def _zero_rows(E: EvolutionAlgebra) -> list[int]:
@@ -329,24 +324,29 @@ def graph_of(E: EvolutionAlgebra) -> WeightedGraph:
 
 def component_index_sets(E: EvolutionAlgebra) -> list[list[int]]:
     """Weakly connected components of the attached graph, as sorted index
-    lists ordered by smallest member."""
-    parent = list(range(E.dim))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, support in enumerate(E._supports):
+    lists ordered by smallest member: one traversal that follows each
+    edge i -> j along the supports and back along the reversed ones."""
+    supports = E._supports
+    reverse: list[list[int]] = [[] for _ in supports]
+    for i, support in enumerate(supports):
         for j in support:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-    groups: dict[int, list[int]] = {}
-    for i in range(E.dim):
-        groups.setdefault(find(i), []).append(i)
-    return [sorted(groups[k]) for k in sorted(groups)]
+            reverse[j].append(i)
+    seen = [False] * E.dim
+    comps = []
+    for start in range(E.dim):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp = [start]
+        for i in comp:  # grows while it is walked
+            for nbrs in (supports[i], reverse[i]):
+                for j in nbrs:
+                    if not seen[j]:
+                        seen[j] = True
+                        comp.append(j)
+        comp.sort()
+        comps.append(comp)
+    return comps
 
 
 def restrict_to_indices(E: EvolutionAlgebra, idx: list[int]) -> EvolutionAlgebra:

@@ -35,8 +35,8 @@ group), and each witness candidate gets one rank test and the product
 test of ``verify_hom``.  ``FieldElement`` values appear only at the
 public boundary: a normalizer's raw parameters are wrapped once, to
 pick their orbit representative for the label, ``classify`` builds no
-witness matrix, and ``_classify`` and ``witness_isomorphism`` wrap the
-witness rows they return or compose.
+witness matrix, and ``witness_isomorphism`` wraps the witness rows it
+composes.
 
 The invariants that decide the split are read off index sets of the
 natural basis: the series blocks (its chain of subspaces is never
@@ -319,18 +319,10 @@ def classify(E: EvolutionAlgebra):
     return _classify_rows(E)[0]
 
 
-def _classify(E):
-    """The label of E and its verified witness basis as a Matrix, the
-    latter None for Decomposed labels and whenever the label carries
-    no_witness."""
-    label, witness = _classify_rows(E)
-    if witness is not None:
-        witness = Matrix._wrap(witness, E.field, E.dim)
-    return label, witness
-
-
 def _classify_rows(E):
-    """``_classify`` with the witness as payload rows."""
+    """The label of E and the payload rows of its verified witness basis,
+    the latter None for Decomposed labels and whenever the label carries
+    no_witness."""
     if E.dim > 5:
         raise UnsupportedDim("classification covers dimension at most 5")
     ops = E.field.ops
@@ -480,11 +472,11 @@ def witness_isomorphism(E1: EvolutionAlgebra, E2: EvolutionAlgebra):
 # per-type normalizers.  Each receives the algebra in adapted coordinates
 # (top block first, annihilator last), reads its payload rows, and
 # returns (variant, raw payload params, boundary, builder) or a list of
-# summands.  Type [1] has none: _classify labels the one-dimensional zero
-# algebra itself.  A builder receives the payloads of the label's
-# params and yields candidate bases as payload columns, one per choice
-# of the square roots it needs (_roots); it never raises for a missing
-# root, it just yields nothing more.
+# summands.  Type [1] has none: _classify_rows labels the
+# one-dimensional zero algebra itself.  A builder receives the payloads
+# of the label's params and yields candidate bases as payload columns,
+# one per choice of the square roots it needs (_roots); it never raises
+# for a missing root, it just yields nothing more.
 
 def _chain_builder(Ead, params):
     """Basis x, x^2, (x^2)^2, ... for plain chains."""

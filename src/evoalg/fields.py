@@ -142,7 +142,17 @@ class FieldOps:
     tests for a nonzero payload, and a payload is its own sort key (see
     ``order_key``).  ``sqrt`` and ``cbrt`` return the canonical root or
     None, and ``i`` is the payload of the distinguished square root of
-    -1, or None.  The row operations take and return lists.
+    -1, or None.
+
+    The row operations (``dot``, ``scale``, ``addmul``) and the row
+    kernels (``rref``, ``product``, ``combine``) take payload rows and
+    return new lists: they never mutate a row list they are handed, so
+    rows may be shared between matrices, subspaces and algebras.  They
+    take canonical payloads (over GF(p) the reduced residues 0..p-1) and
+    return canonical payloads.  The bodies here go through the scalar
+    operations one call per entry; ``_PrimeOps`` overrides every one
+    with inline integer arithmetic, and its ``product`` and ``combine``
+    add up unreduced products and reduce once per entry at the end.
     """
 
     def __init__(self, zero, one, of_int, add, sub, neg, mul, inv, sqrt,
@@ -177,9 +187,58 @@ class FieldOps:
         add, mul = self.add, self.mul
         return [add(a, mul(c, b)) for a, b in zip(u, v)]
 
+    def rref(self, rows: list[list], ncols: int) -> list[int]:
+        """Bring the payload rows to reduced row echelon form, looking for
+        pivots in the first ``ncols`` columns; returns the pivot columns.
+        Trailing columns ride along, so [A | B] reduces A and transforms
+        B.  The list is reordered and its rows replaced in place, but no
+        row list is ever mutated."""
+        Z, inv, neg, scale, addmul = self.zero, self.inv, self.neg, \
+            self.scale, self.addmul
+        nrows = len(rows)
+        pivots = []
+        for col in range(ncols):
+            top = len(pivots)
+            pr = next((r for r in range(top, nrows) if rows[r][col] != Z),
+                      None)
+            if pr is None:
+                continue
+            rows[top], rows[pr] = rows[pr], rows[top]
+            prow = rows[top] = scale(inv(rows[top][col]), rows[top])
+            for r in range(nrows):
+                c = rows[r][col]
+                if r != top and c != Z:
+                    rows[r] = addmul(rows[r], neg(c), prow)
+            pivots.append(col)
+            if len(pivots) == nrows:
+                break
+        return pivots
+
+    def product(self, rows: list[list], x: list, y: list) -> list:
+        """sum_i x_i y_i rows[i]: the product of x and y in the evolution
+        algebra whose structure rows (rows[i] = e_i^2) are ``rows``."""
+        Z, mul, addmul = self.zero, self.mul, self.addmul
+        out = [Z] * len(rows)
+        for a, b, row in zip(x, y, rows):
+            c = mul(a, b)
+            if c != Z:
+                out = addmul(out, c, row)
+        return out
+
+    def combine(self, coefs: list, rows: list[list], ncols: int) -> list:
+        """sum_k coefs[k] rows[k] as one row of length ``ncols``."""
+        Z, addmul = self.zero, self.addmul
+        v = [Z] * ncols
+        for c, row in zip(coefs, rows):
+            if c != Z:
+                v = addmul(v, c, row)
+        return v
+
 
 class _PrimeOps(FieldOps):
-    """GF(p): the row operations reduce once per entry, inline."""
+    """GF(p): the row operations and kernels run inline on ints.  ``rref``
+    reduces once per entry it writes; ``product`` and ``combine`` sum
+    unreduced products and reduce each entry once, at the end."""
 
     def __init__(self, p):
         self.p = p  # first: FieldOps.__init__ takes the root of -1 by _sqrt
@@ -205,6 +264,58 @@ class _PrimeOps(FieldOps):
     def addmul(self, u, c, v):
         p = self.p
         return [(a + c * b) % p for a, b in zip(u, v)]
+
+    def rref(self, rows, ncols):
+        p = self.p
+        nrows = len(rows)
+        pivots = []
+        top = 0
+        for col in range(ncols):
+            for pr in range(top, nrows):
+                if rows[pr][col]:
+                    break
+            else:
+                continue
+            prow = rows[pr]
+            rows[pr] = rows[top]
+            lead = prow[col]
+            if lead != 1:
+                lead = pow(lead, -1, p)
+                prow = [lead * b % p for b in prow]
+            rows[top] = prow
+            for r, row in enumerate(rows):
+                c = row[col]
+                if c and r != top:
+                    rows[r] = [(a - c * b) % p for a, b in zip(row, prow)]
+            pivots.append(col)
+            top += 1
+            if top == nrows:
+                break
+        return pivots
+
+    def product(self, rows, x, y):
+        # combine's loop, inlined: this is the hottest kernel of classify
+        acc = None
+        for a, b, row in zip(x, y, rows):
+            if a and b:
+                c = a * b
+                acc = [c * v for v in row] if acc is None else \
+                    [s + c * v for s, v in zip(acc, row)]
+        if acc is None:
+            return [0] * len(rows)
+        p = self.p
+        return [s % p for s in acc]
+
+    def combine(self, coefs, rows, ncols):
+        acc = None
+        for c, row in zip(coefs, rows):
+            if c:
+                acc = [c * v for v in row] if acc is None else \
+                    [s + c * v for s, v in zip(acc, row)]
+        if acc is None:
+            return [0] * ncols
+        p = self.p
+        return [s % p for s in acc]
 
 
 def _gmul(x, y):

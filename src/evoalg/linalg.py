@@ -7,7 +7,9 @@ handful of rows/columns), so plain Gaussian elimination is all we need.
 
 The kernels compute on raw payload rows through the field's ``ops``
 table (see ``fields.FieldOps``): a public operation unwraps its entries
-once and wraps its result once.
+once and wraps its result once.  Elimination and linear combination are
+the table's own kernels (``ops.rref``, ``ops.combine``), reached through
+``_rref_rows`` and ``_combine``, so each field runs its own.
 """
 
 from __future__ import annotations
@@ -138,30 +140,10 @@ def _identity_rows(n, ops) -> list[list]:
 
 
 def _rref_rows(rows: list[list], ncols: int, ops) -> list[int]:
-    """Bring the payload rows to reduced row echelon form, looking for
-    pivots in the first ``ncols`` columns; returns the pivot columns.
-    Trailing columns ride along, so [A | B] reduces A and transforms B.
-    The list is reordered and its rows replaced in place, but no row list
-    is ever mutated, so callers may share rows with other objects."""
-    Z, inv, neg, scale, addmul = ops.zero, ops.inv, ops.neg, ops.scale, \
-        ops.addmul
-    nrows = len(rows)
-    pivots = []
-    for col in range(ncols):
-        top = len(pivots)
-        pr = next((r for r in range(top, nrows) if rows[r][col] != Z), None)
-        if pr is None:
-            continue
-        rows[top], rows[pr] = rows[pr], rows[top]
-        prow = rows[top] = scale(inv(rows[top][col]), rows[top])
-        for r in range(nrows):
-            c = rows[r][col]
-            if r != top and c != Z:
-                rows[r] = addmul(rows[r], neg(c), prow)
-        pivots.append(col)
-        if len(pivots) == nrows:
-            break
-    return pivots
+    """Bring the payload rows to reduced row echelon form in place and
+    return the pivot columns (``FieldOps.rref``); every elimination of the
+    package goes through here."""
+    return ops.rref(rows, ncols)
 
 
 def _inverse_rows(rows: list[list], ops) -> list[list]:
@@ -198,13 +180,8 @@ def _kernel_rows(rows: list[list], ncols: int, ops):
 
 
 def _combine(coefs, rows, ncols, ops) -> list:
-    """sum_k coefs[k] rows[k] as one payload row."""
-    Z, addmul = ops.zero, ops.addmul
-    v = [Z] * ncols
-    for c, row in zip(coefs, rows):
-        if c != Z:
-            v = addmul(v, c, row)
-    return v
+    """sum_k coefs[k] rows[k] as one payload row (``FieldOps.combine``)."""
+    return ops.combine(coefs, rows, ncols)
 
 
 def rref(m: Matrix) -> tuple[Matrix, int]:

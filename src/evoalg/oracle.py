@@ -23,7 +23,7 @@ from ._values import Frozen, set_fields
 from .errors import BudgetExceeded, ShapeError, Singular, UnsupportedField
 from .fields import PRIME
 from .linalg import Matrix, _rank
-from .algebra import EvolutionAlgebra, _product, upper_series
+from .algebra import EvolutionAlgebra, upper_series
 
 _EXHAUSTIVE_LIMIT = 10 ** 8
 
@@ -56,17 +56,20 @@ def verify_hom(E1: EvolutionAlgebra, E2: EvolutionAlgebra,
 def _is_hom(A1, A2, m, ops) -> bool:
     """The payload form of verify_hom's product test: A1 and A2 are the
     structure rows, m the payload rows of the candidate matrix, whose
-    columns are the images of E1's basis vectors."""
+    columns are the images of E1's basis vectors.  The image of e_i^2
+    combines those columns, and the squares and cross products of the
+    images come from ``ops.product``."""
     n = len(m)
-    dot, Z = ops.dot, ops.zero
-    cols = [[row[c] for row in m] for c in range(n)]
+    product, combine = ops.product, ops.combine
+    cols = list(zip(*m))
     for i in range(n):
         col = cols[i]
-        if [dot(row, A1[i]) for row in m] != _product(A2, col, col, ops):
+        if combine(A1[i], cols, n) != product(A2, col, col):
             return False
+    zero = [ops.zero] * n
     for i in range(n):
         for j in range(i + 1, n):
-            if any(x != Z for x in _product(A2, cols[i], cols[j], ops)):
+            if product(A2, cols[i], cols[j]) != zero:
                 return False
     return True
 

@@ -170,6 +170,37 @@ def test_split_components_soundness():
                     E.structure[perm[a], perm[b]]
 
 
+def _union_find_components(E):
+    """Reference for component_index_sets: a union-find over the
+    nonzero structure entries, groups ordered by smallest member."""
+    parent = list(range(E.dim))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i in range(E.dim):
+        for j in range(E.dim):
+            if not E.structure[i, j].is_zero():
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[max(ri, rj)] = min(ri, rj)
+    groups = {}
+    for i in range(E.dim):
+        groups.setdefault(find(i), []).append(i)
+    return [sorted(groups[k]) for k in sorted(groups)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.integers(1, 8), density=st.sampled_from([0.1, 0.2, 0.35, 0.6]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_components_match_a_union_find(dim, density, seed):
+    E = random_algebra(dim, random.Random(seed), GF(5), density)
+    assert component_index_sets(E) == _union_find_components(E)
+
+
 def test_quotient_requires_ideal():
     E = chain(3)
     # discarding e2 alone is not an ideal (e2^2 = e3 is kept)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from evoalg.algebra import EvolutionAlgebra
-from evoalg.classify import (CanonicalLabel, Decomposed, _classify, classify,
+from evoalg.classify import (CanonicalLabel, Decomposed, classify,
                              labels_equal, witness_isomorphism)
 from evoalg.errors import (EvoalgError, NotNilpotent, SqrtUnavailable,
                            UnsupportedDim)
@@ -18,7 +18,7 @@ from evoalg.linalg import Matrix
 from evoalg.oracle import verify_hom
 from evoalg.tables import ENTRIES, canonical_table, find_entry
 
-from helpers import (F13, random_block_basis_change,
+from helpers import (F13, classify_with_witness, random_block_basis_change,
                      random_monomial_relabelling, random_nilpotent,
                      random_nilpotent_of_type)
 
@@ -152,7 +152,8 @@ def test_template_needing_i_has_no_witness_without_i(field, lam2):
     # class d4:[1,2,1]:v2, whose template needs a square root of -1: a
     # field without one labels it with no_witness instead of raising
     rows = [[0, 0, 0, 1], [0, 0, 0, lam2], [1, 1, 0, 0], [0, 0, 0, 0]]
-    lab, witness = _classify(EvolutionAlgebra.from_ints(rows, field))
+    lab, witness = classify_with_witness(
+        EvolutionAlgebra.from_ints(rows, field))
     assert lab.serialize() == "d4:[1,2,1]:v2"
     assert lab.no_witness == (not field.has_i)
     assert (witness is None) == lab.no_witness
@@ -267,7 +268,7 @@ def test_dim1_zero_algebra_is_its_own_template(field):
     E = EvolutionAlgebra.from_ints([[0]], field)
     T = find_entry(1, (1,), 1).template((), field)
     assert T == E
-    lab, w = _classify(E)
+    lab, w = classify_with_witness(E)
     assert lab == CanonicalLabel(1, (1,), 1)
     assert verify_hom(T, E, w)
 
@@ -302,16 +303,17 @@ def test_random_classifications_have_valid_witnesses():
        seed=st.integers(0, 2 ** 32 - 1))
 def test_relabelling_keeps_the_label_and_witnesses_verify(dim, field, seed):
     # a monomial relabelling is a change of natural basis, so both sides
-    # get equal labels or raise the same error; every witness _classify
-    # keeps realizes the template.  (no_witness itself is not compared:
-    # it may differ between the two presentations.)
+    # get equal labels or raise the same error; every witness
+    # classify_with_witness returns realizes the template.  (no_witness
+    # itself is not compared: it may differ between the two
+    # presentations.)
     rng = random.Random(seed)
     E = random_nilpotent(dim, rng, field)
     G = random_monomial_relabelling(E, rng)
     outcomes = []
     for A in (E, G):
         try:
-            label, witness = _classify(A)
+            label, witness = classify_with_witness(A)
         except EvoalgError as exc:
             outcomes.append(type(exc))
             continue
@@ -405,7 +407,7 @@ def test_chain_with_a_huge_cube_gets_a_witness_over_q(a4):
     E = EvolutionAlgebra.from_ints(
         [[0, 1, 0, a4, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0],
          [0, 0, 0, 0, 1], [0] * 5], QQ())
-    label, witness = _classify(E)
+    label, witness = classify_with_witness(E)
     assert label.serialize() == "d5:[1,1,1,1,1]:v2"
     assert not label.no_witness and witness is not None
     T = find_entry(5, (1, 1, 1, 1, 1), 2).template((), QQ())
@@ -545,7 +547,7 @@ def test_parameter_free_templates_are_built_once_per_field(template_builds):
     for _ in range(2):
         for E in corpus:
             try:
-                _classify(E)
+                classify_with_witness(E)
             except SqrtUnavailable:
                 pass
     free = {key: count for key, count in builds.items() if not key[2]}
@@ -559,7 +561,7 @@ def test_witness_search_without_candidates_builds_no_template(
     rng = random.Random(12)
     for _ in range(150):
         try:
-            _classify(random_nilpotent(5, rng, F13))
+            classify_with_witness(random_nilpotent(5, rng, F13))
         except SqrtUnavailable:
             pass
     empty = [n_builds for n_builds, n_candidates in searches

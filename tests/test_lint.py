@@ -1,6 +1,7 @@
 """Static checks on the package source, with the standard library only."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,6 +41,39 @@ def test_the_lint_sees_an_unused_import():
     assert _unused_imports(tree) == ["os (line 1)", "c (line 2)"]
 
 
+def _non_stdlib_imports(tree: ast.Module) -> list[str]:
+    """The imports anywhere in the module, function bodies included, that
+    are neither relative nor of a standard-library module."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in names
+                  if name.split(".")[0] not in sys.stdlib_module_names]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_the_package_imports_only_the_standard_library(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _non_stdlib_imports(tree) == []
+
+
+def test_the_lint_sees_a_non_stdlib_import():
+    tree = ast.parse("from __future__ import annotations\nimport os.path\n"
+                     "import numpy as np\nfrom . import fields\n"
+                     "from .linalg import rref\nfrom xml.dom import minidom\n"
+                     "from sympy.core import S\n"
+                     "def f():\n    import scipy, json\n")
+    assert _non_stdlib_imports(tree) == [
+        "numpy (line 3)", "sympy.core (line 7)", "scipy (line 9)"]
+
+
 def _dead_private_helpers(trees: dict) -> list[str]:
     """The top-level private functions and classes (``_name``) of the
     modules in trees (file name -> ast.Module) that no module reads, by
@@ -60,11 +94,7 @@ def _dead_private_helpers(trees: dict) -> list[str]:
 
 
 # private helpers that only the tests read, each kept on purpose
-KEPT_FOR_TESTS = {
-    # the (label, witness Matrix) contract that test_normalizer_golden
-    # pins; the package itself reads the payload form, _classify_rows
-    "classify.py:_classify",
-}
+KEPT_FOR_TESTS: set = set()
 
 
 def test_no_dead_private_helpers():

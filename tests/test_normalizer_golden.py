@@ -5,21 +5,21 @@ of dims 1-5 and every table template with sampled parameters, each with
 a monomial relabelling) is classified, and a sha256 digest of what
 comes out is compared with a pinned value: for each input its label
 (serialization, ``boundary``, ``no_witness``), the payload rows of the
-witness ``_classify`` keeps, or the type name of the error raised.  All
-three fields contain i, so every template can be built and every
-normalizer's builder runs on its own template.
+witness ``classify_with_witness`` returns, or the type name of the error
+raised.  All three fields contain i, so every template can be built and
+every normalizer's builder runs on its own template.
 """
 
 import hashlib
 import random
 
-from evoalg.classify import Decomposed, _classify
+from evoalg.classify import Decomposed
 from evoalg.errors import EvoalgError
 from evoalg.fields import GF, QI
 from evoalg.tables import ENTRIES
 
-from helpers import (random_monomial_relabelling, random_nilpotent,
-                     scalar_limit)
+from helpers import (classify_with_witness, random_monomial_relabelling,
+                     random_nilpotent, scalar_limit)
 
 # re-pin only for an intended output change, naming the outputs it changes
 GOLDEN_SHA256 = (
@@ -47,7 +47,7 @@ def _corpus():
 
 def _record(E):
     try:
-        label, witness = _classify(E)
+        label, witness = classify_with_witness(E)
     except EvoalgError as exc:
         return type(exc).__name__
     if isinstance(label, Decomposed):
