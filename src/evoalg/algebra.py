@@ -11,10 +11,12 @@ Several invariants are read off index sets of the natural basis rather
 than eliminated for: ann(E) is spanned by the e_i with e_i^2 = 0, every
 term of the upper annihilating series is a coordinate subspace (the
 series keeps its blocks, and builds ``AnnSeries.chain`` on first read),
-ann lies in E^2 exactly when E^2's reduced basis holds the unit row of
-each such e_i, and the split along an annihilator vector outside E^2
-(``_annihilator_split``) picks its unit complements by the last nonzero
-columns of one reduced basis each.
+and ann lies in E^2 exactly when E^2's reduced basis holds the unit row
+of each such e_i.  The split along an annihilator vector outside E^2
+(``_annihilator_split``) builds its natural basis from three
+eliminations: ann cap E^2 and the test of ann inside E^2 from one, its
+unit complement C from the last nonzero columns of another, and each
+e_k's component in C from the C columns that ride along the third.
 
 The decomposability criteria that split E into ideals spanned by a
 natural basis (a disconnected graph, an annihilator vector outside E^2,
@@ -33,7 +35,7 @@ from .errors import NotAnIdeal, NotNilpotent, ShapeError
 from .fields import FieldDescriptor, FieldElement
 from . import linalg
 from .linalg import (Matrix, Subspace, _combine, _identity_rows,
-                     _inverse_rows, _kernel_rows, _unit_row)
+                     _kernel_rows, _unit_row)
 
 
 class EvolutionAlgebra:
@@ -415,40 +417,65 @@ def _last_columns(rows: list[list], n: int, ops) -> set[int]:
     return {n - 1 - p for p in linalg._rref_rows(rev, n, ops)}
 
 
-def _annihilator_split(E: EvolutionAlgebra, zero: list[int],
-                       sq: Subspace):
-    """(ann cap E^2, C, I) for the split along an annihilator vector
-    outside E^2, where zero lists the e_k with e_k^2 = 0 (they span ann)
-    and sq is E^2.  C is spanned by the e_k, k in zero, that the greedy
-    walk keeps outside ann cap E^2, so ann = (ann cap E^2) + C; I is E^2
-    plus the e_k the walk keeps outside E^2 + C, so E = I + C.
+def _annihilator_split(E: EvolutionAlgebra, zero: list[int]):
+    """The natural basis of the split along an annihilator vector outside
+    E^2, as (basis, head), or None when ann lies inside E^2; zero lists
+    the e_k with e_k^2 = 0, which span ann.  C is spanned by the e_k, k
+    in zero, that the greedy walk keeps outside ann cap E^2, so ann =
+    (ann cap E^2) + C; I is E^2 plus the e_k the walk keeps outside
+    E^2 + C, so E = I + C.  basis holds, in this order, e_k minus its
+    C-component for each k outside zero, the reduced basis of ann cap
+    E^2 and the unit rows of C; its first head rows span I.
 
-    ann cap E^2 comes from one elimination of E^2's rows with the zero
-    columns last: the reduced rows with a pivot among them vanish on
-    every other column and span exactly the part of E^2 inside ann."""
-    n, field = E.dim, E.field
-    ops = field.ops
+    Three eliminations build it:
+
+    - the nonzero squares with the zero columns last: the reduced rows
+      with a pivot among those columns vanish on every other column and
+      span exactly ann cap E^2, and ann lies inside E^2 when there are
+      len(zero) of them;
+    - ann cap E^2 over reversed columns, for the walk that picks C;
+    - E^2 over the columns outside C in reversed order, the C columns
+      riding along.  Its pivots and C's columns are the last columns of
+      E^2 + C.  Let s be the reduced row with pivot t: s without its C
+      entries lies in E^2 + C and differs from e_t only at columns that
+      are not last columns, whose e_j the walk keeps in I.  So the
+      C-component of e_t is minus the C entries of s, and an e_k that
+      is no pivot lies in I already."""
+    n, ops = E.dim, E.field.ops
+    Z = ops.zero
     zset = set(zero)
-    order = [j for j in range(n) if j not in zset] + list(zero)
-    rows = [[r[j] for j in order] for r in sq._rows]
-    head = n - len(zero)
-    ann_rows, ann_pivots = [], []
-    for r, p in zip(rows, linalg._rref_rows(rows, n, ops)):
+    live = [j for j in range(n) if j not in zset]
+    order = live + zero
+    head = len(live)
+    rows = [[E._rows[i][j] for j in order] for i in live]
+    pivots = linalg._rref_rows(rows, n, ops)
+    if sum(p >= head for p in pivots) == len(zero):
+        return None
+    sq_rows, ann_rows = [], []
+    for r, p in zip(rows, pivots):
+        v = [Z] * n
+        for j, x in zip(order, r):
+            v[j] = x
+        sq_rows.append(v)
         if p >= head:
-            v = [ops.zero] * n
-            for j, x in zip(zero, r[head:]):
-                v[j] = x
             ann_rows.append(v)
-            ann_pivots.append(order[p])
-    ann_sq = Subspace._span(ann_rows, n, field, ann_pivots)
-    taken = _last_columns(ann_rows, n, ops)
+    taken = _last_columns(ann_rows, n, ops) if ann_rows else set()
     c_idx = [k for k in zero if k not in taken]
-    c_rows = [_unit_row(k, n, ops) for k in c_idx]
-    taken = _last_columns(sq._rows + c_rows, n, ops)
-    i_part = Subspace._span(sq._rows + [_unit_row(k, n, ops)
-                                        for k in range(n) if k not in taken],
-                            n, field)
-    return ann_sq, Subspace._span(c_rows, n, field, c_idx), i_part
+    cset = set(c_idx)
+    rest = [j for j in reversed(range(n)) if j not in cset]
+    rows = [[r[j] for j in rest] + [r[j] for j in c_idx] for r in sq_rows]
+    tail = {}
+    for r, p in zip(rows, linalg._rref_rows(rows, len(rest), ops)):
+        tail[rest[p]] = r[len(rest):]
+    basis = []
+    for k in live:
+        v = _unit_row(k, n, ops)
+        if k in tail:
+            for j, x in zip(c_idx, tail[k]):
+                v[j] = x
+        basis.append(v)
+    basis += ann_rows
+    return basis + [_unit_row(k, n, ops) for k in c_idx], len(basis)
 
 
 def _natural_split(E: EvolutionAlgebra):
@@ -461,7 +488,7 @@ def _natural_split(E: EvolutionAlgebra):
     - the attached graph is disconnected: the components;
     - an annihilator vector lies outside E^2: E = I + C with I an ideal
       containing E^2 and C inside ann (``_annihilator_split``); each
-      non-annihilator e_k moves into I by dropping its C-component, and
+      e_k with e_k^2 != 0 moves into I by dropping its C-component, and
       C's unit rows are one-dimensional summands;
     - dim ann >= dim / 2 with ann inside E^2: then dim ann <= dim E^2 <=
       n - dim ann forces n = 2 dim ann, E^2 = ann and independent nonzero
@@ -474,23 +501,9 @@ def _natural_split(E: EvolutionAlgebra):
     n, ops = E.dim, E.field.ops
     zero = _zero_rows(E)
     zset = set(zero)
-    sq = square_subspace(E)
-    if n >= 2 and not _holds_units(sq, zero):
-        ann_sq, c_part, i_part = _annihilator_split(E, zero, sq)
-        c_rows = c_part._rows
-        ni = i_part.dim
-        # row k of the inverse holds the coordinates of e_k in the basis
-        # of I followed by that of C
-        to_mixed = _inverse_rows(i_part._rows + c_rows, ops)
-        basis = []
-        for k in range(n):
-            if k not in zset:
-                c_comp = _combine(to_mixed[k][ni:], c_rows, n, ops)
-                basis.append([ops.sub(a, b) for a, b
-                              in zip(_unit_row(k, n, ops), c_comp)])
-        basis += ann_sq._rows
-        head = len(basis)
-        basis += c_rows
+    split = _annihilator_split(E, zero) if n >= 2 and zero else None
+    if split is not None:
+        basis, head = split
         return ("annihilator is not contained in E^2", basis,
                 [list(range(head))] + [[j] for j in range(head, n)])
     pairs = n - len(zero)

@@ -28,8 +28,13 @@ the per-type normalizers (they read the structure rows, take roots
 with ``ops.sqrt`` and ``ops.cbrt`` and divide with ``ops.div``, which
 raises DivisionByZero), their builders (payload columns, products by
 ``algebra._product``), the templates' rows and the witness check.  A
-change of natural basis inverts its basis once, summands are row and
-column selections (graph components need no basis change at all),
+change of natural basis eliminates once: it inverts the whole basis, or,
+when every basis row is a unit or zero on the columns of the nonzero
+squares (the annihilator split, the dim/2 pairing, the [2,3] split),
+reads the coordinates on those columns off directly and inverts only
+the block of the zero-square columns.  Its naturality check multiplies
+only the rows whose supports on those columns meet.  Summands are row
+and column selections (graph components need no basis change at all),
 every split is checked to close (each adjusted row stays inside its own
 group), and each witness candidate gets one rank test and the product
 test of ``verify_hom``.  ``FieldElement`` values appear only at the
@@ -40,9 +45,9 @@ composes.
 
 The invariants that decide the split are read off index sets of the
 natural basis: the series blocks (its chain of subspaces is never
-built), ann(E) as the indices of the zero squares, ann inside E^2 as
-unit rows of E^2's reduced basis, and the refined split's pieces from
-``algebra._annihilator_split``.  A template's payload rows are built
+built), ann(E) as the indices of the zero squares, and the natural
+basis of the split along an annihilator vector outside E^2 from the
+three eliminations of ``algebra._annihilator_split``.  A template's payload rows are built
 only once a builder yields its first candidate, and those of a
 parameter-free template once per field.  Cube roots over Q and Q(i)
 are exact at any size (``fields._frac_cbrt``: an integer cube root of
@@ -57,6 +62,7 @@ from ._values import Frozen, Value, set_fields
 from .errors import (
     BudgetExceeded,
     NotNilpotent,
+    Singular,
     SpecMismatch,
     SqrtUnavailable,
     UnsupportedDim,
@@ -284,17 +290,65 @@ def _adjusted_rows(E, basis):
     rows ``basis``; raises SpecMismatch if the basis is not natural and
     Singular if it is not a basis.
 
-    With M the matrix whose rows are the basis vectors, a vector w has
-    coordinates w M^-1 in the new basis, so one inversion of M serves
-    every new square."""
+    Only the live columns k (those with e_k^2 != 0) enter a product, so
+    two rows whose live supports are disjoint multiply to zero, and the
+    product is computed only where the supports meet.  With M the matrix
+    whose rows are the basis vectors, a vector w has coordinates w M^-1
+    in the new basis, so one inversion of M serves every new square.
+    When every row is a unit or zero on the live columns (the annihilator
+    split, the dim/2 pairing, the [2,3] split), only the block of the
+    latter rows on the zero-square columns is inverted
+    (``_shaped_rows``)."""
     ops = E.field.ops
     A, Z, n = E._rows, ops.zero, E.dim
-    for i in range(len(basis)):
+    live = [k for k, s in enumerate(E._supports) if s]
+    supports = [{k for k in live if b[k] != Z} for b in basis]
+    for i, si in enumerate(supports):
         for j in range(i + 1, len(basis)):
-            if any(x != Z for x in _product(A, basis[i], basis[j], ops)):
+            if not si.isdisjoint(supports[j]) and any(
+                    x != Z for x in _product(A, basis[i], basis[j], ops)):
                 raise SpecMismatch("candidate basis is not natural")
-    inv = _inverse_rows(basis, ops)
-    return [_combine(_product(A, b, b, ops), inv, n, ops) for b in basis]
+    unit_at = {}
+    for i, s in enumerate(supports):
+        for k in s:
+            if len(s) > 1 or basis[i][k] != ops.one:
+                inv = _inverse_rows(basis, ops)
+                return [_combine(_product(A, b, b, ops), inv, n, ops)
+                        for b in basis]
+            unit_at[k] = i
+    return _shaped_rows(E, basis, live, unit_at)
+
+
+def _shaped_rows(E, basis, live, unit_at):
+    """``_adjusted_rows`` for a natural basis whose row unit_at[k] is the
+    unit e_k on the live columns, for each live k it holds, and whose
+    other rows vanish there.  Naturality leaves at most one such row per
+    k.  Ordered by rows and columns, M is then block triangular: w has
+    coordinate w_k at row unit_at[k], and its coordinates at the other
+    rows solve the zero-square block against what is left of w on the
+    zero-square columns.  The square of row unit_at[k] is e_k^2, that of
+    any other row is 0."""
+    ops = E.field.ops
+    A, Z, n = E._rows, ops.zero, E.dim
+    if len(unit_at) != len(live):  # a live column of M is zero
+        raise Singular("matrix is not invertible")
+    taken = set(unit_at.values())
+    rest = [i for i in range(len(basis)) if i not in taken]
+    zero = [k for k, s in enumerate(E._supports) if not s]
+    inv = _inverse_rows([[basis[i][z] for z in zero] for i in rest], ops)
+    units = [unit_at[j] for j in live]
+    lifts = [basis[i] for i in units]
+    rows = [[Z] * n for _ in basis]
+    for k in live:
+        w = rows[unit_at[k]]
+        coefs = [A[k][j] for j in live]
+        for i, c in zip(units, coefs):
+            w[i] = c
+        lifted = _combine(coefs, lifts, n, ops)
+        left = [ops.sub(A[k][z], lifted[z]) for z in zero]
+        for i, x in zip(rest, _combine(left, inv, len(zero), ops)):
+            w[i] = x
+    return rows
 
 
 def _split_in_basis(E, basis, groups):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from evoalg.algebra import EvolutionAlgebra, upper_series
 from evoalg.classify import _classify_rows
 from evoalg.fields import GF, PRIME
-from evoalg.linalg import Matrix
+from evoalg.linalg import Matrix, _inverse_rows, _rank
 
 F13 = GF(13)
 
@@ -112,37 +112,34 @@ def random_block_basis_change(E, rng, attempts=300):
     no natural change was found within the attempt budget.
 
     The pattern mixes each annihilating-series block with itself and lets
-    every vector pick up an arbitrary annihilator component.
+    every vector pick up an arbitrary annihilator component.  The change
+    is computed on payload rows: a rank test, products of its columns in
+    E and one inversion.
     """
-    series = upper_series(E)
+    blocks = upper_series(E).blocks
     field = E.field
+    ops = field.ops
+    Z, of_int = ops.zero, ops.of_int
     p = scalar_limit(field)
     n = E.dim
     for _ in range(attempts):
-        m = [[field.zero()] * n for _ in range(n)]
-        for i, blk in enumerate(series.blocks):
+        m = [[Z] * n for _ in range(n)]
+        for i, blk in enumerate(blocks):
             for c in blk:
                 for r in blk:
-                    m[r][c] = field.from_int(rng.randrange(p))
+                    m[r][c] = of_int(rng.randrange(p))
                 if i > 0:
-                    for r in series.blocks[0]:
-                        m[r][c] = field.from_int(rng.randrange(p))
-        mat = Matrix(m, field, n)
-        if not mat.is_invertible():
-            continue
+                    for r in blocks[0]:
+                        m[r][c] = of_int(rng.randrange(p))
+        # naturality first: it rejects most draws, and more cheaply
         cols = [[m[r][c] for r in range(n)] for c in range(n)]
-        natural = True
-        for i in range(n):
-            for j in range(i + 1, n):
-                if any(not x.is_zero()
-                       for x in E.multiply(cols[i], cols[j])):
-                    natural = False
-                    break
-            if not natural:
-                break
-        if not natural:
+        if any(x != Z for i in range(n) for j in range(i + 1, n)
+               for x in ops.product(E._rows, cols[i], cols[j])):
             continue
-        inv = mat.inverse()
-        rows = [inv.apply(E.multiply(cols[i], cols[i])) for i in range(n)]
-        return EvolutionAlgebra(n, Matrix(rows, field, n), field)
+        if _rank(m, n, ops) < n:
+            continue
+        inv = _inverse_rows(m, ops)
+        squares = [ops.product(E._rows, c, c) for c in cols]
+        return EvolutionAlgebra._wrap(
+            [[ops.dot(r, sq) for r in inv] for sq in squares], field)
     return None

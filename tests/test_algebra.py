@@ -21,9 +21,9 @@ from evoalg.algebra import (DECOMPOSABLE, INDECOMPOSABLE, PLENARY, RIGHT,
                             restrict_to_indices, split_components,
                             square_subspace, upper_series)
 from evoalg.errors import (NotAnIdeal, NotNilpotent, ShapeError,
-                           SpecMismatch, SqrtUnavailable)
+                           Singular, SpecMismatch, SqrtUnavailable)
 from evoalg.fields import GF, PRIME, QI, QQ, FieldDescriptor, FieldElement
-from evoalg.linalg import Matrix, Subspace
+from evoalg.linalg import Matrix, Subspace, _inverse_rows
 
 from helpers import (F13, random_algebra, random_large_annihilator,
                      random_nilpotent)
@@ -422,15 +422,31 @@ def algebras_with_zero_squares(draw):
     return EvolutionAlgebra(n, Matrix(rows, field, n), field)
 
 
+def annihilator_split_pieces(E, zero):
+    """(ann cap E^2, C, I) spanned from the basis of _annihilator_split,
+    or None when ann lies inside E^2."""
+    split = _annihilator_split(E, zero)
+    if split is None:
+        return None
+    basis, head = split
+    n, field = E.dim, E.field
+    live = n - len(zero)
+    return (Subspace._span(basis[live:head], n, field),
+            Subspace._span(basis[head:], n, field),
+            Subspace._span(basis[:head], n, field))
+
+
 @settings(max_examples=200)
 @given(algebras_with_zero_squares())
 def test_annihilator_split_matches_the_subspace_composition(E):
     zero, sq = _zero_rows(E), square_subspace(E)
     ann_in_sq = sq.contains(E.annihilator())
     assert _holds_units(sq, zero) == ann_in_sq
-    got = _annihilator_split(E, zero, sq)
-    for mine, ref in zip(got, reference_annihilator_split(E)):
-        assert mine._rows == ref._rows and mine._pivots == ref._pivots
+    got = annihilator_split_pieces(E, zero)
+    assert (got is None) == ann_in_sq
+    if got is not None:
+        for mine, ref in zip(got, reference_annihilator_split(E)):
+            assert mine._rows == ref._rows and mine._pivots == ref._pivots
     verdict = decomposability_check(E)
     split_case = (E.dim >= 2 and len(component_index_sets(E)) == 1
                   and not ann_in_sq)
@@ -478,7 +494,7 @@ def test_annihilator_split_on_a_vector_outside_the_square():
         [[0, 1, 1, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]], QQ())
     zero, sq = _zero_rows(E), square_subspace(E)
     assert zero == [1, 3] and not _holds_units(sq, zero)
-    ann_sq, c_part, i_part = _annihilator_split(E, zero, sq)
+    ann_sq, c_part, i_part = annihilator_split_pieces(E, zero)
     assert ann_sq == Subspace.coordinate([3], 4, QQ())
     assert c_part == Subspace.coordinate([1], 4, QQ())
     assert i_part == sq + Subspace.coordinate([0], 4, QQ())
@@ -671,6 +687,114 @@ def test_a_split_with_swapped_groups_does_not_close(rows, reason):
         == len(groups)
     with pytest.raises(SpecMismatch):
         classify_module._split_in_basis(E, basis, _swap_members(groups))
+
+
+# ---------------------------------------------------------------------------
+# the carve of a split basis, against coordinates from the whole inverse
+
+def full_inverse_adjusted_rows(E, basis):
+    """The structure rows of E in the natural basis given by payload rows,
+    computed as the carve did before it read the rows of a shaped basis
+    off directly: every pair of rows is multiplied, and each square gets
+    its coordinates from the inverse of the whole basis."""
+    ops = E.field.ops
+    Z = ops.zero
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            if any(x != Z for x in ops.product(E._rows, basis[i], basis[j])):
+                raise SpecMismatch("candidate basis is not natural")
+    inv = _inverse_rows(basis, ops)
+    return [ops.combine(ops.product(E._rows, b, b), inv, E.dim)
+            for b in basis]
+
+
+def _outcome(fn, E, basis):
+    try:
+        return fn(E, basis)
+    except (Singular, SpecMismatch) as exc:
+        return type(exc)
+
+
+def _corrupted(basis, ops, rnd):
+    """basis with one row spoilt: a copy of another row, zero, or a unit
+    added to one entry.  The first two never leave a basis."""
+    n = len(basis)
+    bad = [list(r) for r in basis]
+    i, j = rnd.sample(range(n), 2)
+    kind = rnd.choice(["copy", "zero", "bump"])
+    if kind == "copy":
+        bad[i] = list(bad[j])
+    elif kind == "zero":
+        bad[i] = [ops.zero] * n
+    else:
+        k = rnd.randrange(n)
+        bad[i][k] = ops.add(bad[i][k], ops.one)
+    return kind, bad
+
+
+@settings(max_examples=300)
+@given(st.one_of(split_algebras().filter(lambda E: E.dim >= 2),
+                 nilpotent_of_type(_SPLIT_TYPES)),
+       st.randoms(use_true_random=False))
+def test_every_carve_matches_full_inverse_coordinates(E, rnd):
+    # every split classify applies (the annihilator split, the dim/2
+    # pairing, the ann-dim-2 splits) yields the summand rows that the
+    # coordinates from the whole inverse give, and a spoilt basis raises
+    # what the whole inverse raises
+    classify_module = importlib.import_module("evoalg.classify")
+    in_basis = classify_module._split_in_basis
+    seen = []
+
+    def split_in_basis(A, basis, groups):
+        seen.append((A, basis, groups))
+        return in_basis(A, basis, groups)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classify_module, "_split_in_basis", split_in_basis)
+        try:
+            classify_module.classify(E)
+        except (NotNilpotent, SqrtUnavailable):
+            pass
+    for A, basis, groups in seen:
+        ref = full_inverse_adjusted_rows(A, basis)
+        assert classify_module._adjusted_rows(A, basis) == ref
+        parts = in_basis(A, basis, groups)
+        assert [P._rows for P in parts] == \
+            [[[ref[i][j] for j in g] for i in g] for g in groups]
+        kind, bad = _corrupted(basis, A.field.ops, rnd)
+        got = _outcome(classify_module._adjusted_rows, A, bad)
+        assert got == _outcome(full_inverse_adjusted_rows, A, bad)
+        if kind != "bump":
+            assert got in (Singular, SpecMismatch)
+
+
+def test_an_annihilator_split_and_its_carve_take_four_eliminations(
+        monkeypatch):
+    # call counts: the split and its carve eliminate at most four times
+    # (seven before the carve read the rows of the split basis off
+    # directly), and none of these is an n x 2n inversion of the basis
+    linalg = importlib.import_module("evoalg.linalg")
+    classify_module = importlib.import_module("evoalg.classify")
+    shapes = []
+    rref = linalg._rref_rows
+
+    def counting(rows, ncols, ops):
+        shapes.append((len(rows[0]) if rows else 0, ncols))
+        return rref(rows, ncols, ops)
+    monkeypatch.setattr(linalg, "_rref_rows", counting)
+    rng = random.Random(11)
+    splits = 0
+    for field in (GF(5), F13, QQ(), QI()):
+        for _ in range(300):
+            E = random_nilpotent(rng.randrange(2, 6), rng, field)
+            shapes.clear()
+            reason, basis, groups = _natural_split(E) or (None, None, None)
+            if reason != "annihilator is not contained in E^2":
+                continue
+            classify_module._split_in_basis(E, basis, groups)
+            splits += 1
+            assert len(shapes) <= 4
+            assert (2 * E.dim, E.dim) not in shapes
+    assert splits >= 100
 
 
 @settings(max_examples=300)

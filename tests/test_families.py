@@ -1,14 +1,18 @@
 """Parametric families and their scaling isomorphisms."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evoalg.algebra import upper_series
+from evoalg.classify import classify, labels_equal
 from evoalg.errors import SpecMismatch, UnsupportedField
 from evoalg.families import (UB, UBFG, UBG, UBU, FamilySpec, build, build_Ub,
                              build_Ubfg, build_Ubg, build_Ubu,
                              family_iso_test, scaled_spec,
                              scaling_isomorphism)
-from evoalg.fields import GF, QQ
+from evoalg.fields import GF, QI, QQ, FieldElement
 from evoalg.oracle import verify_hom
 
 F13 = GF(13)
@@ -97,3 +101,60 @@ def test_ubu_iso_is_isotropy_class():
     aniso2 = FamilySpec(UBU, 2, f13s(1, 1), u_coords=f13s(1, 1))
     assert not family_iso_test(iso, aniso, assume_closed=True)
     assert family_iso_test(aniso, aniso2, assume_closed=True)
+
+
+# ---------------------------------------------------------------------------
+# the paper's families against classify
+
+def _elements(field):
+    if field == F13:
+        return st.integers(0, 12).map(F13.from_int)
+    return st.tuples(st.integers(-2, 2), st.integers(-2, 2)).map(
+        lambda ab: FieldElement(field, (Fraction(ab[0]), Fraction(ab[1]))))
+
+
+@st.composite
+def family_spec_pairs(draw):
+    """Two specs of one kind of Ubg, Ubfg, Ubu and one n, over GF(13) or
+    Q(i), whose algebras have dim <= 5.  Half of the second specs are the
+    first with its eigen-indices permuted and, for Ubfg, scaled by
+    scaled_spec (isomorphic data); the rest are drawn afresh."""
+    field = draw(st.sampled_from([F13, QI()]))
+    kind = draw(st.sampled_from([UBG, UBFG, UBU]))
+    n = draw(st.integers(1, 2 if kind == UBFG else 3))
+    elem = _elements(field)
+    nonzero = elem.filter(lambda x: not x.is_zero())
+    lists = st.lists(elem, min_size=n, max_size=n).map(tuple)
+
+    def spec():
+        b = draw(st.lists(nonzero, min_size=n, max_size=n).map(tuple))
+        if kind == UBG:
+            return FamilySpec(UBG, n, b, g_eigs=draw(lists))
+        if kind == UBFG:
+            return FamilySpec(UBFG, n, b, f_eigs=draw(lists),
+                              g_eigs=draw(lists))
+        u = draw(lists.filter(lambda t: any(not x.is_zero() for x in t)))
+        return FamilySpec(UBU, n, b, u_coords=u)
+    s1 = spec()
+    if not draw(st.booleans()):
+        return s1, spec()
+    perm = draw(st.permutations(range(n)))
+
+    def permuted(t):
+        return None if t is None else tuple(t[i] for i in perm)
+    s2 = FamilySpec(kind, n, permuted(s1.b_diag), permuted(s1.f_eigs),
+                    permuted(s1.g_eigs), permuted(s1.u_coords))
+    if kind == UBFG:
+        s2 = scaled_spec(s2, draw(nonzero), draw(elem))
+    return s1, s2
+
+
+@settings(max_examples=200, deadline=None)
+@given(family_spec_pairs())
+def test_family_iso_test_agrees_with_classify(pair):
+    # the paper's orbit conditions on the eigen-data decide isomorphism
+    # over the algebraic closure; classify's labels are field-independent
+    # data, so equal labels must say the same
+    s1, s2 = pair
+    assert family_iso_test(s1, s2, assume_closed=True) \
+        == labels_equal(classify(build(s1)), classify(build(s2)))

@@ -1,0 +1,255 @@
+#!/usr/bin/env python3
+"""Record what evoalg answers on a fixed corpus, and compare two records.
+
+    python3 tools/outputs.py --tree PATH --out FILE
+    python3 tools/outputs.py --diff A B
+
+``--tree`` imports evoalg from ``PATH/src`` and writes one JSON line per
+input to FILE.  The inputs are drawn from fixed seeds over GF(3), GF(5),
+GF(13), GF(1000033), Q and Q(i), in four kinds:
+
+- ``random``: random nilpotent algebras of dims 1-5;
+- ``relabel``: a monomial relabelling of each random algebra;
+- ``block``: a random block-patterned natural change of basis of a
+  random algebra, which mixes each annihilating-series block with itself
+  and adds annihilator components;
+- ``template``: every table template, with three samples of its
+  parameters if it has any, and a monomial relabelling of each.
+
+Each record holds the input's structure rows, ``repr`` of the label (so
+``boundary``, ``no_witness`` and the parameters count, which
+``serialize()`` drops in part), the rows of the witness basis, and the
+``decomposability_check`` verdict with the rows of its witness ideals;
+an ``EvoalgError`` is recorded by its type name.  The inputs are built
+through the tree's public API, so a change to that API shows up as
+differing inputs.
+
+``--diff`` compares two such files record by record.  It prints nothing
+and exits 0 when they agree; otherwise it prints, for each kind, the
+number of differing records and the first few of them, and exits 1.
+
+Compare a change with its parent, from the root of the change:
+
+    git archive PARENT | (mkdir -p /tmp/parent && tar -x -C /tmp/parent)
+    python3 tools/outputs.py --tree /tmp/parent --out /tmp/parent.jsonl
+    python3 tools/outputs.py --tree . --out /tmp/change.jsonl
+    python3 tools/outputs.py --diff /tmp/parent.jsonl /tmp/change.jsonl
+
+Uses the standard library only; one run takes well under a minute.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import json
+import os
+import random
+import sys
+
+FIELDS = (("GF", 3), ("GF", 5), ("GF", 13), ("GF", 1000033), ("Q", None),
+          ("Qi", None))
+RANDOM_PER_FIELD = 2000
+BLOCK_PER_FIELD = 300
+TEMPLATE_SAMPLES = 3
+BLOCK_ATTEMPTS = 60
+SHOWN_PER_KIND = 3
+
+
+def _load(tree: str):
+    """The evoalg modules of the checkout at tree."""
+    sys.path.insert(0, os.path.join(os.path.abspath(tree), "src"))
+    import evoalg
+    # evoalg.classify names the function, which shadows the submodule
+    return (evoalg, importlib.import_module("evoalg.classify"),
+            importlib.import_module("evoalg.tables"))
+
+
+class Corpus:
+    """The inputs of one field, built through the public API."""
+
+    def __init__(self, evoalg, field, rng):
+        self.ev, self.field, self.rng = evoalg, field, rng
+        self.limit = field.modulus if field.modulus else 14
+        self.i = evoalg.sqrt_if_square(field.from_int(-1)) \
+            if field.kind == "Qi" else None
+
+    def scalar(self, low=0):
+        x = self.field.from_int(self.rng.randrange(low, self.limit))
+        if self.i is not None and self.rng.random() < 0.3:
+            x = x + self.field.from_int(self.rng.randrange(1, 4)) * self.i
+        return x
+
+    def algebra(self, rows):
+        n = len(rows)
+        return self.ev.EvolutionAlgebra(
+            n, self.ev.Matrix(rows, self.field, n), self.field)
+
+    def random_nilpotent(self, dim):
+        """Strictly upper-triangular structure in a hidden order."""
+        rng, zero = self.rng, self.field.zero()
+        density = rng.choice([0.3, 0.6, 0.9])
+        rows = [[self.scalar() if j > i and rng.random() < density
+                 else zero for j in range(dim)] for i in range(dim)]
+        perm = list(range(dim))
+        rng.shuffle(perm)
+        out = [[zero] * dim for _ in range(dim)]
+        for i in range(dim):
+            for j in range(dim):
+                out[perm[i]][perm[j]] = rows[i][j]
+        return self.algebra(out)
+
+    def relabel(self, E):
+        """E in the natural basis f_pi(i) = c_i e_i."""
+        n = E.dim
+        perm = list(range(n))
+        self.rng.shuffle(perm)
+        c = []
+        while len(c) < n:
+            x = self.scalar(1)
+            if not x.is_zero():
+                c.append(x)
+        rows = [[self.field.zero()] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                rows[perm[i]][perm[j]] = c[i] * c[i] * E.structure[i, j] / c[j]
+        return self.algebra(rows)
+
+    def block_change(self, E):
+        """E in a random natural basis that mixes each series block with
+        itself and adds annihilator components, or None."""
+        ev, n, zero = self.ev, E.dim, self.field.zero()
+        blocks = ev.upper_series(E).blocks
+        for _ in range(BLOCK_ATTEMPTS):
+            m = [[zero] * n for _ in range(n)]
+            for k, blk in enumerate(blocks):
+                for c in blk:
+                    for r in blk + (blocks[0] if k else []):
+                        m[r][c] = self.scalar()
+            cols = [[m[r][c] for r in range(n)] for c in range(n)]
+            if any(not x.is_zero() for i in range(n)
+                   for j in range(i + 1, n)
+                   for x in E.multiply(cols[i], cols[j])):
+                continue
+            mat = ev.Matrix(m, self.field, n)
+            if not mat.is_invertible():
+                continue
+            inv = mat.inverse()
+            return self.algebra([inv.apply(E.multiply(c, c)) for c in cols])
+        return None
+
+    def template_params(self, entry):
+        while True:
+            params = tuple(self.scalar(2) for _ in range(entry.param_arity))
+            if entry.param_ok(params):
+                return params
+
+
+def _rows(vectors) -> list:
+    return [[str(x) for x in v] for v in vectors]
+
+
+def _record(mods, E) -> dict:
+    evoalg, classify_mod, _ = mods
+    out = {"input": _rows(E.structure.rows)}
+    try:
+        label, witness = classify_mod._classify_rows(E)
+        out["label"] = repr(label)
+        out["witness"] = None if witness is None else _rows(
+            [[evoalg.FieldElement(E.field, x) for x in r] for r in witness])
+    except evoalg.EvoalgError as exc:
+        out["label"] = "raises " + type(exc).__name__
+    try:
+        v = evoalg.decomposability_check(E)
+        out["decomp"] = [v.status, v.reason, None if v.witness is None else
+                         [_rows(s.vectors()) for s in v.witness]]
+    except evoalg.EvoalgError as exc:
+        out["decomp"] = "raises " + type(exc).__name__
+    return out
+
+
+def _inputs(mods):
+    """(kind, field name, algebra or exception type name) in a fixed
+    order."""
+    evoalg, _, tables = mods
+    for seed, (kind, p) in enumerate(FIELDS):
+        field = evoalg.GF(p) if kind == "GF" else \
+            evoalg.QQ() if kind == "Q" else evoalg.QI()
+        name = str(field)
+        corpus = Corpus(evoalg, field, random.Random(f"outputs:{seed}"))
+        for k in range(RANDOM_PER_FIELD):
+            E = corpus.random_nilpotent(k % 5 + 1)
+            yield "random", name, E
+            yield "relabel", name, corpus.relabel(E)
+        for k in range(BLOCK_PER_FIELD):
+            yield "block", name, corpus.block_change(
+                corpus.random_nilpotent(k % 4 + 2))
+        for entry in tables.ENTRIES:
+            for _ in range(TEMPLATE_SAMPLES if entry.param_arity else 1):
+                try:
+                    T = entry.template(corpus.template_params(entry), field)
+                except evoalg.EvoalgError as exc:
+                    yield "template", name, "raises " + type(exc).__name__
+                    continue
+                yield "template", name, T
+                yield "template", name, corpus.relabel(T)
+
+
+def write(tree: str, out_path: str) -> int:
+    mods = _load(tree)
+    count = 0
+    with open(out_path, "w") as out:
+        for kind, field, E in _inputs(mods):
+            rec = {"id": f"{kind}:{field}:{count}", "kind": kind}
+            if E is None or isinstance(E, str):
+                rec["input"] = E
+            else:
+                rec.update(_record(mods, E))
+            out.write(json.dumps(rec, sort_keys=True) + "\n")
+            count += 1
+    return count
+
+
+def diff(path_a: str, path_b: str) -> int:
+    """Print the first differing records of each kind; the number of
+    differing records."""
+    with open(path_a) as fa, open(path_b) as fb:
+        a = [json.loads(line) for line in fa]
+        b = [json.loads(line) for line in fb]
+    by_kind: dict[str, list] = {}
+    for ra, rb in zip(a, b):
+        if ra != rb:
+            by_kind.setdefault(ra["kind"], []).append((ra, rb))
+    if len(a) != len(b):
+        by_kind.setdefault("count", []).append(
+            ({"records": len(a)}, {"records": len(b)}))
+    for kind, pairs in by_kind.items():
+        print(f"{kind}: {len(pairs)} records differ")
+        for ra, rb in pairs[:SHOWN_PER_KIND]:
+            print(f"  {ra.get('id')}")
+            for key in sorted(set(ra) | set(rb)):
+                if ra.get(key) != rb.get(key):
+                    print(f"    {key}: {ra.get(key)!r}")
+                    print(f"    {' ' * len(key)}  {rb.get(key)!r}")
+    return sum(len(p) for p in by_kind.values())
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    mode = ap.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--tree", help="checkout whose src/ to import")
+    mode.add_argument("--diff", nargs=2, metavar=("A", "B"),
+                      help="two record files to compare")
+    ap.add_argument("--out", help="record file that --tree writes")
+    args = ap.parse_args(argv)
+    if args.tree is not None:
+        if args.out is None:
+            ap.error("--tree needs --out")
+        count = write(args.tree, args.out)
+        print(f"{count} records written to {args.out}", file=sys.stderr)
+        return 0
+    return 1 if diff(*args.diff) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
