@@ -47,11 +47,11 @@ The invariants that decide the split are read off index sets of the
 natural basis: the series blocks (its chain of subspaces is never
 built), ann(E) as the indices of the zero squares, and the natural
 basis of the split along an annihilator vector outside E^2 from the
-three eliminations of ``algebra._annihilator_split``.  A template's payload rows are built
-only once a builder yields its first candidate, and those of a
-parameter-free template once per field.  Cube roots over Q and Q(i)
-are exact at any size (``fields._frac_cbrt``: an integer cube root of
-the numerator and of the denominator).
+three eliminations of ``algebra._annihilator_split``.  A template's
+payload rows are built only once a builder yields its first candidate,
+and those of a parameter-free template once per field.  Cube roots over
+Q and Q(i) are exact at any size (``fields._frac_cbrt``: an integer cube
+root of the numerator and of the denominator).
 """
 
 from __future__ import annotations
