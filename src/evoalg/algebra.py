@@ -12,7 +12,10 @@ than eliminated for: ann(E) is spanned by the e_i with e_i^2 = 0, every
 term of the upper annihilating series is a coordinate subspace (the
 series keeps its blocks, and builds ``AnnSeries.chain`` on first read),
 and ann lies in E^2 exactly when E^2's reduced basis holds the unit row
-of each such e_i.  The split along an annihilator vector outside E^2
+of each such e_i.  The nonzero pattern of the structure rows is one int
+bitmask per row (``EvolutionAlgebra._supports``), built once per
+algebra; the series, the graph components and the zero squares test it
+with ``&``.  The split along an annihilator vector outside E^2
 (``_annihilator_split``) builds its natural basis from three
 eliminations: ann cap E^2 and the test of ann inside E^2 from one, its
 unit complement C from the last nonzero columns of another, and each
@@ -23,7 +26,12 @@ natural basis (a disconnected graph, an annihilator vector outside E^2,
 dim ann >= dim/2) live in one place, ``_natural_split``, which returns
 the split's natural basis and its index groups: ``decomposability_check``
 spans its witness ideals from them and ``classify`` carves its summands
-from them.
+from them.  Its stages can also run alone, for a summand whose split
+already proved the others cannot fire: a graph component, which is
+connected and inherits its series (``_component_series``), needs only
+``_connected_split``; the I summand of an annihilator split and each
+pair of the pairing, whose annihilator lies inside its square, need only
+``_split_inside_square``.
 """
 
 from __future__ import annotations
@@ -55,6 +63,7 @@ class EvolutionAlgebra:
         self.structure = structure
         # payload rows of the structure matrix, for the exact core
         self._rows = structure._payloads()
+        self._masks = None
 
     @classmethod
     def _wrap(cls, rows: list[list], field: FieldDescriptor):
@@ -64,19 +73,21 @@ class EvolutionAlgebra:
         E.dim = len(rows)
         E.field = field
         E._rows = rows
+        E._masks = None
         return E
 
     @cached_property
     def structure(self) -> Matrix:
         return Matrix._wrap(self._rows, self.field, self.dim)
 
-    @cached_property
-    def _supports(self) -> list[set[int]]:
-        """The nonzero pattern of the structure rows: for each e_i, the
-        indices j with A[i][j] != 0.  One pass serves the series, the
-        graph components and the zero squares."""
-        Z = self.field.ops.zero
-        return [{j for j, x in enumerate(row) if x != Z} for row in self._rows]
+    def _supports(self) -> list[int]:
+        """The support masks of the structure rows (``_support_masks``),
+        built on first use and kept."""
+        masks = self._masks
+        if masks is None:
+            masks = self._masks = _support_masks(self._rows,
+                                                 self.field.ops.zero)
+        return masks
 
     @classmethod
     def from_ints(cls, rows: list[list[int]], field: FieldDescriptor):
@@ -118,9 +129,36 @@ def _product(rows: list[list], x: list, y: list, ops) -> list:
     return ops.product(rows, x, y)
 
 
+def _support_masks(rows: list[list], Z) -> list[int]:
+    """The nonzero pattern of the payload rows, as one int per row whose
+    bit j is set when the row's entry j is not Z.  For the structure rows
+    (``EvolutionAlgebra._supports``) one pass serves the series, the graph
+    components, the zero squares and the naturality checks."""
+    masks = []
+    for row in rows:
+        m, bit = 0, 1
+        for x in row:
+            if x != Z:
+                m |= bit
+            bit <<= 1
+        masks.append(m)
+    return masks
+
+
+def _live_mask(masks: list[int]) -> int:
+    """The mask whose bit k is set when masks[k] is nonzero: for the
+    structure rows, the e_k with e_k^2 != 0, the only rows a product
+    sum_k x_k y_k e_k^2 reads."""
+    live = 0
+    for k, m in enumerate(masks):
+        if m:
+            live |= 1 << k
+    return live
+
+
 def _zero_rows(E: EvolutionAlgebra) -> list[int]:
     """Indices of the natural basis vectors with zero square."""
-    return [i for i, s in enumerate(E._supports) if not s]
+    return [i for i, s in enumerate(E._supports()) if not s]
 
 
 def quotient_by_block(E: EvolutionAlgebra, keep) -> EvolutionAlgebra:
@@ -200,23 +238,45 @@ def upper_series(E: EvolutionAlgebra) -> AnnSeries:
 
     Every term is the span of the natural basis vectors placed so far, so
     e_i^2 lies in it exactly when the support of e_i^2 does: membership
-    is read off the nonzero pattern of the structure rows, which the
-    algebra keeps.  Only the blocks are computed here; the chain is built
-    when first read.
+    is read off the support masks of the structure rows, which the
+    algebra keeps: a mask with no bit outside the placed ones.  Only the
+    blocks are computed here; the chain is built when first read.
     """
-    supports = E._supports
-    placed: set[int] = set()
+    supports = E._supports()
+    pending = range(E.dim)
+    placed = 0
     blocks: list[list[int]] = []
-    while True:
-        new = [i for i in range(E.dim)
-               if i not in placed and supports[i] <= placed]
+    while pending:
+        new, rest = [], []
+        for i in pending:
+            if supports[i] & ~placed:
+                rest.append(i)
+            else:
+                new.append(i)
         if not new:
             break
-        placed.update(new)
+        for i in new:
+            placed |= 1 << i
+        pending = rest
         blocks.append(new)
-        if len(placed) == E.dim:
+    return AnnSeries._lazy(blocks, not pending, E.dim, E.field)
+
+
+def _component_series(series: AnnSeries, comp: list[int],
+                      field) -> AnnSeries:
+    """The series of the summand on the graph component comp (sorted),
+    read off the series of the whole algebra.  A component is closed
+    under supports, so each term of its series is the matching term of
+    the whole series restricted to it, renumbered, until the component
+    is full; the blocks after that restrict to nothing and are dropped."""
+    at = {i: k for k, i in enumerate(comp)}
+    blocks = []
+    for blk in series.blocks:
+        mine = [at[i] for i in blk if i in at]
+        if not mine:
             break
-    return AnnSeries._lazy(blocks, len(placed) == E.dim, E.dim, E.field)
+        blocks.append(mine)
+    return AnnSeries._lazy(blocks, series.nilpotent, len(comp), field)
 
 
 def product_subspace(E: EvolutionAlgebra, s: Subspace, t: Subspace) -> Subspace:
@@ -326,29 +386,24 @@ def graph_of(E: EvolutionAlgebra) -> WeightedGraph:
 
 def component_index_sets(E: EvolutionAlgebra) -> list[list[int]]:
     """Weakly connected components of the attached graph, as sorted index
-    lists ordered by smallest member: one traversal that follows each
-    edge i -> j along the supports and back along the reversed ones."""
-    supports = E._supports
-    reverse: list[list[int]] = [[] for _ in supports]
-    for i, support in enumerate(supports):
-        for j in support:
-            reverse[j].append(i)
-    seen = [False] * E.dim
-    comps = []
-    for start in range(E.dim):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp = [start]
-        for i in comp:  # grows while it is walked
-            for nbrs in (supports[i], reverse[i]):
-                for j in nbrs:
-                    if not seen[j]:
-                        seen[j] = True
-                        comp.append(j)
-        comp.sort()
-        comps.append(comp)
-    return comps
+    lists ordered by smallest member.  Each e_i and the support of e_i^2
+    are connected, so one pass over the support masks merges each such
+    star with the disjoint masks of the components it meets."""
+    comps: list[int] = []
+    for i, m in enumerate(E._supports()):
+        m |= 1 << i
+        apart = []
+        for c in comps:
+            if c & m:
+                m |= c
+            else:
+                apart.append(c)
+        apart.append(m)
+        comps = apart
+    if len(comps) == 1:
+        return [list(range(E.dim))]
+    comps.sort(key=lambda c: c & -c)  # by the lowest set bit
+    return [[i for i in range(E.dim) if c >> i & 1] for c in comps]
 
 
 def restrict_to_indices(E: EvolutionAlgebra, idx: list[int]) -> EvolutionAlgebra:
@@ -485,36 +540,72 @@ def _natural_split(E: EvolutionAlgebra):
     for E's own basis, and groups lists for each summand the indices of
     the basis rows that span it.  The criteria, in order:
 
-    - the attached graph is disconnected: the components;
+    - the attached graph is disconnected: the components
+      (``_component_split``);
     - an annihilator vector lies outside E^2: E = I + C with I an ideal
       containing E^2 and C inside ann (``_annihilator_split``); each
       e_k with e_k^2 != 0 moves into I by dropping its C-component, and
       C's unit rows are one-dimensional summands;
-    - dim ann >= dim / 2 with ann inside E^2: then dim ann <= dim E^2 <=
-      n - dim ann forces n = 2 dim ann, E^2 = ann and independent nonzero
-      squares, so the pairs e_i, e_i^2 span ideals (when there are at
-      least two of them).
+    - dim ann >= dim / 2 with ann inside E^2 (``_pairing``).
+
+    A split proves facts about its summands, and ``classify`` hands them
+    down instead of testing again.  A component is connected, and its
+    series is E's series restricted to it, since a component is closed
+    under supports; its summands start at ``_connected_split``.  The I
+    summand of an annihilator split and each pair of the pairing have
+    their annihilator inside their square, so their summands skip the
+    annihilator split (``_split_inside_square``).  For I: E = I + C with
+    C inside ann(E) and ann(E) = (ann(E) cap E^2) + C, so ann(I) contains
+    ann(E) cap E^2, and the two have the same dimension, dim ann(E) -
+    dim C; hence ann(I) = ann(E) cap E^2, which lies in E^2 = I^2.  For a
+    pair, ann = E^2.
     """
+    return _component_split(E) or _connected_split(E)
+
+
+def _component_split(E: EvolutionAlgebra):
+    """The split into graph components, or None when E is connected."""
     comps = component_index_sets(E)
     if len(comps) > 1:
         return "attached graph is disconnected", None, comps
-    n, ops = E.dim, E.field.ops
+    return None
+
+
+def _connected_split(E: EvolutionAlgebra):
+    """``_natural_split`` of a connected E: the annihilator split, else
+    the pairing."""
     zero = _zero_rows(E)
-    zset = set(zero)
-    split = _annihilator_split(E, zero) if n >= 2 and zero else None
+    split = _annihilator_split(E, zero) if E.dim >= 2 and zero else None
     if split is not None:
         basis, head = split
         return ("annihilator is not contained in E^2", basis,
-                [list(range(head))] + [[j] for j in range(head, n)])
+                [list(range(head))] + [[j] for j in range(head, E.dim)])
+    return _pairing(E, zero)
+
+
+def _split_inside_square(E: EvolutionAlgebra):
+    """``_natural_split`` of an E whose annihilator lies inside E^2, where
+    no annihilator split exists: the components, else the pairing."""
+    return _component_split(E) or _pairing(E, _zero_rows(E))
+
+
+def _pairing(E: EvolutionAlgebra, zero: list[int]):
+    """The split of an E with ann inside E^2 into the pairs e_i, e_i^2,
+    when dim ann >= dim / 2 and there are at least two pairs; zero lists
+    the e_k with e_k^2 = 0.  Then dim ann <= dim E^2 <= n - dim ann forces
+    n = 2 dim ann, E^2 = ann and independent nonzero squares, so each
+    pair spans an ideal."""
+    n, ops = E.dim, E.field.ops
     pairs = n - len(zero)
-    if 2 * len(zero) >= n and pairs >= 2:
-        basis = []
-        for i in range(n):
-            if i not in zset:
-                basis += [_unit_row(i, n, ops), E._rows[i]]
-        return ("annihilator has dimension at least dim/2", basis,
-                [[2 * k, 2 * k + 1] for k in range(pairs)])
-    return None
+    if 2 * len(zero) < n or pairs < 2:
+        return None
+    zset = set(zero)
+    basis = []
+    for i in range(n):
+        if i not in zset:
+            basis += [_unit_row(i, n, ops), E._rows[i]]
+    return ("annihilator has dimension at least dim/2", basis,
+            [[2 * k, 2 * k + 1] for k in range(pairs)])
 
 
 def decomposability_check(E: EvolutionAlgebra) -> DecompVerdict:

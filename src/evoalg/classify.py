@@ -47,7 +47,16 @@ The invariants that decide the split are read off index sets of the
 natural basis: the series blocks (its chain of subspaces is never
 built), ann(E) as the indices of the zero squares, and the natural
 basis of the split along an annihilator vector outside E^2 from the
-three eliminations of ``algebra._annihilator_split``.  A template's
+three eliminations of ``algebra._annihilator_split``.  Supports are
+int bitmasks, so the naturality check of a basis change and the cross
+products of the witness check (``oracle._is_hom``) are computed only
+for two rows whose supports meet on the nonzero squares.  Each summand
+is classified with what its split proved (``algebra._natural_split``
+gives the lemma): a graph component keeps the whole series restricted
+to it and starts at the annihilator split, and the I summand of an
+annihilator split and each pair of the pairing skip the annihilator
+split.  Only the ann-dim-2 special splits of the normalizers hand
+their summands nothing.  A template's
 payload rows are built only once a builder yields its first candidate,
 and those of a parameter-free template once per field.  Cube roots over
 Q and Q(i) are exact at any size (``fields._frac_cbrt``: an integer cube
@@ -70,8 +79,10 @@ from .errors import (
 from .fields import PRIME, FieldElement
 from .linalg import (Matrix, _combine, _identity_rows, _inverse_rows,
                      _kernel_rows, _rank, _unit_row)
-from .algebra import (EvolutionAlgebra, _natural_split, _product,
-                      _subalgebra, upper_series)
+from .algebra import (EvolutionAlgebra, _component_series, _connected_split,
+                      _live_mask, _natural_split, _product,
+                      _split_inside_square, _subalgebra, _support_masks,
+                      _zero_rows, upper_series)
 from .tables import find_entry, orbit_min
 from .oracle import (SearchBudget, _is_hom, exhaustive_iso, randomized_iso,
                      verify_hom)
@@ -301,25 +312,27 @@ def _adjusted_rows(E, basis):
     (``_shaped_rows``)."""
     ops = E.field.ops
     A, Z, n = E._rows, ops.zero, E.dim
-    live = [k for k, s in enumerate(E._supports) if s]
-    supports = [{k for k in live if b[k] != Z} for b in basis]
+    live = _live_mask(E._supports())
+    supports = [m & live for m in _support_masks(basis, Z)]
     for i, si in enumerate(supports):
         for j in range(i + 1, len(basis)):
-            if not si.isdisjoint(supports[j]) and any(
+            if si & supports[j] and any(
                     x != Z for x in _product(A, basis[i], basis[j], ops)):
                 raise SpecMismatch("candidate basis is not natural")
     unit_at = {}
     for i, s in enumerate(supports):
-        for k in s:
-            if len(s) > 1 or basis[i][k] != ops.one:
-                inv = _inverse_rows(basis, ops)
-                return [_combine(_product(A, b, b, ops), inv, n, ops)
-                        for b in basis]
-            unit_at[k] = i
-    return _shaped_rows(E, basis, live, unit_at)
+        if not s:
+            continue
+        k = s.bit_length() - 1
+        if s & (s - 1) or basis[i][k] != ops.one:
+            inv = _inverse_rows(basis, ops)
+            return [_combine(_product(A, b, b, ops), inv, n, ops)
+                    for b in basis]
+        unit_at[k] = i
+    return _shaped_rows(E, basis, unit_at)
 
 
-def _shaped_rows(E, basis, live, unit_at):
+def _shaped_rows(E, basis, unit_at):
     """``_adjusted_rows`` for a natural basis whose row unit_at[k] is the
     unit e_k on the live columns, for each live k it holds, and whose
     other rows vanish there.  Naturality leaves at most one such row per
@@ -330,11 +343,12 @@ def _shaped_rows(E, basis, live, unit_at):
     any other row is 0."""
     ops = E.field.ops
     A, Z, n = E._rows, ops.zero, E.dim
-    if len(unit_at) != len(live):  # a live column of M is zero
+    zero = _zero_rows(E)
+    if len(unit_at) != n - len(zero):  # a live column of M is zero
         raise Singular("matrix is not invertible")
+    live = sorted(unit_at)
     taken = set(unit_at.values())
     rest = [i for i in range(len(basis)) if i not in taken]
-    zero = [k for k, s in enumerate(E._supports) if not s]
     inv = _inverse_rows([[basis[i][z] for z in zero] for i in rest], ops)
     units = [unit_at[j] for j in live]
     lifts = [basis[i] for i in units]
@@ -373,10 +387,17 @@ def classify(E: EvolutionAlgebra):
     return _classify_rows(E)[0]
 
 
-def _classify_rows(E):
+def _classify_rows(E, series=None, split_stage=None):
     """The label of E and the payload rows of its verified witness basis,
     the latter None for Decomposed labels and whenever the label carries
-    no_witness."""
+    no_witness.
+
+    A summand comes with what its split proved (see
+    ``algebra._natural_split``): a graph component with its series, read
+    off the whole series, and the split stage ``_connected_split``; the
+    I summand of an annihilator split and each pair of the pairing with
+    the split stage ``_split_inside_square``.  Other algebras compute
+    their series and run the whole ``_natural_split``."""
     if E.dim > 5:
         raise UnsupportedDim("classification covers dimension at most 5")
     ops = E.field.ops
@@ -384,29 +405,33 @@ def _classify_rows(E):
         # E is then the template of d1:[1]:v1 itself, so the identity is
         # trivially a witness
         return CanonicalLabel(1, (1,), 1), _identity_rows(1, ops)
-    series = upper_series(E)
-    if not series.nilpotent:
-        raise NotNilpotent("classification applies to nilpotent algebras")
+    if series is None:
+        series = upper_series(E)
+        if not series.nilpotent:
+            raise NotNilpotent("classification applies to nilpotent algebras")
 
-    split = _natural_split(E)
+    split = (split_stage or _natural_split)(E)
     if split is not None:
         _, basis, groups = split
         if basis is None:  # graph components: no basis change needed
-            parts = [_subalgebra(E._rows, g, E.field) for g in groups]
-        else:
-            parts = _split_in_basis(E, basis, groups)
-        return _gather(parts), None
+            return _gather([(_subalgebra(E._rows, g, E.field),
+                             _component_series(series, g, E.field),
+                             _connected_split) for g in groups]), None
+        return _gather([(sub, None, _split_inside_square)
+                        for sub in _split_in_basis(E, basis, groups)]), None
 
     result = _normalize(E, series)
     if isinstance(result, list):  # an ann-dim-2 special split
-        return _gather(result), None
+        return _gather([(sub, None, None) for sub in result]), None
     return result
 
 
 def _gather(parts):
+    """The Decomposed label of the summands given as (algebra, series,
+    split stage) for ``_classify_rows``."""
     labels = []
-    for sub in parts:
-        res = classify(sub)
+    for sub, series, split_stage in parts:
+        res = _classify_rows(sub, series, split_stage)[0]
         if isinstance(res, Decomposed):
             labels.extend(res.labels)
         else:

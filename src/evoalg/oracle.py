@@ -23,7 +23,8 @@ from ._values import Frozen, set_fields
 from .errors import BudgetExceeded, ShapeError, Singular, UnsupportedField
 from .fields import PRIME
 from .linalg import Matrix, _rank
-from .algebra import EvolutionAlgebra, upper_series
+from .algebra import (EvolutionAlgebra, _live_mask, _support_masks,
+                      upper_series)
 
 _EXHAUSTIVE_LIMIT = 10 ** 8
 
@@ -58,7 +59,10 @@ def _is_hom(A1, A2, m, ops) -> bool:
     structure rows, m the payload rows of the candidate matrix, whose
     columns are the images of E1's basis vectors.  The image of e_i^2
     combines those columns, and the squares and cross products of the
-    images come from ``ops.product``."""
+    images come from ``ops.product``.  A cross product sum_k x_k y_k f_k^2
+    has a term only at the k with f_k^2 != 0 where both columns are
+    nonzero, so it is computed only where the two columns' supports meet
+    on those rows; the supports are read once the squares have passed."""
     n = len(m)
     product, combine = ops.product, ops.combine
     cols = list(zip(*m))
@@ -66,10 +70,14 @@ def _is_hom(A1, A2, m, ops) -> bool:
         col = cols[i]
         if combine(A1[i], cols, n) != product(A2, col, col):
             return False
-    zero = [ops.zero] * n
+    Z = ops.zero
+    live = _live_mask(_support_masks(A2, Z))
+    supports = [s & live for s in _support_masks(cols, Z)]
+    zero = [Z] * n
     for i in range(n):
+        si = supports[i]
         for j in range(i + 1, n):
-            if product(A2, cols[i], cols[j]) != zero:
+            if si & supports[j] and product(A2, cols[i], cols[j]) != zero:
                 return False
     return True
 

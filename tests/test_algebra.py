@@ -11,8 +11,9 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from evoalg.algebra import (DECOMPOSABLE, INDECOMPOSABLE, PLENARY, RIGHT,
                             UNKNOWN, AnnSeries, EvolutionAlgebra,
-                            _annihilator_split, _holds_units,
-                            _natural_split, _zero_rows,
+                            _annihilator_split, _connected_split,
+                            _holds_units, _natural_split,
+                            _split_inside_square, _zero_rows,
                             component_index_sets,
                             decomposability_check, graph_of,
                             invariant_profile, is_ideal, power_nilpotency,
@@ -795,6 +796,107 @@ def test_an_annihilator_split_and_its_carve_take_four_eliminations(
             assert len(shapes) <= 4
             assert (2 * E.dim, E.dim) not in shapes
     assert splits >= 100
+
+
+@settings(max_examples=300)
+@given(st.one_of(split_algebras(), nilpotent_of_type(_SPLIT_TYPES)))
+def test_every_summand_inherits_what_its_split_proved(E):
+    # the I summand of an annihilator split and each pair of the pairing
+    # have no annihilator split of their own; a graph component is
+    # connected and its series, read off the whole series, is its own
+    classify_module = importlib.import_module("evoalg.classify")
+    classify_rows = classify_module._classify_rows
+    calls = []
+
+    def recording(A, series=None, split_stage=None):
+        calls.append((A, series, split_stage))
+        return classify_rows(A, series, split_stage)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classify_module, "_classify_rows", recording)
+        try:
+            classify_module.classify(E)
+        except (NotNilpotent, SqrtUnavailable):
+            pass
+    for A, series, split_stage in calls:
+        # the one-dimensional summands of C are the zero algebra, which
+        # is labelled before any split stage runs
+        if split_stage is _split_inside_square and A.dim > 1:
+            assert _annihilator_split(A, _zero_rows(A)) is None
+        if series is not None:
+            assert split_stage is _connected_split
+            assert len(component_index_sets(A)) == 1
+            ref = upper_series(A)
+            assert series.nilpotent and ref.nilpotent
+            assert series.blocks == ref.blocks
+            assert series.type_vector == ref.type_vector
+
+
+def test_summands_skip_the_split_stages_their_split_proved(monkeypatch):
+    # call counts on the summands classify carves: no summand of an
+    # annihilator split or of the pairing runs the annihilator split,
+    # and no graph component runs the component pass or the series (all
+    # of them did when each summand was classified from scratch)
+    algebra_module = importlib.import_module("evoalg.algebra")
+    classify_module = importlib.import_module("evoalg.classify")
+    square_parts, component_parts, kept = set(), set(), []
+    repeats = collections.Counter()
+    counting = [True]
+
+    def quietly(fn, *args):
+        counting[0] = False
+        try:
+            return fn(*args)
+        finally:
+            counting[0] = True
+
+    def watch(module, name, marked):
+        fn = getattr(module, name)
+
+        def wrapper(A, *args):
+            if counting[0] and id(A) in marked:
+                repeats[name] += 1
+            return fn(A, *args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    in_basis = classify_module._split_in_basis
+    subalgebra = classify_module._subalgebra
+
+    def split_in_basis(A, basis, groups):
+        parts = quietly(in_basis, A, basis, groups)
+        split = quietly(algebra_module._natural_split, A)
+        if split is not None and split[1] == basis:
+            # an annihilator split or the pairing, not a special split of
+            # the normalizers; its dim-1 summands are zero algebras
+            for P in parts:
+                if P.dim > 1:
+                    square_parts.add(id(P))
+                    kept.append(P)
+        return parts
+
+    def sub(rows, idx, field):
+        P = subalgebra(rows, idx, field)
+        if counting[0] and P.dim > 1:
+            whole = EvolutionAlgebra._wrap(rows, field)
+            comps = quietly(algebra_module.component_index_sets, whole)
+            if len(comps) > 1 and list(idx) in comps:
+                component_parts.add(id(P))
+                kept.append(P)
+        return P
+    watch(algebra_module, "_annihilator_split", square_parts)
+    watch(algebra_module, "component_index_sets", component_parts)
+    watch(classify_module, "upper_series", component_parts)
+    monkeypatch.setattr(classify_module, "_split_in_basis", split_in_basis)
+    monkeypatch.setattr(classify_module, "_subalgebra", sub)
+    rng = random.Random(12)
+    for field in (GF(5), F13, QQ(), QI()):
+        for _ in range(300):
+            E = random_nilpotent(rng.randrange(2, 6), rng, field)
+            try:
+                classify_module.classify(E)
+            except SqrtUnavailable:
+                pass
+    assert repeats == {}
+    assert len(square_parts) >= 250 and len(component_parts) >= 250
 
 
 @settings(max_examples=300)

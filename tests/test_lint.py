@@ -74,6 +74,28 @@ def test_the_lint_sees_a_non_stdlib_import():
         "numpy (line 3)", "sympy.core (line 7)", "scipy (line 9)"]
 
 
+def _assert_statements(tree: ast.Module) -> list[str]:
+    """The assert statements anywhere in the module.  ``python -O`` strips
+    them, so a check made by one would vanish; the package raises
+    instead."""
+    return [f"line {node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_the_package_has_no_assert_statements(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _assert_statements(tree) == []
+
+
+def test_the_lint_sees_an_assert_statement():
+    tree = ast.parse("assert x\nif y:\n    raise AssertionError('kept')\n"
+                     "def f(v):\n    assert v, 'message'\n"
+                     "    return assertion(v)\n")
+    assert _assert_statements(tree) == ["line 1", "line 5"]
+
+
 def _dead_private_helpers(trees: dict) -> list[str]:
     """The top-level private functions and classes (``_name``) of the
     modules in trees (file name -> ast.Module) that no module reads, by

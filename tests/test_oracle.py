@@ -10,15 +10,15 @@ import pytest
 
 import evoalg
 
-from evoalg.algebra import EvolutionAlgebra
+from evoalg.algebra import EvolutionAlgebra, upper_series
 from evoalg.errors import BudgetExceeded, ShapeError, Singular, UnsupportedField
-from evoalg.fields import GF, QQ
-from evoalg.linalg import Matrix
-from evoalg.oracle import (SearchBudget, exhaustive_iso, randomized_iso,
-                           verify_hom)
+from evoalg.fields import GF, QI, QQ
+from evoalg.linalg import Matrix, _inverse_rows, _rank
+from evoalg.oracle import (SearchBudget, _is_hom, _pattern_blocks,
+                           exhaustive_iso, randomized_iso, verify_hom)
 from evoalg.tables import find_entry
 
-from helpers import random_nilpotent
+from helpers import random_nilpotent, scalar_limit
 
 F3 = GF(3)
 F5 = GF(5)
@@ -175,3 +175,142 @@ def test_reverification_survives_optimize_flag():
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# the support skip of the product test
+
+def unskipped_is_hom(A1, A2, m, ops):
+    """The product test of verify_hom with every cross product of the
+    columns computed, as before products of columns whose supports do not
+    meet on the nonzero squares were skipped."""
+    n = len(m)
+    cols = list(zip(*m))
+    for i in range(n):
+        if ops.combine(A1[i], cols, n) != ops.product(A2, cols[i], cols[i]):
+            return False
+    zero = [ops.zero] * n
+    return all(ops.product(A2, cols[i], cols[j]) == zero
+               for i in range(n) for j in range(i + 1, n))
+
+
+def _scalar(rng, field, nonzero=False):
+    """A payload drawn as the test generators draw scalars, times i a
+    third of the time over Q(i)."""
+    ops = field.ops
+    x = ops.of_int(rng.randrange(1 if nonzero else 0, scalar_limit(field)))
+    if field.has_i and rng.random() < 1 / 3:
+        x = ops.mul(x, ops.i)
+    return x
+
+
+def _relabelling(A, rng, field):
+    """The structure rows A in the natural basis f_pi(i) = c_i e_i, and
+    the payload rows of the isomorphism e_i -> c_i^-1 f_pi(i)."""
+    ops, n = field.ops, len(A)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    c = [_scalar(rng, field, nonzero=True) for _ in range(n)]
+    A2 = [[ops.zero] * n for _ in range(n)]
+    m = [[ops.zero] * n for _ in range(n)]
+    for i in range(n):
+        m[perm[i]][i] = ops.inv(c[i])
+        for j in range(n):
+            A2[perm[i]][perm[j]] = ops.div(ops.mul(ops.mul(c[i], c[i]),
+                                                   A[i][j]), c[j])
+    return A2, m
+
+
+def _patterned(A1, A2, rng, field):
+    """A block-patterned candidate drawn as randomized_iso draws one: a
+    diagonal block is monomial half the time, and an annihilator slot is
+    zero half the time."""
+    ops, n = field.ops, len(A1)
+    wrap = EvolutionAlgebra._wrap
+    diag, ann = _pattern_blocks(upper_series(wrap(A1, field)),
+                                upper_series(wrap(A2, field)))
+    m = [[ops.zero] * n for _ in range(n)]
+    for rows, cols in diag:
+        if len(cols) > 1 and rng.random() < 0.5:
+            perm = list(range(len(cols)))
+            rng.shuffle(perm)
+            for ci, c in enumerate(cols):
+                m[rows[perm[ci]]][c] = _scalar(rng, field, nonzero=True)
+        else:
+            for c in cols:
+                for r in rows:
+                    m[r][c] = _scalar(rng, field)
+    for r, c in ann:
+        if rng.random() < 0.5:
+            m[r][c] = _scalar(rng, field, nonzero=True)
+    return m
+
+
+def _squares_pass(A2, rng, field):
+    """Rows A1 and a sparse invertible candidate m (a monomial matrix
+    plus a few entries) for which every square of the product test holds
+    by construction, A1[i] holding the coordinates of (m e_i)^2 in the
+    columns of m; only the cross products decide.  None when the draw is
+    singular."""
+    ops, n = field.ops, len(A2)
+    m = [[ops.zero] * n for _ in range(n)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    for j in range(n):
+        m[perm[j]][j] = _scalar(rng, field, nonzero=True)
+    for _ in range(rng.randrange(3)):
+        m[rng.randrange(n)][rng.randrange(n)] = _scalar(rng, field)
+    if _rank(m, n, ops) < n:
+        return None
+    inv = _inverse_rows(m, ops)
+    cols = list(zip(*m))
+    A1 = []
+    for c in cols:
+        sq = ops.product(A2, c, c)
+        A1.append([ops.dot(r, sq) for r in inv])
+    return A1, m
+
+
+@pytest.mark.parametrize("field", [GF(5), GF(13), QQ(), QI()],
+                         ids=str)
+def test_the_support_skip_keeps_every_product_test_verdict(field):
+    # _is_hom against the unskipped product test on natural candidates,
+    # spoilt ones, dense ones, block-patterned ones and ones that pass
+    # every square; verify_hom answers with the same verdict
+    ops = field.ops
+    rng = random.Random(str(field))
+    verdicts = {}
+    for _ in range(400):
+        A = random_nilpotent(rng.randrange(1, 6), rng, field)._rows
+        n = len(A)
+        A2, m = _relabelling(A, rng, field)
+        kind = rng.choice(["natural", "spoilt", "dense", "patterned",
+                           "squares pass"])
+        A1 = A
+        if kind == "spoilt":
+            i, j = rng.randrange(n), rng.randrange(n)
+            m[i][j] = ops.add(m[i][j], ops.one)
+        elif kind == "dense":
+            m = [[_scalar(rng, field) for _ in range(n)] for _ in range(n)]
+        elif kind == "patterned":
+            m = _patterned(A1, A2, rng, field)
+        elif kind == "squares pass":
+            drawn = _squares_pass(A2, rng, field)
+            if drawn is None:
+                continue
+            A1, m = drawn
+        verdict = _is_hom(A1, A2, m, ops)
+        assert verdict == unskipped_is_hom(A1, A2, m, ops)
+        assert verdict or kind != "natural"
+        verdicts.setdefault(kind, set()).add(verdict)
+        E1, E2 = (EvolutionAlgebra._wrap(A1, field),
+                  EvolutionAlgebra._wrap(A2, field))
+        M = Matrix._wrap(m, field, n)
+        if _rank(m, n, ops) == n:
+            assert verify_hom(E1, E2, M) == verdict
+        else:
+            with pytest.raises(Singular):
+                verify_hom(E1, E2, M)
+    assert verdicts["natural"] == {True}
+    assert verdicts["squares pass"] == {True, False}
+    assert verdicts["spoilt"] == verdicts["patterned"] == {True, False}
