@@ -551,10 +551,10 @@ def _natural_split(E: EvolutionAlgebra):
     A split proves facts about its summands, and ``classify`` hands them
     down instead of testing again.  A component is connected, and its
     series is E's series restricted to it, since a component is closed
-    under supports; its summands start at ``_connected_split``.  The I
+    under supports; so its split stage is ``_connected_split``.  The I
     summand of an annihilator split and each pair of the pairing have
-    their annihilator inside their square, so their summands skip the
-    annihilator split (``_split_inside_square``).  For I: E = I + C with
+    their annihilator inside their square, so their split stage skips
+    the annihilator split (``_split_inside_square``).  For I: E = I + C with
     C inside ann(E) and ann(E) = (ann(E) cap E^2) + C, so ann(I) contains
     ann(E) cap E^2, and the two have the same dimension, dim ann(E) -
     dim C; hence ann(I) = ann(E) cap E^2, which lies in E^2 = I^2.  For a
