@@ -16,22 +16,20 @@ of each such e_i.  The nonzero pattern of the structure rows is one int
 bitmask per row (``EvolutionAlgebra._supports``), built once per
 algebra; the series, the graph components and the zero squares test it
 with ``&``.  The split along an annihilator vector outside E^2
-(``_annihilator_split``) builds its natural basis from three
-eliminations: ann cap E^2 and the test of ann inside E^2 from one, its
-unit complement C from the last nonzero columns of another, and each
-e_k's component in C from the C columns that ride along the third.
+(``_annihilator_split``) finds its part C inside ann from two
+eliminations: ann cap E^2 and the test of ann inside E^2 from one, and
+C's indices from the last nonzero columns of the other.
 
 The decomposability criteria that split E into ideals spanned by a
 natural basis (a disconnected graph, an annihilator vector outside E^2,
 dim ann >= dim/2) live in one place, ``_natural_split``, which returns
-the split's natural basis and its index groups: ``decomposability_check``
-spans its witness ideals from them and ``classify`` carves its summands
-from them.  Its stages can also run alone, for a summand whose split
-already proved the others cannot fire: a graph component, which is
-connected and inherits its series (``_component_series``), needs only
-``_connected_split``; the I summand of an annihilator split and each
-pair of the pairing, whose annihilator lies inside its square, need only
-``_split_inside_square``.
+the split as index groups of E's own basis.  No summand needs a change
+of basis: a graph component is a selection of E's rows and columns, the
+annihilator split is the quotient by C (the selection outside C) plus
+one-dimensional zero algebras, and each pair e_i, e_i^2 of the pairing
+is the two-element chain.  ``decomposability_check`` spans its witness
+ideals from the groups (``_split_ideals``), and the split stages also
+run alone, for a summand whose split proved the others cannot fire.
 """
 
 from __future__ import annotations
@@ -42,8 +40,7 @@ from ._values import Value
 from .errors import NotAnIdeal, NotNilpotent, ShapeError
 from .fields import FieldDescriptor, FieldElement
 from . import linalg
-from .linalg import (Matrix, Subspace, _combine, _identity_rows,
-                     _kernel_rows, _unit_row)
+from .linalg import Matrix, Subspace, _combine, _kernel_rows, _unit_row
 
 
 class EvolutionAlgebra:
@@ -166,18 +163,20 @@ def quotient_by_block(E: EvolutionAlgebra, keep) -> EvolutionAlgebra:
 
     The discarded span must be an ideal, which for a coordinate span
     means every discarded vector's square is supported on discarded
-    coordinates.
+    coordinates.  The images of the kept basis vectors are then a natural
+    basis of the quotient, and the square of each is its square in E with
+    the discarded coordinates dropped: the quotient is the selection of
+    E's kept rows and columns.
     """
     keep = sorted(_checked_indices(keep, E.dim))
-    discard = [i for i in range(E.dim) if i not in keep]
-    for i in discard:
-        for j in keep:
-            if not E.structure[i, j].is_zero():
-                raise NotAnIdeal(
-                    f"square of basis vector {i} leaves the discarded span")
-    rows = [[E.structure[i, j] for j in keep] for i in keep]
-    return EvolutionAlgebra(len(keep),
-                            Matrix(rows, E.field, len(keep)), E.field)
+    if not keep:
+        raise ShapeError("dimension must be at least 1")
+    kept = sum(1 << j for j in keep)
+    for i, m in enumerate(E._supports()):
+        if m & kept and not kept >> i & 1:
+            raise NotAnIdeal(
+                f"square of basis vector {i} leaves the discarded span")
+    return _subalgebra(E._rows, keep, E.field)
 
 
 class AnnSeries(Value):
@@ -262,21 +261,24 @@ def upper_series(E: EvolutionAlgebra) -> AnnSeries:
     return AnnSeries._lazy(blocks, not pending, E.dim, E.field)
 
 
-def _component_series(series: AnnSeries, comp: list[int],
-                      field) -> AnnSeries:
-    """The series of the summand on the graph component comp (sorted),
-    read off the series of the whole algebra.  A component is closed
-    under supports, so each term of its series is the matching term of
-    the whole series restricted to it, renumbered, until the component
-    is full; the blocks after that restrict to nothing and are dropped."""
-    at = {i: k for k, i in enumerate(comp)}
+def _restricted_series(series: AnnSeries, idx: list[int],
+                       field) -> AnnSeries:
+    """The series of the summand on the indices idx (sorted) of a split,
+    read off the series of the whole algebra: each term of the summand's
+    series is the matching term of the whole series restricted to idx,
+    renumbered, until idx is full; the blocks after that restrict to
+    nothing and are dropped.  This holds for a graph component, which is
+    closed under supports, and for the indices outside C of an
+    annihilator split, where ann^i(E) = ann^i(E/C) + C with C inside
+    ann (``_annihilator_split``)."""
+    at = {i: k for k, i in enumerate(idx)}
     blocks = []
     for blk in series.blocks:
         mine = [at[i] for i in blk if i in at]
         if not mine:
             break
         blocks.append(mine)
-    return AnnSeries._lazy(blocks, series.nilpotent, len(comp), field)
+    return AnnSeries._lazy(blocks, series.nilpotent, len(idx), field)
 
 
 def product_subspace(E: EvolutionAlgebra, s: Subspace, t: Subspace) -> Subspace:
@@ -473,92 +475,72 @@ def _last_columns(rows: list[list], n: int, ops) -> set[int]:
 
 
 def _annihilator_split(E: EvolutionAlgebra, zero: list[int]):
-    """The natural basis of the split along an annihilator vector outside
-    E^2, as (basis, head), or None when ann lies inside E^2; zero lists
-    the e_k with e_k^2 = 0, which span ann.  C is spanned by the e_k, k
-    in zero, that the greedy walk keeps outside ann cap E^2, so ann =
-    (ann cap E^2) + C; I is E^2 plus the e_k the walk keeps outside
-    E^2 + C, so E = I + C.  basis holds, in this order, e_k minus its
-    C-component for each k outside zero, the reduced basis of ann cap
-    E^2 and the unit rows of C; its first head rows span I.
-
-    Three eliminations build it:
+    """The indices of C in the split along an annihilator vector outside
+    E^2, or None when ann lies inside E^2; zero lists the e_k with
+    e_k^2 = 0, which span ann.  C is spanned by the e_k, k in zero, that
+    the greedy walk keeps outside ann cap E^2, so ann = (ann cap E^2) + C.
+    Two eliminations find it:
 
     - the nonzero squares with the zero columns last: the reduced rows
       with a pivot among those columns vanish on every other column and
       span exactly ann cap E^2, and ann lies inside E^2 when there are
       len(zero) of them;
-    - ann cap E^2 over reversed columns, for the walk that picks C;
-    - E^2 over the columns outside C in reversed order, the C columns
-      riding along.  Its pivots and C's columns are the last columns of
-      E^2 + C.  Let s be the reduced row with pivot t: s without its C
-      entries lies in E^2 + C and differs from e_t only at columns that
-      are not last columns, whose e_j the walk keeps in I.  So the
-      C-component of e_t is minus the C entries of s, and an e_k that
-      is no pivot lies in I already."""
+    - ann cap E^2 over reversed columns: the walk keeps the zero columns
+      that are not its pivots (``_last_columns``).
+
+    The split is a quotient.  C lies inside ann, so it is an ideal, and
+    it meets E^2 only in 0; so every complement I of C that contains E^2
+    is an ideal, E = I + C, and I is isomorphic to E/C.  The images of
+    the e_j, j not in C, form a natural basis of E/C, and the square of
+    each is e_j^2 with its C coordinates dropped: the summand is the
+    selection of E's rows and columns outside C, and each e_k of C is a
+    one-dimensional zero algebra.  Since ann^i(E) = ann^i(I) + C, the
+    summand's series is E's blocks restricted to the indices outside C
+    (``_restricted_series``)."""
     n, ops = E.dim, E.field.ops
-    Z = ops.zero
     zset = set(zero)
     live = [j for j in range(n) if j not in zset]
-    order = live + zero
     head = len(live)
-    rows = [[E._rows[i][j] for j in order] for i in live]
+    rows = [[E._rows[i][j] for j in live + zero] for i in live]
     pivots = linalg._rref_rows(rows, n, ops)
-    if sum(p >= head for p in pivots) == len(zero):
+    ann_rows = [r[head:] for r, p in zip(rows, pivots) if p >= head]
+    if len(ann_rows) == len(zero):
         return None
-    sq_rows, ann_rows = [], []
-    for r, p in zip(rows, pivots):
-        v = [Z] * n
-        for j, x in zip(order, r):
-            v[j] = x
-        sq_rows.append(v)
-        if p >= head:
-            ann_rows.append(v)
-    taken = _last_columns(ann_rows, n, ops) if ann_rows else set()
-    c_idx = [k for k in zero if k not in taken]
-    cset = set(c_idx)
-    rest = [j for j in reversed(range(n)) if j not in cset]
-    rows = [[r[j] for j in rest] + [r[j] for j in c_idx] for r in sq_rows]
-    tail = {}
-    for r, p in zip(rows, linalg._rref_rows(rows, len(rest), ops)):
-        tail[rest[p]] = r[len(rest):]
-    basis = []
-    for k in live:
-        v = _unit_row(k, n, ops)
-        if k in tail:
-            for j, x in zip(c_idx, tail[k]):
-                v[j] = x
-        basis.append(v)
-    basis += ann_rows
-    return basis + [_unit_row(k, n, ops) for k in c_idx], len(basis)
+    taken = _last_columns(ann_rows, len(zero), ops) if ann_rows else set()
+    return [k for t, k in enumerate(zero) if t not in taken]
+
+
+_DISCONNECTED = "attached graph is disconnected"
+_ANN_OUTSIDE_SQUARE = "annihilator is not contained in E^2"
+_LARGE_ANN = "annihilator has dimension at least dim/2"
 
 
 def _natural_split(E: EvolutionAlgebra):
     """The first split of E into ideals spanned by a natural basis that
-    the decomposability criteria find, as (reason, basis, groups), or
-    None.  basis holds the payload rows of that natural basis, or is None
-    for E's own basis, and groups lists for each summand the indices of
-    the basis rows that span it.  The criteria, in order:
+    the decomposability criteria find, as (reason, groups), or None.
+    groups holds index lists of E's own basis, one per summand.  The
+    criteria, in order:
 
-    - the attached graph is disconnected: the components
-      (``_component_split``);
-    - an annihilator vector lies outside E^2: E = I + C with I an ideal
-      containing E^2 and C inside ann (``_annihilator_split``); each
-      e_k with e_k^2 != 0 moves into I by dropping its C-component, and
-      C's unit rows are one-dimensional summands;
-    - dim ann >= dim / 2 with ann inside E^2 (``_pairing``).
+    - the attached graph is disconnected (``_component_split``): the
+      components;
+    - an annihilator vector lies outside E^2 (``_annihilator_split``):
+      E = I + C with C spanned by some e_k inside ann; the indices
+      outside C, for I = E/C, then each index of C alone;
+    - dim ann >= dim / 2 with ann inside E^2 (``_pairing``): one [i] per
+      nonzero square, for the pair e_i, e_i^2, which is the two-element
+      chain (rows [[0, 1], [0, 0]] in that basis).
 
     A split proves facts about its summands, and ``classify`` hands them
     down instead of testing again.  A component is connected, and its
     series is E's series restricted to it, since a component is closed
     under supports; so its split stage is ``_connected_split``.  The I
-    summand of an annihilator split and each pair of the pairing have
-    their annihilator inside their square, so their split stage skips
-    the annihilator split (``_split_inside_square``).  For I: E = I + C with
-    C inside ann(E) and ann(E) = (ann(E) cap E^2) + C, so ann(I) contains
-    ann(E) cap E^2, and the two have the same dimension, dim ann(E) -
-    dim C; hence ann(I) = ann(E) cap E^2, which lies in E^2 = I^2.  For a
-    pair, ann = E^2.
+    summand of an annihilator split inherits its series in the same way,
+    and it and each pair of the pairing have their annihilator inside
+    their square, so their split stage skips the annihilator split
+    (``_split_inside_square``).  For I: ann(I) contains ann(E) cap E^2,
+    and the two have the same dimension, dim ann(E) - dim C; hence
+    ann(I) = ann(E) cap E^2, which lies in E^2 = I^2.  For a pair,
+    ann = E^2.
     """
     return _component_split(E) or _connected_split(E)
 
@@ -567,7 +549,7 @@ def _component_split(E: EvolutionAlgebra):
     """The split into graph components, or None when E is connected."""
     comps = component_index_sets(E)
     if len(comps) > 1:
-        return "attached graph is disconnected", None, comps
+        return _DISCONNECTED, comps
     return None
 
 
@@ -575,11 +557,10 @@ def _connected_split(E: EvolutionAlgebra):
     """``_natural_split`` of a connected E: the annihilator split, else
     the pairing."""
     zero = _zero_rows(E)
-    split = _annihilator_split(E, zero) if E.dim >= 2 and zero else None
-    if split is not None:
-        basis, head = split
-        return ("annihilator is not contained in E^2", basis,
-                [list(range(head))] + [[j] for j in range(head, E.dim)])
+    c_idx = _annihilator_split(E, zero) if E.dim >= 2 and zero else None
+    if c_idx is not None:
+        keep = [j for j in range(E.dim) if j not in c_idx]
+        return _ANN_OUTSIDE_SQUARE, [keep] + [[k] for k in c_idx]
     return _pairing(E, zero)
 
 
@@ -594,37 +575,50 @@ def _pairing(E: EvolutionAlgebra, zero: list[int]):
     when dim ann >= dim / 2 and there are at least two pairs; zero lists
     the e_k with e_k^2 = 0.  Then dim ann <= dim E^2 <= n - dim ann forces
     n = 2 dim ann, E^2 = ann and independent nonzero squares, so each
-    pair spans an ideal."""
-    n, ops = E.dim, E.field.ops
-    pairs = n - len(zero)
-    if 2 * len(zero) < n or pairs < 2:
+    pair spans an ideal, in which e_i^2 squares to 0: the two-element
+    chain."""
+    n = E.dim
+    if 2 * len(zero) < n or n - len(zero) < 2:
         return None
-    zset = set(zero)
-    basis = []
-    for i in range(n):
-        if i not in zset:
-            basis += [_unit_row(i, n, ops), E._rows[i]]
-    return ("annihilator has dimension at least dim/2", basis,
-            [[2 * k, 2 * k + 1] for k in range(pairs)])
+    return _LARGE_ANN, [[i] for i in range(n) if i not in zero]
+
+
+def _split_ideals(E: EvolutionAlgebra, reason: str, groups):
+    """The ideals of the split (reason, groups) of ``_natural_split``, as
+    the first summand and the sum of the others: coordinate spans for the
+    graph components and for C; the span of e_i and e_i^2 for each pair;
+    and I = E^2 plus the e_k whose k is not a last column of E^2 + C, the
+    complement that the greedy walk of ``_annihilator_split`` keeps (one
+    elimination over reversed columns)."""
+    n, field = E.dim, E.field
+    ops = field.ops
+    if reason == _LARGE_ANN:
+        pairs = [[_unit_row(i, n, ops), E._rows[i]] for [i] in groups]
+        return (Subspace._span(pairs[0], n, field),
+                Subspace._span([v for p in pairs[1:] for v in p], n, field))
+    rest = Subspace.coordinate([i for g in groups[1:] for i in g], n, field)
+    if reason == _DISCONNECTED:
+        return Subspace.coordinate(groups[0], n, field), rest
+    last = _last_columns(E._rows + rest._rows, n, ops)
+    return (Subspace._span(E._rows + [_unit_row(k, n, ops) for k in range(n)
+                                      if k not in last], n, field),
+            rest)
 
 
 def decomposability_check(E: EvolutionAlgebra) -> DecompVerdict:
     """Apply the sufficient decomposability/indecomposability criteria in
     a fixed order; Unknown when none of them applies.  A decomposable
     verdict carries the natural split's first summand and the sum of the
-    others as its witness."""
-    n, field = E.dim, E.field
+    others as its witness (``_split_ideals``)."""
     split = _natural_split(E)
     if split is not None:
-        reason, basis, groups = split
-        rows = _identity_rows(n, field.ops) if basis is None else basis
-        head = Subspace._span([rows[i] for i in groups[0]], n, field)
-        tail = Subspace._span([rows[i] for g in groups[1:] for i in g],
-                              n, field)
-        return DecompVerdict(DECOMPOSABLE, reason, (head, tail))
+        reason, groups = split
+        return DecompVerdict(DECOMPOSABLE, reason,
+                             _split_ideals(E, reason, groups))
 
     # past the split criteria E is connected, and ann lies inside E^2
     # whenever n >= 2
+    n = E.dim
     series = upper_series(E)
     if series.nilpotent:
         tv = series.type_vector

@@ -27,38 +27,31 @@ the field's ``ops`` table: the splitting stages, the adapted reorder,
 the per-type normalizers (they read the structure rows, take roots
 with ``ops.sqrt`` and ``ops.cbrt`` and divide with ``ops.div``, which
 raises DivisionByZero), their builders (payload columns, products by
-``algebra._product``), the templates' rows and the witness check.  A
-change of natural basis eliminates once: it inverts the whole basis, or,
-when every basis row is a unit or zero on the columns of the nonzero
-squares (the annihilator split, the dim/2 pairing, the [2,3] split),
-reads the coordinates on those columns off directly and inverts only
-the block of the zero-square columns.  Its naturality check multiplies
-only the rows whose supports on those columns meet.  Summands are row
-and column selections (graph components need no basis change at all),
-every split is checked to close (each adjusted row stays inside its own
-group), and each witness candidate gets one rank test and the product
-test of ``verify_hom``.  ``FieldElement`` values appear only at the
-public boundary: a normalizer's raw parameters are wrapped once, to
-pick their orbit representative for the label, ``classify`` builds no
-witness matrix, and ``witness_isomorphism`` wraps the witness rows it
-composes.
+``algebra._product``), the templates' rows and the witness check.
+``classify`` makes no change of natural basis: every summand of a split
+is a selection of E's own rows and columns (a graph component, the
+quotient of an annihilator split) or a fixed small algebra read off E's
+entries (each pair of the dim/2 pairing and the summands of the
+ann-dim-2 splits, which are chains, or for [2,3] the rows [[0, 0, 1],
+[0, 0, c], [0, 0, 0]]); the lemmas are in ``algebra._natural_split``,
+``algebra._annihilator_split``, ``_h_23`` and ``_h_221``.  Each witness
+candidate gets one rank test and the product test of ``verify_hom``.
+``FieldElement`` values appear only at the public boundary: a
+normalizer's raw parameters are wrapped once, to pick their orbit
+representative for the label, ``classify`` builds no witness matrix,
+and ``witness_isomorphism`` wraps the witness rows it composes.
 
 The invariants that decide the split are read off index sets of the
 natural basis: the series blocks (its chain of subspaces is never
-built), ann(E) as the indices of the zero squares, and the natural
-basis of the split along an annihilator vector outside E^2 from the
-three eliminations of ``algebra._annihilator_split``.  Supports are
-int bitmasks, so the naturality check of a basis change and the cross
-products of the witness check (``oracle._is_hom``) are computed only
-for two rows whose supports meet on the nonzero squares.  Each summand
-is classified with what its split proved (``algebra._natural_split``
-gives the lemma): a graph component keeps the whole series restricted
-to it and starts at the annihilator split, and the I summand of an
-annihilator split and each pair of the pairing skip the annihilator
-split.  Only the ann-dim-2 special splits of the normalizers hand
-their summands nothing.  A template's
-payload rows are built only once a builder yields its first candidate,
-and those of a parameter-free template once per field.  Cube roots over
+built), ann(E) as the indices of the zero squares, and the part C of
+the split along an annihilator vector outside E^2 from the two
+eliminations of ``algebra._annihilator_split``.  Supports are int
+bitmasks, so the cross products of the witness check
+(``oracle._is_hom``) are computed only for two columns whose supports
+meet on the nonzero squares.  Each summand is classified with what its
+split proved (``_classify_rows``).  A template's payload rows are built
+only once a builder yields its first candidate, and those of a
+parameter-free template once per field.  Cube roots over
 Q and Q(i) are exact at any size (``fields._frac_cbrt``: an integer cube
 root of the numerator and of the denominator).
 """
@@ -71,18 +64,17 @@ from ._values import Frozen, Value, set_fields
 from .errors import (
     BudgetExceeded,
     NotNilpotent,
-    Singular,
     SpecMismatch,
     SqrtUnavailable,
     UnsupportedDim,
 )
 from .fields import PRIME, FieldElement
-from .linalg import (Matrix, _combine, _identity_rows, _inverse_rows,
-                     _kernel_rows, _rank, _unit_row)
-from .algebra import (EvolutionAlgebra, _component_series, _connected_split,
-                      _live_mask, _natural_split, _product,
-                      _split_inside_square, _subalgebra, _support_masks,
-                      _zero_rows, upper_series)
+from .linalg import (Matrix, _identity_rows, _inverse_rows, _kernel_rows,
+                     _rank, _unit_row)
+from .algebra import (_DISCONNECTED, _LARGE_ANN, EvolutionAlgebra,
+                      _connected_split, _natural_split, _product,
+                      _restricted_series, _split_inside_square, _subalgebra,
+                      upper_series)
 from .tables import find_entry, orbit_min
 from .oracle import (SearchBudget, _is_hom, exhaustive_iso, randomized_iso,
                      verify_hom)
@@ -294,92 +286,6 @@ class _DiagForm:
 
 
 # ---------------------------------------------------------------------------
-# natural-basis-preserving decompositions, on payload rows
-
-def _adjusted_rows(E, basis):
-    """The structure rows of E in the natural basis given by the payload
-    rows ``basis``; raises SpecMismatch if the basis is not natural and
-    Singular if it is not a basis.
-
-    Only the live columns k (those with e_k^2 != 0) enter a product, so
-    two rows whose live supports are disjoint multiply to zero, and the
-    product is computed only where the supports meet.  With M the matrix
-    whose rows are the basis vectors, a vector w has coordinates w M^-1
-    in the new basis, so one inversion of M serves every new square.
-    When every row is a unit or zero on the live columns (the annihilator
-    split, the dim/2 pairing, the [2,3] split), only the block of the
-    latter rows on the zero-square columns is inverted
-    (``_shaped_rows``)."""
-    ops = E.field.ops
-    A, Z, n = E._rows, ops.zero, E.dim
-    live = _live_mask(E._supports())
-    supports = [m & live for m in _support_masks(basis, Z)]
-    for i, si in enumerate(supports):
-        for j in range(i + 1, len(basis)):
-            if si & supports[j] and any(
-                    x != Z for x in _product(A, basis[i], basis[j], ops)):
-                raise SpecMismatch("candidate basis is not natural")
-    unit_at = {}
-    for i, s in enumerate(supports):
-        if not s:
-            continue
-        k = s.bit_length() - 1
-        if s & (s - 1) or basis[i][k] != ops.one:
-            inv = _inverse_rows(basis, ops)
-            return [_combine(_product(A, b, b, ops), inv, n, ops)
-                    for b in basis]
-        unit_at[k] = i
-    return _shaped_rows(E, basis, unit_at)
-
-
-def _shaped_rows(E, basis, unit_at):
-    """``_adjusted_rows`` for a natural basis whose row unit_at[k] is the
-    unit e_k on the live columns, for each live k it holds, and whose
-    other rows vanish there.  Naturality leaves at most one such row per
-    k.  Ordered by rows and columns, M is then block triangular: w has
-    coordinate w_k at row unit_at[k], and its coordinates at the other
-    rows solve the zero-square block against what is left of w on the
-    zero-square columns.  The square of row unit_at[k] is e_k^2, that of
-    any other row is 0."""
-    ops = E.field.ops
-    A, Z, n = E._rows, ops.zero, E.dim
-    zero = _zero_rows(E)
-    if len(unit_at) != n - len(zero):  # a live column of M is zero
-        raise Singular("matrix is not invertible")
-    live = sorted(unit_at)
-    taken = set(unit_at.values())
-    rest = [i for i in range(len(basis)) if i not in taken]
-    inv = _inverse_rows([[basis[i][z] for z in zero] for i in rest], ops)
-    units = [unit_at[j] for j in live]
-    lifts = [basis[i] for i in units]
-    rows = [[Z] * n for _ in basis]
-    for k in live:
-        w = rows[unit_at[k]]
-        coefs = [A[k][j] for j in live]
-        for i, c in zip(units, coefs):
-            w[i] = c
-        lifted = _combine(coefs, lifts, n, ops)
-        left = [ops.sub(A[k][z], lifted[z]) for z in zero]
-        for i, x in zip(rest, _combine(left, inv, len(zero), ops)):
-            w[i] = x
-    return rows
-
-
-def _split_in_basis(E, basis, groups):
-    """The summands of E on the index groups of the natural basis given
-    by payload rows; raises SpecMismatch unless every group spans an
-    ideal, that is, unless each adjusted row stays inside its own group."""
-    rows = _adjusted_rows(E, basis)
-    Z = E.field.ops.zero
-    for g in groups:
-        inside = set(g)
-        if any(x != Z for i in g for j, x in enumerate(rows[i])
-               if j not in inside):
-            raise SpecMismatch("split failed to close")
-    return [_subalgebra(rows, g, E.field) for g in groups]
-
-
-# ---------------------------------------------------------------------------
 # the classifier
 
 def classify(E: EvolutionAlgebra):
@@ -392,12 +298,14 @@ def _classify_rows(E, series=None, split_stage=None):
     the latter None for Decomposed labels and whenever the label carries
     no_witness.
 
-    A summand comes with what its split proved (see
-    ``algebra._natural_split``): a graph component with its series, read
-    off the whole series, and the split stage ``_connected_split``; the
-    I summand of an annihilator split and each pair of the pairing with
-    the split stage ``_split_inside_square``.  Other algebras compute
-    their series and run the whole ``_natural_split``."""
+    Every summand of a split is a selection of E's rows and columns or a
+    fixed chain (see ``algebra._natural_split``), and it comes with what
+    its split proved: a graph component with its series, read off the
+    whole series, and the split stage ``_connected_split``; the quotient
+    of an annihilator split with its series read off likewise, and each
+    pair of the pairing, with the split stage ``_split_inside_square``.
+    Other algebras compute their series and run the whole
+    ``_natural_split``."""
     if E.dim > 5:
         raise UnsupportedDim("classification covers dimension at most 5")
     ops = E.field.ops
@@ -412,18 +320,29 @@ def _classify_rows(E, series=None, split_stage=None):
 
     split = (split_stage or _natural_split)(E)
     if split is not None:
-        _, basis, groups = split
-        if basis is None:  # graph components: no basis change needed
-            return _gather([(_subalgebra(E._rows, g, E.field),
-                             _component_series(series, g, E.field),
-                             _connected_split) for g in groups]), None
-        return _gather([(sub, None, _split_inside_square)
-                        for sub in _split_in_basis(E, basis, groups)]), None
+        reason, groups = split
+        field = E.field
+        if reason == _LARGE_ANN:  # each pair e_i, e_i^2 is the 2-chain
+            return _gather([(_chain(field, 2), None, _split_inside_square)
+                            for _ in groups]), None
+        stage = (_connected_split if reason == _DISCONNECTED
+                 else _split_inside_square)
+        return _gather([(_subalgebra(E._rows, g, field),
+                         _restricted_series(series, g, field), stage)
+                        for g in groups]), None
 
     result = _normalize(E, series)
     if isinstance(result, list):  # an ann-dim-2 special split
         return _gather([(sub, None, None) for sub in result]), None
     return result
+
+
+def _chain(field, n):
+    """The n-element chain: e_i^2 = e_{i+1}, and e_{n-1}^2 = 0."""
+    ops = field.ops
+    return EvolutionAlgebra._wrap(
+        [_unit_row(i + 1, n, ops) for i in range(n - 1)] + [[ops.zero] * n],
+        field)
 
 
 def _gather(parts):
@@ -518,7 +437,7 @@ def _realizes(template_rows, E, m) -> bool:
     template."""
     ops = E.field.ops
     return _rank(m, E.dim, ops) == E.dim \
-        and _is_hom(template_rows, E._rows, m, ops)
+        and _is_hom(template_rows, E._rows, m, ops, E._supports())
 
 
 def witness_isomorphism(E1: EvolutionAlgebra, E2: EvolutionAlgebra):
@@ -1317,22 +1236,30 @@ def _h_11111(Ead, tv):
 # ann-dim-2 types
 
 def _h_23(Ead, tv):
+    """Type [2,3], split when two squares of the top block are
+    dependent.  Here ann = span(e_3, e_4) lies inside E^2, or the
+    annihilator split would have fired, so E^2 = ann.  If e_j^2 =
+    c e_i^2, then e_i^2 and e_k^2 (k the third index) are a basis of ann,
+    and the natural basis e_i, e_j, e_i^2, e_k, e_k^2 splits E into the
+    ideals with rows [[0, 0, 1], [0, 0, c], [0, 0, 0]] and the
+    two-element chain."""
     n = Ead.dim
     S, ops = Ead._rows, Ead.field.ops
     sub, mul = ops.sub, ops.mul
+    Z = ops.zero
     sqs = [[S[k][3], S[k][4]] for k in range(3)]
 
     def dep(u, v):
-        return sub(mul(u[0], v[1]), mul(u[1], v[0])) == ops.zero
+        return sub(mul(u[0], v[1]), mul(u[1], v[0])) == Z
 
     for i in range(3):
         for j in range(i + 1, 3):
             if dep(sqs[i], sqs[j]):
-                k = 3 - i - j
-                # split off span{e_k, e_k^2}
-                basis = [_unit_row(i, n, ops), _unit_row(j, n, ops),
-                         S[i], _unit_row(k, n, ops), S[k]]
-                return _split_in_basis(Ead, basis, [[0, 1, 2], [3, 4]])
+                t = 0 if sqs[i][0] != Z else 1
+                c = ops.div(sqs[j][t], sqs[i][t])
+                pair = EvolutionAlgebra._wrap(
+                    [[Z, Z, ops.one], [Z, Z, c], [Z, Z, Z]], Ead.field)
+                return [pair, _chain(Ead.field, 2)]
 
     def build(Ead, params):
         # pick the frame (x, z) = (0, 2); decompose e1^2 = al x^2 + be z^2
@@ -1348,16 +1275,18 @@ def _h_23(Ead, tv):
 
 
 def _h_221(Ead, tv):
+    """Type [2,2,1], split when e_0^2 = x has no component on one of
+    e_1, e_2, say e_d.  ann = span(e_1^2, e_2^2), or the annihilator
+    split would have fired, so x^2, a nonzero multiple of the other
+    square, and e_d^2 are a basis of ann.  Then the natural basis e_0,
+    x, x^2, e_d, e_d^2 splits E into the three-element chain and the
+    two-element chain."""
     n = Ead.dim
     S, ops = Ead._rows, Ead.field.ops
     Z = ops.zero
     al, be = S[0][1], S[0][2]
     if al == Z or be == Z:
-        drop = 1 if al == Z else 2
-        x2 = S[0]
-        basis = [_unit_row(0, n, ops), x2, _product(S, x2, x2, ops),
-                 _unit_row(drop, n, ops), S[drop]]
-        return _split_in_basis(Ead, basis, [[0, 1, 2], [3, 4]])
+        return [_chain(Ead.field, 3), _chain(Ead.field, 2)]
 
     def build(Ead, params):
         ann_part = _placed(ops, n, 3, Ead._rows[0][3:])
@@ -1388,12 +1317,6 @@ def _h_212(Ead, tv):
     return 1, (), False, build
 
 
-def _h_2111(Ead, tv):
-    raise SpecMismatch(
-        "type [2,1,1,1] is always decomposable; the split stages should "
-        "have handled it")
-
-
 _HANDLERS = {
     (1, 1): _h_chain,
     (1, 2): _h_star,
@@ -1413,5 +1336,4 @@ _HANDLERS = {
     (2, 3): _h_23,
     (2, 2, 1): _h_221,
     (2, 1, 2): _h_212,
-    (2, 1, 1, 1): _h_2111,
 }

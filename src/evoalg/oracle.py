@@ -51,18 +51,21 @@ def verify_hom(E1: EvolutionAlgebra, E2: EvolutionAlgebra,
         raise Singular("isomorphism candidate is singular")
     E1.field.require(E2.field)
     E1.field.require(m.field)
-    return _is_hom(E1._rows, E2._rows, m._payloads(), E1.field.ops)
+    return _is_hom(E1._rows, E2._rows, m._payloads(), E1.field.ops,
+                   E2._supports())
 
 
-def _is_hom(A1, A2, m, ops) -> bool:
+def _is_hom(A1, A2, m, ops, supports2) -> bool:
     """The payload form of verify_hom's product test: A1 and A2 are the
-    structure rows, m the payload rows of the candidate matrix, whose
-    columns are the images of E1's basis vectors.  The image of e_i^2
-    combines those columns, and the squares and cross products of the
-    images come from ``ops.product``.  A cross product sum_k x_k y_k f_k^2
-    has a term only at the k with f_k^2 != 0 where both columns are
-    nonzero, so it is computed only where the two columns' supports meet
-    on those rows; the supports are read once the squares have passed."""
+    structure rows, supports2 the support masks of A2 that E2 keeps
+    (``EvolutionAlgebra._supports``), and m the payload rows of the
+    candidate matrix, whose columns are the images of E1's basis
+    vectors.  The image of e_i^2 combines those columns, and the squares
+    and cross products of the images come from ``ops.product``.  A cross
+    product sum_k x_k y_k f_k^2 has a term only at the k with f_k^2 != 0
+    where both columns are nonzero, so it is computed only where the two
+    columns' supports meet on those rows; the columns' supports are read
+    once the squares have passed."""
     n = len(m)
     product, combine = ops.product, ops.combine
     cols = list(zip(*m))
@@ -71,7 +74,7 @@ def _is_hom(A1, A2, m, ops) -> bool:
         if combine(A1[i], cols, n) != product(A2, col, col):
             return False
     Z = ops.zero
-    live = _live_mask(_support_masks(A2, Z))
+    live = _live_mask(supports2)
     supports = [s & live for s in _support_masks(cols, Z)]
     zero = [Z] * n
     for i in range(n):
@@ -98,8 +101,8 @@ def _pattern_blocks(series1, series2):
 
 
 def _search_common(E1, E2):
-    """Shared validation; returns (A1, A2, ops, n, diag, ann) or None when
-    the answer is immediately None."""
+    """Shared validation; returns (A1, A2, E2's support masks, ops, n,
+    diag, ann) or None when the answer is immediately None."""
     if E1.field.kind != PRIME or E2.field.kind != PRIME \
             or E1.field != E2.field:
         raise UnsupportedField("oracle search requires a shared prime field")
@@ -109,7 +112,7 @@ def _search_common(E1, E2):
     if not s1.nilpotent or not s2.nilpotent \
             or s1.type_vector != s2.type_vector:
         return None
-    return (E1._rows, E2._rows, E1.field.ops, E1.dim) \
+    return (E1._rows, E2._rows, E2._supports(), E1.field.ops, E1.dim) \
         + _pattern_blocks(s1, s2)
 
 
@@ -131,7 +134,7 @@ def exhaustive_iso(E1: EvolutionAlgebra,
     common = _search_common(E1, E2)
     if common is None:
         return None
-    A1, A2, ops, n, diag, ann = common
+    A1, A2, supports2, ops, n, diag, ann = common
     p = E1.field.modulus
     # the slot order decides which witness comes first: column by column,
     # the diagonal-block rows, then the annihilator rows
@@ -149,7 +152,7 @@ def exhaustive_iso(E1: EvolutionAlgebra,
         for (r, c), v in zip(slots, values):
             m[r][c] = v
         # cheap algebraic rejection first; rank only on the rare pass
-        if _is_hom(A1, A2, m, ops) and _rank(m, n, ops) == n:
+        if _is_hom(A1, A2, m, ops, supports2) and _rank(m, n, ops) == n:
             return _verified(E1, E2, m)
     return None
 
@@ -170,7 +173,7 @@ def randomized_iso(E1: EvolutionAlgebra, E2: EvolutionAlgebra,
     common = _search_common(E1, E2)
     if common is None:
         return None
-    A1, A2, ops, n, diag, ann = common
+    A1, A2, supports2, ops, n, diag, ann = common
     p = E1.field.modulus
     rng = random.Random(budget.seed)
     rand, randrange, shuffle = rng.random, rng.randrange, rng.shuffle
@@ -191,6 +194,6 @@ def randomized_iso(E1: EvolutionAlgebra, E2: EvolutionAlgebra,
         for r, c in ann:
             m[r][c] = 0 if rand() < 0.5 else randrange(1, p)
         # cheap algebraic rejection first; rank only on the rare pass
-        if _is_hom(A1, A2, m, ops) and _rank(m, n, ops) == n:
+        if _is_hom(A1, A2, m, ops, supports2) and _rank(m, n, ops) == n:
             return _verified(E1, E2, m)
     return None

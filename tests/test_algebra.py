@@ -9,10 +9,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from evoalg.algebra import (DECOMPOSABLE, INDECOMPOSABLE, PLENARY, RIGHT,
+from evoalg.algebra import (_ANN_OUTSIDE_SQUARE, _DISCONNECTED, _LARGE_ANN,
+                            DECOMPOSABLE, INDECOMPOSABLE, PLENARY, RIGHT,
                             UNKNOWN, AnnSeries, EvolutionAlgebra,
                             _annihilator_split, _connected_split,
-                            _holds_units, _natural_split,
+                            _holds_units, _natural_split, _split_ideals,
                             _split_inside_square, _zero_rows,
                             component_index_sets,
                             decomposability_check, graph_of,
@@ -22,9 +23,11 @@ from evoalg.algebra import (DECOMPOSABLE, INDECOMPOSABLE, PLENARY, RIGHT,
                             restrict_to_indices, split_components,
                             square_subspace, upper_series)
 from evoalg.errors import (NotAnIdeal, NotNilpotent, ShapeError,
-                           Singular, SpecMismatch, SqrtUnavailable)
+                           SpecMismatch, SqrtUnavailable)
 from evoalg.fields import GF, PRIME, QI, QQ, FieldDescriptor, FieldElement
-from evoalg.linalg import Matrix, Subspace, _inverse_rows
+from evoalg.linalg import (Matrix, Subspace, _identity_rows, _inverse_rows,
+                           _unit_row)
+from evoalg.oracle import verify_hom
 
 from helpers import (F13, random_algebra, random_large_annihilator,
                      random_nilpotent)
@@ -424,17 +427,17 @@ def algebras_with_zero_squares(draw):
 
 
 def annihilator_split_pieces(E, zero):
-    """(ann cap E^2, C, I) spanned from the basis of _annihilator_split,
-    or None when ann lies inside E^2."""
-    split = _annihilator_split(E, zero)
-    if split is None:
+    """(C, I) from the indices of C that _annihilator_split returns and
+    the ideal I that _split_ideals spans, or None when ann lies inside
+    E^2."""
+    c_idx = _annihilator_split(E, zero)
+    if c_idx is None:
         return None
-    basis, head = split
-    n, field = E.dim, E.field
-    live = n - len(zero)
-    return (Subspace._span(basis[live:head], n, field),
-            Subspace._span(basis[head:], n, field),
-            Subspace._span(basis[:head], n, field))
+    keep = [j for j in range(E.dim) if j not in c_idx]
+    i_part, c_part = _split_ideals(E, _ANN_OUTSIDE_SQUARE,
+                                   [keep] + [[k] for k in c_idx])
+    assert c_part == Subspace.coordinate(c_idx, E.dim, E.field)
+    return c_part, i_part
 
 
 @settings(max_examples=200)
@@ -446,7 +449,7 @@ def test_annihilator_split_matches_the_subspace_composition(E):
     got = annihilator_split_pieces(E, zero)
     assert (got is None) == ann_in_sq
     if got is not None:
-        for mine, ref in zip(got, reference_annihilator_split(E)):
+        for mine, ref in zip(got, reference_annihilator_split(E)[1:]):
             assert mine._rows == ref._rows and mine._pivots == ref._pivots
     verdict = decomposability_check(E)
     split_case = (E.dim >= 2 and len(component_index_sets(E)) == 1
@@ -454,7 +457,7 @@ def test_annihilator_split_matches_the_subspace_composition(E):
     assert (verdict.reason == "annihilator is not contained in E^2") \
         == split_case
     if split_case:
-        ann_sq, c_part, i_part = got
+        c_part, i_part = got
         assert verdict.witness == (i_part, c_part)
         assert not c_part.is_zero() and (i_part + c_part).dim == E.dim
         assert i_part.intersect(c_part).is_zero()
@@ -495,11 +498,13 @@ def test_annihilator_split_on_a_vector_outside_the_square():
         [[0, 1, 1, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]], QQ())
     zero, sq = _zero_rows(E), square_subspace(E)
     assert zero == [1, 3] and not _holds_units(sq, zero)
-    ann_sq, c_part, i_part = annihilator_split_pieces(E, zero)
-    assert ann_sq == Subspace.coordinate([3], 4, QQ())
+    assert _annihilator_split(E, zero) == [1]
+    c_part, i_part = annihilator_split_pieces(E, zero)
     assert c_part == Subspace.coordinate([1], 4, QQ())
     assert i_part == sq + Subspace.coordinate([0], 4, QQ())
-    assert (ann_sq, c_part, i_part) == reference_annihilator_split(E)
+    ann_sq, ref_c, ref_i = reference_annihilator_split(E)
+    assert ann_sq == Subspace.coordinate([3], 4, QQ())
+    assert (c_part, i_part) == (ref_c, ref_i)
 
 
 # ---------------------------------------------------------------------------
@@ -584,8 +589,15 @@ def test_natural_split_verdicts_match_the_old_construction(E):
     assert verdict.status == DECOMPOSABLE
     assert (verdict.reason, verdict.witness) == ref
     assert split[0] == verdict.reason
-    # the groups partition the basis rows
-    assert sorted(i for g in split[2] for i in g) == list(range(E.dim))
+    groups = split[1]
+    if split[0] == _LARGE_ANN:
+        # one group [i] per nonzero square, for the pair e_i, e_i^2
+        assert groups == [[i] for i in range(E.dim)
+                          if i not in _zero_rows(E)]
+        assert 2 * len(groups) == E.dim
+    else:
+        # the groups partition E's basis indices
+        assert sorted(i for g in groups for i in g) == list(range(E.dim))
 
 
 @st.composite
@@ -624,80 +636,15 @@ _SPLIT_TYPES = [[2, 3], [2, 2, 1], [2, 1, 2], [2, 2], [3, 2], [2, 1, 1, 1],
                 [1, 2, 2]]
 
 
-def _record_splits(classify_module, seen):
-    """Wrap classify's _natural_split and _split_in_basis so that every
-    split classify applies is recorded as (E, adjusted rows, groups)."""
-    natural, in_basis = classify_module._natural_split, \
-        classify_module._split_in_basis
-
-    def natural_split(E):
-        split = natural(E)
-        if split is not None and split[1] is None:
-            seen.append((E, E._rows, split[2]))
-        return split
-
-    def split_in_basis(E, basis, groups):
-        seen.append((E, classify_module._adjusted_rows(E, basis), groups))
-        return in_basis(E, basis, groups)
-    return natural_split, split_in_basis
-
-
-@settings(max_examples=300)
-@given(st.one_of(split_algebras(), nilpotent_of_type(_SPLIT_TYPES)))
-def test_every_split_classify_applies_is_block_diagonal(E):
-    classify_module = importlib.import_module("evoalg.classify")
-    seen = []
-    natural_split, split_in_basis = _record_splits(classify_module, seen)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(classify_module, "_natural_split", natural_split)
-        mp.setattr(classify_module, "_split_in_basis", split_in_basis)
-        try:
-            classify_module.classify(E)
-        except (NotNilpotent, SqrtUnavailable):
-            pass
-    for A, rows, groups in seen:
-        assert sorted(i for g in groups for i in g) == list(range(A.dim))
-        Z = A.field.ops.zero
-        for g in groups:
-            for i in g:
-                assert all(rows[i][j] == Z
-                           for j in range(A.dim) if j not in g)
-
-
-def _swap_members(groups):
-    """groups with the first members of its first two groups swapped."""
-    g0, g1 = list(groups[0]), list(groups[1])
-    g0[0], g1[0] = g1[0], g0[0]
-    return [g0, g1] + [list(g) for g in groups[2:]]
-
-
-@pytest.mark.parametrize("rows, reason", [
-    # e0^2 = e2 + e3, e1^2 = e2 + 2 e3: ann = E^2 = <e2, e3>, paired
-    ([[0, 0, 1, 1], [0, 0, 1, 2], [0, 0, 0, 0], [0, 0, 0, 0]],
-     "annihilator has dimension at least dim/2"),
-    # e0^2 = e1 + e2, e2^2 = e3: e1 is an annihilator vector outside E^2
-    ([[0, 1, 1, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]],
-     "annihilator is not contained in E^2"),
-])
-def test_a_split_with_swapped_groups_does_not_close(rows, reason):
-    classify_module = importlib.import_module("evoalg.classify")
-    E = EvolutionAlgebra.from_ints(rows, GF(5))
-    got, basis, groups = _natural_split(E)
-    assert got == reason
-    assert len(classify_module._split_in_basis(E, basis, groups)) \
-        == len(groups)
-    with pytest.raises(SpecMismatch):
-        classify_module._split_in_basis(E, basis, _swap_members(groups))
-
-
 # ---------------------------------------------------------------------------
-# the carve of a split basis, against coordinates from the whole inverse
+# every split classify applies, against the carve of its split basis by
+# coordinates from the whole inverse, as classify took its summands before
+# they became selections and fixed chains
 
 def full_inverse_adjusted_rows(E, basis):
-    """The structure rows of E in the natural basis given by payload rows,
-    computed as the carve did before it read the rows of a shaped basis
-    off directly: every pair of rows is multiplied, and each square gets
-    its coordinates from the inverse of the whole basis."""
+    """The structure rows of E in the natural basis given by payload rows:
+    every pair of rows is multiplied, and each square gets its
+    coordinates from the inverse of the whole basis."""
     ops = E.field.ops
     Z = ops.zero
     for i in range(len(basis)):
@@ -709,101 +656,189 @@ def full_inverse_adjusted_rows(E, basis):
             for b in basis]
 
 
-def _outcome(fn, E, basis):
-    try:
-        return fn(E, basis)
-    except (Singular, SpecMismatch) as exc:
-        return type(exc)
+def _old_annihilator_basis(E, c_idx):
+    """The split basis the annihilator split used to carve: e_k minus its
+    C-component for each k with e_k^2 != 0, the reduced basis of
+    ann cap E^2, then the unit rows of C; and the number of rows that
+    span I.  The C-components come from the reference I and C."""
+    ops, n = E.field.ops, E.dim
+    ann_sq, c_part, i_part = reference_annihilator_split(E)
+    inv = _inverse_rows(i_part._rows + c_part._rows, ops)
+    zero = _zero_rows(E)
+    basis = []
+    for k in range(n):
+        if k in zero:
+            continue
+        coords = inv[k]  # e_k in the basis of I then C
+        row = _unit_row(k, n, ops)
+        for c, x in zip(c_part._pivots, coords[i_part.dim:]):
+            row[c] = ops.sub(row[c], x)
+        basis.append(row)
+    basis += ann_sq._rows
+    return basis + [_unit_row(k, n, ops) for k in c_idx], len(basis)
 
 
-def _corrupted(basis, ops, rnd):
-    """basis with one row spoilt: a copy of another row, zero, or a unit
-    added to one entry.  The first two never leave a basis."""
-    n = len(basis)
-    bad = [list(r) for r in basis]
-    i, j = rnd.sample(range(n), 2)
-    kind = rnd.choice(["copy", "zero", "bump"])
-    if kind == "copy":
-        bad[i] = list(bad[j])
-    elif kind == "zero":
-        bad[i] = [ops.zero] * n
-    else:
-        k = rnd.randrange(n)
-        bad[i][k] = ops.add(bad[i][k], ops.one)
-    return kind, bad
+def _old_special_basis(Ead, tv):
+    """The split basis the ann-dim-2 split of Ead (adapted coordinates,
+    type [2,3] or [2,2,1]) used to carve, with groups [[0, 1, 2], [3, 4]]."""
+    S, ops, n = Ead._rows, Ead.field.ops, Ead.dim
+    unit = [_unit_row(k, n, ops) for k in range(n)]
+    if tv == (2, 2, 1):
+        drop = 1 if S[0][1] == ops.zero else 2
+        x2 = S[0]
+        return [unit[0], x2, ops.product(S, x2, x2), unit[drop], S[drop]]
+    for i in range(3):
+        for j in range(i + 1, 3):
+            if ops.sub(ops.mul(S[i][3], S[j][4]),
+                       ops.mul(S[i][4], S[j][3])) == ops.zero:
+                k = 3 - i - j
+                return [unit[i], unit[j], S[i], unit[k], S[k]]
+    raise AssertionError("no dependent squares")
+
+
+def _record_splits(classify_module):
+    """Patches for classify's split stages, its ann-dim-2 handlers and
+    _gather, and the events they record in call order: ("split", E,
+    reason, groups) or ("special", Ead, type) for each split that
+    classify applies, each followed by ("gather", summand rows) for the
+    summands it hands down."""
+    events, patches = [], []
+
+    def stage(fn):
+        def wrapper(E):
+            split = fn(E)
+            if split is not None:
+                events.append(("split", E) + tuple(split))
+            return split
+        return wrapper
+    for name in ("_natural_split", "_connected_split",
+                 "_split_inside_square"):
+        patches.append((classify_module, name,
+                        stage(getattr(classify_module, name))))
+
+    def special(handler):
+        def wrapper(Ead, tv):
+            out = handler(Ead, tv)
+            if isinstance(out, list):
+                events.append(("special", Ead, tv))
+            return out
+        return wrapper
+    handlers = dict(classify_module._HANDLERS)
+    for tv in ((2, 3), (2, 2, 1)):
+        handlers[tv] = special(handlers[tv])
+    patches.append((classify_module, "_HANDLERS", handlers))
+    gather = classify_module._gather
+
+    def gathering(parts):
+        parts = list(parts)
+        events.append(("gather", [P._rows for P, _, _ in parts]))
+        return gather(parts)
+    patches.append((classify_module, "_gather", gathering))
+    return events, patches
 
 
 @settings(max_examples=300)
-@given(st.one_of(split_algebras().filter(lambda E: E.dim >= 2),
-                 nilpotent_of_type(_SPLIT_TYPES)),
-       st.randoms(use_true_random=False))
-def test_every_carve_matches_full_inverse_coordinates(E, rnd):
-    # every split classify applies (the annihilator split, the dim/2
-    # pairing, the ann-dim-2 splits) yields the summand rows that the
-    # coordinates from the whole inverse give, and a spoilt basis raises
-    # what the whole inverse raises
+@given(st.one_of(split_algebras(), nilpotent_of_type(_SPLIT_TYPES),
+                 nilpotent_of_type([[2, 3], [2, 2, 1]])))
+def test_every_split_classify_applies_is_block_diagonal(E):
+    # the carve of the old split basis of every split classify applies is
+    # block-diagonal, which pins the lemmas that let classify skip it:
+    # the pairs and the ann-dim-2 summands equal the carved rows, and the
+    # quotient of an annihilator split is isomorphic to the carved I
     classify_module = importlib.import_module("evoalg.classify")
-    in_basis = classify_module._split_in_basis
-    seen = []
-
-    def split_in_basis(A, basis, groups):
-        seen.append((A, basis, groups))
-        return in_basis(A, basis, groups)
+    events, patches = _record_splits(classify_module)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(classify_module, "_split_in_basis", split_in_basis)
+        for module, name, fn in patches:
+            mp.setattr(module, name, fn)
         try:
             classify_module.classify(E)
         except (NotNilpotent, SqrtUnavailable):
             pass
-    for A, basis, groups in seen:
-        ref = full_inverse_adjusted_rows(A, basis)
-        assert classify_module._adjusted_rows(A, basis) == ref
-        parts = in_basis(A, basis, groups)
-        assert [P._rows for P in parts] == \
-            [[[ref[i][j] for j in g] for i in g] for g in groups]
-        kind, bad = _corrupted(basis, A.field.ops, rnd)
-        got = _outcome(classify_module._adjusted_rows, A, bad)
-        assert got == _outcome(full_inverse_adjusted_rows, A, bad)
-        if kind != "bump":
-            assert got in (Singular, SpecMismatch)
+    for at, event in enumerate(events):
+        if event[0] == "gather":
+            continue
+        kind, summands = events[at + 1]
+        assert kind == "gather"
+        if event[0] == "special":
+            _, A, tv = event
+            basis = _old_special_basis(A, tv)
+            groups = [[0, 1, 2], [3, 4]]
+        else:
+            _, A, reason, groups = event
+            if reason == _DISCONNECTED:
+                basis = _identity_rows(A.dim, A.field.ops)
+            elif reason == _LARGE_ANN:
+                basis = [v for [i] in groups
+                         for v in (_unit_row(i, A.dim, A.field.ops),
+                                   A._rows[i])]
+                groups = [[2 * k, 2 * k + 1] for k in range(len(groups))]
+            else:
+                keep = groups[0]
+                basis, head = _old_annihilator_basis(
+                    A, [k for [k] in groups[1:]])
+                groups = [list(range(head))] + [[j] for j in range(head,
+                                                                   A.dim)]
+        Z = A.field.ops.zero
+        rows = full_inverse_adjusted_rows(A, basis)
+        assert sorted(i for g in groups for i in g) == list(range(A.dim))
+        for g in groups:
+            assert all(rows[i][j] == Z for i in g
+                       for j in range(A.dim) if j not in g)
+        carved = [[[rows[i][j] for j in g] for i in g] for g in groups]
+        if event[0] == "special" or reason != _ANN_OUTSIDE_SQUARE:
+            assert summands == carved
+            continue
+        # the quotient summand, and e_j -> (I-component of e_j) onto I
+        assert summands[1:] == carved[1:]
+        quotient = EvolutionAlgebra._wrap(summands[0], A.field)
+        inv = _inverse_rows(basis, A.field.ops)
+        m = [[inv[j][r] for j in keep] for r in range(head)]
+        assert verify_hom(quotient,
+                          EvolutionAlgebra._wrap(carved[0], A.field),
+                          Matrix._wrap(m, A.field, head))
 
 
-def test_an_annihilator_split_and_its_carve_take_four_eliminations(
-        monkeypatch):
-    # call counts: the split and its carve eliminate at most four times
-    # (seven before the carve read the rows of the split basis off
-    # directly), and none of these is an n x 2n inversion of the basis
+def test_an_annihilator_split_takes_two_eliminations(monkeypatch):
+    # call counts: each annihilator split that classify applies
+    # eliminates at most twice (seven times before the split was built
+    # from index sets, four while classify still carved its summands)
     linalg = importlib.import_module("evoalg.linalg")
-    classify_module = importlib.import_module("evoalg.classify")
-    shapes = []
+    algebra_module = importlib.import_module("evoalg.algebra")
+    counts = [0]
     rref = linalg._rref_rows
 
     def counting(rows, ncols, ops):
-        shapes.append((len(rows[0]) if rows else 0, ncols))
+        counts[0] += 1
         return rref(rows, ncols, ops)
     monkeypatch.setattr(linalg, "_rref_rows", counting)
+    split, per_split = algebra_module._annihilator_split, []
+
+    def windowed(E, zero):
+        before = counts[0]
+        out = split(E, zero)
+        if out is not None:
+            per_split.append(counts[0] - before)
+        return out
+    monkeypatch.setattr(algebra_module, "_annihilator_split", windowed)
+    classify = importlib.import_module("evoalg.classify").classify
     rng = random.Random(11)
-    splits = 0
     for field in (GF(5), F13, QQ(), QI()):
         for _ in range(300):
-            E = random_nilpotent(rng.randrange(2, 6), rng, field)
-            shapes.clear()
-            reason, basis, groups = _natural_split(E) or (None, None, None)
-            if reason != "annihilator is not contained in E^2":
-                continue
-            classify_module._split_in_basis(E, basis, groups)
-            splits += 1
-            assert len(shapes) <= 4
-            assert (2 * E.dim, E.dim) not in shapes
-    assert splits >= 100
+            try:
+                classify(random_nilpotent(rng.randrange(2, 6), rng, field))
+            except SqrtUnavailable:
+                pass
+    assert len(per_split) >= 100
+    assert max(per_split) <= 2
 
 
 @settings(max_examples=300)
 @given(st.one_of(split_algebras(), nilpotent_of_type(_SPLIT_TYPES)))
 def test_every_summand_inherits_what_its_split_proved(E):
-    # the I summand of an annihilator split and each pair of the pairing
+    # the quotient of an annihilator split and each pair of the pairing
     # have no annihilator split of their own; a graph component is
-    # connected and its series, read off the whole series, is its own
+    # connected; and the series a component or a quotient reads off the
+    # whole series is its own
     classify_module = importlib.import_module("evoalg.classify")
     classify_rows = classify_module._classify_rows
     calls = []
@@ -822,9 +857,9 @@ def test_every_summand_inherits_what_its_split_proved(E):
         # is labelled before any split stage runs
         if split_stage is _split_inside_square and A.dim > 1:
             assert _annihilator_split(A, _zero_rows(A)) is None
-        if series is not None:
-            assert split_stage is _connected_split
+        if split_stage is _connected_split:
             assert len(component_index_sets(A)) == 1
+        if series is not None:
             ref = upper_series(A)
             assert series.nilpotent and ref.nilpotent
             assert series.blocks == ref.blocks
@@ -832,15 +867,17 @@ def test_every_summand_inherits_what_its_split_proved(E):
 
 
 def test_summands_skip_the_split_stages_their_split_proved(monkeypatch):
-    # call counts on the summands classify carves: no summand of an
-    # annihilator split or of the pairing runs the annihilator split,
-    # and no graph component runs the component pass or the series (all
-    # of them did when each summand was classified from scratch)
+    # call counts on the summands classify takes: no quotient of an
+    # annihilator split and no pair of the pairing runs the annihilator
+    # split, no graph component runs the component pass, and neither a
+    # component nor a quotient runs the series (all of them did when each
+    # summand was classified from scratch)
     algebra_module = importlib.import_module("evoalg.algebra")
     classify_module = importlib.import_module("evoalg.classify")
-    square_parts, component_parts, kept = set(), set(), []
-    repeats = collections.Counter()
-    counting = [True]
+    square_parts, component_parts, series_parts = set(), set(), set()
+    kept, repeats = [], collections.Counter()
+    taken = collections.Counter()
+    counting, normalizing = [True], [False]
 
     def quietly(fn, *args):
         counting[0] = False
@@ -858,35 +895,51 @@ def test_summands_skip_the_split_stages_their_split_proved(monkeypatch):
             return fn(A, *args)
         monkeypatch.setattr(module, name, wrapper)
 
-    in_basis = classify_module._split_in_basis
-    subalgebra = classify_module._subalgebra
+    def mark(P, *sets):
+        for marked in sets:
+            marked.add(id(P))
+        kept.append(P)
 
-    def split_in_basis(A, basis, groups):
-        parts = quietly(in_basis, A, basis, groups)
-        split = quietly(algebra_module._natural_split, A)
-        if split is not None and split[1] == basis:
-            # an annihilator split or the pairing, not a special split of
-            # the normalizers; its dim-1 summands are zero algebras
-            for P in parts:
-                if P.dim > 1:
-                    square_parts.add(id(P))
-                    kept.append(P)
-        return parts
+    subalgebra, chain, normalize = (classify_module._subalgebra,
+                                    classify_module._chain,
+                                    classify_module._normalize)
 
     def sub(rows, idx, field):
         P = subalgebra(rows, idx, field)
         if counting[0] and P.dim > 1:
             whole = EvolutionAlgebra._wrap(rows, field)
-            comps = quietly(algebra_module.component_index_sets, whole)
-            if len(comps) > 1 and list(idx) in comps:
-                component_parts.add(id(P))
-                kept.append(P)
+            split = quietly(algebra_module._natural_split, whole)
+            if split is not None and list(idx) in split[1]:
+                if split[0] == _DISCONNECTED:
+                    taken["component"] += 1
+                    mark(P, component_parts, series_parts)
+                else:
+                    assert split[0] == _ANN_OUTSIDE_SQUARE
+                    taken["quotient"] += 1
+                    mark(P, square_parts, series_parts)
         return P
+
+    def chained(field, n):
+        P = chain(field, n)
+        if not normalizing[0]:  # a pair of the pairing
+            Z, one = field.ops.zero, field.ops.one
+            assert P._rows == [[Z, one], [Z, Z]]
+            taken["pair"] += 1
+            mark(P, square_parts)
+        return P
+
+    def normalized(E, series):
+        normalizing[0] = True
+        try:
+            return normalize(E, series)
+        finally:
+            normalizing[0] = False
     watch(algebra_module, "_annihilator_split", square_parts)
     watch(algebra_module, "component_index_sets", component_parts)
-    watch(classify_module, "upper_series", component_parts)
-    monkeypatch.setattr(classify_module, "_split_in_basis", split_in_basis)
+    watch(classify_module, "upper_series", series_parts)
     monkeypatch.setattr(classify_module, "_subalgebra", sub)
+    monkeypatch.setattr(classify_module, "_chain", chained)
+    monkeypatch.setattr(classify_module, "_normalize", normalized)
     rng = random.Random(12)
     for field in (GF(5), F13, QQ(), QI()):
         for _ in range(300):
@@ -896,7 +949,8 @@ def test_summands_skip_the_split_stages_their_split_proved(monkeypatch):
             except SqrtUnavailable:
                 pass
     assert repeats == {}
-    assert len(square_parts) >= 250 and len(component_parts) >= 250
+    assert taken["component"] >= 250 and taken["quotient"] >= 150
+    assert taken["pair"] >= 80
 
 
 @settings(max_examples=300)
@@ -916,10 +970,76 @@ def test_a_wide_annihilator_block_lies_outside_the_square(E):
         assert 2 * tv[0] <= n - r + 2
 
 
+def test_no_type_2111_input_reaches_a_normalizer(monkeypatch):
+    # by the test above, a connected [2,1,1,1] has ann outside E^2, so
+    # the annihilator split always takes it first, and no normalizer
+    # exists for that type
+    classify_module = importlib.import_module("evoalg.classify")
+    normalize, reached = classify_module._normalize, collections.Counter()
+
+    def counting(E, series):
+        reached[tuple(series.type_vector)] += 1
+        return normalize(E, series)
+    monkeypatch.setattr(classify_module, "_normalize", counting)
+    labels = []
+
+    def record(E):
+        assert upper_series(E).type_vector == [2, 1, 1, 1]
+        labels.append(classify_module.classify(E))
+    _census(nilpotent_of_type([[2, 1, 1, 1]]), record)
+    assert len(labels) == 200 and sum(reached.values()) > 0
+    assert reached[(2, 1, 1, 1)] == 0
+    # a type without a normalizer is a SpecMismatch, should one come by
+    E = EvolutionAlgebra.from_ints(
+        [[0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0],
+         [0, 0, 0, 0, 0], [0, 0, 0, 0, 0]], GF(5))
+    assert upper_series(E).type_vector == [2, 1, 1, 1]
+    with pytest.raises(SpecMismatch):
+        normalize(E, upper_series(E))
+
+
+def reference_quotient(E, keep):
+    """quotient_by_block as it read the structure matrix entry by entry."""
+    keep = sorted(keep)
+    for i in range(E.dim):
+        if i not in keep:
+            for j in keep:
+                if not E.structure[i, j].is_zero():
+                    raise NotAnIdeal(
+                        f"square of basis vector {i} leaves the discarded "
+                        "span")
+    rows = [[E.structure[i, j] for j in keep] for i in keep]
+    return EvolutionAlgebra(len(keep), Matrix(rows, E.field, len(keep)),
+                            E.field)
+
+
+def test_quotient_by_block_matches_the_entrywise_check():
+    rng = random.Random(14)
+    outcomes = collections.Counter()
+    for field in (GF(5), F13, QQ(), QI()):
+        for _ in range(150):
+            n = rng.randrange(1, 6)
+            E = (random_nilpotent(n, rng, field) if rng.random() < 0.5
+                 else random_algebra(n, rng, field, 0.3))
+            keep = rng.sample(range(n), rng.randrange(1, n + 1))
+            try:
+                ref = reference_quotient(E, keep)
+            except NotAnIdeal as exc:
+                with pytest.raises(NotAnIdeal) as got:
+                    quotient_by_block(E, keep)
+                assert str(got.value) == str(exc)
+                outcomes["not an ideal"] += 1
+                continue
+            assert quotient_by_block(E, keep) == ref
+            outcomes["quotient"] += 1
+    assert min(outcomes.values()) >= 100
+
+
 @pytest.mark.parametrize("fn, idx", [
     (restrict_to_indices, [0, 3]), (restrict_to_indices, [-1]),
     (restrict_to_indices, [0, 0]), (quotient_by_block, [0, 3]),
     (quotient_by_block, [-1, 0]), (quotient_by_block, [0, 1, 1]),
+    (quotient_by_block, []),
 ])
 def test_block_indices_must_be_distinct_and_in_range(fn, idx):
     with pytest.raises(ShapeError):

@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from evoalg.algebra import _support_masks
 from evoalg.fields import FieldOps, _PrimeOps
 from evoalg.oracle import _is_hom
 
@@ -127,8 +128,9 @@ def test_is_hom_verdicts_match_the_generic_kernels(p):
                 i, j = rng.randrange(n), rng.randrange(n)
                 m[i][j] = (m[i][j] + 1) % p
         kept = _unmutated(A + A2 + m)
-        verdict = _is_hom(A2, A, m, fast)
-        assert verdict == _is_hom(A2, A, m, slow)
+        supports = _support_masks(A, 0)
+        verdict = _is_hom(A2, A, m, fast, supports)
+        assert verdict == _is_hom(A2, A, m, slow, supports)
         assert verdict or not genuine
         verdicts.add(verdict)
         assert all(r == old for r, old in kept)

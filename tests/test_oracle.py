@@ -10,7 +10,7 @@ import pytest
 
 import evoalg
 
-from evoalg.algebra import EvolutionAlgebra, upper_series
+from evoalg.algebra import EvolutionAlgebra, _support_masks, upper_series
 from evoalg.errors import BudgetExceeded, ShapeError, Singular, UnsupportedField
 from evoalg.fields import GF, QI, QQ
 from evoalg.linalg import Matrix, _inverse_rows, _rank
@@ -299,7 +299,7 @@ def test_the_support_skip_keeps_every_product_test_verdict(field):
             if drawn is None:
                 continue
             A1, m = drawn
-        verdict = _is_hom(A1, A2, m, ops)
+        verdict = _is_hom(A1, A2, m, ops, _support_masks(A2, ops.zero))
         assert verdict == unskipped_is_hom(A1, A2, m, ops)
         assert verdict or kind != "natural"
         verdicts.setdefault(kind, set()).add(verdict)

@@ -6,7 +6,7 @@
 
 ``--tree`` imports evoalg from ``PATH/src`` and writes one JSON line per
 input to FILE.  The inputs are drawn from fixed seeds over GF(3), GF(5),
-GF(13), GF(1000033), Q and Q(i), in four kinds:
+GF(13), GF(1000033), Q and Q(i), in five kinds:
 
 - ``random``: random nilpotent algebras of dims 1-5;
 - ``relabel``: a monomial relabelling of each random algebra;
@@ -14,7 +14,12 @@ GF(13), GF(1000033), Q and Q(i), in four kinds:
   random algebra, which mixes each annihilating-series block with itself
   and adds annihilator components;
 - ``template``: every table template, with three samples of its
-  parameters if it has any, and a monomial relabelling of each.
+  parameters if it has any, and a monomial relabelling of each;
+- ``arbitrary``: algebras of dims 1-6 that need not be nilpotent: random
+  structures, structures with a large annihilator, and structures whose
+  squares lie in the span of the zero squares, so that the split
+  witnesses of ``decomposability_check`` are compared beyond nilpotent
+  inputs too.
 
 Each record holds the input's structure rows, ``repr`` of the label (so
 ``boundary``, ``no_witness`` and the parameters count, which
@@ -51,6 +56,7 @@ FIELDS = (("GF", 3), ("GF", 5), ("GF", 13), ("GF", 1000033), ("Q", None),
           ("Qi", None))
 RANDOM_PER_FIELD = 2000
 BLOCK_PER_FIELD = 300
+ARBITRARY_PER_FIELD = 600
 TEMPLATE_SAMPLES = 3
 BLOCK_ATTEMPTS = 60
 SHOWN_PER_KIND = 3
@@ -138,6 +144,27 @@ class Corpus:
             return self.algebra([inv.apply(E.multiply(c, c)) for c in cols])
         return None
 
+    def arbitrary(self, dim):
+        """A random structure, one whose zero squares number at least
+        half the dimension (a large annihilator), or one whose squares
+        all lie in the span of about half the basis vectors, whose own
+        squares are zero."""
+        rng, zero = self.rng, self.field.zero()
+        shape = rng.choice(["random", "large ann", "into ann"])
+        density = rng.choice([0.3, 0.6, 0.9])
+        if shape == "random":
+            ann = set()
+        elif shape == "large ann":
+            ann = set(rng.sample(range(dim), rng.randrange((dim + 1) // 2,
+                                                          dim + 1)))
+        else:
+            ann = set(rng.sample(range(dim), rng.choice([dim // 2,
+                                                         (dim + 1) // 2])))
+        return self.algebra([
+            [self.scalar() if i not in ann and rng.random() < density
+             and (shape != "into ann" or j in ann) else zero
+             for j in range(dim)] for i in range(dim)])
+
     def template_params(self, entry):
         while True:
             params = tuple(self.scalar(2) for _ in range(entry.param_arity))
@@ -184,6 +211,8 @@ def _inputs(mods):
         for k in range(BLOCK_PER_FIELD):
             yield "block", name, corpus.block_change(
                 corpus.random_nilpotent(k % 4 + 2))
+        for k in range(ARBITRARY_PER_FIELD):
+            yield "arbitrary", name, corpus.arbitrary(k % 6 + 1)
         for entry in tables.ENTRIES:
             for _ in range(TEMPLATE_SAMPLES if entry.param_arity else 1):
                 try:
