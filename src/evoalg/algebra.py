@@ -531,16 +531,19 @@ def _natural_split(E: EvolutionAlgebra):
       chain (rows [[0, 1], [0, 0]] in that basis).
 
     A split proves facts about its summands, and ``classify`` hands them
-    down instead of testing again.  A component is connected, and its
+    down instead of testing again.  Some summands it identifies outright,
+    and ``classify`` takes their labels without classifying them: each
+    pair of the pairing is the two-element chain, and each one-index
+    group (each e_k of C, each one-vertex component) is one-dimensional
+    and nilpotent, so the zero algebra.  A component is connected, and its
     series is E's series restricted to it, since a component is closed
     under supports; so its split stage is ``_connected_split``.  The I
     summand of an annihilator split inherits its series in the same way,
-    and it and each pair of the pairing have their annihilator inside
-    their square, so their split stage skips the annihilator split
-    (``_split_inside_square``).  For I: ann(I) contains ann(E) cap E^2,
-    and the two have the same dimension, dim ann(E) - dim C; hence
-    ann(I) = ann(E) cap E^2, which lies in E^2 = I^2.  For a pair,
-    ann = E^2.
+    and it has its annihilator inside its square, so its split stage
+    skips the annihilator split (``_split_inside_square``): ann(I)
+    contains ann(E) cap E^2, and the two have the same dimension,
+    dim ann(E) - dim C; hence ann(I) = ann(E) cap E^2, which lies in
+    E^2 = I^2.
     """
     return _component_split(E) or _connected_split(E)
 

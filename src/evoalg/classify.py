@@ -34,8 +34,14 @@ quotient of an annihilator split) or a fixed small algebra read off E's
 entries (each pair of the dim/2 pairing and the summands of the
 ann-dim-2 splits, which are chains, or for [2,3] the rows [[0, 0, 1],
 [0, 0, c], [0, 0, 0]]); the lemmas are in ``algebra._natural_split``,
-``algebra._annihilator_split``, ``_h_23`` and ``_h_221``.  Each witness
-candidate gets one rank test and the product test of ``verify_hom``.
+``algebra._annihilator_split``, ``_h_23`` and ``_h_221``.  The summands
+these lemmas identify are labelled without being classified: each pair
+of the pairing and each chain of an ann-dim-2 split gets the chain's
+label (``_CHAIN2``, ``_CHAIN3``), and each one-index group of a split,
+such as each e_k of C, the zero algebra's (``_ZERO``).  Every other
+summand is classified, so each label that carries a witness still has
+one verified.  Each witness candidate gets one rank test and the
+product test of ``verify_hom``.
 ``FieldElement`` values appear only at the public boundary: a
 normalizer's raw parameters are wrapped once, to pick their orbit
 representative for the label, ``classify`` builds no witness matrix,
@@ -300,19 +306,22 @@ def _classify_rows(E, series=None, split_stage=None):
 
     Every summand of a split is a selection of E's rows and columns or a
     fixed chain (see ``algebra._natural_split``), and it comes with what
-    its split proved: a graph component with its series, read off the
-    whole series, and the split stage ``_connected_split``; the quotient
-    of an annihilator split with its series read off likewise, and each
-    pair of the pairing, with the split stage ``_split_inside_square``.
-    Other algebras compute their series and run the whole
-    ``_natural_split``."""
+    its split proved.  A summand whose split identifies it is handed to
+    ``_gather`` as its label, unclassified: each pair of the pairing is
+    the two-element chain, and each one-index group of a split is
+    one-dimensional and nilpotent, so the zero algebra.  A graph
+    component comes with its series, read off the whole series, and the
+    split stage ``_connected_split``; the quotient of an annihilator
+    split with its series read off likewise, and the split stage
+    ``_split_inside_square``.  Other algebras compute their series and
+    run the whole ``_natural_split``."""
     if E.dim > 5:
         raise UnsupportedDim("classification covers dimension at most 5")
     ops = E.field.ops
     if E._rows == [[ops.zero]]:
         # E is then the template of d1:[1]:v1 itself, so the identity is
         # trivially a witness
-        return CanonicalLabel(1, (1,), 1), _identity_rows(1, ops)
+        return _ZERO, _identity_rows(1, ops)
     if series is None:
         series = upper_series(E)
         if not series.nilpotent:
@@ -321,36 +330,40 @@ def _classify_rows(E, series=None, split_stage=None):
     split = (split_stage or _natural_split)(E)
     if split is not None:
         reason, groups = split
-        field = E.field
         if reason == _LARGE_ANN:  # each pair e_i, e_i^2 is the 2-chain
-            return _gather([(_chain(field, 2), None, _split_inside_square)
-                            for _ in groups]), None
+            return _gather([_CHAIN2] * len(groups)), None
+        field = E.field
         stage = (_connected_split if reason == _DISCONNECTED
                  else _split_inside_square)
-        return _gather([(_subalgebra(E._rows, g, field),
+        return _gather([_ZERO if len(g) == 1 else
+                        (_subalgebra(E._rows, g, field),
                          _restricted_series(series, g, field), stage)
                         for g in groups]), None
 
     result = _normalize(E, series)
     if isinstance(result, list):  # an ann-dim-2 special split
-        return _gather([(sub, None, None) for sub in result]), None
+        return _gather([sub if isinstance(sub, CanonicalLabel)
+                        else (sub, None, None) for sub in result]), None
     return result
 
 
-def _chain(field, n):
-    """The n-element chain: e_i^2 = e_{i+1}, and e_{n-1}^2 = 0."""
-    ops = field.ops
-    return EvolutionAlgebra._wrap(
-        [_unit_row(i + 1, n, ops) for i in range(n - 1)] + [[ops.zero] * n],
-        field)
+# the labels of the summands that a split identifies by itself; a
+# CanonicalLabel without params is immutable, so one object serves all
+_ZERO = CanonicalLabel(1, (1,), 1)
+_CHAIN2 = CanonicalLabel(2, (1, 1), 1)
+_CHAIN3 = CanonicalLabel(3, (1, 1, 1), 1)
 
 
 def _gather(parts):
-    """The Decomposed label of the summands given as (algebra, series,
-    split stage) for ``_classify_rows``."""
+    """The Decomposed label of the summands, each given as its label, when
+    its split identified it, or as (algebra, series, split stage) for
+    ``_classify_rows``."""
     labels = []
-    for sub, series, split_stage in parts:
-        res = _classify_rows(sub, series, split_stage)[0]
+    for part in parts:
+        if isinstance(part, CanonicalLabel):
+            labels.append(part)
+            continue
+        res = _classify_rows(*part)[0]
         if isinstance(res, Decomposed):
             labels.extend(res.labels)
         else:
@@ -361,7 +374,8 @@ def _gather(parts):
 
 def _normalize(E, series):
     """Adapted reorder + per-type normalizer for an indecomposable
-    candidate: (label, witness rows or None), or a list of summands.
+    candidate: (label, witness rows or None), or the list of summands of
+    an ann-dim-2 special split, each an algebra or a label.
     The normalizer's raw parameters are wrapped here, once, to pick the
     orbit representative that the label carries."""
     tv = tuple(series.type_vector)
@@ -470,7 +484,8 @@ def witness_isomorphism(E1: EvolutionAlgebra, E2: EvolutionAlgebra):
 # per-type normalizers.  Each receives the algebra in adapted coordinates
 # (top block first, annihilator last), reads its payload rows, and
 # returns (variant, raw payload params, boundary, builder) or a list of
-# summands.  Type [1] has none: _classify_rows labels the
+# summands, each an algebra or the label of a summand the split
+# identifies.  Type [1] has none: _classify_rows labels the
 # one-dimensional zero algebra itself.  A builder receives the payloads
 # of the label's params and yields candidate bases as payload columns,
 # one per choice of the square roots it needs (_roots); it never raises
@@ -1242,7 +1257,9 @@ def _h_23(Ead, tv):
     c e_i^2, then e_i^2 and e_k^2 (k the third index) are a basis of ann,
     and the natural basis e_i, e_j, e_i^2, e_k, e_k^2 splits E into the
     ideals with rows [[0, 0, 1], [0, 0, c], [0, 0, 0]] and the
-    two-element chain."""
+    two-element chain.  The split returns the first as an algebra, to be
+    classified (whether it has a witness depends on c), and the second
+    as its label, ``_CHAIN2``."""
     n = Ead.dim
     S, ops = Ead._rows, Ead.field.ops
     sub, mul = ops.sub, ops.mul
@@ -1259,7 +1276,7 @@ def _h_23(Ead, tv):
                 c = ops.div(sqs[j][t], sqs[i][t])
                 pair = EvolutionAlgebra._wrap(
                     [[Z, Z, ops.one], [Z, Z, c], [Z, Z, Z]], Ead.field)
-                return [pair, _chain(Ead.field, 2)]
+                return [pair, _CHAIN2]
 
     def build(Ead, params):
         # pick the frame (x, z) = (0, 2); decompose e1^2 = al x^2 + be z^2
@@ -1280,13 +1297,14 @@ def _h_221(Ead, tv):
     split would have fired, so x^2, a nonzero multiple of the other
     square, and e_d^2 are a basis of ann.  Then the natural basis e_0,
     x, x^2, e_d, e_d^2 splits E into the three-element chain and the
-    two-element chain."""
+    two-element chain, which the split returns as their labels,
+    ``_CHAIN3`` and ``_CHAIN2``."""
     n = Ead.dim
     S, ops = Ead._rows, Ead.field.ops
     Z = ops.zero
     al, be = S[0][1], S[0][2]
     if al == Z or be == Z:
-        return [_chain(Ead.field, 3), _chain(Ead.field, 2)]
+        return [_CHAIN3, _CHAIN2]
 
     def build(Ead, params):
         ann_part = _placed(ops, n, 3, Ead._rows[0][3:])

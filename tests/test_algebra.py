@@ -22,12 +22,14 @@ from evoalg.algebra import (_ANN_OUTSIDE_SQUARE, _DISCONNECTED, _LARGE_ANN,
                             quotient_by_block, relative_annihilator,
                             restrict_to_indices, split_components,
                             square_subspace, upper_series)
+from evoalg.classify import CanonicalLabel, Decomposed
 from evoalg.errors import (NotAnIdeal, NotNilpotent, ShapeError,
                            SpecMismatch, SqrtUnavailable)
 from evoalg.fields import GF, PRIME, QI, QQ, FieldDescriptor, FieldElement
 from evoalg.linalg import (Matrix, Subspace, _identity_rows, _inverse_rows,
                            _unit_row)
 from evoalg.oracle import verify_hom
+from evoalg.tables import find_entry
 
 from helpers import (F13, random_algebra, random_large_annihilator,
                      random_nilpotent)
@@ -696,12 +698,22 @@ def _old_special_basis(Ead, tv):
     raise AssertionError("no dependent squares")
 
 
+def _part_rows(part, field):
+    """The structure rows of a summand classify hands to _gather: those
+    of its algebra, or for a summand given by its label, which its split
+    identified, those of the label's template over field."""
+    if isinstance(part, CanonicalLabel):
+        entry = find_entry(part.dim, part.type_vector, part.variant)
+        return entry.template_rows(part.params, field)
+    return part[0]._rows
+
+
 def _record_splits(classify_module):
     """Patches for classify's split stages, its ann-dim-2 handlers and
     _gather, and the events they record in call order: ("split", E,
     reason, groups) or ("special", Ead, type) for each split that
-    classify applies, each followed by ("gather", summand rows) for the
-    summands it hands down."""
+    classify applies, each followed by ("gather", summand parts) for the
+    summands it hands down (rows through ``_part_rows``)."""
     events, patches = [], []
 
     def stage(fn):
@@ -731,7 +743,7 @@ def _record_splits(classify_module):
 
     def gathering(parts):
         parts = list(parts)
-        events.append(("gather", [P._rows for P, _, _ in parts]))
+        events.append(("gather", parts))
         return gather(parts)
     patches.append((classify_module, "_gather", gathering))
     return events, patches
@@ -743,8 +755,10 @@ def _record_splits(classify_module):
 def test_every_split_classify_applies_is_block_diagonal(E):
     # the carve of the old split basis of every split classify applies is
     # block-diagonal, which pins the lemmas that let classify skip it:
-    # the pairs and the ann-dim-2 summands equal the carved rows, and the
-    # quotient of an annihilator split is isomorphic to the carved I
+    # the pairs, the one-index groups and the ann-dim-2 summands equal
+    # the carved rows (the rows of their label's template, for those
+    # classify takes as labels), and the quotient of an annihilator split
+    # is isomorphic to the carved I
     classify_module = importlib.import_module("evoalg.classify")
     events, patches = _record_splits(classify_module)
     with pytest.MonkeyPatch.context() as mp:
@@ -757,7 +771,7 @@ def test_every_split_classify_applies_is_block_diagonal(E):
     for at, event in enumerate(events):
         if event[0] == "gather":
             continue
-        kind, summands = events[at + 1]
+        kind, parts = events[at + 1]
         assert kind == "gather"
         if event[0] == "special":
             _, A, tv = event
@@ -778,6 +792,7 @@ def test_every_split_classify_applies_is_block_diagonal(E):
                     A, [k for [k] in groups[1:]])
                 groups = [list(range(head))] + [[j] for j in range(head,
                                                                    A.dim)]
+        summands = [_part_rows(part, A.field) for part in parts]
         Z = A.field.ops.zero
         rows = full_inverse_adjusted_rows(A, basis)
         assert sorted(i for g in groups for i in g) == list(range(A.dim))
@@ -868,16 +883,17 @@ def test_every_summand_inherits_what_its_split_proved(E):
 
 def test_summands_skip_the_split_stages_their_split_proved(monkeypatch):
     # call counts on the summands classify takes: no quotient of an
-    # annihilator split and no pair of the pairing runs the annihilator
-    # split, no graph component runs the component pass, and neither a
-    # component nor a quotient runs the series (all of them did when each
-    # summand was classified from scratch)
+    # annihilator split runs the annihilator split, no graph component
+    # runs the component pass, and neither a component nor a quotient
+    # runs the series (all of them did when each summand was classified
+    # from scratch); a pair of the pairing, taken as the two-element
+    # chain's label, runs no split stage and no normalizer at all
     algebra_module = importlib.import_module("evoalg.algebra")
     classify_module = importlib.import_module("evoalg.classify")
     square_parts, component_parts, series_parts = set(), set(), set()
     kept, repeats = [], collections.Counter()
     taken = collections.Counter()
-    counting, normalizing = [True], [False]
+    counting, last_split, ran = [True], [None], collections.Counter()
 
     def quietly(fn, *args):
         counting[0] = False
@@ -900,9 +916,9 @@ def test_summands_skip_the_split_stages_their_split_proved(monkeypatch):
             marked.add(id(P))
         kept.append(P)
 
-    subalgebra, chain, normalize = (classify_module._subalgebra,
-                                    classify_module._chain,
-                                    classify_module._normalize)
+    subalgebra, gather, normalize = (classify_module._subalgebra,
+                                     classify_module._gather,
+                                     classify_module._normalize)
 
     def sub(rows, idx, field):
         P = subalgebra(rows, idx, field)
@@ -919,26 +935,43 @@ def test_summands_skip_the_split_stages_their_split_proved(monkeypatch):
                     mark(P, square_parts, series_parts)
         return P
 
-    def chained(field, n):
-        P = chain(field, n)
-        if not normalizing[0]:  # a pair of the pairing
-            Z, one = field.ops.zero, field.ops.one
-            assert P._rows == [[Z, one], [Z, Z]]
-            taken["pair"] += 1
-            mark(P, square_parts)
-        return P
+    def stage(fn, name):
+        # _classify_rows hands a split's summands to _gather right after
+        # the split stage returns it
+        def wrapper(A):
+            ran[name] += 1
+            split = fn(A)
+            last_split[0] = None if split is None else (split[0], A.field)
+            return split
+        monkeypatch.setattr(classify_module, name, wrapper)
+
+    def gathering(parts):
+        parts = list(parts)
+        if last_split[0] is None or last_split[0][0] != _LARGE_ANN:
+            return gather(parts)
+        field = last_split[0][1]
+        last_split[0] = None
+        Z, one = field.ops.zero, field.ops.one
+        for part in parts:
+            assert _part_rows(part, field) == [[Z, one], [Z, Z]]
+        before = dict(ran)
+        out = gather(parts)
+        if ran != before:
+            repeats["pair"] += 1
+        taken["pair"] += len(parts)
+        return out
 
     def normalized(E, series):
-        normalizing[0] = True
-        try:
-            return normalize(E, series)
-        finally:
-            normalizing[0] = False
+        ran["_normalize"] += 1
+        return normalize(E, series)
     watch(algebra_module, "_annihilator_split", square_parts)
     watch(algebra_module, "component_index_sets", component_parts)
     watch(classify_module, "upper_series", series_parts)
+    for name in ("_natural_split", "_connected_split",
+                 "_split_inside_square"):
+        stage(getattr(classify_module, name), name)
     monkeypatch.setattr(classify_module, "_subalgebra", sub)
-    monkeypatch.setattr(classify_module, "_chain", chained)
+    monkeypatch.setattr(classify_module, "_gather", gathering)
     monkeypatch.setattr(classify_module, "_normalize", normalized)
     rng = random.Random(12)
     for field in (GF(5), F13, QQ(), QI()):
@@ -951,6 +984,122 @@ def test_summands_skip_the_split_stages_their_split_proved(monkeypatch):
     assert repeats == {}
     assert taken["component"] >= 250 and taken["quotient"] >= 150
     assert taken["pair"] >= 80
+
+
+@pytest.mark.parametrize("field", [GF(5), F13, GF(1000033), QQ(), QI()],
+                         ids=["GF5", "GF13", "GF1000033", "Q", "Qi"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_labels_classify_takes_unclassified_are_the_chains(field, n):
+    # the lemma behind the summands classify labels without classifying
+    # them: the template of d_n:[1,...,1]:v1 is the n-element chain (for
+    # n = 1 the zero algebra) on every field kind, with the identity as
+    # its witness, and it is the label classify gives that chain
+    classify_module = importlib.import_module("evoalg.classify")
+    label = {1: classify_module._ZERO, 2: classify_module._CHAIN2,
+             3: classify_module._CHAIN3}[n]
+    assert label.serialize() == f"d{n}:[{','.join(['1'] * n)}]:v1"
+    entry = find_entry(n, (1,) * n, 1)
+    C = chain(n, field)
+    assert entry.template_rows((), field) == C._rows
+    assert verify_hom(entry.template((), field), C,
+                      Matrix.identity(n, field))
+    assert classify_module.classify(C) == label
+
+
+def _explicit_summands(E):
+    """E's summands as explicit algebras, for the first split that
+    classify applies to E, or None when E does not split: the selections
+    of a graph split or an annihilator split, the two-element chain for
+    each pair of the pairing, and the carve of the ann-dim-2 split
+    basis."""
+    field = E.field
+    split = _natural_split(E)
+    if split is not None:
+        reason, groups = split
+        if reason == _LARGE_ANN:
+            return [chain(2, field) for _ in groups]
+        return [restrict_to_indices(E, g) for g in groups]
+    series = upper_series(E)
+    tv = tuple(series.type_vector)
+    if tv not in ((2, 3), (2, 2, 1)):
+        return None
+    classify_module = importlib.import_module("evoalg.classify")
+    perm = [i for blk in reversed(series.blocks) for i in blk]
+    Ead = restrict_to_indices(E, perm)
+    if not isinstance(classify_module._HANDLERS[tv](Ead, tv), list):
+        return None
+    rows = full_inverse_adjusted_rows(Ead, _old_special_basis(Ead, tv))
+    return [EvolutionAlgebra._wrap([[rows[i][j] for j in g] for i in g],
+                                   field)
+            for g in ([0, 1, 2], [3, 4])]
+
+
+def _reference_labels(E):
+    """The summand labels of E, each classified from an explicit
+    indecomposable algebra."""
+    parts = _explicit_summands(E)
+    if parts is None:
+        return [importlib.import_module("evoalg.classify").classify(E)]
+    return [label for P in parts for label in _reference_labels(P)]
+
+
+@settings(max_examples=300)
+@given(st.one_of(split_algebras(), nilpotent_of_type([[2, 3], [2, 2, 1]])))
+def test_labels_taken_unclassified_match_the_summands_classified(E):
+    # classify takes the summands its splits identify as labels; the
+    # labels must be those of the explicit summand algebras, each
+    # classified as a whole, with every pair built as the 2-chain
+    classify = importlib.import_module("evoalg.classify").classify
+    if not upper_series(E).nilpotent:
+        with pytest.raises(NotNilpotent):
+            classify(E)
+        return
+    try:
+        labels = _reference_labels(E)
+    except SqrtUnavailable:
+        with pytest.raises(SqrtUnavailable):
+            classify(E)
+        return
+    if len(labels) == 1:
+        assert classify(E) == labels[0]
+    else:
+        assert classify(E) == Decomposed(
+            sorted(labels, key=lambda l: l.serialize()))
+
+
+@pytest.mark.parametrize("rows, classified, searches", [
+    # a connected pairing, e_0^2 = e_2 + e_3, e_1^2 = e_2 - e_3: the two
+    # pairs are labelled, and nothing is classified
+    ([[0, 0, 1, 1], [0, 0, 1, 12], [0, 0, 0, 0], [0, 0, 0, 0]], 1, 0),
+    # a [2,2,1] split: both chains are labelled, and no witness is sought
+    ([[0, 1, 0, 0, 1], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1], [0] * 5,
+      [0] * 5], 1, 0),
+    # a [2,3] split: only the summand [[0, 0, 1], [0, 0, 2], [0, 0, 0]]
+    # is classified, with one witness search
+    ([[0, 0, 0, 1, 0], [0, 0, 0, 2, 0], [0, 0, 0, 1, 1], [0] * 5,
+      [0] * 5], 2, 1),
+], ids=["pairing", "221", "23"])
+def test_labelled_summands_run_no_classification(monkeypatch, rows,
+                                                 classified, searches):
+    # call counts: before the split's summands were taken as labels, the
+    # pairing classified 3 algebras with 2 witness searches, the [2,2,1]
+    # split 3 with 2 and the [2,3] split 3 with 2
+    classify_module = importlib.import_module("evoalg.classify")
+    counts = collections.Counter()
+
+    def counted(name):
+        fn = getattr(classify_module, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(classify_module, name, wrapper)
+    for name in ("_classify_rows", "_witness_basis"):
+        counted(name)
+    out = classify_module.classify(EvolutionAlgebra.from_ints(rows, F13))
+    assert isinstance(out, Decomposed)
+    assert counts["_classify_rows"] == classified
+    assert counts["_witness_basis"] == searches
 
 
 @settings(max_examples=300)
