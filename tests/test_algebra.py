@@ -868,9 +868,10 @@ def test_every_summand_inherits_what_its_split_proved(E):
         except (NotNilpotent, SqrtUnavailable):
             pass
     for A, series, split_stage in calls:
-        # the one-dimensional summands of C are the zero algebra, which
-        # is labelled before any split stage runs
-        if split_stage is _split_inside_square and A.dim > 1:
+        # the one-index summands of a split are labelled by the split and
+        # never reach _classify_rows
+        assert series is None or A.dim > 1
+        if split_stage is _split_inside_square:
             assert _annihilator_split(A, _zero_rows(A)) is None
         if split_stage is _connected_split:
             assert len(component_index_sets(A)) == 1
