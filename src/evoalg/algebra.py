@@ -10,15 +10,15 @@ ideals where the supporting theory provides one.
 Several invariants are read off index sets of the natural basis rather
 than eliminated for: ann(E) is spanned by the e_i with e_i^2 = 0, every
 term of the upper annihilating series is a coordinate subspace (the
-series keeps its blocks, and builds ``AnnSeries.chain`` on first read),
-and ann lies in E^2 exactly when E^2's reduced basis holds the unit row
-of each such e_i.  The nonzero pattern of the structure rows is one int
-bitmask per row (``EvolutionAlgebra._supports``), built once per
-algebra; the series, the graph components and the zero squares test it
-with ``&``.  The split along an annihilator vector outside E^2
-(``_annihilator_split``) finds its part C inside ann from two
-eliminations: ann cap E^2 and the test of ann inside E^2 from one, and
-C's indices from the last nonzero columns of the other.
+series keeps its blocks, and builds ``AnnSeries.chain`` on first read).
+The nonzero pattern of the structure rows is one int bitmask per row
+(``EvolutionAlgebra._supports``), built once per algebra; the series,
+the graph components and the zero squares test it with ``&``.  The
+split along an annihilator vector outside E^2 (``_annihilator_split``)
+finds its part C inside ann from two eliminations: ann cap E^2 and the
+test of ann inside E^2 from one, and C's indices from the last nonzero
+columns of the other.  That test is the only one of ann inside E^2:
+``invariant_profile`` reads it as the split finding no C.
 
 The decomposability criteria that split E into ideals spanned by a
 natural basis (a disconnected graph, an annihilator vector outside E^2,
@@ -37,10 +37,9 @@ from __future__ import annotations
 from functools import cached_property
 
 from ._values import Value
-from .errors import NotAnIdeal, NotNilpotent, ShapeError
+from .errors import AmbientMismatch, NotAnIdeal, NotNilpotent, ShapeError
 from .fields import FieldDescriptor, FieldElement
-from . import linalg
-from .linalg import Matrix, Subspace, _combine, _kernel_rows, _unit_row
+from .linalg import Matrix, Subspace, _kernel_rows, _unit_row
 
 
 class EvolutionAlgebra:
@@ -111,19 +110,13 @@ class EvolutionAlgebra:
         if len(x) != self.dim or len(y) != self.dim:
             raise ShapeError("vector length mismatch")
         field = self.field
-        prod = _product(self._rows, field.payloads(x), field.payloads(y),
-                        field.ops)
+        prod = field.ops.product(self._rows, field.payloads(x),
+                                 field.payloads(y))
         return [FieldElement(field, v) for v in prod]
 
     def annihilator(self) -> Subspace:
         """Span of the natural basis vectors with zero square."""
         return Subspace.coordinate(_zero_rows(self), self.dim, self.field)
-
-
-def _product(rows: list[list], x: list, y: list, ops) -> list:
-    """Payload product sum_i x_i y_i e_i^2, where rows[i] holds e_i^2
-    (``FieldOps.product``)."""
-    return ops.product(rows, x, y)
 
 
 def _support_masks(rows: list[list], Z) -> list[int]:
@@ -223,10 +216,6 @@ class AnnSeries(Value):
                 chain.append(Subspace.coordinate(placed, dim, field))
             return chain
 
-    @chain.setter
-    def chain(self, value):
-        self._chain = value
-
     @property
     def r(self) -> int:
         return len(self.blocks)
@@ -286,7 +275,7 @@ def product_subspace(E: EvolutionAlgebra, s: Subspace, t: Subspace) -> Subspace:
     E.field.require(s.field)
     E.field.require(t.field)
     ops = E.field.ops
-    return Subspace._span([_product(E._rows, x, y, ops)
+    return Subspace._span([ops.product(E._rows, x, y)
                            for x in s._rows for y in t._rows],
                           E.dim, E.field)
 
@@ -348,7 +337,6 @@ def relative_annihilator(E: EvolutionAlgebra, inside: Subspace,
                          against: Subspace) -> Subspace:
     """{x in inside : x * against = 0}."""
     if inside.ambient_dim != E.dim or against.ambient_dim != E.dim:
-        from .errors import AmbientMismatch
         raise AmbientMismatch("subspace ambient must equal algebra dim")
     E.field.require(inside.field)
     E.field.require(against.field)
@@ -358,13 +346,13 @@ def relative_annihilator(E: EvolutionAlgebra, inside: Subspace,
     ops = E.field.ops
     constraints = []
     for t in against._rows:
-        prods = [_product(E._rows, g, t, ops) for g in gens]
+        prods = [ops.product(E._rows, g, t) for g in gens]
         for j in range(E.dim):
             constraints.append([p[j] for p in prods])
     if not constraints:
         return inside
     coefs, _ = _kernel_rows(constraints, len(gens), ops)
-    return Subspace._span([_combine(c, gens, E.dim, ops) for c in coefs],
+    return Subspace._span([ops.combine(c, gens, E.dim) for c in coefs],
                           E.dim, E.field)
 
 
@@ -454,24 +442,13 @@ class DecompVerdict(Value):
         self.witness = witness  # pair of complementary ideal Subspaces
 
 
-def _holds_units(s: Subspace, indices) -> bool:
-    """Whether s contains e_k for every k in indices.  The coordinates of
-    e_k at the pivots of s's reduced basis pick the one combination that
-    could equal it, so e_k lies in s exactly when that basis holds the
-    unit row e_k."""
-    Z, n = s.field.ops.zero, s.ambient_dim
-    units = {piv for row, piv in zip(s._rows, s._pivots)
-             if row.count(Z) == n - 1}
-    return all(k in units for k in indices)
-
-
 def _last_columns(rows: list[list], n: int, ops) -> set[int]:
     """The columns k at which some vector of span(rows) has its last
     nonzero entry: the pivots of one elimination over reversed columns.
     Walking e_0, e_1, ... and keeping each e_k outside span(rows) plus
     the e_j already walked keeps exactly the k not in this set."""
     rev = [r[::-1] for r in rows]
-    return {n - 1 - p for p in linalg._rref_rows(rev, n, ops)}
+    return {n - 1 - p for p in ops.rref(rev, n)}
 
 
 def _annihilator_split(E: EvolutionAlgebra, zero: list[int]):
@@ -502,7 +479,7 @@ def _annihilator_split(E: EvolutionAlgebra, zero: list[int]):
     live = [j for j in range(n) if j not in zset]
     head = len(live)
     rows = [[E._rows[i][j] for j in live + zero] for i in live]
-    pivots = linalg._rref_rows(rows, n, ops)
+    pivots = ops.rref(rows, n)
     ann_rows = [r[head:] for r, p in zip(rows, pivots) if p >= head]
     if len(ann_rows) == len(zero):
         return None
@@ -694,6 +671,6 @@ def invariant_profile(E: EvolutionAlgebra) -> InvariantProfile:
         dim_block_sq=dim_block_sq,
         dim_u3_sq_sq=dim_u3_sq_sq,
         u4_sq_in_u3=u4_in,
-        ann_in_sq=_holds_units(sq, _zero_rows(E)),
+        ann_in_sq=_annihilator_split(E, _zero_rows(E)) is None,
         dim_sq_cap_u3=dim_cap,
     )

@@ -27,7 +27,7 @@ the field's ``ops`` table: the splitting stages, the adapted reorder,
 the per-type normalizers (they read the structure rows, take roots
 with ``ops.sqrt`` and ``ops.cbrt`` and divide with ``ops.div``, which
 raises DivisionByZero), their builders (payload columns, products by
-``algebra._product``), the templates' rows and the witness check.
+``ops.product``), the templates' rows and the witness check.
 ``classify`` makes no change of natural basis: every summand of a split
 is a selection of E's own rows and columns (a graph component, the
 quotient of an annihilator split) or a fixed small algebra read off E's
@@ -78,7 +78,7 @@ from .fields import PRIME, FieldElement
 from .linalg import (Matrix, _identity_rows, _inverse_rows, _kernel_rows,
                      _rank, _unit_row)
 from .algebra import (_DISCONNECTED, _LARGE_ANN, EvolutionAlgebra,
-                      _connected_split, _natural_split, _product,
+                      _connected_split, _natural_split,
                       _restricted_series, _split_inside_square, _subalgebra,
                       upper_series)
 from .tables import find_entry, orbit_min
@@ -172,7 +172,7 @@ def _power(ops, x, k):
 
 def _sq(Ead, v):
     """The square of the row v in Ead."""
-    return _product(Ead._rows, v, v, Ead.field.ops)
+    return Ead.field.ops.product(Ead._rows, v, v)
 
 
 def _solve(ops, rows, rhs):
@@ -208,7 +208,17 @@ def _root_choices(ops, xs):
 # diagonal quadratic form utilities
 
 class _DiagForm:
-    """The form Q(v) = sum v_k^2 d_k on a coordinate space of payloads."""
+    """The form Q(v) = sum v_k^2 d_k on a coordinate space of payloads,
+    built by the [1,n,1], [1,2,2], [1,2,1,1] and [1,1,2,1] normalizers on
+    a block U of the adapted basis, where the type makes it nondegenerate.
+    L1: each d_k, the coefficient of a U square on the block below (s, or
+    w for [1,1,2,1]), is nonzero, or that basis vector would lie a block
+    lower; so is each vector whose partner or complement is sought (the
+    U-part of x^2 or y^2, or (c_1, c_2)).  So b(a, e_k) = a_k d_k != 0
+    for some k.  L2: each span whose complement is taken is an
+    anisotropic line or a hyperbolic plane, so the complement is
+    nondegenerate and no member of an orthogonal basis of it is
+    isotropic."""
 
     def __init__(self, ops, diag):
         self.ops = ops
@@ -225,34 +235,24 @@ class _DiagForm:
         return acc
 
     def orth_complement_basis(self, vecs):
-        """An orthogonal basis, with anisotropic members whenever
-        possible, of the orthogonal complement of span(vecs)."""
+        """An orthogonal basis of the orthogonal complement of span(vecs),
+        with anisotropic members (L2)."""
         ops = self.ops
         Z, mul = ops.zero, ops.mul
         m = len(self.diag)
         rows = [[mul(x, d) for x, d in zip(v, self.diag)] for v in vecs]
         basis = _kernel_rows(rows, m, ops)[0]
-        # Gram-Schmidt with isotropic-pivot repair
+        # Gram-Schmidt
         out = []
         while basis:
             pick = next((v for v in basis if self.q(v) != Z), None)
-            if pick is None and len(basis) >= 2:
-                # all remaining basis vectors isotropic; if the restricted
-                # form is nondegenerate some sum is anisotropic
-                for a in range(len(basis)):
-                    for b in range(a + 1, len(basis)):
-                        cand = _sum(ops, basis[a], basis[b])
-                        if self.q(cand) != Z:
-                            basis[a] = cand
-                            pick = cand
-                            break
-                    if pick is not None:
-                        break
             if pick is None:
-                # totally isotropic leftover (possible when the restricted
-                # form is degenerate); keep as-is
-                out.extend(basis)
-                break
+                # every member is isotropic, so some u + v is not (L2):
+                # q(u + v) = 2 b(u, v)
+                for i, j in itertools.combinations(range(len(basis)), 2):
+                    if self.b(basis[i], basis[j]) != Z:
+                        pick = basis[i] = _sum(ops, basis[i], basis[j])
+                        break
             basis.remove(pick)
             out.append(pick)
             qp = self.q(pick)
@@ -263,18 +263,16 @@ class _DiagForm:
         return out
 
     def hyperbolic_partner(self, a):
-        """For isotropic a != 0: an isotropic d' with b(a, d') != 0."""
+        """For isotropic a != 0: an isotropic d' with b(a, d') != 0, and
+        b(a, d')."""
         ops = self.ops
         m = len(self.diag)
-        d = None
+        # some e_k has b(a, e_k) != 0 (L1); no bare next(): generators call it
         for k in range(m):
-            cand = _unit_row(k, m, ops)
-            if self.b(a, cand) != ops.zero:
-                d = cand
+            d = _unit_row(k, m, ops)
+            h0 = self.b(a, d)
+            if h0 != ops.zero:
                 break
-        if d is None:
-            raise SpecMismatch("vector lies in the radical of the form")
-        h0 = self.b(a, d)
         two = ops.of_int(2)
         d2 = ops.addmul(d, ops.neg(ops.div(self.q(d), ops.mul(two, h0))),
                         a)
@@ -519,7 +517,9 @@ def _h_star(Ead, tv):
 
 
 def _h_1n1(Ead, tv):
-    # adapted (x, u_1..u_m, s); x^2 = a + mu s with a in U_2
+    """Type [1,m,1], adapted (x, u_1..u_m, s), x^2 = a + mu s.  L3: m is
+    2 or 3 (dim <= 5), so the complement of a hyperbolic plane in U_2 has
+    dimension m - 2 <= 1."""
     m = tv[1]
     n = Ead.dim
     S, ops = Ead._rows, Ead.field.ops
@@ -533,8 +533,6 @@ def _h_1n1(Ead, tv):
         def build(Ead, params):
             x2 = Ead._rows[0]
             comp = form.orth_complement_basis([a])
-            if any(form.q(w) == Z for w in comp):
-                return
             for ts in _root_choices(ops, [div(qa, form.q(w)) for w in comp]):
                 yield ([_unit_row(0, n, ops), x2]
                        + [_placed(ops, n, 1, ops.scale(t, w))
@@ -545,31 +543,15 @@ def _h_1n1(Ead, tv):
     def build_iso(Ead, params):
         # a is isotropic: hyperbolic pair gives x^2 = u1 + i u2
         dprime, h = form.hyperbolic_partner(a)
+        # at most one complement direction (L3), anisotropic (L2); it sets
+        # the common square value, so it enters unscaled
         comp = form.orth_complement_basis([a, dprime])
-        delta = ops.one
-        # the first complement direction sets the common square value
-        # (delta = q(comp[0]) / h), so it enters unscaled; the remaining
-        # orthogonal directions are scaled to that value
-        rest = []
-        if comp:
-            g3 = form.q(comp[0])
-            if g3 == Z:
-                return
-            delta = div(g3, h)
-            rest.append(comp[0])
-        for w in comp[1:]:
-            qw = form.q(w)
-            if qw == Z:
-                return
-            t = ops.sqrt(div(g3, qw))
-            if t is None:
-                return
-            rest.append(ops.scale(t, w))
+        delta = div(form.q(comp[0]), h) if comp else ops.one
         u1, u2 = form.hyperbolic_pair(a, dprime, delta)
         v1 = _placed(ops, n, 1, u1, Ead._rows[0][n - 1])
         yield from _both_signs(ops, [_unit_row(0, n, ops), v1,
                                      _placed(ops, n, 1, u2)]
-                               + [_placed(ops, n, 1, w) for w in rest]
+                               + [_placed(ops, n, 1, w) for w in comp]
                                + [_sq(Ead, v1)], 2)
     return 2, (), False, build_iso
 
@@ -759,7 +741,10 @@ def _h_111n(Ead, tv):
 
 
 def _h_122(Ead, tv):
-    # adapted (x, y, u, v, s)
+    """Type [1,2,2], adapted (x, y, u, v, s); a and b are the U-parts of
+    x^2 and y^2.  L4: det != 0 means b is not parallel to a, so B != 0 in
+    b = A a + B w0; and with both isotropic, b = c+ a + c- d' gives
+    0 = q(b) = 2 c+ c- h with h != 0, so c+ c- = 0."""
     n = Ead.dim
     S, ops, field = Ead._rows, Ead.field.ops, Ead.field
     Z, sub, mul, div = ops.zero, ops.sub, ops.mul, ops.div
@@ -792,14 +777,10 @@ def _h_122(Ead, tv):
             def build(Ead, params):
                 (target,) = params
                 w0, qw0 = complement()
-                if qw0 == Z:
-                    return
                 # decompose b = A a + B w0
                 baw0 = form.b(a, w0)
                 A, B = _solve(ops, [[qa, baw0], [baw0, qw0]],
                                [form.b(b, a), form.b(b, w0)])
-                if B == Z:
-                    return
                 for t in _roots(ops, div(qa, qw0)):
                     if div(mul(t, A), B) != target:
                         continue
@@ -853,9 +834,6 @@ def _h_122(Ead, tv):
         u0, v0 = form.hyperbolic_pair(a, dprime, delta)
         return (_placed(ops, n, 2, u0, sigma_u),
                 _placed(ops, n, 2, v0, sigma_v))
-
-    if c_minus != Z and c_plus != Z:
-        raise SpecMismatch("isotropic squares must lie on isotropic lines")
 
     if c_minus == Z:
         rho = c_plus
@@ -1298,7 +1276,12 @@ def _h_221(Ead, tv):
     square, and e_d^2 are a basis of ann.  Then the natural basis e_0,
     x, x^2, e_d, e_d^2 splits E into the three-element chain and the
     two-element chain, which the split returns as their labels,
-    ``_CHAIN3`` and ``_CHAIN2``."""
+    ``_CHAIN3`` and ``_CHAIN2``.
+
+    L5: otherwise x = al e_1 + be e_2 + tail, and e_1^2, e_2^2 span ann
+    (which lies in E^2 = span(x, e_1^2, e_2^2), x outside it), so the
+    candidate e_0, al e_1 + tail, be e_2 and their squares is invertible
+    and realizes the template: it is the only one."""
     n = Ead.dim
     S, ops = Ead._rows, Ead.field.ops
     Z = ops.zero
@@ -1312,10 +1295,6 @@ def _h_221(Ead, tv):
         an = _sum(ops, _placed(ops, n, 1, [al]), ann_part)
         bn = _placed(ops, n, 2, [be])
         yield [x, an, bn, _sq(Ead, an), _sq(Ead, bn)]
-        # or put the annihilator tail on b instead
-        an2 = _placed(ops, n, 1, [al])
-        bn2 = _sum(ops, _placed(ops, n, 2, [be]), ann_part)
-        yield [x, an2, bn2, _sq(Ead, an2), _sq(Ead, bn2)]
     return 1, (), False, build
 
 

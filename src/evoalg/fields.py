@@ -116,16 +116,35 @@ def GF(p: int) -> FieldDescriptor:
     return _interned(PRIME, p)
 
 
+# Miller-Rabin to the prime bases 2..41 proves primality below the bound
+# (Sorenson and Webster, Math. Comp. 86 (2017))
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; raises DomainError from ``_MR_BOUND``
+    on, where it would prove nothing, unless a base divides n."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    if n >= _MR_BOUND:
+        raise DomainError(f"primality is only decided below {_MR_BOUND}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -636,14 +655,11 @@ def _gauss_sqrt(a):
     t = _frac_sqrt(re_ * re_ + im * im)
     if t is None:
         return None
-    x2 = (re_ + t) / 2
-    x = _frac_sqrt(x2)
+    # _frac_sqrt's root is nonnegative, so x > 0 makes (x, y) canonical
+    x = _frac_sqrt((re_ + t) / 2)
     if x is None or x == 0:
         return None
-    y = im / (2 * x)
-    if x < 0 or (x == 0 and y < 0):
-        x, y = -x, -y
-    return (x, y)
+    return (x, im / (2 * x))
 
 
 def _icbrt(m: int) -> int:

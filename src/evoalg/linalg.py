@@ -8,8 +8,8 @@ handful of rows/columns), so plain Gaussian elimination is all we need.
 The kernels compute on raw payload rows through the field's ``ops``
 table (see ``fields.FieldOps``): a public operation unwraps its entries
 once and wraps its result once.  Elimination and linear combination are
-the table's own kernels (``ops.rref``, ``ops.combine``), reached through
-``_rref_rows`` and ``_combine``, so each field runs its own.
+the table's own kernels (``ops.rref``, ``ops.combine``), which callers
+call directly, so each field runs its own.
 """
 
 from __future__ import annotations
@@ -139,33 +139,26 @@ def _identity_rows(n, ops) -> list[list]:
             for i in range(n)]
 
 
-def _rref_rows(rows: list[list], ncols: int, ops) -> list[int]:
-    """Bring the payload rows to reduced row echelon form in place and
-    return the pivot columns (``FieldOps.rref``); every elimination of the
-    package goes through here."""
-    return ops.rref(rows, ncols)
-
-
 def _inverse_rows(rows: list[list], ops) -> list[list]:
     """The inverse of a square matrix given by payload rows, by one
     elimination of [A | I]; raises Singular."""
     n = len(rows)
     aug = [r + e for r, e in zip(rows, _identity_rows(n, ops))]
-    if _rref_rows(aug, n, ops) != list(range(n)):
+    if ops.rref(aug, n) != list(range(n)):
         raise Singular("matrix is not invertible")
     return [r[n:] for r in aug]
 
 
 def _rank(rows: list[list], ncols: int, ops) -> int:
     """Rank of payload rows, which are left untouched."""
-    return len(_rref_rows(list(rows), ncols, ops))
+    return len(ops.rref(list(rows), ncols))
 
 
 def _kernel_rows(rows: list[list], ncols: int, ops):
     """The reduced basis of {x : rows . x = 0} as payload rows, and its
     pivot columns."""
     red = list(rows)
-    pivots = _rref_rows(red, ncols, ops)
+    pivots = ops.rref(red, ncols)
     neg = ops.neg
     vecs = []
     for j in range(ncols):
@@ -176,18 +169,13 @@ def _kernel_rows(rows: list[list], ncols: int, ops):
         for r, piv in enumerate(pivots):
             v[piv] = neg(red[r][j])
         vecs.append(v)
-    return vecs, _rref_rows(vecs, ncols, ops)
-
-
-def _combine(coefs, rows, ncols, ops) -> list:
-    """sum_k coefs[k] rows[k] as one payload row (``FieldOps.combine``)."""
-    return ops.combine(coefs, rows, ncols)
+    return vecs, ops.rref(vecs, ncols)
 
 
 def rref(m: Matrix) -> tuple[Matrix, int]:
     """Reduced row echelon form and rank."""
     rows = m._payloads()
-    rank = len(_rref_rows(rows, m.ncols, m.field.ops))
+    rank = len(m.field.ops.rref(rows, m.ncols))
     return Matrix._wrap(rows, m.field, m.ncols), rank
 
 
@@ -202,7 +190,7 @@ class Subspace:
 
     def _init(self, rows, ambient_dim, field, pivots=None):
         if pivots is None:
-            pivots = _rref_rows(rows, ambient_dim, field.ops)
+            pivots = field.ops.rref(rows, ambient_dim)
             del rows[len(pivots):]
         self.ambient_dim = ambient_dim
         self.field = field
@@ -302,7 +290,7 @@ class Subspace:
             return self
         system = [[ops.dot(y, s) for s in self._rows] for y in constraints]
         coefs, _ = _kernel_rows(system, self.dim, ops)
-        return Subspace._span([_combine(c, self._rows, n, ops) for c in coefs],
+        return Subspace._span([ops.combine(c, self._rows, n) for c in coefs],
                               n, field)
 
     def is_zero(self) -> bool:

@@ -13,7 +13,7 @@ from evoalg.algebra import (_ANN_OUTSIDE_SQUARE, _DISCONNECTED, _LARGE_ANN,
                             DECOMPOSABLE, INDECOMPOSABLE, PLENARY, RIGHT,
                             UNKNOWN, AnnSeries, EvolutionAlgebra,
                             _annihilator_split, _connected_split,
-                            _holds_units, _natural_split, _split_ideals,
+                            _natural_split, _split_ideals,
                             _split_inside_square, _zero_rows,
                             component_index_sets,
                             decomposability_check, graph_of,
@@ -23,8 +23,8 @@ from evoalg.algebra import (_ANN_OUTSIDE_SQUARE, _DISCONNECTED, _LARGE_ANN,
                             restrict_to_indices, split_components,
                             square_subspace, upper_series)
 from evoalg.classify import CanonicalLabel, Decomposed
-from evoalg.errors import (NotAnIdeal, NotNilpotent, ShapeError,
-                           SpecMismatch, SqrtUnavailable)
+from evoalg.errors import (AmbientMismatch, NotAnIdeal, NotNilpotent,
+                           ShapeError, SpecMismatch, SqrtUnavailable)
 from evoalg.fields import GF, PRIME, QI, QQ, FieldDescriptor, FieldElement
 from evoalg.linalg import (Matrix, Subspace, _identity_rows, _inverse_rows,
                            _unit_row)
@@ -83,6 +83,14 @@ def test_dim_must_be_positive():
         EvolutionAlgebra(0, Matrix([], QQ(), 0), QQ())
 
 
+def test_the_structure_must_be_square_over_the_algebras_field():
+    with pytest.raises(ShapeError, match="must be 2x2, got 2x3"):
+        EvolutionAlgebra(2, Matrix.from_ints([[0, 1, 0], [0, 0, 0]], QQ()),
+                         QQ())
+    with pytest.raises(ShapeError, match="different field"):
+        EvolutionAlgebra(2, Matrix.from_ints([[0, 1], [0, 0]], F13), QQ())
+
+
 def test_multiply_bilinear_diagonal():
     E = chain(3)
     x = [QQ().from_int(2), QQ().from_int(3), QQ().zero()]
@@ -112,6 +120,14 @@ def test_relative_annihilator_identities():
     assert relative_annihilator(E, s, Subspace.zero(4, F13)) == s
 
 
+def test_relative_annihilator_needs_subspaces_of_the_algebra():
+    E = chain(3)
+    with pytest.raises(AmbientMismatch, match="ambient must equal"):
+        relative_annihilator(E, Subspace.full(2, QQ()), Subspace.full(3, QQ()))
+    with pytest.raises(AmbientMismatch, match="ambient must equal"):
+        relative_annihilator(E, Subspace.full(3, QQ()), Subspace.full(4, QQ()))
+
+
 def test_series_blocks_from_relative_annihilator():
     rng = random.Random(2)
     for _ in range(20):
@@ -137,6 +153,14 @@ def test_power_chains_right_vs_plenary():
     for _ in range(60):
         E = random_algebra(rng.randrange(1, 6), rng)
         assert power_nilpotency(E, RIGHT) == power_nilpotency(E, PLENARY)
+
+
+def test_power_subspaces_reject_an_empty_chain_and_unknown_kinds():
+    E = chain(3)
+    with pytest.raises(ShapeError, match="max_k"):
+        power_subspaces(E, RIGHT, 0)
+    with pytest.raises(ShapeError, match="unknown power kind"):
+        power_subspaces(E, "Left", 3)
 
 
 def test_right_chain_of_chain_algebra():
@@ -447,7 +471,6 @@ def annihilator_split_pieces(E, zero):
 def test_annihilator_split_matches_the_subspace_composition(E):
     zero, sq = _zero_rows(E), square_subspace(E)
     ann_in_sq = sq.contains(E.annihilator())
-    assert _holds_units(sq, zero) == ann_in_sq
     got = annihilator_split_pieces(E, zero)
     assert (got is None) == ann_in_sq
     if got is not None:
@@ -463,6 +486,20 @@ def test_annihilator_split_matches_the_subspace_composition(E):
         assert verdict.witness == (i_part, c_part)
         assert not c_part.is_zero() and (i_part + c_part).dim == E.dim
         assert i_part.intersect(c_part).is_zero()
+
+
+def test_ann_in_sq_is_the_containment_of_ann_in_the_square():
+    # invariant_profile reads ann inside E^2 as "no annihilator split";
+    # random nilpotent draws take both values
+    rng = random.Random(17)
+    seen = collections.Counter()
+    for field in (GF(5), F13, GF(1000033), QQ(), QI()):
+        for _ in range(80):
+            E = random_nilpotent(rng.randrange(1, 6), rng, field)
+            ann_in_sq = invariant_profile(E).ann_in_sq
+            assert ann_in_sq == square_subspace(E).contains(E.annihilator())
+            seen[ann_in_sq] += 1
+    assert seen[True] >= 50 and seen[False] >= 50
 
 
 def _census(strategy, record):
@@ -499,7 +536,7 @@ def test_annihilator_split_on_a_vector_outside_the_square():
     E = EvolutionAlgebra.from_ints(
         [[0, 1, 1, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]], QQ())
     zero, sq = _zero_rows(E), square_subspace(E)
-    assert zero == [1, 3] and not _holds_units(sq, zero)
+    assert zero == [1, 3] and not invariant_profile(E).ann_in_sq
     assert _annihilator_split(E, zero) == [1]
     c_part, i_part = annihilator_split_pieces(E, zero)
     assert c_part == Subspace.coordinate([1], 4, QQ())
@@ -817,15 +854,18 @@ def test_an_annihilator_split_takes_two_eliminations(monkeypatch):
     # call counts: each annihilator split that classify applies
     # eliminates at most twice (seven times before the split was built
     # from index sets, four while classify still carved its summands)
-    linalg = importlib.import_module("evoalg.linalg")
+    fields = importlib.import_module("evoalg.fields")
     algebra_module = importlib.import_module("evoalg.algebra")
     counts = [0]
-    rref = linalg._rref_rows
 
-    def counting(rows, ncols, ops):
-        counts[0] += 1
-        return rref(rows, ncols, ops)
-    monkeypatch.setattr(linalg, "_rref_rows", counting)
+    def counting(rref):
+        def wrapper(ops, rows, ncols):
+            counts[0] += 1
+            return rref(ops, rows, ncols)
+        return wrapper
+    # every elimination runs the rref kernel of its field's op table
+    for table in (fields.FieldOps, fields._PrimeOps):
+        monkeypatch.setattr(table, "rref", counting(table.rref))
     split, per_split = algebra_module._annihilator_split, []
 
     def windowed(E, zero):

@@ -431,8 +431,10 @@ def test_series_and_basis_changes_skip_redundant_elimination(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(linalg, "_rref_rows",
-                        counting("rref", linalg._rref_rows))
+    # every elimination runs the rref kernel of its field's op table
+    fields = importlib.import_module("evoalg.fields")
+    for table in (fields.FieldOps, fields._PrimeOps):
+        monkeypatch.setattr(table, "rref", counting("rref", table.rref))
     rank = counting("rank", linalg._rank)
     monkeypatch.setattr(linalg, "_rank", rank)
     monkeypatch.setattr(classify_module, "_rank", rank)

@@ -54,6 +54,25 @@ def test_parse_errors_carry_position():
         parse_algebra_text("field GF 13\ndim 1\nrow i\n")    # i over GF
 
 
+@pytest.mark.parametrize("text, message", [
+    ("# no field line\ndim 1\nrow 0\n",
+     "line 2, col 1: expected 'field Q|Qi|GF <p>'"),
+    ("field GF x\ndim 1\nrow 0\n", "line 1, col 10: bad prime 'x'"),
+    ("\n\nfield R\ndim 1\nrow 0\n",
+     "line 3, col 1: expected 'field Q|Qi|GF <p>'"),
+    ("field Q  # then nothing\n", "line 2, col 1: missing 'dim <n>' line"),
+    ("field Q\nrow 0\n", "line 2, col 1: expected 'dim <n>'"),
+    ("field Q\ndim two\nrow 0\n", "line 2, col 5: bad dimension 'two'"),
+    ("field Q\ndim 0\n", "dimension must be at least 1"),
+    ("field Q\ndim 2\nrow 0 1\n\nrow 0\n",
+     "line 5, col 1: expected 'row' with 2 entries"),
+])
+def test_malformed_files_exit_1_with_their_position(tmp_path, capsys, text,
+                                                    message):
+    assert dispatch(["classify", algfile(tmp_path, text)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_dot_golden_bytes():
     E = parse_algebra_text("field Qi\ndim 3\nrow 0 1 0\nrow 0 0 i\nrow 0 0 0\n")
     assert emit_dot(graph_of(E)) == (

@@ -48,6 +48,40 @@ def test_spec_validation():
         FamilySpec("other", 1, f13s(1))
 
 
+def test_spec_validation_names_each_fault():
+    b = f13s(1, 2)
+    faults = [
+        (dict(kind=UB, n=3, b_diag=b), "length n"),
+        (dict(kind=UB, n=0, b_diag=()), "length n"),
+        (dict(kind=UBG, n=2, b_diag=b, g_eigs=b, f_eigs=b), "f_eigs"),
+        (dict(kind=UBFG, n=2, b_diag=b, g_eigs=b), "f_eigs"),
+        (dict(kind=UBU, n=2, b_diag=b), "u_coords"),
+        (dict(kind=UB, n=2, b_diag=b, u_coords=b), "u_coords"),
+        (dict(kind=UBG, n=2, b_diag=b, g_eigs=f13s(1)), "length != n"),
+        (dict(kind=UBU, n=2, b_diag=b, u_coords=f13s(1, 2, 3)),
+         "length != n"),
+    ]
+    for kwargs, message in faults:
+        with pytest.raises(SpecMismatch, match=message):
+            FamilySpec(**kwargs)
+
+
+def test_each_builder_takes_only_its_own_kind():
+    b = f13s(1, 2)
+    specs = {UB: FamilySpec(UB, 2, b), UBG: FamilySpec(UBG, 2, b, g_eigs=b),
+             UBFG: FamilySpec(UBFG, 2, b, f_eigs=b, g_eigs=b),
+             UBU: FamilySpec(UBU, 2, b, u_coords=b)}
+    builders = {UB: build_Ub, UBG: build_Ubg, UBFG: build_Ubfg,
+                UBU: build_Ubu}
+    for kind, builder in builders.items():
+        for other, spec in specs.items():
+            if other != kind:
+                with pytest.raises(SpecMismatch, match=f"needs kind {kind}"):
+                    builder(spec)
+    with pytest.raises(SpecMismatch, match="applies to kind Ubfg"):
+        scaling_isomorphism(specs[UBG], F13.one(), F13.one())
+
+
 def test_build_dispatch():
     spec = FamilySpec(UB, 2, f13s(1, 1))
     assert build(spec) == build_Ub(spec)

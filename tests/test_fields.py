@@ -1,6 +1,7 @@
 """Exact field arithmetic: rationals, Gaussian rationals, prime fields."""
 
 import pickle
+import time
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -9,9 +10,9 @@ from hypothesis import assume, given, strategies as st
 
 from evoalg.errors import (AlgebraSyntaxError, DivisionByZero, DomainError,
                            FieldLacksI, MixedFields)
-from evoalg.fields import (GF, PRIME, QI, QQ, FieldDescriptor, FieldElement,
-                           is_square, order_key, parse_element,
-                           sqrt_if_square, total_order)
+from evoalg.fields import (_MR_BOUND, GF, PRIME, QI, QQ, FieldDescriptor,
+                           FieldElement, _is_prime, is_square, order_key,
+                           parse_element, sqrt_if_square, total_order)
 
 
 def test_descriptors():
@@ -27,6 +28,51 @@ def test_gf_requires_odd_prime():
         GF(2)
     with pytest.raises(DomainError):
         GF(15)
+
+
+def _trial_division(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_primality_agrees_with_trial_division_below_1e5():
+    assert [n for n in range(10 ** 5) if _is_prime(n)] \
+        == [n for n in range(10 ** 5) if _trial_division(n)]
+
+
+def test_primality_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to the bases 2; 2..7; 2..31; 2..37
+    for n in (2047, 3215031751, 3825123056546413051,
+              318665857834031151167461):
+        assert not _is_prime(n)
+        with pytest.raises(DomainError):
+            GF(n)
+
+
+def test_large_prime_moduli_cost_no_scan():
+    # trial division needs seconds for 10^16 + 61 and never ends for
+    # 2^61 - 1; Miller-Rabin takes a handful of modular powers
+    start = time.perf_counter()
+    for p in (2 ** 61 - 1, 10 ** 16 + 61):
+        assert _is_prime(p)
+        assert GF(p).modulus == p
+    assert time.perf_counter() - start < 0.5
+
+
+def test_moduli_above_the_proven_bound_are_refused():
+    # 2^89 - 1 is prime, but above the bound that makes the bases 2..41
+    # a proof; a modulus with a small factor is still known composite
+    assert 2 ** 89 - 1 > _MR_BOUND
+    with pytest.raises(DomainError, match="only decided below"):
+        GF(2 ** 89 - 1)
+    with pytest.raises(DomainError, match="odd prime"):
+        GF(3 * _MR_BOUND)
 
 
 def test_parse_identity_zero():

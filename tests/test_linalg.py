@@ -51,6 +51,19 @@ def test_shape_errors():
         _ = a * b
 
 
+def test_matrices_reject_ragged_rows_and_foreign_entries():
+    one = QQ().one()
+    with pytest.raises(ShapeError, match="ragged rows"):
+        Matrix([[one, one], [one]], QQ())
+    with pytest.raises(ShapeError, match="different field"):
+        Matrix([[one, F13.one()]], QQ())
+
+
+def test_a_subspace_basis_must_match_its_ambient():
+    with pytest.raises(AmbientMismatch, match="ambient is 3"):
+        Subspace(3, Matrix.identity(2, QQ()))
+
+
 def test_kernel_basic():
     m = Matrix.from_ints([[1, 2], [2, 4]], QQ())
     k = kernel(m)

@@ -141,3 +141,62 @@ def test_the_lint_sees_a_dead_private_helper():
 def test_the_lint_covers_the_package():
     assert {p.name for p in MODULES} >= {"algebra.py", "classify.py",
                                          "linalg.py", "fields.py"}
+
+
+def _forwarding_shims(tree: ast.Module) -> list[str]:
+    """The top-level private functions whose body, after any docstring,
+    is one ``return`` of a call that passes only the function's own
+    parameters, to a function or to an attribute of one of those
+    parameters: such a function only restates the path it calls, and
+    its callers should call that path directly."""
+    found = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                or not node.name.startswith("_") \
+                or node.name.startswith("__"):
+            continue
+        body = node.body
+        if ast.get_docstring(node) is not None:
+            body = body[1:]
+        if len(body) != 1 or not isinstance(body[0], ast.Return) \
+                or not isinstance(body[0].value, ast.Call):
+            continue
+        a = node.args
+        params = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}
+        params |= {p.arg for p in (a.vararg, a.kwarg) if p is not None}
+
+        def is_param(expr):
+            if isinstance(expr, ast.Starred):
+                expr = expr.value
+            return isinstance(expr, ast.Name) and expr.id in params
+        call = body[0].value
+        func = call.func
+        callee_ok = isinstance(func, ast.Name) or (
+            isinstance(func, ast.Attribute) and is_param(func.value))
+        if callee_ok and all(map(is_param, call.args)) \
+                and all(is_param(k.value) for k in call.keywords):
+            found.append(f"{node.name} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_forwarding_shims(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _forwarding_shims(tree) == []
+
+
+def test_the_lint_sees_a_forwarding_shim():
+    tree = ast.parse(
+        "def _by_name(a, b):\n    return f(a, b)\n"
+        "def _by_attr(rows, n, ops):\n    'doc'\n"
+        "    return ops.rref(rows, n)\n"
+        "def _starred(*args, **kw):\n    return g(*args, **kw)\n"
+        "def _adds_a_value(a):\n    return f(a, 1)\n"
+        "def _reads_an_attribute(E, v):\n    return f(E.rows, v)\n"
+        "def _foreign_callee(a):\n    return other.f(a)\n"
+        "def _two_statements(a):\n    a = a + 1\n    return f(a)\n"
+        "def _indexes(a):\n    return f(a)[0]\n"
+        "def public(a):\n    return f(a)\n"
+        "class _K:\n    def _m(self, a):\n        return f(a)\n")
+    assert _forwarding_shims(tree) == [
+        "_by_name (line 1)", "_by_attr (line 3)", "_starred (line 6)"]

@@ -1,0 +1,183 @@
+"""The lemmas that let the normalizers skip degenerate cases.
+
+``classify._DiagForm`` states L1 and L2, ``_h_1n1`` L3, ``_h_122`` L4
+and ``_h_221`` L5: the forms the normalizers read are nondegenerate,
+every complement they take is anisotropic, and the [2,2,1] builder's one
+candidate always realizes its template.  These tests pin each lemma on
+the form alone and on the forms that classify builds.
+"""
+
+import collections
+import importlib
+import itertools
+import random
+from fractions import Fraction
+
+from hypothesis import assume, given, settings, strategies as st
+
+from evoalg.classify import CanonicalLabel, _DiagForm, classify
+from evoalg.errors import EvoalgError, SqrtUnavailable
+from evoalg.fields import GF, QI, QQ
+from evoalg.tables import ENTRIES
+
+from helpers import random_monomial_relabelling, random_nilpotent_of_type
+
+_FRACTION = st.builds(Fraction, st.integers(-8, 8), st.integers(1, 3))
+FIELDS = [(GF(5), st.integers(0, 4)), (GF(13), st.integers(0, 12)),
+          (GF(1000033), st.integers(0, 1000032)), (QQ(), _FRACTION),
+          (QI(), st.tuples(_FRACTION, _FRACTION))]
+
+
+@st.composite
+def forms_and_vectors(draw):
+    """A _DiagForm with a nonzero diagonal of length 2 or 3 and a nonzero
+    vector a; half of the time the first diagonal entry is chosen to make
+    a isotropic, which every field allows once a_0 and the rest of q(a)
+    are nonzero."""
+    field, payload = draw(st.sampled_from(FIELDS))
+    ops = field.ops
+    Z = ops.zero
+    nonzero = payload.filter(lambda x: x != Z)
+    m = draw(st.integers(2, 3))
+    diag = [draw(nonzero) for _ in range(m)]
+    a = [draw(payload) for _ in range(m)]
+    assume(any(x != Z for x in a))
+    rest = _DiagForm(ops, diag[1:]).q(a[1:])
+    if draw(st.booleans()) and a[0] != Z and rest != Z:
+        diag[0] = ops.neg(ops.div(rest, ops.mul(a[0], a[0])))
+    return _DiagForm(ops, diag), a
+
+
+def _orthogonal_and_anisotropic(form, comp, against):
+    Z = form.ops.zero
+    assert all(form.q(w) != Z for w in comp)
+    assert all(form.b(w, v) == Z for w in comp for v in against)
+    assert all(form.b(u, v) == Z for u, v in itertools.combinations(comp, 2))
+
+
+@settings(max_examples=400)
+@given(forms_and_vectors())
+def test_a_nondegenerate_form_splits_off_lines_and_planes(form_and_a):
+    # L1 and L2 on the form alone: a complement of an anisotropic line or
+    # of a hyperbolic plane has an orthogonal, anisotropic basis, and an
+    # isotropic a != 0 has an isotropic partner
+    form, a = form_and_a
+    Z, m = form.ops.zero, len(form.diag)
+    if form.q(a) != Z:
+        comp = form.orth_complement_basis([a])
+        assert len(comp) == m - 1
+        _orthogonal_and_anisotropic(form, comp, [a])
+        return
+    d, h = form.hyperbolic_partner(a)
+    assert form.q(d) == Z and h == form.b(a, d) != Z
+    comp = form.orth_complement_basis([a, d])
+    assert len(comp) == m - 2
+    _orthogonal_and_anisotropic(form, comp, [a, d])
+
+
+_FORM_TYPES = ([1, 2, 1], [1, 3, 1], [1, 2, 2], [1, 2, 1, 1], [1, 1, 2, 1])
+
+
+def _moved_templates(types, rng, samples=3):
+    """Over each field of FIELDS, the template of every table entry of
+    the given types, with random parameters in its domain, in a random
+    monomial relabelling."""
+    for field, _ in FIELDS:
+        for entry in ENTRIES:
+            if list(entry.type_vector) not in types:
+                continue
+            for _ in range(samples):
+                params = tuple(field.from_int(rng.randrange(1, 30))
+                               for _ in range(entry.param_arity))
+                try:
+                    T = entry.template(params, field)
+                except EvoalgError:  # outside the domain, or needs i
+                    continue
+                yield random_monomial_relabelling(T, rng)
+
+
+def test_the_forms_classify_reads_are_nondegenerate(monkeypatch):
+    # L1-L3 on the forms the [1,n,1], [1,2,2], [1,2,1,1] and [1,1,2,1]
+    # normalizers build: a nonzero diagonal of length at most 3, nonzero
+    # arguments, anisotropic complements, and at most one complement
+    # direction beside a hyperbolic plane (only _h_1n1 takes one)
+    classify_module = importlib.import_module("evoalg.classify")
+    seen = collections.Counter()
+
+    class Checked(_DiagForm):
+        def __init__(self, ops, diag):
+            super().__init__(ops, diag)
+            assert len(self.diag) <= 3
+            assert all(d != ops.zero for d in self.diag)
+            seen["forms"] += 1
+
+        def orth_complement_basis(self, vecs):
+            Z = self.ops.zero
+            assert all(any(x != Z for x in v) for v in vecs)
+            comp = super().orth_complement_basis(vecs)
+            assert len(comp) == len(self.diag) - len(vecs)
+            _orthogonal_and_anisotropic(self, comp, vecs)
+            if len(vecs) == 2:
+                assert len(comp) <= 1
+                seen["plane", len(self.diag)] += 1
+            return comp
+
+        def hyperbolic_partner(self, a):
+            Z = self.ops.zero
+            assert any(x != Z for x in a) and self.q(a) == Z
+            d, h = super().hyperbolic_partner(a)
+            assert self.q(d) == Z and h == self.b(a, d) != Z
+            seen["partners"] += 1
+            return d, h
+
+    monkeypatch.setattr(classify_module, "_DiagForm", Checked)
+    rng = random.Random(16)
+    for tv in _FORM_TYPES:
+        for field, _ in FIELDS:
+            for _ in range(40):
+                try:
+                    classify(random_nilpotent_of_type(tv, rng, field))
+                except SqrtUnavailable:
+                    pass
+    # random draws are rarely isotropic; the templates of every variant,
+    # moved off their normal form, reach each branch
+    for T in _moved_templates(_FORM_TYPES, rng):
+        try:
+            classify(T)
+        except SqrtUnavailable:
+            pass
+    assert seen["forms"] >= 500 and seen["partners"] >= 100
+    # the isotropic branch of _h_1n1 with a complement line and without
+    assert seen["plane", 2] >= 5 and seen["plane", 3] >= 5
+
+
+def test_the_221_builder_has_one_candidate_and_it_realizes(monkeypatch):
+    # L5: an unsplit [2,2,1] algebra gets its witness from the first
+    # candidate, so one _realizes call per witness search, and never
+    # no_witness
+    classify_module = importlib.import_module("evoalg.classify")
+    calls = collections.Counter()
+
+    def counted(name):
+        fn = getattr(classify_module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(classify_module, name, wrapper)
+    counted("_witness_basis")
+    counted("_realizes")
+    rng = random.Random(221)
+    inputs = [random_nilpotent_of_type([2, 2, 1], rng, field)
+              for field, _ in FIELDS for _ in range(150)]
+    inputs += _moved_templates([[2, 2, 1]], rng)
+    unsplit = 0
+    for E in inputs:
+        calls.clear()
+        label = classify(E)
+        if not isinstance(label, CanonicalLabel):
+            continue
+        unsplit += 1
+        assert label.type_vector == (2, 2, 1) and not label.no_witness
+        assert calls["_witness_basis"] == calls["_realizes"] == 1
+    assert unsplit >= 120
