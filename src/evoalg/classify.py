@@ -16,11 +16,16 @@ realize the template by an explicit change of basis, may need roots that
 the coefficient field lacks.  Each normalizer hands over a builder that
 yields candidate bases, one per choice of the square roots it needs; a
 root missing from the field simply yields no candidate, and a template
-that needs i has none over a field without i.  When no candidate
-realizes the template the label carries a no-witness flag.  The
-normalizer builds and verifies the witness basis once, in the same pass
-that produces the label, and ``witness_isomorphism`` composes the two
-stored witnesses instead of normalizing again.
+that needs i has none over a field without i.  Most builders are one of
+three constructions on the paper's data, a nondegenerate diagonal form
+and the slopes of commuting diagonalizable maps: the powers of x
+(``_powers``, which the one-dimensional zero algebra takes like any
+chain), the frame of x^2 against the form (``_frame``) and the slope
+gaps of [1,1,m] (``_h_11n``).  When no candidate realizes the template
+the label carries a no-witness flag.  The normalizer builds and verifies
+the witness basis once, in the same pass that produces the label, and
+``witness_isomorphism`` composes the two stored witnesses instead of
+normalizing again.
 
 Everything below the public boundary computes on raw payloads through
 the field's ``ops`` table: the splitting stages, the adapted reorder,
@@ -34,13 +39,15 @@ quotient of an annihilator split) or a fixed small algebra read off E's
 entries (each pair of the dim/2 pairing and the summands of the
 ann-dim-2 splits, which are chains, or for [2,3] the rows [[0, 0, 1],
 [0, 0, c], [0, 0, 0]]); the lemmas are in ``algebra._natural_split``,
-``algebra._annihilator_split``, ``_h_23`` and ``_h_221``.  The summands
-these lemmas identify are labelled without being classified: each pair
-of the pairing and each chain of an ann-dim-2 split gets the chain's
-label (``_CHAIN2``, ``_CHAIN3``), and each one-index group of a split,
-such as each e_k of C, the zero algebra's (``_ZERO``).  Every other
-summand is classified, so each label that carries a witness still has
-one verified.  Each witness candidate gets one rank test and the
+``algebra._annihilator_split``, ``_h_23`` and ``_h_221``.  Nor does it
+invert a matrix: the coordinates the normalizers take in a plane are
+closed forms in an orthogonal or a hyperbolic basis, or Cramer's rule.
+The summands these lemmas identify are labelled without being
+classified: each pair of the pairing and each chain of an ann-dim-2
+split gets the chain's label (``_CHAIN2``, ``_CHAIN3``), and each
+one-index group of a split, such as each e_k of C, the zero algebra's
+(``_ZERO``).  Every other summand is classified, so each label that
+carries a witness still has one verified.  Each witness candidate gets one rank test and the
 product test of ``verify_hom``.
 ``FieldElement`` values appear only at the public boundary: a
 normalizer's raw parameters are wrapped once, to pick their orbit
@@ -75,8 +82,7 @@ from .errors import (
     UnsupportedDim,
 )
 from .fields import PRIME, FieldElement
-from .linalg import (Matrix, _identity_rows, _inverse_rows, _kernel_rows,
-                     _rank, _unit_row)
+from .linalg import Matrix, _kernel_rows, _rank, _unit_row
 from .algebra import (_DISCONNECTED, _LARGE_ANN, EvolutionAlgebra,
                       _connected_split, _natural_split,
                       _restricted_series, _split_inside_square, _subalgebra,
@@ -175,10 +181,13 @@ def _sq(Ead, v):
     return Ead.field.ops.product(Ead._rows, v, v)
 
 
-def _solve(ops, rows, rhs):
-    """The x with rows . x = rhs, for an invertible square matrix of
-    payload rows; raises Singular."""
-    return [ops.dot(r, rhs) for r in _inverse_rows(rows, ops)]
+def _squares(Ead, v, k):
+    """The k successive squares v^2, (v^2)^2, ... of the row v in Ead."""
+    out = []
+    for _ in range(k):
+        v = _sq(Ead, v)
+        out.append(v)
+    return out
 
 
 def _roots(ops, x) -> tuple:
@@ -209,8 +218,10 @@ def _root_choices(ops, xs):
 
 class _DiagForm:
     """The form Q(v) = sum v_k^2 d_k on a coordinate space of payloads,
-    built by the [1,n,1], [1,2,2], [1,2,1,1] and [1,1,2,1] normalizers on
-    a block U of the adapted basis, where the type makes it nondegenerate.
+    built on a block U of the adapted basis, where the type makes it
+    nondegenerate, by ``_frame`` (for [1,m,1] and the proportional
+    [1,1,2,1]), by the [1,2,2] and [1,2,1,1] normalizers and by the
+    [1,1,2,1] variant-2 builder.
     L1: each d_k, the coefficient of a U square on the block below (s, or
     w for [1,1,2,1]), is nonzero, or that basis vector would lie a block
     lower; so is each vector whose partner or complement is sought (the
@@ -315,11 +326,6 @@ def _classify_rows(E, series=None, split_stage=None):
     run the whole ``_natural_split``."""
     if E.dim > 5:
         raise UnsupportedDim("classification covers dimension at most 5")
-    ops = E.field.ops
-    if E._rows == [[ops.zero]]:
-        # E is then the template of d1:[1]:v1 itself, so the identity is
-        # trivially a witness
-        return _ZERO, _identity_rows(1, ops)
     if series is None:
         series = upper_series(E)
         if not series.nilpotent:
@@ -454,7 +460,9 @@ def _realizes(template_rows, E, m) -> bool:
 
 def witness_isomorphism(E1: EvolutionAlgebra, E2: EvolutionAlgebra):
     """Change-of-basis matrix carrying E1's products to E2's, when the
-    labels agree and the needed roots exist; None when labels differ."""
+    labels agree and the needed roots exist; None when labels differ.
+    Raises MixedFields when the two fields differ."""
+    E1.field.require(E2.field)
     (l1, b1), (l2, b2) = _classify_rows(E1), _classify_rows(E2)
     if not labels_equal(l1, l2):
         return None
@@ -483,158 +491,128 @@ def witness_isomorphism(E1: EvolutionAlgebra, E2: EvolutionAlgebra):
 # (top block first, annihilator last), reads its payload rows, and
 # returns (variant, raw payload params, boundary, builder) or a list of
 # summands, each an algebra or the label of a summand the split
-# identifies.  Type [1] has none: _classify_rows labels the
-# one-dimensional zero algebra itself.  A builder receives the payloads
-# of the label's params and yields candidate bases as payload columns,
-# one per choice of the square roots it needs (_roots); it never raises
-# for a missing root, it just yields nothing more.
+# identifies.  A builder receives the payloads of the label's params and
+# yields candidate bases as payload columns, one per choice of the square
+# roots it needs (_roots); it never raises for a missing root, it just
+# yields nothing more.  Three constructions serve several types: the
+# powers of x (_powers: chains, the zero algebra, stars, and equal slopes
+# of [1,1,m] and [1,1,1,2]), the frame of x^2 against the form (_frame:
+# [1,m,1] and the proportional [1,1,2,1]) and the slope gaps of [1,1,m]
+# (_h_11n).
 
-def _chain_builder(Ead, params):
-    """Basis x, x^2, (x^2)^2, ... for plain chains."""
-    cols = [_unit_row(0, Ead.dim, Ead.field.ops)]
-    for _ in range(Ead.dim - 1):
-        cols.append(_sq(Ead, cols[-1]))
-    yield cols
-
-
-def _h_chain(Ead, tv):
-    return 1, (), False, _chain_builder
-
-
-def _h_star(Ead, tv):
-    # type [1, n-1]: u_i^2 = lam_i s
-    n = Ead.dim
-
+def _powers(m):
+    """The builder of the basis x = e_0, then t_k e_k for the other e_k of
+    the top block (its first m indices), each scaled by a root of
+    lam_0 / lam_k, lam_k being the entry of e_k^2 at index m, then x^2,
+    (x^2)^2, ... down to the last block."""
     def build(Ead, params):
-        S, ops = Ead._rows, Ead.field.ops
-        lam = [S[i][n - 1] for i in range(n - 1)]
-        for ts in _root_choices(ops, [ops.div(lam[0], lam[i])
-                                      for i in range(1, n - 1)]):
+        n, S, ops = Ead.dim, Ead._rows, Ead.field.ops
+        tail = [S[0]] + _squares(Ead, S[0], n - m - 1) if n > m else []
+        for ts in _root_choices(ops, [ops.div(S[0][m], S[k][m])
+                                      for k in range(1, m)]):
             yield ([_unit_row(0, n, ops)]
                    + [_placed(ops, n, k, [t]) for k, t in enumerate(ts, 1)]
-                   + [S[0]])
-    return 1, (), False, build
+                   + tail)
+    return build
 
 
-def _h_1n1(Ead, tv):
-    """Type [1,m,1], adapted (x, u_1..u_m, s), x^2 = a + mu s.  L3: m is
-    2 or 3 (dim <= 5), so the complement of a hyperbolic plane in U_2 has
-    dimension m - 2 <= 1."""
-    m = tv[1]
-    n = Ead.dim
+def _h_powers(Ead, tv):
+    """Chains (the zero algebra among them) and stars [1, m]: the top
+    block's squares all lie on one line, so the powers of x."""
+    return 1, (), False, _powers(tv[-1])
+
+
+def _frame(Ead, diag, k, variants):
+    """The frame of x^2 against a diagonal form: adapted (x, u_1..u_m,
+    ..., s) with x^2 = a + k e_(m+1) + ... + mu s, a in U = span(u_i) and
+    diag the coefficients on e_(m+1) of the u squares (for [1,m,1],
+    e_(m+1) = s and k = 0).  Variant variants[0] when a is anisotropic:
+    x, x^2, a's orthogonal complement scaled to q(a), then the powers of
+    x^2.  Variant variants[1] when a is isotropic: x, the hyperbolic pair
+    u + iv = a (u carrying x^2's s-part), the complement, then the powers
+    of u.  The pair's common square value q(u) = q(v) is q of the
+    complement when there is one, else k when k != 0, else b(a, d').
+    L3: m is 2 or 3 (dim <= 5), so the complement of a hyperbolic plane
+    in U has dimension m - 2 <= 1."""
+    n, m = Ead.dim, len(diag)
     S, ops = Ead._rows, Ead.field.ops
     Z, div = ops.zero, ops.div
-    lam = [S[1 + k][n - 1] for k in range(m)]
-    form = _DiagForm(ops, lam)
-    a = [S[0][1 + k] for k in range(m)]
+    form = _DiagForm(ops, diag)
+    a = S[0][1:1 + m]
     qa = form.q(a)
+    x = _unit_row(0, n, ops)
 
     if qa != Z:
         def build(Ead, params):
             x2 = Ead._rows[0]
             comp = form.orth_complement_basis([a])
+            tail = _squares(Ead, x2, n - 1 - m)
             for ts in _root_choices(ops, [div(qa, form.q(w)) for w in comp]):
-                yield ([_unit_row(0, n, ops), x2]
-                       + [_placed(ops, n, 1, ops.scale(t, w))
-                          for t, w in zip(ts, comp)]
-                       + [_sq(Ead, x2)])
-        return 1, (), False, build
+                yield ([x, x2] + [_placed(ops, n, 1, ops.scale(t, w))
+                                  for t, w in zip(ts, comp)] + tail)
+        return variants[0], (), False, build
 
     def build_iso(Ead, params):
-        # a is isotropic: hyperbolic pair gives x^2 = u1 + i u2
         dprime, h = form.hyperbolic_partner(a)
         # at most one complement direction (L3), anisotropic (L2); it sets
         # the common square value, so it enters unscaled
         comp = form.orth_complement_basis([a, dprime])
-        delta = div(form.q(comp[0]), h) if comp else ops.one
-        u1, u2 = form.hyperbolic_pair(a, dprime, delta)
+        top = form.q(comp[0]) if comp else k
+        u1, u2 = form.hyperbolic_pair(a, dprime,
+                                      div(top, h) if top != Z else ops.one)
         v1 = _placed(ops, n, 1, u1, Ead._rows[0][n - 1])
-        yield from _both_signs(ops, [_unit_row(0, n, ops), v1,
-                                     _placed(ops, n, 1, u2)]
+        yield from _both_signs(ops, [x, v1, _placed(ops, n, 1, u2)]
                                + [_placed(ops, n, 1, w) for w in comp]
-                               + [_sq(Ead, v1)], 2)
-    return 2, (), False, build_iso
+                               + _squares(Ead, v1, n - 1 - m), 2)
+    return variants[1], (), False, build_iso
+
+
+def _h_1n1(Ead, tv):
+    """Type [1,m,1], adapted (x, u_1..u_m, s): the frame of x^2 against
+    the form of the u squares on s."""
+    S = Ead._rows
+    return _frame(Ead, [S[1 + j][-1] for j in range(tv[1])],
+                  Ead.field.ops.zero, (1, 2))
 
 
 def _h_11n(Ead, tv):
-    # adapted (u_1..u_m, w, s): u_i^2 = lam_i w + nu_i s, w^2 = gw s
+    """Type [1,1,m], adapted (u_1..u_m, w, s): u_k^2 = lam_k (w + t_k s),
+    w^2 = gw s.  With one slope t_k, the powers of u_1.  Otherwise the
+    template's slots u_1..u_m have the slopes g = (0, 1), (0, 0, 1) or
+    (alpha, 0, 1) relative to the base slot u_(m-1) (slope 0) and the gap
+    slot u_m (slope 1); each order of the u_k that fits g gets its slots
+    scaled to the unit gap, and w = u_(m-1)^2.  Signs do not change
+    squares, so the candidates of one order realize the template all
+    together or not at all."""
     m = tv[2]
     n = Ead.dim
     S, ops = Ead._rows, Ead.field.ops
-    sub, mul, div = ops.sub, ops.mul, ops.div
+    Z, sub, mul, div = ops.zero, ops.sub, ops.mul, ops.div
     lam = [S[k][m] for k in range(m)]
-    nu = [S[k][n - 1] for k in range(m)]
     gw = S[m][n - 1]
-    tvals = [div(nu[k], lam[k]) for k in range(m)]
-    distinct = []
-    for t in tvals:
-        if t not in distinct:
-            distinct.append(t)
-
-    def build_equal(Ead, params):
-        for ts in _root_choices(ops, [div(lam[0], lam[k])
-                                      for k in range(1, m)]):
-            wn = Ead._rows[0]
-            yield ([_unit_row(0, n, ops)]
-                   + [_placed(ops, n, k, [t]) for k, t in enumerate(ts, 1)]
-                   + [wn, _sq(Ead, wn)])
-
-    if len(distinct) == 1:
-        return 1, (), False, build_equal
-
-    def gap_square(base, gap, k):
-        """The square of the scaling of u_k that puts the template's unit
-        gap between the slopes of u_base and u_gap."""
-        return div(mul(div(sub(tvals[gap], tvals[base]), mul(lam[base], gw)),
-                       lam[base]), lam[k])
-
-    if m == 2:
-        # two eigenvalues: template u1^2 = w, u2^2 = w + s
-        def build(Ead, params):
-            for base, gap in ((0, 1), (1, 0)):
-                for s0 in _roots(ops, gap_square(base, gap, base)):
-                    for s1 in _roots(ops, gap_square(base, gap, gap)):
-                        ub = _placed(ops, n, base, [s0])
-                        ug = _placed(ops, n, gap, [s1])
-                        wn = _sq(Ead, ub)
-                        yield [ub, ug, wn, _sq(Ead, wn)]
-        return 2, (), False, build
-
-    # m == 3
-    if len(distinct) == 2:
-        def build(Ead, params):
-            for a, b, c in itertools.permutations(range(3)):
-                # slots u1, u2 (g=0), u3 (g=1)
-                if tvals[a] != tvals[b]:
-                    continue
-                sc = [ops.sqrt(gap_square(a, c, k)) for k in range(3)]
-                if None in sc:
-                    continue
-                ua = _placed(ops, n, a, [sc[a]])
-                ub = _placed(ops, n, b, [sc[b]])
-                uc = _placed(ops, n, c, [sc[c]])
-                wn = _sq(Ead, ua)
-                yield [ua, ub, uc, wn, _sq(Ead, wn)]
-        return 2, (), False, build
-
-    # three distinct eigenvalues: anharmonic parameter
-    alpha = div(sub(tvals[0], tvals[1]), sub(tvals[2], tvals[1]))
+    tvals = [div(S[k][n - 1], lam[k]) for k in range(m)]
+    distinct = len(set(tvals))
+    if distinct == 1:
+        return 1, (), False, _powers(m)
 
     def build(Ead, params):
-        (target,) = params
-        for a, b, c in itertools.permutations(range(3)):
-            # slots: u1 (g=alpha), u2 (g=0), u3 (g=1)
-            if div(sub(tvals[a], tvals[b]),
-                   sub(tvals[c], tvals[b])) != target:
+        g = [*params] + [Z] * (m - 1 - len(params)) + [ops.one]
+        for order in itertools.permutations(range(m)):
+            base, gap = order[-2:]
+            unit = sub(tvals[gap], tvals[base])
+            if any(sub(tvals[k], tvals[base]) != mul(gk, unit)
+                   for k, gk in zip(order, g)):
                 continue
-            for sa in _roots(ops, gap_square(b, c, a)):
-                for sb in _roots(ops, gap_square(b, c, b)):
-                    for scc in _roots(ops, gap_square(b, c, c)):
-                        ua = _placed(ops, n, a, [sa])
-                        ub = _placed(ops, n, b, [sb])
-                        uc = _placed(ops, n, c, [scc])
-                        wn = _sq(Ead, ub)
-                        yield [ua, ub, uc, wn, _sq(Ead, wn)]
+            for scales in itertools.product(*[
+                    _roots(ops, div(unit, mul(gw, lam[k]))) for k in order]):
+                us = [_placed(ops, n, k, [r]) for k, r in zip(order, scales)]
+                wn = _sq(Ead, us[-2])
+                yield us + [wn, _sq(Ead, wn)]
+
+    if distinct == 2:
+        return 2, (), False, build
+    # three slopes: the anharmonic parameter
+    alpha = div(sub(tvals[0], tvals[1]), sub(tvals[2], tvals[1]))
     return 3, (alpha,), False, build
 
 
@@ -657,7 +635,7 @@ def _h_111n(Ead, tv):
 
     if m == 1:
         if f[0] == Z:
-            return 1, (), False, _chain_builder
+            return 1, (), False, _powers(1)
 
         def build_v2(Ead, params):
             for e in _roots(ops, div(mu[0], mul(mul(lam[0], lam[0]), aw))):
@@ -679,13 +657,7 @@ def _h_111n(Ead, tv):
     zf = [k for k in range(2) if f[k] == Z]
     if len(zf) == 2:
         if g[0] == g[1]:
-            def build(Ead, params):
-                wn = Ead._rows[0]
-                tn = _sq(Ead, wn)
-                for s in _roots(ops, div(lam[0], lam[1])):
-                    yield [_unit_row(0, n, ops), _placed(ops, n, 1, [s]),
-                           wn, tn, _sq(Ead, tn)]
-            return 1, (), False, build
+            return 1, (), False, _powers(2)
 
         def build_v2(Ead, params):
             for base, gap in ((0, 1), (1, 0)):
@@ -766,6 +738,8 @@ def _h_122(Ead, tv):
         return w0, form.q(w0)
 
     if qa != Z:
+        # b = A a + B w0 in the orthogonal basis a, w0 of the plane
+        A = div(qab, qa)
         det = sub(mul(qa, qb), mul(qab, qab))
         if det != Z:
             alpha = ops.sqrt(div(mul(qab, qab), det))
@@ -777,10 +751,7 @@ def _h_122(Ead, tv):
             def build(Ead, params):
                 (target,) = params
                 w0, qw0 = complement()
-                # decompose b = A a + B w0
-                baw0 = form.b(a, w0)
-                A, B = _solve(ops, [[qa, baw0], [baw0, qw0]],
-                               [form.b(b, a), form.b(b, w0)])
+                B = div(form.b(b, w0), qw0)
                 for t in _roots(ops, div(qa, qw0)):
                     if div(mul(t, A), B) != target:
                         continue
@@ -797,7 +768,6 @@ def _h_122(Ead, tv):
             return 1, (alpha,), False, build
 
         # b parallel to a: variants 2 / 3
-        A = div(form.b(b, a), qa)
         kappa = sub(nu_y, mul(A, mu_x))
         if kappa == Z:
             def build(Ead, params):
@@ -826,9 +796,8 @@ def _h_122(Ead, tv):
 
     # both squares isotropic
     dprime, h = form.hyperbolic_partner(a)
-    # b = c_plus a + c_minus d'
-    c_plus, c_minus = _solve(ops, [[qa, h], [h, form.q(dprime)]],
-                              [form.b(b, a), form.b(b, dprime)])
+    # b = c_plus a + c_minus d' in the hyperbolic basis a, d'
+    c_plus, c_minus = div(form.b(b, dprime), h), div(qab, h)
 
     def pair_cols(delta, sigma_u, sigma_v=None):
         u0, v0 = form.hyperbolic_pair(a, dprime, delta)
@@ -934,8 +903,8 @@ def _h_1211(Ead, tv):
 
     # second class: y^2 isotropic
     dprime, h = form.hyperbolic_partner(by)
-    c_plus, c_minus = _solve(ops, [[qby, h], [h, form.q(dprime)]],
-                              [form.b(ax, by), form.b(ax, dprime)])
+    # a_x = c_plus b_y + c_minus d' in the hyperbolic basis b_y, d'
+    c_plus, c_minus = div(form.b(ax, dprime), h), div(form.b(ax, by), h)
     qax = form.q(ax)
 
     def second_class_cols(delta, base):
@@ -998,49 +967,31 @@ def _h_1121(Ead, tv):
     delta = sub(div(q1, p1), div(q2, p2))
 
     if delta == Z:
+        # y^2 and z^2 lie on the line of w' = w + (q1/p1) s, and w'^2 =
+        # w^2: the [1,2,1] frame with one more power below it, except
+        # when c = (c1, c2) is anisotropic and c3 != 0 (variant 2)
         form = _DiagForm(ops, [p1, p2])
         c = [c1, c2]
         qc = form.q(c)
-        if qc != Z:
-            w0 = form.orth_complement_basis([c])[0]
-            qw0 = form.q(w0)
-            if c3 == Z:
-                def build(Ead, params):
-                    yn = _placed(ops, n, 1, c, c4)
-                    wn = _sq(Ead, yn)
-                    sn = _sq(Ead, wn)
-                    for t in _roots(ops, div(qc, qw0)):
-                        zn = _placed(ops, n, 1, ops.scale(t, w0))
-                        yield [_unit_row(0, n, ops), yn, zn, wn, sn]
-                return 1, (), False, build
+        if c3 == Z or qc == Z:
+            return _frame(Ead, [p1, p2], c3, (1, 3 if c3 == Z else 4))
+        w0 = form.orth_complement_basis([c])[0]
+        qw0 = form.q(w0)
 
-            def build_v2(Ead, params):
-                for sx in _roots(ops, div(c3, qc)):
-                    e2 = mul(sx, sx)
-                    xn = _placed(ops, n, 0, [sx])
-                    xsq = _sq(Ead, xn)
-                    # y_n = x_n^2 minus its w,s tail beyond the U3 part
-                    yn = _placed(ops, n, 1, xsq[1:3],
-                                 sub(xsq[4], mul(mul(e2, c3), div(q1, p1))))
-                    wn = _sq(Ead, yn)
-                    sn = _sq(Ead, wn)
-                    for t in _roots(ops, div(mul(mul(e2, e2), qc), qw0)):
-                        zn = _placed(ops, n, 1, ops.scale(t, w0))
-                        yield [xn, yn, zn, wn, sn]
-            return 2, (), False, build_v2
-
-        # isotropic top square
-        dprime, h = form.hyperbolic_partner(c)
-
-        def build_iso(Ead, params):
-            delta_c = ops.one if c3 == Z else div(c3, h)
-            y0, z0 = form.hyperbolic_pair(c, dprime, delta_c)
-            yn = _placed(ops, n, 1, y0, c4)
-            wn = _sq(Ead, yn)
-            yield from _both_signs(ops, [_unit_row(0, n, ops), yn,
-                                         _placed(ops, n, 1, z0), wn,
-                                         _sq(Ead, wn)], 2)
-        return (3 if c3 == Z else 4), (), False, build_iso
+        def build_v2(Ead, params):
+            for sx in _roots(ops, div(c3, qc)):
+                e2 = mul(sx, sx)
+                xn = _placed(ops, n, 0, [sx])
+                xsq = _sq(Ead, xn)
+                # y_n = x_n^2 minus its w,s tail beyond the U3 part
+                yn = _placed(ops, n, 1, xsq[1:3],
+                             sub(xsq[4], mul(mul(e2, c3), div(q1, p1))))
+                wn = _sq(Ead, yn)
+                sn = _sq(Ead, wn)
+                for t in _roots(ops, div(mul(mul(e2, e2), qc), qw0)):
+                    zn = _placed(ops, n, 1, ops.scale(t, w0))
+                    yield [xn, yn, zn, wn, sn]
+        return 2, (), False, build_v2
 
     # delta != 0: the two U_3 lines are intrinsic (only permutations and
     # scalings of them extend to natural basis changes)
@@ -1222,7 +1173,7 @@ def _h_11111(Ead, tv):
                                  Z, ops.one)
         return 2, (), False, build_v2
 
-    return 1, (), False, _chain_builder
+    return 1, (), False, _powers(1)
 
 
 # ---------------------------------------------------------------------------
@@ -1244,12 +1195,12 @@ def _h_23(Ead, tv):
     Z = ops.zero
     sqs = [[S[k][3], S[k][4]] for k in range(3)]
 
-    def dep(u, v):
-        return sub(mul(u[0], v[1]), mul(u[1], v[0])) == Z
+    def det(u, v):
+        return sub(mul(u[0], v[1]), mul(u[1], v[0]))
 
     for i in range(3):
         for j in range(i + 1, 3):
-            if dep(sqs[i], sqs[j]):
+            if det(sqs[i], sqs[j]) == Z:
                 t = 0 if sqs[i][0] != Z else 1
                 c = ops.div(sqs[j][t], sqs[i][t])
                 pair = EvolutionAlgebra._wrap(
@@ -1257,9 +1208,11 @@ def _h_23(Ead, tv):
                 return [pair, _CHAIN2]
 
     def build(Ead, params):
-        # pick the frame (x, z) = (0, 2); decompose e1^2 = al x^2 + be z^2
-        al, be = _solve(ops, [[sqs[0][0], sqs[2][0]],
-                               [sqs[0][1], sqs[2][1]]], sqs[1])
+        # pick the frame (x, z) = (0, 2); e1^2 = al x^2 + be z^2 by
+        # Cramer's rule
+        x2, y2, z2 = sqs
+        d = det(x2, z2)
+        al, be = ops.div(det(y2, z2), d), ops.div(det(x2, y2), d)
         for fa in _roots(ops, al):
             for fb in _roots(ops, be):
                 xn = _placed(ops, n, 0, [fa])
@@ -1315,14 +1268,15 @@ def _h_212(Ead, tv):
 
 
 _HANDLERS = {
-    (1, 1): _h_chain,
-    (1, 2): _h_star,
-    (1, 1, 1): _h_chain,
-    (1, 3): _h_star,
+    (1,): _h_powers,
+    (1, 1): _h_powers,
+    (1, 2): _h_powers,
+    (1, 1, 1): _h_powers,
+    (1, 3): _h_powers,
     (1, 2, 1): _h_1n1,
     (1, 1, 2): _h_11n,
     (1, 1, 1, 1): _h_111n,
-    (1, 4): _h_star,
+    (1, 4): _h_powers,
     (1, 3, 1): _h_1n1,
     (1, 1, 3): _h_11n,
     (1, 1, 1, 2): _h_111n,

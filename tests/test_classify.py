@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from evoalg.algebra import EvolutionAlgebra
 from evoalg.classify import (CanonicalLabel, Decomposed, classify,
                              labels_equal, witness_isomorphism)
-from evoalg.errors import (EvoalgError, NotNilpotent, SqrtUnavailable,
-                           UnsupportedDim)
+from evoalg.errors import (EvoalgError, MixedFields, NotNilpotent,
+                           SqrtUnavailable, UnsupportedDim)
 from evoalg.fields import GF, QI, QQ, FieldElement
 from evoalg.linalg import Matrix
 from evoalg.oracle import verify_hom
@@ -331,6 +331,35 @@ def test_relabelling_keeps_the_label_and_witnesses_verify(dim, field, seed):
         assert labels_equal(first, second)
 
 
+def _chain3(field):
+    return find_entry(3, (1, 1, 1), 1).template((), field)
+
+
+@pytest.mark.parametrize("fields", [(QQ(), QI()), (QI(), QQ()),
+                                    (GF(5), GF(13))],
+                         ids=["Q-Qi", "Qi-Q", "GF5-GF13"])
+def test_witness_isomorphism_refuses_two_fields(fields):
+    # the fields are compared before either side is classified, so
+    # neither side's payloads meet the other's ops table
+    E1, E2 = (_chain3(field) for field in fields)
+    with pytest.raises(MixedFields):
+        witness_isomorphism(E1, E2)
+
+
+def test_witness_isomorphism_refuses_two_fields_with_different_labels():
+    star = find_entry(3, (1, 2), 1).template((), F13)
+    with pytest.raises(MixedFields):
+        witness_isomorphism(_chain3(QQ()), star)
+
+
+def test_the_normalizers_are_the_table_types():
+    # one normalizer per type of the class tables (the one-dimensional
+    # zero algebra's included), and none for a type without classes
+    classify_module = importlib.import_module("evoalg.classify")
+    assert set(classify_module._HANDLERS) \
+        == {entry.type_vector for entry in ENTRIES}
+
+
 def test_witness_isomorphism_normalizes_each_input_once(monkeypatch):
     classify_module = importlib.import_module("evoalg.classify")
     calls = []
@@ -416,10 +445,10 @@ def test_chain_with_a_huge_cube_gets_a_witness_over_q(a4):
 
 def test_series_and_basis_changes_skip_redundant_elimination(monkeypatch):
     # call counts, not timings: upper_series reads membership off the
-    # structure rows without any elimination, classify inverts nothing
-    # larger than 2 x 2 (no change of natural basis; the 2 x 2 systems are
-    # _solve's), and the witness search runs exactly one rank test per
-    # candidate basis
+    # structure rows without any elimination, classify inverts no matrix
+    # (no change of natural basis, and the 2 x 2 coordinates of the
+    # normalizers are closed forms), and the witness search runs exactly
+    # one rank test per candidate basis
     linalg = importlib.import_module("evoalg.linalg")
     classify_module = importlib.import_module("evoalg.classify")
     algebra = importlib.import_module("evoalg.algebra")
@@ -456,7 +485,6 @@ def test_series_and_basis_changes_skip_redundant_elimination(monkeypatch):
         inverted.append(len(rows))
         return inverse_rows(rows, ops)
     monkeypatch.setattr(linalg, "_inverse_rows", inverting)
-    monkeypatch.setattr(classify_module, "_inverse_rows", inverting)
     witness_searches = []
     windowed("_witness_basis", classify_module._witness_basis,
              witness_searches)
@@ -485,7 +513,7 @@ def test_series_and_basis_changes_skip_redundant_elimination(monkeypatch):
                 classify(A)
             except SqrtUnavailable:
                 pass
-    assert inverted and max(inverted) <= 2
+    assert inverted == []
     assert sum(after["candidates"] - before["candidates"]
                for before, after in witness_searches) >= 20
     for before, after in witness_searches:

@@ -1,10 +1,12 @@
 """The lemmas that let the normalizers skip degenerate cases.
 
-``classify._DiagForm`` states L1 and L2, ``_h_1n1`` L3, ``_h_122`` L4
+``classify._DiagForm`` states L1 and L2, ``_frame`` L3, ``_h_122`` L4
 and ``_h_221`` L5: the forms the normalizers read are nondegenerate,
 every complement they take is anisotropic, and the [2,2,1] builder's one
 candidate always realizes its template.  These tests pin each lemma on
-the form alone and on the forms that classify builds.
+the form alone and on the forms that classify builds, and the closed
+forms the [1,2,2] and [1,2,1,1] normalizers take for the coordinates of
+a vector in an orthogonal or a hyperbolic basis of a plane.
 """
 
 import collections
@@ -29,23 +31,23 @@ FIELDS = [(GF(5), st.integers(0, 4)), (GF(13), st.integers(0, 12)),
 
 
 @st.composite
-def forms_and_vectors(draw):
-    """A _DiagForm with a nonzero diagonal of length 2 or 3 and a nonzero
-    vector a; half of the time the first diagonal entry is chosen to make
-    a isotropic, which every field allows once a_0 and the rest of q(a)
-    are nonzero."""
+def forms_and_vectors(draw, dims=(2, 3)):
+    """A _DiagForm with a nonzero diagonal of a length in dims, a nonzero
+    vector a and any vector v; half of the time the first diagonal entry
+    is chosen to make a isotropic, which every field allows once a_0 and
+    the rest of q(a) are nonzero."""
     field, payload = draw(st.sampled_from(FIELDS))
     ops = field.ops
     Z = ops.zero
     nonzero = payload.filter(lambda x: x != Z)
-    m = draw(st.integers(2, 3))
+    m = draw(st.sampled_from(dims))
     diag = [draw(nonzero) for _ in range(m)]
     a = [draw(payload) for _ in range(m)]
     assume(any(x != Z for x in a))
     rest = _DiagForm(ops, diag[1:]).q(a[1:])
     if draw(st.booleans()) and a[0] != Z and rest != Z:
         diag[0] = ops.neg(ops.div(rest, ops.mul(a[0], a[0])))
-    return _DiagForm(ops, diag), a
+    return _DiagForm(ops, diag), a, [draw(payload) for _ in range(m)]
 
 
 def _orthogonal_and_anisotropic(form, comp, against):
@@ -61,7 +63,7 @@ def test_a_nondegenerate_form_splits_off_lines_and_planes(form_and_a):
     # L1 and L2 on the form alone: a complement of an anisotropic line or
     # of a hyperbolic plane has an orthogonal, anisotropic basis, and an
     # isotropic a != 0 has an isotropic partner
-    form, a = form_and_a
+    form, a, _ = form_and_a
     Z, m = form.ops.zero, len(form.diag)
     if form.q(a) != Z:
         comp = form.orth_complement_basis([a])
@@ -73,6 +75,28 @@ def test_a_nondegenerate_form_splits_off_lines_and_planes(form_and_a):
     comp = form.orth_complement_basis([a, d])
     assert len(comp) == m - 2
     _orthogonal_and_anisotropic(form, comp, [a, d])
+
+
+@settings(max_examples=400)
+@given(forms_and_vectors(dims=(2,)))
+def test_plane_coordinates_are_closed_forms(form_a_v):
+    # in the orthogonal basis a, w0 of the plane (a anisotropic, w0 its
+    # complement) v has the coordinates b(v, a)/q(a) and b(v, w0)/q(w0);
+    # in the hyperbolic basis a, d' (a isotropic, (d', h) its partner)
+    # they are b(v, d')/h and b(v, a)/h
+    form, a, v = form_a_v
+    ops = form.ops
+    div = ops.div
+    qa = form.q(a)
+    if qa != ops.zero:
+        (w0,) = form.orth_complement_basis([a])
+        basis = [a, w0]
+        coords = [div(form.b(v, a), qa), div(form.b(v, w0), form.q(w0))]
+    else:
+        d, h = form.hyperbolic_partner(a)
+        basis = [a, d]
+        coords = [div(form.b(v, d), h), div(form.b(v, a), h)]
+    assert ops.combine(coords, basis, 2) == v
 
 
 _FORM_TYPES = ([1, 2, 1], [1, 3, 1], [1, 2, 2], [1, 2, 1, 1], [1, 1, 2, 1])
@@ -100,7 +124,8 @@ def test_the_forms_classify_reads_are_nondegenerate(monkeypatch):
     # L1-L3 on the forms the [1,n,1], [1,2,2], [1,2,1,1] and [1,1,2,1]
     # normalizers build: a nonzero diagonal of length at most 3, nonzero
     # arguments, anisotropic complements, and at most one complement
-    # direction beside a hyperbolic plane (only _h_1n1 takes one)
+    # direction beside a hyperbolic plane (only _frame takes one, for
+    # [1,3,1])
     classify_module = importlib.import_module("evoalg.classify")
     seen = collections.Counter()
 
@@ -147,7 +172,7 @@ def test_the_forms_classify_reads_are_nondegenerate(monkeypatch):
         except SqrtUnavailable:
             pass
     assert seen["forms"] >= 500 and seen["partners"] >= 100
-    # the isotropic branch of _h_1n1 with a complement line and without
+    # the isotropic branch of _frame with a complement line and without
     assert seen["plane", 2] >= 5 and seen["plane", 3] >= 5
 
 

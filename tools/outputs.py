@@ -25,7 +25,12 @@ Each record holds the input's structure rows, ``repr`` of the label (so
 ``boundary``, ``no_witness`` and the parameters count, which
 ``serialize()`` drops in part), the rows of the witness basis, and the
 ``decomposability_check`` verdict with the rows of its witness ideals;
-an ``EvoalgError`` is recorded by its type name.  The inputs are built
+an ``EvoalgError`` is recorded by its type name.  A ``relabel`` record
+whose label and its random algebra's both carry a witness also holds
+``labels_equal`` of the two labels and the rows that
+``witness_isomorphism`` returns for the pair (or the type name of the
+``EvoalgError`` it raises); both witnesses exist, so only the path that
+composes them runs, never the oracle search.  The inputs are built
 through the tree's public API, so a change to that API shows up as
 differing inputs.
 
@@ -195,9 +200,23 @@ def _record(mods, E) -> dict:
     return out
 
 
+def _pair(mods, source, E) -> dict:
+    """labels_equal of the labels of source and E, and the rows of
+    witness_isomorphism(source, E)."""
+    evoalg, classify_mod, _ = mods
+    out = {"labels_equal": classify_mod.labels_equal(
+        classify_mod.classify(source), classify_mod.classify(E))}
+    try:
+        m = classify_mod.witness_isomorphism(source, E)
+        out["iso"] = None if m is None else _rows(m.rows)
+    except evoalg.EvoalgError as exc:
+        out["iso"] = "raises " + type(exc).__name__
+    return out
+
+
 def _inputs(mods):
     """(kind, field name, algebra or exception type name) in a fixed
-    order."""
+    order; each relabel input follows the random algebra it relabels."""
     evoalg, _, tables = mods
     for seed, (kind, p) in enumerate(FIELDS):
         field = evoalg.GF(p) if kind == "GF" else \
@@ -227,6 +246,7 @@ def _inputs(mods):
 def write(tree: str, out_path: str) -> int:
     mods = _load(tree)
     count = 0
+    last = None  # the latest random algebra and its record
     with open(out_path, "w") as out:
         for kind, field, E in _inputs(mods):
             rec = {"id": f"{kind}:{field}:{count}", "kind": kind}
@@ -234,6 +254,11 @@ def write(tree: str, out_path: str) -> int:
                 rec["input"] = E
             else:
                 rec.update(_record(mods, E))
+            if kind == "random":
+                last = E, rec
+            elif kind == "relabel" and rec.get("witness") is not None \
+                    and last[1].get("witness") is not None:
+                rec.update(_pair(mods, last[0], E))
             out.write(json.dumps(rec, sort_keys=True) + "\n")
             count += 1
     return count
