@@ -20,8 +20,9 @@ that needs i has none over a field without i.  Most builders are one of
 three constructions on the paper's data, a nondegenerate diagonal form
 and the slopes of commuting diagonalizable maps: the powers of x
 (``_powers``, which the one-dimensional zero algebra takes like any
-chain), the frame of x^2 against the form (``_frame``) and the slope
-gaps of [1,1,m] (``_h_11n``).  When no candidate realizes the template
+chain), the frame of x^2 against the form (``_frame``) and the paper's
+scaling of the families Ubg and Ubfg, types [1,1,m] and [1,1,1,m]
+(``_h_slopes``).  When no candidate realizes the template
 the label carries a no-witness flag.  The normalizer builds and verifies
 the witness basis once, in the same pass that produces the label, and
 ``witness_isomorphism`` composes the two stored witnesses instead of
@@ -495,10 +496,10 @@ def witness_isomorphism(E1: EvolutionAlgebra, E2: EvolutionAlgebra):
 # yields candidate bases as payload columns, one per choice of the square
 # roots it needs (_roots); it never raises for a missing root, it just
 # yields nothing more.  Three constructions serve several types: the
-# powers of x (_powers: chains, the zero algebra, stars, and equal slopes
-# of [1,1,m] and [1,1,1,2]), the frame of x^2 against the form (_frame:
-# [1,m,1] and the proportional [1,1,2,1]) and the slope gaps of [1,1,m]
-# (_h_11n).
+# powers of x (_powers: chains, the zero algebra, stars, and equal data
+# of [1,1,m] and [1,1,1,m]), the frame of x^2 against the form (_frame:
+# [1,m,1] and the proportional [1,1,2,1]) and the paper's scaling of the
+# families Ubg and Ubfg ([1,1,m] and [1,1,1,m], _h_slopes).
 
 def _powers(m):
     """The builder of the basis x = e_0, then t_k e_k for the other e_k of
@@ -575,141 +576,100 @@ def _h_1n1(Ead, tv):
                   Ead.field.ops.zero, (1, 2))
 
 
-def _h_11n(Ead, tv):
-    """Type [1,1,m], adapted (u_1..u_m, w, s): u_k^2 = lam_k (w + t_k s),
-    w^2 = gw s.  With one slope t_k, the powers of u_1.  Otherwise the
-    template's slots u_1..u_m have the slopes g = (0, 1), (0, 0, 1) or
-    (alpha, 0, 1) relative to the base slot u_(m-1) (slope 0) and the gap
-    slot u_m (slope 1); each order of the u_k that fits g gets its slots
-    scaled to the unit gap, and w = u_(m-1)^2.  Signs do not change
-    squares, so the candidates of one order realize the template all
-    together or not at all."""
-    m = tv[2]
-    n = Ead.dim
+def _h_slopes(Ead, tv):
+    """Types [1,1,m] and [1,1,1,m], the paper's families Ubg and Ubfg,
+    adapted (u_1..u_m, w, [t,] s), whose data are read off the rows:
+    u_k^2 = lam_k (w + f_k w^2 + g_k (w^2)^2) for Ubfg (e = 3), and
+    u_k^2 = lam_k (w + g_k w^2) for Ubg (e = 1, f = 0).  Equal data
+    (f = 0, one g) give the powers of u_1.  Otherwise the variant's
+    params fix the template's slots u_j^2 = w + F_j t + G_j s (no t for
+    Ubg): the base slot is the last with G = 0, F is 1 on the first slot
+    with F != 0, if any, and else G is 1 on the gap slot.
+
+    Lemma (the paper's scaling (lam, f, g) -> (alpha lam, alpha f,
+    alpha^e g + beta)): put u_(k_j) in slot j, u'_j = r_j u_(k_j) with
+    r_j^2 = alpha / lam_(k_j), t' = alpha^2 w^2 and w' = u'_base^2 -
+    F_base t'.  Then w'^2 = t' (the rest of w' squares to 0), and u'_j^2
+    = w' + F_j t' + G_j t'^2 (Ubg: w' + G_j t') for all j exactly when
+    f_(k_j) = alpha F_j and g_(k_j) - g_(k_base) = alpha^e G_j.  So each
+    order fixes alpha: f on the first slot with F != 0, else the g gap of
+    the gap and base slots (for Ubfg its cube root, taken as lam_base
+    (gap / lam_base^3)^(1/3)).  Each order that fits gives a candidate
+    per choice of the r_j; signs do not change squares, so all of them
+    realize the template."""
+    m, n = tv[-1], Ead.dim
     S, ops = Ead._rows, Ead.field.ops
-    Z, sub, mul, div = ops.zero, ops.sub, ops.mul, ops.div
+    Z, one, sub, mul, div = ops.zero, ops.one, ops.sub, ops.mul, ops.div
     lam = [S[k][m] for k in range(m)]
-    gw = S[m][n - 1]
-    tvals = [div(S[k][n - 1], lam[k]) for k in range(m)]
-    distinct = len(set(tvals))
-    if distinct == 1:
-        return 1, (), False, _powers(m)
-
-    def build(Ead, params):
-        g = [*params] + [Z] * (m - 1 - len(params)) + [ops.one]
-        for order in itertools.permutations(range(m)):
-            base, gap = order[-2:]
-            unit = sub(tvals[gap], tvals[base])
-            if any(sub(tvals[k], tvals[base]) != mul(gk, unit)
-                   for k, gk in zip(order, g)):
-                continue
-            for scales in itertools.product(*[
-                    _roots(ops, div(unit, mul(gw, lam[k]))) for k in order]):
-                us = [_placed(ops, n, k, [r]) for k, r in zip(order, scales)]
-                wn = _sq(Ead, us[-2])
-                yield us + [wn, _sq(Ead, wn)]
-
-    if distinct == 2:
-        return 2, (), False, build
-    # three slopes: the anharmonic parameter
-    alpha = div(sub(tvals[0], tvals[1]), sub(tvals[2], tvals[1]))
-    return 3, (alpha,), False, build
-
-
-def _h_111n(Ead, tv):
-    # adapted (u_1..u_m, w, t, s)
-    m = tv[3]
-    n = Ead.dim
-    S, ops = Ead._rows, Ead.field.ops
-    Z, sub, mul, div = ops.zero, ops.sub, ops.mul, ops.div
-    lam = [S[k][m] for k in range(m)]
-    mu = [S[k][m + 1] for k in range(m)]
     nu = [S[k][n - 1] for k in range(m)]
-    aw = S[m][m + 1]
-    bw = S[m][n - 1]
-    gt = S[m + 1][n - 1]
-    f = [div(mu[k], mul(aw, lam[k])) for k in range(m)]
-    g = [div(sub(nu[k], div(mul(mu[k], bw), aw)),
-             mul(mul(mul(aw, aw), gt), lam[k]))
-         for k in range(m)]
+    if len(tv) == 3:
+        e, f = 1, [Z] * m
+        g = [div(x, mul(S[m][n - 1], lk)) for x, lk in zip(nu, lam)]
+    else:
+        e = 3
+        aw, bw, gt = S[m][m + 1], S[m][n - 1], S[m + 1][n - 1]
+        mu = [S[k][m + 1] for k in range(m)]
+        f = [div(x, mul(aw, lk)) for x, lk in zip(mu, lam)]
+        a3gt = mul(_power(ops, aw, 3), gt)
+        g = [div(sub(mul(nk, aw), mul(mk, bw)), mul(a3gt, lk))
+             for mk, nk, lk in zip(mu, nu, lam)]
+    nf, distinct = m - f.count(Z), len(set(g))
+    if nf == 0 and distinct == 1:
+        return 1, (), False, _powers(m)
+    orders = None
+    if e == 1:  # the slots' G: 0, 1 or 0, 0, 1 or the anharmonic a, 0, 1
+        variant = distinct
+        params = () if distinct == 2 else \
+            (div(sub(g[0], g[1]), sub(g[2], g[1])),)
+    elif m == 1 or nf == 0:
+        variant, params = 2, ()
+        if m == 2:
+            orders = ((1, 0), (0, 1))  # u_0 takes the base slot first
+    else:
+        cand = [(div(f[1 - a], f[a]),
+                 div(sub(g[a], g[1 - a]), _power(ops, f[a], 3)))
+                for a in range(2) if f[a] != Z]
+        variant, params = (4, min(cand)) if nf == 2 else (3, cand[0][1:])
 
-    if m == 1:
-        if f[0] == Z:
-            return 1, (), False, _powers(1)
-
-        def build_v2(Ead, params):
-            for e in _roots(ops, div(mu[0], mul(mul(lam[0], lam[0]), aw))):
-                un = _placed(ops, n, 0, [e])
-                usq = _sq(Ead, un)
-                a2 = mul(usq[1], usq[1])  # the w-coefficient, squared
-                tn = _placed(ops, n, 2, [mul(a2, aw)], mul(a2, bw))
-                wn = _diff(ops, usq, tn)
-                yield [un, wn, tn, _sq(Ead, tn)]
-        return 2, (), False, build_v2
-
-    def cols(Ead, first, second):
-        """The u columns, then w = second^2, t = w^2 and s = t^2."""
-        wn = _sq(Ead, second)
-        tn = _sq(Ead, wn)
-        return [first, second, wn, tn, _sq(Ead, tn)]
-
-    # m == 2
-    zf = [k for k in range(2) if f[k] == Z]
-    if len(zf) == 2:
-        if g[0] == g[1]:
-            return 1, (), False, _powers(2)
-
-        def build_v2(Ead, params):
-            for base, gap in ((0, 1), (1, 0)):
-                c6 = div(sub(div(nu[gap], lam[gap]), div(nu[base], lam[base])),
-                         mul(mul(mul(_power(ops, lam[base], 3), aw), aw), gt))
-                tb2 = ops.cbrt(c6)
-                if tb2 is None:
-                    continue
-                for sb in _roots(ops, tb2):
-                    for sg in _roots(ops, div(mul(tb2, lam[base]), lam[gap])):
-                        yield cols(Ead, _placed(ops, n, gap, [sg]),
-                                   _placed(ops, n, base, [sb]))
-        return 2, (), False, build_v2
-
-    if len(zf) == 1:
-        z = zf[0]
-        a = 1 - z
-        gamma = div(sub(g[a], g[z]), _power(ops, f[a], 3))
-
-        def build(Ead, params):
-            tb2 = div(mu[a], mul(mul(lam[a], lam[z]), aw))
-            for sb in _roots(ops, tb2):
-                for sa in _roots(ops, div(mul(tb2, lam[z]), lam[a])):
-                    yield cols(Ead, _placed(ops, n, a, [sa]),
-                               _placed(ops, n, z, [sb]))
-        return 3, (gamma,), False, build
-
-    # both f nonzero
-    cand = []
-    for a in range(2):
-        z = 1 - a
-        cand.append((div(f[z], f[a]),
-                     div(sub(g[a], g[z]), _power(ops, f[a], 3))))
+    def slots(p):
+        """The template's F and G for the params p."""
+        if e == 1:
+            return [Z] * m, [*p] + [Z] * (m - 1 - len(p)) + [one]
+        if variant == 2:
+            return ([one], [Z]) if m == 1 else ([Z, Z], [one, Z])
+        return [one, p[0] if variant == 4 else Z], [p[-1], Z]
 
     def build(Ead, params):
-        for a in range(2):
-            z = 1 - a
-            if cand[a] != tuple(params):
+        F, G = slots(params)
+        base = m - 1 - G[::-1].index(Z)
+        anchor = F.index(one) if one in F else None
+        gap = G.index(one) if anchor is None else None
+        nfb = ops.neg(F[base])
+        for order in orders or itertools.permutations(range(m)):
+            kb = order[base]
+            if anchor is not None:
+                alpha = f[order[anchor]]
+            else:
+                alpha = sub(g[order[gap]], g[kb])
+                if e == 3:
+                    c = ops.cbrt(div(alpha, _power(ops, lam[kb], 3)))
+                    if c is None:
+                        continue
+                    alpha = mul(lam[kb], c)
+            if m > 1:  # else the one slot is the anchor and the base
+                ae = alpha if e == 1 else _power(ops, alpha, 3)
+                if any(f[k] != mul(alpha, x) or sub(g[k], g[kb]) != mul(ae, y)
+                       for k, x, y in zip(order, F, G)):
+                    continue
+            roots = [_roots(ops, div(alpha, lam[k])) for k in order]
+            if () in roots:
                 continue
-            avec = div(mu[a], mul(lam[a], aw))
-            gamma = cand[a][1]
-            av2 = mul(avec, avec)
-            tn = _placed(ops, n, m + 1, [mul(av2, aw)], mul(av2, bw))
-            sn = _sq(Ead, tn)
-            for sa in _roots(ops, div(avec, lam[a])):
-                for sb in _roots(ops, div(avec, lam[z])):
-                    ua = _placed(ops, n, a, [sa])
-                    ub = _placed(ops, n, z, [sb])
-                    wn = ops.addmul(_diff(ops, _sq(Ead, ua), tn),
-                                    ops.neg(gamma), sn)
-                    yield [ua, ub, wn, tn, sn]
-    return 4, min(cand), False, build
+            tn = ops.scale(mul(alpha, alpha), S[m])
+            tail = [tn] + _squares(Ead, tn, n - m - 2)
+            for rs in itertools.product(*roots):
+                us = [_placed(ops, n, k, [r]) for k, r in zip(order, rs)]
+                yield us + [ops.addmul(_sq(Ead, us[base]), nfb, tn)] + tail
+    return variant, params, False, build
 
 
 def _h_122(Ead, tv):
@@ -1274,12 +1234,12 @@ _HANDLERS = {
     (1, 1, 1): _h_powers,
     (1, 3): _h_powers,
     (1, 2, 1): _h_1n1,
-    (1, 1, 2): _h_11n,
-    (1, 1, 1, 1): _h_111n,
+    (1, 1, 2): _h_slopes,
+    (1, 1, 1, 1): _h_slopes,
     (1, 4): _h_powers,
     (1, 3, 1): _h_1n1,
-    (1, 1, 3): _h_11n,
-    (1, 1, 1, 2): _h_111n,
+    (1, 1, 3): _h_slopes,
+    (1, 1, 1, 2): _h_slopes,
     (1, 2, 2): _h_122,
     (1, 2, 1, 1): _h_1211,
     (1, 1, 2, 1): _h_1121,

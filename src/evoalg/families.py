@@ -70,43 +70,33 @@ def _zero_rows(k: int, field) -> list:
     return [[field.zero()] * k for _ in range(k)]
 
 
-def build_Ub(spec: FamilySpec) -> EvolutionAlgebra:
-    if spec.kind != UB:
-        raise SpecMismatch("build_Ub needs kind Ub")
+def _tower(spec: FamilySpec, kind: str, eigs: tuple) -> EvolutionAlgebra:
+    """u_i^2 = b_i (w + f_i t + g_i s) cut to the eigenvalue lists eigs
+    that the kind carries (none, g, or f and g), each list adding one
+    vector to the chain w -> t -> s."""
+    if spec.kind != kind:
+        raise SpecMismatch(f"build_{kind} needs kind {kind}")
     field = spec.field
     n = spec.n
-    rows = _zero_rows(n + 1, field)
-    for i in range(n):
-        rows[i][n] = spec.b_diag[i]
-    return EvolutionAlgebra(n + 1, Matrix(rows, field, n + 1), field)
+    dim = n + 1 + len(eigs)
+    rows = _zero_rows(dim, field)
+    for i, b in enumerate(spec.b_diag):
+        rows[i][n:] = [b] + [b * e[i] for e in eigs]
+    for j in range(n, dim - 1):
+        rows[j][j + 1] = field.one()
+    return EvolutionAlgebra(dim, Matrix(rows, field, dim), field)
+
+
+def build_Ub(spec: FamilySpec) -> EvolutionAlgebra:
+    return _tower(spec, UB, ())
 
 
 def build_Ubg(spec: FamilySpec) -> EvolutionAlgebra:
-    if spec.kind != UBG:
-        raise SpecMismatch("build_Ubg needs kind Ubg")
-    field = spec.field
-    n = spec.n
-    rows = _zero_rows(n + 2, field)
-    for i in range(n):
-        rows[i][n] = spec.b_diag[i]
-        rows[i][n + 1] = spec.b_diag[i] * spec.g_eigs[i]
-    rows[n][n + 1] = field.one()
-    return EvolutionAlgebra(n + 2, Matrix(rows, field, n + 2), field)
+    return _tower(spec, UBG, (spec.g_eigs,))
 
 
 def build_Ubfg(spec: FamilySpec) -> EvolutionAlgebra:
-    if spec.kind != UBFG:
-        raise SpecMismatch("build_Ubfg needs kind Ubfg")
-    field = spec.field
-    n = spec.n
-    rows = _zero_rows(n + 3, field)
-    for i in range(n):
-        rows[i][n] = spec.b_diag[i]
-        rows[i][n + 1] = spec.b_diag[i] * spec.f_eigs[i]
-        rows[i][n + 2] = spec.b_diag[i] * spec.g_eigs[i]
-    rows[n][n + 1] = field.one()
-    rows[n + 1][n + 2] = field.one()
-    return EvolutionAlgebra(n + 3, Matrix(rows, field, n + 3), field)
+    return _tower(spec, UBFG, (spec.f_eigs, spec.g_eigs))
 
 
 def build_Ubu(spec: FamilySpec) -> EvolutionAlgebra:

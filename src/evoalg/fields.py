@@ -43,8 +43,8 @@ class FieldDescriptor(Frozen):
             raise DomainError(f"unknown field kind {kind!r}")
         if kind == PRIME:
             p = modulus
-            if p is None or p < 3 or not _is_prime(p):
-                raise DomainError(f"modulus must be an odd prime, got {p}")
+            if type(p) is not int or p < 3 or not _is_prime(p):
+                raise DomainError(f"modulus must be an odd prime, got {p!r}")
             ops = _PrimeOps(p)
         elif modulus is not None:
             raise DomainError("modulus only applies to prime fields")
@@ -98,9 +98,11 @@ _DESCRIPTORS: dict = {}
 
 
 def _interned(kind: str, modulus: int | None = None) -> FieldDescriptor:
-    desc = _DESCRIPTORS.get((kind, modulus))
+    # keyed by the modulus's type too: 7.0 == 7, but GF(7.0) is refused
+    key = kind, type(modulus), modulus
+    desc = _DESCRIPTORS.get(key)
     if desc is None:
-        desc = _DESCRIPTORS[kind, modulus] = FieldDescriptor(kind, modulus)
+        desc = _DESCRIPTORS[key] = FieldDescriptor(kind, modulus)
     return desc
 
 

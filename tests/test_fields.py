@@ -30,6 +30,15 @@ def test_gf_requires_odd_prime():
         GF(15)
 
 
+@pytest.mark.parametrize("modulus", [7.0, 7.5, "7", True, None])
+def test_gf_refuses_a_modulus_that_is_not_an_int(modulus):
+    GF(7)  # an interned GF(7) must not answer for GF(7.0)
+    with pytest.raises(DomainError, match="odd prime"):
+        GF(modulus)
+    with pytest.raises(DomainError, match="odd prime"):
+        FieldDescriptor(PRIME, modulus)
+
+
 def _trial_division(n):
     if n < 2:
         return False

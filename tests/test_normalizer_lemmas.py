@@ -6,7 +6,9 @@ every complement they take is anisotropic, and the [2,2,1] builder's one
 candidate always realizes its template.  These tests pin each lemma on
 the form alone and on the forms that classify builds, and the closed
 forms the [1,2,2] and [1,2,1,1] normalizers take for the coordinates of
-a vector in an orthogonal or a hyperbolic basis of a plane.
+a vector in an orthogonal or a hyperbolic basis of a plane.  The lemma
+of ``_h_slopes`` (the paper's scaling of the families Ubg and Ubfg) is
+pinned on the candidates its builder yields.
 """
 
 import collections
@@ -14,12 +16,14 @@ import importlib
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import assume, given, settings, strategies as st
 
 from evoalg.classify import CanonicalLabel, _DiagForm, classify
 from evoalg.errors import EvoalgError, SqrtUnavailable
-from evoalg.fields import GF, QI, QQ
+from evoalg.families import UBFG, UBG, FamilySpec, build
+from evoalg.fields import GF, QI, QQ, FieldElement
 from evoalg.tables import ENTRIES
 
 from helpers import random_monomial_relabelling, random_nilpotent_of_type
@@ -206,3 +210,58 @@ def test_the_221_builder_has_one_candidate_and_it_realizes(monkeypatch):
         assert label.type_vector == (2, 2, 1) and not label.no_witness
         assert calls["_witness_basis"] == calls["_realizes"] == 1
     assert unsplit >= 120
+
+
+@st.composite
+def slope_families(draw):
+    """A Ubg algebra of type [1,1,2] or [1,1,3] or a Ubfg algebra of type
+    [1,1,1,1] or [1,1,1,2] over GF(13), GF(1000033) or Q(i), in a random
+    monomial relabelling; its f and g entries are often zero or equal."""
+    field, payload = draw(st.sampled_from([FIELDS[1], FIELDS[2], FIELDS[4]]))
+    ops = field.ops
+    value = st.one_of(st.integers(-2, 2).map(ops.of_int), payload)
+    kind, n = draw(st.sampled_from([(UBG, 2), (UBG, 3), (UBFG, 1),
+                                    (UBFG, 2)]))
+
+    def values(strategy):
+        return tuple(FieldElement(field, draw(strategy)) for _ in range(n))
+    b = values(value.filter(lambda x: x != ops.zero))
+    spec = FamilySpec(kind, n, b, values(value) if kind == UBFG else None,
+                      values(value))
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    return random_monomial_relabelling(build(spec), rng)
+
+
+@settings(max_examples=200, deadline=None)
+@given(slope_families())
+def test_the_slope_candidates_of_one_order_all_realize(E):
+    # the lemma of _h_slopes: an order of the u_k that fits the template
+    # fixes alpha, and signs do not change squares, so _realizes gives
+    # one verdict on all the candidates of one order (the first realizing
+    # candidate does not depend on root signs), and that verdict is True
+    classify_module = importlib.import_module("evoalg.classify")
+    original = classify_module._witness_basis
+    verdicts = collections.defaultdict(set)
+
+    def record(E, Ead, perm, entry, params, builder):
+        if entry.variant != 1:  # variant 1 is the powers of u_1
+            field, n = E.field, E.dim
+            m = entry.type_vector[-1]
+            rows = classify_module._template_rows(entry, params, field)
+            for cols in builder(Ead, field.payloads(params)):
+                w = [[None] * n for _ in range(n)]
+                for j, v in enumerate(cols):
+                    for k, x in enumerate(v):
+                        w[perm[k]][j] = x
+                order = tuple(next(k for k, x in enumerate(v)
+                                   if x != field.ops.zero)
+                              for v in cols[:m])
+                verdicts[order].add(classify_module._realizes(rows, E, w))
+        return original(E, Ead, perm, entry, params, builder)
+
+    with mock.patch.object(classify_module, "_witness_basis", record):
+        label = classify(E)
+    assert isinstance(label, CanonicalLabel)
+    assert all(v == {True} for v in verdicts.values())
+    if label.variant != 1:
+        assert label.no_witness == (not verdicts)

@@ -6,7 +6,7 @@
 
 ``--tree`` imports evoalg from ``PATH/src`` and writes one JSON line per
 input to FILE.  The inputs are drawn from fixed seeds over GF(3), GF(5),
-GF(13), GF(1000033), Q and Q(i), in five kinds:
+GF(13), GF(1000033), Q and Q(i), in six kinds:
 
 - ``random``: random nilpotent algebras of dims 1-5;
 - ``relabel``: a monomial relabelling of each random algebra;
@@ -19,7 +19,13 @@ GF(13), GF(1000033), Q and Q(i), in five kinds:
   structures, structures with a large annihilator, and structures whose
   squares lie in the span of the zero squares, so that the split
   witnesses of ``decomposability_check`` are compared beyond nilpotent
-  inputs too.
+  inputs too;
+- ``family``: the paper's families Ubg and Ubfg of dims 4 and 5 (types
+  [1,1,2], [1,1,3], [1,1,1,1] and [1,1,1,2]), built by
+  ``families.build`` from random data in which f and g entries are often
+  zero or repeated, each with a monomial relabelling, and for Ubfg the
+  same two of a ``scaled_spec`` image, so that the slope builder's
+  variants get witnesses beyond their templates.
 
 Each record holds the input's structure rows, ``repr`` of the label (so
 ``boundary``, ``no_witness`` and the parameters count, which
@@ -63,6 +69,8 @@ RANDOM_PER_FIELD = 2000
 BLOCK_PER_FIELD = 300
 ARBITRARY_PER_FIELD = 600
 TEMPLATE_SAMPLES = 3
+FAMILY_PER_FIELD = 200
+FAMILY_SHAPES = (("Ubg", 2), ("Ubg", 3), ("Ubfg", 1), ("Ubfg", 2))
 BLOCK_ATTEMPTS = 60
 SHOWN_PER_KIND = 3
 
@@ -170,6 +178,33 @@ class Corpus:
              and (shape != "into ann" or j in ann) else zero
              for j in range(dim)] for i in range(dim)])
 
+    def family(self, k):
+        """A Ubg or Ubfg algebra of the k-th shape and its monomial
+        relabelling, then for Ubfg the same two of a scaled_spec image;
+        a quarter of the f and g entries are zero, and a quarter repeat
+        an earlier entry."""
+        ev, rng = self.ev, self.rng
+        kind, n = FAMILY_SHAPES[k % len(FAMILY_SHAPES)]
+
+        def eigs():
+            out = []
+            for _ in range(n):
+                r = rng.random()
+                out.append(self.field.zero() if r < 0.25 else
+                           rng.choice(out) if out and r < 0.5 else
+                           self.scalar())
+            return tuple(out)
+        g = eigs()
+        spec = ev.FamilySpec(kind, n, tuple(self.scalar(1) for _ in range(n)),
+                             eigs() if kind == "Ubfg" else None, g)
+        specs = [spec]
+        if kind == "Ubfg":
+            specs.append(ev.scaled_spec(spec, self.scalar(1), self.scalar()))
+        for s in specs:
+            E = ev.build(s)
+            yield E
+            yield self.relabel(E)
+
     def template_params(self, entry):
         while True:
             params = tuple(self.scalar(2) for _ in range(entry.param_arity))
@@ -241,6 +276,9 @@ def _inputs(mods):
                     continue
                 yield "template", name, T
                 yield "template", name, corpus.relabel(T)
+        for k in range(FAMILY_PER_FIELD):
+            for E in corpus.family(k):
+                yield "family", name, E
 
 
 def write(tree: str, out_path: str) -> int:
