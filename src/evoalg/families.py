@@ -44,6 +44,12 @@ class FamilySpec(Frozen):
             raise SpecMismatch(f"unknown family kind {self.kind!r}")
         if self.n < 1 or len(self.b_diag) != self.n:
             raise SpecMismatch("b_diag must have length n >= 1")
+        entries = [x for lst in (self.b_diag, self.f_eigs, self.g_eigs,
+                                 self.u_coords) if lst for x in lst]
+        if not all(isinstance(x, FieldElement) for x in entries):
+            raise SpecMismatch("spec entries must be field elements")
+        for x in entries:
+            self.field.require(x.field)
         if any(x.is_zero() for x in self.b_diag):
             raise SpecMismatch("b must be nondegenerate (no zero diagonal)")
         need_f = self.kind == UBFG
@@ -66,25 +72,38 @@ class FamilySpec(Frozen):
         return self.b_diag[0].field
 
 
-def _zero_rows(k: int, field) -> list:
-    return [[field.zero()] * k for _ in range(k)]
+def _tower_rows(ops, b, eigs) -> list[list]:
+    """Payload rows of u_i^2 = b_i (w + f_i t + g_i s) cut to the
+    eigenvalue lists eigs (none, g, or f and g), each list adding one
+    vector to the chain w -> t -> s; b holds the payloads b_i."""
+    n = len(b)
+    dim = n + 1 + len(eigs)
+    rows = [[ops.zero] * dim for _ in range(dim)]
+    for i, bi in enumerate(b):
+        rows[i][n:] = [bi] + [ops.mul(bi, e[i]) for e in eigs]
+    for j in range(n, dim - 1):
+        rows[j][j + 1] = ops.one
+    return rows
+
+
+def _ubu_rows(ops, b, u) -> list[list]:
+    """Payload rows of a^2 = sum u_i' u_i, u_i^2 = b_i s; u holds the
+    payloads of the coordinates u_i'."""
+    n = len(b)
+    rows = [[ops.zero] * (n + 2) for _ in range(n + 2)]
+    rows[0][1:n + 1] = u
+    for i, bi in enumerate(b):
+        rows[1 + i][n + 1] = bi
+    return rows
 
 
 def _tower(spec: FamilySpec, kind: str, eigs: tuple) -> EvolutionAlgebra:
-    """u_i^2 = b_i (w + f_i t + g_i s) cut to the eigenvalue lists eigs
-    that the kind carries (none, g, or f and g), each list adding one
-    vector to the chain w -> t -> s."""
     if spec.kind != kind:
         raise SpecMismatch(f"build_{kind} needs kind {kind}")
     field = spec.field
-    n = spec.n
-    dim = n + 1 + len(eigs)
-    rows = _zero_rows(dim, field)
-    for i, b in enumerate(spec.b_diag):
-        rows[i][n:] = [b] + [b * e[i] for e in eigs]
-    for j in range(n, dim - 1):
-        rows[j][j + 1] = field.one()
-    return EvolutionAlgebra(dim, Matrix(rows, field, dim), field)
+    rows = _tower_rows(field.ops, field.payloads(spec.b_diag),
+                       [field.payloads(e) for e in eigs])
+    return EvolutionAlgebra._wrap(rows, field)
 
 
 def build_Ub(spec: FamilySpec) -> EvolutionAlgebra:
@@ -103,12 +122,9 @@ def build_Ubu(spec: FamilySpec) -> EvolutionAlgebra:
     if spec.kind != UBU:
         raise SpecMismatch("build_Ubu needs kind Ubu")
     field = spec.field
-    n = spec.n
-    rows = _zero_rows(n + 2, field)
-    for i in range(n):
-        rows[0][1 + i] = spec.u_coords[i]
-        rows[1 + i][n + 1] = spec.b_diag[i]
-    return EvolutionAlgebra(n + 2, Matrix(rows, field, n + 2), field)
+    rows = _ubu_rows(field.ops, field.payloads(spec.b_diag),
+                     field.payloads(spec.u_coords))
+    return EvolutionAlgebra._wrap(rows, field)
 
 
 def build(spec: FamilySpec) -> EvolutionAlgebra:
@@ -120,6 +136,8 @@ def scaled_spec(spec: FamilySpec, alpha: FieldElement,
                 beta: FieldElement) -> FamilySpec:
     """The target data (alpha b, alpha f, alpha^3 g + beta id) of the
     scaling isomorphism."""
+    if spec.kind != UBFG:
+        raise SpecMismatch("scaled_spec applies to kind Ubfg")
     a3 = alpha * alpha * alpha
     return FamilySpec(
         UBFG, spec.n,

@@ -7,6 +7,9 @@ Parameters follow the graphs as drawn; a "dashed" parameter may be zero,
 while solid parameter edges are nonzero.  Each entry carries the finite
 isomorphism orbit of its parameter tuple, valid over algebraically
 closed fields.
+
+The family-type templates are members of the paper's families with b = 1,
+built by their row builders (``_tower``: Ub, Ubg, Ubfg; ``_ubu``: Ubu).
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from ._values import Frozen, set_fields
 from .errors import DomainError, FieldLacksI, UnsupportedDim
 from .fields import FieldDescriptor, FieldElement, order_key
 from .algebra import EvolutionAlgebra
+from .families import _tower_rows, _ubu_rows
 
 
 class ClassEntry(Frozen):
@@ -92,46 +96,28 @@ def _any_params(params) -> bool:
 # ---------------------------------------------------------------------------
 # template row builders
 
-def _chain(n):
-    def rows(ops, params):
-        m = [[0] * n for _ in range(n)]
-        for k in range(n - 1):
-            m[k][k + 1] = 1
-        return m
-    return rows
+def _tower(m, *lists):
+    """The tower on u_1..u_m with b = 1, one chain vector per list (Ub:
+    none, Ubg: g, Ubfg: f and g, the n-chain: n - 2 ``_zero``); a list
+    maps the ops and the payload params to m eigenvalues, ints or payloads."""
+    def build(params, field):
+        eigs = _alg(lambda o, p: [lst(o, p) for lst in lists], params, field)
+        return _tower_rows(field.ops, [field.ops.one] * m, eigs)
+    return build
 
 
-def _star(n):
-    # type [1, n-1]: every non-annihilator vector squares to the last one
-    def rows(ops, params):
-        m = [[0] * n for _ in range(n)]
-        for k in range(n - 1):
-            m[k][n - 1] = 1
-        return m
-    return rows
+def _ubu(*u):
+    """The Ubu member with b = 1 and coordinates u: ints, or "i"."""
+    def build(params, field):
+        ops = field.ops
+        return _ubu_rows(ops, [ops.one] * len(u),
+                         [ops.i if x == "i" else ops.of_int(x) for x in u])
+    return build
 
 
-def _rows_121_v1(ops, params):
-    # (x, u, v, s): x^2 = u, u^2 = s, v^2 = s
-    return [[0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 0]]
+def _zero(ops, params):
+    return (0,)
 
-
-def _rows_121_v2(ops, params):
-    return [[0, 1, ops.i, 0], [0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 0]]
-
-
-def _rows_112_v1(ops, params):
-    # (u1, u2, w, s): u_i^2 = w, w^2 = s
-    return [[0, 0, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]]
-
-
-def _rows_112_v2(ops, params):
-    return [[0, 0, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1], [0, 0, 0, 0]]
-
-
-def _rows_1111_v2(ops, params):
-    # x1^2 = x2 + x3, x2^2 = x3, x3^2 = x4
-    return [[0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]]
 
 
 def _rows_23(ops, params):
@@ -150,58 +136,6 @@ def _rows_212(ops, params):
     # (x, y, a, u, v): x^2 = a, y^2 = a + v, a^2 = u
     return [[0, 0, 1, 0, 0], [0, 0, 1, 0, 1], [0, 0, 0, 1, 0],
             [0] * 5, [0] * 5]
-
-
-def _rows_131_v1(ops, params):
-    # (a, u1, u2, u3, s): a^2 = u1, u_i^2 = s
-    return [[0, 1, 0, 0, 0], [0, 0, 0, 0, 1], [0, 0, 0, 0, 1],
-            [0, 0, 0, 0, 1], [0] * 5]
-
-
-def _rows_131_v2(ops, params):
-    return [[0, 1, ops.i, 0, 0], [0, 0, 0, 0, 1], [0, 0, 0, 0, 1],
-            [0, 0, 0, 0, 1], [0] * 5]
-
-
-def _rows_113_v1(ops, params):
-    # (u1, u2, u3, w, s): u_i^2 = w, w^2 = s
-    return [[0, 0, 0, 1, 0], [0, 0, 0, 1, 0], [0, 0, 0, 1, 0],
-            [0, 0, 0, 0, 1], [0] * 5]
-
-
-def _rows_113_v2(ops, params):
-    return [[0, 0, 0, 1, 0], [0, 0, 0, 1, 0], [0, 0, 0, 1, 1],
-            [0, 0, 0, 0, 1], [0] * 5]
-
-
-def _rows_113_v3(ops, params):
-    # u1^2 = w + alpha s, u2^2 = w, u3^2 = w + s
-    (alpha,) = params
-    return [[0, 0, 0, 1, alpha], [0, 0, 0, 1, 0], [0, 0, 0, 1, 1],
-            [0, 0, 0, 0, 1], [0] * 5]
-
-
-def _rows_1112_v1(ops, params):
-    # (u1, u2, w, t, s): u_i^2 = w, w^2 = t, t^2 = s
-    return [[0, 0, 1, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0],
-            [0, 0, 0, 0, 1], [0] * 5]
-
-
-def _rows_1112_v2(ops, params):
-    return [[0, 0, 1, 0, 1], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0],
-            [0, 0, 0, 0, 1], [0] * 5]
-
-
-def _rows_1112_v3(ops, params):
-    (gamma,) = params
-    return [[0, 0, 1, 1, gamma], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0],
-            [0, 0, 0, 0, 1], [0] * 5]
-
-
-def _rows_1112_v4(ops, params):
-    beta, gamma = params
-    return [[0, 0, 1, 1, gamma], [0, 0, 1, beta, 0], [0, 0, 0, 1, 0],
-            [0, 0, 0, 0, 1], [0] * 5]
 
 
 def _rows_122_v1(ops, params):
@@ -385,36 +319,41 @@ def _plain(rows_fn):
 
 
 _add(1, [1], 1, 0, _plain(lambda f, p: [[0]]))
-_add(2, [1, 1], 1, 0, _plain(_chain(2)))
-_add(3, [1, 2], 1, 0, _plain(_star(3)))
-_add(3, [1, 1, 1], 1, 0, _plain(_chain(3)))
+_add(2, [1, 1], 1, 0, _tower(1))
+_add(3, [1, 2], 1, 0, _tower(2))
+_add(3, [1, 1, 1], 1, 0, _tower(1, _zero))
 
-_add(4, [1, 3], 1, 0, _plain(_star(4)))
-_add(4, [1, 2, 1], 1, 0, _plain(_rows_121_v1))
-_add(4, [1, 2, 1], 2, 0, _plain(_rows_121_v2), needs_i=True)
-_add(4, [1, 1, 2], 1, 0, _plain(_rows_112_v1))
-_add(4, [1, 1, 2], 2, 0, _plain(_rows_112_v2))
-_add(4, [1, 1, 1, 1], 1, 0, _plain(_chain(4)))
-_add(4, [1, 1, 1, 1], 2, 0, _plain(_rows_1111_v2))
+_add(4, [1, 3], 1, 0, _tower(3))
+_add(4, [1, 2, 1], 1, 0, _ubu(1, 0))
+_add(4, [1, 2, 1], 2, 0, _ubu(1, "i"), needs_i=True)
+_add(4, [1, 1, 2], 1, 0, _tower(2, lambda o, p: (0, 0)))
+_add(4, [1, 1, 2], 2, 0, _tower(2, lambda o, p: (0, 1)))
+_add(4, [1, 1, 1, 1], 1, 0, _tower(1, _zero, _zero))
+_add(4, [1, 1, 1, 1], 2, 0, _tower(1, lambda o, p: (1,), _zero))
 
 _add(5, [2, 3], 1, 0, _plain(_rows_23))
 _add(5, [2, 2, 1], 1, 0, _plain(_rows_221))
 _add(5, [2, 1, 2], 1, 0, _plain(_rows_212))
 
-_add(5, [1, 4], 1, 0, _plain(_star(5)))
-_add(5, [1, 3, 1], 1, 0, _plain(_rows_131_v1))
-_add(5, [1, 3, 1], 2, 0, _plain(_rows_131_v2), needs_i=True)
+_add(5, [1, 4], 1, 0, _tower(4))
+_add(5, [1, 3, 1], 1, 0, _ubu(1, 0, 0))
+_add(5, [1, 3, 1], 2, 0, _ubu(1, "i", 0), needs_i=True)
 
-_add(5, [1, 1, 3], 1, 0, _plain(_rows_113_v1))
-_add(5, [1, 1, 3], 2, 0, _plain(_rows_113_v2))
-_add(5, [1, 1, 3], 3, 1, _plain(_rows_113_v3), orbit=anharmonic_orbit,
+_add(5, [1, 1, 3], 1, 0, _tower(3, lambda o, p: (0, 0, 0)))
+_add(5, [1, 1, 3], 2, 0, _tower(3, lambda o, p: (0, 0, 1)))
+_add(5, [1, 1, 3], 3, 1, _tower(3, lambda o, p: (p[0], 0, 1)),
+     orbit=anharmonic_orbit,
      param_ok=lambda p: _nonzero(p[0]) and not (p[0]).is_one())
 
-_add(5, [1, 1, 1, 2], 1, 0, _plain(_rows_1112_v1))
-_add(5, [1, 1, 1, 2], 2, 0, _plain(_rows_1112_v2))
-_add(5, [1, 1, 1, 2], 3, 1, _plain(_rows_1112_v3))
-_add(5, [1, 1, 1, 2], 4, 2, _plain(_rows_1112_v4), orbit=_orbit_1112_v4,
-     param_ok=lambda p: _nonzero(p[0]))
+_add(5, [1, 1, 1, 2], 1, 0,
+     _tower(2, lambda o, p: (0, 0), lambda o, p: (0, 0)))
+_add(5, [1, 1, 1, 2], 2, 0,
+     _tower(2, lambda o, p: (0, 0), lambda o, p: (1, 0)))
+_add(5, [1, 1, 1, 2], 3, 1,
+     _tower(2, lambda o, p: (1, 0), lambda o, p: (p[0], 0)))
+_add(5, [1, 1, 1, 2], 4, 2,
+     _tower(2, lambda o, p: (1, p[0]), lambda o, p: (p[1], 0)),
+     orbit=_orbit_1112_v4, param_ok=lambda p: _nonzero(p[0]))
 
 _add(5, [1, 2, 2], 1, 1, _plain(_rows_122_v1), orbit=_sign_orbit)
 _add(5, [1, 2, 2], 2, 0, _plain(_rows_122_v2))
@@ -439,7 +378,7 @@ _add(5, [1, 1, 2, 1], 5, 1, _plain(_rows_1121_v5), orbit=_sign_orbit)
 _add(5, [1, 1, 2, 1], 6, 2, _plain(_rows_1121_v6), orbit=_orbit_1121_v6,
      needs_i=True)
 
-_add(5, [1, 1, 1, 1, 1], 1, 0, _plain(_chain(5)))
+_add(5, [1, 1, 1, 1, 1], 1, 0, _tower(1, _zero, _zero, _zero))
 _add(5, [1, 1, 1, 1, 1], 2, 0, _plain(_rows_11111_v2))
 _add(5, [1, 1, 1, 1, 1], 3, 1, _plain(_rows_11111_v3))
 _add(5, [1, 1, 1, 1, 1], 4, 2, _plain(_rows_11111_v4), orbit=_sign_orbit)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from evoalg.algebra import upper_series
 from evoalg.classify import classify, labels_equal
-from evoalg.errors import SpecMismatch, UnsupportedField
+from evoalg.errors import MixedFields, SpecMismatch, UnsupportedField
 from evoalg.families import (UB, UBFG, UBG, UBU, FamilySpec, build, build_Ub,
                              build_Ubfg, build_Ubg, build_Ubu,
                              family_iso_test, scaled_spec,
@@ -64,6 +64,38 @@ def test_spec_validation_names_each_fault():
     for kwargs, message in faults:
         with pytest.raises(SpecMismatch, match=message):
             FamilySpec(**kwargs)
+
+
+def test_spec_refuses_an_entry_that_is_not_a_field_element():
+    b = f13s(1, 2)
+    for kwargs in (dict(kind=UB, n=2, b_diag=(F13.one(), 2)),
+                   dict(kind=UBG, n=2, b_diag=b, g_eigs=(F13.one(), 0)),
+                   dict(kind=UBFG, n=2, b_diag=b, f_eigs=(1, 2), g_eigs=b),
+                   dict(kind=UBU, n=2, b_diag=b, u_coords=(1, F13.one()))):
+        with pytest.raises(SpecMismatch, match="field elements"):
+            FamilySpec(**kwargs)
+    with pytest.raises(SpecMismatch, match="field elements"):
+        FamilySpec(UB, 1, (1,))         # the first entry names the field
+
+
+def test_spec_refuses_an_entry_from_another_field():
+    b = f13s(1, 2)
+    q1 = QQ().one()
+    for kwargs in (dict(kind=UB, n=2, b_diag=(F13.one(), GF(5).one())),
+                   dict(kind=UBG, n=2, b_diag=b, g_eigs=(q1, F13.one())),
+                   dict(kind=UBFG, n=2, b_diag=b, f_eigs=b,
+                        g_eigs=(F13.one(), QI().one())),
+                   dict(kind=UBU, n=2, b_diag=b, u_coords=(q1, q1))):
+        with pytest.raises(MixedFields):
+            FamilySpec(**kwargs)
+
+
+def test_scaled_spec_applies_to_kind_ubfg_only():
+    b = f13s(1, 2)
+    for spec in (FamilySpec(UB, 2, b), FamilySpec(UBG, 2, b, g_eigs=b),
+                 FamilySpec(UBU, 2, b, u_coords=b)):
+        with pytest.raises(SpecMismatch, match="applies to kind Ubfg"):
+            scaled_spec(spec, F13.one(), F13.zero())
 
 
 def test_each_builder_takes_only_its_own_kind():

@@ -4,11 +4,12 @@ import random
 
 import pytest
 
-from evoalg.algebra import upper_series
+from evoalg.algebra import EvolutionAlgebra, upper_series
 from evoalg.errors import DomainError, FieldLacksI, UnsupportedDim
+from evoalg.families import UB, UBFG, UBG, UBU, FamilySpec, build
 from evoalg.fields import GF, QI, QQ
-from evoalg.tables import (anharmonic_j, anharmonic_orbit, canonical_table,
-                           find_entry, orbit_min)
+from evoalg.tables import (ENTRIES, anharmonic_j, anharmonic_orbit,
+                           canonical_table, find_entry, orbit_min)
 
 F13 = GF(13)
 
@@ -129,3 +130,80 @@ def test_find_entry_returns_each_table_entry():
             # the type vector may come as a list, as AnnSeries holds it
             assert find_entry(d, list(entry.type_vector),
                               entry.variant) is entry
+
+
+# The family-type templates as members of the paper's families with b = 1:
+# key -> (kind, n, f, g, u), where "i" is the square root of -1 and "a",
+# "b" are the entry's first and second parameters.
+FAMILY_MEMBERS = {
+    (2, (1, 1), 1): (UB, 1, None, None, None),
+    (3, (1, 2), 1): (UB, 2, None, None, None),
+    (4, (1, 3), 1): (UB, 3, None, None, None),
+    (5, (1, 4), 1): (UB, 4, None, None, None),
+    (3, (1, 1, 1), 1): (UBG, 1, None, (0,), None),
+    (4, (1, 1, 2), 1): (UBG, 2, None, (0, 0), None),
+    (4, (1, 1, 2), 2): (UBG, 2, None, (0, 1), None),
+    (5, (1, 1, 3), 1): (UBG, 3, None, (0, 0, 0), None),
+    (5, (1, 1, 3), 2): (UBG, 3, None, (0, 0, 1), None),
+    (5, (1, 1, 3), 3): (UBG, 3, None, ("a", 0, 1), None),
+    (4, (1, 1, 1, 1), 1): (UBFG, 1, (0,), (0,), None),
+    (4, (1, 1, 1, 1), 2): (UBFG, 1, (1,), (0,), None),
+    (5, (1, 1, 1, 2), 1): (UBFG, 2, (0, 0), (0, 0), None),
+    (5, (1, 1, 1, 2), 2): (UBFG, 2, (0, 0), (1, 0), None),
+    (5, (1, 1, 1, 2), 3): (UBFG, 2, (1, 0), ("a", 0), None),
+    (5, (1, 1, 1, 2), 4): (UBFG, 2, (1, "a"), ("b", 0), None),
+    (4, (1, 2, 1), 1): (UBU, 2, None, None, (1, 0)),
+    (4, (1, 2, 1), 2): (UBU, 2, None, None, (1, "i")),
+    (5, (1, 3, 1), 1): (UBU, 3, None, None, (1, 0, 0)),
+    (5, (1, 3, 1), 2): (UBU, 3, None, None, (1, "i", 0)),
+}
+# the 5-chain is the tower over one u with three zero eigenvalue lists,
+# one more than the families carry
+CHAIN_5 = (5, (1, 1, 1, 1, 1), 1)
+
+SIX_FIELDS = (GF(3), GF(5), GF(13), GF(1000033), QQ(), QI())
+
+
+def _sample(entry, field, rng):
+    while True:
+        params = []
+        for _ in range(entry.param_arity):
+            x = field.from_int(rng.randrange(2, 50))
+            if field.has_i and rng.random() < 0.5:
+                x = x + field.from_int(rng.randrange(1, 4)) * field.i()
+            params.append(x)
+        if entry.param_ok(tuple(params)):
+            return tuple(params)
+
+
+def _family_member(key, params, field):
+    """families.build of the data FAMILY_MEMBERS holds for key."""
+    def elems(data):
+        if data is None:
+            return None
+        return tuple(field.i() if x == "i" else
+                     params["ab".index(x)] if isinstance(x, str) else
+                     field.from_int(x) for x in data)
+    kind, n, f, g, u = FAMILY_MEMBERS[key]
+    return build(FamilySpec(kind, n, elems((1,) * n), elems(f), elems(g),
+                            elems(u)))
+
+
+def test_family_type_templates_are_family_members():
+    chain_5 = [[int(j == k + 1) for j in range(5)] for k in range(5)]
+    entries = [e for e in ENTRIES
+               if e.key() in FAMILY_MEMBERS or e.key() == CHAIN_5]
+    assert len(entries) == 21
+    rng = random.Random(2)
+    for field in SIX_FIELDS:
+        for entry in entries:
+            if entry.needs_i and not field.has_i:
+                continue
+            for _ in range(3 if entry.param_arity else 1):
+                params = _sample(entry, field, rng)
+                T = entry.template(params, field)
+                if entry.key() == CHAIN_5:
+                    assert T == EvolutionAlgebra.from_ints(chain_5, field)
+                else:
+                    assert T == _family_member(entry.key(), params, field), \
+                        (entry.key(), field, params)

@@ -20,10 +20,12 @@ GF(13), GF(1000033), Q and Q(i), in six kinds:
   squares lie in the span of the zero squares, so that the split
   witnesses of ``decomposability_check`` are compared beyond nilpotent
   inputs too;
-- ``family``: the paper's families Ubg and Ubfg of dims 4 and 5 (types
-  [1,1,2], [1,1,3], [1,1,1,1] and [1,1,1,2]), built by
-  ``families.build`` from random data in which f and g entries are often
-  zero or repeated, each with a monomial relabelling, and for Ubfg the
+- ``family``: the paper's four families, built by ``families.build``
+  from random data: Ub of dims 2-5 (types [1,1] to [1,4]), Ubu of dims
+  4 and 5 (types [1,2,1] and [1,3,1]) with u isotropic (b(u,u) = 0) in
+  about half of them, and Ubg and Ubfg of dims 4 and 5 (types [1,1,2],
+  [1,1,3], [1,1,1,1] and [1,1,1,2]) with f and g entries often zero or
+  repeated.  Each comes with a monomial relabelling, and for Ubfg the
   same two of a ``scaled_spec`` image, so that the slope builder's
   variants get witnesses beyond their templates.
 
@@ -69,8 +71,10 @@ RANDOM_PER_FIELD = 2000
 BLOCK_PER_FIELD = 300
 ARBITRARY_PER_FIELD = 600
 TEMPLATE_SAMPLES = 3
-FAMILY_PER_FIELD = 200
-FAMILY_SHAPES = (("Ubg", 2), ("Ubg", 3), ("Ubfg", 1), ("Ubfg", 2))
+FAMILY_PER_FIELD = 500
+FAMILY_SHAPES = (("Ub", 1), ("Ub", 2), ("Ub", 3), ("Ub", 4), ("Ubu", 2),
+                 ("Ubu", 3), ("Ubg", 2), ("Ubg", 3), ("Ubfg", 1),
+                 ("Ubfg", 2))
 BLOCK_ATTEMPTS = 60
 SHOWN_PER_KIND = 3
 
@@ -179,7 +183,7 @@ class Corpus:
              for j in range(dim)] for i in range(dim)])
 
     def family(self, k):
-        """A Ubg or Ubfg algebra of the k-th shape and its monomial
+        """A family algebra of the k-th shape and its monomial
         relabelling, then for Ubfg the same two of a scaled_spec image;
         a quarter of the f and g entries are zero, and a quarter repeat
         an earlier entry."""
@@ -194,9 +198,14 @@ class Corpus:
                            rng.choice(out) if out and r < 0.5 else
                            self.scalar())
             return tuple(out)
-        g = eigs()
-        spec = ev.FamilySpec(kind, n, tuple(self.scalar(1) for _ in range(n)),
-                             eigs() if kind == "Ubfg" else None, g)
+        if kind == "Ubu":
+            b, u = self.ubu_data(n)
+            spec = ev.FamilySpec(kind, n, b, u_coords=u)
+        else:
+            g = eigs() if kind != "Ub" else None
+            spec = ev.FamilySpec(
+                kind, n, tuple(self.scalar(1) for _ in range(n)),
+                eigs() if kind == "Ubfg" else None, g)
         specs = [spec]
         if kind == "Ubfg":
             specs.append(ev.scaled_spec(spec, self.scalar(1), self.scalar()))
@@ -204,6 +213,21 @@ class Corpus:
             E = ev.build(s)
             yield E
             yield self.relabel(E)
+
+    def ubu_data(self, n):
+        """b and u of a Ubu spec; u is isotropic (sum b_i u_i^2 = 0) in
+        about half of the draws and anisotropic in the rest."""
+        isotropic = self.rng.random() < 0.5
+        while True:
+            b = [self.scalar(1) for _ in range(n)]
+            u = [self.scalar() for _ in range(n)]
+            q = [bi * ui * ui for bi, ui in zip(b, u)]
+            rest = sum(q[:-1], self.field.zero())
+            if not isotropic and not (rest + q[-1]).is_zero():
+                return tuple(b), tuple(u)
+            if isotropic and not (rest.is_zero() or u[-1].is_zero()):
+                b[-1] = -rest / (u[-1] * u[-1])
+                return tuple(b), tuple(u)
 
     def template_params(self, entry):
         while True:
