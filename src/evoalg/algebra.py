@@ -15,9 +15,13 @@ The nonzero pattern of the structure rows is one int bitmask per row
 (``EvolutionAlgebra._supports``), built once per algebra; the series,
 the graph components and the zero squares test it with ``&``.  The
 split along an annihilator vector outside E^2 (``_annihilator_split``)
-finds its part C inside ann from two eliminations: ann cap E^2 and the
-test of ann inside E^2 from one, and C's indices from the last nonzero
-columns of the other.  That test is the only one of ann inside E^2:
+finds its part C inside ann by pivoting on the unit squares, the
+squares that are a nonzero multiple of one e_k of ann: each such e_k
+lies in ann cap E^2, so when every e_k of ann is one, ann lies inside
+E^2 with no elimination.  Otherwise one elimination of the other
+squares, over the other columns, gives the rest of ann cap E^2 and the
+test of ann inside E^2, and C's indices come from the last nonzero
+columns of that rest.  That test is the only one of ann inside E^2:
 ``invariant_profile`` reads it as the split finding no C.
 
 The decomposability criteria that split E into ideals spanned by a
@@ -456,14 +460,24 @@ def _annihilator_split(E: EvolutionAlgebra, zero: list[int]):
     E^2, or None when ann lies inside E^2; zero lists the e_k with
     e_k^2 = 0, which span ann.  C is spanned by the e_k, k in zero, that
     the greedy walk keeps outside ann cap E^2, so ann = (ann cap E^2) + C.
-    Two eliminations find it:
 
-    - the nonzero squares with the zero columns last: the reduced rows
-      with a pivot among those columns vanish on every other column and
-      span exactly ann cap E^2, and ann lies inside E^2 when there are
-      len(zero) of them;
-    - ann cap E^2 over reversed columns: the walk keeps the zero columns
-      that are not its pivots (``_last_columns``).
+    It pivots on unit squares first.  Let U hold the k in zero for which
+    some square is a nonzero multiple of e_k (its support mask is
+    1 << k).  Then W = span{e_k : k in U} lies in ann cap E^2, so
+
+    - (ann cap E^2)/W = ann/W cap E^2/W: modulo W, the squares supported
+      inside U vanish, and ann/W is spanned by the e_k, k in zero outside
+      U.  One elimination of the other squares, with those zero columns
+      last, finds it: the reduced rows with a pivot among those columns
+      vanish on every other column and span the projection of
+      ann cap E^2 off U, and ann lies inside E^2 exactly when there are
+      as many of them as columns.  When U is all of zero, ann = W lies
+      inside E^2 with no elimination at all.
+    - The last columns of ann cap E^2 are U together with the last
+      columns of its projection off U, since W lies inside it; so no
+      unit column is ever in C, and the walk keeps the zero columns
+      outside U that are not pivots of the projection over reversed
+      columns (``_last_columns``).
 
     The split is a quotient.  C lies inside ann, so it is an ideal, and
     it meets E^2 only in 0; so every complement I of C that contains E^2
@@ -474,17 +488,24 @@ def _annihilator_split(E: EvolutionAlgebra, zero: list[int]):
     one-dimensional zero algebra.  Since ann^i(E) = ann^i(I) + C, the
     summand's series is E's blocks restricted to the indices outside C
     (``_restricted_series``)."""
-    n, ops = E.dim, E.field.ops
-    zset = set(zero)
-    live = [j for j in range(n) if j not in zset]
-    head = len(live)
-    rows = [[E._rows[i][j] for j in live + zero] for i in live]
-    pivots = ops.rref(rows, n)
-    ann_rows = [r[head:] for r, p in zip(rows, pivots) if p >= head]
-    if len(ann_rows) == len(zero):
+    masks = E._supports()
+    units = sum(1 << k for k in zero if 1 << k in masks)
+    rest = [k for k in zero if not units >> k & 1]
+    if not rest:
         return None
-    taken = _last_columns(ann_rows, len(zero), ops) if ann_rows else set()
-    return [k for t, k in enumerate(zero) if t not in taken]
+    ops = E.field.ops
+    zset = set(zero)
+    live = [j for j in range(E.dim) if j not in zset]
+    cols = live + rest
+    head = len(live)
+    rows = [[E._rows[i][j] for j in cols] for i in live
+            if masks[i] & ~units]
+    pivots = ops.rref(rows, len(cols))
+    ann_rows = [r[head:] for r, p in zip(rows, pivots) if p >= head]
+    if len(ann_rows) == len(rest):
+        return None
+    taken = _last_columns(ann_rows, len(rest), ops) if ann_rows else set()
+    return [k for t, k in enumerate(rest) if t not in taken]
 
 
 _DISCONNECTED = "attached graph is disconnected"

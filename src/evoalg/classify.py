@@ -58,8 +58,10 @@ and ``witness_isomorphism`` wraps the witness rows it composes.
 The invariants that decide the split are read off index sets of the
 natural basis: the series blocks (its chain of subspaces is never
 built), ann(E) as the indices of the zero squares, and the part C of
-the split along an annihilator vector outside E^2 from the two
-eliminations of ``algebra._annihilator_split``.  Supports are int
+the split along an annihilator vector outside E^2 from
+``algebra._annihilator_split``, which eliminates only the squares and
+the zero columns that are not unit squares, and none when every e_k of
+ann is a multiple of a square.  Supports are int
 bitmasks, so the cross products of the witness check
 (``oracle._is_hom``) are computed only for two columns whose supports
 meet on the nonzero squares.  Each summand is classified with what its

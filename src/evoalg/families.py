@@ -216,7 +216,6 @@ def _fg_match(f1, g1, f2, g2) -> bool:
         return _affine_match(g1, g2)
     if all(x.is_zero() for x in f2):
         return False
-    field = f1[0].field
     fi = next(x for x in f1 if not x.is_zero())
     idx = f1.index(fi)
     gi = g1[idx]

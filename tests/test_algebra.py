@@ -452,6 +452,49 @@ def algebras_with_zero_squares(draw):
     return EvolutionAlgebra(n, Matrix(rows, field, n), field)
 
 
+@st.composite
+def algebras_with_unit_squares(draw):
+    """Algebras of dim 2-5 over GF(5), GF(13), Q or Q(i) with at least
+    one zero square, in the shapes of split_algebras (nilpotent,
+    arbitrary, or every square inside the span of the zero squares),
+    except that each nonzero square may be drawn as a nonzero multiple
+    of one zero square e_k instead: the unit squares the annihilator
+    split pivots on, which cover none, some or all of the e_k of ann."""
+    field, _ = draw(st.sampled_from(_SPLIT_FIELDS))
+    n = draw(st.integers(2, 5))
+    shape = draw(st.sampled_from(["nilpotent", "arbitrary", "into ann"]))
+    if shape == "into ann":
+        size = draw(st.sampled_from([n // 2, (n + 1) // 2]))
+        zero = sorted(draw(st.permutations(range(n)))[:size])
+    else:
+        zero = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1,
+                                   max_size=n - 1)))
+    order = draw(st.permutations(range(n)))
+    unit_of = draw(st.lists(st.none() | st.sampled_from(zero), min_size=n,
+                            max_size=n))
+    rnd = draw(st.randoms(use_true_random=False))
+    rows = []
+    for i in range(n):
+        row = [field.zero()] * n
+        if i not in zero and unit_of[i] is not None:
+            c = _random_entry(field, rnd)
+            row[unit_of[i]] = field.one() if c.is_zero() else c
+        elif i not in zero:
+            for j in range(n):
+                if not ((shape == "nilpotent" and order[i] >= order[j])
+                        or (shape == "into ann" and j not in zero)):
+                    row[j] = _random_entry(field, rnd)
+        rows.append(row)
+    return EvolutionAlgebra(n, Matrix(rows, field, n), field)
+
+
+def _unit_columns(E):
+    """The k with e_k^2 = 0 for which some square is a nonzero multiple
+    of e_k."""
+    masks = E._supports()
+    return {k for k in _zero_rows(E) if 1 << k in masks}
+
+
 def annihilator_split_pieces(E, zero):
     """(C, I) from the indices of C that _annihilator_split returns and
     the ideal I that _split_ideals spans, or None when ann lies inside
@@ -466,9 +509,9 @@ def annihilator_split_pieces(E, zero):
     return c_part, i_part
 
 
-@settings(max_examples=200)
-@given(algebras_with_zero_squares())
-def test_annihilator_split_matches_the_subspace_composition(E):
+def assert_the_split_matches_the_subspace_composition(E):
+    """_annihilator_split and _split_ideals against
+    reference_annihilator_split, and the decomposability_check verdict."""
     zero, sq = _zero_rows(E), square_subspace(E)
     ann_in_sq = sq.contains(E.annihilator())
     got = annihilator_split_pieces(E, zero)
@@ -486,6 +529,38 @@ def test_annihilator_split_matches_the_subspace_composition(E):
         assert verdict.witness == (i_part, c_part)
         assert not c_part.is_zero() and (i_part + c_part).dim == E.dim
         assert i_part.intersect(c_part).is_zero()
+
+
+@settings(max_examples=200)
+@given(algebras_with_zero_squares())
+def test_annihilator_split_matches_the_subspace_composition(E):
+    assert_the_split_matches_the_subspace_composition(E)
+
+
+@settings(max_examples=200)
+@given(algebras_with_unit_squares())
+def test_the_unit_pivots_match_the_subspace_composition(E):
+    # the split pivots on unit squares before it eliminates, and gives
+    # the same C, I and verdict as the composition it replaces
+    assert_the_split_matches_the_subspace_composition(E)
+
+
+def test_the_unit_square_draws_reach_each_case_of_the_pivots():
+    # a fixed-seed census: every zero column a unit, so no elimination;
+    # some units and a split; some units and ann inside E^2 found by the
+    # elimination of the other squares
+    seen = collections.Counter()
+
+    def record(E):
+        zero, units = _zero_rows(E), _unit_columns(E)
+        if units == set(zero):
+            seen["all units"] += 1
+        elif units:
+            split = _annihilator_split(E, zero)
+            seen["split" if split is not None else "eliminated"] += 1
+    _census(algebras_with_unit_squares(), record)
+    assert seen["all units"] >= 20
+    assert seen["split"] >= 20 and seen["eliminated"] >= 10
 
 
 def test_ann_in_sq_is_the_containment_of_ann_in_the_square():
@@ -544,6 +619,51 @@ def test_annihilator_split_on_a_vector_outside_the_square():
     ann_sq, ref_c, ref_i = reference_annihilator_split(E)
     assert ann_sq == Subspace.coordinate([3], 4, QQ())
     assert (c_part, i_part) == (ref_c, ref_i)
+
+
+def _recording_eliminations(monkeypatch):
+    """A list that records (rows, columns) of every elimination, which
+    runs the rref kernel of its field's op table."""
+    fields = importlib.import_module("evoalg.fields")
+    shapes = []
+
+    def counting(rref):
+        def wrapper(ops, rows, ncols):
+            shapes.append((len(rows), ncols))
+            return rref(ops, rows, ncols)
+        return wrapper
+    for table in (fields.FieldOps, fields._PrimeOps):
+        monkeypatch.setattr(table, "rref", counting(table.rref))
+    return shapes
+
+
+@pytest.mark.parametrize("field", [F13, QQ(), QI()],
+                         ids=["GF13", "Q", "Qi"])
+def test_an_annihilator_of_unit_squares_takes_no_elimination(monkeypatch,
+                                                              field):
+    # in the n-chains and the [1,2] and [1,3] stars every e_k of ann is
+    # a multiple of a square, so ann lies inside E^2 with no arithmetic
+    shapes = _recording_eliminations(monkeypatch)
+    algebras = [chain(n, field) for n in range(2, 6)]
+    algebras += [find_entry(n, (1, n - 1), 1).template((), field)
+                 for n in (3, 4)]
+    for E in algebras:
+        zero = _zero_rows(E)
+        assert _unit_columns(E) == set(zero)
+        assert _annihilator_split(E, zero) is None
+    assert shapes == []
+
+
+def test_the_split_eliminates_only_the_squares_off_the_units(monkeypatch):
+    # the worked example above: U = {3}, so e2^2 = e3 drops out and one
+    # elimination of e0^2 over the columns e0, e2, e1 finds C = <e1>
+    # (two eliminations of both squares over all four columns before)
+    E = EvolutionAlgebra.from_ints(
+        [[0, 1, 1, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]], QQ())
+    shapes = _recording_eliminations(monkeypatch)
+    assert _unit_columns(E) == {3}
+    assert _annihilator_split(E, _zero_rows(E)) == [1]
+    assert shapes == [(1, 3)]
 
 
 # ---------------------------------------------------------------------------

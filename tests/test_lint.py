@@ -200,3 +200,66 @@ def test_the_lint_sees_a_forwarding_shim():
         "class _K:\n    def _m(self, a):\n        return f(a)\n")
     assert _forwarding_shims(tree) == [
         "_by_name (line 1)", "_by_attr (line 3)", "_starred (line 6)"]
+
+
+def _own_scope(fn) -> list:
+    """The nodes of a function's own scope: its body, without the bodies
+    of the functions, lambdas and classes nested in it."""
+    nodes, todo = [], list(fn.body)
+    while todo:
+        node = todo.pop()
+        nodes.append(node)
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda, ast.ClassDef)):
+            todo += ast.iter_child_nodes(node)
+    return nodes
+
+
+def _dead_locals(tree: ast.Module) -> list[str]:
+    """The function-local names bound by a plain assignment (``x = ...``,
+    not a tuple target) that nothing in the function reads, nested
+    functions included.  Underscore names and names declared ``global``
+    or ``nonlocal`` are exempt."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        bound, declared = {}, set()
+        for node in _own_scope(fn):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        bound.setdefault(target.id, node.lineno)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                declared.update(node.names)
+        read = {node.id for node in ast.walk(fn)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        found += [f"{fn.name}: {name} (line {line})"
+                  for name, line in sorted(bound.items(),
+                                           key=lambda item: item[1])
+                  if name not in read | declared and not name.startswith("_")]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_dead_locals(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _dead_locals(tree) == []
+
+
+def test_the_lint_sees_a_dead_local():
+    tree = ast.parse(
+        "def f(a):\n    dead = a + 1\n    kept = a\n    return kept\n"
+        "def g(a):\n    x = y = a\n    return y\n"
+        "def h(a):\n    b, c = a\n    _unused = a\n    return 0\n"
+        "def k(a):\n    global G\n    G = a\n"
+        "def outer(a):\n    seen = a\n    inner_dead = 1\n"
+        "    def inner():\n        nonlocal a\n        a = 2\n"
+        "        gone = 3\n        return seen\n    return inner\n"
+        "class K:\n    attr = 1\n    def m(self):\n"
+        "        self.x = 1\n        late = 2\n")
+    assert _dead_locals(tree) == [
+        "f: dead (line 2)", "g: x (line 6)", "outer: inner_dead (line 17)",
+        "inner: gone (line 21)", "m: late (line 28)"]
