@@ -17,8 +17,8 @@ the graph components and the zero squares test it with ``&``.  The
 split along an annihilator vector outside E^2 (``_annihilator_split``)
 finds its part C inside ann by pivoting on the unit squares, the
 squares that are a nonzero multiple of one e_k of ann: each such e_k
-lies in ann cap E^2, so when every e_k of ann is one, ann lies inside
-E^2 with no elimination.  Otherwise one elimination of the other
+lies in ann cap E^2, so when every e_k of ann is such a multiple, ann
+lies inside E^2 with no elimination.  Otherwise one elimination of the other
 squares, over the other columns, gives the rest of ann cap E^2 and the
 test of ann inside E^2, and C's indices come from the last nonzero
 columns of that rest.  That test is the only one of ann inside E^2:

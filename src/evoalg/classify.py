@@ -59,10 +59,10 @@ The invariants that decide the split are read off index sets of the
 natural basis: the series blocks (its chain of subspaces is never
 built), ann(E) as the indices of the zero squares, and the part C of
 the split along an annihilator vector outside E^2 from
-``algebra._annihilator_split``, which eliminates only the squares and
-the zero columns that are not unit squares, and none when every e_k of
-ann is a multiple of a square.  Supports are int
-bitmasks, so the cross products of the witness check
+``algebra._annihilator_split``, which pivots on the squares that are a
+multiple of one e_k of ann and eliminates only the other squares, over
+the other columns: none when every e_k of ann is such a multiple.
+Supports are int bitmasks, so the cross products of the witness check
 (``oracle._is_hom``) are computed only for two columns whose supports
 meet on the nonzero squares.  Each summand is classified with what its
 split proved (``_classify_rows``).  A template's payload rows are built

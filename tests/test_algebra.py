@@ -657,7 +657,6 @@ def test_an_annihilator_of_unit_squares_takes_no_elimination(monkeypatch,
 def test_the_split_eliminates_only_the_squares_off_the_units(monkeypatch):
     # the worked example above: U = {3}, so e2^2 = e3 drops out and one
     # elimination of e0^2 over the columns e0, e2, e1 finds C = <e1>
-    # (two eliminations of both squares over all four columns before)
     E = EvolutionAlgebra.from_ints(
         [[0, 1, 1, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]], QQ())
     shapes = _recording_eliminations(monkeypatch)
