@@ -328,13 +328,11 @@ def power_nilpotency(E: EvolutionAlgebra, kind: str) -> bool:
 
     For the right chain, n+1 steps always suffice; for the plenary chain
     a product of 2^(k-1) factors lies in the k-th right power, so 2^n
-    steps bound the nilpotency index.
+    steps bound the nilpotency index.  An unknown kind raises
+    ShapeError, as in ``power_subspaces``.
     """
-    if kind == RIGHT:
-        chain = power_subspaces(E, RIGHT, E.dim + 1)
-    else:
-        chain = power_subspaces(E, PLENARY, 2 ** E.dim)
-    return chain[-1].is_zero()
+    steps = E.dim + 1 if kind == RIGHT else 2 ** E.dim
+    return power_subspaces(E, kind, steps)[-1].is_zero()
 
 
 def relative_annihilator(E: EvolutionAlgebra, inside: Subspace,

@@ -491,9 +491,10 @@ def _parse_frac(text: str) -> Fraction:
 def parse_element(text: str, desc: FieldDescriptor) -> FieldElement:
     """Parse an element literal.
 
-    Grammar: ``rat := int ['/' int]``;
-    ``gauss := rat | [rat] ('+'|'-') rat '*'? 'i' | [-]i``.
-    Prime field literals are plain integers.
+    Grammar: ``int := ['-'] digits``, ``rat := int ['/' int]``;
+    ``gauss := rat | [rat] ('+'|'-') [rat] ['*'] 'i' | [rat ['*']] 'i'``,
+    where a missing imaginary ``rat`` reads 1.  Prime field literals are
+    plain integers.
     """
     text = text.strip().replace(" ", "")
     if not text:
@@ -511,7 +512,6 @@ def parse_element(text: str, desc: FieldDescriptor) -> FieldElement:
                 raise DomainError("'i' is not an element of Q")
             raise AlgebraSyntaxError(f"bad rational literal {text!r}")
         return FieldElement(desc, _parse_frac(text))
-    # Gaussian rationals: rat | [rat] ['+'|'-'] rat '*'? 'i' | 'i' | '-i'
     def bad():
         raise AlgebraSyntaxError(f"bad Gaussian rational literal {text!r}")
 
@@ -524,10 +524,11 @@ def parse_element(text: str, desc: FieldDescriptor) -> FieldElement:
         body = body[:-1]
         if not body:
             bad()
-    # split off the real part at the last top-level sign (a sign at
-    # position 0 is part of the imaginary coefficient itself)
+    # split off the real part at the last operator: a sign that is not
+    # at position 0 and not right after '/', '*' or another sign (such a
+    # sign belongs to the rat that follows)
     split_at = max((k for k in range(1, len(body)) if body[k] in "+-"
-                    and body[k - 1] not in "/*"), default=None)
+                    and body[k - 1] not in "/*+-"), default=None)
     if split_at is None:
         re_txt, im_txt = "", body
     else:
@@ -537,16 +538,14 @@ def parse_element(text: str, desc: FieldDescriptor) -> FieldElement:
         if not re.fullmatch(_RAT, re_txt):
             bad()
         re_part = _parse_frac(re_txt)
-    if im_txt in ("", "+"):
-        im_part = Fraction(1)
-    elif im_txt == "-":
-        im_part = Fraction(-1)
-    else:
-        if im_txt[0] == "+":
-            im_txt = im_txt[1:]
+    sign = -1 if im_txt[:1] == "-" else 1
+    if im_txt[:1] in ("+", "-"):
+        im_txt = im_txt[1:]
+    im_part = Fraction(sign)
+    if im_txt:
         if not re.fullmatch(_RAT, im_txt):
             bad()
-        im_part = _parse_frac(im_txt)
+        im_part *= _parse_frac(im_txt)
     return FieldElement(desc, (re_part, im_part))
 
 

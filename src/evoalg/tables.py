@@ -8,8 +8,12 @@ while solid parameter edges are nonzero.  Each entry carries the finite
 isomorphism orbit of its parameter tuple, valid over algebraically
 closed fields.
 
-The family-type templates are members of the paper's families with b = 1,
-built by their row builders (``_tower``: Ub, Ubg, Ubfg; ``_ubu``: Ubu).
+Every template is written as data (see ``_add``): a tail, which is a
+member of the paper's families with b = 1 built by their row builders
+(``_tower``: Ub, Ubg, Ubfg and the chains; ``_ubu``: Ubu) or fixed int
+rows, under at most three top vectors whose squares are coordinates on
+the tail's basis.  An entry's parameter count and its need for a square
+root of -1 are read off that data.
 """
 
 from __future__ import annotations
@@ -68,15 +72,6 @@ def _dedupe(tuples):
     return out
 
 
-def _alg(rows_fn, params, field):
-    """rows_fn receives the field's ops and the payload params and returns
-    rows of ints and payloads; the ints are lifted into the field (over
-    GF(p) lifting a payload leaves it as it is)."""
-    of_int = field.ops.of_int
-    return [[of_int(x) if isinstance(x, int) else x for x in row]
-            for row in rows_fn(field.ops, params)]
-
-
 def _trivial_orbit(params, field):
     return [tuple(params)]
 
@@ -94,177 +89,38 @@ def _any_params(params) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# template row builders
+# template data: an entry is an int, "i" or "-i", or "a"/"b" for the
+# first and second parameter
 
-def _tower(m, *lists):
-    """The tower on u_1..u_m with b = 1, one chain vector per list (Ub:
-    none, Ubg: g, Ubfg: f and g, the n-chain: n - 2 ``_zero``); a list
-    maps the ops and the payload params to m eigenvalues, ints or payloads."""
-    def build(params, field):
-        eigs = _alg(lambda o, p: [lst(o, p) for lst in lists], params, field)
-        return _tower_rows(field.ops, [field.ops.one] * m, eigs)
-    return build
+_PARAMS = ("a", "b")
+_I = ("i", "-i")
+
+
+def _payload(x, ops, params):
+    """The payload of the name x ("i", "-i", "a" or "b") over ops, params
+    the payload params."""
+    if x == "i":
+        return ops.i
+    if x == "-i":
+        return ops.neg(ops.i)
+    return params[_PARAMS.index(x)]
+
+
+def _tower(m, *eigs):
+    """The tower on u_1..u_m with b = 1 under one chain vector per
+    eigenvalue list (Ub: none, Ubg: g, Ubfg: f and g; the n-chain: n - 2
+    lists (0,)): the lists and the rows built from their payloads."""
+    return eigs, lambda ops, lists: _tower_rows(ops, [ops.one] * m, lists)
 
 
 def _ubu(*u):
-    """The Ubu member with b = 1 and coordinates u: ints, or "i"."""
-    def build(params, field):
-        ops = field.ops
-        return _ubu_rows(ops, [ops.one] * len(u),
-                         [ops.i if x == "i" else ops.of_int(x) for x in u])
-    return build
+    """The Ubu member with b = 1 and coordinates u."""
+    return (u,), lambda ops, lists: _ubu_rows(ops, [ops.one] * len(u),
+                                              lists[0])
 
 
-def _zero(ops, params):
-    return (0,)
-
-
-
-def _rows_23(ops, params):
-    # (x, y, z, u, v): x^2 = u, y^2 = u + v, z^2 = v
-    return [[0, 0, 0, 1, 0], [0, 0, 0, 1, 1], [0, 0, 0, 0, 1],
-            [0] * 5, [0] * 5]
-
-
-def _rows_221(ops, params):
-    # (x, a, b, u, v): x^2 = a + b, a^2 = u, b^2 = v
-    return [[0, 1, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1],
-            [0] * 5, [0] * 5]
-
-
-def _rows_212(ops, params):
-    # (x, y, a, u, v): x^2 = a, y^2 = a + v, a^2 = u
-    return [[0, 0, 1, 0, 0], [0, 0, 1, 0, 1], [0, 0, 0, 1, 0],
-            [0] * 5, [0] * 5]
-
-
-def _rows_122_v1(ops, params):
-    # (x, y, u, v, s): x^2 = u, y^2 = alpha u + v, u^2 = v^2 = s
-    (alpha,) = params
-    return [[0, 0, 1, 0, 0], [0, 0, alpha, 1, 0], [0, 0, 0, 0, 1],
-            [0, 0, 0, 0, 1], [0] * 5]
-
-
-def _rows_122_v2(ops, params):
-    return [[0, 0, 1, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 0, 1],
-            [0, 0, 0, 0, 1], [0] * 5]
-
-
-def _rows_122_v3(ops, params):
-    return [[0, 0, 1, 0, 0], [0, 0, 1, 0, 1], [0, 0, 0, 0, 1],
-            [0, 0, 0, 0, 1], [0] * 5]
-
-
-def _rows_122_v4(ops, params):
-    i = ops.i
-    return [[0, 0, 1, i, 0], [0, 0, 1, i, 0], [0, 0, 0, 0, 1],
-            [0, 0, 0, 0, 1], [0] * 5]
-
-
-def _rows_122_v5(ops, params):
-    i = ops.i
-    return [[0, 0, 1, i, 0], [0, 0, 1, i, 1], [0, 0, 0, 0, 1],
-            [0, 0, 0, 0, 1], [0] * 5]
-
-
-def _rows_122_v6(ops, params):
-    i = ops.i
-    return [[0, 0, 1, i, 0], [0, 0, 1, ops.neg(i), 0], [0, 0, 0, 0, 1],
-            [0, 0, 0, 0, 1], [0] * 5]
-
-
-def _rows_1211_v1(ops, params):
-    # (x, y, u, v, s): x^2 = y, y^2 = u, u^2 = v^2 = s
-    return [[0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 0, 1],
-            [0, 0, 0, 0, 1], [0] * 5]
-
-
-def _rows_1211_v2(ops, params):
-    return [[0, 1, 0, 1, 0], [0, 0, 1, 0, 0], [0, 0, 0, 0, 1],
-            [0, 0, 0, 0, 1], [0] * 5]
-
-
-def _rows_1211_v3(ops, params):
-    (beta,) = params
-    return [[0, 1, 1, beta, 0], [0, 0, 1, 0, 0], [0, 0, 0, 0, 1],
-            [0, 0, 0, 0, 1], [0] * 5]
-
-
-def _rows_1211_v4(ops, params):
-    i = ops.i
-    return [[0, 1, 0, 0, 0], [0, 0, 1, i, 0], [0, 0, 0, 0, 1],
-            [0, 0, 0, 0, 1], [0] * 5]
-
-
-def _rows_1211_v5(ops, params):
-    i = ops.i
-    return [[0, 1, 1, 0, 0], [0, 0, 1, i, 0], [0, 0, 0, 0, 1],
-            [0, 0, 0, 0, 1], [0] * 5]
-
-
-def _rows_1211_v6(ops, params):
-    i = ops.i
-    return [[0, 1, 1, i, 0], [0, 0, 1, i, 0], [0, 0, 0, 0, 1],
-            [0, 0, 0, 0, 1], [0] * 5]
-
-
-def _rows_1211_v7(ops, params):
-    i = ops.i
-    return [[0, 1, 1, ops.neg(i), 0], [0, 0, 1, i, 0], [0, 0, 0, 0, 1],
-            [0, 0, 0, 0, 1], [0] * 5]
-
-
-def _rows_1121_v1(ops, params):
-    # (x, y, z, w, s): x^2 = y, y^2 = w, z^2 = w, w^2 = s
-    return [[0, 1, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 1, 0],
-            [0, 0, 0, 0, 1], [0] * 5]
-
-
-def _rows_1121_v2(ops, params):
-    return [[0, 1, 0, 1, 0], [0, 0, 0, 1, 0], [0, 0, 0, 1, 0],
-            [0, 0, 0, 0, 1], [0] * 5]
-
-
-def _rows_1121_v3(ops, params):
-    i = ops.i
-    return [[0, 1, i, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 1, 0],
-            [0, 0, 0, 0, 1], [0] * 5]
-
-
-def _rows_1121_v4(ops, params):
-    i = ops.i
-    return [[0, 1, i, 1, 0], [0, 0, 0, 1, 0], [0, 0, 0, 1, 0],
-            [0, 0, 0, 0, 1], [0] * 5]
-
-
-def _rows_1121_v5(ops, params):
-    # x^2 = y + alpha w, y^2 = w, z^2 = w + s, w^2 = s
-    (alpha,) = params
-    return [[0, 1, 0, alpha, 0], [0, 0, 0, 1, 0], [0, 0, 0, 1, 1],
-            [0, 0, 0, 0, 1], [0] * 5]
-
-
-def _rows_1121_v6(ops, params):
-    beta, gamma = params
-    return [[0, beta, 1, gamma, 0], [0, 0, 0, 1, 0], [0, 0, 0, 1, 1],
-            [0, 0, 0, 0, 1], [0] * 5]
-
-
-def _rows_11111_v2(ops, params):
-    return [[0, 1, 0, 1, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0],
-            [0, 0, 0, 0, 1], [0] * 5]
-
-
-def _rows_11111_v3(ops, params):
-    (alpha,) = params
-    return [[0, 1, 1, alpha, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0],
-            [0, 0, 0, 0, 1], [0] * 5]
-
-
-def _rows_11111_v4(ops, params):
-    alpha, beta = params
-    return [[0, 1, alpha, beta, 0], [0, 0, 1, 1, 0], [0, 0, 0, 1, 0],
-            [0, 0, 0, 0, 1], [0] * 5]
+def _fixed(ops, rows):
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -308,80 +164,100 @@ def _orbit_1121_v6(params, field):
 ENTRIES: list[ClassEntry] = []
 
 
-def _add(dim, tv, variant, arity, build, orbit=_trivial_orbit,
-         param_ok=_any_params, needs_i=False):
+def _add(dim, tv, variant, tail, *tops, orbit=_trivial_orbit,
+         param_ok=_any_params):
+    """Add the template tail (``_tower``, ``_ubu`` or int rows) under
+    tops; its arity and need for i are read off the data."""
+    lists, tail_rows = (tail, _fixed) if isinstance(tail, list) else tail
+    data = [x for lst in (*lists, *tops) for x in lst]
+    arity = max((_PARAMS.index(x) + 1 for x in data if x in _PARAMS),
+                default=0)
+
+    def build(params, field):
+        ops = field.ops
+
+        def payloads(lst):
+            return [ops.of_int(x) if type(x) is int
+                    else _payload(x, ops, params) for x in lst]
+        rows = tail_rows(ops, [payloads(lst) for lst in lists])
+        zeros = [ops.zero] * len(tops)
+        for row in rows:
+            row[:0] = zeros
+        return [zeros + payloads(top) for top in tops] + rows
+
     ENTRIES.append(ClassEntry(dim, tuple(tv), variant, arity, build, orbit,
-                              param_ok, needs_i))
+                              param_ok, any(x in _I for x in data)))
 
 
-def _plain(rows_fn):
-    return lambda params, field: _alg(rows_fn, params, field)
+_add(1, [1], 1, [[0]])
+_add(2, [1, 1], 1, _tower(1))
+_add(3, [1, 2], 1, _tower(2))
+_add(3, [1, 1, 1], 1, _tower(1, (0,)))
 
+_add(4, [1, 3], 1, _tower(3))
+_add(4, [1, 2, 1], 1, _ubu(1, 0))
+_add(4, [1, 2, 1], 2, _ubu(1, "i"))
+_add(4, [1, 1, 2], 1, _tower(2, (0, 0)))
+_add(4, [1, 1, 2], 2, _tower(2, (0, 1)))
+_add(4, [1, 1, 1, 1], 1, _tower(1, (0,), (0,)))
+_add(4, [1, 1, 1, 1], 2, _tower(1, (1,), (0,)))
 
-_add(1, [1], 1, 0, _plain(lambda f, p: [[0]]))
-_add(2, [1, 1], 1, 0, _tower(1))
-_add(3, [1, 2], 1, 0, _tower(2))
-_add(3, [1, 1, 1], 1, 0, _tower(1, _zero))
+# (x, y, z | u, v): x^2 = u, y^2 = u + v, z^2 = v
+_add(5, [2, 3], 1, [[0, 0], [0, 0]], (1, 0), (1, 1), (0, 1))
+# (x | a, b, u, v): x^2 = a + b, a^2 = u, b^2 = v
+_add(5, [2, 2, 1], 1, [[0, 0, 1, 0], [0, 0, 0, 1], [0] * 4, [0] * 4],
+     (1, 1, 0, 0))
+# (x, y | a, u, v): x^2 = a, y^2 = a + v, a^2 = u
+_add(5, [2, 1, 2], 1, [[0, 1, 0], [0] * 3, [0] * 3], (1, 0, 0), (1, 0, 1))
 
-_add(4, [1, 3], 1, 0, _tower(3))
-_add(4, [1, 2, 1], 1, 0, _ubu(1, 0))
-_add(4, [1, 2, 1], 2, 0, _ubu(1, "i"), needs_i=True)
-_add(4, [1, 1, 2], 1, 0, _tower(2, lambda o, p: (0, 0)))
-_add(4, [1, 1, 2], 2, 0, _tower(2, lambda o, p: (0, 1)))
-_add(4, [1, 1, 1, 1], 1, 0, _tower(1, _zero, _zero))
-_add(4, [1, 1, 1, 1], 2, 0, _tower(1, lambda o, p: (1,), _zero))
+_add(5, [1, 4], 1, _tower(4))
+_add(5, [1, 3, 1], 1, _ubu(1, 0, 0))
+_add(5, [1, 3, 1], 2, _ubu(1, "i", 0))
 
-_add(5, [2, 3], 1, 0, _plain(_rows_23))
-_add(5, [2, 2, 1], 1, 0, _plain(_rows_221))
-_add(5, [2, 1, 2], 1, 0, _plain(_rows_212))
-
-_add(5, [1, 4], 1, 0, _tower(4))
-_add(5, [1, 3, 1], 1, 0, _ubu(1, 0, 0))
-_add(5, [1, 3, 1], 2, 0, _ubu(1, "i", 0), needs_i=True)
-
-_add(5, [1, 1, 3], 1, 0, _tower(3, lambda o, p: (0, 0, 0)))
-_add(5, [1, 1, 3], 2, 0, _tower(3, lambda o, p: (0, 0, 1)))
-_add(5, [1, 1, 3], 3, 1, _tower(3, lambda o, p: (p[0], 0, 1)),
-     orbit=anharmonic_orbit,
+_add(5, [1, 1, 3], 1, _tower(3, (0, 0, 0)))
+_add(5, [1, 1, 3], 2, _tower(3, (0, 0, 1)))
+_add(5, [1, 1, 3], 3, _tower(3, ("a", 0, 1)), orbit=anharmonic_orbit,
      param_ok=lambda p: _nonzero(p[0]) and not (p[0]).is_one())
 
-_add(5, [1, 1, 1, 2], 1, 0,
-     _tower(2, lambda o, p: (0, 0), lambda o, p: (0, 0)))
-_add(5, [1, 1, 1, 2], 2, 0,
-     _tower(2, lambda o, p: (0, 0), lambda o, p: (1, 0)))
-_add(5, [1, 1, 1, 2], 3, 1,
-     _tower(2, lambda o, p: (1, 0), lambda o, p: (p[0], 0)))
-_add(5, [1, 1, 1, 2], 4, 2,
-     _tower(2, lambda o, p: (1, p[0]), lambda o, p: (p[1], 0)),
+_add(5, [1, 1, 1, 2], 1, _tower(2, (0, 0), (0, 0)))
+_add(5, [1, 1, 1, 2], 2, _tower(2, (0, 0), (1, 0)))
+_add(5, [1, 1, 1, 2], 3, _tower(2, (1, 0), ("a", 0)))
+_add(5, [1, 1, 1, 2], 4, _tower(2, (1, "a"), ("b", 0)),
      orbit=_orbit_1112_v4, param_ok=lambda p: _nonzero(p[0]))
 
-_add(5, [1, 2, 2], 1, 1, _plain(_rows_122_v1), orbit=_sign_orbit)
-_add(5, [1, 2, 2], 2, 0, _plain(_rows_122_v2))
-_add(5, [1, 2, 2], 3, 0, _plain(_rows_122_v3))
-_add(5, [1, 2, 2], 4, 0, _plain(_rows_122_v4), needs_i=True)
-_add(5, [1, 2, 2], 5, 0, _plain(_rows_122_v5), needs_i=True)
-_add(5, [1, 2, 2], 6, 0, _plain(_rows_122_v6), needs_i=True)
+# (x, y | u_1, u_2, s) over Ub: x^2 = u_1, y^2 = alpha u_1 + u_2 (v1)
+_add(5, [1, 2, 2], 1, _tower(2), (1, 0, 0), ("a", 1, 0), orbit=_sign_orbit)
+_add(5, [1, 2, 2], 2, _tower(2), (1, 0, 0), (1, 0, 0))
+_add(5, [1, 2, 2], 3, _tower(2), (1, 0, 0), (1, 0, 1))
+_add(5, [1, 2, 2], 4, _tower(2), (1, "i", 0), (1, "i", 0))
+_add(5, [1, 2, 2], 5, _tower(2), (1, "i", 0), (1, "i", 1))
+_add(5, [1, 2, 2], 6, _tower(2), (1, "i", 0), (1, "-i", 0))
 
-_add(5, [1, 2, 1, 1], 1, 0, _plain(_rows_1211_v1))
-_add(5, [1, 2, 1, 1], 2, 0, _plain(_rows_1211_v2))
-_add(5, [1, 2, 1, 1], 3, 1, _plain(_rows_1211_v3), orbit=_sign_orbit)
-_add(5, [1, 2, 1, 1], 4, 0, _plain(_rows_1211_v4), needs_i=True)
-_add(5, [1, 2, 1, 1], 5, 0, _plain(_rows_1211_v5), needs_i=True)
-_add(5, [1, 2, 1, 1], 6, 0, _plain(_rows_1211_v6), needs_i=True)
-_add(5, [1, 2, 1, 1], 7, 0, _plain(_rows_1211_v7), needs_i=True)
+# (x | y, u_1, u_2, s) over Ubu with y = a: x^2 = y, y^2 = u_1 (v1)
+_add(5, [1, 2, 1, 1], 1, _ubu(1, 0), (1, 0, 0, 0))
+_add(5, [1, 2, 1, 1], 2, _ubu(1, 0), (1, 0, 1, 0))
+_add(5, [1, 2, 1, 1], 3, _ubu(1, 0), (1, 1, "a", 0), orbit=_sign_orbit)
+_add(5, [1, 2, 1, 1], 4, _ubu(1, "i"), (1, 0, 0, 0))
+_add(5, [1, 2, 1, 1], 5, _ubu(1, "i"), (1, 1, 0, 0))
+_add(5, [1, 2, 1, 1], 6, _ubu(1, "i"), (1, 1, "i", 0))
+_add(5, [1, 2, 1, 1], 7, _ubu(1, "i"), (1, 1, "-i", 0))
 
-_add(5, [1, 1, 2, 1], 1, 0, _plain(_rows_1121_v1))
-_add(5, [1, 1, 2, 1], 2, 0, _plain(_rows_1121_v2))
-_add(5, [1, 1, 2, 1], 3, 0, _plain(_rows_1121_v3), needs_i=True)
-_add(5, [1, 1, 2, 1], 4, 0, _plain(_rows_1121_v4), needs_i=True)
-_add(5, [1, 1, 2, 1], 5, 1, _plain(_rows_1121_v5), orbit=_sign_orbit)
-_add(5, [1, 1, 2, 1], 6, 2, _plain(_rows_1121_v6), orbit=_orbit_1121_v6,
-     needs_i=True)
+# (x | y, z, w, s) over Ubg: x^2 = y, y^2 = z^2 = w, w^2 = s (v1)
+_add(5, [1, 1, 2, 1], 1, _tower(2, (0, 0)), (1, 0, 0, 0))
+_add(5, [1, 1, 2, 1], 2, _tower(2, (0, 0)), (1, 0, 1, 0))
+_add(5, [1, 1, 2, 1], 3, _tower(2, (0, 0)), (1, "i", 0, 0))
+_add(5, [1, 1, 2, 1], 4, _tower(2, (0, 0)), (1, "i", 1, 0))
+_add(5, [1, 1, 2, 1], 5, _tower(2, (0, 1)), (1, 0, "a", 0),
+     orbit=_sign_orbit)
+_add(5, [1, 1, 2, 1], 6, _tower(2, (0, 1)), ("a", 1, "b", 0),
+     orbit=_orbit_1121_v6)
 
-_add(5, [1, 1, 1, 1, 1], 1, 0, _tower(1, _zero, _zero, _zero))
-_add(5, [1, 1, 1, 1, 1], 2, 0, _plain(_rows_11111_v2))
-_add(5, [1, 1, 1, 1, 1], 3, 1, _plain(_rows_11111_v3))
-_add(5, [1, 1, 1, 1, 1], 4, 2, _plain(_rows_11111_v4), orbit=_sign_orbit)
+# (x | y, z, w, s) over the 4-chain or Ubfg: x^2 = y + w, y^2 = z (v2)
+_add(5, [1, 1, 1, 1, 1], 1, _tower(1, (0,), (0,), (0,)))
+_add(5, [1, 1, 1, 1, 1], 2, _tower(1, (0,), (0,)), (1, 0, 1, 0))
+_add(5, [1, 1, 1, 1, 1], 3, _tower(1, (0,), (0,)), (1, 1, "a", 0))
+_add(5, [1, 1, 1, 1, 1], 4, _tower(1, (1,), (0,)), (1, "a", "b", 0),
+     orbit=_sign_orbit)
 
 
 def canonical_table(dim: int, field: FieldDescriptor) -> list[ClassEntry]:
@@ -389,9 +265,9 @@ def canonical_table(dim: int, field: FieldDescriptor) -> list[ClassEntry]:
     if not 1 <= dim <= 5:
         raise UnsupportedDim(f"the table covers dimensions 1..5, not {dim}")
     entries = [e for e in ENTRIES if e.dim == dim]
-    if dim >= 4 and not field.has_i:
+    if not field.has_i and any(e.needs_i for e in entries):
         raise FieldLacksI(
-            "several canonical entries in dimension >= 4 carry weight i; "
+            f"several canonical entries in dimension {dim} carry weight i; "
             "use a field containing a square root of -1")
     return entries
 

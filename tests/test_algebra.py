@@ -163,6 +163,13 @@ def test_power_subspaces_reject_an_empty_chain_and_unknown_kinds():
         power_subspaces(E, "Left", 3)
 
 
+@pytest.mark.parametrize("kind", ["x", "Left", "right"])
+def test_power_nilpotency_rejects_unknown_kinds(kind):
+    # an unknown kind is an error, not the plenary chain
+    with pytest.raises(ShapeError, match="unknown power kind"):
+        power_nilpotency(chain(3, GF(13)), kind)
+
+
 def test_right_chain_of_chain_algebra():
     E = chain(4)
     ch = power_subspaces(E, RIGHT, 10)

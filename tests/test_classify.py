@@ -232,7 +232,7 @@ def test_labels_needing_i_have_no_witness_over_gf7():
     rng = random.Random(4)
     seen = 0
     for tv in ([1, 2, 1], [1, 3, 1], [1, 1, 2, 1], [1, 2, 2], [1, 2, 1, 1]):
-        for _ in range(60):
+        for _ in range(80):
             try:
                 label = classify(random_nilpotent_of_type(tv, rng, GF(7)))
             except SqrtUnavailable:

@@ -1,6 +1,7 @@
 """Exact field arithmetic: rationals, Gaussian rationals, prime fields."""
 
 import pickle
+import re
 import time
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
@@ -94,6 +95,56 @@ def test_parse_gaussian():
     assert a.value == (Fraction(1, 2), Fraction(3))
     assert parse_element("i", QI()) == QI().i()
     assert parse_element("-i", QI()) == -QI().i()
+
+
+def test_parse_gaussian_signed_coefficient_after_operator():
+    Qi = QI()
+    assert parse_element("1+-2i", Qi).value == (1, -2)
+    assert parse_element("1--2/3*i", Qi).value == (1, Fraction(2, 3))
+    assert parse_element("--2i", Qi).value == (0, 2)
+
+
+_RAT = r"-?\d+(?:/-?\d+)?"
+_REAL = re.compile(f"({_RAT})")
+_WITH_OPERATOR = re.compile(rf"({_RAT})?([+-])({_RAT})?\*?i")
+_IMAGINARY = re.compile(rf"(?:({_RAT})\*?)?i")
+
+
+def _grammar_value(text):
+    """The (re, im) that parse_element's docstring grammar gives text, or
+    None when text is not in the language."""
+    def rat(t, default):
+        if t is None:
+            return default
+        num, _, den = t.partition("/")
+        return Fraction(int(num), int(den or 1))
+    if m := _REAL.fullmatch(text):
+        return rat(m[1], 0), Fraction(0)
+    if m := _WITH_OPERATOR.fullmatch(text):
+        return rat(m[1], 0), (-1 if m[2] == "-" else 1) * rat(m[3], 1)
+    if m := _IMAGINARY.fullmatch(text):
+        return Fraction(0), rat(m[1], 1)
+    return None
+
+
+def test_parse_gaussian_accepts_exactly_its_grammar():
+    # every string of up to 6 tokens over these tokens: parse_element
+    # accepts it exactly when the documented grammar does, with the
+    # grammar's value (no denominator can be zero)
+    Qi = QI()
+    texts = [""]
+    checked = 0
+    for _ in range(6):
+        texts = [t + c for t in texts for c in "123+-/*i"]
+        for text in texts:
+            expected = _grammar_value(text)
+            try:
+                got = parse_element(text, Qi).value
+            except AlgebraSyntaxError:
+                got = None
+            assert got == expected, text
+            checked += expected is not None
+    assert checked > 1000
 
 
 def test_f13_contains_i():

@@ -8,8 +8,11 @@ from evoalg.algebra import EvolutionAlgebra, upper_series
 from evoalg.errors import DomainError, FieldLacksI, UnsupportedDim
 from evoalg.families import UB, UBFG, UBG, UBU, FamilySpec, build
 from evoalg.fields import GF, QI, QQ
+from evoalg.oracle import verify_hom
 from evoalg.tables import (ENTRIES, anharmonic_j, anharmonic_orbit,
                            canonical_table, find_entry, orbit_min)
+
+from helpers import classify_with_witness, random_monomial_relabelling
 
 F13 = GF(13)
 
@@ -176,24 +179,46 @@ def _sample(entry, field, rng):
             return tuple(params)
 
 
-def _family_member(key, params, field):
-    """families.build of the data FAMILY_MEMBERS holds for key."""
+def _member(member, params, field):
+    """families.build of member, a value of FAMILY_MEMBERS."""
     def elems(data):
         if data is None:
             return None
         return tuple(field.i() if x == "i" else
                      params["ab".index(x)] if isinstance(x, str) else
                      field.from_int(x) for x in data)
-    kind, n, f, g, u = FAMILY_MEMBERS[key]
+    kind, n, f, g, u = member
     return build(FamilySpec(kind, n, elems((1,) * n), elems(f), elems(g),
                             elems(u)))
 
 
+# The templates whose tail below their top vectors is a family member
+# with b = 1: key -> (number of top vectors, the member as in
+# FAMILY_MEMBERS).
+TOPPED_MEMBERS = {
+    **{(5, (1, 2, 2), v): (2, (UB, 2, None, None, None))
+       for v in range(1, 7)},
+    **{(5, (1, 2, 1, 1), v): (1, (UBU, 2, None, None,
+                                  (1, 0) if v <= 3 else (1, "i")))
+       for v in range(1, 8)},
+    **{(5, (1, 1, 2, 1), v): (1, (UBG, 2, None,
+                                  (0, 0) if v <= 4 else (0, 1), None))
+       for v in range(1, 7)},
+    (5, (1, 1, 1, 1, 1), 2): (1, (UBFG, 1, (0,), (0,), None)),
+    (5, (1, 1, 1, 1, 1), 3): (1, (UBFG, 1, (0,), (0,), None)),
+    (5, (1, 1, 1, 1, 1), 4): (1, (UBFG, 1, (1,), (0,), None)),
+}
+
+
 def test_family_type_templates_are_family_members():
+    # every template but the 5-chain and the fixed int rows is a family
+    # member with b = 1 under its top vectors (none for the family types)
     chain_5 = [[int(j == k + 1) for j in range(5)] for k in range(5)]
+    members = {**{key: (0, m) for key, m in FAMILY_MEMBERS.items()},
+               **TOPPED_MEMBERS}
     entries = [e for e in ENTRIES
-               if e.key() in FAMILY_MEMBERS or e.key() == CHAIN_5]
-    assert len(entries) == 21
+               if e.key() in members or e.key() == CHAIN_5]
+    assert len(entries) == 43
     rng = random.Random(2)
     for field in SIX_FIELDS:
         for entry in entries:
@@ -204,6 +229,59 @@ def test_family_type_templates_are_family_members():
                 T = entry.template(params, field)
                 if entry.key() == CHAIN_5:
                     assert T == EvolutionAlgebra.from_ints(chain_5, field)
-                else:
-                    assert T == _family_member(entry.key(), params, field), \
-                        (entry.key(), field, params)
+                    continue
+                tops, member = members[entry.key()]
+                rows = T.structure.rows[tops:]
+                assert all(x.is_zero() for r in rows for x in r[:tops])
+                assert [r[tops:] for r in rows] \
+                    == _member(member, params, field).structure.rows, \
+                    (entry.key(), field, params)
+
+
+def test_needs_i_is_an_imaginary_entry_over_qi():
+    # with rational parameters, a template over Q(i) has an entry with
+    # a nonzero imaginary part exactly when its entry needs i
+    Qi = QI()
+    rng = random.Random(4)
+    for entry in ENTRIES:
+        while True:
+            params = tuple(Qi.from_int(rng.randrange(2, 50))
+                           for _ in range(entry.param_arity))
+            if entry.param_ok(params):
+                break
+        rows = entry.template(params, Qi).structure.rows
+        assert entry.needs_i == any(x.value[1] != 0 for r in rows
+                                    for x in r), entry.key()
+
+
+V6 = (5, (1, 1, 2, 1), 6)
+
+
+@pytest.mark.parametrize("field", [GF(3), GF(7), QQ()], ids=str)
+def test_1121_v6_builds_without_i(field):
+    # x^2 = beta y + z + gamma w, y^2 = w, z^2 = w + s, w^2 = s: no i
+    entry = find_entry(*V6)
+    assert not entry.needs_i
+    beta, gamma = field.from_int(2), field.from_int(5)
+    T = entry.template((beta, gamma), field)
+    one, zero = field.one(), field.zero()
+    assert T.structure.rows[0] == [zero, beta, one, gamma, zero]
+    assert upper_series(T).type_vector == [1, 1, 2, 1]
+
+
+def test_1121_v6_inputs_get_verified_witnesses_over_gf7():
+    F7 = GF(7)
+    entry = find_entry(*V6)
+    rng = random.Random(5)
+    witnessed = 0
+    for _ in range(30):
+        params = tuple(F7.from_int(rng.randrange(1, 30)) for _ in range(2))
+        E = random_monomial_relabelling(entry.template(params, F7), rng)
+        label, witness = classify_with_witness(E)
+        if witness is None:
+            continue
+        T = find_entry(label.dim, label.type_vector,
+                       label.variant).template(label.params, F7)
+        assert verify_hom(T, E, witness)
+        witnessed += label.skeleton() == V6
+    assert witnessed >= 10

@@ -29,6 +29,17 @@ GF(13), GF(1000033), Q and Q(i), in six kinds:
   same two of a ``scaled_spec`` image, so that the slope builder's
   variants get witnesses beyond their templates.
 
+Each record has an id that names its input: ``KIND:FIELD:K`` for the
+K-th input of its kind over FIELD (``family:FIELD:K:J`` for the J-th
+algebra drawn from the K-th family spec), and
+``template:FIELD:dD:[TYPE]:vV:K`` for the K-th sample of an entry's
+template, with ``:relabel`` appended for its relabelling.  The random,
+block, arbitrary and family inputs of a field are drawn from one
+generator, in that order; each table entry draws its parameters and
+relabellings from its own, seeded by the field and the entry's key, so
+an entry that builds on one side and raises on the other shifts no other
+input.
+
 Each record holds the input's structure rows, ``repr`` of the label (so
 ``boundary``, ``no_witness`` and the parameters count, which
 ``serialize()`` drops in part), the rows of the witness basis, and the
@@ -42,9 +53,10 @@ composes them runs, never the oracle search.  The inputs are built
 through the tree's public API, so a change to that API shows up as
 differing inputs.
 
-``--diff`` compares two such files record by record.  It prints nothing
-and exits 0 when they agree; otherwise it prints, for each kind, the
-number of differing records and the first few of them, and exits 1.
+``--diff`` compares two such files record by record, matching records
+by id.  It prints nothing and exits 0 when they agree; otherwise it
+prints, for each kind, the number of differing records and the first
+few of them, then every id present in one file only, and exits 1.
 
 Compare a change with its parent, from the root of the change:
 
@@ -273,8 +285,13 @@ def _pair(mods, source, E) -> dict:
     return out
 
 
+def _entry_text(entry) -> str:
+    dim, tv, variant = entry.key()
+    return f"d{dim}:[{','.join(map(str, tv))}]:v{variant}"
+
+
 def _inputs(mods):
-    """(kind, field name, algebra or exception type name) in a fixed
+    """(record id, kind, algebra or exception type name) in a fixed
     order; each relabel input follows the random algebra it relabels."""
     evoalg, _, tables = mods
     for seed, (kind, p) in enumerate(FIELDS):
@@ -284,25 +301,29 @@ def _inputs(mods):
         corpus = Corpus(evoalg, field, random.Random(f"outputs:{seed}"))
         for k in range(RANDOM_PER_FIELD):
             E = corpus.random_nilpotent(k % 5 + 1)
-            yield "random", name, E
-            yield "relabel", name, corpus.relabel(E)
+            yield f"random:{name}:{k}", "random", E
+            yield f"relabel:{name}:{k}", "relabel", corpus.relabel(E)
         for k in range(BLOCK_PER_FIELD):
-            yield "block", name, corpus.block_change(
+            yield f"block:{name}:{k}", "block", corpus.block_change(
                 corpus.random_nilpotent(k % 4 + 2))
         for k in range(ARBITRARY_PER_FIELD):
-            yield "arbitrary", name, corpus.arbitrary(k % 6 + 1)
+            yield f"arbitrary:{name}:{k}", "arbitrary", \
+                corpus.arbitrary(k % 6 + 1)
         for entry in tables.ENTRIES:
-            for _ in range(TEMPLATE_SAMPLES if entry.param_arity else 1):
+            drawn = Corpus(evoalg, field, random.Random(
+                f"outputs:{seed}:template:{entry.key()}"))
+            for k in range(TEMPLATE_SAMPLES if entry.param_arity else 1):
+                rid = f"template:{name}:{_entry_text(entry)}:{k}"
                 try:
-                    T = entry.template(corpus.template_params(entry), field)
+                    T = entry.template(drawn.template_params(entry), field)
                 except evoalg.EvoalgError as exc:
-                    yield "template", name, "raises " + type(exc).__name__
+                    yield rid, "template", "raises " + type(exc).__name__
                     continue
-                yield "template", name, T
-                yield "template", name, corpus.relabel(T)
+                yield rid, "template", T
+                yield rid + ":relabel", "template", drawn.relabel(T)
         for k in range(FAMILY_PER_FIELD):
-            for E in corpus.family(k):
-                yield "family", name, E
+            for j, E in enumerate(corpus.family(k)):
+                yield f"family:{name}:{k}:{j}", "family", E
 
 
 def write(tree: str, out_path: str) -> int:
@@ -310,8 +331,8 @@ def write(tree: str, out_path: str) -> int:
     count = 0
     last = None  # the latest random algebra and its record
     with open(out_path, "w") as out:
-        for kind, field, E in _inputs(mods):
-            rec = {"id": f"{kind}:{field}:{count}", "kind": kind}
+        for rid, kind, E in _inputs(mods):
+            rec = {"id": rid, "kind": kind}
             if E is None or isinstance(E, str):
                 rec["input"] = E
             else:
@@ -326,28 +347,37 @@ def write(tree: str, out_path: str) -> int:
     return count
 
 
+def _by_id(path: str) -> dict:
+    with open(path) as f:
+        return {rec["id"]: rec for rec in map(json.loads, f)}
+
+
 def diff(path_a: str, path_b: str) -> int:
-    """Print the first differing records of each kind; the number of
-    differing records."""
-    with open(path_a) as fa, open(path_b) as fb:
-        a = [json.loads(line) for line in fa]
-        b = [json.loads(line) for line in fb]
+    """Print the first differing records of each kind and every id
+    present in one file only; the number of such records."""
+    a, b = _by_id(path_a), _by_id(path_b)
     by_kind: dict[str, list] = {}
-    for ra, rb in zip(a, b):
-        if ra != rb:
+    for rid, ra in a.items():
+        rb = b.get(rid)
+        if rb is not None and ra != rb:
             by_kind.setdefault(ra["kind"], []).append((ra, rb))
-    if len(a) != len(b):
-        by_kind.setdefault("count", []).append(
-            ({"records": len(a)}, {"records": len(b)}))
     for kind, pairs in by_kind.items():
         print(f"{kind}: {len(pairs)} records differ")
         for ra, rb in pairs[:SHOWN_PER_KIND]:
-            print(f"  {ra.get('id')}")
+            print(f"  {ra['id']}")
             for key in sorted(set(ra) | set(rb)):
                 if ra.get(key) != rb.get(key):
                     print(f"    {key}: {ra.get(key)!r}")
                     print(f"    {' ' * len(key)}  {rb.get(key)!r}")
-    return sum(len(p) for p in by_kind.values())
+    lone = 0
+    for side, here, there in (("A", a, b), ("B", b, a)):
+        ids = [rid for rid in here if rid not in there]
+        lone += len(ids)
+        if ids:
+            print(f"only in {side}: {len(ids)} records")
+            for rid in ids:
+                print(f"  {rid}")
+    return sum(len(p) for p in by_kind.values()) + lone
 
 
 def main(argv=None) -> int:
