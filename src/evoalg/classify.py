@@ -78,7 +78,6 @@ import itertools
 
 from ._values import Frozen, Value, set_fields
 from .errors import (
-    BudgetExceeded,
     NotNilpotent,
     SpecMismatch,
     SqrtUnavailable,
@@ -91,8 +90,7 @@ from .algebra import (_DISCONNECTED, _LARGE_ANN, EvolutionAlgebra,
                       _restricted_series, _split_inside_square, _subalgebra,
                       upper_series)
 from .tables import find_entry, orbit_min
-from .oracle import (SearchBudget, _is_hom, exhaustive_iso, randomized_iso,
-                     verify_hom)
+from .oracle import _bounded_iso, _is_hom, verify_hom
 
 
 class CanonicalLabel(Frozen):
@@ -476,13 +474,10 @@ def witness_isomorphism(E1: EvolutionAlgebra, E2: EvolutionAlgebra):
         m = Matrix._wrap(b2, field, n) * Matrix._wrap(b1, field, n).inverse()
         if verify_hom(E1, E2, m):
             return m
-    # root-free fallback over finite fields: delegate to the oracle
+    # root-free fallback over finite fields: an oracle search that tests
+    # at most 200,000 block-patterned matrices
     if E1.field.kind == PRIME and not isinstance(l1, Decomposed):
-        try:
-            m = exhaustive_iso(E1, E2)
-        except BudgetExceeded:
-            m = randomized_iso(E1, E2, SearchBudget(
-                max_trials=200000, seed=1))
+        m = _bounded_iso(E1, E2)
         if m is not None:
             return m
     raise SqrtUnavailable(

@@ -5,6 +5,11 @@ Algebra file grammar (one algebra per file, ``#`` starts a comment):
     field Q | Qi | GF <p>
     dim <n>
     row <e1> <e2> ... <en>      (n times, entries in the element grammar)
+
+The subcommands that read one algebra file (``type``, ``series``,
+``classify``, ``dot``, ``decompose``) are the table ``FILE_REPORTS`` of
+name -> (help, report): one runner parses the file and writes
+``report(E)``.  ``iso`` and ``family`` have handlers of their own.
 """
 
 from __future__ import annotations
@@ -99,16 +104,9 @@ def parse_algebra_file(path) -> EvolutionAlgebra:
         return parse_algebra_text(fh.read())
 
 
-def _field_decl(field: FieldDescriptor) -> str:
-    if field == QQ():
-        return "field Q"
-    if field == QI():
-        return "field Qi"
-    return f"field GF {field.modulus}"
-
-
 def write_algebra_text(E: EvolutionAlgebra) -> str:
-    lines = [_field_decl(E.field), f"dim {E.dim}"]
+    modulus = "" if E.field.modulus is None else f" {E.field.modulus}"
+    lines = [f"field {E.field.kind}{modulus}", f"dim {E.dim}"]
     for i in range(E.dim):
         lines.append("row " + " ".join(
             str(E.structure[i, j]) for j in range(E.dim)))
@@ -136,33 +134,55 @@ def emit_dot(g: WeightedGraph) -> str:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_type(args) -> int:
-    E = parse_algebra_file(args.file)
+def _lines(lines) -> str:
+    return "".join(f"{line}\n" for line in lines)
+
+
+def _vectors_line(name: str, sub) -> str:
+    """A subspace as ``name: dim d  (v1) (v2) ...``."""
+    return f"{name}: dim {sub.dim}  " + " ".join(
+        "(" + " ".join(str(x) for x in v) + ")" for v in sub.vectors())
+
+
+def _report_type(E) -> str:
     series = upper_series(E)
     if not series.nilpotent:
-        print("NOT NILPOTENT")
-        return 0
-    print("[" + ",".join(str(k) for k in series.type_vector) + "]")
-    return 0
+        return "NOT NILPOTENT\n"
+    return "[" + ",".join(str(k) for k in series.type_vector) + "]\n"
 
 
-def _cmd_series(args) -> int:
-    E = parse_algebra_file(args.file)
+def _report_series(E) -> str:
     series = upper_series(E)
-    for i, sub in enumerate(series.chain, start=1):
-        vecs = ["(" + " ".join(str(x) for x in v) + ")"
-                for v in sub.vectors()]
-        print(f"ann^{i}: dim {sub.dim}  " + " ".join(vecs))
-    for i, blk in enumerate(series.blocks, start=1):
-        print(f"U_{i}: indices " + " ".join(str(k + 1) for k in blk))
-    if not series.nilpotent:
-        print("NOT NILPOTENT")
-    return 0
+    return _lines(
+        [_vectors_line(f"ann^{i}", sub)
+         for i, sub in enumerate(series.chain, start=1)]
+        + [f"U_{i}: indices " + " ".join(str(k + 1) for k in blk)
+           for i, blk in enumerate(series.blocks, start=1)]
+        + ([] if series.nilpotent else ["NOT NILPOTENT"]))
 
 
-def _cmd_classify(args) -> int:
-    E = parse_algebra_file(args.file)
-    print(classify(E).serialize())
+def _report_decompose(E) -> str:
+    verdict = decomposability_check(E)
+    return _lines(
+        [verdict.status, verdict.reason]
+        + [_vectors_line(name, sub) for name, sub in
+           zip(("ideal I", "ideal J"), verdict.witness or ())])
+
+
+# name -> (help, report); report(E) is the text printed for the algebra E
+FILE_REPORTS = {
+    "type": ("print the type vector", _report_type),
+    "series": ("print the annihilating series", _report_series),
+    "classify": ("print the canonical label",
+                 lambda E: classify(E).serialize() + "\n"),
+    "dot": ("emit the attached graph as DOT",
+            lambda E: emit_dot(graph_of(E))),
+    "decompose": ("decomposability verdict", _report_decompose),
+}
+
+
+def _run_report(args) -> int:
+    sys.stdout.write(args.report(parse_algebra_file(args.file)))
     return 0
 
 
@@ -212,42 +232,15 @@ def _cmd_family(args) -> int:
     return 0
 
 
-def _cmd_dot(args) -> int:
-    E = parse_algebra_file(args.file)
-    sys.stdout.write(emit_dot(graph_of(E)))
-    return 0
-
-
-def _cmd_decompose(args) -> int:
-    E = parse_algebra_file(args.file)
-    verdict = decomposability_check(E)
-    print(verdict.status)
-    print(verdict.reason)
-    if verdict.witness is not None:
-        for name, sub in zip(("ideal I", "ideal J"), verdict.witness):
-            vecs = ["(" + " ".join(str(x) for x in v) + ")"
-                    for v in sub.vectors()]
-            print(f"{name}: dim {sub.dim}  " + " ".join(vecs))
-    return 0
-
-
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="evoalg",
         description="Exact computations with nilpotent evolution algebras")
     sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("type", help="print the type vector")
-    sp.add_argument("file")
-    sp.set_defaults(run=_cmd_type)
-
-    sp = sub.add_parser("series", help="print the annihilating series")
-    sp.add_argument("file")
-    sp.set_defaults(run=_cmd_series)
-
-    sp = sub.add_parser("classify", help="print the canonical label")
-    sp.add_argument("file")
-    sp.set_defaults(run=_cmd_classify)
+    for name, (text, report) in FILE_REPORTS.items():
+        sp = sub.add_parser(name, help=text)
+        sp.add_argument("file")
+        sp.set_defaults(run=_run_report, report=report)
 
     sp = sub.add_parser("iso", help="compare labels / search a witness")
     sp.add_argument("file1")
@@ -269,14 +262,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--g", help="comma-separated g eigenvalues")
     sp.add_argument("--u", help="comma-separated u coordinates")
     sp.set_defaults(run=_cmd_family)
-
-    sp = sub.add_parser("dot", help="emit the attached graph as DOT")
-    sp.add_argument("file")
-    sp.set_defaults(run=_cmd_dot)
-
-    sp = sub.add_parser("decompose", help="decomposability verdict")
-    sp.add_argument("file")
-    sp.set_defaults(run=_cmd_decompose)
     return p
 
 

@@ -68,6 +68,12 @@ class FieldDescriptor(Frozen):
         return FieldElement(self, self.ops.one)
 
     def from_int(self, n: int) -> "FieldElement":
+        """n as an element; raises DomainError unless n is an integer
+        (anything ``operator.index`` accepts)."""
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise DomainError(f"expected an integer, got {n!r}") from None
         return FieldElement(self, self.ops.of_int(n))
 
     def require(self, other: "FieldDescriptor"):
@@ -477,6 +483,10 @@ def _fmt_frac(q: Fraction) -> str:
 # parsing
 
 _RAT = r"-?\d+(?:/-?\d+)?"
+# the three forms of gauss, one capturing alternative each
+_GAUSS = (rf"(?P<real>{_RAT})"
+          rf"|(?P<re>{_RAT})?(?P<op>[+-])(?P<im>{_RAT})?\*?i"
+          rf"|(?:(?P<coef>{_RAT})\*?)?i")
 
 
 def _parse_frac(text: str) -> Fraction:
@@ -493,8 +503,9 @@ def parse_element(text: str, desc: FieldDescriptor) -> FieldElement:
 
     Grammar: ``int := ['-'] digits``, ``rat := int ['/' int]``;
     ``gauss := rat | [rat] ('+'|'-') [rat] ['*'] 'i' | [rat ['*']] 'i'``,
-    where a missing imaginary ``rat`` reads 1.  Prime field literals are
-    plain integers.
+    where a missing real ``rat`` reads 0 and a missing imaginary one 1.
+    The regexes ``_RAT`` and ``_GAUSS`` are this grammar, form by form.
+    Prime field literals are plain integers.
     """
     text = text.strip().replace(" ", "")
     if not text:
@@ -512,41 +523,15 @@ def parse_element(text: str, desc: FieldDescriptor) -> FieldElement:
                 raise DomainError("'i' is not an element of Q")
             raise AlgebraSyntaxError(f"bad rational literal {text!r}")
         return FieldElement(desc, _parse_frac(text))
-    def bad():
+    m = re.fullmatch(_GAUSS, text)
+    if m is None:
         raise AlgebraSyntaxError(f"bad Gaussian rational literal {text!r}")
-
-    if not text.endswith("i"):
-        if not re.fullmatch(_RAT, text):
-            bad()
-        return FieldElement(desc, (_parse_frac(text), Fraction(0)))
-    body = text[:-1]
-    if body.endswith("*"):
-        body = body[:-1]
-        if not body:
-            bad()
-    # split off the real part at the last operator: a sign that is not
-    # at position 0 and not right after '/', '*' or another sign (such a
-    # sign belongs to the rat that follows)
-    split_at = max((k for k in range(1, len(body)) if body[k] in "+-"
-                    and body[k - 1] not in "/*+-"), default=None)
-    if split_at is None:
-        re_txt, im_txt = "", body
-    else:
-        re_txt, im_txt = body[:split_at], body[split_at:]
-    re_part = Fraction(0)
-    if re_txt:
-        if not re.fullmatch(_RAT, re_txt):
-            bad()
-        re_part = _parse_frac(re_txt)
-    sign = -1 if im_txt[:1] == "-" else 1
-    if im_txt[:1] in ("+", "-"):
-        im_txt = im_txt[1:]
-    im_part = Fraction(sign)
-    if im_txt:
-        if not re.fullmatch(_RAT, im_txt):
-            bad()
-        im_part *= _parse_frac(im_txt)
-    return FieldElement(desc, (re_part, im_part))
+    real, re_txt, op, im_txt, coef = m.groups()
+    if real is not None:
+        return FieldElement(desc, (_parse_frac(real), Fraction(0)))
+    re_part = _parse_frac(re_txt or "0")
+    im_part = _parse_frac(im_txt or coef or "1")
+    return FieldElement(desc, (re_part, -im_part if op == "-" else im_part))
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,8 @@ class Matrix:
             if len(r) != cols:
                 raise ShapeError("ragged rows")
             for x in r:
+                if not isinstance(x, FieldElement):
+                    raise ShapeError(f"entry {x!r} is not a field element")
                 if x.field is not field and x.field != field:
                     raise ShapeError("entry from a different field")
 

@@ -20,21 +20,28 @@ import itertools
 import random
 
 from ._values import Frozen, set_fields
-from .errors import BudgetExceeded, ShapeError, Singular, UnsupportedField
+from .errors import (BudgetExceeded, DomainError, ShapeError, Singular,
+                     UnsupportedField)
 from .fields import PRIME
 from .linalg import Matrix, _rank
 from .algebra import (EvolutionAlgebra, _live_mask, _support_masks,
                       upper_series)
 
 _EXHAUSTIVE_LIMIT = 10 ** 8
+# the most matrices that _bounded_iso tests
+_FALLBACK_TRIALS = 200000
 
 
 class SearchBudget(Frozen):
-    """The trial count and the seed of a randomized_iso search."""
+    """The trial count and the seed of a randomized_iso search; the
+    count must be an int >= 0."""
 
     __slots__ = _fields = ("max_trials", "seed")
 
     def __init__(self, max_trials: int = 100000, seed: int = 0):
+        if type(max_trials) is not int or max_trials < 0:
+            raise DomainError(
+                f"max_trials must be an int >= 0, got {max_trials!r}")
         set_fields(self, max_trials, seed)
 
 
@@ -116,6 +123,17 @@ def _search_common(E1, E2):
         + _pattern_blocks(s1, s2)
 
 
+def _slots(diag, ann) -> list:
+    """The free (row, col) slots of the block pattern, in the order that
+    decides which witness exhaustive_iso finds first: column by column,
+    the diagonal-block rows, then the annihilator rows."""
+    ann_rows = {}
+    for r, c in ann:
+        ann_rows.setdefault(c, []).append(r)
+    return [(r, c) for rows, cols in diag for c in cols
+            for r in [*rows, *ann_rows.get(c, ())]]
+
+
 def _verified(E1, E2, m) -> Matrix:
     """The search hit m (payload rows) as a matrix, re-verified."""
     witness = Matrix._wrap([list(r) for r in m], E1.field, len(m))
@@ -136,13 +154,7 @@ def exhaustive_iso(E1: EvolutionAlgebra,
         return None
     A1, A2, supports2, ops, n, diag, ann = common
     p = E1.field.modulus
-    # the slot order decides which witness comes first: column by column,
-    # the diagonal-block rows, then the annihilator rows
-    ann_rows = {}
-    for r, c in ann:
-        ann_rows.setdefault(c, []).append(r)
-    slots = [(r, c) for rows, cols in diag for c in cols
-             for r in [*rows, *ann_rows.get(c, ())]]
+    slots = _slots(diag, ann)
     if p ** len(slots) > _EXHAUSTIVE_LIMIT:
         raise BudgetExceeded(
             f"{p}^{len(slots)} block-patterned matrices exceed the "
@@ -197,3 +209,17 @@ def randomized_iso(E1: EvolutionAlgebra, E2: EvolutionAlgebra,
         if _is_hom(A1, A2, m, ops, supports2) and _rank(m, n, ops) == n:
             return _verified(E1, E2, m)
     return None
+
+
+def _bounded_iso(E1: EvolutionAlgebra,
+                 E2: EvolutionAlgebra) -> Matrix | None:
+    """A witness search that tests at most _FALLBACK_TRIALS matrices:
+    exhaustive_iso when the block-patterned space has no more matrices
+    than that (None is then conclusive), randomized_iso with that many
+    trials and seed 1 otherwise (None is then a failed search)."""
+    common = _search_common(E1, E2)
+    if common is None:
+        return None
+    if E1.field.modulus ** len(_slots(*common[5:])) <= _FALLBACK_TRIALS:
+        return exhaustive_iso(E1, E2)
+    return randomized_iso(E1, E2, SearchBudget(_FALLBACK_TRIALS, seed=1))

@@ -23,8 +23,9 @@ from evoalg.algebra import (_ANN_OUTSIDE_SQUARE, _DISCONNECTED, _LARGE_ANN,
                             restrict_to_indices, split_components,
                             square_subspace, upper_series)
 from evoalg.classify import CanonicalLabel, Decomposed
-from evoalg.errors import (AmbientMismatch, NotAnIdeal, NotNilpotent,
-                           ShapeError, SpecMismatch, SqrtUnavailable)
+from evoalg.errors import (AmbientMismatch, DomainError, NotAnIdeal,
+                           NotNilpotent, ShapeError, SpecMismatch,
+                           SqrtUnavailable)
 from evoalg.fields import GF, PRIME, QI, QQ, FieldDescriptor, FieldElement
 from evoalg.linalg import (Matrix, Subspace, _identity_rows, _inverse_rows,
                            _unit_row)
@@ -81,6 +82,12 @@ def test_diagonal_not_nilpotent():
 def test_dim_must_be_positive():
     with pytest.raises(ShapeError):
         EvolutionAlgebra(0, Matrix([], QQ(), 0), QQ())
+
+
+def test_from_ints_refuses_a_float_entry():
+    # a float payload used to build, and classify then failed in pow()
+    with pytest.raises(DomainError, match="integer"):
+        EvolutionAlgebra.from_ints([[0, 1.5], [0, 0]], GF(5))
 
 
 def test_the_structure_must_be_square_over_the_algebras_field():

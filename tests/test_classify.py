@@ -261,6 +261,38 @@ def test_witness_isomorphism_sqrt_unavailable():
         witness_isomorphism(E1, E2)
 
 
+def test_witness_isomorphism_fallback_is_fast_on_a_sampled_gf13_pair():
+    # a d4:[1,1,1,1]:v2 no_witness pair whose block-patterned space is
+    # 13^7: the fallback samples it rather than enumerating 6.3e7 matrices
+    E = EvolutionAlgebra.from_ints(
+        [[0, 0, 0, 0], [0, 0, 10, 8], [11, 0, 0, 0], [0, 0, 2, 0]], F13)
+    G = EvolutionAlgebra.from_ints(
+        [[0, 1, 2, 0], [0, 0, 10, 0], [0, 0, 0, 3], [0, 0, 0, 0]], F13)
+    assert classify(E).no_witness and labels_equal(classify(E), classify(G))
+    start = time.perf_counter()
+    m = witness_isomorphism(E, G)
+    assert time.perf_counter() - start < 5.0
+    assert verify_hom(E, G, m)
+
+
+def test_witness_isomorphism_fallback_tests_at_most_200000_matrices(
+        monkeypatch):
+    e = find_entry(5, (1, 1, 3), 3)
+    E1 = e.template((F13.from_int(2),), F13)
+    E2 = e.template((F13.from_int(7),), F13)
+    oracle = importlib.import_module("evoalg.oracle")
+    tests = []
+    is_hom = oracle._is_hom
+
+    def counted(*args):
+        tests.append(1)
+        return is_hom(*args)
+    monkeypatch.setattr(oracle, "_is_hom", counted)
+    with pytest.raises(SqrtUnavailable):
+        witness_isomorphism(E1, E2)
+    assert 0 < len(tests) <= 200000
+
+
 @pytest.mark.parametrize("field", [GF(5), F13, QI()])
 def test_dim1_zero_algebra_is_its_own_template(field):
     # classify labels the 1x1 zero algebra in closed form; the table's

@@ -1,6 +1,7 @@
 """Command-line interface: file format, subcommands, exit codes."""
 
 import os
+import random
 import subprocess
 import sys
 
@@ -13,6 +14,7 @@ from evoalg.cli import (dispatch, emit_dot, parse_algebra_text,
                         write_algebra_text)
 from evoalg.errors import AlgebraSyntaxError
 from evoalg.fields import GF, QI, QQ
+from evoalg.linalg import Matrix
 
 CHAIN4 = "field Q\ndim 4\nrow 0 1 0 0\nrow 0 0 1 0\nrow 0 0 0 1\nrow 0 0 0 0\n"
 
@@ -27,6 +29,25 @@ def test_parse_round_trip():
     E = parse_algebra_text(CHAIN4)
     assert E.dim == 4 and E.field == QQ()
     assert write_algebra_text(E) == CHAIN4
+
+
+@pytest.mark.parametrize("field", [QQ(), QI(), GF(13)])
+def test_written_algebras_parse_back(field):
+    rng = random.Random(f"round trip:{field}")
+
+    def entry():
+        x = field.from_int(rng.randrange(-20, 20)) \
+            / field.from_int(rng.randrange(1, 9))
+        if field.has_i and rng.random() < 0.5:
+            x += field.from_int(rng.randrange(-5, 5)) * field.i()
+        return x
+    for dim in range(1, 6):
+        rows = [[entry() if rng.random() < 0.6 else field.zero()
+                 for _ in range(dim)] for _ in range(dim)]
+        E = EvolutionAlgebra(dim, Matrix(rows, field, dim), field)
+        text = write_algebra_text(E)
+        assert text.startswith(f"field {field.kind}")
+        assert parse_algebra_text(text) == E
 
 
 def test_parse_comments_and_fields():
@@ -175,6 +196,15 @@ def test_oracle_budget_flags_need_the_randomized_oracle(tmp_path, capsys):
     assert dispatch(["iso", f1, f2, "--oracle", "randomized",
                      "--trials", "500", "--seed", "1"]) == 0
     assert "witness:" in capsys.readouterr().out
+
+
+def test_randomized_oracle_refuses_a_negative_trial_count(tmp_path, capsys):
+    f1 = algfile(tmp_path, "field GF 3\ndim 2\nrow 0 1\nrow 0 0\n", "a.alg")
+    f2 = algfile(tmp_path, "field GF 3\ndim 2\nrow 0 2\nrow 0 0\n", "b.alg")
+    assert dispatch(["iso", f1, f2, "--oracle", "randomized",
+                     "--trials", "-5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: max_trials")
 
 
 def run_python(*args):

@@ -40,6 +40,17 @@ def test_gf_refuses_a_modulus_that_is_not_an_int(modulus):
         FieldDescriptor(PRIME, modulus)
 
 
+def test_from_int_refuses_a_float_over_gf5():
+    with pytest.raises(DomainError, match="integer"):
+        GF(5).from_int(0.5)
+
+
+def test_from_int_refuses_a_float_over_q():
+    # Fraction(0.1) would be 3602879701896397/36028797018963968
+    with pytest.raises(DomainError, match="integer"):
+        QQ().from_int(0.1)
+
+
 def _trial_division(n):
     if n < 2:
         return False
@@ -158,6 +169,25 @@ def test_parse_print_fixed_point():
                        ("-i", QI()), ("2-1/5i", QI()), ("11", GF(13))]:
         a = parse_element(text, desc)
         assert parse_element(str(a), desc) == a
+
+
+# signed fractions, with zero and the unit parts that print without a
+# coefficient (i, -i) drawn often
+_FRACTIONS = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]) \
+    | st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+                st.integers(1, 10 ** 6))
+
+
+@given(st.sampled_from([QQ(), QI(), GF(13), GF(1000033)]), _FRACTIONS,
+       _FRACTIONS, st.integers(-10 ** 9, 10 ** 9))
+def test_parse_element_reads_what_str_writes(field, re_part, im_part, n):
+    if field.kind == PRIME:
+        x = field.from_int(n)
+    elif field.has_i:
+        x = FieldElement(field, (re_part, im_part))
+    else:
+        x = FieldElement(field, re_part)
+    assert parse_element(str(x), field) == x
 
 
 def test_parse_rejects_i_over_prime_field():

@@ -59,6 +59,11 @@ def test_matrices_reject_ragged_rows_and_foreign_entries():
         Matrix([[one, F13.one()]], QQ())
 
 
+def test_matrices_reject_entries_that_are_not_field_elements():
+    with pytest.raises(ShapeError, match="not a field element"):
+        Matrix([[1]], GF(5))
+
+
 def test_a_subspace_basis_must_match_its_ambient():
     with pytest.raises(AmbientMismatch, match="ambient is 3"):
         Subspace(3, Matrix.identity(2, QQ()))

@@ -11,7 +11,8 @@ import pytest
 import evoalg
 
 from evoalg.algebra import EvolutionAlgebra, _support_masks, upper_series
-from evoalg.errors import BudgetExceeded, ShapeError, Singular, UnsupportedField
+from evoalg.errors import (BudgetExceeded, DomainError, ShapeError, Singular,
+                           UnsupportedField)
 from evoalg.fields import GF, QI, QQ
 from evoalg.linalg import Matrix, _inverse_rows, _rank
 from evoalg.oracle import (SearchBudget, _is_hom, _pattern_blocks,
@@ -126,6 +127,13 @@ def test_randomized_zero_budget_returns_none():
     E = chain(3, F5)
     assert randomized_iso(E, E, SearchBudget(max_trials=0)) \
         is None
+
+
+@pytest.mark.parametrize("trials", [-5, 1.5, 10.0, "10", True, None])
+def test_search_budget_refuses_a_trial_count_that_is_not_an_int_ge_0(
+        trials):
+    with pytest.raises(DomainError, match="max_trials"):
+        SearchBudget(trials)
 
 
 def test_randomized_finds_self_isomorphism():

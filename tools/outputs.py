@@ -6,7 +6,7 @@
 
 ``--tree`` imports evoalg from ``PATH/src`` and writes one JSON line per
 input to FILE.  The inputs are drawn from fixed seeds over GF(3), GF(5),
-GF(13), GF(1000033), Q and Q(i), in six kinds:
+GF(13), GF(1000033), Q and Q(i), in seven kinds:
 
 - ``random``: random nilpotent algebras of dims 1-5;
 - ``relabel``: a monomial relabelling of each random algebra;
@@ -27,14 +27,19 @@ GF(13), GF(1000033), Q and Q(i), in six kinds:
   [1,1,3], [1,1,1,1] and [1,1,1,2]) with f and g entries often zero or
   repeated.  Each comes with a monomial relabelling, and for Ubfg the
   same two of a ``scaled_spec`` image, so that the slope builder's
-  variants get witnesses beyond their templates.
+  variants get witnesses beyond their templates;
+- ``cli``: the first 20 random algebras of each field, written by
+  ``write_algebra_text`` to a file in a temporary directory, and each of
+  the file subcommands ``type``, ``series``, ``classify``, ``dot`` and
+  ``decompose`` run on that file through ``evoalg.dispatch``.
 
 Each record has an id that names its input: ``KIND:FIELD:K`` for the
 K-th input of its kind over FIELD (``family:FIELD:K:J`` for the J-th
 algebra drawn from the K-th family spec), and
 ``template:FIELD:dD:[TYPE]:vV:K`` for the K-th sample of an entry's
-template, with ``:relabel`` appended for its relabelling.  The random,
-block, arbitrary and family inputs of a field are drawn from one
+template, with ``:relabel`` appended for its relabelling, and
+``cli:FIELD:K:CMD`` for subcommand CMD on the K-th random algebra.  The
+random, block, arbitrary and family inputs of a field are drawn from one
 generator, in that order; each table entry draws its parameters and
 relabellings from its own, seeded by the field and the entry's key, so
 an entry that builds on one side and raises on the other shifts no other
@@ -49,8 +54,9 @@ whose label and its random algebra's both carry a witness also holds
 ``labels_equal`` of the two labels and the rows that
 ``witness_isomorphism`` returns for the pair (or the type name of the
 ``EvoalgError`` it raises); both witnesses exist, so only the path that
-composes them runs, never the oracle search.  The inputs are built
-through the tree's public API, so a change to that API shows up as
+composes them runs, never the oracle search.  A ``cli`` record holds the
+input's rows, the subcommand's exit code and its stdout.  The inputs are
+built through the tree's public API, so a change to that API shows up as
 differing inputs.
 
 ``--diff`` compares two such files record by record, matching records
@@ -71,11 +77,14 @@ Uses the standard library only; one run takes well under a minute.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
+import io
 import json
 import os
 import random
 import sys
+import tempfile
 
 FIELDS = (("GF", 3), ("GF", 5), ("GF", 13), ("GF", 1000033), ("Q", None),
           ("Qi", None))
@@ -84,6 +93,8 @@ BLOCK_PER_FIELD = 300
 ARBITRARY_PER_FIELD = 600
 TEMPLATE_SAMPLES = 3
 FAMILY_PER_FIELD = 500
+CLI_PER_FIELD = 20
+CLI_COMMANDS = ("type", "series", "classify", "dot", "decompose")
 FAMILY_SHAPES = (("Ub", 1), ("Ub", 2), ("Ub", 3), ("Ub", 4), ("Ubu", 2),
                  ("Ubu", 3), ("Ubg", 2), ("Ubg", 3), ("Ubfg", 1),
                  ("Ubfg", 2))
@@ -271,6 +282,21 @@ def _record(mods, E) -> dict:
     return out
 
 
+def _cli(mods, directory, cmd, E) -> dict:
+    """The exit code and stdout of ``evoalg CMD FILE``, FILE holding E as
+    ``write_algebra_text`` writes it."""
+    evoalg = mods[0]
+    path = os.path.join(directory, "input.alg")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(evoalg.write_algebra_text(E))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = evoalg.dispatch([cmd, path])
+    return {"input": _rows(E.structure.rows), "exit": code,
+            "stdout": out.getvalue()}
+
+
 def _pair(mods, source, E) -> dict:
     """labels_equal of the labels of source and E, and the rows of
     witness_isomorphism(source, E)."""
@@ -292,7 +318,8 @@ def _entry_text(entry) -> str:
 
 def _inputs(mods):
     """(record id, kind, algebra or exception type name) in a fixed
-    order; each relabel input follows the random algebra it relabels."""
+    order, with (subcommand, algebra) in place of the algebra for a cli
+    input; each relabel input follows the random algebra it relabels."""
     evoalg, _, tables = mods
     for seed, (kind, p) in enumerate(FIELDS):
         field = evoalg.GF(p) if kind == "GF" else \
@@ -303,6 +330,9 @@ def _inputs(mods):
             E = corpus.random_nilpotent(k % 5 + 1)
             yield f"random:{name}:{k}", "random", E
             yield f"relabel:{name}:{k}", "relabel", corpus.relabel(E)
+            if k < CLI_PER_FIELD:
+                for cmd in CLI_COMMANDS:
+                    yield f"cli:{name}:{k}:{cmd}", "cli", (cmd, E)
         for k in range(BLOCK_PER_FIELD):
             yield f"block:{name}:{k}", "block", corpus.block_change(
                 corpus.random_nilpotent(k % 4 + 2))
@@ -330,10 +360,12 @@ def write(tree: str, out_path: str) -> int:
     mods = _load(tree)
     count = 0
     last = None  # the latest random algebra and its record
-    with open(out_path, "w") as out:
+    with open(out_path, "w") as out, tempfile.TemporaryDirectory() as tmp:
         for rid, kind, E in _inputs(mods):
             rec = {"id": rid, "kind": kind}
-            if E is None or isinstance(E, str):
+            if kind == "cli":
+                rec.update(_cli(mods, tmp, *E))
+            elif E is None or isinstance(E, str):
                 rec["input"] = E
             else:
                 rec.update(_record(mods, E))
