@@ -102,6 +102,9 @@ class EvolutionAlgebra:
         return f"EvolutionAlgebra(dim {self.dim} over {self.field})"
 
     def basis_vector(self, i: int) -> list[FieldElement]:
+        if not (isinstance(i, int) and 0 <= i < self.dim):
+            raise ShapeError(f"basis index must be an int in "
+                             f"0..{self.dim - 1}")
         v = [self.field.zero()] * self.dim
         v[i] = self.field.one()
         return v

@@ -20,11 +20,17 @@ that needs i has none over a field without i.  Most builders are one of
 three constructions on the paper's data, a nondegenerate diagonal form
 and the slopes of commuting diagonalizable maps: the powers of x
 (``_powers``, which the one-dimensional zero algebra takes like any
-chain), the frame of x^2 against the form (``_frame``) and the paper's
-scaling of the families Ubg and Ubfg, types [1,1,m] and [1,1,1,m]
-(``_h_slopes``).  When no candidate realizes the template
-the label carries a no-witness flag.  The normalizer builds and verifies
-the witness basis once, in the same pass that produces the label, and
+chain), the frame of a line against the form and the paper's scaling of
+the families Ubg and Ubfg, types [1,1,m] and [1,1,1,m] (``_h_slopes``).
+The frame takes a generator g and a second column g2 whose part a on
+the form's block is anisotropic (``_line_frame``: g, g2, a's complement
+scaled to q(a), squares of g2) or isotropic (``_pair_frame``: g, the
+hyperbolic pair u + iv = a, squares of u).  It serves [1,m,1] and the
+proportional [1,1,2,1] on x (``_frame``), the [1,2,1] algebra inside
+[1,2,2] (on x) and [1,2,1,1] (on y), and the [1,1,2,1] variant 2 (on
+y).  When no candidate realizes the template the label carries a
+no-witness flag.  The normalizer builds and verifies the witness basis
+once, in the same pass that produces the label, and
 ``witness_isomorphism`` composes the two stored witnesses instead of
 normalizing again.
 
@@ -177,6 +183,11 @@ def _power(ops, x, k):
     return out
 
 
+def _shifted(ops, v, by):
+    """The row v with by added to its last (annihilator) coordinate."""
+    return v[:-1] + [ops.add(v[-1], by)]
+
+
 def _sq(Ead, v):
     """The square of the row v in Ead."""
     return Ead.field.ops.product(Ead._rows, v, v)
@@ -220,14 +231,13 @@ def _root_choices(ops, xs):
 class _DiagForm:
     """The form Q(v) = sum v_k^2 d_k on a coordinate space of payloads,
     built on a block U of the adapted basis, where the type makes it
-    nondegenerate, by ``_frame`` (for [1,m,1] and the proportional
-    [1,1,2,1]), by the [1,2,2] and [1,2,1,1] normalizers and by the
-    [1,1,2,1] variant-2 builder.
+    nondegenerate, for the frames of ``_line_frame`` and ``_pair_frame``
+    (types [1,m,1], [1,2,2], [1,2,1,1] and [1,1,2,1]).
     L1: each d_k, the coefficient of a U square on the block below (s, or
     w for [1,1,2,1]), is nonzero, or that basis vector would lie a block
-    lower; so is each vector whose partner or complement is sought (the
-    U-part of x^2 or y^2, or (c_1, c_2)).  So b(a, e_k) = a_k d_k != 0
-    for some k.  L2: each span whose complement is taken is an
+    lower; so is each vector whose partner or complement is sought (a
+    nonzero multiple of the U-part of x^2 or y^2, or of (c_1, c_2)).
+    So b(a, e_k) = a_k d_k != 0 for some k.  L2: each span whose complement is taken is an
     anisotropic line or a hyperbolic plane, so the complement is
     nondegenerate and no member of an orthogonal basis of it is
     isotropic."""
@@ -494,9 +504,11 @@ def witness_isomorphism(E1: EvolutionAlgebra, E2: EvolutionAlgebra):
 # roots it needs (_roots); it never raises for a missing root, it just
 # yields nothing more.  Three constructions serve several types: the
 # powers of x (_powers: chains, the zero algebra, stars, and equal data
-# of [1,1,m] and [1,1,1,m]), the frame of x^2 against the form (_frame:
-# [1,m,1] and the proportional [1,1,2,1]) and the paper's scaling of the
-# families Ubg and Ubfg ([1,1,m] and [1,1,1,m], _h_slopes).
+# of [1,1,m] and [1,1,1,m]), the frame of a line against the form
+# (_line_frame and _pair_frame: [1,m,1] and the proportional [1,1,2,1]
+# through _frame, [1,2,2], [1,2,1,1] and the [1,1,2,1] variant 2) and
+# the paper's scaling of the families Ubg and Ubfg ([1,1,m] and
+# [1,1,1,m], _h_slopes).
 
 def _powers(m):
     """The builder of the basis x = e_0, then t_k e_k for the other e_k of
@@ -520,34 +532,58 @@ def _h_powers(Ead, tv):
     return 1, (), False, _powers(tv[-1])
 
 
+def _line_frame(Ead, form, g, g2, start, count):
+    """The frame for a column g2 whose part a on the form's block U
+    (from index start) is anisotropic: the candidates g, g2, then the
+    orthogonal complement of a scaled to q(a), then count squares of g2.
+    One candidate per choice of the complement's scalings t_k, t_k^2
+    q(w_k) = q(a), the first changing fastest; the squares are taken
+    once a choice exists."""
+    ops, n = Ead.field.ops, Ead.dim
+    a = g2[start:start + len(form.diag)]
+    qa = form.q(a)
+    comp = form.orth_complement_basis([a])
+    tail = None
+    for ts in _root_choices(ops, [ops.div(qa, form.q(w)) for w in comp]):
+        if tail is None:
+            tail = _squares(Ead, g2, count)
+        yield ([g, g2] + [_placed(ops, n, start, ops.scale(t, w))
+                          for t, w in zip(ts, comp)] + tail)
+
+
+def _pair_frame(Ead, form, g, g2, dprime, delta, start, count):
+    """The frame for a column g2 whose part a on the form's block U
+    (from index start) is isotropic: the candidate g, then the hyperbolic
+    pair u, v with u + iv = a at delta for a's isotropic partner dprime
+    (``_DiagForm.hyperbolic_pair``), u carrying g2's annihilator
+    coordinate, then count squares of u."""
+    ops, n = Ead.field.ops, Ead.dim
+    u, v = form.hyperbolic_pair(g2[start:start + len(form.diag)], dprime,
+                                delta)
+    u = _placed(ops, n, start, u, g2[n - 1])
+    return [g, u, _placed(ops, n, start, v)] + _squares(Ead, u, count)
+
+
 def _frame(Ead, diag, k, variants):
-    """The frame of x^2 against a diagonal form: adapted (x, u_1..u_m,
-    ..., s) with x^2 = a + k e_(m+1) + ... + mu s, a in U = span(u_i) and
-    diag the coefficients on e_(m+1) of the u squares (for [1,m,1],
-    e_(m+1) = s and k = 0).  Variant variants[0] when a is anisotropic:
-    x, x^2, a's orthogonal complement scaled to q(a), then the powers of
-    x^2.  Variant variants[1] when a is isotropic: x, the hyperbolic pair
-    u + iv = a (u carrying x^2's s-part), the complement, then the powers
-    of u.  The pair's common square value q(u) = q(v) is q of the
-    complement when there is one, else k when k != 0, else b(a, d').
+    """The frame of x: adapted (x, u_1..u_m, ..., s) with x^2 = a +
+    k e_(m+1) + ... + mu s, a in U = span(u_i) and diag the coefficients
+    on e_(m+1) of the u squares (for [1,m,1], e_(m+1) = s and k = 0).
+    Variant variants[0] when a is anisotropic: the line frame of x.
+    Variant variants[1] when a is isotropic: the pair frame of x, with
+    the complement of the pair after v, and v in both signs.  The pair's
+    common square value q(u) = q(v) is q of the complement when there is
+    one, else k when k != 0, else b(a, d').
     L3: m is 2 or 3 (dim <= 5), so the complement of a hyperbolic plane
     in U has dimension m - 2 <= 1."""
     n, m = Ead.dim, len(diag)
     S, ops = Ead._rows, Ead.field.ops
-    Z, div = ops.zero, ops.div
     form = _DiagForm(ops, diag)
     a = S[0][1:1 + m]
-    qa = form.q(a)
     x = _unit_row(0, n, ops)
 
-    if qa != Z:
+    if form.q(a) != ops.zero:
         def build(Ead, params):
-            x2 = Ead._rows[0]
-            comp = form.orth_complement_basis([a])
-            tail = _squares(Ead, x2, n - 1 - m)
-            for ts in _root_choices(ops, [div(qa, form.q(w)) for w in comp]):
-                yield ([x, x2] + [_placed(ops, n, 1, ops.scale(t, w))
-                                  for t, w in zip(ts, comp)] + tail)
+            return _line_frame(Ead, form, x, S[0], 1, n - 1 - m)
         return variants[0], (), False, build
 
     def build_iso(Ead, params):
@@ -556,17 +592,16 @@ def _frame(Ead, diag, k, variants):
         # the common square value, so it enters unscaled
         comp = form.orth_complement_basis([a, dprime])
         top = form.q(comp[0]) if comp else k
-        u1, u2 = form.hyperbolic_pair(a, dprime,
-                                      div(top, h) if top != Z else ops.one)
-        v1 = _placed(ops, n, 1, u1, Ead._rows[0][n - 1])
-        yield from _both_signs(ops, [x, v1, _placed(ops, n, 1, u2)]
-                               + [_placed(ops, n, 1, w) for w in comp]
-                               + _squares(Ead, v1, n - 1 - m), 2)
+        cols = _pair_frame(Ead, form, x, S[0], dprime,
+                           ops.div(top, h) if top != ops.zero else ops.one,
+                           1, n - 1 - m)
+        cols[3:3] = [_placed(ops, n, 1, w) for w in comp]
+        yield from _both_signs(ops, cols, 2)
     return variants[1], (), False, build_iso
 
 
 def _h_1n1(Ead, tv):
-    """Type [1,m,1], adapted (x, u_1..u_m, s): the frame of x^2 against
+    """Type [1,m,1], adapted (x, u_1..u_m, s): the frame of x against
     the form of the u squares on s."""
     S = Ead._rows
     return _frame(Ead, [S[1 + j][-1] for j in range(tv[1])],
@@ -671,28 +706,27 @@ def _h_slopes(Ead, tv):
 
 def _h_122(Ead, tv):
     """Type [1,2,2], adapted (x, y, u, v, s); a and b are the U-parts of
-    x^2 and y^2.  L4: det != 0 means b is not parallel to a, so B != 0 in
-    b = A a + B w0; and with both isotropic, b = c+ a + c- d' gives
-    0 = q(b) = 2 c+ c- h with h != 0, so c+ c- = 0."""
+    x^2 and y^2, x the one with anisotropic a if either has one.  Every
+    candidate is the frame of x (of sx x for variant 3), the [1,2,1]
+    algebra inside, with the y column put second and, for variants 1
+    and 6, s-shifts that fit y^2.  L4: det != 0 means b is not parallel
+    to a, so B != 0 in b = A a + B w0; and with both isotropic, b = c+ a
+    + c- d' gives 0 = q(b) = 2 c+ c- h with h != 0, so c+ c- = 0."""
     n = Ead.dim
     S, ops, field = Ead._rows, Ead.field.ops, Ead.field
-    Z, sub, mul, div = ops.zero, ops.sub, ops.mul, ops.div
+    Z, one, sub, mul, div = ops.zero, ops.one, ops.sub, ops.mul, ops.div
     form = _DiagForm(ops, [S[2][4], S[3][4]])
-    a = [S[0][2], S[0][3]]
-    b = [S[1][2], S[1][3]]
-    mu_x = S[0][4]
-    nu_y = S[1][4]
+    a, b = S[0][2:4], S[1][2:4]
+    mu_x, nu_y = S[0][4], S[1][4]
     qa, qb, qab = form.q(a), form.q(b), form.b(a, b)
-    xi, yi = 0, 1
+    xi = 0
     if qa == Z and qb != Z:
-        a, b, mu_x, nu_y = b, a, nu_y, mu_x
-        qa, qb = qb, qa
-        xi, yi = 1, 0
+        a, b, mu_x, nu_y, qa, qb, xi = b, a, nu_y, mu_x, qb, qa, 1
+    x = _unit_row(xi, n, ops)
 
-    def complement():
-        """The first vector of a's orthogonal complement, and its q."""
-        w0 = form.orth_complement_basis([a])[0]
-        return w0, form.q(w0)
+    def with_y(cols, e):
+        """The frame cols with e y put second."""
+        return cols[:1] + [_placed(ops, n, 1 - xi, [e])] + cols[1:]
 
     if qa != Z:
         # b = A a + B w0 in the orthogonal basis a, w0 of the plane
@@ -707,208 +741,139 @@ def _h_122(Ead, tv):
 
             def build(Ead, params):
                 (target,) = params
-                w0, qw0 = complement()
-                B = div(form.b(b, w0), qw0)
-                for t in _roots(ops, div(qa, qw0)):
-                    if div(mul(t, A), B) != target:
+                for cols in _line_frame(Ead, form, x, S[xi], 2, 1):
+                    # the complement column is t w0 with q = q(a), so
+                    # t / B = q(a) / b(b, t w0)
+                    eps2 = div(qa, form.b(b, cols[2][2:4]))
+                    if mul(A, eps2) != target:
                         continue
-                    eps2 = div(t, B)
                     eps = ops.sqrt(eps2)
                     if eps is None:
                         continue
-                    un = _placed(ops, n, 2, a, mu_x)
-                    sn = _sq(Ead, un)
-                    sigma = mul(eps2, sub(nu_y, mul(A, mu_x)))
-                    vn = _placed(ops, n, 2, ops.scale(t, w0), sigma)
-                    yield [_unit_row(xi, n, ops), _placed(ops, n, yi, [eps]),
-                           un, vn, sn]
+                    cols[2] = _shifted(ops, cols[2],
+                                       mul(eps2, sub(nu_y, mul(A, mu_x))))
+                    yield with_y(cols, eps)
             return 1, (alpha,), False, build
 
-        # b parallel to a: variants 2 / 3
+        # b parallel to a: x itself (variant 2) or sx x (variant 3)
         kappa = sub(nu_y, mul(A, mu_x))
-        if kappa == Z:
-            def build(Ead, params):
-                w0, qw0 = complement()
-                for e in _roots(ops, div(ops.one, A)):
-                    for tt in _roots(ops, div(qa, qw0)):
-                        un = _placed(ops, n, 2, a, mu_x)
-                        sn = _sq(Ead, un)
-                        vn = _placed(ops, n, 2, ops.scale(tt, w0))
-                        yield [_unit_row(xi, n, ops),
-                               _placed(ops, n, yi, [e]), un, vn, sn]
-            return 2, (), False, build
+        ex2 = one if kappa == Z else div(kappa, mul(A, qa))
 
-        def build_v3(Ead, params):
-            w0, qw0 = complement()
-            ex2 = div(kappa, mul(A, qa))
-            for sx in _roots(ops, ex2):
+        def build_23(Ead, params):
+            for sx in (one,) if kappa == Z else _roots(ops, ex2):
+                xn = _placed(ops, n, xi, [sx])
                 for sy in _roots(ops, div(ex2, A)):
-                    for st in _roots(ops, div(mul(mul(ex2, ex2), qa), qw0)):
-                        xn = _placed(ops, n, xi, [sx])
-                        un = _sq(Ead, xn)
-                        sn = _sq(Ead, un)
-                        vn = _placed(ops, n, 2, ops.scale(st, w0))
-                        yield [xn, _placed(ops, n, yi, [sy]), un, vn, sn]
-        return 3, (), False, build_v3
+                    for cols in _line_frame(Ead, form, xn,
+                                            ops.scale(ex2, S[xi]), 2, 1):
+                        yield with_y(cols, sy)
+        return 2 if kappa == Z else 3, (), False, build_23
 
-    # both squares isotropic
+    # both squares isotropic; b = c_plus a + c_minus d' in the hyperbolic
+    # basis a, d'
     dprime, h = form.hyperbolic_partner(a)
-    # b = c_plus a + c_minus d' in the hyperbolic basis a, d'
     c_plus, c_minus = div(form.b(b, dprime), h), div(qab, h)
-
-    def pair_cols(delta, sigma_u, sigma_v=None):
-        u0, v0 = form.hyperbolic_pair(a, dprime, delta)
-        return (_placed(ops, n, 2, u0, sigma_u),
-                _placed(ops, n, 2, v0, sigma_v))
-
     if c_minus == Z:
-        rho = c_plus
-        kappa = sub(div(nu_y, rho), mu_x)
+        kappa = sub(div(nu_y, c_plus), mu_x)
         # variant 4 when kappa = 0; otherwise delta = kappa / h != 0
-        variant = 4 if kappa == Z else 5
+        variant, ey2 = (4 if kappa == Z else 5), div(one, c_plus)
+        delta = one if kappa == Z else div(kappa, h)
+    else:  # b on the opposite isotropic line
+        variant, ey2, delta = 6, div(ops.of_int(2), c_minus), one
 
-        def build(Ead, params):
-            eys = _roots(ops, div(ops.one, rho))
-            un, vn = pair_cols(ops.one if variant == 4 else div(kappa, h),
-                               mu_x)
-            sn = _sq(Ead, un)
-            for e in eys:
-                yield [_unit_row(0, n, ops), _placed(ops, n, 1, [e]),
-                       un, vn, sn]
-        return variant, (), False, build
-
-    # b on the opposite isotropic line
-    def build_v6(Ead, params):
-        two = ops.of_int(2)
-        ey2 = div(two, c_minus)
-        # shift the pair by tau*s: u -> u - i tau s, v -> v + tau s keeps
-        # x^2 = u + iv while fixing the s-part of u - iv to match y^2
-        i = ops.i
-        tau = div(mul(ops.neg(i), sub(mu_x, mul(ey2, nu_y))), two)
-        un, vn = pair_cols(ops.one, sub(mu_x, mul(i, tau)), tau)
-        sn = _sq(Ead, un)
+    def build_iso(Ead, params):
+        cols = _pair_frame(Ead, form, x, S[0], dprime, delta, 2, 1)
+        if variant == 6:
+            # shift the pair by tau s: u -> u - i tau s, v -> v + tau s
+            # keeps x^2 = u + iv while fixing the s-part of u - iv to
+            # match y^2
+            i, two = ops.i, ops.of_int(2)
+            tau = div(mul(ops.neg(i), sub(mu_x, mul(ey2, nu_y))), two)
+            cols[1] = _shifted(ops, cols[1], ops.neg(mul(i, tau)))
+            cols[2] = _shifted(ops, cols[2], tau)
         for e in _roots(ops, ey2):
-            yield [_unit_row(0, n, ops), _placed(ops, n, 1, [e]), un, vn, sn]
-    return 6, (), False, build_v6
+            yield with_y(cols, e)
+    return variant, (), False, build_iso
 
 
 def _h_1211(Ead, tv):
-    # adapted (x, y, u, v, s)
+    """Type [1,2,1,1], adapted (x, y, u, v, s): x^2 = lam y + a_x + nu_x s
+    and y^2 = b_y + mu_y s, with a_x and b_y in U = span(u, v).  Every
+    candidate is x' = sx x over the frame of y' = sx^2 lam y + sigma s,
+    the [1,2,1] algebra inside: the line frame when b_y is anisotropic,
+    the pair frame when it is isotropic.  sigma is what x'^2 leaves over
+    on s: sx^2 nu_x, less the s-part of y'^2 when the template's x^2
+    holds u_1 (variants 3, 5, 6 and 7).  Each variant picks sx, and the
+    complement scale (variants 2 and 3) or delta."""
     n = Ead.dim
     S, ops, field = Ead._rows, Ead.field.ops, Ead.field
-    Z, sub, mul, div = ops.zero, ops.sub, ops.mul, ops.div
+    Z, one, sub, mul, div = ops.zero, ops.one, ops.sub, ops.mul, ops.div
     form = _DiagForm(ops, [S[2][4], S[3][4]])
-    by = [S[1][2], S[1][3]]
-    mu_y = S[1][4]
-    lam = S[0][1]
-    ax = [S[0][2], S[0][3]]
-    nu_x = S[0][4]
+    lam, ax, nu_x = S[0][1], S[0][2:4], S[0][4]
+    by = S[1][2:4]
     qby = form.q(by)
 
+    def y_frame(e2):
+        """y' and y'^2 for x' = sx x, sx^2 = e2."""
+        el = mul(e2, lam)
+        y2 = ops.scale(mul(el, el), S[1])
+        sigma = mul(e2, nu_x)
+        if variant in (3, 5, 6, 7):
+            sigma = sub(sigma, y2[4])
+        return _placed(ops, n, 1, [el], sigma), y2
+
     if qby != Z:
+        # a_x = A b_y + w, w orthogonal to b_y
         A = div(form.b(ax, by), qby)
         wvec = ops.addmul(ax, ops.neg(A), by)
         qw = form.q(wvec)
-        w0 = form.orth_complement_basis([by])[0]
-        qw0 = form.q(w0)
+        if all(x == Z for x in ax):
+            variant, params, e2s = 1, (), (one,)
+        elif A == Z:
+            variant, params = 2, ()
+            e2s = _roots(ops, div(qw, mul(_power(ops, lam, 4), qby)))
+        else:
+            beta = ops.sqrt(div(qw, mul(mul(A, A), qby)))
+            if beta is None:
+                raise SqrtUnavailable(
+                    f"the [1,2,1,1] parameter is not representable in "
+                    f"{field}")
+            variant, params, e2s = 3, (beta,), (div(A, mul(lam, lam)),)
 
-        def common_cols(ey, sy_shift, tvar):
-            yn = _placed(ops, n, 1, [ey], sy_shift)
-            un = _sq(Ead, yn)
-            sn = _sq(Ead, un)
-            vn = _placed(ops, n, 2, ops.scale(tvar, w0))
-            return yn, un, sn, vn
-
-        if A == Z and all(x == Z for x in wvec):
-            def build(Ead, params):
-                for t in _roots(ops, div(mul(_power(ops, lam, 4), qby), qw0)):
-                    yn, un, sn, vn = common_cols(lam, nu_x, t)
-                    yield [_unit_row(0, n, ops), yn, un, vn, sn]
-            return 1, (), False, build
-
-        if A == Z:
-            def build_v2(Ead, params):
-                # decompose the U_2 part of x^2 along w0
-                B = div(form.b(ax, w0), qw0)
-                for e2 in _roots(ops, div(mul(mul(B, B), qw0),
-                                          mul(_power(ops, lam, 4), qby))):
-                    for sx in _roots(ops, e2):
-                        sx2 = mul(sx, sx)
-                        yn, un, sn, vn = common_cols(
-                            mul(sx2, lam), mul(sx2, nu_x), mul(sx2, B))
-                        yield [_placed(ops, n, 0, [sx]), yn, un, vn, sn]
-            return 2, (), False, build_v2
-
-        beta = ops.sqrt(div(qw, mul(mul(A, A), qby)))
-        if beta is None:
-            raise SqrtUnavailable(
-                f"the [1,2,1,1] parameter is not representable in {field}")
-
-        def build_v3(Ead, params):
-            (target,) = params
-            B = div(form.b(ax, w0), qw0)
-            ex2 = div(A, mul(lam, lam))
-            ey = div(A, lam)
-            for t in _roots(ops, div(mul(_power(ops, ey, 4), qby), qw0)):
-                if div(mul(ex2, B), t) != target:
+        def build(Ead, params):
+            # past variant 1, the complement column is (e2 / target) w
+            target = params[0] if params else one
+            for e2 in e2s:
+                sxs = (one,) if variant == 1 else _roots(ops, e2)
+                if not sxs:
                     continue
-                for sx in _roots(ops, ex2):
-                    sy_shift = mul(ex2, sub(nu_x, mul(A, mu_y)))
-                    yn, un, sn, vn = common_cols(ey, sy_shift, t)
-                    yield [_placed(ops, n, 0, [sx]), yn, un, vn, sn]
-        return 3, (beta,), False, build_v3
+                for cols in _line_frame(Ead, form, *y_frame(e2), 2, 1):
+                    if variant == 1 or ops.scale(target, cols[2][2:4]) \
+                            == ops.scale(e2, wvec):
+                        for sx in sxs:
+                            yield [_placed(ops, n, 0, [sx])] + cols
+        return variant, params, False, build
 
-    # second class: y^2 isotropic
+    # y^2 isotropic; a_x = c_plus b_y + c_minus d' in the hyperbolic basis
+    # b_y, d'.  Each variant: sx^2 lam^2 (None: sx = 1) and delta / sx^2
     dprime, h = form.hyperbolic_partner(by)
-    # a_x = c_plus b_y + c_minus d' in the hyperbolic basis b_y, d'
     c_plus, c_minus = div(form.b(ax, dprime), h), div(form.b(ax, by), h)
-    qax = form.q(ax)
-
-    def second_class_cols(delta, base):
-        """u, v, s for y scaled by base: the hyperbolic pair is built from
-        the rescaled y's square (whose s-part y itself does not touch)."""
-        ysq = _sq(Ead, _placed(ops, n, 1, [base]))
-        u0, v0 = form.hyperbolic_pair(ysq[2:4], dprime, delta)
-        un = _placed(ops, n, 2, u0, ysq[4])
-        return un, _placed(ops, n, 2, v0), _sq(Ead, un)
-
-    def x_scaled(sx, c):
-        """x scaled by sx, and the rest for y scaled by sx^2 lam, the pair
-        at delta = sx^2 c: the s-components are absorbed into y."""
-        e2 = mul(sx, sx)
-        un, vn, sn = second_class_cols(mul(e2, c), mul(e2, lam))
-        yn = _placed(ops, n, 1, [mul(e2, lam)], sub(mul(e2, nu_x), un[4]))
-        return [_placed(ops, n, 0, [sx]), yn, un, vn, sn]
-
     if all(x == Z for x in ax):
-        def build_v4(Ead, params):
-            # x^2 = lam y + nu_x s: fold into y
-            un, vn, sn = second_class_cols(ops.one, lam)
-            yn = _placed(ops, n, 1, [lam], nu_x)
-            yield from _both_signs(ops, [_unit_row(0, n, ops), yn, un, vn, sn],
-                                   3)
-        return 4, (), False, build_v4
+        variant, sl2, c = 4, None, one
+    elif form.q(ax) != Z:
+        variant, sl2, c = 5, mul(ops.of_int(2), c_plus), c_minus
+    elif c_minus == Z:
+        variant, sl2, c = 6, c_plus, c_plus
+    else:  # a_x on the opposite isotropic line
+        variant, sl2, c = 7, None, div(c_minus, ops.of_int(2))
 
-    if qax != Z:
-        def build_v5(Ead, params):
-            for sx in _roots(ops, div(mul(ops.of_int(2), c_plus),
-                                      mul(lam, lam))):
-                yield x_scaled(sx, c_minus)
-        return 5, (), False, build_v5
-
-    # a_x isotropic and nonzero
-    if c_minus == Z:
-        def build_v6(Ead, params):
-            for sx in _roots(ops, div(c_plus, mul(lam, lam))):
-                yield from _both_signs(ops, x_scaled(sx, c_plus), 3)
-        return 6, (), False, build_v6
-
-    def build_v7(Ead, params):
-        # x's U_2 part lies on the opposite isotropic line
-        un, vn, sn = second_class_cols(div(c_minus, ops.of_int(2)), lam)
-        yn = _placed(ops, n, 1, [lam], sub(nu_x, un[4]))
-        yield from _both_signs(ops, [_unit_row(0, n, ops), yn, un, vn, sn], 3)
-    return 7, (), False, build_v7
+    def build_iso(Ead, params):
+        for sx in (one,) if sl2 is None else \
+                _roots(ops, div(sl2, mul(lam, lam))):
+            e2 = mul(sx, sx)
+            cols = [_placed(ops, n, 0, [sx])] + _pair_frame(
+                Ead, form, *y_frame(e2), dprime, mul(e2, c), 2, 1)
+            yield from [cols] if variant == 5 else _both_signs(ops, cols, 3)
+    return variant, (), False, build_iso
 
 
 def _h_1121(Ead, tv):
@@ -932,22 +897,16 @@ def _h_1121(Ead, tv):
         qc = form.q(c)
         if c3 == Z or qc == Z:
             return _frame(Ead, [p1, p2], c3, (1, 3 if c3 == Z else 4))
-        w0 = form.orth_complement_basis([c])[0]
-        qw0 = form.q(w0)
 
         def build_v2(Ead, params):
+            # x' over the line frame of y' = x'^2 less its w and s tail
             for sx in _roots(ops, div(c3, qc)):
-                e2 = mul(sx, sx)
                 xn = _placed(ops, n, 0, [sx])
                 xsq = _sq(Ead, xn)
-                # y_n = x_n^2 minus its w,s tail beyond the U3 part
                 yn = _placed(ops, n, 1, xsq[1:3],
-                             sub(xsq[4], mul(mul(e2, c3), div(q1, p1))))
-                wn = _sq(Ead, yn)
-                sn = _sq(Ead, wn)
-                for t in _roots(ops, div(mul(mul(e2, e2), qc), qw0)):
-                    zn = _placed(ops, n, 1, ops.scale(t, w0))
-                    yield [xn, yn, zn, wn, sn]
+                             sub(xsq[4], mul(mul(mul(sx, sx), c3),
+                                             div(q1, p1))))
+                yield from _line_frame(Ead, form, xn, yn, 1, 2)
         return 2, (), False, build_v2
 
     # delta != 0: the two U_3 lines are intrinsic (only permutations and
@@ -1053,12 +1012,6 @@ def _h_11111(Ead, tv):
     b3, b4 = S[1][2], S[1][3]
     c4 = S[2][3]
 
-    def shifted(col, by):
-        """col with by added to its last (x5) coordinate."""
-        out = list(col)
-        out[4] = add(out[4], by)
-        return out
-
     if b4 != Z:
         eps22 = div(b4, mul(mul(b3, b3), c4))
         eps2s = _roots(ops, eps22)  # the forced scalings of x2
@@ -1091,10 +1044,11 @@ def _h_11111(Ead, tv):
                     x1sq = _sq(Ead, x1n)
                     used = add(add(x2n[4], mul(r0, y3[4])), mul(r1, y4[4]))
                     # x2's column absorbs the leftover x5 component
-                    x2shift = shifted(x2n, sub(x1sq[4], used))
+                    x2shift = _shifted(ops, x2n, sub(x1sq[4], used))
                     # x2's own square closes on y3 + y4 via a y3 shift
                     x2sq = _sq(Ead, x2shift)
-                    y3shift = shifted(y3, sub(sub(x2sq[4], y3[4]), y4[4]))
+                    y3shift = _shifted(ops, y3,
+                                       sub(sub(x2sq[4], y3[4]), y4[4]))
                     yield [x1n, x2shift, y3shift, y4, y5]
         return 4, min(cands), False, build_v4
 
@@ -1104,7 +1058,7 @@ def _h_11111(Ead, tv):
         y3 = _sq(Ead, y2)
         y4 = _sq(Ead, y3)
         used = add(add(y2[4], mul(k3, y3[4])), mul(k4, y4[4]))
-        return [x1n, shifted(y2, sub(_sq(Ead, x1n)[4], used)), y3, y4,
+        return [x1n, _shifted(ops, y2, sub(_sq(Ead, x1n)[4], used)), y3, y4,
                 _sq(Ead, y4)]
 
     if a3 != Z:

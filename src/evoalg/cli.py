@@ -15,10 +15,11 @@ name -> (help, report): one runner parses the file and writes
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from .errors import AlgebraSyntaxError, DomainError, EvoalgError
-from .fields import GF, QI, QQ, FieldDescriptor, parse_element
+from .fields import _INT, GF, QI, QQ, FieldDescriptor, parse_element
 from .linalg import Matrix
 from .algebra import (EvolutionAlgebra, WeightedGraph, decomposability_check,
                       graph_of, upper_series)
@@ -38,12 +39,15 @@ def _parse_field_decl(tokens, lineno) -> FieldDescriptor:
     if len(tokens) == 2 and tokens[1] == "Qi":
         return QI()
     if len(tokens) == 3 and tokens[1] == "GF":
-        try:
-            return GF(int(tokens[2]))
-        except ValueError:
-            raise AlgebraSyntaxError(
-                f"bad prime {tokens[2]!r}", lineno, len("field GF ") + 1)
+        return GF(_int_token(tokens[2], "prime", lineno, len("field GF ") + 1))
     raise AlgebraSyntaxError("expected 'field Q|Qi|GF <p>'", lineno, 1)
+
+
+def _int_token(token, what, lineno, column) -> int:
+    """The int that token spells in the grammar's ASCII digits."""
+    if not re.fullmatch(_INT, token):
+        raise AlgebraSyntaxError(f"bad {what} {token!r}", lineno, column)
+    return int(token)
 
 
 def _logical_lines(text: str):
@@ -66,10 +70,7 @@ def parse_algebra_text(text: str) -> EvolutionAlgebra:
         raise AlgebraSyntaxError("missing 'dim <n>' line", lineno + 1, 1)
     if len(tokens) != 2 or tokens[0] != "dim":
         raise AlgebraSyntaxError("expected 'dim <n>'", lineno, 1)
-    try:
-        dim = int(tokens[1])
-    except ValueError:
-        raise AlgebraSyntaxError(f"bad dimension {tokens[1]!r}", lineno, 5)
+    dim = _int_token(tokens[1], "dimension", lineno, 5)
     if dim < 1:
         raise DomainError("dimension must be at least 1")
     rows = []
@@ -100,8 +101,14 @@ def parse_algebra_text(text: str) -> EvolutionAlgebra:
 
 
 def parse_algebra_file(path) -> EvolutionAlgebra:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_algebra_text(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise AlgebraSyntaxError("the file is not UTF-8 text",
+                                 data.count(b"\n", 0, exc.start) + 1)
+    return parse_algebra_text(text)
 
 
 def write_algebra_text(E: EvolutionAlgebra) -> str:

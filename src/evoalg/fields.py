@@ -428,6 +428,8 @@ class FieldElement:
         return self * other.inverse()
 
     def __pow__(self, n: int):
+        if not isinstance(n, int):
+            raise DomainError(f"exponent {n!r} is not an integer")
         if n < 0:
             return self.inverse() ** (-n)
         out = self.field.one()
@@ -482,7 +484,9 @@ def _fmt_frac(q: Fraction) -> str:
 # ---------------------------------------------------------------------------
 # parsing
 
-_RAT = r"-?\d+(?:/-?\d+)?"
+# ASCII digits only: \d and int() also take the digits of other scripts
+_INT = r"-?[0-9]+"
+_RAT = rf"{_INT}(?:/{_INT})?"
 # the three forms of gauss, one capturing alternative each
 _GAUSS = (rf"(?P<real>{_RAT})"
           rf"|(?P<re>{_RAT})?(?P<op>[+-])(?P<im>{_RAT})?\*?i"
@@ -501,10 +505,12 @@ def _parse_frac(text: str) -> Fraction:
 def parse_element(text: str, desc: FieldDescriptor) -> FieldElement:
     """Parse an element literal.
 
-    Grammar: ``int := ['-'] digits``, ``rat := int ['/' int]``;
+    Grammar: ``int := ['-'] digits`` with the ASCII digits 0-9,
+    ``rat := int ['/' int]``;
     ``gauss := rat | [rat] ('+'|'-') [rat] ['*'] 'i' | [rat ['*']] 'i'``,
     where a missing real ``rat`` reads 0 and a missing imaginary one 1.
-    The regexes ``_RAT`` and ``_GAUSS`` are this grammar, form by form.
+    The regexes ``_INT``, ``_RAT`` and ``_GAUSS`` are this grammar, form
+    by form.
     Prime field literals are plain integers.
     """
     text = text.strip().replace(" ", "")
@@ -514,7 +520,7 @@ def parse_element(text: str, desc: FieldDescriptor) -> FieldElement:
         if "i" in text:
             raise AlgebraSyntaxError(
                 "use residue literals over a prime field, not 'i'")
-        if not re.fullmatch(r"-?\d+", text):
+        if not re.fullmatch(_INT, text):
             raise AlgebraSyntaxError(f"bad residue literal {text!r}")
         return desc.from_int(int(text))
     if desc.kind == RATIONALS:

@@ -226,8 +226,11 @@ class Subspace:
     def coordinate(cls, indices, ambient_dim: int, field: FieldDescriptor):
         """Span of the coordinate vectors with the given indices; the unit
         rows in increasing order already are its RREF basis."""
-        axes = range(ambient_dim)
-        pivots = sorted({axes[i] for i in indices})
+        if not all(isinstance(i, int) and 0 <= i < ambient_dim
+                   for i in indices):
+            raise AmbientMismatch(
+                f"coordinate indices must be ints in 0..{ambient_dim - 1}")
+        pivots = sorted(set(indices))
         return cls._span([_unit_row(i, ambient_dim, field.ops)
                           for i in pivots], ambient_dim, field, pivots)
 

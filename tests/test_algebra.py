@@ -84,6 +84,14 @@ def test_dim_must_be_positive():
         EvolutionAlgebra(0, Matrix([], QQ(), 0), QQ())
 
 
+@pytest.mark.parametrize("index", [-1, 2, 0.5])
+def test_basis_vectors_have_indices_in_range(index):
+    E = EvolutionAlgebra.from_ints([[0, 1], [0, 0]], QQ())
+    assert E.basis_vector(1) == [QQ().zero(), QQ().one()]
+    with pytest.raises(ShapeError, match="0..1"):
+        E.basis_vector(index)
+
+
 def test_from_ints_refuses_a_float_entry():
     # a float payload used to build, and classify then failed in pow()
     with pytest.raises(DomainError, match="integer"):

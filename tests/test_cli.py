@@ -10,9 +10,9 @@ import pytest
 import evoalg
 
 from evoalg.algebra import EvolutionAlgebra, graph_of
-from evoalg.cli import (dispatch, emit_dot, parse_algebra_text,
-                        write_algebra_text)
-from evoalg.errors import AlgebraSyntaxError
+from evoalg.cli import (dispatch, emit_dot, parse_algebra_file,
+                        parse_algebra_text, write_algebra_text)
+from evoalg.errors import AlgebraSyntaxError, DomainError
 from evoalg.fields import GF, QI, QQ
 from evoalg.linalg import Matrix
 
@@ -92,6 +92,34 @@ def test_malformed_files_exit_1_with_their_position(tmp_path, capsys, text,
                                                     message):
     assert dispatch(["classify", algfile(tmp_path, text)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_file_that_is_not_utf8_exits_1(tmp_path, capsys):
+    p = tmp_path / "bytes.alg"
+    p.write_bytes(b"field GF 13\ndim 1\nrow \xff\n")
+    with pytest.raises(AlgebraSyntaxError):
+        parse_algebra_file(str(p))
+    assert dispatch(["type", str(p)]) == 1
+    assert capsys.readouterr().err == \
+        "error: line 3: the file is not UTF-8 text\n"
+
+
+def test_the_dimension_takes_only_ascii_digits():
+    # int() reads the Arabic-Indic digit three as 3
+    with pytest.raises(AlgebraSyntaxError,
+                       match="line 2, col 5: bad dimension '\u0663'"):
+        parse_algebra_text("field Q\ndim \u0663\n")
+    with pytest.raises(DomainError, match="at least 1"):
+        parse_algebra_text("field Q\ndim -2\n")
+
+
+def test_the_prime_takes_only_ascii_digits():
+    # int() reads '1_3' as 13
+    with pytest.raises(AlgebraSyntaxError,
+                       match="line 1, col 10: bad prime '1_3'"):
+        parse_algebra_text("field GF 1_3\ndim 1\nrow 0\n")
+    with pytest.raises(DomainError, match="odd prime"):
+        parse_algebra_text("field GF -13\ndim 1\nrow 0\n")
 
 
 def test_dot_golden_bytes():

@@ -115,6 +115,27 @@ def test_parse_gaussian_signed_coefficient_after_operator():
     assert parse_element("--2i", Qi).value == (0, 2)
 
 
+def test_rational_literals_take_only_ascii_digits():
+    # \d and int() read the Arabic-Indic digits as 3/4
+    with pytest.raises(AlgebraSyntaxError, match="bad rational literal"):
+        parse_element("\u0663/\u0664", QQ())
+    with pytest.raises(AlgebraSyntaxError, match="bad Gaussian"):
+        parse_element("\u0663+i", QI())
+
+
+def test_residue_literals_take_only_ascii_digits():
+    with pytest.raises(AlgebraSyntaxError, match="bad residue literal"):
+        parse_element("\u0663", GF(13))
+    assert parse_element("-3", GF(13)) == GF(13).from_int(10)
+
+
+def test_exponents_must_be_integers():
+    x = GF(13).from_int(3)
+    assert x ** 2 == GF(13).from_int(9) and x ** -1 * x == GF(13).one()
+    with pytest.raises(DomainError, match="not an integer"):
+        x ** 1.5
+
+
 _RAT = r"-?\d+(?:/-?\d+)?"
 _REAL = re.compile(f"({_RAT})")
 _WITH_OPERATOR = re.compile(rf"({_RAT})?([+-])({_RAT})?\*?i")

@@ -93,6 +93,13 @@ def test_subspace_ambient_mismatch():
         Subspace.coordinate([0], 2, QQ()) + Subspace.coordinate([0], 3, QQ())
 
 
+@pytest.mark.parametrize("index", [-1, 3, 1.5])
+def test_coordinate_subspaces_refuse_an_index_outside_the_ambient(index):
+    # none of them names a coordinate of F^3
+    with pytest.raises(AmbientMismatch, match="0..2"):
+        Subspace.coordinate([0, index], 3, QQ())
+
+
 @settings(max_examples=50)
 @given(st.lists(st.lists(st.integers(0, 12), min_size=4, max_size=4),
                 min_size=1, max_size=5))

@@ -8,7 +8,8 @@ the form alone and on the forms that classify builds, and the closed
 forms the [1,2,2] and [1,2,1,1] normalizers take for the coordinates of
 a vector in an orthogonal or a hyperbolic basis of a plane.  The lemma
 of ``_h_slopes`` (the paper's scaling of the families Ubg and Ubfg) is
-pinned on the candidates its builder yields.
+pinned on the candidates its builder yields, and so is the line frame
+that the [1,n,1], [1,2,2], [1,2,1,1] and [1,1,2,1] normalizers share.
 """
 
 import collections
@@ -22,9 +23,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from evoalg.classify import CanonicalLabel, _DiagForm, classify
 from evoalg.errors import EvoalgError, SqrtUnavailable
-from evoalg.families import UBFG, UBG, FamilySpec, build
+from evoalg.families import UBFG, UBG, UBU, FamilySpec, build
 from evoalg.fields import GF, QI, QQ, FieldElement
-from evoalg.tables import ENTRIES
+from evoalg.tables import ENTRIES, find_entry
 
 from helpers import random_monomial_relabelling, random_nilpotent_of_type
 
@@ -265,3 +266,50 @@ def test_the_slope_candidates_of_one_order_all_realize(E):
     assert all(v == {True} for v in verdicts.values())
     if label.variant != 1:
         assert label.no_witness == (not verdicts)
+
+
+@st.composite
+def anisotropic_ubu(draw):
+    """A Ubu algebra of type [1,n,1], n = 2 or 3, whose u is anisotropic
+    (sum b_i u_i^2 != 0), over GF(5), GF(13), GF(1000033), Q or Q(i), in a
+    random monomial relabelling."""
+    field, payload = draw(st.sampled_from(FIELDS))
+    ops = field.ops
+    n = draw(st.sampled_from([2, 3]))
+    b = [draw(payload.filter(lambda x: x != ops.zero)) for _ in range(n)]
+    u = [draw(payload) for _ in range(n)]
+    assume(ops.dot(b, [ops.mul(x, x) for x in u]) != ops.zero)
+    spec = FamilySpec(UBU, n, tuple(FieldElement(field, x) for x in b),
+                      u_coords=tuple(FieldElement(field, x) for x in u))
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    return random_monomial_relabelling(build(spec), rng)
+
+
+@settings(max_examples=200, deadline=None)
+@given(anisotropic_ubu())
+def test_every_line_frame_candidate_realizes(E):
+    # the line frame of x: x, x^2, the complement of a scaled to q(a)
+    # and the squares of x^2.  The complement is orthogonal to a and
+    # each scaled member squares to q(a) s, like x^2, so every choice of
+    # the scalings' signs realizes the [1,n,1] variant-1 template
+    classify_module = importlib.import_module("evoalg.classify")
+    original = classify_module._line_frame
+    frames = []
+
+    def recorded(Ead, *args):
+        cols = list(original(Ead, *args))
+        frames.append((Ead, cols))
+        yield from cols
+
+    with mock.patch.object(classify_module, "_line_frame", recorded):
+        label = classify(E)
+    n = E.dim - 2
+    assert label.skeleton() == (n + 2, (1, n, 1), 1)
+    assert len(frames) == 1
+    Ead, candidates = frames[0]
+    entry = find_entry(n + 2, (1, n, 1), 1)
+    rows = classify_module._template_rows(entry, (), E.field)
+    for cols in candidates:
+        m = [list(r) for r in zip(*cols)]
+        assert classify_module._realizes(rows, Ead, m)
+    assert label.no_witness == (not candidates)

@@ -3,6 +3,7 @@
 
     python3 tools/outputs.py --tree PATH --out FILE
     python3 tools/outputs.py --diff A B
+    python3 tools/outputs.py --check FILE
 
 ``--tree`` imports evoalg from ``PATH/src`` and writes one JSON line per
 input to FILE.  The inputs are drawn from fixed seeds over GF(3), GF(5),
@@ -64,6 +65,14 @@ by id.  It prints nothing and exits 0 when they agree; otherwise it
 prints, for each kind, the number of differing records and the first
 few of them, then every id present in one file only, and exits 1.
 
+``--check`` reads one such file and counts the relabel pairs, a
+``random`` record and the ``relabel`` record of the same field and
+number, or a ``template`` record and its ``:relabel``, whose label
+reprs agree except for ``no_witness``.  A relabelling is an isomorphism
+over the field, so each such pair is a witness that a builder missed.
+It prints the count, then the count per type and variant of the first
+(summand) label whose flag differs, and exits 0.
+
 Compare a change with its parent, from the root of the change:
 
     git archive PARENT | (mkdir -p /tmp/parent && tar -x -C /tmp/parent)
@@ -77,12 +86,14 @@ Uses the standard library only; one run takes well under a minute.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import importlib
 import io
 import json
 import os
 import random
+import re
 import sys
 import tempfile
 
@@ -412,12 +423,51 @@ def diff(path_a: str, path_b: str) -> int:
     return sum(len(p) for p in by_kind.values()) + lone
 
 
+_NO_WITNESS = re.compile(r"no_witness=(?:True|False)")
+_LABEL = re.compile(r"CanonicalLabel\(dim=\d+, type_vector=\(([^)]*)\), "
+                    r"variant=(\d+), .*?no_witness=(True|False)\)")
+
+
+def _relabelled(rid: str) -> str | None:
+    """The id of the input that the record rid relabels, if any."""
+    kind, _, rest = rid.partition(":")
+    if kind == "relabel":
+        return "random:" + rest
+    if kind == "template" and rid.endswith(":relabel"):
+        return rid[:-len(":relabel")]
+    return None
+
+
+def check(path: str) -> collections.Counter:
+    """The relabel pairs of the record file whose label reprs agree
+    except for no_witness, counted by the type and variant of the first
+    label whose flag differs."""
+    records = _by_id(path)
+    counts = collections.Counter()
+    for rid, rec in records.items():
+        source = records.get(_relabelled(rid))
+        if source is None:
+            continue
+        la, lb = source.get("label"), rec.get("label")
+        if la is None or lb is None or la == lb \
+                or _NO_WITNESS.sub("", la) != _NO_WITNESS.sub("", lb):
+            continue
+        tv, variant, _ = next(a for a, b in zip(_LABEL.findall(la),
+                                                _LABEL.findall(lb))
+                              if a != b)
+        counts[f"[{tv.replace(' ', '').rstrip(',')}] v{variant}"] += 1
+    return counts
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = ap.add_mutually_exclusive_group(required=True)
     mode.add_argument("--tree", help="checkout whose src/ to import")
     mode.add_argument("--diff", nargs=2, metavar=("A", "B"),
                       help="two record files to compare")
+    mode.add_argument("--check", metavar="FILE",
+                      help="count the relabel pairs of a record file that "
+                      "differ only in no_witness")
     ap.add_argument("--out", help="record file that --tree writes")
     args = ap.parse_args(argv)
     if args.tree is not None:
@@ -425,6 +475,13 @@ def main(argv=None) -> int:
             ap.error("--tree needs --out")
         count = write(args.tree, args.out)
         print(f"{count} records written to {args.out}", file=sys.stderr)
+        return 0
+    if args.check is not None:
+        counts = check(args.check)
+        print(f"{sum(counts.values())} relabel pairs differ only in "
+              "no_witness")
+        for key, k in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])):
+            print(f"  {key}: {k}")
         return 0
     return 1 if diff(*args.diff) else 0
 
