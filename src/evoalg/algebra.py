@@ -299,8 +299,8 @@ PLENARY = "Plenary"
 def power_subspaces(E: EvolutionAlgebra, kind: str, max_k: int):
     """The chain E^{<k>} (Right) or E^k (Plenary), k = 1..max_k,
     truncated once it stabilizes."""
-    if max_k < 1:
-        raise ShapeError("max_k must be at least 1")
+    if not (isinstance(max_k, int) and max_k >= 1):
+        raise ShapeError("max_k must be an int of at least 1")
     full = Subspace.full(E.dim, E.field)
     chain = [full]
     if kind == RIGHT:
@@ -409,9 +409,14 @@ def restrict_to_indices(E: EvolutionAlgebra, idx: list[int]) -> EvolutionAlgebra
 
 def _checked_indices(idx, n: int) -> list[int]:
     """idx as a list, when it names distinct basis indices of F^n."""
-    idx = list(idx)
-    if len(set(idx)) != len(idx) or not all(0 <= i < n for i in idx):
-        raise ShapeError(f"indices must be distinct and in 0..{n - 1}")
+    message = f"indices must be distinct ints in 0..{n - 1}"
+    try:
+        idx = list(idx)
+    except TypeError:
+        raise ShapeError(message) from None
+    if not all(isinstance(i, int) and 0 <= i < n for i in idx) or \
+            len(set(idx)) != len(idx):
+        raise ShapeError(message)
     return idx
 
 
@@ -543,6 +548,18 @@ def _natural_split(E: EvolutionAlgebra):
     contains ann(E) cap E^2, and the two have the same dimension,
     dim ann(E) - dim C; hence ann(I) = ann(E) cap E^2, which lies in
     E^2 = I^2.
+
+    The chain lemma: a nilpotent A of dimension n <= 3 whose series has
+    n blocks of one index each, type [1,...,1], is the n-element chain,
+    so ``classify`` takes the chain's label for such a summand from its
+    inherited series alone.  In the basis adapted to the series, e_k^2
+    has a nonzero entry on the next block down, or e_k would sit a block
+    lower.  So x = e_0, x^2 and (x^2)^2 (as far as n reaches) form a
+    triangular basis with a nonzero diagonal, natural since their cross
+    products vanish: x^2 and (x^2)^2 have no e_0 component, and (x^2)^2
+    lies in ann.  That basis realizes the chain's rows over every field,
+    with no root taken.  The lemma stops at n = 3: type [1,1,1,1] has
+    two variants.
     """
     return _component_split(E) or _connected_split(E)
 
@@ -661,6 +678,8 @@ class InvariantProfile(Value):
 
 def block_subspace(E: EvolutionAlgebra, series: AnnSeries, i: int) -> Subspace:
     """U_i as a coordinate subspace (1-based block index)."""
+    if not (isinstance(i, int) and 1 <= i <= series.r):
+        raise ShapeError(f"block index must be an int in 1..{series.r}")
     return Subspace.coordinate(series.blocks[i - 1], E.dim, E.field)
 
 

@@ -51,10 +51,15 @@ invert a matrix: the coordinates the normalizers take in a plane are
 closed forms in an orthogonal or a hyperbolic basis, or Cramer's rule.
 The summands these lemmas identify are labelled without being
 classified: each pair of the pairing and each chain of an ann-dim-2
-split gets the chain's label (``_CHAIN2``, ``_CHAIN3``), and each
+split gets the chain's label (``_CHAIN2``, ``_CHAIN3``), each
 one-index group of a split, such as each e_k of C, the zero algebra's
-(``_ZERO``).  Every other summand is classified, so each label that
-carries a witness still has one verified.  Each witness candidate gets one rank test and the
+(``_ZERO``), and each summand of dimension 2 or 3 whose series,
+inherited from its split, is [1,1] or [1,1,1], the chain's: in dims 2
+and 3 that type has one table entry, which the powers of the top
+vector realize over every field (the chain lemma of
+``_natural_split``).  Every other summand is classified, so each label
+that carries a witness still has one verified; a Decomposed label
+carries none.  Each witness candidate gets one rank test and the
 product test of ``verify_hom``.
 ``FieldElement`` values appear only at the public boundary: a
 normalizer's raw parameters are wrapped once, to pick their orbit
@@ -81,6 +86,7 @@ root of the numerator and of the denominator).
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 
 from ._values import Frozen, Value, set_fields
 from .errors import (
@@ -333,8 +339,10 @@ def _classify_rows(E, series=None, split_stage=None):
     component comes with its series, read off the whole series, and the
     split stage ``_connected_split``; the quotient of an annihilator
     split with its series read off likewise, and the split stage
-    ``_split_inside_square``.  Other algebras compute their series and
-    run the whole ``_natural_split``."""
+    ``_split_inside_square``.  ``_gather`` labels such a summand of type
+    [1,1] or [1,1,1] by that series alone, and classifies the others.
+    Other algebras compute their series and run the whole
+    ``_natural_split``."""
     if E.dim > 5:
         raise UnsupportedDim("classification covers dimension at most 5")
     if series is None:
@@ -362,29 +370,40 @@ def _classify_rows(E, series=None, split_stage=None):
     return result
 
 
-# the labels of the summands that a split identifies by itself; a
+# the labels of the summands that a split identifies by itself, the
+# n-element chains for n = 1, 2, 3 (for n = 1 the zero algebra); a
 # CanonicalLabel without params is immutable, so one object serves all
 _ZERO = CanonicalLabel(1, (1,), 1)
 _CHAIN2 = CanonicalLabel(2, (1, 1), 1)
 _CHAIN3 = CanonicalLabel(3, (1, 1, 1), 1)
+# at index n: the n-chain's label with its serialization, _gather's key
+_CHAINS = [None] + [(l.serialize(), l) for l in (_ZERO, _CHAIN2, _CHAIN3)]
 
 
 def _gather(parts):
-    """The Decomposed label of the summands, each given as its label, when
-    its split identified it, or as (algebra, series, split stage) for
-    ``_classify_rows``."""
-    labels = []
+    """The Decomposed label of the summands, each given as (algebra,
+    series, split stage) for ``_classify_rows`` or, when its split
+    identified it, as its label, one of the chains.
+
+    A part whose series, inherited from its split, has A.dim <= 3 blocks
+    of one index each is the chain of that length too (the chain lemma
+    of ``algebra._natural_split``), and it takes the chain's label
+    without being classified.  The labels are sorted by serialization,
+    each string built once, the chains' once for all."""
+    keyed = []
     for part in parts:
         if isinstance(part, CanonicalLabel):
-            labels.append(part)
+            keyed.append(_CHAINS[part.dim])
+            continue
+        A, series, _ = part
+        if series is not None and len(series.blocks) == A.dim <= 3:
+            keyed.append(_CHAINS[A.dim])
             continue
         res = _classify_rows(*part)[0]
-        if isinstance(res, Decomposed):
-            labels.extend(res.labels)
-        else:
-            labels.append(res)
-    labels.sort(key=lambda l: l.serialize())
-    return Decomposed(labels)
+        for label in res.labels if isinstance(res, Decomposed) else (res,):
+            keyed.append((label.serialize(), label))
+    keyed.sort(key=itemgetter(0))
+    return Decomposed([label for _, label in keyed])
 
 
 def _normalize(E, series):

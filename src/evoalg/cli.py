@@ -32,15 +32,23 @@ from .oracle import SearchBudget, exhaustive_iso, randomized_iso
 # algebra files
 
 def _parse_field_decl(tokens, lineno) -> FieldDescriptor:
-    if not tokens or tokens[0] != "field":
-        raise AlgebraSyntaxError("expected 'field Q|Qi|GF <p>'", lineno, 1)
-    if len(tokens) == 2 and tokens[1] == "Q":
-        return QQ()
-    if len(tokens) == 2 and tokens[1] == "Qi":
-        return QI()
-    if len(tokens) == 3 and tokens[1] == "GF":
-        return GF(_int_token(tokens[2], "prime", lineno, len("field GF ") + 1))
+    if tokens[:1] == ["field"]:
+        field = _named_field(tokens[1:], lineno, len("field ") + 1)
+        if field is not None:
+            return field
     raise AlgebraSyntaxError("expected 'field Q|Qi|GF <p>'", lineno, 1)
+
+
+def _named_field(words, lineno=None, column=1):
+    """The field that words name, Q, Qi or GF <p>, or None; a bad prime
+    is a syntax error at lineno, for words starting at column."""
+    if words == ["Q"]:
+        return QQ()
+    if words == ["Qi"]:
+        return QI()
+    if len(words) == 2 and words[0] == "GF":
+        return GF(_int_token(words[1], "prime", lineno, column + len("GF ")))
+    return None
 
 
 def _int_token(token, what, lineno, column) -> int:
@@ -222,8 +230,21 @@ def _cmd_iso(args) -> int:
     return 0
 
 
+def _field_option(text) -> FieldDescriptor:
+    """The field that ``family --field`` names, Q, Qi or 'GF <p>'; its
+    errors name the option, as the text has no place in a file."""
+    try:
+        field = _named_field(text.split())
+    except EvoalgError as exc:
+        raise type(exc)(f"--field: {exc}") from None
+    if field is None:
+        raise AlgebraSyntaxError(
+            f"--field: expected Q, Qi or 'GF <p>', got {text!r}")
+    return field
+
+
 def _cmd_family(args) -> int:
-    field = _parse_field_decl(("field " + args.field).split(), 0)
+    field = _field_option(args.field)
 
     def elems(text):
         return tuple(parse_element(t, field) for t in text.split(","))

@@ -15,7 +15,7 @@ from evoalg.algebra import (_ANN_OUTSIDE_SQUARE, _DISCONNECTED, _LARGE_ANN,
                             _annihilator_split, _connected_split,
                             _natural_split, _split_ideals,
                             _split_inside_square, _zero_rows,
-                            component_index_sets,
+                            block_subspace, component_index_sets,
                             decomposability_check, graph_of,
                             invariant_profile, is_ideal, power_nilpotency,
                             power_subspaces, product_subspace,
@@ -1188,6 +1188,46 @@ def test_the_labels_classify_takes_unclassified_are_the_chains(field, n):
     assert classify_module.classify(C) == label
 
 
+@st.composite
+def chain_type_algebras(draw):
+    """A nilpotent algebra of dim 2 or 3 and type [1,...,1] over GF(3),
+    GF(5), GF(13), GF(1000033), Q or Q(i): in a drawn order of the
+    basis, each square has a nonzero entry on the next vector (1 where
+    the drawn one is 0) and drawn entries on the ones after it."""
+    field = draw(st.sampled_from([GF(3), GF(5), F13, GF(1000033), QQ(),
+                                  QI()]))
+    n = draw(st.integers(2, 3))
+    order = draw(st.permutations(range(n)))
+    rnd = draw(st.randoms(use_true_random=False))
+    rows = [[field.zero()] * n for _ in range(n)]
+    for k in range(n - 1):
+        for j in range(k + 1, n):
+            x = _random_entry(field, rnd)
+            if j == k + 1 and x.is_zero():
+                x = field.one()
+            rows[order[k]][order[j]] = x
+    return EvolutionAlgebra(n, Matrix(rows, field, n), field)
+
+
+@settings(max_examples=300)
+@given(chain_type_algebras())
+def test_type_one_by_one_in_dims_2_and_3_is_the_chain(E):
+    # the chain lemma of _natural_split, which lets _gather label a
+    # summand of type [1,1] or [1,1,1] by its inherited series alone:
+    # classify gives the chain's label, and its witness (the powers of
+    # the top vector, no root taken) realizes the template on every
+    # field kind
+    classify_module = importlib.import_module("evoalg.classify")
+    n, field = E.dim, E.field
+    assert upper_series(E).type_vector == [1] * n
+    label = {2: classify_module._CHAIN2, 3: classify_module._CHAIN3}[n]
+    assert classify_module.classify(E) == label
+    got, rows = classify_module._classify_rows(E)
+    assert got == label and rows is not None
+    template = find_entry(n, (1,) * n, 1).template((), field)
+    assert verify_hom(template, E, Matrix._wrap(rows, field, n))
+
+
 def _explicit_summands(E):
     """E's summands as explicit algebras, for the first split that
     classify applies to E, or None when E does not split: the selections
@@ -1260,12 +1300,17 @@ def test_labels_taken_unclassified_match_the_summands_classified(E):
     # is classified, with one witness search
     ([[0, 0, 0, 1, 0], [0, 0, 0, 2, 0], [0, 0, 0, 1, 1], [0] * 5,
       [0] * 5], 2, 1),
-], ids=["pairing", "221", "23"])
+    # a graph split into a 3-chain and a 2-chain: both components are
+    # labelled by the series they inherit, and nothing is classified
+    ([[0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0] * 5, [0, 0, 0, 0, 1],
+      [0] * 5], 1, 0),
+], ids=["pairing", "221", "23", "chain components"])
 def test_labelled_summands_run_no_classification(monkeypatch, rows,
                                                  classified, searches):
     # call counts: before the split's summands were taken as labels, the
     # pairing classified 3 algebras with 2 witness searches, the [2,2,1]
-    # split 3 with 2 and the [2,3] split 3 with 2
+    # split 3 with 2 and the [2,3] split 3 with 2; before the components
+    # of type [1,...,1] were, the chain components 3 with 2
     classify_module = importlib.import_module("evoalg.classify")
     counts = collections.Counter()
 
@@ -1375,3 +1420,28 @@ def test_quotient_by_block_matches_the_entrywise_check():
 def test_block_indices_must_be_distinct_and_in_range(fn, idx):
     with pytest.raises(ShapeError):
         fn(chain(3), idx)
+
+
+@pytest.mark.parametrize("fn, idx", [
+    (quotient_by_block, "a"), (restrict_to_indices, [1.0]),
+    (quotient_by_block, 1), (restrict_to_indices, [[0]]),
+], ids=["string", "float", "no collection", "unhashable"])
+def test_block_indices_must_be_ints(fn, idx):
+    # a raw TypeError before the indices were checked to be ints
+    with pytest.raises(ShapeError, match="ints"):
+        fn(chain(3), idx)
+
+
+@pytest.mark.parametrize("i", [0, 4, 9, -1, 1.0, "1"])
+def test_block_subspace_takes_a_block_of_the_series(i):
+    # block 0 was block -1, the last one, and block 9 an IndexError
+    E = chain(3)
+    s = upper_series(E)
+    assert [block_subspace(E, s, k).dim for k in (1, 2, 3)] == [1, 1, 1]
+    with pytest.raises(ShapeError, match="1..3"):
+        block_subspace(E, s, i)
+
+
+def test_power_subspaces_refuse_a_fractional_max_k():
+    with pytest.raises(ShapeError, match="max_k"):
+        power_subspaces(chain(3), RIGHT, 1.5)

@@ -182,6 +182,32 @@ def test_cmd_family_output_round_trips(tmp_path, capsys):
     assert capsys.readouterr().out == "[1,1,3]\n"
 
 
+@pytest.mark.parametrize("text, field", [
+    ("Q", QQ()), ("Qi", QI()), ("GF 13", GF(13)), (" GF  5 ", GF(5)),
+])
+def test_cmd_family_takes_the_field_lines_words(capsys, text, field):
+    assert dispatch(["family", "--kind", "ub", "--field", text,
+                     "--b", "1,1"]) == 0
+    assert parse_algebra_text(capsys.readouterr().out).field == field
+
+
+@pytest.mark.parametrize("text, message", [
+    ("GF x", "--field: bad prime 'x'"),
+    ("GF ٣", "--field: bad prime '٣'"),
+    ("GF 12", "--field: modulus must be an odd prime, got 12"),
+    ("R", "--field: expected Q, Qi or 'GF <p>', got 'R'"),
+    ("field Q", "--field: expected Q, Qi or 'GF <p>', got 'field Q'"),
+    ("", "--field: expected Q, Qi or 'GF <p>', got ''"),
+])
+def test_a_bad_family_field_is_an_error_of_the_option(capsys, text,
+                                                      message):
+    # the option's text has no line or column in a file to report
+    assert dispatch(["family", "--kind", "ub", "--field", text,
+                     "--b", "1,1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
 def test_cmd_decompose(tmp_path, capsys):
     f = algfile(tmp_path, "field Q\ndim 4\nrow 0 1 0 0\nrow 0 0 0 0\n"
                 "row 0 0 0 1\nrow 0 0 0 0\n")
