@@ -1061,13 +1061,14 @@ def _h_11111(Ead, tv):
                     x2n = _placed(ops, n, 1, [e2])
                     x1n = _placed(ops, n, 0, [s1])
                     x1sq = _sq(Ead, x1n)
-                    used = add(add(x2n[4], mul(r0, y3[4])), mul(r1, y4[4]))
-                    # x2's column absorbs the leftover x5 component
-                    x2shift = _shifted(ops, x2n, sub(x1sq[4], used))
                     # x2's own square closes on y3 + y4 via a y3 shift
-                    x2sq = _sq(Ead, x2shift)
+                    x2sq = _sq(Ead, x2n)
                     y3shift = _shifted(ops, y3,
                                        sub(sub(x2sq[4], y3[4]), y4[4]))
+                    used = add(add(x2n[4], mul(r0, y3shift[4])),
+                               mul(r1, y4[4]))
+                    # x2's column absorbs the leftover x5 component
+                    x2shift = _shifted(ops, x2n, sub(x1sq[4], used))
                     yield [x1n, x2shift, y3shift, y4, y5]
         return 4, min(cands), False, build_v4
 
