@@ -28,11 +28,15 @@ scaled to q(a), squares of g2) or isotropic (``_pair_frame``: g, the
 hyperbolic pair u + iv = a, squares of u).  It serves [1,m,1] and the
 proportional [1,1,2,1] on x (``_frame``), the [1,2,1] algebra inside
 [1,2,2] (on x) and [1,2,1,1] (on y), and the [1,1,2,1] variant 2 (on
-y).  When no candidate realizes the template the label carries a
-no-witness flag.  The normalizer builds and verifies the witness basis
-once, in the same pass that produces the label, and
-``witness_isomorphism`` composes the two stored witnesses instead of
-normalizing again.
+y).  Two types build their variants through one construction each:
+the [1,1,2,1] variants 5 and 6 put the tail of either U_3 line under x
+as the template y (one builder over the roles of the two lines), and
+the [1,1,1,1,1] variants 2-4 take one tower x1, x2, y3 and y3's powers,
+shifted on s (``_h_11111``).  When no candidate realizes the template
+the label carries a no-witness flag.  The normalizer builds and
+verifies the witness basis once, in the same pass that produces the
+label, and ``witness_isomorphism`` composes the two stored witnesses
+instead of normalizing again.
 
 Everything below the public boundary computes on raw payloads through
 the field's ``ops`` table: the splitting stages, the adapted reorder,
@@ -525,9 +529,10 @@ def witness_isomorphism(E1: EvolutionAlgebra, E2: EvolutionAlgebra):
 # powers of x (_powers: chains, the zero algebra, stars, and equal data
 # of [1,1,m] and [1,1,1,m]), the frame of a line against the form
 # (_line_frame and _pair_frame: [1,m,1] and the proportional [1,1,2,1]
-# through _frame, [1,2,2], [1,2,1,1] and the [1,1,2,1] variant 2) and
-# the paper's scaling of the families Ubg and Ubfg ([1,1,m] and
-# [1,1,1,m], _h_slopes).
+# through _frame, [1,2,2], [1,2,1,1] and the [1,1,2,1] variant 2), the
+# paper's scaling of the families Ubg and Ubfg ([1,1,m] and [1,1,1,m],
+# _h_slopes), the role builder of the [1,1,2,1] variants 5 and 6 and the
+# tower of the [1,1,1,1,1] variants 2, 3 and 4.
 
 def _powers(m):
     """The builder of the basis x = e_0, then t_k e_k for the other e_k of
@@ -937,103 +942,92 @@ def _h_1121(Ead, tv):
         pZ, qZ, cZ = (p2, q2, c2) if Y == 1 else (p1, q1, c1)
         return 3 - Y, pY, pZ, cY, cZ, sub(div(mul(pY, qZ), pZ), qY)
 
-    def x_col(sx):
-        """x scaled by sx, and its square."""
-        xn = _placed(ops, n, 0, [sx])
-        return xn, _sq(Ead, xn)
+    def builder(variant, roles):
+        """Per role Y the tail y' = sy e_Y, w' = y'^2, s' = w'^2 and z' =
+        sz e_Z under x' = sx e_0, sx^2 making x'^2's coefficient 1 exact on
+        y' (variant 5) or z' (variant 6); where the realized (G), or (B,
+        G), are the params, that column takes the s-leftover x'^2[s] - G
+        w'[s]."""
+        k = 0 if variant == 5 else 1  # the coefficient-1 column of y', z'
 
-    def v5_builder(Y):
-        Z0, pY, pZ, cY, _, dpr = role_data(Y)
-
-        def build(Ead, params):
-            (target,) = params
-            for sy in _roots(ops, div(dpr, mul(mul(pY, pY), gw))):
-                if div(c3, mul(mul(cY, sy), pY)) != target:
-                    continue
-                yn = _placed(ops, n, Y, [sy])
-                wn = _sq(Ead, yn)
-                sn = _sq(Ead, wn)
-                for sz in _roots(ops, div(mul(mul(sy, sy), pY), pZ)):
-                    zn = _placed(ops, n, Z0, [sz])
-                    for sx in _roots(ops, div(sy, cY)):
-                        xn, xsq = x_col(sx)
-                        yshift = _placed(ops, n, Y, [sy],
-                                         sub(xsq[4], mul(target, wn[4])))
-                        yield [xn, yshift, zn, wn, sn]
-        return build
-
-    def v6_builder(roles):
         def build(Ead, params):
             for Y in roles:
                 Z0, pY, pZ, cY, cZ, dpr = role_data(Y)
                 for sy in _roots(ops, div(dpr, mul(mul(pY, pY), gw))):
-                    yn = _placed(ops, n, Y, [sy])
-                    wn = _sq(Ead, yn)
-                    sn = _sq(Ead, wn)
+                    yn, tail = _placed(ops, n, Y, [sy]), None
                     for sz in _roots(ops, div(mul(mul(sy, sy), pY), pZ)):
-                        realized_b = div(mul(div(sz, cZ), cY), sy)
-                        realized_g = div(mul(div(sz, cZ), c3),
-                                         mul(mul(sy, sy), pY))
-                        if (realized_b, realized_g) != tuple(params):
+                        e2 = div(sy, cY) if variant == 5 else div(sz, cZ)
+                        G = div(mul(e2, c3), mul(mul(sy, sy), pY))
+                        realized = (G,) if variant == 5 else \
+                            (div(mul(e2, cY), sy), G)
+                        if realized != tuple(params):
                             continue
-                        for sx in _roots(ops, div(sz, cZ)):
-                            xn, xsq = x_col(sx)
-                            zshift = _placed(ops, n, Z0, [sz],
-                                             sub(xsq[4],
-                                                 mul(realized_g, wn[4])))
-                            yield [xn, yn, zshift, wn, sn]
+                        tail = tail or _squares(Ead, yn, 2)
+                        cols = [yn, _placed(ops, n, Z0, [sz])]
+                        cols[k] = _shifted(ops, cols[k], sub(
+                            mul(e2, c4), mul(G, tail[0][4])))
+                        for sx in _roots(ops, e2):
+                            yield [_placed(ops, n, 0, [sx])] + cols + tail
         return build
 
-    def s_gap_root(cZ, pY, pZ, dpr):
-        """sqrt(c_3^2 p_Y gw / (c_Z^2 p_Z dpr)), or None."""
-        return ops.sqrt(div(mul(mul(mul(c3, c3), pY), gw),
-                            mul(mul(mul(cZ, cZ), pZ), dpr)))
-
-    if c1 == Z or c2 == Z:
+    # the roles whose template z line x couples to
+    roles = [Y for Y, cZ in ((1, c2), (2, c1)) if cZ != Z]
+    if len(roles) == 1:
         # x couples to a single line; whether that line can serve as the
         # template y (x^2 = y + alpha w, the other line carrying the s
         # gap) is decided by a scaling invariant that must be a square
-        Yc = 1 if c2 == Z else 2
+        Yc = 3 - roles[0]
         _, _, _, cYc, _, dprc = role_data(Yc)
         alpha = ops.sqrt(div(mul(mul(c3, c3), gw), mul(mul(cYc, cYc), dprc)))
         if alpha is not None:
-            return 5, (alpha,), False, v5_builder(Yc)
-        # boundary configuration: x couples only to the template z line
-        Yf = 3 - Yc
-        _, pYf, pZf, _, cZf, dprf = role_data(Yf)
-        gamma = s_gap_root(cZf, pYf, pZf, dprf)
-        if gamma is None:
-            raise SqrtUnavailable(
-                f"the [1,1,2,1] parameter is not representable in {field}")
-        return 6, (Z, gamma), True, v6_builder([Yf])
-
-    # both coefficients nonzero: variant 6
+            return 5, (alpha,), False, builder(5, [Yc])
+    # variant 6; when x couples only to the template z line, B = 0 is the
+    # boundary configuration
     cands = []
-    for Y in (1, 2):
+    for Y in roles:
         _, pY, pZ, cY, cZ, dpr = role_data(Y)
         cyz = div(cY, cZ)
         beta = ops.sqrt(div(mul(mul(cyz, cyz), pY), pZ))
-        gamma = s_gap_root(cZ, pY, pZ, dpr)
-        if beta is None or gamma is None:
-            continue
-        cands.append((beta, gamma))
+        gamma = ops.sqrt(div(mul(mul(mul(c3, c3), pY), gw),
+                             mul(mul(mul(cZ, cZ), pZ), dpr)))
+        if beta is not None and gamma is not None:
+            cands.append((beta, gamma))
     if not cands:
         raise SqrtUnavailable(
             f"the [1,1,2,1] parameters are not representable in {field}")
-    return 6, min(cands), False, v6_builder([1, 2])
+    return 6, min(cands), len(roles) == 1, builder(6, roles)
 
 
 def _h_11111(Ead, tv):
     n = Ead.dim
     S, ops, field = Ead._rows, Ead.field.ops, Ead.field
-    Z, add, sub, mul, div = ops.zero, ops.add, ops.sub, ops.mul, ops.div
+    Z, one, add, sub, mul, div = (ops.zero, ops.one, ops.add, ops.sub,
+                                  ops.mul, ops.div)
     a2, a3, a4 = S[0][1], S[0][2], S[0][3]
     b3, b4 = S[1][2], S[1][3]
     c4 = S[2][3]
 
+    def tower(Ead, s1, f, k3, k4):
+        """x1 = s1 e_0, x2 = (x1^2)_1 e_1, y3 = (x2^2)_2 e_2, y4 = y3^2
+        and y5 = y4^2, with y3 shifted on s so that x2^2 = y3 + f y4
+        holds there, then x2 so that x1^2 = x2 + k3 y3 + k4 y4 does.
+        Lemma: shifting a column by a multiple of s (s lies in ann)
+        changes no square and no product, only the relations that read
+        that column on s; x2's relation reads y3 there, so y3 is shifted
+        first."""
+        x1 = _placed(ops, n, 0, [s1])
+        x1sq = _sq(Ead, x1)
+        x2 = _placed(ops, n, 1, [x1sq[1]])
+        x2sq = _sq(Ead, x2)
+        y3 = _placed(ops, n, 2, [x2sq[2]])
+        y4 = _sq(Ead, y3)
+        y3 = _shifted(ops, y3, sub(x2sq[4], mul(f, y4[4])))
+        x2 = _shifted(ops, x2, sub(x1sq[4], add(mul(k3, y3[4]),
+                                                mul(k4, y4[4]))))
+        return [x1, x2, y3, y4, _sq(Ead, y4)]
+
     if b4 != Z:
-        eps22 = div(b4, mul(mul(b3, b3), c4))
-        eps2s = _roots(ops, eps22)  # the forced scalings of x2
+        eps2s = _roots(ops, div(b4, mul(mul(b3, b3), c4)))  # x2's scalings
 
         def realized(e):
             return (div(a3, mul(mul(e, a2), b3)),
@@ -1051,35 +1045,10 @@ def _h_11111(Ead, tv):
 
         def build_v4(Ead, params):
             for e2 in eps2s:
-                r0, r1 = realized(e2)
-                if (r0, r1) != tuple(params):
-                    continue
-                y3 = _placed(ops, n, 2, [mul(eps22, b3)])
-                y4 = _sq(Ead, y3)
-                y5 = _sq(Ead, y4)
-                for s1 in _roots(ops, div(e2, a2)):
-                    x2n = _placed(ops, n, 1, [e2])
-                    x1n = _placed(ops, n, 0, [s1])
-                    x1sq = _sq(Ead, x1n)
-                    # x2's own square closes on y3 + y4 via a y3 shift
-                    x2sq = _sq(Ead, x2n)
-                    y3shift = _shifted(ops, y3,
-                                       sub(sub(x2sq[4], y3[4]), y4[4]))
-                    used = add(add(x2n[4], mul(r0, y3shift[4])),
-                               mul(r1, y4[4]))
-                    # x2's column absorbs the leftover x5 component
-                    x2shift = _shifted(ops, x2n, sub(x1sq[4], used))
-                    yield [x1n, x2shift, y3shift, y4, y5]
+                if realized(e2) == tuple(params):
+                    for s1 in _roots(ops, div(e2, a2)):
+                        yield tower(Ead, s1, one, *params)
         return 4, min(cands), False, build_v4
-
-    def chain_cols(Ead, x1n, y2, k3, k4):
-        """x1, then y2 shifted by the x5 leftover of x1^2 = y2 + k3 y3 +
-        k4 y4, and y2's powers y3, y4, y5."""
-        y3 = _sq(Ead, y2)
-        y4 = _sq(Ead, y3)
-        used = add(add(y2[4], mul(k3, y3[4])), mul(k4, y4[4]))
-        return [x1n, _shifted(ops, y2, sub(_sq(Ead, x1n)[4], used)), y3, y4,
-                _sq(Ead, y4)]
 
     if a3 != Z:
         e12 = div(a3, mul(mul(a2, a2), b3))
@@ -1087,21 +1056,15 @@ def _h_11111(Ead, tv):
 
         def build_v3(Ead, params):
             for s1 in _roots(ops, e12):
-                yield chain_cols(Ead, _placed(ops, n, 0, [s1]),
-                                 _placed(ops, n, 1, [mul(e12, a2)]),
-                                 ops.one, alpha)
+                yield tower(Ead, s1, Z, one, alpha)
         return 3, (alpha,), False, build_v3
 
     if a4 != Z:
         def build_v2(Ead, params):
             e2 = ops.cbrt(div(a4, mul(mul(mul(_power(ops, a2, 4), b3), b3),
                                       c4)))
-            if e2 is None:
-                return
-            for s in _roots(ops, e2):
-                yield chain_cols(Ead, _placed(ops, n, 0, [s]),
-                                 _placed(ops, n, 1, [mul(e2, a2)]),
-                                 Z, ops.one)
+            for s in () if e2 is None else _roots(ops, e2):
+                yield tower(Ead, s, Z, Z, one)
         return 2, (), False, build_v2
 
     return 1, (), False, _powers(1)

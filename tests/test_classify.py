@@ -475,6 +475,19 @@ def test_chain_with_a_huge_cube_gets_a_witness_over_q(a4):
     assert verify_hom(T, E, witness)
 
 
+def test_chain_family_v4_shifts_y3_before_x2():
+    # x2's shift on s reads y3 there, so it must see y3 already shifted;
+    # reading the unshifted y3 left this algebra without a witness
+    E = EvolutionAlgebra.from_ints(
+        [[0, 9, 5, 1, 0], [0, 0, 12, 10, 0], [0, 0, 0, 0, 0],
+         [0, 0, 4, 0, 0], [8, 9, 12, 12, 0]], F13)
+    label, witness = classify_with_witness(E)
+    assert label.serialize() == "d5:[1,1,1,1,1]:v4(3,10)"
+    assert not label.no_witness and witness is not None
+    T = find_entry(5, (1, 1, 1, 1, 1), 4).template(label.params, F13)
+    assert verify_hom(T, E, witness)
+
+
 def test_series_and_basis_changes_skip_redundant_elimination(monkeypatch):
     # call counts, not timings: upper_series reads membership off the
     # structure rows without any elimination, classify inverts no matrix

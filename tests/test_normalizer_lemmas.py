@@ -8,8 +8,10 @@ the form alone and on the forms that classify builds, and the closed
 forms the [1,2,2] and [1,2,1,1] normalizers take for the coordinates of
 a vector in an orthogonal or a hyperbolic basis of a plane.  The lemma
 of ``_h_slopes`` (the paper's scaling of the families Ubg and Ubfg) is
-pinned on the candidates its builder yields, and so is the line frame
-that the [1,n,1], [1,2,2], [1,2,1,1] and [1,1,2,1] normalizers share.
+pinned on the candidates its builder yields, and so are the line frame
+that the [1,n,1], [1,2,2], [1,2,1,1] and [1,1,2,1] normalizers share,
+the role builder of the [1,1,2,1] variants 5 and 6 and the tower of the
+[1,1,1,1,1] variants 2, 3 and 4.
 """
 
 import collections
@@ -313,3 +315,80 @@ def test_every_line_frame_candidate_realizes(E):
         m = [list(r) for r in zip(*cols)]
         assert classify_module._realizes(rows, Ead, m)
     assert label.no_witness == (not candidates)
+
+
+def _classify_with_verdicts(E):
+    """The label of E, and whether each candidate that the builder
+    ``_normalize`` hands to ``_witness_basis`` yields realizes the label's
+    template (in adapted coordinates)."""
+    classify_module = importlib.import_module("evoalg.classify")
+    original = classify_module._witness_basis
+    verdicts = []
+
+    def record(E, Ead, perm, entry, params, builder):
+        rows = classify_module._template_rows(entry, params, E.field)
+        for cols in builder(Ead, E.field.payloads(params)):
+            m = [list(r) for r in zip(*cols)]
+            verdicts.append(classify_module._realizes(rows, Ead, m))
+        return original(E, Ead, perm, entry, params, builder)
+
+    with mock.patch.object(classify_module, "_witness_basis", record):
+        return classify(E), verdicts
+
+
+def _relabelled_draws(tv, rng, count):
+    """count random algebras of type tv over each field of FIELDS, each in
+    a random monomial relabelling."""
+    for field, _ in FIELDS:
+        for _ in range(count):
+            E = random_nilpotent_of_type(tv, rng, field)
+            yield random_monomial_relabelling(E, rng)
+
+
+def test_every_tower_candidate_realizes():
+    # the tower of _h_11111: y3 is shifted on s before x2, whose relation
+    # x1^2 = x2 + k3 y3 + k4 y4 reads y3 there, so every candidate of the
+    # variants 2, 3 and 4 realizes the template, and no_witness is set
+    # exactly when the needed roots are missing
+    rng = random.Random(11111)
+    seen = collections.Counter()
+    for E in _relabelled_draws([1, 1, 1, 1, 1], rng, 60):
+        try:
+            label, verdicts = _classify_with_verdicts(E)
+        except SqrtUnavailable:
+            continue
+        assert label.type_vector == (1, 1, 1, 1, 1)
+        assert all(verdicts)
+        assert label.no_witness == (not verdicts)
+        seen[label.variant, label.no_witness] += 1
+    assert seen[4, False] >= 15 and seen[4, True] >= 20
+    assert seen[3, False] >= 5 and seen[2, False] >= 5
+
+
+def test_every_1121_role_candidate_realizes():
+    # the one builder of _h_1121's variants 5 and 6 (delta != 0): the tail
+    # of the template y line under x' = sx e_0, the coefficient-1 column
+    # taking x'^2's s-leftover; every candidate realizes, the boundary
+    # v6(0, gamma) included
+    rng = random.Random(1121)
+    inputs = list(_relabelled_draws([1, 1, 2, 1], rng, 40))
+    inputs += _moved_templates([[1, 1, 2, 1]], rng)
+    # the boundary needs a field without i, where v6(0, gamma) has no v5
+    # form
+    v6 = find_entry(5, (1, 1, 2, 1), 6)
+    inputs += [random_monomial_relabelling(
+        v6.template((field.zero(), field.from_int(g)), field), rng)
+        for field in (QQ(), GF(7), GF(11)) for g in range(1, 5)]
+    seen = collections.Counter()
+    for E in inputs:
+        try:
+            label, verdicts = _classify_with_verdicts(E)
+        except SqrtUnavailable:
+            continue
+        if label.variant not in (5, 6):
+            continue
+        assert all(verdicts)
+        assert label.no_witness == (not verdicts)
+        seen[label.variant, label.boundary, label.no_witness] += 1
+    assert seen[5, False, False] >= 10 and seen[6, False, False] >= 10
+    assert seen[6, True, False] >= 5
