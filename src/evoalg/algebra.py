@@ -277,10 +277,18 @@ def _restricted_series(series: AnnSeries, idx: list[int],
     return AnnSeries._lazy(blocks, series.nilpotent, len(idx), field)
 
 
+def _require_subspaces(E: EvolutionAlgebra, *subspaces: Subspace):
+    """Raise AmbientMismatch or MixedFields unless each subspace lies in
+    E's coordinate space over E's field."""
+    if any(s.ambient_dim != E.dim for s in subspaces):
+        raise AmbientMismatch("subspace ambient must equal algebra dim")
+    for s in subspaces:
+        E.field.require(s.field)
+
+
 def product_subspace(E: EvolutionAlgebra, s: Subspace, t: Subspace) -> Subspace:
     """Span of all products of basis vectors of s with basis vectors of t."""
-    E.field.require(s.field)
-    E.field.require(t.field)
+    _require_subspaces(E, s, t)
     ops = E.field.ops
     return Subspace._span([ops.product(E._rows, x, y)
                            for x in s._rows for y in t._rows],
@@ -341,10 +349,7 @@ def power_nilpotency(E: EvolutionAlgebra, kind: str) -> bool:
 def relative_annihilator(E: EvolutionAlgebra, inside: Subspace,
                          against: Subspace) -> Subspace:
     """{x in inside : x * against = 0}."""
-    if inside.ambient_dim != E.dim or against.ambient_dim != E.dim:
-        raise AmbientMismatch("subspace ambient must equal algebra dim")
-    E.field.require(inside.field)
-    E.field.require(against.field)
+    _require_subspaces(E, inside, against)
     gens = inside._rows
     if not gens:
         return Subspace.zero(E.dim, E.field)

@@ -19,7 +19,7 @@ import re
 import sys
 
 from .errors import AlgebraSyntaxError, DomainError, EvoalgError
-from .fields import _INT, GF, QI, QQ, FieldDescriptor, parse_element
+from .fields import _INT, GF, QI, QQ, FieldDescriptor, _int, parse_element
 from .linalg import Matrix
 from .algebra import (EvolutionAlgebra, WeightedGraph, decomposability_check,
                       graph_of, upper_series)
@@ -55,7 +55,10 @@ def _int_token(token, what, lineno, column) -> int:
     """The int that token spells in the grammar's ASCII digits."""
     if not re.fullmatch(_INT, token):
         raise AlgebraSyntaxError(f"bad {what} {token!r}", lineno, column)
-    return int(token)
+    try:
+        return _int(token)
+    except AlgebraSyntaxError as exc:
+        raise AlgebraSyntaxError(f"{what}: {exc}", lineno, column) from None
 
 
 def _logical_lines(text: str):

@@ -245,8 +245,10 @@ def family_iso_test(s1: FamilySpec, s2: FamilySpec,
     orbit conditions valid over algebraically closed fields.
 
     The caller must assert closed-field semantics; the reductions are
-    not valid verbatim over Q or a prime field.
+    not valid verbatim over Q or a prime field.  Raises MixedFields when
+    the two specs' fields differ.
     """
+    s1.field.require(s2.field)
     if s1.kind != s2.kind or s1.n != s2.n:
         raise KindMismatch("family specs differ in kind or dimension")
     if not assume_closed:

@@ -20,6 +20,7 @@ from .errors import (
     FieldLacksI,
     MixedFields,
     AlgebraSyntaxError,
+    ShapeError,
 )
 
 RATIONALS = "Q"
@@ -82,11 +83,16 @@ class FieldDescriptor(Frozen):
             raise MixedFields(f"{self} vs {other}")
 
     def payloads(self, v) -> list:
-        """The payloads of the elements v, which must lie in this field."""
-        for x in v:
-            if x.field is not self:
-                self.require(x.field)
-        return [x.value for x in v]
+        """The payloads of the elements v, which must lie in this field;
+        ShapeError for an entry that is not a field element."""
+        try:
+            for x in v:
+                if x.field is not self:
+                    self.require(x.field)
+            return [x.value for x in v]
+        except AttributeError:
+            raise ShapeError(
+                f"entry {x!r} is not a field element") from None
 
     def i(self) -> "FieldElement":
         """The distinguished square root of -1."""
@@ -493,13 +499,24 @@ _GAUSS = (rf"(?P<real>{_RAT})"
           rf"|(?:(?P<coef>{_RAT})\*?)?i")
 
 
+def _int(text: str) -> int:
+    """The int that text, which matches ``_INT``, spells; a syntax error
+    past the interpreter's limit on the digits int() converts."""
+    try:
+        return int(text)
+    except ValueError:
+        raise AlgebraSyntaxError(
+            f"integer literal of {len(text)} characters is longer than "
+            "this interpreter converts") from None
+
+
 def _parse_frac(text: str) -> Fraction:
     if "/" in text:
         num, den = text.split("/")
-        if int(den) == 0:
+        if _int(den) == 0:
             raise DomainError("denominator zero")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+        return Fraction(_int(num), _int(den))
+    return Fraction(_int(text))
 
 
 def parse_element(text: str, desc: FieldDescriptor) -> FieldElement:
@@ -522,7 +539,7 @@ def parse_element(text: str, desc: FieldDescriptor) -> FieldElement:
                 "use residue literals over a prime field, not 'i'")
         if not re.fullmatch(_INT, text):
             raise AlgebraSyntaxError(f"bad residue literal {text!r}")
-        return desc.from_int(int(text))
+        return desc.from_int(_int(text))
     if desc.kind == RATIONALS:
         if not re.fullmatch(_RAT, text):
             if "i" in text:

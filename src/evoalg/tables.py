@@ -262,6 +262,8 @@ _add(5, [1, 1, 1, 1, 1], 4, _tower(1, (1,), (0,)), (1, "a", "b", 0),
 
 def canonical_table(dim: int, field: FieldDescriptor) -> list[ClassEntry]:
     """All indecomposable nilpotent classes of the given dimension."""
+    if not isinstance(dim, int):
+        raise DomainError(f"expected an integer dimension, got {dim!r}")
     if not 1 <= dim <= 5:
         raise UnsupportedDim(f"the table covers dimensions 1..5, not {dim}")
     entries = [e for e in ENTRIES if e.dim == dim]
@@ -276,10 +278,10 @@ _BY_KEY = {e.key(): e for e in ENTRIES}
 
 
 def find_entry(dim, type_vector, variant) -> ClassEntry:
-    key = (dim, tuple(type_vector), variant)
     try:
-        return _BY_KEY[key]
-    except (KeyError, TypeError):   # TypeError: an unhashable key part
+        return _BY_KEY[dim, tuple(type_vector), variant]
+    except (KeyError, TypeError):   # TypeError: a key part not hashable,
+        # or a type vector not iterable
         raise DomainError(
             f"no table entry ({dim}, {type_vector}, v{variant})") from None
 

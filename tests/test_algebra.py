@@ -117,6 +117,11 @@ def test_multiply_bilinear_diagonal():
                for v in E.multiply(E.basis_vector(0), E.basis_vector(1)))
 
 
+def test_multiply_refuses_entries_that_are_not_field_elements():
+    with pytest.raises(ShapeError, match="not a field element"):
+        chain(2).multiply([1, 2], [1, 2])
+
+
 def test_product_subspace_examples():
     E = EvolutionAlgebra.from_ints([[0, 1], [0, 0]], QQ())
     full = Subspace.full(2, QQ())
@@ -141,6 +146,15 @@ def test_relative_annihilator_needs_subspaces_of_the_algebra():
         relative_annihilator(E, Subspace.full(2, QQ()), Subspace.full(3, QQ()))
     with pytest.raises(AmbientMismatch, match="ambient must equal"):
         relative_annihilator(E, Subspace.full(3, QQ()), Subspace.full(4, QQ()))
+
+
+def test_product_subspace_needs_subspaces_of_the_algebra():
+    # a dim-2 full subspace used to give a 2-dim subspace of F^3
+    E, F = chain(3), QQ()
+    with pytest.raises(AmbientMismatch, match="ambient must equal"):
+        product_subspace(E, Subspace.full(2, F), Subspace.full(2, F))
+    with pytest.raises(AmbientMismatch, match="ambient must equal"):
+        product_subspace(E, Subspace.full(3, F), Subspace.full(4, F))
 
 
 def test_series_blocks_from_relative_annihilator():

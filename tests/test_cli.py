@@ -122,6 +122,39 @@ def test_the_prime_takes_only_ascii_digits():
         parse_algebra_text("field GF -13\ndim 1\nrow 0\n")
 
 
+# int() refuses strings of more digits than this, 0 when it has no limit
+_INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_int_limit = pytest.mark.skipif(
+    _INT_DIGITS == 0, reason="the interpreter converts ints of any length")
+
+
+@needs_int_limit
+@pytest.mark.parametrize("text, where", [
+    ("field Q\ndim 1\nrow {n}\n", "line 3, col 5: "),
+    ("field Q\ndim 1\nrow 1/{n}\n", "line 3, col 5: "),
+    ("field Qi\ndim 1\nrow 1+{n}i\n", "line 3, col 5: "),
+    ("field GF 13\ndim 1\nrow {n}\n", "line 3, col 5: "),
+    ("field Q\ndim {n}\n", "line 2, col 5: dimension: "),
+    ("field GF {n}\ndim 1\nrow 0\n", "line 1, col 10: prime: "),
+], ids=["Q", "Q-denominator", "Qi", "GF", "dim", "prime"])
+def test_an_integer_past_the_int_string_limit_is_a_syntax_error(
+        tmp_path, capsys, text, where):
+    # int() raised a bare ValueError, and the CLI printed a traceback
+    f = algfile(tmp_path, text.format(n="7" * (_INT_DIGITS + 1)))
+    assert dispatch(["type", f]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {where}integer literal of {_INT_DIGITS + 1} characters "
+        "is longer than this interpreter converts\n")
+
+
+@needs_int_limit
+def test_a_family_value_past_the_int_string_limit_is_an_error(capsys):
+    assert dispatch(["family", "--kind", "ub", "--field", "Q",
+                     "--b", "1," + "7" * (_INT_DIGITS + 1)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: integer literal of ")
+
+
 def test_dot_golden_bytes():
     E = parse_algebra_text("field Qi\ndim 3\nrow 0 1 0\nrow 0 0 i\nrow 0 0 0\n")
     assert emit_dot(graph_of(E)) == (

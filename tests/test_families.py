@@ -146,6 +146,19 @@ def test_family_iso_requires_closed_field_assertion():
     assert family_iso_test(s, s, assume_closed=True)
 
 
+@pytest.mark.parametrize("kind, g", [(UB, None), (UBG, (1, 1)),
+                                     (UBG, (0, 1))])
+def test_family_iso_test_refuses_two_fields(kind, g):
+    # one g eigenvalue, or none, answered True by accident; two distinct
+    # ones raised MixedFields from inside the affine match
+    def spec(field):
+        elems = tuple(field.from_int(v) for v in (1, 1))
+        return FamilySpec(kind, 2, elems, g_eigs=g and tuple(
+            field.from_int(v) for v in g))
+    with pytest.raises(MixedFields):
+        family_iso_test(spec(F13), spec(QQ()), assume_closed=True)
+
+
 def test_ubg_iso_is_affine_match():
     Q = QQ()
 

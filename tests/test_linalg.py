@@ -64,6 +64,13 @@ def test_matrices_reject_entries_that_are_not_field_elements():
         Matrix([[1]], GF(5))
 
 
+def test_vectors_must_hold_field_elements():
+    with pytest.raises(ShapeError, match="not a field element"):
+        Matrix.identity(2, QQ()).apply([1, 2])
+    with pytest.raises(ShapeError, match="not a field element"):
+        Subspace.full(2, QQ()).contains_vector([1, 2])
+
+
 def test_a_subspace_basis_must_match_its_ambient():
     with pytest.raises(AmbientMismatch, match="ambient is 3"):
         Subspace(3, Matrix.identity(2, QQ()))

@@ -29,6 +29,11 @@ def test_unsupported_dim():
         canonical_table(0, F13)
 
 
+def test_a_dimension_that_is_not_an_int_is_a_domain_error():
+    with pytest.raises(DomainError, match="integer dimension"):
+        canonical_table("5", F13)
+
+
 def test_field_needs_i_for_dim4():
     with pytest.raises(FieldLacksI):
         canonical_table(4, QQ())
@@ -124,6 +129,11 @@ def test_find_entry_missing():
         find_entry(6, (1, 5), 1)
     with pytest.raises(DomainError):
         find_entry(4, (1, 2, 1), [1])   # an unhashable variant
+
+
+def test_find_entry_refuses_a_type_vector_that_is_not_iterable():
+    with pytest.raises(DomainError, match="no table entry"):
+        find_entry("a", None, 1)
 
 
 def test_find_entry_returns_each_table_entry():
