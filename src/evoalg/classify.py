@@ -92,7 +92,7 @@ from __future__ import annotations
 import itertools
 from operator import itemgetter
 
-from ._values import Frozen, Value, set_fields
+from ._values import Frozen, Value
 from .errors import (
     NotNilpotent,
     SpecMismatch,
@@ -116,8 +116,15 @@ class CanonicalLabel(Frozen):
     def __init__(self, dim: int, type_vector: tuple, variant: int,
                  params: tuple = (), boundary: bool = False,
                  no_witness: bool = False):
-        set_fields(self, dim, type_vector, variant, params, boundary,
-                   no_witness)
+        # one label per classified summand: the slots directly, past the
+        # frozen __setattr__
+        setattr_ = object.__setattr__
+        setattr_(self, "dim", dim)
+        setattr_(self, "type_vector", type_vector)
+        setattr_(self, "variant", variant)
+        setattr_(self, "params", params)
+        setattr_(self, "boundary", boundary)
+        setattr_(self, "no_witness", no_witness)
 
     def serialize(self) -> str:
         tv = ",".join(str(k) for k in self.type_vector)
@@ -242,7 +249,8 @@ class _DiagForm:
     """The form Q(v) = sum v_k^2 d_k on a coordinate space of payloads,
     built on a block U of the adapted basis, where the type makes it
     nondegenerate, for the frames of ``_line_frame`` and ``_pair_frame``
-    (types [1,m,1], [1,2,2], [1,2,1,1] and [1,1,2,1]).
+    (types [1,m,1], [1,2,2], [1,2,1,1] and [1,1,2,1]).  ``b`` and ``q``
+    are one call of the field's ``wdot`` kernel with the diagonal d.
     L1: each d_k, the coefficient of a U square on the block below (s, or
     w for [1,1,2,1]), is nonzero, or that basis vector would lie a block
     lower; so is each vector whose partner or complement is sought (a
@@ -257,14 +265,10 @@ class _DiagForm:
         self.diag = list(diag)
 
     def q(self, v):
-        return self.b(v, v)
+        return self.ops.wdot(v, v, self.diag)
 
     def b(self, u, v):
-        add, mul = self.ops.add, self.ops.mul
-        acc = self.ops.zero
-        for x, y, d in zip(u, v, self.diag):
-            acc = add(acc, mul(mul(x, y), d))
-        return acc
+        return self.ops.wdot(u, v, self.diag)
 
     def orth_complement_basis(self, vecs):
         """An orthogonal basis of the orthogonal complement of span(vecs),

@@ -177,15 +177,16 @@ class FieldOps:
     None, and ``i`` is the payload of the distinguished square root of
     -1, or None.
 
-    The row operations (``dot``, ``scale``, ``addmul``) and the row
-    kernels (``rref``, ``product``, ``combine``) take payload rows and
+    The row operations (``dot``, ``wdot``, ``scale``, ``addmul``) and the
+    row kernels (``rref``, ``product``, ``combine``) take payload rows and
     return new lists: they never mutate a row list they are handed, so
     rows may be shared between matrices, subspaces and algebras.  They
     take canonical payloads (over GF(p) the reduced residues 0..p-1) and
     return canonical payloads.  The bodies here go through the scalar
-    operations one call per entry; ``_PrimeOps`` overrides every one
-    with inline integer arithmetic, and its ``product`` and ``combine``
-    add up unreduced products and reduce once per entry at the end.
+    operations one call per entry; ``_PrimeOps`` overrides every one,
+    and ``div`` and ``sqrt`` too, with inline integer arithmetic, and its
+    ``dot``, ``wdot``, ``product`` and ``combine`` add up unreduced
+    products and reduce once per entry at the end.
     """
 
     def __init__(self, zero, one, of_int, add, sub, neg, mul, inv, sqrt,
@@ -208,6 +209,14 @@ class FieldOps:
         acc = self.zero
         for a, b in zip(u, v):
             acc = add(acc, mul(a, b))
+        return acc
+
+    def wdot(self, u, v, w):
+        """sum_k u_k v_k w_k: the bilinear form with diagonal w at (u, v)"""
+        add, mul = self.add, self.mul
+        acc = self.zero
+        for a, b, c in zip(u, v, w):
+            acc = add(acc, mul(mul(a, b), c))
         return acc
 
     def scale(self, c, v):
@@ -268,13 +277,25 @@ class FieldOps:
         return v
 
 
+# how many residues a GF(p) op table keeps the square root of: every
+# residue of a small field, and a bounded share of a large one (threads
+# that fill the last place at once may each add one more)
+_SQRT_MEMO = 256
+_MISSING = object()
+
+
 class _PrimeOps(FieldOps):
     """GF(p): the row operations and kernels run inline on ints.  ``rref``
-    reduces once per entry it writes; ``product`` and ``combine`` sum
-    unreduced products and reduce each entry once, at the end."""
+    reduces once per entry it writes; ``dot``, ``wdot``, ``product`` and
+    ``combine`` sum unreduced products and reduce each entry once, at the
+    end.  ``div`` multiplies by one modular inverse, and ``sqrt`` keeps
+    the root (or None) of the first ``_SQRT_MEMO`` residues it is asked
+    for, so a field of at most that many elements runs Tonelli-Shanks
+    once per residue."""
 
     def __init__(self, p):
-        self.p = p  # first: FieldOps.__init__ takes the root of -1 by _sqrt
+        # first: FieldOps.__init__ takes the root of -1 by _sqrt
+        self.p, self._roots = p, {}
         super().__init__(
             0, 1, lambda n: n % p, lambda a, b: (a + b) % p,
             lambda a, b: (a - b) % p, lambda a: -a % p,
@@ -283,12 +304,30 @@ class _PrimeOps(FieldOps):
 
     def _sqrt(self, a):
         """The smaller of the two roots, or None."""
+        roots = self._roots
+        r = roots.get(a, _MISSING)
+        if r is not _MISSING:
+            return r
         p = self.p
         r = _tonelli_shanks(a, p)
-        return None if r is None else min(r, (p - r) % p)
+        if r is not None:
+            r = min(r, p - r)
+        if len(roots) < _SQRT_MEMO:
+            roots[a] = r
+        return r
+
+    def div(self, a, b):
+        if not b:
+            raise DivisionByZero("zero has no inverse")
+        p = self.p
+        return a * pow(b, -1, p) % p
 
     def dot(self, u, v):
         return sum(map(operator.mul, u, v)) % self.p
+
+    def wdot(self, u, v, w):
+        mul = operator.mul
+        return sum(map(mul, map(mul, u, v), w)) % self.p
 
     def scale(self, c, v):
         p = self.p
@@ -483,8 +522,24 @@ _set_value = FieldElement.value.__set__
 
 def _fmt_frac(q: Fraction) -> str:
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        return _int_str(q.numerator)
+    return f"{_int_str(q.numerator)}/{_int_str(q.denominator)}"
+
+
+def _int_str(n: int) -> str:
+    """The decimal digits of n at any size.  Past the interpreter's limit
+    on the digits str() converts, n = hi 10^k + lo with k about half its
+    digits, and hi and lo are written the same way; the interpreter-wide
+    limit is left as it is."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    if n < 0:
+        return "-" + _int_str(-n)
+    k = n.bit_length() * 3 // 20     # log10(2) > 3/10: below half n's digits
+    hi, lo = divmod(n, 10 ** k)
+    return _int_str(hi) + _int_str(lo).zfill(k)
 
 
 # ---------------------------------------------------------------------------

@@ -152,7 +152,25 @@ def _inverse_rows(rows: list[list], ops) -> list[list]:
 
 
 def _rank(rows: list[list], ncols: int, ops) -> int:
-    """Rank of payload rows, which are left untouched."""
+    """Rank of payload rows in their first ``ncols`` columns; the rows
+    are left untouched.  A square matrix whose columns first become
+    nonzero in distinct rows is a column permutation of a triangular one
+    with a nonzero diagonal, so its rank is ``ncols`` with no elimination;
+    any other matrix is eliminated."""
+    if len(rows) == ncols:
+        Z = ops.zero
+        leads = set()
+        for j in range(ncols):
+            for r, row in enumerate(rows):
+                if row[j] != Z:
+                    break
+            else:
+                break                   # a zero column
+            if r in leads:
+                break
+            leads.add(r)
+        else:
+            return ncols
     return len(ops.rref(list(rows), ncols))
 
 

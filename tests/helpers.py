@@ -3,7 +3,11 @@
 All randomness is drawn from caller-provided ``random.Random`` instances
 so every test is reproducible from its seed.  Over GF(p) scalars are
 drawn from the whole field; over Q and Q(i) from the integers 0..13, as
-the benchmark's generators draw them.
+the benchmark's generators draw them.  Passing ``draw=gaussian_scalar``
+to ``random_nilpotent`` over Q(i) or to
+``random_monomial_relabelling`` draws Q(i) scalars a + bi with both
+parts in -5..5 instead, which reach the paths over Q(i) that the integer
+draws, having no i part, share with Q.
 """
 
 from __future__ import annotations
@@ -39,17 +43,32 @@ def random_algebra(dim, rng, field=F13, density=0.6):
     return EvolutionAlgebra(dim, Matrix(rows, field, dim), field)
 
 
-def random_nilpotent(dim, rng, field=F13, density=0.6):
+def _int_scalar(rng, field):
+    return field.from_int(rng.randrange(scalar_limit(field)))
+
+
+def _nonzero_int_scalar(rng, field):
+    return field.from_int(rng.randrange(1, scalar_limit(field)))
+
+
+def gaussian_scalar(rng, field):
+    """a + bi in field, which holds i, with a and b drawn from -5..5."""
+    a, b = (field.from_int(rng.randrange(-5, 6)) for _ in range(2))
+    return a + b * field.i()
+
+
+def random_nilpotent(dim, rng, field=F13, density=0.6, draw=_int_scalar):
     """A random nilpotent evolution algebra: strictly upper-triangular
     structure in a hidden basis order, then scrambled by a permutation
-    (permutations preserve both naturality and nilpotency)."""
+    (permutations preserve both naturality and nilpotency).  Each entry
+    above the hidden diagonal is drawn by ``draw(rng, field)`` with
+    probability ``density`` and is zero otherwise."""
     while True:
         rows = [[field.zero()] * dim for _ in range(dim)]
         for i in range(dim):
             for j in range(i + 1, dim):
                 if rng.random() < density:
-                    rows[i][j] = field.from_int(
-                        rng.randrange(scalar_limit(field)))
+                    rows[i][j] = draw(rng, field)
         perm = list(range(dim))
         rng.shuffle(perm)
         prows = [[field.zero()] * dim for _ in range(dim)]
@@ -90,15 +109,19 @@ def random_large_annihilator(rng, field=F13):
         return E
 
 
-def random_monomial_relabelling(E, rng):
+def random_monomial_relabelling(E, rng, draw=_nonzero_int_scalar):
     """E in the natural basis f_pi(i) = c_i e_i for a random permutation
     pi and random nonzero scalars c_i, so that
-    A'[pi(i)][pi(j)] = c_i^2 A[i][j] / c_j."""
+    A'[pi(i)][pi(j)] = c_i^2 A[i][j] / c_j.  Each c_i is drawn by
+    ``draw(rng, field)`` until it is nonzero."""
     n, field = E.dim, E.field
     perm = list(range(n))
     rng.shuffle(perm)
-    c = [field.from_int(rng.randrange(1, scalar_limit(field)))
-         for _ in range(n)]
+    c = []
+    while len(c) < n:
+        x = draw(rng, field)
+        if not x.is_zero():
+            c.append(x)
     rows = [[field.zero()] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):

@@ -18,9 +18,9 @@ from evoalg.linalg import Matrix
 from evoalg.oracle import verify_hom
 from evoalg.tables import ENTRIES, canonical_table, find_entry
 
-from helpers import (F13, classify_with_witness, random_block_basis_change,
-                     random_monomial_relabelling, random_nilpotent,
-                     random_nilpotent_of_type)
+from helpers import (F13, classify_with_witness, gaussian_scalar,
+                     random_block_basis_change, random_monomial_relabelling,
+                     random_nilpotent, random_nilpotent_of_type)
 
 
 def test_label_serialization():
@@ -356,6 +356,28 @@ def test_relabelling_keeps_the_label_and_witnesses_verify(dim, field, seed):
             entry = find_entry(label.dim, label.type_vector, label.variant)
             assert verify_hom(entry.template(label.params, field), A,
                               witness)
+    first, second = outcomes
+    if isinstance(first, type) or isinstance(second, type):
+        assert first == second
+    else:
+        assert labels_equal(first, second)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.integers(3, 5), seed=st.integers(0, 2 ** 32 - 1))
+def test_gaussian_draws_and_their_relabellings_get_equal_labels(dim, seed):
+    # entries and relabelling scalars a + bi with b often nonzero, so the
+    # paths over Q(i) that integer draws share with Q are left; only an
+    # EvoalgError may come out, and then on both sides
+    rng = random.Random(seed)
+    E = random_nilpotent(dim, rng, QI(), draw=gaussian_scalar)
+    G = random_monomial_relabelling(E, rng, gaussian_scalar)
+    outcomes = []
+    for A in (E, G):
+        try:
+            outcomes.append(classify(A))
+        except EvoalgError as exc:
+            outcomes.append(type(exc))
     first, second = outcomes
     if isinstance(first, type) or isinstance(second, type):
         assert first == second

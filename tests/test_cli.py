@@ -4,12 +4,14 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import evoalg
 
 from evoalg.algebra import EvolutionAlgebra, graph_of
+from evoalg.classify import classify
 from evoalg.cli import (dispatch, emit_dot, parse_algebra_file,
                         parse_algebra_text, write_algebra_text)
 from evoalg.errors import AlgebraSyntaxError, DomainError
@@ -153,6 +155,34 @@ def test_a_family_value_past_the_int_string_limit_is_an_error(capsys):
                      "--b", "1," + "7" * (_INT_DIGITS + 1)]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: integer literal of ")
+
+
+def _int_of(digits: str) -> int:
+    """The int that digits spell, read 1,000 digits at a time, so that no
+    one conversion meets the interpreter's int-string limit."""
+    value = 0
+    for k in range(0, len(digits), 1000):
+        chunk = digits[k:k + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def test_a_label_parameter_past_the_int_string_limit_prints(
+        tmp_path, capsys):
+    # the parameter's denominator has more digits than str() converts;
+    # printing it raised a bare ValueError, and the CLI printed a traceback
+    n = "7" * 2500
+    f = algfile(tmp_path, f"field Q\ndim 5\nrow 0 1 {n} {n} 0\n"
+                          "row 0 0 1 0 0\nrow 0 0 0 1 0\nrow 0 0 0 0 1\n"
+                          "row 0 0 0 0 0\n")
+    assert dispatch(["classify", f]) == 0
+    out, err = capsys.readouterr()
+    label = classify(parse_algebra_file(f))
+    assert err == "" and out == label.serialize() + "\n"
+    head, param = out.rstrip("\n").split("(")
+    num, den = param.rstrip(")").split("/")
+    assert head == "d5:[1,1,1,1,1]:v3" and len(den) > 4300
+    assert Fraction(_int_of(num), _int_of(den)) == label.params[0].value
 
 
 def test_dot_golden_bytes():

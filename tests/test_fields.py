@@ -211,6 +211,23 @@ def test_parse_element_reads_what_str_writes(field, re_part, im_part, n):
     assert parse_element(str(x), field) == x
 
 
+@pytest.mark.parametrize("chunks", [1, 2, 3, 7])
+def test_str_writes_every_digit_past_the_int_string_limit(chunks):
+    # d, the digits of chunks copies of a 4,000-digit block, is built
+    # without converting more than 4,000 digits at once; str(x) over Q and
+    # Q(i) writes its digits exactly, with the int-string limit in place
+    block = "1234567890" * 400
+    d = 0
+    for _ in range(chunks):
+        d = d * 10 ** len(block) + int(block)
+    digits = block * chunks
+    q = Fraction(-d, d + 1)         # d ends in 0, so d + 1 ends in 1
+    text = f"-{digits}/{digits[:-1]}1"
+    assert str(FieldElement(QQ(), q)) == text
+    assert str(FieldElement(QI(), (Fraction(3), q))) == f"3{text}*i"
+    assert str(FieldElement(QQ(), Fraction(d))) == digits
+
+
 def test_parse_rejects_i_over_prime_field():
     with pytest.raises(AlgebraSyntaxError, match="residue"):
         parse_element("i", GF(13))

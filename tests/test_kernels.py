@@ -1,11 +1,14 @@
-"""The GF(p) row kernels against the generic ones.
+"""The GF(p) kernels against the generic ones.
 
-``_PrimeOps`` overrides ``FieldOps.rref``, ``product`` and ``combine``
-with inline integer arithmetic.  On random payload rows each override
-must return exactly what the generic body returns when it goes through
-the scalar operations one call per entry, and neither may mutate a row
-list it is handed.  GF(2) has no descriptor (``GF`` takes odd primes),
-but its op table is built the same way.
+``_PrimeOps`` overrides ``FieldOps.rref``, ``product``, ``combine``,
+``wdot`` and ``div`` with inline integer arithmetic.  On random payloads
+each override must return exactly what the generic body returns when it
+goes through the scalar operations one call per entry, and neither may
+mutate a row list it is handed.  Its ``sqrt`` keeps a bounded memo of
+the Tonelli-Shanks roots, and ``linalg._rank`` reads the rank of a
+square matrix whose columns lead in distinct rows without eliminating.
+GF(2) has no descriptor (``GF`` takes odd primes), but its op table is
+built the same way.
 """
 
 import random
@@ -13,7 +16,10 @@ import random
 import pytest
 
 from evoalg.algebra import _support_masks
-from evoalg.fields import FieldOps, _PrimeOps
+from evoalg.errors import DivisionByZero
+from evoalg.fields import (_SQRT_MEMO, QI, QQ, FieldOps, _PrimeOps,
+                           _tonelli_shanks)
+from evoalg.linalg import _rank
 from evoalg.oracle import _is_hom
 
 PRIMES = [2, 3, 13, 1000033]
@@ -135,3 +141,136 @@ def test_is_hom_verdicts_match_the_generic_kernels(p):
         verdicts.add(verdict)
         assert all(r == old for r, old in kept)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_wdot_and_div_match_the_generic_bodies(p):
+    fast, slow = _PrimeOps(p), _generic_ops(p)
+    rng = random.Random(p + 3)
+    for _ in range(400):
+        n = rng.randrange(0, 7)
+        u, v, w = (_rows(rng, p, 1, n, rng.choice([0.3, 1]))[0]
+                   for _ in range(3))
+        kept = _unmutated([u, v, w])
+        out = fast.wdot(u, v, w)
+        assert out == slow.wdot(u, v, w) and 0 <= out < p
+        assert all(r == old for r, old in kept)
+        a, b = rng.randrange(p), rng.randrange(1, p)
+        q = fast.div(a, b)
+        assert q == slow.div(a, b) and 0 <= q < p and q * b % p == a
+    for ops in (fast, slow):
+        for a in {0, 1, p - 1}:
+            with pytest.raises(DivisionByZero):
+                ops.div(a, 0)
+
+
+def _canonical_root(a, p):
+    r = _tonelli_shanks(a, p)
+    return None if r is None else min(r, p - r)
+
+
+@pytest.mark.parametrize("p", [3, 5, 13, 17])
+def test_sqrt_of_every_residue_matches_tonelli_shanks(p):
+    # twice over: the first pass fills the memo, the second reads it
+    ops = _PrimeOps(p)
+    for _ in range(2):
+        for a in range(p):
+            r = ops.sqrt(a)
+            assert r == _canonical_root(a, p)
+            assert r is None or r * r % p == a
+    assert len(ops._roots) == p <= _SQRT_MEMO
+
+
+def test_sqrt_memo_of_a_large_field_stays_bounded():
+    p = 1000033
+    ops = _PrimeOps(p)
+    rng = random.Random(p)
+    residues = [rng.randrange(p) for _ in range(2000)]
+    for a in residues + residues[:100]:
+        r = ops.sqrt(a)
+        assert r == _canonical_root(a, p)
+        assert r is None or r * r % p == a
+    assert len(ops._roots) == _SQRT_MEMO
+
+
+def _leading(rng, p, n, leads, ride):
+    """An n x (n + ride) matrix whose column j is zero above row
+    leads[j], nonzero there and random below (a zero column where
+    leads[j] is None), with ``ride`` random trailing columns."""
+    cols = []
+    for lead in leads:
+        col = [0] * n
+        if lead is not None:
+            col[lead] = rng.randrange(1, p)
+            for r in range(lead + 1, n):
+                col[r] = _entry(rng, p, 0.6)
+        cols.append(col)
+    cols += [[_entry(rng, p, 0.6) for _ in range(n)] for _ in range(ride)]
+    return [list(row) for row in zip(*cols)] if n else []
+
+
+class _CountingRref:
+    """An op table's rref, counted."""
+
+    def __init__(self, ops):
+        self.ops, self.calls = ops, 0
+
+    def __getattr__(self, name):
+        return getattr(self.ops, name)
+
+    def rref(self, rows, ncols):
+        self.calls += 1
+        return self.ops.rref(rows, ncols)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_rank_matches_the_eliminated_rank(p):
+    rng = random.Random(p + 4)
+    for ops in (_PrimeOps(p), _generic_ops(p)):
+        for _ in range(300):
+            n = rng.randrange(0, 6)
+            ride = rng.randrange(0, 3)
+            shape = rng.choice(["distinct", "collide", "zero", "random"])
+            leads = list(range(n))
+            rng.shuffle(leads)
+            if shape == "collide" and n > 1:
+                j, k = rng.sample(range(n), 2)
+                leads[j] = leads[k]
+            elif shape == "zero" and n:
+                leads[rng.randrange(n)] = None
+            rows = (_leading(rng, p, n, leads, ride) if shape != "random"
+                    else _rows(rng, p, n, n + ride))
+            kept = _unmutated(rows)
+            counted = _CountingRref(ops)
+            rank = _rank(rows, n, counted)
+            assert rank == len(ops.rref(list(rows), n))
+            assert all(r == old for r, old in kept)
+            if shape == "distinct":
+                # triangular up to a column permutation: read, not eliminated
+                assert (rank, counted.calls) == (n, 0)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_rank_of_a_matrix_that_is_not_square_eliminates(p):
+    ops = _PrimeOps(p)
+    rng = random.Random(p + 5)
+    for _ in range(200):
+        nrows, ncols = rng.randrange(0, 6), rng.randrange(0, 6)
+        if nrows == ncols:
+            continue
+        rows = _rows(rng, p, nrows, ncols + rng.randrange(0, 3))
+        counted = _CountingRref(ops)
+        assert _rank(rows, ncols, counted) == len(ops.rref(list(rows), ncols))
+        assert counted.calls == 1
+
+
+@pytest.mark.parametrize("field", [QQ(), QI()], ids=["Q", "Qi"])
+def test_rank_over_q_and_qi_compares_with_the_payload_zero(field):
+    # the Q(i) zero payload is a pair, which is truthy
+    ops = field.ops
+    rng = random.Random(str(field))
+    for _ in range(200):
+        n = rng.randrange(1, 5)
+        rows = [[ops.of_int(_entry(rng, 7, 0.5)) for _ in range(n)]
+                for _ in range(n)]
+        assert _rank(rows, n, ops) == len(ops.rref(list(rows), n))
