@@ -462,7 +462,7 @@ def _witness_basis(E, Ead, perm, entry, params, builder):
                 m[perm[k]][j] = x
         if template_rows is None:
             template_rows = _template_rows(entry, params, field)
-        if _realizes(template_rows, E, m):
+        if _realizes(template_rows, E, m, perm):
             return m
     return None
 
@@ -486,13 +486,17 @@ def _template_rows(entry, params, field) -> list[list]:
     return rows
 
 
-def _realizes(template_rows, E, m) -> bool:
+def _realizes(template_rows, E, m, perm=None) -> bool:
     """Whether the payload rows m are invertible (one rank test) and
     carry the template's products to E's (the product test of
     verify_hom): then m's columns are a natural basis of E realizing the
-    template."""
+    template.  Given the adapted order (E's coordinate perm[k] is the
+    k-th adapted one), the rank test reads m's rows in that order: there
+    a builder's columns mostly first become nonzero in distinct rows, so
+    ``_rank`` needs no elimination."""
     ops = E.field.ops
-    return _rank(m, E.dim, ops) == E.dim \
+    rows = m if perm is None else [m[i] for i in perm]
+    return _rank(rows, E.dim, ops) == E.dim \
         and _is_hom(template_rows, E._rows, m, ops, E._supports())
 
 
