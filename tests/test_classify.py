@@ -366,9 +366,9 @@ def test_relabelling_keeps_the_label_and_witnesses_verify(dim, field, seed):
 @settings(max_examples=200, deadline=None)
 @given(dim=st.integers(3, 5), seed=st.integers(0, 2 ** 32 - 1))
 def test_gaussian_draws_and_their_relabellings_get_equal_labels(dim, seed):
-    # entries and relabelling scalars a + bi with b often nonzero, so the
-    # paths over Q(i) that integer draws share with Q are left; only an
-    # EvoalgError may come out, and then on both sides
+    # entries and relabelling scalars a + bi with b often nonzero reach
+    # paths over Q(i) that the integer draws, having no i part, never
+    # take; only an EvoalgError may come out, and then on both sides
     rng = random.Random(seed)
     E = random_nilpotent(dim, rng, QI(), draw=gaussian_scalar)
     G = random_monomial_relabelling(E, rng, gaussian_scalar)
