@@ -42,7 +42,7 @@ from functools import cached_property
 
 from ._values import Value
 from .errors import AmbientMismatch, NotAnIdeal, NotNilpotent, ShapeError
-from .fields import FieldDescriptor, FieldElement
+from .fields import FieldDescriptor, FieldElement, _support_mask
 from .linalg import Matrix, Subspace, _kernel_rows, _unit_row
 
 
@@ -81,12 +81,15 @@ class EvolutionAlgebra:
         return Matrix._wrap(self._rows, self.field, self.dim)
 
     def _supports(self) -> list[int]:
-        """The support masks of the structure rows (``_support_masks``),
-        built on first use and kept."""
+        """The nonzero pattern of the structure rows, as one int per row
+        whose bit j is set when the row's entry j is nonzero
+        (``fields._support_mask``), built on first use and kept: one pass
+        serves the series, the graph components and the zero squares."""
         masks = self._masks
         if masks is None:
-            masks = self._masks = _support_masks(self._rows,
-                                                 self.field.ops.zero)
+            Z = self.field.ops.zero
+            masks = self._masks = [_support_mask(row, Z)
+                                   for row in self._rows]
         return masks
 
     @classmethod
@@ -124,33 +127,6 @@ class EvolutionAlgebra:
     def annihilator(self) -> Subspace:
         """Span of the natural basis vectors with zero square."""
         return Subspace.coordinate(_zero_rows(self), self.dim, self.field)
-
-
-def _support_masks(rows: list[list], Z) -> list[int]:
-    """The nonzero pattern of the payload rows, as one int per row whose
-    bit j is set when the row's entry j is not Z.  For the structure rows
-    (``EvolutionAlgebra._supports``) one pass serves the series, the graph
-    components, the zero squares and the naturality checks."""
-    masks = []
-    for row in rows:
-        m, bit = 0, 1
-        for x in row:
-            if x != Z:
-                m |= bit
-            bit <<= 1
-        masks.append(m)
-    return masks
-
-
-def _live_mask(masks: list[int]) -> int:
-    """The mask whose bit k is set when masks[k] is nonzero: for the
-    structure rows, the e_k with e_k^2 != 0, the only rows a product
-    sum_k x_k y_k e_k^2 reads."""
-    live = 0
-    for k, m in enumerate(masks):
-        if m:
-            live |= 1 << k
-    return live
 
 
 def _zero_rows(E: EvolutionAlgebra) -> list[int]:
@@ -565,6 +541,18 @@ def _natural_split(E: EvolutionAlgebra):
     lies in ann.  That basis realizes the chain's rows over every field,
     with no root taken.  The lemma stops at n = 3: type [1,1,1,1] has
     two variants.
+
+    The one-dimensional annihilator lemma: a nilpotent E with
+    dim ann(E) = 1 has no split, so ``classify`` runs no split stage on
+    it.  Every nonzero nilpotent summand has a nonzero annihilator of its
+    own, and the annihilators of the summands of a direct sum lie in
+    ann(E), so each criterion needs dim ann(E) >= 2: a disconnected graph
+    gives each component a zero square; an annihilator split adds C to
+    ann(I) != 0 (I has dim >= 1 since the split needs dim E >= 2); and
+    the pairing needs dim ann >= n/2 and at least two nonzero squares,
+    so n >= 3 and dim ann >= 2.  The same argument, for any two ideals,
+    makes such an E of dim >= 2 indecomposable (criterion (e) of
+    ``decomposability_check``).
     """
     return _component_split(E) or _connected_split(E)
 
@@ -658,6 +646,12 @@ def decomposability_check(E: EvolutionAlgebra) -> DecompVerdict:
             return DecompVerdict(
                 INDECOMPOSABLE,
                 "type [n,1,m] with annihilator inside E^2")
+        # (e) if E = I + J with nonzero ideals I and J, both are nilpotent
+        # and have nonzero annihilators, which lie in ann(E) (I J = 0), so
+        # dim ann(E) >= 2
+        if n >= 2 and tv[0] == 1:
+            return DecompVerdict(
+                INDECOMPOSABLE, "nilpotent with one-dimensional annihilator")
 
     return DecompVerdict(UNKNOWN, "no applicable criterion")
 

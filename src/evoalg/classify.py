@@ -63,8 +63,8 @@ and 3 that type has one table entry, which the powers of the top
 vector realize over every field (the chain lemma of
 ``_natural_split``).  Every other summand is classified, so each label
 that carries a witness still has one verified; a Decomposed label
-carries none.  Each witness candidate gets one rank test and the
-product test of ``verify_hom``.
+carries none.  Each witness candidate gets one call of the field's
+``ops.realizes``, the product test and the rank test of ``verify_hom``.
 ``FieldElement`` values appear only at the public boundary: a
 normalizer's raw parameters are wrapped once, to pick their orbit
 representative for the label, ``classify`` builds no witness matrix,
@@ -78,9 +78,13 @@ the split along an annihilator vector outside E^2 from
 multiple of one e_k of ann and eliminates only the other squares, over
 the other columns: none when every e_k of ann is such a multiple.
 Supports are int bitmasks, so the cross products of the witness check
-(``oracle._is_hom``) are computed only for two columns whose supports
+(``FieldOps.realizes``) are computed only for two columns whose supports
 meet on the nonzero squares.  Each summand is classified with what its
-split proved (``_classify_rows``).  A template's payload rows are built
+split proved (``_classify_rows``), and no split stage runs on an algebra
+or summand whose annihilator, the series' first block, has one index:
+every summand of a direct sum adds its own nonzero annihilator, so such
+an algebra has no split (the one-dimensional annihilator lemma of
+``algebra._natural_split``).  A template's payload rows are built
 only once a builder yields its first candidate, and those of a
 parameter-free template once per field.  Cube roots over
 Q and Q(i) are exact at any size (``fields._frac_cbrt``: an integer cube
@@ -100,13 +104,13 @@ from .errors import (
     UnsupportedDim,
 )
 from .fields import PRIME, FieldElement
-from .linalg import Matrix, _kernel_rows, _rank, _unit_row
+from .linalg import Matrix, _kernel_rows, _unit_row
 from .algebra import (_DISCONNECTED, _LARGE_ANN, EvolutionAlgebra,
                       _connected_split, _natural_split,
                       _restricted_series, _split_inside_square, _subalgebra,
                       upper_series)
 from .tables import find_entry, orbit_min
-from .oracle import _bounded_iso, _is_hom, verify_hom
+from .oracle import _bounded_iso, verify_hom
 
 
 class CanonicalLabel(Frozen):
@@ -350,7 +354,9 @@ def _classify_rows(E, series=None, split_stage=None):
     ``_split_inside_square``.  ``_gather`` labels such a summand of type
     [1,1] or [1,1,1] by that series alone, and classifies the others.
     Other algebras compute their series and run the whole
-    ``_natural_split``."""
+    ``_natural_split``.  No split stage runs when the series' first block,
+    ann(E), has one index: such an E has no split (the one-dimensional
+    annihilator lemma of ``_natural_split``)."""
     if E.dim > 5:
         raise UnsupportedDim("classification covers dimension at most 5")
     if series is None:
@@ -358,7 +364,8 @@ def _classify_rows(E, series=None, split_stage=None):
         if not series.nilpotent:
             raise NotNilpotent("classification applies to nilpotent algebras")
 
-    split = (split_stage or _natural_split)(E)
+    split = None if len(series.blocks[0]) == 1 \
+        else (split_stage or _natural_split)(E)
     if split is not None:
         reason, groups = split
         if reason == _LARGE_ANN:  # each pair e_i, e_i^2 is the 2-chain
@@ -444,9 +451,13 @@ def _normalize(E, series):
 def _witness_basis(E, Ead, perm, entry, params, builder):
     """The payload rows of a matrix whose columns express the template's
     natural basis in E's coordinates, verified against the template:
-    each candidate the builder yields (as payload columns, handed the
-    payloads of params) passes one rank test and the product test of
-    ``verify_hom``.  None when no candidate realizes the template: a
+    each candidate the builder yields (as payload columns in Ead's
+    coordinates, handed the payloads of params) is checked against Ead
+    by the field's ``ops.realizes``, the product test and the rank test
+    of ``verify_hom``.  Ead is E in a reordered natural basis, which is
+    natural too, so this is the test against E itself; only the accepted
+    candidate is written in E's coordinates (E's coordinate perm[k] is
+    Ead's k-th).  None when no candidate realizes the template: a
     builder yields no candidate for a square root the field lacks, and a
     template that needs i has no witness over a field without i.  The
     template's rows are built only once a candidate exists."""
@@ -454,15 +465,15 @@ def _witness_basis(E, Ead, perm, entry, params, builder):
     if entry.needs_i and not field.has_i:
         return None
     template_rows = None
-    n = E.dim
-    for cols_ad in builder(Ead, field.payloads(params)):
-        m = [[None] * n for _ in range(n)]
-        for j, v in enumerate(cols_ad):
-            for k, x in enumerate(v):
-                m[perm[k]][j] = x
+    realizes, A2 = field.ops.realizes, Ead._rows
+    for cols in builder(Ead, field.payloads(params)):
         if template_rows is None:
             template_rows = _template_rows(entry, params, field)
-        if _realizes(template_rows, E, m, perm):
+        if realizes(template_rows, A2, cols):
+            n = E.dim
+            m = [None] * n
+            for k, row in enumerate(zip(*cols)):
+                m[perm[k]] = list(row)
             return m
     return None
 
@@ -484,20 +495,6 @@ def _template_rows(entry, params, field) -> list[list]:
     if rows is None:
         rows = _TEMPLATE_ROWS[key] = entry.template_rows(params, field)
     return rows
-
-
-def _realizes(template_rows, E, m, perm=None) -> bool:
-    """Whether the payload rows m are invertible (one rank test) and
-    carry the template's products to E's (the product test of
-    verify_hom): then m's columns are a natural basis of E realizing the
-    template.  Given the adapted order (E's coordinate perm[k] is the
-    k-th adapted one), the rank test reads m's rows in that order: there
-    a builder's columns mostly first become nonzero in distinct rows, so
-    ``_rank`` needs no elimination."""
-    ops = E.field.ops
-    rows = m if perm is None else [m[i] for i in perm]
-    return _rank(rows, E.dim, ops) == E.dim \
-        and _is_hom(template_rows, E._rows, m, ops, E._supports())
 
 
 def witness_isomorphism(E1: EvolutionAlgebra, E2: EvolutionAlgebra):

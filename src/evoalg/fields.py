@@ -177,16 +177,17 @@ class FieldOps:
     None, and ``i`` is the payload of the distinguished square root of
     -1, or None.
 
-    The row operations (``dot``, ``wdot``, ``scale``, ``addmul``) and the
-    row kernels (``rref``, ``product``, ``combine``) take payload rows and
-    return new lists: they never mutate a row list they are handed, so
-    rows may be shared between matrices, subspaces and algebras.  They
-    take canonical payloads (over GF(p) the reduced residues 0..p-1) and
-    return canonical payloads.  The bodies here go through the scalar
-    operations one call per entry; ``_PrimeOps`` overrides every one,
-    and ``div`` and ``sqrt`` too, with inline integer arithmetic, and its
-    ``dot``, ``wdot``, ``product`` and ``combine`` add up unreduced
-    products and reduce once per entry at the end.
+    The row operations (``dot``, ``wdot``, ``scale``, ``addmul``), the
+    row kernels (``rref``, ``product``, ``combine``) and the witness
+    check ``realizes`` take payload rows: they never mutate a row list
+    they are handed, so rows may be shared between matrices, subspaces
+    and algebras.  They take canonical payloads (over GF(p) the reduced
+    residues 0..p-1) and return canonical payloads.  The bodies here go
+    through the scalar operations one call per entry; ``_PrimeOps``
+    overrides every one, and ``div`` and ``sqrt`` too, with inline
+    integer arithmetic, and its ``dot``, ``wdot``, ``product``,
+    ``combine`` and ``realizes`` add up unreduced products and reduce
+    once per entry at the end.
     """
 
     def __init__(self, zero, one, of_int, add, sub, neg, mul, inv, sqrt,
@@ -276,6 +277,60 @@ class FieldOps:
                 v = addmul(v, c, row)
         return v
 
+    def realizes(self, A1, A2, cols) -> bool:
+        """Whether x -> sum_j x_j cols[j] carries the evolution algebra
+        with structure rows A1 isomorphically onto the one with structure
+        rows A2: the columns are coordinate vectors in A2's natural
+        basis, one per basis vector of A1.
+
+        The product test comes first.  Each column's square must be the
+        combination of the columns that A1's row gives, and images of
+        distinct basis vectors must multiply to zero (by bilinearity that
+        is all).  A cross product sum_k x_k y_k f_k^2 has a term only at
+        the k with f_k^2 != 0 where both columns are nonzero, so it is
+        computed only where the two supports meet on those rows.  Then
+        the rank test: columns that first become nonzero in distinct
+        rows form a triangular matrix up to the column order, full rank
+        with no elimination; other columns are eliminated."""
+        n = len(cols)
+        Z, product, combine = self.zero, self.product, self.combine
+        for i, col in enumerate(cols):
+            if combine(A1[i], cols, n) != product(A2, col, col):
+                return False
+        # the rows f_k^2 != 0, the only ones a product reads
+        live = _support_mask([_support_mask(row, Z) for row in A2], 0)
+        masks = [_support_mask(col, Z) for col in cols]
+        zero = [Z] * n
+        for i in range(n):
+            si = masks[i] & live
+            for j in range(i + 1, n):
+                if si & masks[j] and product(A2, cols[i], cols[j]) != zero:
+                    return False
+        return _leads_distinct(masks) or len(self.rref(list(cols), n)) == n
+
+
+def _support_mask(v, Z) -> int:
+    """The int whose bit k is set when v[k] is not Z."""
+    m, bit = 0, 1
+    for x in v:
+        if x != Z:
+            m |= bit
+        bit <<= 1
+    return m
+
+
+def _leads_distinct(masks) -> bool:
+    """Whether the support masks of the columns of a square matrix are
+    nonzero with distinct lowest bits: the columns first become nonzero
+    in distinct rows, so the matrix has full rank."""
+    seen = 0
+    for m in masks:
+        low = m & -m
+        if not low or seen & low:
+            return False
+        seen |= low
+    return True
+
 
 # how many residues a GF(p) op table keeps the square root of: every
 # residue of a small field, and a bounded share of a large one (threads
@@ -288,10 +343,11 @@ class _PrimeOps(FieldOps):
     """GF(p): the row operations and kernels run inline on ints.  ``rref``
     reduces once per entry it writes; ``dot``, ``wdot``, ``product`` and
     ``combine`` sum unreduced products and reduce each entry once, at the
-    end.  ``div`` multiplies by one modular inverse, and ``sqrt`` keeps
-    the root (or None) of the first ``_SQRT_MEMO`` residues it is asked
-    for, so a field of at most that many elements runs Tonelli-Shanks
-    once per residue."""
+    end, and ``realizes`` reduces each entry it compares once and stops
+    at the first column that fails.  ``div`` multiplies by one modular
+    inverse, and ``sqrt`` keeps the root (or None) of the first
+    ``_SQRT_MEMO`` residues it is asked for, so a field of at most that
+    many elements runs Tonelli-Shanks once per residue."""
 
     def __init__(self, p):
         # first: FieldOps.__init__ takes the root of -1 by _sqrt
@@ -388,6 +444,68 @@ class _PrimeOps(FieldOps):
             return [0] * ncols
         p = self.p
         return [s % p for s in acc]
+
+    def realizes(self, A1, A2, cols):
+        # each column's support mask is built once, in its square's pass,
+        # and serves the cross products and the rank test; each compared
+        # entry is a difference of unreduced sums, reduced once
+        p, n = self.p, len(cols)
+        live, bit = 0, 1
+        for row in A2:
+            if any(row):
+                live |= bit
+            bit <<= 1
+        masks = []
+        leads = 0
+        distinct = True
+        for coefs, col in zip(A1, cols):
+            full, bit = 0, 1
+            acc = None
+            for x, row in zip(col, A2):
+                if x:
+                    full |= bit
+                    if live & bit:
+                        c = x * x
+                        acc = [c * v for v in row] if acc is None else \
+                            [s + c * v for s, v in zip(acc, row)]
+                bit <<= 1
+            if not full:
+                return False
+            for c, other in zip(coefs, cols):
+                if c:
+                    acc = [-c * v for v in other] if acc is None else \
+                        [s - c * v for s, v in zip(acc, other)]
+            if acc is not None:
+                for s in acc:
+                    if s % p:
+                        return False
+            low = full & -full
+            if leads & low:
+                distinct = False
+            leads |= low
+            masks.append(full & live)
+        for i, si in enumerate(masks):
+            if not si:
+                continue
+            ci = cols[i]
+            for j in range(i + 1, n):
+                both = si & masks[j]
+                if not both:
+                    continue
+                cj = cols[j]
+                acc = None
+                k = 0
+                while both:
+                    if both & 1:
+                        c = ci[k] * cj[k]
+                        acc = [c * v for v in A2[k]] if acc is None else \
+                            [s + c * v for s, v in zip(acc, A2[k])]
+                    both >>= 1
+                    k += 1
+                for s in acc:
+                    if s % p:
+                        return False
+        return distinct or len(self.rref(list(cols), n)) == n
 
 
 def _gmul(x, y):

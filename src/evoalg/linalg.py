@@ -17,7 +17,8 @@ from __future__ import annotations
 from functools import cached_property
 
 from .errors import AmbientMismatch, ShapeError, Singular
-from .fields import FieldDescriptor, FieldElement
+from .fields import (FieldDescriptor, FieldElement, _leads_distinct,
+                     _support_mask)
 
 
 class Matrix:
@@ -159,17 +160,8 @@ def _rank(rows: list[list], ncols: int, ops) -> int:
     any other matrix is eliminated."""
     if len(rows) == ncols:
         Z = ops.zero
-        leads = set()
-        for j in range(ncols):
-            for r, row in enumerate(rows):
-                if row[j] != Z:
-                    break
-            else:
-                break                   # a zero column
-            if r in leads:
-                break
-            leads.add(r)
-        else:
+        if _leads_distinct([_support_mask(col, Z)
+                            for col in zip(*rows)][:ncols]):
             return ncols
     return len(ops.rref(list(rows), ncols))
 

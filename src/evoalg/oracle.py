@@ -23,9 +23,8 @@ from ._values import Frozen, set_fields
 from .errors import (BudgetExceeded, DomainError, ShapeError, Singular,
                      UnsupportedField)
 from .fields import PRIME
-from .linalg import Matrix, _rank
-from .algebra import (EvolutionAlgebra, _live_mask, _support_masks,
-                      upper_series)
+from .linalg import Matrix
+from .algebra import EvolutionAlgebra, upper_series
 
 _EXHAUSTIVE_LIMIT = 10 ** 8
 # the most matrices that _bounded_iso tests
@@ -47,49 +46,23 @@ class SearchBudget(Frozen):
 
 def verify_hom(E1: EvolutionAlgebra, E2: EvolutionAlgebra,
                m: Matrix) -> bool:
-    """Check that x -> m.x is an algebra isomorphism E1 -> E2.
+    """Check that x -> m.x is an algebra isomorphism E1 -> E2; raises
+    Singular when m is not invertible.
 
     By bilinearity it is enough that m(e_i^2) = (m e_i)^2 and that
-    images of distinct basis vectors multiply to zero.
+    images of distinct basis vectors multiply to zero: the field's
+    ``ops.realizes`` tests that and m's rank on m's columns.
     """
     if E1.dim != E2.dim or m.nrows != E1.dim or m.ncols != E1.dim:
         raise ShapeError("isomorphism candidate has wrong shape")
-    if not m.is_invertible():
-        raise Singular("isomorphism candidate is singular")
     E1.field.require(E2.field)
     E1.field.require(m.field)
-    return _is_hom(E1._rows, E2._rows, m._payloads(), E1.field.ops,
-                   E2._supports())
-
-
-def _is_hom(A1, A2, m, ops, supports2) -> bool:
-    """The payload form of verify_hom's product test: A1 and A2 are the
-    structure rows, supports2 the support masks of A2 that E2 keeps
-    (``EvolutionAlgebra._supports``), and m the payload rows of the
-    candidate matrix, whose columns are the images of E1's basis
-    vectors.  The image of e_i^2 combines those columns, and the squares
-    and cross products of the images come from ``ops.product``.  A cross
-    product sum_k x_k y_k f_k^2 has a term only at the k with f_k^2 != 0
-    where both columns are nonzero, so it is computed only where the two
-    columns' supports meet on those rows; the columns' supports are read
-    once the squares have passed."""
-    n = len(m)
-    product, combine = ops.product, ops.combine
-    cols = list(zip(*m))
-    for i in range(n):
-        col = cols[i]
-        if combine(A1[i], cols, n) != product(A2, col, col):
-            return False
-    Z = ops.zero
-    live = _live_mask(supports2)
-    supports = [s & live for s in _support_masks(cols, Z)]
-    zero = [Z] * n
-    for i in range(n):
-        si = supports[i]
-        for j in range(i + 1, n):
-            if si & supports[j] and product(A2, cols[i], cols[j]) != zero:
-                return False
-    return True
+    cols = list(zip(*m._payloads()))
+    if E1.field.ops.realizes(E1._rows, E2._rows, cols):
+        return True
+    if not m.is_invertible():
+        raise Singular("isomorphism candidate is singular")
+    return False
 
 
 def _pattern_blocks(series1, series2):
@@ -108,8 +81,8 @@ def _pattern_blocks(series1, series2):
 
 
 def _search_common(E1, E2):
-    """Shared validation; returns (A1, A2, E2's support masks, ops, n,
-    diag, ann) or None when the answer is immediately None."""
+    """Shared validation; returns (A1, A2, ops, n, diag, ann) or None
+    when the answer is immediately None."""
     if E1.field.kind != PRIME or E2.field.kind != PRIME \
             or E1.field != E2.field:
         raise UnsupportedField("oracle search requires a shared prime field")
@@ -119,7 +92,7 @@ def _search_common(E1, E2):
     if not s1.nilpotent or not s2.nilpotent \
             or s1.type_vector != s2.type_vector:
         return None
-    return (E1._rows, E2._rows, E2._supports(), E1.field.ops, E1.dim) \
+    return (E1._rows, E2._rows, E1.field.ops, E1.dim) \
         + _pattern_blocks(s1, s2)
 
 
@@ -134,9 +107,10 @@ def _slots(diag, ann) -> list:
             for r in [*rows, *ann_rows.get(c, ())]]
 
 
-def _verified(E1, E2, m) -> Matrix:
-    """The search hit m (payload rows) as a matrix, re-verified."""
-    witness = Matrix._wrap([list(r) for r in m], E1.field, len(m))
+def _verified(E1, E2, cols) -> Matrix:
+    """The search hit (payload columns) as a matrix, re-verified."""
+    witness = Matrix._wrap([list(r) for r in zip(*cols)], E1.field,
+                           len(cols))
     if not verify_hom(E1, E2, witness):
         raise AssertionError("search hit failed re-verification")
     return witness
@@ -152,19 +126,19 @@ def exhaustive_iso(E1: EvolutionAlgebra,
     common = _search_common(E1, E2)
     if common is None:
         return None
-    A1, A2, supports2, ops, n, diag, ann = common
+    A1, A2, ops, n, diag, ann = common
     p = E1.field.modulus
     slots = _slots(diag, ann)
     if p ** len(slots) > _EXHAUSTIVE_LIMIT:
         raise BudgetExceeded(
             f"{p}^{len(slots)} block-patterned matrices exceed the "
             f"exhaustive limit {_EXHAUSTIVE_LIMIT}")
-    m = [[0] * n for _ in range(n)]
+    realizes = ops.realizes
+    m = [[0] * n for _ in range(n)]       # m[c] is column c
     for values in itertools.product(range(p), repeat=len(slots)):
         for (r, c), v in zip(slots, values):
-            m[r][c] = v
-        # cheap algebraic rejection first; rank only on the rare pass
-        if _is_hom(A1, A2, m, ops, supports2) and _rank(m, n, ops) == n:
+            m[c][r] = v
+        if realizes(A1, A2, m):
             return _verified(E1, E2, m)
     return None
 
@@ -185,11 +159,12 @@ def randomized_iso(E1: EvolutionAlgebra, E2: EvolutionAlgebra,
     common = _search_common(E1, E2)
     if common is None:
         return None
-    A1, A2, supports2, ops, n, diag, ann = common
+    A1, A2, ops, n, diag, ann = common
     p = E1.field.modulus
     rng = random.Random(budget.seed)
     rand, randrange, shuffle = rng.random, rng.randrange, rng.shuffle
-    m = [[0] * n for _ in range(n)]
+    realizes = ops.realizes
+    m = [[0] * n for _ in range(n)]       # m[c] is column c
     for _ in range(budget.max_trials):
         for rows, cols in diag:
             k = len(cols)
@@ -198,15 +173,14 @@ def randomized_iso(E1: EvolutionAlgebra, E2: EvolutionAlgebra,
                 shuffle(perm)
                 for ci, c in enumerate(cols):
                     for ri, r in enumerate(rows):
-                        m[r][c] = randrange(1, p) if ri == perm[ci] else 0
+                        m[c][r] = randrange(1, p) if ri == perm[ci] else 0
             else:
                 for c in cols:
                     for r in rows:
-                        m[r][c] = randrange(p)
+                        m[c][r] = randrange(p)
         for r, c in ann:
-            m[r][c] = 0 if rand() < 0.5 else randrange(1, p)
-        # cheap algebraic rejection first; rank only on the rare pass
-        if _is_hom(A1, A2, m, ops, supports2) and _rank(m, n, ops) == n:
+            m[c][r] = 0 if rand() < 0.5 else randrange(1, p)
+        if realizes(A1, A2, m):
             return _verified(E1, E2, m)
     return None
 
@@ -220,6 +194,6 @@ def _bounded_iso(E1: EvolutionAlgebra,
     common = _search_common(E1, E2)
     if common is None:
         return None
-    if E1.field.modulus ** len(_slots(*common[5:])) <= _FALLBACK_TRIALS:
+    if E1.field.modulus ** len(_slots(*common[4:])) <= _FALLBACK_TRIALS:
         return exhaustive_iso(E1, E2)
     return randomized_iso(E1, E2, SearchBudget(_FALLBACK_TRIALS, seed=1))

@@ -32,7 +32,8 @@ from evoalg.linalg import (Matrix, Subspace, _identity_rows, _inverse_rows,
 from evoalg.oracle import verify_hom
 from evoalg.tables import find_entry
 
-from helpers import (F13, random_algebra, random_large_annihilator,
+from helpers import (F13, gaussian_scalar, random_algebra,
+                     random_large_annihilator, random_monomial_relabelling,
                      random_nilpotent)
 
 
@@ -306,6 +307,52 @@ def test_indecomposable_n1m():
     E = chain(3)
     verdict = decomposability_check(E)
     assert verdict.status == INDECOMPOSABLE
+
+
+def test_a_one_dimensional_annihilator_makes_e_indecomposable():
+    # (e): the 5-chain and the [1,2,1] algebra were Unknown before it;
+    # the chains of dims 2 and 3 keep the reasons of (d0) and (d)
+    bent = EvolutionAlgebra.from_ints(
+        [[0, 1, 1, 0], [0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 0]], QQ())
+    for E in (chain(5), bent, chain(4, F13)):
+        verdict = decomposability_check(E)
+        assert (verdict.status, verdict.reason) == (
+            INDECOMPOSABLE, "nilpotent with one-dimensional annihilator")
+    assert decomposability_check(chain(2)).reason \
+        == "nilpotent dim 2 with nonzero product"
+    assert decomposability_check(chain(3)).reason \
+        == "type [n,1,m] with annihilator inside E^2"
+
+
+@st.composite
+def one_dimensional_annihilators(draw):
+    """A nilpotent algebra of dim 1-5 with dim ann = 1 over GF(3), GF(5),
+    GF(13), GF(1000033), Q or Q(i), the last with the Gaussian draws
+    a + bi of helpers.gaussian_scalar, in a random monomial
+    relabelling."""
+    field = draw(st.sampled_from([GF(3), GF(5), F13, GF(1000033), QQ(),
+                                  QI()]))
+    n = draw(st.integers(1, 5))
+    density = draw(st.sampled_from([0.6, 0.8, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    kw = {"draw": gaussian_scalar} if field == QI() else {}
+    while True:
+        E = random_nilpotent(n, rng, field, density, **kw)
+        if len(_zero_rows(E)) == 1:
+            return random_monomial_relabelling(E, rng, **kw)
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_dimensional_annihilators())
+def test_a_one_dimensional_annihilator_has_no_natural_split(E):
+    # the lemma of _natural_split that lets classify skip the split
+    # stages: every summand of a direct sum adds its own annihilator
+    series = upper_series(E)
+    assert series.nilpotent and series.type_vector[0] == 1
+    assert _natural_split(E) is None
+    assert _connected_split(E) is None and _split_inside_square(E) is None
+    verdict = decomposability_check(E)
+    assert verdict.status == (INDECOMPOSABLE if E.dim >= 2 else UNKNOWN)
 
 
 def test_invariant_profile_errors_on_non_nilpotent():

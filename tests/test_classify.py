@@ -280,14 +280,27 @@ def test_witness_isomorphism_fallback_tests_at_most_200000_matrices(
     e = find_entry(5, (1, 1, 3), 3)
     E1 = e.template((F13.from_int(2),), F13)
     E2 = e.template((F13.from_int(7),), F13)
-    oracle = importlib.import_module("evoalg.oracle")
-    tests = []
-    is_hom = oracle._is_hom
+    # each matrix the fallback tests is one call of the realizes kernel;
+    # the witness checks of classify, before it, are not counted
+    fields = importlib.import_module("evoalg.fields")
+    classify_module = importlib.import_module("evoalg.classify")
+    tests, searching = [], []
+    realizes = fields._PrimeOps.realizes
+    bounded_iso = classify_module._bounded_iso
 
     def counted(*args):
-        tests.append(1)
-        return is_hom(*args)
-    monkeypatch.setattr(oracle, "_is_hom", counted)
+        if searching:
+            tests.append(1)
+        return realizes(*args)
+
+    def search(*args):
+        searching.append(1)
+        try:
+            return bounded_iso(*args)
+        finally:
+            searching.clear()
+    monkeypatch.setattr(fields._PrimeOps, "realizes", counted)
+    monkeypatch.setattr(classify_module, "_bounded_iso", search)
     with pytest.raises(SqrtUnavailable):
         witness_isomorphism(E1, E2)
     assert 0 < len(tests) <= 200000
@@ -515,7 +528,7 @@ def test_series_and_basis_changes_skip_redundant_elimination(monkeypatch):
     # structure rows without any elimination, classify inverts no matrix
     # (no change of natural basis, and the 2 x 2 coordinates of the
     # normalizers are closed forms), and the witness search runs exactly
-    # one rank test per candidate basis
+    # one rank test per candidate basis, inside the realizes kernel
     linalg = importlib.import_module("evoalg.linalg")
     classify_module = importlib.import_module("evoalg.classify")
     algebra = importlib.import_module("evoalg.algebra")
@@ -531,9 +544,9 @@ def test_series_and_basis_changes_skip_redundant_elimination(monkeypatch):
     fields = importlib.import_module("evoalg.fields")
     for table in (fields.FieldOps, fields._PrimeOps):
         monkeypatch.setattr(table, "rref", counting("rref", table.rref))
-    rank = counting("rank", linalg._rank)
-    monkeypatch.setattr(linalg, "_rank", rank)
-    monkeypatch.setattr(classify_module, "_rank", rank)
+    for table in (fields.FieldOps, fields._PrimeOps):
+        monkeypatch.setattr(table, "realizes",
+                            counting("rank", table.realizes))
 
     def windowed(name, fn, per_call):
         # per_call(before, after) records what happened inside one call
@@ -586,6 +599,39 @@ def test_series_and_basis_changes_skip_redundant_elimination(monkeypatch):
     for before, after in witness_searches:
         assert after["rank"] - before["rank"] \
             == after["candidates"] - before["candidates"]
+
+
+def test_no_split_stage_runs_on_a_one_dimensional_annihilator(monkeypatch):
+    # the one-dimensional annihilator lemma of algebra._natural_split: a
+    # top-level input with dim ann = 1 and a summand whose inherited
+    # series starts with one index run no split stage
+    classify_module = importlib.import_module("evoalg.classify")
+    algebra_module = importlib.import_module("evoalg.algebra")
+    seen, staged = {"top": 0, "summand": 0}, []
+
+    for name in ("_natural_split", "_connected_split",
+                 "_split_inside_square"):
+        def stage(A, fn=getattr(classify_module, name)):
+            staged.append(len(algebra_module._zero_rows(A)))
+            return fn(A)
+        monkeypatch.setattr(classify_module, name, stage)
+    classify_rows = classify_module._classify_rows
+
+    def watched(A, series=None, split_stage=None):
+        if len(algebra_module._zero_rows(A)) == 1:
+            seen["top" if series is None else "summand"] += 1
+        return classify_rows(A, series, split_stage)
+    monkeypatch.setattr(classify_module, "_classify_rows", watched)
+    rng = random.Random(27)
+    for field in (F13, GF(3), QQ(), QI()):
+        for _ in range(150):
+            E = random_nilpotent(rng.randrange(1, 6), rng, field)
+            try:
+                classify(E)
+            except SqrtUnavailable:
+                pass
+    assert seen["top"] >= 200 and seen["summand"] >= 20
+    assert 1 not in staged and len(staged) >= 200
 
 
 @pytest.fixture

@@ -1,26 +1,26 @@
 """The GF(p) kernels against the generic ones.
 
 ``_PrimeOps`` overrides ``FieldOps.rref``, ``product``, ``combine``,
-``wdot`` and ``div`` with inline integer arithmetic.  On random payloads
-each override must return exactly what the generic body returns when it
-goes through the scalar operations one call per entry, and neither may
-mutate a row list it is handed.  Its ``sqrt`` keeps a bounded memo of
-the Tonelli-Shanks roots, and ``linalg._rank`` reads the rank of a
-square matrix whose columns lead in distinct rows without eliminating.
-GF(2) has no descriptor (``GF`` takes odd primes), but its op table is
-built the same way.
+``wdot``, ``div`` and ``realizes`` with inline integer arithmetic.  On
+random payloads each override must return exactly what the generic body
+returns when it goes through the scalar operations one call per entry,
+and neither may mutate a row list it is handed.  Its ``sqrt`` keeps a
+bounded memo of the Tonelli-Shanks roots, and ``linalg._rank`` and
+``realizes`` read the rank of a square matrix whose columns lead in
+distinct rows without eliminating.  GF(2) has no descriptor (``GF``
+takes odd primes), but its op table is built the same way.
 """
 
 import random
 
 import pytest
 
-from evoalg.algebra import _support_masks
 from evoalg.errors import DivisionByZero
 from evoalg.fields import (_SQRT_MEMO, QI, QQ, FieldOps, _PrimeOps,
                            _tonelli_shanks)
 from evoalg.linalg import _rank
-from evoalg.oracle import _is_hom
+
+from helpers import gaussian_scalar
 
 PRIMES = [2, 3, 13, 1000033]
 
@@ -99,21 +99,22 @@ def test_product_and_combine_match_the_generic_bodies(p):
         assert all(r == old for r, old in kept)
 
 
-def _relabelled(A, rng, p):
-    """(A', m) with m the payload rows of a monomial isomorphism from
-    the algebra with structure rows A' onto the one with rows A."""
+def _monomial_image(ops, A, rng, nonzero):
+    """(A2, cols): A2 the structure rows A in the natural basis
+    f_pi(i) = c_i e_i, and cols the columns of the isomorphism
+    e_i -> c_i^-1 f_pi(i) from A onto A2."""
     n = len(A)
     perm = list(range(n))
     rng.shuffle(perm)
-    c = [rng.randrange(1, p) for _ in range(n)]
-    A2 = [[0] * n for _ in range(n)]
-    m = [[0] * n for _ in range(n)]
+    c = [nonzero() for _ in range(n)]
+    A2 = [[ops.zero] * n for _ in range(n)]
+    cols = [[ops.zero] * n for _ in range(n)]
     for i in range(n):
-        m[i][perm[i]] = c[i]
+        cols[i][perm[i]] = ops.inv(c[i])
         for j in range(n):
-            A2[perm[i]][perm[j]] = \
-                c[i] * c[i] * A[i][j] * pow(c[j], -1, p) % p
-    return A2, m
+            A2[perm[i]][perm[j]] = ops.div(ops.mul(ops.mul(c[i], c[i]),
+                                                   A[i][j]), c[j])
+    return A2, cols
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -121,26 +122,145 @@ def test_is_hom_verdicts_match_the_generic_kernels(p):
     fast, slow = _PrimeOps(p), _generic_ops(p)
     rng = random.Random(p + 2)
     verdicts = set()
+
+    def nonzero():
+        return rng.randrange(1, p)
     for _ in range(300):
         n = rng.randrange(1, 6)
         A = _rows(rng, p, n, n, 0.5)
         genuine = rng.random() < 0.5
         if genuine:
-            A2, m = _relabelled(A, rng, p)
+            A2, cols = _monomial_image(slow, A, rng, nonzero)
         else:
-            A2, m = _rows(rng, p, n, n, 0.5), _rows(rng, p, n, n, 0.5)
+            A2, cols = _rows(rng, p, n, n, 0.5), _rows(rng, p, n, n, 0.5)
             if rng.random() < 0.5:   # a relabelling with one entry spoilt
-                A2, m = _relabelled(A, rng, p)
+                A2, cols = _monomial_image(slow, A, rng, nonzero)
                 i, j = rng.randrange(n), rng.randrange(n)
-                m[i][j] = (m[i][j] + 1) % p
-        kept = _unmutated(A + A2 + m)
-        supports = _support_masks(A, 0)
-        verdict = _is_hom(A2, A, m, fast, supports)
-        assert verdict == _is_hom(A2, A, m, slow, supports)
+                cols[i][j] = (cols[i][j] + 1) % p
+        kept = _unmutated(A + A2 + cols)
+        verdict = fast.realizes(A, A2, cols)
+        assert verdict == slow.realizes(A, A2, cols)
         assert verdict or not genuine
         verdicts.add(verdict)
         assert all(r == old for r, old in kept)
     assert verdicts == {True, False}
+
+
+REALIZES_KINDS = ("natural", "square", "cross", "zero", "shared",
+                  "dependent")
+
+
+def _realizes_cases(ops, rng, nonzero):
+    """(kind, A1, A2, cols, verdict) for each of REALIZES_KINDS:
+    a monomial relabelling of a random strictly upper triangular algebra
+    (natural), the same with one entry of A1 moved (a failing square),
+    and on the chain e_0^2 = a e_1 with zero squares e_2 (and e_3):
+    columns whose squares pass and whose cross product does not, and
+    columns that pass the product test where only the rank test decides
+    (a zero column; columns sharing a lead row, independent or
+    dependent)."""
+    Z, mul, div = ops.zero, ops.mul, ops.div
+    n = rng.randrange(1, 6)
+    A = [[nonzero() if j > i and rng.random() < 0.6 else Z
+          for j in range(n)] for i in range(n)]
+    A2, cols = _monomial_image(ops, A, rng, nonzero)
+    yield "natural", A, A2, cols, True
+    bad = [list(r) for r in A]
+    i, j = rng.randrange(n), rng.randrange(n)
+    bad[i][j] = ops.add(bad[i][j], ops.one)
+    yield "square", bad, A2, cols, False
+
+    a, s, t, b = (nonzero() for _ in range(4))
+    chain = [[Z, a, Z], [Z] * 3, [Z] * 3]
+    sq = mul(mul(s, s), a)
+    # c_0 = s e_0, c_1 = c_0^2, c_2 = t e_0 + b e_2 with c_2^2 =
+    # (t/s)^2 c_1, but c_0 c_2 = s t a e_1
+    cols = [[s, Z, Z], [Z, sq, Z], [t, Z, b]]
+    A1 = [[Z, ops.one, Z], [Z] * 3, [Z, div(mul(t, t), mul(s, s)), Z]]
+    yield "cross", A1, chain, cols, False
+
+    chain = [[Z, a, Z, Z]] + [[Z] * 4 for _ in range(3)]
+    A1 = [[Z, ops.one, Z, Z]] + [[Z] * 4 for _ in range(3)]
+    u, v, w, d = (nonzero() for _ in range(4))
+    x, y = (nonzero() if rng.random() < 0.5 else Z for _ in range(2))
+    head = [[s, Z, Z, Z], [Z, sq, Z, Z], [Z, x, u, v]]
+    yield "zero", A1, chain, head + [[Z] * 4], False
+    # c_2 and c_3 span e_2, e_3 modulo e_1 exactly when uz - vw != 0;
+    # c_1 leads in row 1, so two of c_1, c_2, c_3 share their lead row
+    for kind, det in (("shared", d), ("dependent", Z)):
+        z = div(ops.add(mul(v, w), det), u)
+        yield kind, A1, chain, head + [[Z, y, w, z]], kind == "shared"
+
+
+def _unskipped_realizes(ops, A1, A2, cols):
+    """The witness check with every cross product computed and the rank
+    always eliminated."""
+    n = len(cols)
+    zero = [ops.zero] * n
+    return (all(ops.combine(A1[i], cols, n)
+                == ops.product(A2, cols[i], cols[i]) for i in range(n))
+            and all(ops.product(A2, cols[i], cols[j]) == zero
+                    for i in range(n) for j in range(i + 1, n))
+            and len(ops.rref(list(cols), n)) == n)
+
+
+def _check_realizes(ops, cases, monkeypatch):
+    """Each case's verdict from ops.realizes, from the unskipped check,
+    with no row list mutated; the rank is read without elimination for
+    the monomial columns and eliminated once where two columns share
+    their lead row.  Returns the kinds seen."""
+    calls = []
+    rref = ops.rref
+
+    def counted(rows, ncols):
+        calls.append(1)
+        return rref(rows, ncols)
+    monkeypatch.setattr(ops, "rref", counted, raising=False)
+    seen = set()
+    for kind, A1, A2, cols, verdict in cases:
+        kept = _unmutated(A1 + A2 + cols)
+        calls.clear()
+        assert ops.realizes(A1, A2, cols) == verdict, kind
+        if kind == "natural":
+            assert not calls
+        elif kind in ("shared", "dependent"):
+            assert len(calls) == 1
+        assert _unskipped_realizes(ops, A1, A2, cols) == verdict, kind
+        assert all(r == old for r, old in kept)
+        seen.add(kind)
+    return seen
+
+
+@pytest.mark.parametrize("p", [3, 5, 13, 1000033])
+def test_realizes_matches_the_generic_body(p, monkeypatch):
+    # the same cases through the GF(p) override and the generic body
+    rng = random.Random(p + 6)
+    slow = _generic_ops(p)
+    cases = [case for _ in range(60) for case in
+             _realizes_cases(slow, rng, lambda: rng.randrange(1, p))]
+    for ops in (_PrimeOps(p), slow):
+        assert _check_realizes(ops, cases, monkeypatch) \
+            == set(REALIZES_KINDS)
+
+
+@pytest.mark.parametrize("field", [QQ(), QI()], ids=["Q", "Qi"])
+def test_realizes_over_q_and_qi_compares_with_the_payload_zero(
+        field, monkeypatch):
+    # Q(i) scalars a + bi from helpers.gaussian_scalar, Q scalars signed
+    # fractions; the Q(i) zero payload is a pair, which is truthy
+    ops = field.ops
+    rng = random.Random(str(field))
+
+    def nonzero():
+        while True:
+            x = (gaussian_scalar(rng, field).value if field.has_i
+                 else ops.div(ops.of_int(rng.randrange(-9, 10)),
+                              ops.of_int(rng.randrange(1, 4))))
+            if x != ops.zero:
+                return x
+    cases = [case for _ in range(40)
+             for case in _realizes_cases(ops, rng, nonzero)]
+    assert _check_realizes(ops, cases, monkeypatch) == set(REALIZES_KINDS)
 
 
 @pytest.mark.parametrize("p", PRIMES)

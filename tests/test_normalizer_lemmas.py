@@ -185,20 +185,22 @@ def test_the_forms_classify_reads_are_nondegenerate(monkeypatch):
 
 def test_the_221_builder_has_one_candidate_and_it_realizes(monkeypatch):
     # L5: an unsplit [2,2,1] algebra gets its witness from the first
-    # candidate, so one _realizes call per witness search, and never
-    # no_witness
+    # candidate, so one call of the realizes kernel per witness search,
+    # and never no_witness
     classify_module = importlib.import_module("evoalg.classify")
+    fields = importlib.import_module("evoalg.fields")
     calls = collections.Counter()
 
-    def counted(name):
-        fn = getattr(classify_module, name)
+    def counted(owner, name, key):
+        fn = getattr(owner, name)
 
         def wrapper(*args):
-            calls[name] += 1
+            calls[key] += 1
             return fn(*args)
-        monkeypatch.setattr(classify_module, name, wrapper)
-    counted("_witness_basis")
-    counted("_realizes")
+        monkeypatch.setattr(owner, name, wrapper)
+    counted(classify_module, "_witness_basis", "_witness_basis")
+    for table in (fields.FieldOps, fields._PrimeOps):
+        counted(table, "realizes", "realizes")
     rng = random.Random(221)
     inputs = [random_nilpotent_of_type([2, 2, 1], rng, field)
               for field, _ in FIELDS for _ in range(150)]
@@ -211,7 +213,7 @@ def test_the_221_builder_has_one_candidate_and_it_realizes(monkeypatch):
             continue
         unsplit += 1
         assert label.type_vector == (2, 2, 1) and not label.no_witness
-        assert calls["_witness_basis"] == calls["_realizes"] == 1
+        assert calls["_witness_basis"] == calls["realizes"] == 1
     assert unsplit >= 120
 
 
@@ -239,7 +241,7 @@ def slope_families(draw):
 @given(slope_families())
 def test_the_slope_candidates_of_one_order_all_realize(E):
     # the lemma of _h_slopes: an order of the u_k that fits the template
-    # fixes alpha, and signs do not change squares, so _realizes gives
+    # fixes alpha, and signs do not change squares, so realizes gives
     # one verdict on all the candidates of one order (the first realizing
     # candidate does not depend on root signs), and that verdict is True
     classify_module = importlib.import_module("evoalg.classify")
@@ -259,7 +261,8 @@ def test_the_slope_candidates_of_one_order_all_realize(E):
                 order = tuple(next(k for k, x in enumerate(v)
                                    if x != field.ops.zero)
                               for v in cols[:m])
-                verdicts[order].add(classify_module._realizes(rows, E, w))
+                verdicts[order].add(
+                    field.ops.realizes(rows, E._rows, list(zip(*w))))
         return original(E, Ead, perm, entry, params, builder)
 
     with mock.patch.object(classify_module, "_witness_basis", record):
@@ -312,8 +315,7 @@ def test_every_line_frame_candidate_realizes(E):
     entry = find_entry(n + 2, (1, n, 1), 1)
     rows = classify_module._template_rows(entry, (), E.field)
     for cols in candidates:
-        m = [list(r) for r in zip(*cols)]
-        assert classify_module._realizes(rows, Ead, m)
+        assert E.field.ops.realizes(rows, Ead._rows, cols)
     assert label.no_witness == (not candidates)
 
 
@@ -328,8 +330,7 @@ def _classify_with_verdicts(E):
     def record(E, Ead, perm, entry, params, builder):
         rows = classify_module._template_rows(entry, params, E.field)
         for cols in builder(Ead, E.field.payloads(params)):
-            m = [list(r) for r in zip(*cols)]
-            verdicts.append(classify_module._realizes(rows, Ead, m))
+            verdicts.append(E.field.ops.realizes(rows, Ead._rows, cols))
         return original(E, Ead, perm, entry, params, builder)
 
     with mock.patch.object(classify_module, "_witness_basis", record):

@@ -10,13 +10,13 @@ import pytest
 
 import evoalg
 
-from evoalg.algebra import EvolutionAlgebra, _support_masks, upper_series
+from evoalg.algebra import EvolutionAlgebra, upper_series
 from evoalg.errors import (BudgetExceeded, DomainError, ShapeError, Singular,
                            UnsupportedField)
 from evoalg.fields import GF, QI, QQ
 from evoalg.linalg import Matrix, _inverse_rows, _rank
-from evoalg.oracle import (SearchBudget, _is_hom, _pattern_blocks,
-                           exhaustive_iso, randomized_iso, verify_hom)
+from evoalg.oracle import (SearchBudget, _pattern_blocks, exhaustive_iso,
+                           randomized_iso, verify_hom)
 from evoalg.tables import find_entry
 
 from helpers import random_nilpotent, scalar_limit
@@ -282,9 +282,10 @@ def _squares_pass(A2, rng, field):
 @pytest.mark.parametrize("field", [GF(5), GF(13), QQ(), QI()],
                          ids=str)
 def test_the_support_skip_keeps_every_product_test_verdict(field):
-    # _is_hom against the unskipped product test on natural candidates,
-    # spoilt ones, dense ones, block-patterned ones and ones that pass
-    # every square; verify_hom answers with the same verdict
+    # the realizes kernel against the unskipped product test and the
+    # rank on natural candidates, spoilt ones, dense ones, block-patterned
+    # ones and ones that pass every square; verify_hom answers with the
+    # same verdict
     ops = field.ops
     rng = random.Random(str(field))
     verdicts = {}
@@ -307,8 +308,9 @@ def test_the_support_skip_keeps_every_product_test_verdict(field):
             if drawn is None:
                 continue
             A1, m = drawn
-        verdict = _is_hom(A1, A2, m, ops, _support_masks(A2, ops.zero))
-        assert verdict == unskipped_is_hom(A1, A2, m, ops)
+        verdict = ops.realizes(A1, A2, list(zip(*m)))
+        assert verdict == (unskipped_is_hom(A1, A2, m, ops)
+                           and _rank(m, n, ops) == n)
         assert verdict or kind != "natural"
         verdicts.setdefault(kind, set()).add(verdict)
         E1, E2 = (EvolutionAlgebra._wrap(A1, field),
