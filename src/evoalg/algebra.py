@@ -32,8 +32,8 @@ of basis: a graph component is a selection of E's rows and columns, the
 annihilator split is the quotient by C (the selection outside C) plus
 one-dimensional zero algebras, and each pair e_i, e_i^2 of the pairing
 is the two-element chain.  ``decomposability_check`` spans its witness
-ideals from the groups (``_split_ideals``), and the split stages also
-run alone, for a summand whose split proved the others cannot fire.
+ideals from the groups (``_split_ideals``), and ``classify`` runs the
+same split on E and on each summand it classifies.
 """
 
 from __future__ import annotations
@@ -231,26 +231,6 @@ def upper_series(E: EvolutionAlgebra) -> AnnSeries:
         pending = rest
         blocks.append(new)
     return AnnSeries._lazy(blocks, not pending, E.dim, E.field)
-
-
-def _restricted_series(series: AnnSeries, idx: list[int],
-                       field) -> AnnSeries:
-    """The series of the summand on the indices idx (sorted) of a split,
-    read off the series of the whole algebra: each term of the summand's
-    series is the matching term of the whole series restricted to idx,
-    renumbered, until idx is full; the blocks after that restrict to
-    nothing and are dropped.  This holds for a graph component, which is
-    closed under supports, and for the indices outside C of an
-    annihilator split, where ann^i(E) = ann^i(E/C) + C with C inside
-    ann (``_annihilator_split``)."""
-    at = {i: k for k, i in enumerate(idx)}
-    blocks = []
-    for blk in series.blocks:
-        mine = [at[i] for i in blk if i in at]
-        if not mine:
-            break
-        blocks.append(mine)
-    return AnnSeries._lazy(blocks, series.nilpotent, len(idx), field)
 
 
 def _require_subspaces(E: EvolutionAlgebra, *subspaces: Subspace):
@@ -472,9 +452,7 @@ def _annihilator_split(E: EvolutionAlgebra, zero: list[int]):
     the e_j, j not in C, form a natural basis of E/C, and the square of
     each is e_j^2 with its C coordinates dropped: the summand is the
     selection of E's rows and columns outside C, and each e_k of C is a
-    one-dimensional zero algebra.  Since ann^i(E) = ann^i(I) + C, the
-    summand's series is E's blocks restricted to the indices outside C
-    (``_restricted_series``)."""
+    one-dimensional zero algebra."""
     masks = E._supports()
     units = sum(1 << k for k in zero if 1 << k in masks)
     rest = [k for k in zero if not units >> k & 1]
@@ -506,8 +484,7 @@ def _natural_split(E: EvolutionAlgebra):
     groups holds index lists of E's own basis, one per summand.  The
     criteria, in order:
 
-    - the attached graph is disconnected (``_component_split``): the
-      components;
+    - the attached graph is disconnected: the components;
     - an annihilator vector lies outside E^2 (``_annihilator_split``):
       E = I + C with C spanned by some e_k inside ann; the indices
       outside C, for I = E/C, then each index of C alone;
@@ -515,36 +492,27 @@ def _natural_split(E: EvolutionAlgebra):
       nonzero square, for the pair e_i, e_i^2, which is the two-element
       chain (rows [[0, 1], [0, 0]] in that basis).
 
-    A split proves facts about its summands, and ``classify`` hands them
-    down instead of testing again.  Some summands it identifies outright,
-    and ``classify`` takes their labels without classifying them: each
-    pair of the pairing is the two-element chain, and each one-index
-    group (each e_k of C, each one-vertex component) is one-dimensional
-    and nilpotent, so the zero algebra.  A component is connected, and its
-    series is E's series restricted to it, since a component is closed
-    under supports; so its split stage is ``_connected_split``.  The I
-    summand of an annihilator split inherits its series in the same way,
-    and it has its annihilator inside its square, so its split stage
-    skips the annihilator split (``_split_inside_square``): ann(I)
-    contains ann(E) cap E^2, and the two have the same dimension,
-    dim ann(E) - dim C; hence ann(I) = ann(E) cap E^2, which lies in
-    E^2 = I^2.
+    Some summands the split identifies outright, and ``classify`` takes
+    their labels without classifying them: each pair of the pairing is
+    the two-element chain, and each one-index group (each e_k of C, each
+    one-vertex component) is one-dimensional and nilpotent, so the zero
+    algebra.
 
     The chain lemma: a nilpotent A of dimension n <= 3 whose series has
     n blocks of one index each, type [1,...,1], is the n-element chain,
     so ``classify`` takes the chain's label for such a summand from its
-    inherited series alone.  In the basis adapted to the series, e_k^2
-    has a nonzero entry on the next block down, or e_k would sit a block
-    lower.  So x = e_0, x^2 and (x^2)^2 (as far as n reaches) form a
-    triangular basis with a nonzero diagonal, natural since their cross
-    products vanish: x^2 and (x^2)^2 have no e_0 component, and (x^2)^2
+    series alone.  In the basis adapted to the series, e_k^2 has a
+    nonzero entry on the next block down, or e_k would sit a block lower.
+    So x = e_0, x^2 and (x^2)^2 (as far as n reaches) form a triangular
+    basis with a nonzero diagonal, natural since their cross products
+    vanish: x^2 and (x^2)^2 have no e_0 component, and (x^2)^2
     lies in ann.  That basis realizes the chain's rows over every field,
     with no root taken.  The lemma stops at n = 3: type [1,1,1,1] has
     two variants.
 
     The one-dimensional annihilator lemma: a nilpotent E with
-    dim ann(E) = 1 has no split, so ``classify`` runs no split stage on
-    it.  Every nonzero nilpotent summand has a nonzero annihilator of its
+    dim ann(E) = 1 has no split, so ``classify`` does not search it for
+    one.  Every nonzero nilpotent summand has a nonzero annihilator of its
     own, and the annihilators of the summands of a direct sum lie in
     ann(E), so each criterion needs dim ann(E) >= 2: a disconnected graph
     gives each component a zero square; an annihilator split adds C to
@@ -554,32 +522,15 @@ def _natural_split(E: EvolutionAlgebra):
     makes such an E of dim >= 2 indecomposable (criterion (e) of
     ``decomposability_check``).
     """
-    return _component_split(E) or _connected_split(E)
-
-
-def _component_split(E: EvolutionAlgebra):
-    """The split into graph components, or None when E is connected."""
     comps = component_index_sets(E)
     if len(comps) > 1:
         return _DISCONNECTED, comps
-    return None
-
-
-def _connected_split(E: EvolutionAlgebra):
-    """``_natural_split`` of a connected E: the annihilator split, else
-    the pairing."""
     zero = _zero_rows(E)
     c_idx = _annihilator_split(E, zero) if E.dim >= 2 and zero else None
     if c_idx is not None:
         keep = [j for j in range(E.dim) if j not in c_idx]
         return _ANN_OUTSIDE_SQUARE, [keep] + [[k] for k in c_idx]
     return _pairing(E, zero)
-
-
-def _split_inside_square(E: EvolutionAlgebra):
-    """``_natural_split`` of an E whose annihilator lies inside E^2, where
-    no annihilator split exists: the components, else the pairing."""
-    return _component_split(E) or _pairing(E, _zero_rows(E))
 
 
 def _pairing(E: EvolutionAlgebra, zero: list[int]):

@@ -39,7 +39,7 @@ label, and ``witness_isomorphism`` composes the two stored witnesses
 instead of normalizing again.
 
 Everything below the public boundary computes on raw payloads through
-the field's ``ops`` table: the splitting stages, the adapted reorder,
+the field's ``ops`` table: the split stage, the adapted reorder,
 the per-type normalizers (they read the structure rows, take roots
 with ``ops.sqrt`` and ``ops.cbrt`` and divide with ``ops.div``, which
 raises DivisionByZero), their builders (payload columns, products by
@@ -57,14 +57,15 @@ The summands these lemmas identify are labelled without being
 classified: each pair of the pairing and each chain of an ann-dim-2
 split gets the chain's label (``_CHAIN2``, ``_CHAIN3``), each
 one-index group of a split, such as each e_k of C, the zero algebra's
-(``_ZERO``), and each summand of dimension 2 or 3 whose series,
-inherited from its split, is [1,1] or [1,1,1], the chain's: in dims 2
-and 3 that type has one table entry, which the powers of the top
-vector realize over every field (the chain lemma of
-``_natural_split``).  Every other summand is classified, so each label
-that carries a witness still has one verified; a Decomposed label
-carries none.  Each witness candidate gets one call of the field's
-``ops.realizes``, the product test and the rank test of ``verify_hom``.
+(``_ZERO``), and each summand of dimension 2 or 3 whose own series is
+[1,1] or [1,1,1], the chain's: in dims 2 and 3 that type has one table
+entry, which the powers of the top vector realize over every field (the
+chain lemma of ``_natural_split``).  Every other summand is classified
+as the algebra it is, with its own series and the same split stage as
+an input, so each label that carries a witness still has one verified;
+a Decomposed label carries none.  Each witness candidate gets one call
+of the field's ``ops.realizes``, the product test and the rank test of
+``verify_hom``.
 ``FieldElement`` values appear only at the public boundary: a
 normalizer's raw parameters are wrapped once, to pick their orbit
 representative for the label, ``classify`` builds no witness matrix,
@@ -79,8 +80,7 @@ multiple of one e_k of ann and eliminates only the other squares, over
 the other columns: none when every e_k of ann is such a multiple.
 Supports are int bitmasks, so the cross products of the witness check
 (``FieldOps.realizes``) are computed only for two columns whose supports
-meet on the nonzero squares.  Each summand is classified with what its
-split proved (``_classify_rows``), and no split stage runs on an algebra
+meet on the nonzero squares.  No split is searched for in an algebra
 or summand whose annihilator, the series' first block, has one index:
 every summand of a direct sum adds its own nonzero annihilator, so such
 an algebra has no split (the one-dimensional annihilator lemma of
@@ -105,10 +105,8 @@ from .errors import (
 )
 from .fields import PRIME, FieldElement
 from .linalg import Matrix, _kernel_rows, _unit_row
-from .algebra import (_DISCONNECTED, _LARGE_ANN, EvolutionAlgebra,
-                      _connected_split, _natural_split,
-                      _restricted_series, _split_inside_square, _subalgebra,
-                      upper_series)
+from .algebra import (_LARGE_ANN, EvolutionAlgebra, _natural_split,
+                      _subalgebra, upper_series)
 from .tables import find_entry, orbit_min
 from .oracle import _bounded_iso, verify_hom
 
@@ -337,26 +335,21 @@ def classify(E: EvolutionAlgebra):
     return _classify_rows(E)[0]
 
 
-def _classify_rows(E, series=None, split_stage=None):
+def _classify_rows(E, series=None):
     """The label of E and the payload rows of its verified witness basis,
     the latter None for Decomposed labels and whenever the label carries
-    no_witness.
+    no_witness; series is E's, when the caller has computed it.
 
     Every summand of a split is a selection of E's rows and columns or a
-    fixed chain (see ``algebra._natural_split``), and it comes with what
-    its split proved.  A summand whose split identifies it is handed to
+    fixed chain (see ``algebra._natural_split``), so it is an algebra in
+    its own right, with its own natural basis, and ``_gather`` classifies
+    it as one.  A summand whose split identifies it is handed to
     ``_gather`` as its label, unclassified: each pair of the pairing is
     the two-element chain, and each one-index group of a split is
-    one-dimensional and nilpotent, so the zero algebra.  A graph
-    component comes with its series, read off the whole series, and the
-    split stage ``_connected_split``; the quotient of an annihilator
-    split with its series read off likewise, and the split stage
-    ``_split_inside_square``.  ``_gather`` labels such a summand of type
-    [1,1] or [1,1,1] by that series alone, and classifies the others.
-    Other algebras compute their series and run the whole
-    ``_natural_split``.  No split stage runs when the series' first block,
-    ann(E), has one index: such an E has no split (the one-dimensional
-    annihilator lemma of ``_natural_split``)."""
+    one-dimensional and nilpotent, so the zero algebra.  No split is
+    searched for when the series' first block, ann(E), has one index:
+    such an E has no split (the one-dimensional annihilator lemma of
+    ``_natural_split``)."""
     if E.dim > 5:
         raise UnsupportedDim("classification covers dimension at most 5")
     if series is None:
@@ -364,24 +357,18 @@ def _classify_rows(E, series=None, split_stage=None):
         if not series.nilpotent:
             raise NotNilpotent("classification applies to nilpotent algebras")
 
-    split = None if len(series.blocks[0]) == 1 \
-        else (split_stage or _natural_split)(E)
+    split = None if len(series.blocks[0]) == 1 else _natural_split(E)
     if split is not None:
         reason, groups = split
         if reason == _LARGE_ANN:  # each pair e_i, e_i^2 is the 2-chain
             return _gather([_CHAIN2] * len(groups)), None
-        field = E.field
-        stage = (_connected_split if reason == _DISCONNECTED
-                 else _split_inside_square)
         return _gather([_ZERO if len(g) == 1 else
-                        (_subalgebra(E._rows, g, field),
-                         _restricted_series(series, g, field), stage)
+                        _subalgebra(E._rows, g, E.field)
                         for g in groups]), None
 
     result = _normalize(E, series)
     if isinstance(result, list):  # an ann-dim-2 special split
-        return _gather([sub if isinstance(sub, CanonicalLabel)
-                        else (sub, None, None) for sub in result]), None
+        return _gather(result), None
     return result
 
 
@@ -396,25 +383,25 @@ _CHAINS = [None] + [(l.serialize(), l) for l in (_ZERO, _CHAIN2, _CHAIN3)]
 
 
 def _gather(parts):
-    """The Decomposed label of the summands, each given as (algebra,
-    series, split stage) for ``_classify_rows`` or, when its split
-    identified it, as its label, one of the chains.
+    """The Decomposed label of the summands, each given as its algebra
+    or, when its split identified it, as its label, one of the chains.
 
-    A part whose series, inherited from its split, has A.dim <= 3 blocks
-    of one index each is the chain of that length too (the chain lemma
-    of ``algebra._natural_split``), and it takes the chain's label
-    without being classified.  The labels are sorted by serialization,
-    each string built once, the chains' once for all."""
+    Each algebra's series is computed once and handed to
+    ``_classify_rows``.  A summand of dim n <= 3 whose series has n
+    blocks of one index each is the n-chain (the chain lemma of
+    ``algebra._natural_split``), and it takes the chain's label without
+    being classified.  The labels are sorted by serialization, each
+    string built once, the chains' once for all."""
     keyed = []
     for part in parts:
         if isinstance(part, CanonicalLabel):
             keyed.append(_CHAINS[part.dim])
             continue
-        A, series, _ = part
-        if series is not None and len(series.blocks) == A.dim <= 3:
-            keyed.append(_CHAINS[A.dim])
+        series = upper_series(part)
+        if len(series.blocks) == part.dim <= 3:
+            keyed.append(_CHAINS[part.dim])
             continue
-        res = _classify_rows(*part)[0]
+        res = _classify_rows(part, series)[0]
         for label in res.labels if isinstance(res, Decomposed) else (res,):
             keyed.append((label.serialize(), label))
     keyed.sort(key=itemgetter(0))

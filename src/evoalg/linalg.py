@@ -17,8 +17,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .errors import AmbientMismatch, ShapeError, Singular
-from .fields import (FieldDescriptor, FieldElement, _leads_distinct,
-                     _support_mask)
+from .fields import FieldDescriptor, FieldElement
 
 
 class Matrix:
@@ -153,16 +152,8 @@ def _inverse_rows(rows: list[list], ops) -> list[list]:
 
 
 def _rank(rows: list[list], ncols: int, ops) -> int:
-    """Rank of payload rows in their first ``ncols`` columns; the rows
-    are left untouched.  A square matrix whose columns first become
-    nonzero in distinct rows is a column permutation of a triangular one
-    with a nonzero diagonal, so its rank is ``ncols`` with no elimination;
-    any other matrix is eliminated."""
-    if len(rows) == ncols:
-        Z = ops.zero
-        if _leads_distinct([_support_mask(col, Z)
-                            for col in zip(*rows)][:ncols]):
-            return ncols
+    """Rank of payload rows in their first ``ncols`` columns, by one
+    elimination of a copy; the rows are left untouched."""
     return len(ops.rref(list(rows), ncols))
 
 

@@ -33,7 +33,8 @@ _FALLBACK_TRIALS = 200000
 
 class SearchBudget(Frozen):
     """The trial count and the seed of a randomized_iso search; the
-    count must be an int >= 0."""
+    count must be an int >= 0 and the seed an int, so that every search
+    can be reproduced."""
 
     __slots__ = _fields = ("max_trials", "seed")
 
@@ -41,6 +42,8 @@ class SearchBudget(Frozen):
         if type(max_trials) is not int or max_trials < 0:
             raise DomainError(
                 f"max_trials must be an int >= 0, got {max_trials!r}")
+        if type(seed) is not int:
+            raise DomainError(f"seed must be an int, got {seed!r}")
         set_fields(self, max_trials, seed)
 
 

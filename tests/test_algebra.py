@@ -12,9 +12,8 @@ from hypothesis import Phase, given, settings, strategies as st
 from evoalg.algebra import (_ANN_OUTSIDE_SQUARE, _DISCONNECTED, _LARGE_ANN,
                             DECOMPOSABLE, INDECOMPOSABLE, PLENARY, RIGHT,
                             UNKNOWN, AnnSeries, EvolutionAlgebra,
-                            _annihilator_split, _connected_split,
-                            _natural_split, _split_ideals,
-                            _split_inside_square, _zero_rows,
+                            _annihilator_split, _natural_split,
+                            _split_ideals, _zero_rows,
                             block_subspace, component_index_sets,
                             decomposability_check, graph_of,
                             invariant_profile, is_ideal, power_nilpotency,
@@ -345,12 +344,11 @@ def one_dimensional_annihilators(draw):
 @settings(max_examples=300, deadline=None)
 @given(one_dimensional_annihilators())
 def test_a_one_dimensional_annihilator_has_no_natural_split(E):
-    # the lemma of _natural_split that lets classify skip the split
-    # stages: every summand of a direct sum adds its own annihilator
+    # the lemma of _natural_split that lets classify skip the split:
+    # every summand of a direct sum adds its own annihilator
     series = upper_series(E)
     assert series.nilpotent and series.type_vector[0] == 1
     assert _natural_split(E) is None
-    assert _connected_split(E) is None and _split_inside_square(E) is None
     verdict = decomposability_check(E)
     assert verdict.status == (INDECOMPOSABLE if E.dim >= 2 else UNKNOWN)
 
@@ -944,11 +942,11 @@ def _part_rows(part, field):
     if isinstance(part, CanonicalLabel):
         entry = find_entry(part.dim, part.type_vector, part.variant)
         return entry.template_rows(part.params, field)
-    return part[0]._rows
+    return part._rows
 
 
 def _record_splits(classify_module):
-    """Patches for classify's split stages, its ann-dim-2 handlers and
+    """Patches for classify's split stage, its ann-dim-2 handlers and
     _gather, and the events they record in call order: ("split", E,
     reason, groups) or ("special", Ead, type) for each split that
     classify applies, each followed by ("gather", summand parts) for the
@@ -962,10 +960,8 @@ def _record_splits(classify_module):
                 events.append(("split", E) + tuple(split))
             return split
         return wrapper
-    for name in ("_natural_split", "_connected_split",
-                 "_split_inside_square"):
-        patches.append((classify_module, name,
-                        stage(getattr(classify_module, name))))
+    patches.append((classify_module, "_natural_split",
+                    stage(classify_module._natural_split)))
 
     def special(handler):
         def wrapper(Ead, tv):
@@ -1092,31 +1088,25 @@ def test_an_annihilator_split_takes_two_eliminations(monkeypatch):
 @settings(max_examples=300)
 @given(st.one_of(split_algebras(), nilpotent_of_type(_SPLIT_TYPES)))
 def test_every_summand_inherits_what_its_split_proved(E):
-    # the quotient of an annihilator split and each pair of the pairing
-    # have no annihilator split of their own; a graph component is
-    # connected; and the series a component or a quotient reads off the
-    # whole series is its own
+    # the one-index summands of a split never reach _classify_rows, and
+    # every summand that does comes with its own series
     classify_module = importlib.import_module("evoalg.classify")
     classify_rows = classify_module._classify_rows
     calls = []
 
-    def recording(A, series=None, split_stage=None):
-        calls.append((A, series, split_stage))
-        return classify_rows(A, series, split_stage)
+    def recording(A, series=None):
+        calls.append((A, series))
+        return classify_rows(A, series)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(classify_module, "_classify_rows", recording)
         try:
             classify_module.classify(E)
         except (NotNilpotent, SqrtUnavailable):
             pass
-    for A, series, split_stage in calls:
+    for A, series in calls:
         # the one-index summands of a split are labelled by the split and
         # never reach _classify_rows
         assert series is None or A.dim > 1
-        if split_stage is _split_inside_square:
-            assert _annihilator_split(A, _zero_rows(A)) is None
-        if split_stage is _connected_split:
-            assert len(component_index_sets(A)) == 1
         if series is not None:
             ref = upper_series(A)
             assert series.nilpotent and ref.nilpotent
@@ -1125,68 +1115,22 @@ def test_every_summand_inherits_what_its_split_proved(E):
 
 
 def test_summands_skip_the_split_stages_their_split_proved(monkeypatch):
-    # call counts on the summands classify takes: no quotient of an
-    # annihilator split runs the annihilator split, no graph component
-    # runs the component pass, and neither a component nor a quotient
-    # runs the series (all of them did when each summand was classified
-    # from scratch); a pair of the pairing, taken as the two-element
-    # chain's label, runs no split stage and no normalizer at all
-    algebra_module = importlib.import_module("evoalg.algebra")
+    # a pair of the pairing, taken as the two-element chain's label, runs
+    # no split stage and no normalizer at all
     classify_module = importlib.import_module("evoalg.classify")
-    square_parts, component_parts, series_parts = set(), set(), set()
-    kept, repeats = [], collections.Counter()
-    taken = collections.Counter()
-    counting, last_split, ran = [True], [None], collections.Counter()
+    natural_split, gather, normalize = (classify_module._natural_split,
+                                        classify_module._gather,
+                                        classify_module._normalize)
+    repeats, taken = collections.Counter(), collections.Counter()
+    last_split, ran = [None], collections.Counter()
 
-    def quietly(fn, *args):
-        counting[0] = False
-        try:
-            return fn(*args)
-        finally:
-            counting[0] = True
-
-    def watch(module, name, marked):
-        fn = getattr(module, name)
-
-        def wrapper(A, *args):
-            if counting[0] and id(A) in marked:
-                repeats[name] += 1
-            return fn(A, *args)
-        monkeypatch.setattr(module, name, wrapper)
-
-    def mark(P, *sets):
-        for marked in sets:
-            marked.add(id(P))
-        kept.append(P)
-
-    subalgebra, gather, normalize = (classify_module._subalgebra,
-                                     classify_module._gather,
-                                     classify_module._normalize)
-
-    def sub(rows, idx, field):
-        P = subalgebra(rows, idx, field)
-        if counting[0] and P.dim > 1:
-            whole = EvolutionAlgebra._wrap(rows, field)
-            split = quietly(algebra_module._natural_split, whole)
-            if split is not None and list(idx) in split[1]:
-                if split[0] == _DISCONNECTED:
-                    taken["component"] += 1
-                    mark(P, component_parts, series_parts)
-                else:
-                    assert split[0] == _ANN_OUTSIDE_SQUARE
-                    taken["quotient"] += 1
-                    mark(P, square_parts, series_parts)
-        return P
-
-    def stage(fn, name):
+    def stage(A):
         # _classify_rows hands a split's summands to _gather right after
         # the split stage returns it
-        def wrapper(A):
-            ran[name] += 1
-            split = fn(A)
-            last_split[0] = None if split is None else (split[0], A.field)
-            return split
-        monkeypatch.setattr(classify_module, name, wrapper)
+        ran["_natural_split"] += 1
+        split = natural_split(A)
+        last_split[0] = None if split is None else (split[0], A.field)
+        return split
 
     def gathering(parts):
         parts = list(parts)
@@ -1207,13 +1151,7 @@ def test_summands_skip_the_split_stages_their_split_proved(monkeypatch):
     def normalized(E, series):
         ran["_normalize"] += 1
         return normalize(E, series)
-    watch(algebra_module, "_annihilator_split", square_parts)
-    watch(algebra_module, "component_index_sets", component_parts)
-    watch(classify_module, "upper_series", series_parts)
-    for name in ("_natural_split", "_connected_split",
-                 "_split_inside_square"):
-        stage(getattr(classify_module, name), name)
-    monkeypatch.setattr(classify_module, "_subalgebra", sub)
+    monkeypatch.setattr(classify_module, "_natural_split", stage)
     monkeypatch.setattr(classify_module, "_gather", gathering)
     monkeypatch.setattr(classify_module, "_normalize", normalized)
     rng = random.Random(12)
@@ -1225,7 +1163,6 @@ def test_summands_skip_the_split_stages_their_split_proved(monkeypatch):
             except SqrtUnavailable:
                 pass
     assert repeats == {}
-    assert taken["component"] >= 250 and taken["quotient"] >= 150
     assert taken["pair"] >= 80
 
 

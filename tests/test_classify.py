@@ -398,6 +398,42 @@ def test_gaussian_draws_and_their_relabellings_get_equal_labels(dim, seed):
         assert labels_equal(first, second)
 
 
+def _summand_reprs(*algebras):
+    """The sorted label reprs of the algebras' summands, or the type of
+    the first EvoalgError that classify raises."""
+    try:
+        return sorted(repr(lab) for A in algebras
+                      for lab in _summands(classify(A)))
+    except EvoalgError as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dims=st.sampled_from([(a, b) for a in range(1, 5)
+                             for b in range(1, 6 - a)]),
+       field=st.sampled_from([GF(3), F13, QQ(), QI()]),
+       density=st.sampled_from([0.4, 0.7, 1.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_a_direct_sum_gets_the_labels_of_its_summands(dims, field, density,
+                                                      seed):
+    # A + B on complementary index sets, each summand in its own order:
+    # classify labels every summand as the algebra it is, so the sum's
+    # summand labels are those of A and of B, or both sides raise alike
+    rng = random.Random(seed)
+    kw = {"draw": gaussian_scalar} if field == QI() else {}
+    A, B = (random_nilpotent(d, rng, field, density, **kw) for d in dims)
+    n = A.dim + B.dim
+    at_a = sorted(rng.sample(range(n), A.dim))
+    at_b = [i for i in range(n) if i not in at_a]
+    rows = [[field.zero()] * n for _ in range(n)]
+    for P, at in ((A, at_a), (B, at_b)):
+        for i, k in enumerate(at):
+            for j, l in enumerate(at):
+                rows[k][l] = P.structure[i, j]
+    S = EvolutionAlgebra(n, Matrix(rows, field, n), field)
+    assert _summand_reprs(S) == _summand_reprs(A, B)
+
+
 def _chain3(field):
     return find_entry(3, (1, 1, 1), 1).template((), field)
 
@@ -603,24 +639,22 @@ def test_series_and_basis_changes_skip_redundant_elimination(monkeypatch):
 
 def test_no_split_stage_runs_on_a_one_dimensional_annihilator(monkeypatch):
     # the one-dimensional annihilator lemma of algebra._natural_split: a
-    # top-level input with dim ann = 1 and a summand whose inherited
-    # series starts with one index run no split stage
+    # top-level input and a summand with dim ann = 1 run no split stage
     classify_module = importlib.import_module("evoalg.classify")
     algebra_module = importlib.import_module("evoalg.algebra")
     seen, staged = {"top": 0, "summand": 0}, []
+    natural_split = classify_module._natural_split
 
-    for name in ("_natural_split", "_connected_split",
-                 "_split_inside_square"):
-        def stage(A, fn=getattr(classify_module, name)):
-            staged.append(len(algebra_module._zero_rows(A)))
-            return fn(A)
-        monkeypatch.setattr(classify_module, name, stage)
+    def stage(A):
+        staged.append(len(algebra_module._zero_rows(A)))
+        return natural_split(A)
+    monkeypatch.setattr(classify_module, "_natural_split", stage)
     classify_rows = classify_module._classify_rows
 
-    def watched(A, series=None, split_stage=None):
+    def watched(A, series=None):
         if len(algebra_module._zero_rows(A)) == 1:
             seen["top" if series is None else "summand"] += 1
-        return classify_rows(A, series, split_stage)
+        return classify_rows(A, series)
     monkeypatch.setattr(classify_module, "_classify_rows", watched)
     rng = random.Random(27)
     for field in (F13, GF(3), QQ(), QI()):

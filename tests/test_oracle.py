@@ -136,6 +136,14 @@ def test_search_budget_refuses_a_trial_count_that_is_not_an_int_ge_0(
         SearchBudget(trials)
 
 
+@pytest.mark.parametrize("seed", [[1], None, 1.5, "x", True])
+def test_search_budget_refuses_a_seed_that_is_not_an_int(seed):
+    # random.Random raised a raw TypeError for [1], and seeded None from
+    # the clock, so the search could not be reproduced
+    with pytest.raises(DomainError, match="seed"):
+        SearchBudget(10, seed=seed)
+
+
 def test_randomized_finds_self_isomorphism():
     entry = find_entry(4, (1, 2, 1), 1)
     F13 = GF(13)
