@@ -26,19 +26,26 @@ columns of that rest.  That test is the only one of ann inside E^2:
 
 The decomposability criteria that split E into ideals spanned by a
 natural basis (a disconnected graph, an annihilator vector outside E^2,
-dim ann >= dim/2) live in one place, ``_natural_split``, which returns
-the split as index groups of E's own basis.  No summand needs a change
-of basis: a graph component is a selection of E's rows and columns, the
-annihilator split is the quotient by C (the selection outside C) plus
-one-dimensional zero algebras, and each pair e_i, e_i^2 of the pairing
-is the two-element chain.  ``decomposability_check`` spans its witness
-ideals from the groups (``_split_ideals``), and ``classify`` runs the
-same split on E and on each summand it classifies.
+dim ann >= dim/2, and the two criteria of dim 5 with dim ann = 2: two
+proportional squares in type [2,3], a top square that misses a middle
+vector in type [2,2,1]) live in one place, ``_natural_split``, which
+returns the split as index groups of E's own basis.  No summand needs a
+change of basis, and this module alone maps a split to its summands and
+ideals: ``_split_summands`` gives each summand as a selection of E's
+rows and columns (a graph component, the quotient by C of the
+annihilator split), as the length of a chain that a lemma identifies
+(each e_k of C, each pair e_i, e_i^2 of the pairing, the [2,2,1]
+summands and one [2,3] summand) or, for the other [2,3] summand, as the
+algebra with rows [[0, 0, 1], [0, 0, c], [0, 0, 0]].
+``decomposability_check`` spans its witness ideals from the groups
+(``_split_ideals``), and ``classify`` runs the same split on E and on
+each summand it classifies.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import combinations
 
 from ._values import Value
 from .errors import AmbientMismatch, NotAnIdeal, NotNilpotent, ShapeError
@@ -476,6 +483,8 @@ def _annihilator_split(E: EvolutionAlgebra, zero: list[int]):
 _DISCONNECTED = "attached graph is disconnected"
 _ANN_OUTSIDE_SQUARE = "annihilator is not contained in E^2"
 _LARGE_ANN = "annihilator has dimension at least dim/2"
+_PROPORTIONAL_TOP = "type [2,3] with two proportional squares"
+_MIDDLE_MISSED = "type [2,2,1] whose top square misses a middle vector"
 
 
 def _natural_split(E: EvolutionAlgebra):
@@ -489,14 +498,16 @@ def _natural_split(E: EvolutionAlgebra):
       E = I + C with C spanned by some e_k inside ann; the indices
       outside C, for I = E/C, then each index of C alone;
     - dim ann >= dim / 2 with ann inside E^2 (``_pairing``): one [i] per
-      nonzero square, for the pair e_i, e_i^2, which is the two-element
-      chain (rows [[0, 1], [0, 0]] in that basis).
+      nonzero square, for the pair e_i, e_i^2;
+    - a nilpotent E of dim 5 with dim ann = 2 and ann inside E^2, of type
+      [2,3] or [2,2,1], read off its series (``_two_block_split``): [i, j]
+      and [k] when e_j^2 = c e_i^2 ([2,3]), [t] and [d] when the square
+      of the top vector e_t has no e_d component ([2,2,1]).
 
-    Some summands the split identifies outright, and ``classify`` takes
-    their labels without classifying them: each pair of the pairing is
-    the two-element chain, and each one-index group (each e_k of C, each
-    one-vertex component) is one-dimensional and nilpotent, so the zero
-    algebra.
+    Past the first two criteria each group names the vectors that
+    generate its ideal: the ideal is spanned by them and their successive
+    squares (``_split_ideals``), and ``_split_summands`` reads each
+    summand off E.
 
     The chain lemma: a nilpotent A of dimension n <= 3 whose series has
     n blocks of one index each, type [1,...,1], is the n-element chain,
@@ -516,10 +527,11 @@ def _natural_split(E: EvolutionAlgebra):
     own, and the annihilators of the summands of a direct sum lie in
     ann(E), so each criterion needs dim ann(E) >= 2: a disconnected graph
     gives each component a zero square; an annihilator split adds C to
-    ann(I) != 0 (I has dim >= 1 since the split needs dim E >= 2); and
-    the pairing needs dim ann >= n/2 and at least two nonzero squares,
-    so n >= 3 and dim ann >= 2.  The same argument, for any two ideals,
-    makes such an E of dim >= 2 indecomposable (criterion (e) of
+    ann(I) != 0 (I has dim >= 1 since the split needs dim E >= 2); the
+    pairing needs dim ann >= n/2 and at least two nonzero squares,
+    so n >= 3 and dim ann >= 2; and the last criterion asks for
+    dim ann = 2.  The same argument, for any two ideals, makes such an E
+    of dim >= 2 indecomposable (criterion (e) of
     ``decomposability_check``).
     """
     comps = component_index_sets(E)
@@ -530,6 +542,8 @@ def _natural_split(E: EvolutionAlgebra):
     if c_idx is not None:
         keep = [j for j in range(E.dim) if j not in c_idx]
         return _ANN_OUTSIDE_SQUARE, [keep] + [[k] for k in c_idx]
+    if E.dim == 5 and len(zero) == 2:  # too small an ann for the pairing
+        return _two_block_split(E)
     return _pairing(E, zero)
 
 
@@ -546,33 +560,113 @@ def _pairing(E: EvolutionAlgebra, zero: list[int]):
     return _LARGE_ANN, [[i] for i in range(n) if i not in zero]
 
 
+def _two_block_split(E: EvolutionAlgebra):
+    """The split of a connected E of dim 5 with dim ann = 2 and ann inside
+    E^2, when E is nilpotent of type [2,3] or [2,2,1] and the criterion
+    of its type holds; None otherwise.
+
+    - [2,3]: the squares of the top block lie in ann, so E^2 = ann.  If
+      e_j^2 = c e_i^2 (i before j), then e_i^2 and e_k^2 (k the third top
+      index) are a basis of ann, and the natural basis e_i, e_j, e_i^2,
+      e_k, e_k^2 splits E into the ideals with rows [[0, 0, 1],
+      [0, 0, c], [0, 0, 0]] and the two-element chain: groups [i, j], [k].
+    - [2,2,1]: x = e_t^2 for the top vector e_t lies in E^2 outside ann,
+      so ann = span(e_1^2, e_2^2) for the middle vectors e_1, e_2.  If x
+      has no e_d component (d the first such), x^2 is a nonzero multiple
+      of the other middle square, and the natural basis e_t, x, x^2, e_d,
+      e_d^2 splits E into the three-element and the two-element chain:
+      groups [t], [d].  Past this split both components of x are nonzero,
+      which ``classify._h_221`` relies on.
+
+    Both types sum to dim E, so E is nilpotent when its series has
+    either."""
+    series = upper_series(E)
+    S, mul = E._rows, E.field.ops.mul
+    if series.type_vector == [2, 3]:
+        (a, b), top = series.blocks
+        for i, j in combinations(top, 2):
+            if mul(S[i][a], S[j][b]) == mul(S[i][b], S[j][a]):
+                return _PROPORTIONAL_TOP, [[i, j], [k for k in top
+                                                    if k not in (i, j)]]
+    elif series.type_vector == [2, 2, 1]:
+        [t] = series.blocks[2]
+        for d in series.blocks[1]:
+            if S[t][d] == E.field.ops.zero:
+                return _MIDDLE_MISSED, [[t], [d]]
+    return None
+
+
+def _split_summands(E: EvolutionAlgebra, reason: str, groups) -> list:
+    """The summands of the split (reason, groups) of a nilpotent E, each
+    as one of:
+
+    - a selection of E's rows and columns (an ``EvolutionAlgebra``): a
+      graph component, or the quotient I = E/C of an annihilator split;
+    - the length n of the n-element chain, for a summand that a lemma of
+      ``_natural_split`` proves is one: each one-index group of those two
+      splits (one-dimensional and nilpotent, so the zero algebra, n = 1),
+      each pair of the pairing, both summands of a [2,2,1] split and the
+      [k] summand of a [2,3] split;
+    - the algebra with rows [[0, 0, 1], [0, 0, c], [0, 0, 0]], for the
+      [i, j] summand of a [2,3] split, e_j^2 = c e_i^2."""
+    if reason == _LARGE_ANN:
+        return [2] * len(groups)
+    if reason == _MIDDLE_MISSED:
+        return [3, 2]
+    if reason == _PROPORTIONAL_TOP:
+        (i, j), _ = groups
+        ops = E.field.ops
+        Z = ops.zero
+        t = next(t for t, x in enumerate(E._rows[i]) if x != Z)
+        c = ops.div(E._rows[j][t], E._rows[i][t])
+        return [EvolutionAlgebra._wrap([[Z, Z, ops.one], [Z, Z, c],
+                                        [Z, Z, Z]], E.field), 2]
+    return [1 if len(g) == 1 else _subalgebra(E._rows, g, E.field)
+            for g in groups]
+
+
 def _split_ideals(E: EvolutionAlgebra, reason: str, groups):
     """The ideals of the split (reason, groups) of ``_natural_split``, as
-    the first summand and the sum of the others: coordinate spans for the
-    graph components and for C; the span of e_i and e_i^2 for each pair;
-    and I = E^2 plus the e_k whose k is not a last column of E^2 + C, the
-    complement that the greedy walk of ``_annihilator_split`` keeps (one
-    elimination over reversed columns)."""
+    the first summand and the sum of the others.  Each group spans the
+    vectors e_i, i in the group, and their successive squares (n - 1 of
+    them, which reach 0 when E is nilpotent): the coordinate span of a
+    graph component or of an e_k of C, whose squares stay inside it, and
+    the ideal that the vectors generate for the other splits.  The quotient of an annihilator split is I = E^2 plus the e_k
+    whose k is not a last column of E^2 + C, the complement that the
+    greedy walk of ``_annihilator_split`` keeps (one elimination over
+    reversed columns)."""
     n, field = E.dim, E.field
     ops = field.ops
-    if reason == _LARGE_ANN:
-        pairs = [[_unit_row(i, n, ops), E._rows[i]] for [i] in groups]
-        return (Subspace._span(pairs[0], n, field),
-                Subspace._span([v for p in pairs[1:] for v in p], n, field))
-    rest = Subspace.coordinate([i for g in groups[1:] for i in g], n, field)
-    if reason == _DISCONNECTED:
-        return Subspace.coordinate(groups[0], n, field), rest
-    last = _last_columns(E._rows + rest._rows, n, ops)
-    return (Subspace._span(E._rows + [_unit_row(k, n, ops) for k in range(n)
-                                      if k not in last], n, field),
-            rest)
+    spans = []
+    for g in groups:
+        spans.append([])
+        for i in g:
+            v = _unit_row(i, n, ops)
+            for _ in range(n):
+                spans[-1].append(v)
+                v = ops.product(E._rows, v, v)
+    first, rest = spans[0], [v for s in spans[1:] for v in s]
+    if reason == _ANN_OUTSIDE_SQUARE:
+        last = _last_columns(E._rows + rest, n, ops)
+        first = E._rows + [_unit_row(k, n, ops) for k in range(n)
+                           if k not in last]
+    return Subspace._span(first, n, field), Subspace._span(rest, n, field)
 
 
 def decomposability_check(E: EvolutionAlgebra) -> DecompVerdict:
     """Apply the sufficient decomposability/indecomposability criteria in
-    a fixed order; Unknown when none of them applies.  A decomposable
-    verdict carries the natural split's first summand and the sum of the
-    others as its witness (``_split_ideals``)."""
+    a fixed order; Unknown when none of them applies:
+
+    - decomposable, by the criteria of ``_natural_split``: (a) the
+      attached graph is disconnected, (b) an annihilator vector lies
+      outside E^2, (c) dim ann >= dim/2, and for a nilpotent E of dim 5
+      with dim ann = 2, (c1) type [2,3] with two proportional squares and
+      (c2) type [2,2,1] whose top square misses a middle vector;
+    - indecomposable, for a nilpotent E: (d0) dim 2, (d) type [n,1,m]
+      with ann inside E^2, (e) a one-dimensional annihilator.
+
+    A decomposable verdict carries the natural split's first summand and
+    the sum of the others as its witness (``_split_ideals``)."""
     split = _natural_split(E)
     if split is not None:
         reason, groups = split

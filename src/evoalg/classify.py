@@ -3,12 +3,12 @@
 ``classify`` maps an algebra presented in a natural basis to its
 canonical label: first it peels off direct-sum decompositions that can
 be realized by natural bases (graph components, an annihilator vector
-outside E^2 and a large annihilator, found by the split stage
-``algebra._natural_split`` that ``decomposability_check`` shares, and
-the two ann-dim-2 special splits of the normalizers), then it reorders
-the basis into blocks adapted to the upper annihilating series and runs
-a per-type normalizer that extracts the variant and the normalized
-parameters.
+outside E^2, a large annihilator, and the [2,3] and [2,2,1] splits of
+dim ann = 2), all found by the one split stage
+``algebra._natural_split`` that ``decomposability_check`` shares, then
+it reorders the basis into blocks adapted to the upper annihilating
+series and runs a per-type normalizer that extracts the variant and the
+normalized parameters.  No normalizer splits.
 
 Labels are field-independent data (parameters are extracted through
 rational expressions plus canonical square roots); witness bases, which
@@ -44,23 +44,21 @@ the per-type normalizers (they read the structure rows, take roots
 with ``ops.sqrt`` and ``ops.cbrt`` and divide with ``ops.div``, which
 raises DivisionByZero), their builders (payload columns, products by
 ``ops.product``), the templates' rows and the witness check.
-``classify`` makes no change of natural basis: every summand of a split
-is a selection of E's own rows and columns (a graph component, the
-quotient of an annihilator split) or a fixed small algebra read off E's
-entries (each pair of the dim/2 pairing and the summands of the
-ann-dim-2 splits, which are chains, or for [2,3] the rows [[0, 0, 1],
-[0, 0, c], [0, 0, 0]]); the lemmas are in ``algebra._natural_split``,
-``algebra._annihilator_split``, ``_h_23`` and ``_h_221``.  Nor does it
-invert a matrix: the coordinates the normalizers take in a plane are
-closed forms in an orthogonal or a hyperbolic basis, or Cramer's rule.
-The summands these lemmas identify are labelled without being
-classified: each pair of the pairing and each chain of an ann-dim-2
-split gets the chain's label (``_CHAIN2``, ``_CHAIN3``), each
-one-index group of a split, such as each e_k of C, the zero algebra's
-(``_ZERO``), and each summand of dimension 2 or 3 whose own series is
-[1,1] or [1,1,1], the chain's: in dims 2 and 3 that type has one table
-entry, which the powers of the top vector realize over every field (the
-chain lemma of ``_natural_split``).  Every other summand is classified
+``classify`` makes no change of natural basis: ``algebra._split_summands``
+gives every summand of a split as a selection of E's own rows and
+columns (a graph component, the quotient of an annihilator split), as
+the length of a chain (each e_k of C, each pair of the dim/2 pairing,
+the [2,2,1] summands and one [2,3] summand) or as the algebra with rows
+[[0, 0, 1], [0, 0, c], [0, 0, 0]] read off E's entries (the other [2,3]
+summand); the lemmas are in ``algebra._natural_split``,
+``algebra._annihilator_split`` and ``algebra._two_block_split``.  Nor
+does it invert a matrix: the coordinates the normalizers take in a
+plane are closed forms in an orthogonal or a hyperbolic basis, or
+Cramer's rule.  The summands given as chain lengths are labelled
+without being classified (``_CHAINS``), and so is each summand of
+dimension 2 or 3 whose own series is [1,1] or [1,1,1]: in dims 2 and 3
+that type has one table entry, which the powers of the top vector
+realize over every field (the chain lemma of ``_natural_split``).  Every other summand is classified
 as the algebra it is, with its own series and the same split stage as
 an input, so each label that carries a witness still has one verified;
 a Decomposed label carries none.  Each witness candidate gets one call
@@ -105,7 +103,7 @@ from .errors import (
 )
 from .fields import PRIME, FieldElement
 from .linalg import Matrix, _kernel_rows, _unit_row
-from .algebra import (_LARGE_ANN, EvolutionAlgebra, _natural_split,
+from .algebra import (EvolutionAlgebra, _natural_split, _split_summands,
                       _subalgebra, upper_series)
 from .tables import find_entry, orbit_min
 from .oracle import _bounded_iso, verify_hom
@@ -340,16 +338,13 @@ def _classify_rows(E, series=None):
     the latter None for Decomposed labels and whenever the label carries
     no_witness; series is E's, when the caller has computed it.
 
-    Every summand of a split is a selection of E's rows and columns or a
-    fixed chain (see ``algebra._natural_split``), so it is an algebra in
-    its own right, with its own natural basis, and ``_gather`` classifies
-    it as one.  A summand whose split identifies it is handed to
-    ``_gather`` as its label, unclassified: each pair of the pairing is
-    the two-element chain, and each one-index group of a split is
-    one-dimensional and nilpotent, so the zero algebra.  No split is
-    searched for when the series' first block, ann(E), has one index:
-    such an E has no split (the one-dimensional annihilator lemma of
-    ``_natural_split``)."""
+    The split stage and its summands are ``algebra``'s: every summand
+    that ``_split_summands`` gives is an algebra in its own right, with
+    its own natural basis, which ``_gather`` classifies as one, or the
+    length of a chain that a lemma identifies, which takes the chain's
+    label unclassified.  No split is searched for when the series' first
+    block, ann(E), has one index: such an E has no split (the
+    one-dimensional annihilator lemma of ``_natural_split``)."""
     if E.dim > 5:
         raise UnsupportedDim("classification covers dimension at most 5")
     if series is None:
@@ -359,32 +354,20 @@ def _classify_rows(E, series=None):
 
     split = None if len(series.blocks[0]) == 1 else _natural_split(E)
     if split is not None:
-        reason, groups = split
-        if reason == _LARGE_ANN:  # each pair e_i, e_i^2 is the 2-chain
-            return _gather([_CHAIN2] * len(groups)), None
-        return _gather([_ZERO if len(g) == 1 else
-                        _subalgebra(E._rows, g, E.field)
-                        for g in groups]), None
-
-    result = _normalize(E, series)
-    if isinstance(result, list):  # an ann-dim-2 special split
-        return _gather(result), None
-    return result
+        return _gather(_split_summands(E, *split)), None
+    return _normalize(E, series)
 
 
-# the labels of the summands that a split identifies by itself, the
-# n-element chains for n = 1, 2, 3 (for n = 1 the zero algebra); a
-# CanonicalLabel without params is immutable, so one object serves all
-_ZERO = CanonicalLabel(1, (1,), 1)
-_CHAIN2 = CanonicalLabel(2, (1, 1), 1)
-_CHAIN3 = CanonicalLabel(3, (1, 1, 1), 1)
-# at index n: the n-chain's label with its serialization, _gather's key
-_CHAINS = [None] + [(l.serialize(), l) for l in (_ZERO, _CHAIN2, _CHAIN3)]
+# at index n = 1, 2, 3: the label of the n-element chain (for n = 1 the
+# zero algebra) with its serialization, _gather's key; a CanonicalLabel
+# without params is immutable, so one object serves all
+_CHAINS = [None] + [(l.serialize(), l) for l in
+                    (CanonicalLabel(n, (1,) * n, 1) for n in (1, 2, 3))]
 
 
 def _gather(parts):
     """The Decomposed label of the summands, each given as its algebra
-    or, when its split identified it, as its label, one of the chains.
+    or, when a lemma identified it, as the length n of the n-chain.
 
     Each algebra's series is computed once and handed to
     ``_classify_rows``.  A summand of dim n <= 3 whose series has n
@@ -394,8 +377,8 @@ def _gather(parts):
     string built once, the chains' once for all."""
     keyed = []
     for part in parts:
-        if isinstance(part, CanonicalLabel):
-            keyed.append(_CHAINS[part.dim])
+        if isinstance(part, int):
+            keyed.append(_CHAINS[part])
             continue
         series = upper_series(part)
         if len(series.blocks) == part.dim <= 3:
@@ -409,10 +392,9 @@ def _gather(parts):
 
 
 def _normalize(E, series):
-    """Adapted reorder + per-type normalizer for an indecomposable
-    candidate: (label, witness rows or None), or the list of summands of
-    an ann-dim-2 special split, each an algebra or a label.
-    The normalizer's raw parameters are wrapped here, once, to pick the
+    """Adapted reorder + per-type normalizer for an algebra that the
+    split stage does not split: (label, witness rows or None).  The
+    normalizer's raw parameters are wrapped here, once, to pick the
     orbit representative that the label carries."""
     tv = tuple(series.type_vector)
     perm = [i for blk in reversed(series.blocks) for i in blk]
@@ -421,10 +403,7 @@ def _normalize(E, series):
     handler = _HANDLERS.get(tv)
     if handler is None:
         raise SpecMismatch(f"no normalizer for type {list(tv)}")
-    out = handler(Ead, tv)
-    if isinstance(out, list):
-        return out
-    variant, params, boundary, builder = out
+    variant, params, boundary, builder = handler(Ead, tv)
     entry = find_entry(E.dim, tv, variant)
     if params:
         params = orbit_min(entry, tuple(FieldElement(field, x)
@@ -511,10 +490,9 @@ def witness_isomorphism(E1: EvolutionAlgebra, E2: EvolutionAlgebra):
 
 # ---------------------------------------------------------------------------
 # per-type normalizers.  Each receives the algebra in adapted coordinates
-# (top block first, annihilator last), reads its payload rows, and
-# returns (variant, raw payload params, boundary, builder) or a list of
-# summands, each an algebra or the label of a summand the split
-# identifies.  A builder receives the payloads of the label's params and
+# (top block first, annihilator last), which the split stage did not
+# split, reads its payload rows, and returns (variant, raw payload
+# params, boundary, builder); none of them splits.  A builder receives the payloads of the label's params and
 # yields candidate bases as payload columns, one per choice of the square
 # roots it needs (_roots); it never raises for a missing root, it just
 # yields nothing more.  Three constructions serve several types: the
@@ -1063,40 +1041,22 @@ def _h_11111(Ead, tv):
 
 
 # ---------------------------------------------------------------------------
-# ann-dim-2 types
+# ann-dim-2 types, past their splits
 
 def _h_23(Ead, tv):
-    """Type [2,3], split when two squares of the top block are
-    dependent.  Here ann = span(e_3, e_4) lies inside E^2, or the
-    annihilator split would have fired, so E^2 = ann.  If e_j^2 =
-    c e_i^2, then e_i^2 and e_k^2 (k the third index) are a basis of ann,
-    and the natural basis e_i, e_j, e_i^2, e_k, e_k^2 splits E into the
-    ideals with rows [[0, 0, 1], [0, 0, c], [0, 0, 0]] and the
-    two-element chain.  The split returns the first as an algebra, to be
-    classified (whether it has a witness depends on c), and the second
-    as its label, ``_CHAIN2``."""
+    """Type [2,3] with no two dependent squares of the top block (else
+    ``algebra._natural_split`` splits E): E^2 = ann, and the frame
+    (x, z) = (e_0, e_2) gives e_1^2 = al x^2 + be z^2 by Cramer's
+    rule."""
     n = Ead.dim
     S, ops = Ead._rows, Ead.field.ops
     sub, mul = ops.sub, ops.mul
-    Z = ops.zero
-    sqs = [[S[k][3], S[k][4]] for k in range(3)]
+    x2, y2, z2 = [[S[k][3], S[k][4]] for k in range(3)]
 
     def det(u, v):
         return sub(mul(u[0], v[1]), mul(u[1], v[0]))
 
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if det(sqs[i], sqs[j]) == Z:
-                t = 0 if sqs[i][0] != Z else 1
-                c = ops.div(sqs[j][t], sqs[i][t])
-                pair = EvolutionAlgebra._wrap(
-                    [[Z, Z, ops.one], [Z, Z, c], [Z, Z, Z]], Ead.field)
-                return [pair, _CHAIN2]
-
     def build(Ead, params):
-        # pick the frame (x, z) = (0, 2); e1^2 = al x^2 + be z^2 by
-        # Cramer's rule
-        x2, y2, z2 = sqs
         d = det(x2, z2)
         al, be = ops.div(det(y2, z2), d), ops.div(det(x2, y2), d)
         for fa in _roots(ops, al):
@@ -1109,24 +1069,16 @@ def _h_23(Ead, tv):
 
 
 def _h_221(Ead, tv):
-    """Type [2,2,1], split when e_0^2 = x has no component on one of
-    e_1, e_2, say e_d.  ann = span(e_1^2, e_2^2), or the annihilator
-    split would have fired, so x^2, a nonzero multiple of the other
-    square, and e_d^2 are a basis of ann.  Then the natural basis e_0,
-    x, x^2, e_d, e_d^2 splits E into the three-element chain and the
-    two-element chain, which the split returns as their labels,
-    ``_CHAIN3`` and ``_CHAIN2``.
+    """Type [2,2,1] whose top square x = e_0^2 = al e_1 + be e_2 + tail
+    has al, be != 0 (else ``algebra._natural_split`` splits E).
 
-    L5: otherwise x = al e_1 + be e_2 + tail, and e_1^2, e_2^2 span ann
-    (which lies in E^2 = span(x, e_1^2, e_2^2), x outside it), so the
-    candidate e_0, al e_1 + tail, be e_2 and their squares is invertible
-    and realizes the template: it is the only one."""
+    L5: e_1^2, e_2^2 span ann (which lies in E^2 = span(x, e_1^2, e_2^2),
+    x outside it), so the candidate e_0, al e_1 + tail, be e_2 and their
+    squares is invertible and realizes the template: it is the only
+    one."""
     n = Ead.dim
     S, ops = Ead._rows, Ead.field.ops
-    Z = ops.zero
     al, be = S[0][1], S[0][2]
-    if al == Z or be == Z:
-        return [_CHAIN3, _CHAIN2]
 
     def build(Ead, params):
         ann_part = _placed(ops, n, 3, Ead._rows[0][3:])

@@ -27,10 +27,15 @@ class Matrix:
                  cols: int | None = None):
         self.field = field
         self.rows = [list(r) for r in rows]
-        if rows:
-            cols = len(rows[0])
+        if self.rows:
+            width = len(self.rows[0])
+            if cols is not None and cols != width:
+                raise ShapeError(f"rows have {width} columns, not {cols!r}")
+            cols = width
         elif cols is None:
             cols = 0
+        else:
+            _check_size(cols, "column count")
         self.nrows = len(self.rows)
         self.ncols = cols
         for r in self.rows:
@@ -63,6 +68,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int, field: FieldDescriptor):
+        _check_size(n, "size")
         return cls._wrap(_identity_rows(n, field.ops), field, n)
 
     def __eq__(self, other):
@@ -124,6 +130,12 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.field})"
+
+
+def _check_size(n, what: str):
+    """Raise ShapeError unless n is an int of at least 0."""
+    if not (isinstance(n, int) and n >= 0):
+        raise ShapeError(f"{what} must be an int of at least 0, got {n!r}")
 
 
 # ---------------------------------------------------------------------------

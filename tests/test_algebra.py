@@ -10,10 +10,11 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from evoalg.algebra import (_ANN_OUTSIDE_SQUARE, _DISCONNECTED, _LARGE_ANN,
+                            _MIDDLE_MISSED, _PROPORTIONAL_TOP,
                             DECOMPOSABLE, INDECOMPOSABLE, PLENARY, RIGHT,
                             UNKNOWN, AnnSeries, EvolutionAlgebra,
                             _annihilator_split, _natural_split,
-                            _split_ideals, _zero_rows,
+                            _split_ideals, _split_summands, _zero_rows,
                             block_subspace, component_index_sets,
                             decomposability_check, graph_of,
                             invariant_profile, is_ideal, power_nilpotency,
@@ -21,8 +22,9 @@ from evoalg.algebra import (_ANN_OUTSIDE_SQUARE, _DISCONNECTED, _LARGE_ANN,
                             quotient_by_block, relative_annihilator,
                             restrict_to_indices, split_components,
                             square_subspace, upper_series)
-from evoalg.classify import CanonicalLabel, Decomposed
-from evoalg.errors import (AmbientMismatch, DomainError, NotAnIdeal,
+from evoalg.classify import Decomposed, classify
+from evoalg.errors import (AmbientMismatch, DomainError, EvoalgError,
+                           NotAnIdeal,
                            NotNilpotent, ShapeError, SpecMismatch,
                            SqrtUnavailable)
 from evoalg.fields import GF, PRIME, QI, QQ, FieldDescriptor, FieldElement
@@ -746,6 +748,35 @@ def test_the_split_eliminates_only_the_squares_off_the_units(monkeypatch):
     assert shapes == [(1, 3)]
 
 
+@st.composite
+def nilpotent_of_type(draw, types):
+    """A nilpotent algebra of one of the given types over GF(5), GF(13),
+    Q or Q(i): block k squares into the blocks below it, reaching block
+    k - 1, in a drawn order of the basis."""
+    field, payload = draw(st.sampled_from(_SPLIT_FIELDS))
+    tv = draw(st.sampled_from(types))
+    n = sum(tv)
+    blocks, start = [], 0
+    for k in tv:
+        blocks.append(list(range(start, start + k)))
+        start += k
+    nonzero = payload.filter(lambda x: x != field.ops.zero)
+    rows = [[field.ops.zero] * n for _ in range(n)]
+    for k in range(1, len(tv)):
+        below = [j for b in blocks[:k] for j in b]
+        for i in blocks[k]:
+            for j in below:
+                rows[i][j] = draw(st.one_of(st.just(field.ops.zero),
+                                            payload))
+            rows[i][draw(st.sampled_from(blocks[k - 1]))] = draw(nonzero)
+    perm = draw(st.permutations(range(n)))
+    prows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            prows[perm[i]][perm[j]] = FieldElement(field, rows[i][j])
+    return EvolutionAlgebra(n, Matrix(prows, field, n), field)
+
+
 # ---------------------------------------------------------------------------
 # the natural split shared by decomposability_check and classify, against
 # the constructions it replaces
@@ -754,7 +785,9 @@ def reference_split_verdict(E):
     """(reason, witness) of cases (a)-(c) as decomposability_check built
     them before the shared split: coordinate witnesses for (a), the
     subspace composition for (b), and for (c) the pairs e_i, e_i^2 as
-    FieldElement subspaces that must be complementary ideals."""
+    FieldElement subspaces that must be complementary ideals; then the
+    ann-dim-2 splits as classify's normalizers carved them
+    (``reference_two_block_split``)."""
     n, field = E.dim, E.field
     comps = component_index_sets(E)
     if len(comps) > 1:
@@ -781,7 +814,39 @@ def reference_split_verdict(E):
                 and is_ideal(E, i_part) and is_ideal(E, j_part)):
             return ("annihilator has dimension at least dim/2",
                     (i_part, j_part))
-    return None
+    return reference_two_block_split(E)
+
+
+def reference_two_block_split(E):
+    """(reason, witness) of the [2,3] and [2,2,1] splits, from the basis
+    that the normalizers of those types carved in adapted coordinates
+    (``_old_special_basis``): its first three vectors and its last two,
+    written in E's coordinates, which must be complementary ideals; None
+    when E is not such a split."""
+    n, field = E.dim, E.field
+    series = upper_series(E)
+    tv = tuple(series.type_vector)
+    if not series.nilpotent or tv not in ((2, 3), (2, 2, 1)) \
+            or not square_subspace(E).contains(E.annihilator()):
+        return None
+    perm = [i for blk in reversed(series.blocks) for i in blk]
+    basis = _old_special_basis(restrict_to_indices(E, perm), tv)
+    if basis is None:
+        return None
+    rows = []
+    for b in basis:  # Ead's coordinate k is E's perm[k]
+        row = [field.ops.zero] * n
+        for k, x in enumerate(b):
+            row[perm[k]] = x
+        rows.append([FieldElement(field, x) for x in row])
+    i_part = Subspace.from_vectors(rows[:3], n, field)
+    j_part = Subspace.from_vectors(rows[3:], n, field)
+    assert i_part.dim == 3 and j_part.dim == 2
+    assert (i_part + j_part).dim == n
+    assert is_ideal(E, i_part) and is_ideal(E, j_part)
+    reason = ("type [2,3] with two proportional squares" if tv == (2, 3)
+              else "type [2,2,1] whose top square misses a middle vector")
+    return reason, (i_part, j_part)
 
 
 @st.composite
@@ -817,7 +882,7 @@ def split_algebras(draw):
 
 
 @settings(max_examples=300)
-@given(split_algebras())
+@given(st.one_of(split_algebras(), nilpotent_of_type([[2, 3], [2, 2, 1]])))
 def test_natural_split_verdicts_match_the_old_construction(E):
     ref = reference_split_verdict(E)
     verdict = decomposability_check(E)
@@ -834,38 +899,18 @@ def test_natural_split_verdicts_match_the_old_construction(E):
         assert groups == [[i] for i in range(E.dim)
                           if i not in _zero_rows(E)]
         assert 2 * len(groups) == E.dim
+    elif split[0] == _PROPORTIONAL_TOP:
+        # [i, j] and [k] partition the top block
+        assert sorted(i for g in groups for i in g) \
+            == upper_series(E).blocks[1]
+        assert [len(g) for g in groups] == [2, 1]
+    elif split[0] == _MIDDLE_MISSED:
+        # the top vector, then the middle vector its square misses
+        blocks = upper_series(E).blocks
+        assert groups[0] == blocks[2] and groups[1][0] in blocks[1]
     else:
         # the groups partition E's basis indices
         assert sorted(i for g in groups for i in g) == list(range(E.dim))
-
-
-@st.composite
-def nilpotent_of_type(draw, types):
-    """A nilpotent algebra of one of the given types over GF(5), GF(13),
-    Q or Q(i): block k squares into the blocks below it, reaching block
-    k - 1, in a drawn order of the basis."""
-    field, payload = draw(st.sampled_from(_SPLIT_FIELDS))
-    tv = draw(st.sampled_from(types))
-    n = sum(tv)
-    blocks, start = [], 0
-    for k in tv:
-        blocks.append(list(range(start, start + k)))
-        start += k
-    nonzero = payload.filter(lambda x: x != field.ops.zero)
-    rows = [[field.ops.zero] * n for _ in range(n)]
-    for k in range(1, len(tv)):
-        below = [j for b in blocks[:k] for j in b]
-        for i in blocks[k]:
-            for j in below:
-                rows[i][j] = draw(st.one_of(st.just(field.ops.zero),
-                                            payload))
-            rows[i][draw(st.sampled_from(blocks[k - 1]))] = draw(nonzero)
-    perm = draw(st.permutations(range(n)))
-    prows = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            prows[perm[i]][perm[j]] = FieldElement(field, rows[i][j])
-    return EvolutionAlgebra(n, Matrix(prows, field, n), field)
 
 
 # types whose algebras split in every way classify knows: the ann-dim-2
@@ -919,10 +964,14 @@ def _old_annihilator_basis(E, c_idx):
 
 def _old_special_basis(Ead, tv):
     """The split basis the ann-dim-2 split of Ead (adapted coordinates,
-    type [2,3] or [2,2,1]) used to carve, with groups [[0, 1, 2], [3, 4]]."""
+    type [2,3] or [2,2,1]) used to carve, with groups [[0, 1, 2], [3, 4]],
+    when the normalizer of its type used to split it (x^2 missing e_1 or
+    e_2, or two dependent top squares), else None."""
     S, ops, n = Ead._rows, Ead.field.ops, Ead.dim
     unit = [_unit_row(k, n, ops) for k in range(n)]
     if tv == (2, 2, 1):
+        if S[0][1] != ops.zero and S[0][2] != ops.zero:
+            return None
         drop = 1 if S[0][1] == ops.zero else 2
         x2 = S[0]
         return [unit[0], x2, ops.product(S, x2, x2), unit[drop], S[drop]]
@@ -932,25 +981,25 @@ def _old_special_basis(Ead, tv):
                        ops.mul(S[i][4], S[j][3])) == ops.zero:
                 k = 3 - i - j
                 return [unit[i], unit[j], S[i], unit[k], S[k]]
-    raise AssertionError("no dependent squares")
+    return None
 
 
 def _part_rows(part, field):
     """The structure rows of a summand classify hands to _gather: those
-    of its algebra, or for a summand given by its label, which its split
-    identified, those of the label's template over field."""
-    if isinstance(part, CanonicalLabel):
-        entry = find_entry(part.dim, part.type_vector, part.variant)
-        return entry.template_rows(part.params, field)
+    of its algebra, or for a summand given as the length n of the
+    n-chain, which a lemma identified, those of the chain's template
+    d_n:[1,...,1]:v1 over field."""
+    if isinstance(part, int):
+        return find_entry(part, (1,) * part, 1).template_rows((), field)
     return part._rows
 
 
 def _record_splits(classify_module):
-    """Patches for classify's split stage, its ann-dim-2 handlers and
-    _gather, and the events they record in call order: ("split", E,
-    reason, groups) or ("special", Ead, type) for each split that
-    classify applies, each followed by ("gather", summand parts) for the
-    summands it hands down (rows through ``_part_rows``)."""
+    """Patches for classify's split stage and _gather, and the events
+    they record in call order: ("split", E, reason, groups) for each
+    split that classify applies, each followed by ("gather", summand
+    parts) for the summands it hands down (rows through
+    ``_part_rows``)."""
     events, patches = [], []
 
     def stage(fn):
@@ -962,18 +1011,6 @@ def _record_splits(classify_module):
         return wrapper
     patches.append((classify_module, "_natural_split",
                     stage(classify_module._natural_split)))
-
-    def special(handler):
-        def wrapper(Ead, tv):
-            out = handler(Ead, tv)
-            if isinstance(out, list):
-                events.append(("special", Ead, tv))
-            return out
-        return wrapper
-    handlers = dict(classify_module._HANDLERS)
-    for tv in ((2, 3), (2, 2, 1)):
-        handlers[tv] = special(handlers[tv])
-    patches.append((classify_module, "_HANDLERS", handlers))
     gather = classify_module._gather
 
     def gathering(parts):
@@ -1008,12 +1045,16 @@ def test_every_split_classify_applies_is_block_diagonal(E):
             continue
         kind, parts = events[at + 1]
         assert kind == "gather"
-        if event[0] == "special":
-            _, A, tv = event
-            basis = _old_special_basis(A, tv)
+        _, A, reason, groups = event
+        if reason in (_PROPORTIONAL_TOP, _MIDDLE_MISSED):
+            # carved in the adapted coordinates, as the normalizers did
+            series = upper_series(A)
+            A = restrict_to_indices(
+                A, [i for blk in reversed(series.blocks) for i in blk])
+            basis = _old_special_basis(A, tuple(series.type_vector))
+            assert basis is not None
             groups = [[0, 1, 2], [3, 4]]
         else:
-            _, A, reason, groups = event
             if reason == _DISCONNECTED:
                 basis = _identity_rows(A.dim, A.field.ops)
             elif reason == _LARGE_ANN:
@@ -1035,7 +1076,7 @@ def test_every_split_classify_applies_is_block_diagonal(E):
             assert all(rows[i][j] == Z for i in g
                        for j in range(A.dim) if j not in g)
         carved = [[[rows[i][j] for j in g] for i in g] for g in groups]
-        if event[0] == "special" or reason != _ANN_OUTSIDE_SQUARE:
+        if reason != _ANN_OUTSIDE_SQUARE:
             assert summands == carved
             continue
         # the quotient summand, and e_j -> (I-component of e_j) onto I
@@ -1175,9 +1216,8 @@ def test_the_labels_classify_takes_unclassified_are_the_chains(field, n):
     # n = 1 the zero algebra) on every field kind, with the identity as
     # its witness, and it is the label classify gives that chain
     classify_module = importlib.import_module("evoalg.classify")
-    label = {1: classify_module._ZERO, 2: classify_module._CHAIN2,
-             3: classify_module._CHAIN3}[n]
-    assert label.serialize() == f"d{n}:[{','.join(['1'] * n)}]:v1"
+    key, label = classify_module._CHAINS[n]
+    assert label.serialize() == key == f"d{n}:[{','.join(['1'] * n)}]:v1"
     entry = find_entry(n, (1,) * n, 1)
     C = chain(n, field)
     assert entry.template_rows((), field) == C._rows
@@ -1218,7 +1258,7 @@ def test_type_one_by_one_in_dims_2_and_3_is_the_chain(E):
     classify_module = importlib.import_module("evoalg.classify")
     n, field = E.dim, E.field
     assert upper_series(E).type_vector == [1] * n
-    label = {2: classify_module._CHAIN2, 3: classify_module._CHAIN3}[n]
+    label = classify_module._CHAINS[n][1]
     assert classify_module.classify(E) == label
     got, rows = classify_module._classify_rows(E)
     assert got == label and rows is not None
@@ -1234,20 +1274,17 @@ def _explicit_summands(E):
     basis."""
     field = E.field
     split = _natural_split(E)
-    if split is not None:
-        reason, groups = split
-        if reason == _LARGE_ANN:
-            return [chain(2, field) for _ in groups]
+    if split is None:
+        return None
+    reason, groups = split
+    if reason == _LARGE_ANN:
+        return [chain(2, field) for _ in groups]
+    if reason not in (_PROPORTIONAL_TOP, _MIDDLE_MISSED):
         return [restrict_to_indices(E, g) for g in groups]
     series = upper_series(E)
     tv = tuple(series.type_vector)
-    if tv not in ((2, 3), (2, 2, 1)):
-        return None
-    classify_module = importlib.import_module("evoalg.classify")
     perm = [i for blk in reversed(series.blocks) for i in blk]
     Ead = restrict_to_indices(E, perm)
-    if not isinstance(classify_module._HANDLERS[tv](Ead, tv), list):
-        return None
     rows = full_inverse_adjusted_rows(Ead, _old_special_basis(Ead, tv))
     return [EvolutionAlgebra._wrap([[rows[i][j] for j in g] for i in g],
                                    field)
@@ -1325,6 +1362,78 @@ def test_labelled_summands_run_no_classification(monkeypatch, rows,
     assert isinstance(out, Decomposed)
     assert counts["_classify_rows"] == classified
     assert counts["_witness_basis"] == searches
+
+
+@st.composite
+def nilpotent_algebras(draw):
+    """A random nilpotent algebra of dim 1-5 over GF(3), GF(5), GF(13),
+    GF(1000033), Q or Q(i), the Q(i) scalars a + bi of
+    helpers.gaussian_scalar."""
+    field = draw(st.sampled_from([GF(3), GF(5), F13, GF(1000033), QQ(),
+                                  QI()]))
+    n = draw(st.integers(1, 5))
+    density = draw(st.sampled_from([0.3, 0.6, 0.8, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    kw = {"draw": gaussian_scalar} if field == QI() else {}
+    return random_nilpotent(n, rng, field, density, **kw)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(nilpotent_algebras(),
+                 nilpotent_of_type([[2, 3], [2, 2, 1], [2, 1, 2]])))
+def test_classify_decomposes_exactly_where_the_verdict_does(E):
+    # classify and decomposability_check share one split stage, so a
+    # Decomposed label and a Decomposable verdict come together, and the
+    # verdict's witness is a pair of nonzero complementary ideals
+    verdict = decomposability_check(E)
+    try:
+        label = classify(E)
+    except EvoalgError:
+        pass
+    else:
+        assert isinstance(label, Decomposed) \
+            == (verdict.status == DECOMPOSABLE)
+    if verdict.status == DECOMPOSABLE:
+        I, J = verdict.witness
+        assert not I.is_zero() and not J.is_zero()
+        assert (I + J).dim == E.dim and I.intersect(J).is_zero()
+        assert is_ideal(E, I) and is_ideal(E, J)
+
+
+def _f13_span(*vectors):
+    return Subspace(5, Matrix.from_ints(list(vectors), F13))
+
+
+@pytest.mark.parametrize("rows, reason, groups, summands, ideals, label", [
+    # e_0^2 = e_3, e_1^2 = 2 e_3, e_2^2 = e_3 + e_4: e_1^2 = 2 e_0^2
+    ([[0, 0, 0, 1, 0], [0, 0, 0, 2, 0], [0, 0, 0, 1, 1], [0] * 5,
+      [0] * 5],
+     "type [2,3] with two proportional squares", [[0, 1], [2]],
+     [[[0, 0, 1], [0, 0, 2], [0, 0, 0]], 2],
+     ([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 1, 0]],
+      [[0, 0, 1, 0, 0], [0, 0, 0, 1, 1]]),
+     "d2:[1,1]:v1 + d3:[1,2]:v1"),
+    # e_0^2 = e_1 + e_4 misses e_2, e_1^2 = e_3, e_2^2 = e_4
+    ([[0, 1, 0, 0, 1], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1], [0] * 5,
+      [0] * 5],
+     "type [2,2,1] whose top square misses a middle vector", [[0], [2]],
+     [3, 2],
+     ([[1, 0, 0, 0, 0], [0, 1, 0, 0, 1], [0, 0, 0, 1, 0]],
+      [[0, 0, 1, 0, 0], [0, 0, 0, 0, 1]]),
+     "d2:[1,1]:v1 + d3:[1,1,1]:v1"),
+], ids=["23", "221"])
+def test_the_two_block_splits_on_fixed_rows(rows, reason, groups, summands,
+                                            ideals, label):
+    # the two splits of dim 5 with dim ann = 2: their groups, summands,
+    # witness ideals and labels
+    E = EvolutionAlgebra.from_ints(rows, F13)
+    assert _natural_split(E) == (reason, groups)
+    assert [s if isinstance(s, int) else EvolutionAlgebra.from_ints(s, F13)
+            for s in summands] == _split_summands(E, reason, groups)
+    verdict = decomposability_check(E)
+    assert (verdict.status, verdict.reason) == (DECOMPOSABLE, reason)
+    assert verdict.witness == tuple(_f13_span(*v) for v in ideals)
+    assert classify(E).serialize() == label
 
 
 @settings(max_examples=300)

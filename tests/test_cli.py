@@ -280,6 +280,20 @@ def test_cmd_decompose(tmp_path, capsys):
     assert "ideal I:" in out and "ideal J:" in out
 
 
+def test_cmd_decompose_reports_a_two_block_split(tmp_path, capsys):
+    # type [2,2,1]: e_0^2 = e_1 + e_4 misses e_2, so E is the 3-chain on
+    # e_0 plus the 2-chain on e_2, with these witness ideals
+    f = algfile(tmp_path, "field GF 13\ndim 5\nrow 0 1 0 0 1\n"
+                "row 0 0 0 1 0\nrow 0 0 0 0 1\nrow 0 0 0 0 0\n"
+                "row 0 0 0 0 0\n")
+    assert dispatch(["decompose", f]) == 0
+    assert capsys.readouterr().out == (
+        "Decomposable\n"
+        "type [2,2,1] whose top square misses a middle vector\n"
+        "ideal I: dim 3  (1 0 0 0 0) (0 1 0 0 1) (0 0 0 1 0)\n"
+        "ideal J: dim 2  (0 0 1 0 0) (0 0 0 0 1)\n")
+
+
 def test_cmd_dot(tmp_path, capsys):
     f = algfile(tmp_path, "field Q\ndim 2\nrow 0 1\nrow 0 0\n")
     assert dispatch(["dot", f]) == 0

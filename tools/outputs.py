@@ -71,7 +71,10 @@ number, or a ``template`` record and its ``:relabel``, whose label
 reprs agree except for ``no_witness``.  A relabelling is an isomorphism
 over the field, so each such pair is a witness that a builder missed.
 It prints the count, then the count per type and variant of the first
-(summand) label whose flag differs, and exits 0.
+(summand) label whose flag differs.  Its last line is the count of
+records whose label is ``Decomposed`` but whose
+``decomposability_check`` verdict is not ``Decomposable``: the two
+share one split stage, so it is 0 unless they disagree.  It exits 0.
 
 Compare a change with its parent, from the root of the change:
 
@@ -459,6 +462,16 @@ def check(path: str) -> collections.Counter:
     return counts
 
 
+def split_disagreements(path: str) -> int:
+    """The records of the record file labelled Decomposed whose verdict
+    is not Decomposable."""
+    with open(path) as f:
+        return sum(rec.get("label", "").startswith("Decomposed(")
+                   and isinstance(rec.get("decomp"), list)
+                   and rec["decomp"][0] != "Decomposable"
+                   for rec in map(json.loads, f))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = ap.add_mutually_exclusive_group(required=True)
@@ -482,6 +495,8 @@ def main(argv=None) -> int:
               "no_witness")
         for key, k in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])):
             print(f"  {key}: {k}")
+        print(f"{split_disagreements(args.check)} Decomposed labels whose "
+              "verdict is not Decomposable")
         return 0
     return 1 if diff(*args.diff) else 0
 
