@@ -487,11 +487,12 @@ _PROPORTIONAL_TOP = "type [2,3] with two proportional squares"
 _MIDDLE_MISSED = "type [2,2,1] whose top square misses a middle vector"
 
 
-def _natural_split(E: EvolutionAlgebra):
+def _natural_split(E: EvolutionAlgebra, series: AnnSeries | None = None):
     """The first split of E into ideals spanned by a natural basis that
     the decomposability criteria find, as (reason, groups), or None.
-    groups holds index lists of E's own basis, one per summand.  The
-    criteria, in order:
+    groups holds index lists of E's own basis, one per summand; series
+    is E's upper series, when the caller has computed it.  The criteria,
+    in order:
 
     - the attached graph is disconnected: the components;
     - an annihilator vector lies outside E^2 (``_annihilator_split``):
@@ -543,7 +544,8 @@ def _natural_split(E: EvolutionAlgebra):
         keep = [j for j in range(E.dim) if j not in c_idx]
         return _ANN_OUTSIDE_SQUARE, [keep] + [[k] for k in c_idx]
     if E.dim == 5 and len(zero) == 2:  # too small an ann for the pairing
-        return _two_block_split(E)
+        return _two_block_split(E, upper_series(E) if series is None
+                                else series)
     return _pairing(E, zero)
 
 
@@ -560,7 +562,7 @@ def _pairing(E: EvolutionAlgebra, zero: list[int]):
     return _LARGE_ANN, [[i] for i in range(n) if i not in zero]
 
 
-def _two_block_split(E: EvolutionAlgebra):
+def _two_block_split(E: EvolutionAlgebra, series: AnnSeries):
     """The split of a connected E of dim 5 with dim ann = 2 and ann inside
     E^2, when E is nilpotent of type [2,3] or [2,2,1] and the criterion
     of its type holds; None otherwise.
@@ -580,7 +582,6 @@ def _two_block_split(E: EvolutionAlgebra):
 
     Both types sum to dim E, so E is nilpotent when its series has
     either."""
-    series = upper_series(E)
     S, mul = E._rows, E.field.ops.mul
     if series.type_vector == [2, 3]:
         (a, b), top = series.blocks
@@ -631,10 +632,11 @@ def _split_ideals(E: EvolutionAlgebra, reason: str, groups):
     vectors e_i, i in the group, and their successive squares (n - 1 of
     them, which reach 0 when E is nilpotent): the coordinate span of a
     graph component or of an e_k of C, whose squares stay inside it, and
-    the ideal that the vectors generate for the other splits.  The quotient of an annihilator split is I = E^2 plus the e_k
-    whose k is not a last column of E^2 + C, the complement that the
-    greedy walk of ``_annihilator_split`` keeps (one elimination over
-    reversed columns)."""
+    the ideal that the vectors generate for the other splits.  The
+    quotient of an annihilator split is I = E^2 plus the e_k whose k is
+    not a last column of E^2 + C, the complement that the greedy walk of
+    ``_annihilator_split`` keeps (one elimination over reversed
+    columns)."""
     n, field = E.dim, E.field
     ops = field.ops
     spans = []

@@ -44,22 +44,23 @@ the per-type normalizers (they read the structure rows, take roots
 with ``ops.sqrt`` and ``ops.cbrt`` and divide with ``ops.div``, which
 raises DivisionByZero), their builders (payload columns, products by
 ``ops.product``), the templates' rows and the witness check.
-``classify`` makes no change of natural basis: ``algebra._split_summands``
-gives every summand of a split as a selection of E's own rows and
-columns (a graph component, the quotient of an annihilator split), as
-the length of a chain (each e_k of C, each pair of the dim/2 pairing,
-the [2,2,1] summands and one [2,3] summand) or as the algebra with rows
-[[0, 0, 1], [0, 0, c], [0, 0, 0]] read off E's entries (the other [2,3]
-summand); the lemmas are in ``algebra._natural_split``,
-``algebra._annihilator_split`` and ``algebra._two_block_split``.  Nor
-does it invert a matrix: the coordinates the normalizers take in a
-plane are closed forms in an orthogonal or a hyperbolic basis, or
-Cramer's rule.  The summands given as chain lengths are labelled
-without being classified (``_CHAINS``), and so is each summand of
-dimension 2 or 3 whose own series is [1,1] or [1,1,1]: in dims 2 and 3
-that type has one table entry, which the powers of the top vector
-realize over every field (the chain lemma of ``_natural_split``).  Every other summand is classified
-as the algebra it is, with its own series and the same split stage as
+``classify`` makes no change of natural basis:
+``algebra._split_summands`` gives every summand of a split as a
+selection of E's own rows and columns (a graph component, the quotient
+of an annihilator split), as the length of a chain (each e_k of C, each
+pair of the dim/2 pairing, the [2,2,1] summands and one [2,3] summand)
+or as the algebra with rows [[0, 0, 1], [0, 0, c], [0, 0, 0]] read off
+E's entries (the other [2,3] summand); the lemmas are in
+``algebra._natural_split``, ``algebra._annihilator_split`` and
+``algebra._two_block_split``.  Nor does it invert a matrix: the
+coordinates the normalizers take in a plane are closed forms in an
+orthogonal or a hyperbolic basis, or Cramer's rule.  The summands given
+as chain lengths are labelled without being classified (``_CHAINS``),
+and so is each summand of dimension 2 or 3 whose own series is [1,1] or
+[1,1,1]: in dims 2 and 3 that type has one table entry, which the
+powers of the top vector realize over every field (the chain lemma of
+``_natural_split``).  Every other summand is classified as the algebra
+it is, with its own series and the same split stage as
 an input, so each label that carries a witness still has one verified;
 a Decomposed label carries none.  Each witness candidate gets one call
 of the field's ``ops.realizes``, the product test and the rank test of
@@ -352,7 +353,7 @@ def _classify_rows(E, series=None):
         if not series.nilpotent:
             raise NotNilpotent("classification applies to nilpotent algebras")
 
-    split = None if len(series.blocks[0]) == 1 else _natural_split(E)
+    split = None if len(series.blocks[0]) == 1 else _natural_split(E, series)
     if split is not None:
         return _gather(_split_summands(E, *split)), None
     return _normalize(E, series)
@@ -492,12 +493,13 @@ def witness_isomorphism(E1: EvolutionAlgebra, E2: EvolutionAlgebra):
 # per-type normalizers.  Each receives the algebra in adapted coordinates
 # (top block first, annihilator last), which the split stage did not
 # split, reads its payload rows, and returns (variant, raw payload
-# params, boundary, builder); none of them splits.  A builder receives the payloads of the label's params and
-# yields candidate bases as payload columns, one per choice of the square
-# roots it needs (_roots); it never raises for a missing root, it just
-# yields nothing more.  Three constructions serve several types: the
-# powers of x (_powers: chains, the zero algebra, stars, and equal data
-# of [1,1,m] and [1,1,1,m]), the frame of a line against the form
+# params, boundary, builder); none of them splits.  A builder receives
+# the payloads of the label's params and yields candidate bases as
+# payload columns, one per choice of the square roots it needs (_roots);
+# it never raises for a missing root, it just yields nothing more.
+# Three constructions serve several types: the powers of x (_powers:
+# chains, the zero algebra, stars, and equal data of [1,1,m] and
+# [1,1,1,m]), the frame of a line against the form
 # (_line_frame and _pair_frame: [1,m,1] and the proportional [1,1,2,1]
 # through _frame, [1,2,2], [1,2,1,1] and the [1,1,2,1] variant 2), the
 # paper's scaling of the families Ubg and Ubfg ([1,1,m] and [1,1,1,m],

@@ -1003,8 +1003,8 @@ def _record_splits(classify_module):
     events, patches = [], []
 
     def stage(fn):
-        def wrapper(E):
-            split = fn(E)
+        def wrapper(E, *series):
+            split = fn(E, *series)
             if split is not None:
                 events.append(("split", E) + tuple(split))
             return split
@@ -1165,11 +1165,11 @@ def test_summands_skip_the_split_stages_their_split_proved(monkeypatch):
     repeats, taken = collections.Counter(), collections.Counter()
     last_split, ran = [None], collections.Counter()
 
-    def stage(A):
+    def stage(A, *series):
         # _classify_rows hands a split's summands to _gather right after
         # the split stage returns it
         ran["_natural_split"] += 1
-        split = natural_split(A)
+        split = natural_split(A, *series)
         last_split[0] = None if split is None else (split[0], A.field)
         return split
 

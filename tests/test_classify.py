@@ -645,9 +645,9 @@ def test_no_split_stage_runs_on_a_one_dimensional_annihilator(monkeypatch):
     seen, staged = {"top": 0, "summand": 0}, []
     natural_split = classify_module._natural_split
 
-    def stage(A):
+    def stage(A, *series):
         staged.append(len(algebra_module._zero_rows(A)))
-        return natural_split(A)
+        return natural_split(A, *series)
     monkeypatch.setattr(classify_module, "_natural_split", stage)
     classify_rows = classify_module._classify_rows
 
