@@ -24,9 +24,8 @@ from evoalg.algebra import (_ANN_OUTSIDE_SQUARE, _DISCONNECTED, _LARGE_ANN,
                             square_subspace, upper_series)
 from evoalg.classify import Decomposed, classify
 from evoalg.errors import (AmbientMismatch, DomainError, EvoalgError,
-                           NotAnIdeal,
-                           NotNilpotent, ShapeError, SpecMismatch,
-                           SqrtUnavailable)
+                           NotAnIdeal, NotNilpotent, ShapeError,
+                           SpecMismatch, SqrtUnavailable)
 from evoalg.fields import GF, PRIME, QI, QQ, FieldDescriptor, FieldElement
 from evoalg.linalg import (Matrix, Subspace, _identity_rows, _inverse_rows,
                            _unit_row)
@@ -965,8 +964,8 @@ def _old_annihilator_basis(E, c_idx):
 def _old_special_basis(Ead, tv):
     """The split basis the ann-dim-2 split of Ead (adapted coordinates,
     type [2,3] or [2,2,1]) used to carve, with groups [[0, 1, 2], [3, 4]],
-    when the normalizer of its type used to split it (x^2 missing e_1 or
-    e_2, or two dependent top squares), else None."""
+    when the normalizer of its type used to split it (e_0^2 missing e_1
+    or e_2, or two dependent top squares), else None."""
     S, ops, n = Ead._rows, Ead.field.ops, Ead.dim
     unit = [_unit_row(k, n, ops) for k in range(n)]
     if tv == (2, 2, 1):
