@@ -487,12 +487,11 @@ _PROPORTIONAL_TOP = "type [2,3] with two proportional squares"
 _MIDDLE_MISSED = "type [2,2,1] whose top square misses a middle vector"
 
 
-def _natural_split(E: EvolutionAlgebra, series: AnnSeries | None = None):
+def _natural_split(E: EvolutionAlgebra, series: AnnSeries):
     """The first split of E into ideals spanned by a natural basis that
     the decomposability criteria find, as (reason, groups), or None.
     groups holds index lists of E's own basis, one per summand; series
-    is E's upper series, when the caller has computed it.  The criteria,
-    in order:
+    is E's upper series.  The criteria, in order:
 
     - the attached graph is disconnected: the components;
     - an annihilator vector lies outside E^2 (``_annihilator_split``):
@@ -544,8 +543,7 @@ def _natural_split(E: EvolutionAlgebra, series: AnnSeries | None = None):
         keep = [j for j in range(E.dim) if j not in c_idx]
         return _ANN_OUTSIDE_SQUARE, [keep] + [[k] for k in c_idx]
     if E.dim == 5 and len(zero) == 2:  # too small an ann for the pairing
-        return _two_block_split(E, upper_series(E) if series is None
-                                else series)
+        return _two_block_split(E, series)
     return _pairing(E, zero)
 
 
@@ -628,31 +626,32 @@ def _split_summands(E: EvolutionAlgebra, reason: str, groups) -> list:
 
 def _split_ideals(E: EvolutionAlgebra, reason: str, groups):
     """The ideals of the split (reason, groups) of ``_natural_split``, as
-    the first summand and the sum of the others.  Each group spans the
-    vectors e_i, i in the group, and their successive squares (n - 1 of
-    them, which reach 0 when E is nilpotent): the coordinate span of a
-    graph component or of an e_k of C, whose squares stay inside it, and
-    the ideal that the vectors generate for the other splits.  The
-    quotient of an annihilator split is I = E^2 plus the e_k whose k is
-    not a last column of E^2 + C, the complement that the greedy walk of
-    ``_annihilator_split`` keeps (one elimination over reversed
-    columns)."""
+    the first summand and the sum of the others: coordinate spans for the
+    graph components and for C; I = E^2 plus the e_k whose k is not a
+    last column of E^2 + C, the complement that the greedy walk of
+    ``_annihilator_split`` keeps (one elimination over reversed columns);
+    and for the other splits, which only a nilpotent E has, the ideal
+    each group generates: its vectors and their successive squares, up to
+    the first zero square."""
     n, field = E.dim, E.field
     ops = field.ops
-    spans = []
-    for g in groups:
-        spans.append([])
-        for i in g:
-            v = _unit_row(i, n, ops)
-            for _ in range(n):
-                spans[-1].append(v)
-                v = ops.product(E._rows, v, v)
-    first, rest = spans[0], [v for s in spans[1:] for v in s]
-    if reason == _ANN_OUTSIDE_SQUARE:
-        last = _last_columns(E._rows + rest, n, ops)
-        first = E._rows + [_unit_row(k, n, ops) for k in range(n)
-                           if k not in last]
-    return Subspace._span(first, n, field), Subspace._span(rest, n, field)
+    if reason not in (_DISCONNECTED, _ANN_OUTSIDE_SQUARE):
+        spans = [[] for _ in groups]
+        for span, g in zip(spans, groups):
+            for i in g:
+                v = _unit_row(i, n, ops)
+                while any(x != ops.zero for x in v):
+                    span.append(v)
+                    v = ops.product(E._rows, v, v)
+        return (Subspace._span(spans[0], n, field),
+                Subspace._span([v for s in spans[1:] for v in s], n, field))
+    rest = Subspace.coordinate([i for g in groups[1:] for i in g], n, field)
+    if reason == _DISCONNECTED:
+        return Subspace.coordinate(groups[0], n, field), rest
+    last = _last_columns(E._rows + rest._rows, n, ops)
+    return (Subspace._span(E._rows + [_unit_row(k, n, ops) for k in range(n)
+                                      if k not in last], n, field),
+            rest)
 
 
 def decomposability_check(E: EvolutionAlgebra) -> DecompVerdict:
@@ -669,7 +668,8 @@ def decomposability_check(E: EvolutionAlgebra) -> DecompVerdict:
 
     A decomposable verdict carries the natural split's first summand and
     the sum of the others as its witness (``_split_ideals``)."""
-    split = _natural_split(E)
+    series = upper_series(E)
+    split = _natural_split(E, series)
     if split is not None:
         reason, groups = split
         return DecompVerdict(DECOMPOSABLE, reason,
@@ -678,7 +678,6 @@ def decomposability_check(E: EvolutionAlgebra) -> DecompVerdict:
     # past the split criteria E is connected, and ann lies inside E^2
     # whenever n >= 2
     n = E.dim
-    series = upper_series(E)
     if series.nilpotent:
         tv = series.type_vector
         # (d0) a connected nilpotent dim-2 algebra has a nonzero square,

@@ -4,6 +4,7 @@ import collections
 import importlib
 import pickle
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -349,7 +350,7 @@ def test_a_one_dimensional_annihilator_has_no_natural_split(E):
     # every summand of a direct sum adds its own annihilator
     series = upper_series(E)
     assert series.nilpotent and series.type_vector[0] == 1
-    assert _natural_split(E) is None
+    assert _natural_split(E, series) is None
     verdict = decomposability_check(E)
     assert verdict.status == (INDECOMPOSABLE if E.dim >= 2 else UNKNOWN)
 
@@ -676,7 +677,7 @@ def test_the_strategies_reach_the_annihilator_split():
     seen = collections.Counter()
 
     def record(E):
-        split = _natural_split(E)
+        split = _natural_split(E, upper_series(E))
         seen[split[0] if split else None] += 1
         seen["zero"] += _zero_rows(E) == list(range(E.dim))
     _census(algebras_with_zero_squares(), record)
@@ -881,11 +882,23 @@ def split_algebras(draw):
 
 
 @settings(max_examples=300)
-@given(st.one_of(split_algebras(), nilpotent_of_type([[2, 3], [2, 2, 1]])))
+@given(split_algebras())
 def test_natural_split_verdicts_match_the_old_construction(E):
+    _check_split_against_the_reference(E)
+
+
+@settings(max_examples=300)
+@given(nilpotent_of_type([[2, 3], [2, 2, 1]]))
+def test_two_block_split_verdicts_match_the_old_construction(E):
+    _check_split_against_the_reference(E)
+
+
+def _check_split_against_the_reference(E):
+    """The verdict, witness and groups of E's natural split agree with
+    the construction of ``reference_split_verdict``."""
     ref = reference_split_verdict(E)
     verdict = decomposability_check(E)
-    split = _natural_split(E)
+    split = _natural_split(E, upper_series(E))
     if ref is None:
         assert split is None and verdict.status != DECOMPOSABLE
         return
@@ -1272,7 +1285,8 @@ def _explicit_summands(E):
     each pair of the pairing, and the carve of the ann-dim-2 split
     basis."""
     field = E.field
-    split = _natural_split(E)
+    series = upper_series(E)
+    split = _natural_split(E, series)
     if split is None:
         return None
     reason, groups = split
@@ -1280,7 +1294,6 @@ def _explicit_summands(E):
         return [chain(2, field) for _ in groups]
     if reason not in (_PROPORTIONAL_TOP, _MIDDLE_MISSED):
         return [restrict_to_indices(E, g) for g in groups]
-    series = upper_series(E)
     tv = tuple(series.type_vector)
     perm = [i for blk in reversed(series.blocks) for i in blk]
     Ead = restrict_to_indices(E, perm)
@@ -1426,13 +1439,39 @@ def test_the_two_block_splits_on_fixed_rows(rows, reason, groups, summands,
     # the two splits of dim 5 with dim ann = 2: their groups, summands,
     # witness ideals and labels
     E = EvolutionAlgebra.from_ints(rows, F13)
-    assert _natural_split(E) == (reason, groups)
+    assert _natural_split(E, upper_series(E)) == (reason, groups)
     assert [s if isinstance(s, int) else EvolutionAlgebra.from_ints(s, F13)
             for s in summands] == _split_summands(E, reason, groups)
     verdict = decomposability_check(E)
     assert (verdict.status, verdict.reason) == (DECOMPOSABLE, reason)
     assert verdict.witness == tuple(_f13_span(*v) for v in ideals)
     assert classify(E).serialize() == label
+
+
+@pytest.mark.parametrize("field", [QQ(), QI()], ids=["Q", "Q(i)"])
+@pytest.mark.parametrize("shape", ["disconnected", "ann outside square"])
+def test_the_coordinate_splits_of_a_large_algebra_square_nothing(shape,
+                                                                 field):
+    # e_0^2 = 2 e_0 (plus every other e_k for the annihilator split): the
+    # successive squares of e_0 are 2^(2^k - 1) e_0 + ..., whose bit
+    # length doubles each step, so spanning a graph component or the
+    # quotient by C from squares would not finish at dim 32
+    n = 32
+    rows = [[0] * n for _ in range(n)]
+    if shape == "disconnected":
+        for i in range(n):
+            rows[i][i] = 2
+    else:
+        rows[0] = [2] + [1] * (n - 1)
+    E = EvolutionAlgebra.from_ints(rows, field)
+    start = time.monotonic()
+    verdict = decomposability_check(E)
+    assert time.monotonic() - start < 5.0
+    assert verdict.status == DECOMPOSABLE
+    rest = Subspace.coordinate(range(1, n), n, field)
+    first = (Subspace.coordinate([0], n, field) if shape == "disconnected"
+             else Subspace(n, Matrix.from_ints([rows[0]], field)))
+    assert verdict.witness == (first, rest)
 
 
 @settings(max_examples=300)
