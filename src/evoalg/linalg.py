@@ -133,8 +133,8 @@ class Matrix:
 
 
 def _check_size(n, what: str):
-    """Raise ShapeError unless n is an int of at least 0."""
-    if not (isinstance(n, int) and n >= 0):
+    """Raise ShapeError unless n is an int (not a bool) of at least 0."""
+    if not (type(n) is int and n >= 0):
         raise ShapeError(f"{what} must be an int of at least 0, got {n!r}")
 
 

@@ -53,7 +53,8 @@ def test_shape_errors():
 
 def test_matrices_honour_or_refuse_their_shape_arguments():
     # a column count that the rows contradict, a negative count and a
-    # size that is not an int used to build, or raise a raw TypeError
+    # size that is not an int used to build, or raise a raw TypeError; a
+    # bool is refused too, or ncols would read True
     F = GF(5)
     with pytest.raises(ShapeError, match="rows have 2 columns, not 3"):
         Matrix.from_ints([[1, 2]], F, cols=3)
@@ -61,10 +62,14 @@ def test_matrices_honour_or_refuse_their_shape_arguments():
         Matrix([], F, cols=-2)
     with pytest.raises(ShapeError, match="column count must be an int"):
         Matrix([], F, cols=1.0)
+    with pytest.raises(ShapeError, match="column count must be an int"):
+        Matrix([], F, cols=True)
     with pytest.raises(ShapeError, match="size must be an int"):
         Matrix.identity(2.5, F)
     with pytest.raises(ShapeError, match="size must be an int"):
         Matrix.identity(-1, F)
+    with pytest.raises(ShapeError, match="size must be an int"):
+        Matrix.identity(True, F)
     # the arguments that agree with the rows, or fix an empty matrix
     assert Matrix.from_ints([[1, 2]], F, cols=2).ncols == 2
     assert (Matrix([], F, cols=3).nrows, Matrix([], F, cols=3).ncols) \
