@@ -54,14 +54,16 @@ E's entries (the other [2,3] summand); the lemmas are in
 ``algebra._natural_split``, ``algebra._annihilator_split`` and
 ``algebra._two_block_split``.  Nor does it invert a matrix: the
 coordinates the normalizers take in a plane are closed forms in an
-orthogonal or a hyperbolic basis, or Cramer's rule.  The summands given
-as chain lengths are labelled without being classified (``_CHAINS``),
-and so is each summand of dimension 2 or 3 whose own series is [1,1] or
-[1,1,1]: in dims 2 and 3 that type has one table entry, which the
-powers of the top vector realize over every field (the chain lemma of
-``_natural_split``).  Every other summand is classified as the algebra
-it is, with its own series and the same split stage as
-an input, so each label that carries a witness still has one verified;
+orthogonal or a hyperbolic basis, or Cramer's rule, and the
+complement of a line in a plane is a closed form too
+(``_DiagForm.orth_complement_basis``).  The summands given as chain
+lengths are labelled without being classified, and so is each summand
+of dimension 2 or 3 whose own series is [1,1] or [1,1,1]: in dims 2 and
+3 that type has one table entry, which the powers of the top vector
+realize over every field (the chain lemma of ``_natural_split``).
+Every other summand is classified as the algebra it is, with its own
+series and the same split stage as an input, so each label that carries
+a witness still has one verified;
 a Decomposed label carries none.  Each witness candidate gets one call
 of the field's ``ops.realizes``, the product test and the rank test of
 ``verify_hom``.
@@ -69,6 +71,12 @@ of the field's ``ops.realizes``, the product test and the rank test of
 normalizer's raw parameters are wrapped once, to pick their orbit
 representative for the label, ``classify`` builds no witness matrix,
 and ``witness_isomorphism`` wraps the witness rows it composes.
+A label without parameters is not built per call: one shared object per
+(dim, type vector, variant, boundary, no_witness), with its
+serialization, serves every algebra and field (``_LABELS``).  The
+witness stays in the adapted coordinates the builder gives it; only
+``_classify_rows``, for the callers that read the rows, writes it in
+E's coordinates.
 
 The invariants that decide the split are read off index sets of the
 natural basis: the series blocks (its chain of subspaces is never
@@ -111,6 +119,13 @@ from .oracle import _bounded_iso, verify_hom
 
 
 class CanonicalLabel(Frozen):
+    """The canonical label of an indecomposable algebra: its table entry
+    (dim, type vector, variant), the orbit representative of its
+    parameters, and the boundary and no-witness flags.  A label without
+    parameters may be an object that ``classify`` shares between all
+    algebras it labels alike (``_shared_label``), so callers compare
+    labels with ``==`` or ``labels_equal``, never by identity."""
+
     __slots__ = _fields = ("dim", "type_vector", "variant", "params",
                            "boundary", "no_witness")
 
@@ -273,10 +288,22 @@ class _DiagForm:
 
     def orth_complement_basis(self, vecs):
         """An orthogonal basis of the orthogonal complement of span(vecs),
-        with anisotropic members (L2)."""
+        with anisotropic members (L2).  The complement of one vector a in
+        a plane is the line of the reduced kernel vector of c = (a_0 d_0,
+        a_1 d_1), c != 0 (L1), written in closed form: [0, 1] if c_1 = 0,
+        [1, 0] if c_0 = 0, else [1, -c_0 / c_1], what ``_kernel_rows``
+        returns after its second reduction; an anisotropic line (L2) is
+        its own orthogonal basis."""
         ops = self.ops
         Z, mul = ops.zero, ops.mul
         m = len(self.diag)
+        if m == 2 and len(vecs) == 1:
+            c0, c1 = [mul(x, d) for x, d in zip(vecs[0], self.diag)]
+            if c1 == Z:
+                return [[Z, ops.one]]
+            if c0 == Z:
+                return [[ops.one, Z]]
+            return [[ops.one, ops.neg(ops.div(c0, c1))]]
         rows = [[mul(x, d) for x, d in zip(v, self.diag)] for v in vecs]
         basis = _kernel_rows(rows, m, ops)[0]
         # Gram-Schmidt
@@ -331,13 +358,31 @@ class _DiagForm:
 
 def classify(E: EvolutionAlgebra):
     """Canonical label of E, or the Decomposed list of summand labels."""
-    return _classify_rows(E)[0]
+    return _classify(E)[0]
 
 
-def _classify_rows(E, series=None):
+def _classify_rows(E):
     """The label of E and the payload rows of its verified witness basis,
     the latter None for Decomposed labels and whenever the label carries
-    no_witness; series is E's, when the caller has computed it.
+    no_witness.  The rows express the template's natural basis in E's
+    coordinates (E's coordinate perm[k] is the adapted basis' k-th); they
+    are written here, for the callers that read them, and ``classify``
+    never builds them."""
+    label, witness = _classify(E)
+    if witness is None:
+        return label, None
+    perm, cols = witness
+    rows = [None] * E.dim
+    for k, row in enumerate(zip(*cols)):
+        rows[perm[k]] = list(row)
+    return label, rows
+
+
+def _classify(E, series=None):
+    """The label of E and its verified witness as (perm, the accepted
+    payload columns in the adapted coordinates ``perm`` orders), None for
+    Decomposed labels and whenever the label carries no_witness; series
+    is E's, when the caller has computed it.
 
     The split stage and its summands are ``algebra``'s: every summand
     that ``_split_summands`` gives is an algebra in its own right, with
@@ -359,44 +404,63 @@ def _classify_rows(E, series=None):
     return _normalize(E, series)
 
 
-# at index n = 1, 2, 3: the label of the n-element chain (for n = 1 the
-# zero algebra) with its serialization, _gather's key; a CanonicalLabel
-# without params is immutable, so one object serves all
-_CHAINS = [None] + [(l.serialize(), l) for l in
-                    (CanonicalLabel(n, (1,) * n, 1) for n in (1, 2, 3))]
+# the parameter-free labels: (dim, type vector, variant, boundary,
+# no_witness) -> (serialization, label), each pair built on first use.
+# A CanonicalLabel is immutable, so one object serves every algebra that
+# takes the label, over every field, and its serialization, _gather's
+# sort key, is built once per process
+_LABELS: dict = {}
+
+
+def _shared_label(dim, type_vector, variant, boundary=False,
+                  no_witness=False):
+    """The table's (serialization, label) pair for a parameter-free
+    label."""
+    key = (dim, type_vector, variant, boundary, no_witness)
+    pair = _LABELS.get(key)
+    if pair is None:
+        label = CanonicalLabel(dim, type_vector, variant, (), boundary,
+                               no_witness)
+        pair = _LABELS[key] = (label.serialize(), label)
+    return pair
 
 
 def _gather(parts):
     """The Decomposed label of the summands, each given as its algebra
     or, when a lemma identified it, as the length n of the n-chain.
 
-    Each algebra's series is computed once and handed to
-    ``_classify_rows``.  A summand of dim n <= 3 whose series has n
-    blocks of one index each is the n-chain (the chain lemma of
-    ``algebra._natural_split``), and it takes the chain's label without
-    being classified.  The labels are sorted by serialization, each
-    string built once, the chains' once for all."""
+    Each algebra's series is computed once and handed to ``_classify``.
+    A summand of dim n <= 3 whose series has n blocks of one index each
+    is the n-chain (the chain lemma of ``algebra._natural_split``), and
+    it takes the chain's label without being classified.  The labels are
+    sorted by serialization: a parameter-free label's is the one stored
+    with it in ``_LABELS``, and only a label with parameters builds its
+    string here."""
     keyed = []
     for part in parts:
         if isinstance(part, int):
-            keyed.append(_CHAINS[part])
+            keyed.append(_shared_label(part, (1,) * part, 1))
             continue
         series = upper_series(part)
         if len(series.blocks) == part.dim <= 3:
-            keyed.append(_CHAINS[part.dim])
+            keyed.append(_shared_label(part.dim, (1,) * part.dim, 1))
             continue
-        res = _classify_rows(part, series)[0]
+        res = _classify(part, series)[0]
         for label in res.labels if isinstance(res, Decomposed) else (res,):
-            keyed.append((label.serialize(), label))
+            keyed.append((label.serialize(), label) if label.params else
+                         _shared_label(label.dim, label.type_vector,
+                                       label.variant, label.boundary,
+                                       label.no_witness))
     keyed.sort(key=itemgetter(0))
     return Decomposed([label for _, label in keyed])
 
 
 def _normalize(E, series):
     """Adapted reorder + per-type normalizer for an algebra that the
-    split stage does not split: (label, witness rows or None).  The
-    normalizer's raw parameters are wrapped here, once, to pick the
-    orbit representative that the label carries."""
+    split stage does not split: (label, (perm, witness columns) or
+    None).  The normalizer's raw parameters are wrapped here, once, to
+    pick the orbit representative that the label carries; a label
+    without parameters is the shared one of ``_LABELS``."""
     tv = tuple(series.type_vector)
     perm = [i for blk in reversed(series.blocks) for i in blk]
     field = E.field
@@ -409,26 +473,29 @@ def _normalize(E, series):
     if params:
         params = orbit_min(entry, tuple(FieldElement(field, x)
                                         for x in params), field)
-    witness = _witness_basis(E, Ead, perm, entry, params, builder)
-    label = CanonicalLabel(E.dim, tv, variant, params, boundary=boundary,
-                           no_witness=witness is None)
-    return label, witness
+    cols = _witness_basis(Ead, entry, params, builder)
+    if params:
+        label = CanonicalLabel(E.dim, tv, variant, params, boundary,
+                               cols is None)
+    else:
+        label = _shared_label(E.dim, tv, variant, boundary, cols is None)[1]
+    return label, None if cols is None else (perm, cols)
 
 
-def _witness_basis(E, Ead, perm, entry, params, builder):
-    """The payload rows of a matrix whose columns express the template's
-    natural basis in E's coordinates, verified against the template:
-    each candidate the builder yields (as payload columns in Ead's
-    coordinates, handed the payloads of params) is checked against Ead
-    by the field's ``ops.realizes``, the product test and the rank test
-    of ``verify_hom``.  Ead is E in a reordered natural basis, which is
-    natural too, so this is the test against E itself; only the accepted
-    candidate is written in E's coordinates (E's coordinate perm[k] is
-    Ead's k-th).  None when no candidate realizes the template: a
-    builder yields no candidate for a square root the field lacks, and a
-    template that needs i has no witness over a field without i.  The
-    template's rows are built only once a candidate exists."""
-    field = E.field
+def _witness_basis(Ead, entry, params, builder):
+    """The payload columns, in Ead's coordinates, of a witness basis
+    verified against the template: each candidate the builder yields
+    (handed the payloads of params) is checked against Ead by the
+    field's ``ops.realizes``, the product test and the rank test of
+    ``verify_hom``.  Ead is E in a reordered natural basis, which is
+    natural too, so this is the test against E itself; the accepted
+    columns are returned as the builder gave them, and only
+    ``_classify_rows`` writes them in E's coordinates.  None when no
+    candidate realizes the template: a builder yields no candidate for a
+    square root the field lacks, and a template that needs i has no
+    witness over a field without i.  The template's rows are built only
+    once a candidate exists."""
+    field = Ead.field
     if entry.needs_i and not field.has_i:
         return None
     template_rows = None
@@ -437,11 +504,7 @@ def _witness_basis(E, Ead, perm, entry, params, builder):
         if template_rows is None:
             template_rows = _template_rows(entry, params, field)
         if realizes(template_rows, A2, cols):
-            n = E.dim
-            m = [None] * n
-            for k, row in enumerate(zip(*cols)):
-                m[perm[k]] = list(row)
-            return m
+            return cols
     return None
 
 

@@ -1141,24 +1141,24 @@ def test_an_annihilator_split_takes_two_eliminations(monkeypatch):
 @settings(max_examples=300)
 @given(st.one_of(split_algebras(), nilpotent_of_type(_SPLIT_TYPES)))
 def test_every_summand_inherits_what_its_split_proved(E):
-    # the one-index summands of a split never reach _classify_rows, and
+    # the one-index summands of a split never reach _classify, and
     # every summand that does comes with its own series
     classify_module = importlib.import_module("evoalg.classify")
-    classify_rows = classify_module._classify_rows
+    inner = classify_module._classify
     calls = []
 
     def recording(A, series=None):
         calls.append((A, series))
-        return classify_rows(A, series)
+        return inner(A, series)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(classify_module, "_classify_rows", recording)
+        mp.setattr(classify_module, "_classify", recording)
         try:
             classify_module.classify(E)
         except (NotNilpotent, SqrtUnavailable):
             pass
     for A, series in calls:
         # the one-index summands of a split are labelled by the split and
-        # never reach _classify_rows
+        # never reach _classify
         assert series is None or A.dim > 1
         if series is not None:
             ref = upper_series(A)
@@ -1178,7 +1178,7 @@ def test_summands_skip_the_split_stages_their_split_proved(monkeypatch):
     last_split, ran = [None], collections.Counter()
 
     def stage(A, *series):
-        # _classify_rows hands a split's summands to _gather right after
+        # _classify hands a split's summands to _gather right after
         # the split stage returns it
         ran["_natural_split"] += 1
         split = natural_split(A, *series)
@@ -1226,16 +1226,18 @@ def test_the_labels_classify_takes_unclassified_are_the_chains(field, n):
     # the lemma behind the summands classify labels without classifying
     # them: the template of d_n:[1,...,1]:v1 is the n-element chain (for
     # n = 1 the zero algebra) on every field kind, with the identity as
-    # its witness, and it is the label classify gives that chain
+    # its witness, and it is the shared label classify gives that chain
     classify_module = importlib.import_module("evoalg.classify")
-    key, label = classify_module._CHAINS[n]
+    key, label = classify_module._shared_label(n, (1,) * n, 1)
+    assert classify_module._LABELS[n, (1,) * n, 1, False, False] \
+        == (key, label)
     assert label.serialize() == key == f"d{n}:[{','.join(['1'] * n)}]:v1"
     entry = find_entry(n, (1,) * n, 1)
     C = chain(n, field)
     assert entry.template_rows((), field) == C._rows
     assert verify_hom(entry.template((), field), C,
                       Matrix.identity(n, field))
-    assert classify_module.classify(C) == label
+    assert classify_module.classify(C) is label
 
 
 @st.composite
@@ -1270,8 +1272,8 @@ def test_type_one_by_one_in_dims_2_and_3_is_the_chain(E):
     classify_module = importlib.import_module("evoalg.classify")
     n, field = E.dim, E.field
     assert upper_series(E).type_vector == [1] * n
-    label = classify_module._CHAINS[n][1]
-    assert classify_module.classify(E) == label
+    label = classify_module._shared_label(n, (1,) * n, 1)[1]
+    assert classify_module.classify(E) is label
     got, rows = classify_module._classify_rows(E)
     assert got == label and rows is not None
     template = find_entry(n, (1,) * n, 1).template((), field)
@@ -1368,11 +1370,11 @@ def test_labelled_summands_run_no_classification(monkeypatch, rows,
             counts[name] += 1
             return fn(*args)
         monkeypatch.setattr(classify_module, name, wrapper)
-    for name in ("_classify_rows", "_witness_basis"):
+    for name in ("_classify", "_witness_basis"):
         counted(name)
     out = classify_module.classify(EvolutionAlgebra.from_ints(rows, F13))
     assert isinstance(out, Decomposed)
-    assert counts["_classify_rows"] == classified
+    assert counts["_classify"] == classified
     assert counts["_witness_basis"] == searches
 
 

@@ -1,6 +1,7 @@
 """Canonical labels, classification, and witness isomorphisms."""
 
 import importlib
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -77,6 +78,57 @@ def test_decomposed_serialization_sorted():
     lab = classify(EvolutionAlgebra.from_ints(rows, F13))
     assert isinstance(lab, Decomposed)
     assert lab.serialize() == "d2:[1,1]:v1 + d3:[1,1,1]:v1"
+
+
+def test_parameter_free_labels_are_shared_across_algebras_and_fields():
+    # every parameter-free table entry, in two relabellings over GF(13)
+    # and two over Q where its template builds: equal labels are one
+    # object, the one the table holds with its serialization
+    classify_module = importlib.import_module("evoalg.classify")
+    rng = random.Random(30)
+    across = 0
+    for entry in ENTRIES:
+        if entry.param_arity:
+            continue
+        labels = []
+        for field in (F13, QQ()):
+            try:
+                T = entry.template((), field)
+            except EvoalgError:  # the template needs i
+                continue
+            labels += [(field, classify(random_monomial_relabelling(T, rng)))
+                       for _ in range(2)]
+        for (f1, l1), (f2, l2) in itertools.combinations(labels, 2):
+            assert (l1 is l2) == (l1 == l2)
+            across += f1 != f2 and l1 is l2
+        for _, label in labels:
+            key, held = classify_module._shared_label(
+                label.dim, label.type_vector, label.variant, label.boundary,
+                label.no_witness)
+            assert held is label and key == label.serialize()
+    assert across >= 40
+
+
+def test_a_label_with_parameters_is_a_fresh_object():
+    T = find_entry(5, (1, 1, 3), 3).template((F13.from_int(4),), F13)
+    first, second = classify(T), classify(T)
+    assert first.params and first == second and first is not second
+
+
+def test_decomposed_labels_are_in_serialization_order():
+    rng = random.Random(31)
+    decomposed = 0
+    for field in (F13, QQ()):
+        for _ in range(300):
+            try:
+                out = classify(random_nilpotent(5, rng, field))
+            except SqrtUnavailable:
+                continue
+            if isinstance(out, Decomposed):
+                decomposed += 1
+                ordered = sorted(out.labels, key=lambda l: l.serialize())
+                assert all(a is b for a, b in zip(out.labels, ordered))
+    assert decomposed >= 100
 
 
 def test_classify_is_basis_change_invariant():
@@ -649,13 +701,13 @@ def test_no_split_stage_runs_on_a_one_dimensional_annihilator(monkeypatch):
         staged.append(len(algebra_module._zero_rows(A)))
         return natural_split(A, *series)
     monkeypatch.setattr(classify_module, "_natural_split", stage)
-    classify_rows = classify_module._classify_rows
+    inner = classify_module._classify
 
     def watched(A, series=None):
         if len(algebra_module._zero_rows(A)) == 1:
             seen["top" if series is None else "summand"] += 1
-        return classify_rows(A, series)
-    monkeypatch.setattr(classify_module, "_classify_rows", watched)
+        return inner(A, series)
+    monkeypatch.setattr(classify_module, "_classify", watched)
     rng = random.Random(27)
     for field in (F13, GF(3), QQ(), QI()):
         for _ in range(150):

@@ -27,6 +27,7 @@ from evoalg.classify import CanonicalLabel, _DiagForm, classify
 from evoalg.errors import EvoalgError, SqrtUnavailable
 from evoalg.families import UBFG, UBG, UBU, FamilySpec, build
 from evoalg.fields import GF, QI, QQ, FieldElement
+from evoalg.linalg import _kernel_rows
 from evoalg.tables import ENTRIES, find_entry
 
 from helpers import random_monomial_relabelling, random_nilpotent_of_type
@@ -90,10 +91,13 @@ def test_plane_coordinates_are_closed_forms(form_a_v):
     # in the orthogonal basis a, w0 of the plane (a anisotropic, w0 its
     # complement) v has the coordinates b(v, a)/q(a) and b(v, w0)/q(w0);
     # in the hyperbolic basis a, d' (a isotropic, (d', h) its partner)
-    # they are b(v, d')/h and b(v, a)/h
+    # they are b(v, d')/h and b(v, a)/h.  The complement of a is the
+    # closed form of the reduced kernel vector of (a_0 d_0, a_1 d_1)
     form, a, v = form_a_v
     ops = form.ops
     div = ops.div
+    c = [ops.mul(x, d) for x, d in zip(a, form.diag)]
+    assert form.orth_complement_basis([a]) == _kernel_rows([c], 2, ops)[0]
     qa = form.q(a)
     if qa != ops.zero:
         (w0,) = form.orth_complement_basis([a])
@@ -248,22 +252,17 @@ def test_the_slope_candidates_of_one_order_all_realize(E):
     original = classify_module._witness_basis
     verdicts = collections.defaultdict(set)
 
-    def record(E, Ead, perm, entry, params, builder):
+    def record(Ead, entry, params, builder):
         if entry.variant != 1:  # variant 1 is the powers of u_1
-            field, n = E.field, E.dim
+            field = Ead.field
             m = entry.type_vector[-1]
             rows = classify_module._template_rows(entry, params, field)
             for cols in builder(Ead, field.payloads(params)):
-                w = [[None] * n for _ in range(n)]
-                for j, v in enumerate(cols):
-                    for k, x in enumerate(v):
-                        w[perm[k]][j] = x
                 order = tuple(next(k for k, x in enumerate(v)
                                    if x != field.ops.zero)
                               for v in cols[:m])
-                verdicts[order].add(
-                    field.ops.realizes(rows, E._rows, list(zip(*w))))
-        return original(E, Ead, perm, entry, params, builder)
+                verdicts[order].add(field.ops.realizes(rows, Ead._rows, cols))
+        return original(Ead, entry, params, builder)
 
     with mock.patch.object(classify_module, "_witness_basis", record):
         label = classify(E)
@@ -327,11 +326,12 @@ def _classify_with_verdicts(E):
     original = classify_module._witness_basis
     verdicts = []
 
-    def record(E, Ead, perm, entry, params, builder):
-        rows = classify_module._template_rows(entry, params, E.field)
-        for cols in builder(Ead, E.field.payloads(params)):
-            verdicts.append(E.field.ops.realizes(rows, Ead._rows, cols))
-        return original(E, Ead, perm, entry, params, builder)
+    def record(Ead, entry, params, builder):
+        field = Ead.field
+        rows = classify_module._template_rows(entry, params, field)
+        for cols in builder(Ead, field.payloads(params)):
+            verdicts.append(field.ops.realizes(rows, Ead._rows, cols))
+        return original(Ead, entry, params, builder)
 
     with mock.patch.object(classify_module, "_witness_basis", record):
         return classify(E), verdicts

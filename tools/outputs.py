@@ -76,6 +76,9 @@ records whose label is ``Decomposed`` but whose
 ``decomposability_check`` verdict is not ``Decomposable``: the two
 share one split stage, so it is 0 unless they disagree.  It exits 0.
 
+Both stop quietly, with the same exit status, when the reader closes
+stdout early (``--diff A B | head -2``).
+
 Compare a change with its parent, from the root of the change:
 
     git archive PARENT | (mkdir -p /tmp/parent && tar -x -C /tmp/parent)
@@ -489,16 +492,27 @@ def main(argv=None) -> int:
         count = write(args.tree, args.out)
         print(f"{count} records written to {args.out}", file=sys.stderr)
         return 0
-    if args.check is not None:
-        counts = check(args.check)
-        print(f"{sum(counts.values())} relabel pairs differ only in "
-              "no_witness")
-        for key, k in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])):
-            print(f"  {key}: {k}")
-        print(f"{split_disagreements(args.check)} Decomposed labels whose "
-              "verdict is not Decomposable")
-        return 0
-    return 1 if diff(*args.diff) else 0
+    try:
+        if args.check is not None:
+            counts = check(args.check)
+            print(f"{sum(counts.values())} relabel pairs differ only in "
+                  "no_witness")
+            for key, k in sorted(counts.items(),
+                                 key=lambda kv: (-kv[1], kv[0])):
+                print(f"  {key}: {k}")
+            print(f"{split_disagreements(args.check)} Decomposed labels "
+                  "whose verdict is not Decomposable")
+            status = 0
+        else:
+            status = 1 if diff(*args.diff) else 0
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head``): stop quietly, with
+        # stdout on devnull so that the exit flush does not fail again.
+        # --diff prints only when the records differ, so its status is 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 0 if args.check is not None else 1
+    return status
 
 
 if __name__ == "__main__":
