@@ -23,8 +23,8 @@ from .families import (FamilySpec, build, build_Ub, build_Ubfg, build_Ubg,
                        scaling_isomorphism)
 from .tables import (ClassEntry, anharmonic_j, anharmonic_orbit,
                      canonical_table, find_entry, orbit_min)
-from .classify import (CanonicalLabel, Decomposed, classify, labels_equal,
-                       witness_isomorphism)
+from .classify import (CanonicalLabel, Classification, Decomposed, classify,
+                       labels_equal, normal_form, witness_isomorphism)
 from .oracle import (SearchBudget, exhaustive_iso, randomized_iso,
                      verify_hom)
 

@@ -1,14 +1,15 @@
 """Classification of nilpotent evolution algebras of dimension at most 5.
 
 ``classify`` maps an algebra presented in a natural basis to its
-canonical label: first it peels off direct-sum decompositions that can
-be realized by natural bases (graph components, an annihilator vector
-outside E^2, a large annihilator, and the [2,3] and [2,2,1] splits of
-dim ann = 2), all found by the one split stage
-``algebra._natural_split`` that ``decomposability_check`` shares, then
-it reorders the basis into blocks adapted to the upper annihilating
-series and runs a per-type normalizer that extracts the variant and the
-normalized parameters.  No normalizer splits.
+canonical label, and ``normal_form`` to the ``Classification`` that
+holds the label and its witness basis: first each peels off direct-sum
+decompositions that can be realized by natural bases (graph
+components, an annihilator vector outside E^2, a large annihilator,
+and the [2,3] and [2,2,1] splits of dim ann = 2), all found by the one
+split stage ``algebra._natural_split`` that ``decomposability_check``
+shares, then it reorders the basis into blocks adapted to the upper
+annihilating series and runs a per-type normalizer that extracts the
+variant and the normalized parameters.  No normalizer splits.
 
 Labels are field-independent data (parameters are extracted through
 rational expressions plus canonical square roots); witness bases, which
@@ -35,8 +36,8 @@ the [1,1,1,1,1] variants 2-4 take one tower x1, x2, y3 and y3's powers,
 shifted on s (``_h_11111``).  When no candidate realizes the template
 the label carries a no-witness flag.  The normalizer builds and
 verifies the witness basis once, in the same pass that produces the
-label, and ``witness_isomorphism`` composes the two stored witnesses
-instead of normalizing again.
+label, and ``witness_isomorphism`` composes the witnesses of the two
+``normal_form`` results instead of normalizing again.
 
 Everything below the public boundary computes on raw payloads through
 the field's ``ops`` table: the split stage, the adapted reorder,
@@ -70,13 +71,13 @@ of the field's ``ops.realizes``, the product test and the rank test of
 ``FieldElement`` values appear only at the public boundary: a
 normalizer's raw parameters are wrapped once, to pick their orbit
 representative for the label, ``classify`` builds no witness matrix,
-and ``witness_isomorphism`` wraps the witness rows it composes.
+and ``normal_form`` wraps the one witness it returns.
 A label without parameters is not built per call: one shared object per
 (dim, type vector, variant, boundary, no_witness), with its
 serialization, serves every algebra and field (``_LABELS``).  The
-witness stays in the adapted coordinates the builder gives it; only
-``_classify_rows``, for the callers that read the rows, writes it in
-E's coordinates.
+witness stays in the adapted coordinates the builder gives it, for
+``classify`` and for every summand of a split; only ``normal_form``
+writes it in E's coordinates.
 
 The invariants that decide the split are read off index sets of the
 natural basis: the series blocks (its chain of subspaces is never
@@ -164,6 +165,20 @@ class Decomposed(Value):
 
     def serialize(self) -> str:
         return " + ".join(l.serialize() for l in self.labels)
+
+
+class Classification(Value):
+    """What ``normal_form`` returns: E's label, and the verified witness
+    basis as a Matrix m such that x -> m.x carries the template of the
+    label onto E (m's columns are the template's natural basis in E's
+    coordinates); the witness is None for a Decomposed label and
+    whenever the label carries no_witness."""
+
+    __slots__ = _fields = ("label", "witness")
+
+    def __init__(self, label, witness: Matrix | None):
+        self.label = label
+        self.witness = witness
 
 
 def labels_equal(l1, l2) -> bool:
@@ -361,21 +376,20 @@ def classify(E: EvolutionAlgebra):
     return _classify(E)[0]
 
 
-def _classify_rows(E):
-    """The label of E and the payload rows of its verified witness basis,
-    the latter None for Decomposed labels and whenever the label carries
-    no_witness.  The rows express the template's natural basis in E's
-    coordinates (E's coordinate perm[k] is the adapted basis' k-th); they
-    are written here, for the callers that read them, and ``classify``
-    never builds them."""
+def normal_form(E: EvolutionAlgebra) -> Classification:
+    """The label of E and its verified witness basis (``Classification``).
+    The normalizer's accepted columns are in the adapted coordinates,
+    E's coordinate perm[k] being the adapted basis' k-th; only here are
+    they written in E's coordinates and wrapped, and ``classify`` never
+    builds them."""
     label, witness = _classify(E)
     if witness is None:
-        return label, None
+        return Classification(label, None)
     perm, cols = witness
     rows = [None] * E.dim
     for k, row in enumerate(zip(*cols)):
         rows[perm[k]] = list(row)
-    return label, rows
+    return Classification(label, Matrix._wrap(rows, E.field, E.dim))
 
 
 def _classify(E, series=None):
@@ -490,7 +504,7 @@ def _witness_basis(Ead, entry, params, builder):
     ``verify_hom``.  Ead is E in a reordered natural basis, which is
     natural too, so this is the test against E itself; the accepted
     columns are returned as the builder gave them, and only
-    ``_classify_rows`` writes them in E's coordinates.  None when no
+    ``normal_form`` writes them in E's coordinates.  None when no
     candidate realizes the template: a builder yields no candidate for a
     square root the field lacks, and a template that needs i has no
     witness over a field without i.  The template's rows are built only
@@ -530,26 +544,41 @@ def _template_rows(entry, params, field) -> list[list]:
 def witness_isomorphism(E1: EvolutionAlgebra, E2: EvolutionAlgebra):
     """Change-of-basis matrix carrying E1's products to E2's, when the
     labels agree and the needed roots exist; None when labels differ.
-    Raises MixedFields when the two fields differ."""
+    Raises MixedFields when the two fields differ, and SqrtUnavailable,
+    whose message says whether the failure is conclusive, when the
+    labels agree but no witness is found: a Decomposed label carries no
+    witness and gets no search, over Q and Q(i) no search runs, an
+    exhaustive search over GF(p) that finds nothing shows that no
+    isomorphism exists over GF(p), and a randomized one does not."""
     E1.field.require(E2.field)
-    (l1, b1), (l2, b2) = _classify_rows(E1), _classify_rows(E2)
-    if not labels_equal(l1, l2):
+    c1, c2 = normal_form(E1), normal_form(E2)
+    if not labels_equal(c1.label, c2.label):
         return None
     if E1 == E2:
         return Matrix.identity(E1.dim, E1.field)
-    if b1 is not None and b2 is not None:
-        field, n = E1.field, E1.dim
-        m = Matrix._wrap(b2, field, n) * Matrix._wrap(b1, field, n).inverse()
+    if c1.witness is not None and c2.witness is not None:
+        m = c2.witness * c1.witness.inverse()
         if verify_hom(E1, E2, m):
             return m
-    # root-free fallback over finite fields: an oracle search that tests
-    # at most 200,000 block-patterned matrices
-    if E1.field.kind == PRIME and not isinstance(l1, Decomposed):
-        m = _bounded_iso(E1, E2)
+    field = E1.field
+    if isinstance(c1.label, Decomposed):
+        why = "a Decomposed label carries no witness and gets no search"
+    elif field.kind != PRIME:
+        why = f"no search runs over {field}"
+    else:
+        # root-free fallback over finite fields: an oracle search that
+        # tests at most 200,000 block-patterned matrices
+        m, exhaustive = _bounded_iso(E1, E2)
         if m is not None:
             return m
-    raise SqrtUnavailable(
-        "labels agree but no witness basis exists over this field")
+        if exhaustive:
+            raise SqrtUnavailable(f"labels agree but the exhaustive search "
+                                  f"found none, so no isomorphism exists "
+                                  f"over {field}")
+        why = "a randomized search found none"
+    raise SqrtUnavailable(f"labels agree but no witness was found over "
+                          f"{field}: {why}, so an isomorphism may still "
+                          f"exist")
 
 
 # ---------------------------------------------------------------------------

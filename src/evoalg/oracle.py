@@ -188,15 +188,16 @@ def randomized_iso(E1: EvolutionAlgebra, E2: EvolutionAlgebra,
     return None
 
 
-def _bounded_iso(E1: EvolutionAlgebra,
-                 E2: EvolutionAlgebra) -> Matrix | None:
+def _bounded_iso(E1: EvolutionAlgebra, E2: EvolutionAlgebra) -> tuple:
     """A witness search that tests at most _FALLBACK_TRIALS matrices:
+    (the witness or None, whether None is conclusive).  It runs
     exhaustive_iso when the block-patterned space has no more matrices
     than that (None is then conclusive), randomized_iso with that many
     trials and seed 1 otherwise (None is then a failed search)."""
     common = _search_common(E1, E2)
     if common is None:
-        return None
+        return None, True
     if E1.field.modulus ** len(_slots(*common[4:])) <= _FALLBACK_TRIALS:
-        return exhaustive_iso(E1, E2)
-    return randomized_iso(E1, E2, SearchBudget(_FALLBACK_TRIALS, seed=1))
+        return exhaustive_iso(E1, E2), True
+    return randomized_iso(E1, E2, SearchBudget(_FALLBACK_TRIALS,
+                                               seed=1)), False

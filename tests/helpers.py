@@ -13,7 +13,6 @@ draws, having no i part, share with Q.
 from __future__ import annotations
 
 from evoalg.algebra import EvolutionAlgebra, upper_series
-from evoalg.classify import _classify_rows
 from evoalg.fields import GF, PRIME
 from evoalg.linalg import Matrix, _inverse_rows, _rank
 
@@ -23,16 +22,6 @@ F13 = GF(13)
 def scalar_limit(field):
     """Scalars are drawn from range(scalar_limit(field))."""
     return field.modulus if field.kind == PRIME else 14
-
-
-def classify_with_witness(E):
-    """The label of E and its verified witness basis as a Matrix, the
-    latter None for Decomposed labels and whenever the label carries
-    no_witness."""
-    label, witness = _classify_rows(E)
-    if witness is not None:
-        witness = Matrix._wrap(witness, E.field, E.dim)
-    return label, witness
 
 
 def random_algebra(dim, rng, field=F13, density=0.6):

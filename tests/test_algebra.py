@@ -1274,10 +1274,10 @@ def test_type_one_by_one_in_dims_2_and_3_is_the_chain(E):
     assert upper_series(E).type_vector == [1] * n
     label = classify_module._shared_label(n, (1,) * n, 1)[1]
     assert classify_module.classify(E) is label
-    got, rows = classify_module._classify_rows(E)
-    assert got == label and rows is not None
+    res = classify_module.normal_form(E)
+    assert res.label == label and res.witness is not None
     template = find_entry(n, (1,) * n, 1).template((), field)
-    assert verify_hom(template, E, Matrix._wrap(rows, field, n))
+    assert verify_hom(template, E, res.witness)
 
 
 def _explicit_summands(E):

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from evoalg.algebra import EvolutionAlgebra
 from evoalg.classify import (CanonicalLabel, Decomposed, classify,
-                             labels_equal, witness_isomorphism)
+                             labels_equal, normal_form, witness_isomorphism)
 from evoalg.errors import (EvoalgError, MixedFields, NotNilpotent,
                            SqrtUnavailable, UnsupportedDim)
 from evoalg.fields import GF, QI, QQ, FieldElement
@@ -19,9 +19,9 @@ from evoalg.linalg import Matrix
 from evoalg.oracle import verify_hom
 from evoalg.tables import ENTRIES, canonical_table, find_entry
 
-from helpers import (F13, classify_with_witness, gaussian_scalar,
-                     random_block_basis_change, random_monomial_relabelling,
-                     random_nilpotent, random_nilpotent_of_type)
+from helpers import (F13, gaussian_scalar, random_block_basis_change,
+                     random_monomial_relabelling, random_nilpotent,
+                     random_nilpotent_of_type)
 
 
 def test_label_serialization():
@@ -204,11 +204,10 @@ def test_template_needing_i_has_no_witness_without_i(field, lam2):
     # class d4:[1,2,1]:v2, whose template needs a square root of -1: a
     # field without one labels it with no_witness instead of raising
     rows = [[0, 0, 0, 1], [0, 0, 0, lam2], [1, 1, 0, 0], [0, 0, 0, 0]]
-    lab, witness = classify_with_witness(
-        EvolutionAlgebra.from_ints(rows, field))
-    assert lab.serialize() == "d4:[1,2,1]:v2"
-    assert lab.no_witness == (not field.has_i)
-    assert (witness is None) == lab.no_witness
+    res = normal_form(EvolutionAlgebra.from_ints(rows, field))
+    assert res.label.serialize() == "d4:[1,2,1]:v2"
+    assert res.label.no_witness == (not field.has_i)
+    assert (res.witness is None) == res.label.no_witness
 
 
 @pytest.mark.parametrize("p, rows, expected", [
@@ -309,8 +308,49 @@ def test_witness_isomorphism_sqrt_unavailable():
     E1 = e.template((F13.from_int(2),), F13)
     E2 = e.template((F13.from_int(7),), F13)
     assert labels_equal(classify(E1), classify(E2))
-    with pytest.raises(SqrtUnavailable):
+    # the fallback samples this pair's space, so its miss proves nothing
+    with pytest.raises(SqrtUnavailable, match="randomized search found "
+                       "none, so an isomorphism may still exist"):
         witness_isomorphism(E1, E2)
+
+
+def test_witness_isomorphism_says_a_decomposed_pair_gets_no_search():
+    # two 2-chains side by side, relabelled: isomorphic by construction,
+    # but a Decomposed label carries no witness
+    E1 = EvolutionAlgebra.from_ints(
+        [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]], F13)
+    E2 = EvolutionAlgebra.from_ints(
+        [[0, 0, 0, 0], [0, 0, 0, 2], [3, 0, 0, 0], [0, 0, 0, 0]], F13)
+    assert isinstance(classify(E1), Decomposed)
+    assert labels_equal(classify(E1), classify(E2))
+    with pytest.raises(SqrtUnavailable, match="a Decomposed label carries "
+                       "no witness and gets no search, so an isomorphism "
+                       "may still exist"):
+        witness_isomorphism(E1, E2)
+
+
+def test_witness_isomorphism_says_no_search_runs_over_q():
+    e = find_entry(5, (1, 1, 3), 3)
+    Q = QQ()
+    E1 = e.template((Q.from_int(2),), Q)
+    E2 = e.template((Q.from_int(1) / Q.from_int(2),), Q)
+    assert labels_equal(classify(E1), classify(E2))
+    with pytest.raises(SqrtUnavailable, match=r"no search runs over Q, so "
+                       "an isomorphism may still exist"):
+        witness_isomorphism(E1, E2)
+
+
+def test_witness_isomorphism_says_an_exhaustive_miss_is_conclusive():
+    # x^2 + 2y^2 against x^2 + y^2 over GF(3): the discriminants differ by
+    # the nonsquare 2, so the equal labels have no isomorphism over GF(3);
+    # the block-patterned space has 3^7 = 2,187 matrices, all tested
+    F3 = GF(3)
+    star = EvolutionAlgebra.from_ints([[0, 0, 1], [0, 0, 2], [0, 0, 0]], F3)
+    T = find_entry(3, (1, 2), 1).template((), F3)
+    assert labels_equal(classify(star), classify(T))
+    with pytest.raises(SqrtUnavailable, match=r"the exhaustive search "
+                       r"found none, so no isomorphism exists over GF\(3\)"):
+        witness_isomorphism(star, T)
 
 
 def test_witness_isomorphism_fallback_is_fast_on_a_sampled_gf13_pair():
@@ -365,9 +405,9 @@ def test_dim1_zero_algebra_is_its_own_template(field):
     E = EvolutionAlgebra.from_ints([[0]], field)
     T = find_entry(1, (1,), 1).template((), field)
     assert T == E
-    lab, w = classify_with_witness(E)
-    assert lab == CanonicalLabel(1, (1,), 1)
-    assert verify_hom(T, E, w)
+    res = normal_form(E)
+    assert res.label == CanonicalLabel(1, (1,), 1)
+    assert verify_hom(T, E, res.witness)
 
 
 def test_random_classifications_have_valid_witnesses():
@@ -382,6 +422,10 @@ def test_random_classifications_have_valid_witnesses():
         except SqrtUnavailable:
             continue
         done += 1
+        res = normal_form(E)
+        assert res.label == lab
+        assert (res.witness is None) == (isinstance(lab, Decomposed)
+                                         or lab.no_witness)
         if isinstance(lab, CanonicalLabel) and not lab.no_witness:
             entry = find_entry(lab.dim, lab.type_vector, lab.variant)
             T = entry.template(lab.params, F13)
@@ -401,7 +445,7 @@ def test_random_classifications_have_valid_witnesses():
 def test_relabelling_keeps_the_label_and_witnesses_verify(dim, field, seed):
     # a monomial relabelling is a change of natural basis, so both sides
     # get equal labels or raise the same error; every witness
-    # classify_with_witness returns realizes the template.  (no_witness
+    # normal_form returns realizes the template.  (no_witness
     # itself is not compared: it may differ between the two
     # presentations.)
     rng = random.Random(seed)
@@ -410,17 +454,18 @@ def test_relabelling_keeps_the_label_and_witnesses_verify(dim, field, seed):
     outcomes = []
     for A in (E, G):
         try:
-            label, witness = classify_with_witness(A)
+            res = normal_form(A)
         except EvoalgError as exc:
             outcomes.append(type(exc))
             continue
+        label = res.label
         outcomes.append(label)
         if isinstance(label, Decomposed) or label.no_witness:
-            assert witness is None
+            assert res.witness is None
         else:
             entry = find_entry(label.dim, label.type_vector, label.variant)
             assert verify_hom(entry.template(label.params, field), A,
-                              witness)
+                              res.witness)
     first, second = outcomes
     if isinstance(first, type) or isinstance(second, type):
         assert first == second
@@ -591,11 +636,11 @@ def test_chain_with_a_huge_cube_gets_a_witness_over_q(a4):
     E = EvolutionAlgebra.from_ints(
         [[0, 1, 0, a4, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0],
          [0, 0, 0, 0, 1], [0] * 5], QQ())
-    label, witness = classify_with_witness(E)
-    assert label.serialize() == "d5:[1,1,1,1,1]:v2"
-    assert not label.no_witness and witness is not None
+    res = normal_form(E)
+    assert res.label.serialize() == "d5:[1,1,1,1,1]:v2"
+    assert not res.label.no_witness and res.witness is not None
     T = find_entry(5, (1, 1, 1, 1, 1), 2).template((), QQ())
-    assert verify_hom(T, E, witness)
+    assert verify_hom(T, E, res.witness)
 
 
 def test_chain_family_v4_shifts_y3_before_x2():
@@ -604,11 +649,11 @@ def test_chain_family_v4_shifts_y3_before_x2():
     E = EvolutionAlgebra.from_ints(
         [[0, 9, 5, 1, 0], [0, 0, 12, 10, 0], [0, 0, 0, 0, 0],
          [0, 0, 4, 0, 0], [8, 9, 12, 12, 0]], F13)
-    label, witness = classify_with_witness(E)
-    assert label.serialize() == "d5:[1,1,1,1,1]:v4(3,10)"
-    assert not label.no_witness and witness is not None
-    T = find_entry(5, (1, 1, 1, 1, 1), 4).template(label.params, F13)
-    assert verify_hom(T, E, witness)
+    res = normal_form(E)
+    assert res.label.serialize() == "d5:[1,1,1,1,1]:v4(3,10)"
+    assert not res.label.no_witness and res.witness is not None
+    T = find_entry(5, (1, 1, 1, 1, 1), 4).template(res.label.params, F13)
+    assert verify_hom(T, E, res.witness)
 
 
 def test_series_and_basis_changes_skip_redundant_elimination(monkeypatch):
@@ -782,7 +827,7 @@ def test_parameter_free_templates_are_built_once_per_field(template_builds):
     for _ in range(2):
         for E in corpus:
             try:
-                classify_with_witness(E)
+                normal_form(E)
             except SqrtUnavailable:
                 pass
     free = {key: count for key, count in builds.items() if not key[2]}
@@ -796,7 +841,7 @@ def test_witness_search_without_candidates_builds_no_template(
     rng = random.Random(12)
     for _ in range(150):
         try:
-            classify_with_witness(random_nilpotent(5, rng, F13))
+            normal_form(random_nilpotent(5, rng, F13))
         except SqrtUnavailable:
             pass
     empty = [n_builds for n_builds, n_candidates in searches

@@ -172,6 +172,26 @@ def test_ubg_iso_is_affine_match():
     assert not family_iso_test(s1, s3, assume_closed=True)
 
 
+@pytest.mark.parametrize("f1, g1, f2, g2, expected", [
+    ((0, 0), (0, 1), (0, 0), (2, 7), True),           # g2 = 2 g1 + 7
+    ((0, 0, 0, 0), (0, 1, 3, 4), (0, 0, 0, 0), (0, 1, 5, 11), False),
+    ((0, 0), (0, 1), (0, 3), (0, 1), False),
+    ((0, 3), (0, 1), (0, 0), (0, 1), False),
+])
+def test_ubfg_iso_with_an_all_zero_f_matches_g_affinely(f1, g1, f2, g2,
+                                                         expected):
+    # f = 0 leaves mu^3 free over a closed field, so the g multisets need
+    # only an affine match; an all-zero f never matches a nonzero one
+    def spec(f, g):
+        return FamilySpec(UBFG, len(f), f13s(*[1] * len(f)),
+                          f_eigs=f13s(*f), g_eigs=f13s(*g))
+    s1, s2 = spec(f1, g1), spec(f2, g2)
+    assert family_iso_test(s1, s2, assume_closed=True) is expected
+    if s1.n == 2:      # dim 5: the labels must say the same
+        assert labels_equal(classify(build(s1)),
+                            classify(build(s2))) is expected
+
+
 def test_ubu_iso_is_isotropy_class():
     # q(u) = 0 vs q(u) != 0 over F13: 1*2^2 + 3*1^2 = 7 != 0;
     # 1*5^2 + 1*1^2 = 26 = 0

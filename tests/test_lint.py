@@ -263,3 +263,60 @@ def test_the_lint_sees_a_dead_local():
     assert _dead_locals(tree) == [
         "f: dead (line 2)", "g: x (line 6)", "outer: inner_dead (line 17)",
         "inner: gone (line 21)", "m: late (line 28)"]
+
+
+TOOLS = sorted((SRC.parent.parent / "tools").glob("*.py"))
+
+
+def _private_uses(tree: ast.Module) -> list[str]:
+    """The places, in line order, where a tool reaches past evoalg's
+    public names: a private attribute (``_name``, not a dunder) read on
+    anything but ``self`` (a tool's objects are evoalg's or the standard
+    library's, and it needs the private part of neither), a private
+    name imported from evoalg, or an evoalg module path with a private
+    part in an import or a string (``import_module("evoalg._values")``)."""
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+
+    def path(text, line):
+        parts = text.split(".")
+        if parts[0] == "evoalg" and any(map(private, parts)):
+            found.append((line, text))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and private(node.attr) \
+                and not (isinstance(node.value, ast.Name)
+                         and node.value.id == "self"):
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                path(alias.name, node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            path(node.module, node.lineno)
+            if node.module.split(".")[0] == "evoalg":
+                found += [(node.lineno, alias.name) for alias in node.names
+                          if private(alias.name)]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            path(node.value, node.lineno)
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", TOOLS, ids=lambda p: p.name)
+def test_tools_use_only_public_package_names(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _private_uses(tree) == []
+
+
+def test_the_lint_sees_a_private_package_name():
+    tree = ast.parse(
+        "import evoalg\nimport evoalg._values\n"
+        "from evoalg.classify import _classify, classify\n"
+        "from evoalg import normal_form\n"
+        "m = importlib.import_module('evoalg._values')\n"
+        "label, rows = classify_mod._classify(E)\n"
+        "rows = E._rows\nok = evoalg.normal_form(E).witness.rows\n"
+        "class Tool:\n    def f(self):\n        return self._rows\n"
+        "def _rows(v):\n    return _rows(v).__class__\n")
+    assert _private_uses(tree) == [
+        "evoalg._values (line 2)", "_classify (line 3)",
+        "evoalg._values (line 5)", "_classify (line 6)", "_rows (line 7)"]

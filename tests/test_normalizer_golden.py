@@ -5,7 +5,7 @@ of dims 1-5 and every table template with sampled parameters, each with
 a monomial relabelling) is classified, and a sha256 digest of what
 comes out is compared with a pinned value: for each input its label
 (serialization, ``boundary``, ``no_witness``), the payload rows of the
-witness ``classify_with_witness`` returns, or the type name of the error
+witness ``normal_form`` returns, or the type name of the error
 raised.  All three fields contain i, so every template can be built and
 every normalizer's builder runs on its own template.
 """
@@ -13,13 +13,12 @@ every normalizer's builder runs on its own template.
 import hashlib
 import random
 
-from evoalg.classify import Decomposed
+from evoalg.classify import Decomposed, normal_form
 from evoalg.errors import EvoalgError
 from evoalg.fields import GF, QI
 from evoalg.tables import ENTRIES
 
-from helpers import (classify_with_witness, random_monomial_relabelling,
-                     random_nilpotent, scalar_limit)
+from helpers import random_monomial_relabelling, random_nilpotent, scalar_limit
 
 # re-pin only for an intended output change, naming the outputs it changes;
 # last re-pinned when the [1,1,1,1,1] v4 builder came to shift y3 before
@@ -51,14 +50,15 @@ def _corpus():
 
 def _record(E):
     try:
-        label, witness = classify_with_witness(E)
+        res = normal_form(E)
     except EvoalgError as exc:
         return type(exc).__name__
+    label = res.label
     if isinstance(label, Decomposed):
         return repr([(l.serialize(), l.boundary, l.no_witness)
                      for l in label.labels])
-    rows = None if witness is None else [[x.value for x in r]
-                                         for r in witness.rows]
+    rows = None if res.witness is None else [[x.value for x in r]
+                                             for r in res.witness.rows]
     return repr((label.serialize(), label.boundary, label.no_witness, rows))
 
 

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from evoalg.algebra import EvolutionAlgebra, upper_series
+from evoalg.classify import normal_form
 from evoalg.errors import DomainError, FieldLacksI, UnsupportedDim
 from evoalg.families import UB, UBFG, UBG, UBU, FamilySpec, build
 from evoalg.fields import GF, QI, QQ
@@ -12,7 +13,7 @@ from evoalg.oracle import verify_hom
 from evoalg.tables import (ENTRIES, anharmonic_j, anharmonic_orbit,
                            canonical_table, find_entry, orbit_min)
 
-from helpers import classify_with_witness, random_monomial_relabelling
+from helpers import random_monomial_relabelling
 
 F13 = GF(13)
 
@@ -287,11 +288,12 @@ def test_1121_v6_inputs_get_verified_witnesses_over_gf7():
     for _ in range(30):
         params = tuple(F7.from_int(rng.randrange(1, 30)) for _ in range(2))
         E = random_monomial_relabelling(entry.template(params, F7), rng)
-        label, witness = classify_with_witness(E)
-        if witness is None:
+        res = normal_form(E)
+        if res.witness is None:
             continue
+        label = res.label
         T = find_entry(label.dim, label.type_vector,
                        label.variant).template(label.params, F7)
-        assert verify_hom(T, E, witness)
+        assert verify_hom(T, E, res.witness)
         witnessed += label.skeleton() == V6
     assert witnessed >= 10

@@ -11,7 +11,8 @@ from evoalg.algebra import (AnnSeries, DecompVerdict, EvolutionAlgebra,
                             InvariantProfile, WeightedGraph,
                             decomposability_check, graph_of,
                             invariant_profile, upper_series)
-from evoalg.classify import CanonicalLabel, Decomposed, classify
+from evoalg.classify import (CanonicalLabel, Classification, Decomposed,
+                             classify, normal_form)
 from evoalg.families import UBG, FamilySpec
 from evoalg.fields import GF, PRIME, QI, QQ, FieldDescriptor
 from evoalg.oracle import SearchBudget
@@ -42,6 +43,7 @@ FACTORIES = {
     "CanonicalLabel": lambda: CanonicalLabel(
         3, (1, 2), 2, (gauss(1, 2),), boundary=True),
     "Decomposed": lambda: classify(alg(SPLIT)),
+    "Classification": lambda: normal_form(alg(CHAIN)),
     "FamilySpec": lambda: FamilySpec(
         UBG, 2, (F13.from_int(1), F13.from_int(2)),
         g_eigs=(F13.zero(), F13.from_int(5))),
@@ -52,7 +54,8 @@ CLASSES = {
     "FieldDescriptor": FieldDescriptor, "AnnSeries": AnnSeries,
     "WeightedGraph": WeightedGraph, "DecompVerdict": DecompVerdict,
     "InvariantProfile": InvariantProfile, "CanonicalLabel": CanonicalLabel,
-    "Decomposed": Decomposed, "FamilySpec": FamilySpec,
+    "Decomposed": Decomposed, "Classification": Classification,
+    "FamilySpec": FamilySpec,
     "SearchBudget": SearchBudget, "ClassEntry": ClassEntry,
 }
 FROZEN = ("FieldDescriptor", "CanonicalLabel", "FamilySpec", "SearchBudget",
@@ -84,6 +87,9 @@ def test_equality_sees_every_field():
     assert FieldDescriptor(PRIME, 13) != FieldDescriptor(PRIME, 5)
     assert AnnSeries() != AnnSeries(nilpotent=True)
     assert Decomposed() == Decomposed([]) != Decomposed([label])
+    chain = FACTORIES["Classification"]()
+    assert chain != Classification(chain.label, None)
+    assert chain != Classification(label, chain.witness)
 
 
 @pytest.mark.parametrize("name", FROZEN)
@@ -123,7 +129,7 @@ def test_mutable_fields_accept_assignment(name):
     value = FACTORIES[name]()
     field = {"AnnSeries": "nilpotent", "WeightedGraph": "edges",
              "DecompVerdict": "witness", "InvariantProfile": "dim_sq_cap_u3",
-             "Decomposed": "labels"}[name]
+             "Decomposed": "labels", "Classification": "witness"}[name]
     setattr(value, field, None)
     assert getattr(value, field) is None
     assert value != FACTORIES[name]()
@@ -193,6 +199,10 @@ REPRS = {
         "variant=1, params=(), boundary=False, no_witness=False), "
         "CanonicalLabel(dim=2, type_vector=(1, 1), variant=1, params=(), "
         "boundary=False, no_witness=False)])"),
+    "Classification": (
+        "Classification(label=CanonicalLabel(dim=3, type_vector=(1, 1, 1), "
+        "variant=1, params=(), boundary=False, no_witness=False), "
+        "witness=Matrix(3x3 over GF(13)))"),
     "FamilySpec": (
         "FamilySpec(kind='Ubg', n=2, b_diag=(<1 in GF(13)>, <2 in GF(13)>),"
         " f_eigs=None, g_eigs=(<0 in GF(13)>, <5 in GF(13)>), "

@@ -86,6 +86,11 @@ Compare a change with its parent, from the root of the change:
     python3 tools/outputs.py --tree . --out /tmp/change.jsonl
     python3 tools/outputs.py --diff /tmp/parent.jsonl /tmp/change.jsonl
 
+The tool reads the tree through evoalg's public names only, and the
+witness through ``normal_form``.  A parent older than ``normal_form``
+lacks it, so record such a parent with the parent's own copy of the
+tool: ``python3 /tmp/parent/tools/outputs.py --tree /tmp/parent ...``.
+
 Uses the standard library only; one run takes well under a minute.
 """
 
@@ -94,7 +99,6 @@ from __future__ import annotations
 import argparse
 import collections
 import contextlib
-import importlib
 import io
 import json
 import os
@@ -120,12 +124,10 @@ SHOWN_PER_KIND = 3
 
 
 def _load(tree: str):
-    """The evoalg modules of the checkout at tree."""
+    """The evoalg package of the checkout at tree."""
     sys.path.insert(0, os.path.join(os.path.abspath(tree), "src"))
     import evoalg
-    # evoalg.classify names the function, which shadows the submodule
-    return (evoalg, importlib.import_module("evoalg.classify"),
-            importlib.import_module("evoalg.tables"))
+    return evoalg
 
 
 class Corpus:
@@ -280,14 +282,13 @@ def _rows(vectors) -> list:
     return [[str(x) for x in v] for v in vectors]
 
 
-def _record(mods, E) -> dict:
-    evoalg, classify_mod, _ = mods
+def _record(evoalg, E) -> dict:
     out = {"input": _rows(E.structure.rows)}
     try:
-        label, witness = classify_mod._classify_rows(E)
-        out["label"] = repr(label)
-        out["witness"] = None if witness is None else _rows(
-            [[evoalg.FieldElement(E.field, x) for x in r] for r in witness])
+        res = evoalg.normal_form(E)
+        out["label"] = repr(res.label)
+        out["witness"] = (None if res.witness is None
+                          else _rows(res.witness.rows))
     except evoalg.EvoalgError as exc:
         out["label"] = "raises " + type(exc).__name__
     try:
@@ -299,10 +300,9 @@ def _record(mods, E) -> dict:
     return out
 
 
-def _cli(mods, directory, cmd, E) -> dict:
+def _cli(evoalg, directory, cmd, E) -> dict:
     """The exit code and stdout of ``evoalg CMD FILE``, FILE holding E as
     ``write_algebra_text`` writes it."""
-    evoalg = mods[0]
     path = os.path.join(directory, "input.alg")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(evoalg.write_algebra_text(E))
@@ -314,14 +314,13 @@ def _cli(mods, directory, cmd, E) -> dict:
             "stdout": out.getvalue()}
 
 
-def _pair(mods, source, E) -> dict:
+def _pair(evoalg, source, E) -> dict:
     """labels_equal of the labels of source and E, and the rows of
     witness_isomorphism(source, E)."""
-    evoalg, classify_mod, _ = mods
-    out = {"labels_equal": classify_mod.labels_equal(
-        classify_mod.classify(source), classify_mod.classify(E))}
+    out = {"labels_equal": evoalg.labels_equal(
+        evoalg.classify(source), evoalg.classify(E))}
     try:
-        m = classify_mod.witness_isomorphism(source, E)
+        m = evoalg.witness_isomorphism(source, E)
         out["iso"] = None if m is None else _rows(m.rows)
     except evoalg.EvoalgError as exc:
         out["iso"] = "raises " + type(exc).__name__
@@ -333,11 +332,10 @@ def _entry_text(entry) -> str:
     return f"d{dim}:[{','.join(map(str, tv))}]:v{variant}"
 
 
-def _inputs(mods):
+def _inputs(evoalg):
     """(record id, kind, algebra or exception type name) in a fixed
     order, with (subcommand, algebra) in place of the algebra for a cli
     input; each relabel input follows the random algebra it relabels."""
-    evoalg, _, tables = mods
     for seed, (kind, p) in enumerate(FIELDS):
         field = evoalg.GF(p) if kind == "GF" else \
             evoalg.QQ() if kind == "Q" else evoalg.QI()
@@ -356,7 +354,7 @@ def _inputs(mods):
         for k in range(ARBITRARY_PER_FIELD):
             yield f"arbitrary:{name}:{k}", "arbitrary", \
                 corpus.arbitrary(k % 6 + 1)
-        for entry in tables.ENTRIES:
+        for entry in evoalg.tables.ENTRIES:
             drawn = Corpus(evoalg, field, random.Random(
                 f"outputs:{seed}:template:{entry.key()}"))
             for k in range(TEMPLATE_SAMPLES if entry.param_arity else 1):
@@ -374,23 +372,23 @@ def _inputs(mods):
 
 
 def write(tree: str, out_path: str) -> int:
-    mods = _load(tree)
+    evoalg = _load(tree)
     count = 0
     last = None  # the latest random algebra and its record
     with open(out_path, "w") as out, tempfile.TemporaryDirectory() as tmp:
-        for rid, kind, E in _inputs(mods):
+        for rid, kind, E in _inputs(evoalg):
             rec = {"id": rid, "kind": kind}
             if kind == "cli":
-                rec.update(_cli(mods, tmp, *E))
+                rec.update(_cli(evoalg, tmp, *E))
             elif E is None or isinstance(E, str):
                 rec["input"] = E
             else:
-                rec.update(_record(mods, E))
+                rec.update(_record(evoalg, E))
             if kind == "random":
                 last = E, rec
             elif kind == "relabel" and rec.get("witness") is not None \
                     and last[1].get("witness") is not None:
-                rec.update(_pair(mods, last[0], E))
+                rec.update(_pair(evoalg, last[0], E))
             out.write(json.dumps(rec, sort_keys=True) + "\n")
             count += 1
     return count
