@@ -549,7 +549,10 @@ def witness_isomorphism(E1: EvolutionAlgebra, E2: EvolutionAlgebra):
     labels agree but no witness is found: a Decomposed label carries no
     witness and gets no search, over Q and Q(i) no search runs, an
     exhaustive search over GF(p) that finds nothing shows that no
-    isomorphism exists over GF(p), and a randomized one does not."""
+    isomorphism exists over GF(p), and a randomized one does not.  When
+    both labels carry a witness their composition is the answer, with no
+    search; should it fail verify_hom, that is a fault in the library,
+    raised as AssertionError (explicitly, so python -O keeps it)."""
     E1.field.require(E2.field)
     c1, c2 = normal_form(E1), normal_form(E2)
     if not labels_equal(c1.label, c2.label):
@@ -557,9 +560,12 @@ def witness_isomorphism(E1: EvolutionAlgebra, E2: EvolutionAlgebra):
     if E1 == E2:
         return Matrix.identity(E1.dim, E1.field)
     if c1.witness is not None and c2.witness is not None:
+        # both witnesses carry the template of one label onto E1 and E2,
+        # so only a fault in the library can fail this check
         m = c2.witness * c1.witness.inverse()
-        if verify_hom(E1, E2, m):
-            return m
+        if not verify_hom(E1, E2, m):
+            raise AssertionError("composed witness failed re-verification")
+        return m
     field = E1.field
     if isinstance(c1.label, Decomposed):
         why = "a Decomposed label carries no witness and gets no search"

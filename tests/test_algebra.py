@@ -36,6 +36,7 @@ from evoalg.tables import find_entry
 from helpers import (F13, gaussian_scalar, random_algebra,
                      random_large_annihilator, random_monomial_relabelling,
                      random_nilpotent)
+from probes import Probe
 
 
 def chain(n, field=QQ()):
@@ -455,12 +456,8 @@ def test_upper_series_matches_containment_definition(E):
 def test_upper_series_builds_no_subspace_until_the_chain_is_read(
         monkeypatch):
     built = []
-    init = Subspace._init
-
-    def counting(self, *args):
-        built.append(self)
-        return init(self, *args)
-    monkeypatch.setattr(Subspace, "_init", counting)
+    Probe(monkeypatch).count(Subspace, "_init",
+                             hook=lambda s, *args: built.append(s))
     rng = random.Random(3)
     for field in (F13, QQ(), QI()):
         for E in (random_nilpotent(5, rng, field),
@@ -707,16 +704,9 @@ def test_annihilator_split_on_a_vector_outside_the_square():
 def _recording_eliminations(monkeypatch):
     """A list that records (rows, columns) of every elimination, which
     runs the rref kernel of its field's op table."""
-    fields = importlib.import_module("evoalg.fields")
     shapes = []
-
-    def counting(rref):
-        def wrapper(ops, rows, ncols):
-            shapes.append((len(rows), ncols))
-            return rref(ops, rows, ncols)
-        return wrapper
-    for table in (fields.FieldOps, fields._PrimeOps):
-        monkeypatch.setattr(table, "rref", counting(table.rref))
+    Probe(monkeypatch).kernel("rref", hook=lambda ops, rows, ncols:
+                              shapes.append((len(rows), ncols)))
     return shapes
 
 
@@ -1105,27 +1095,11 @@ def test_an_annihilator_split_takes_two_eliminations(monkeypatch):
     # call counts: each annihilator split that classify applies
     # eliminates at most twice (seven times before the split was built
     # from index sets, four while classify still carved its summands)
-    fields = importlib.import_module("evoalg.fields")
-    algebra_module = importlib.import_module("evoalg.algebra")
-    counts = [0]
-
-    def counting(rref):
-        def wrapper(ops, rows, ncols):
-            counts[0] += 1
-            return rref(ops, rows, ncols)
-        return wrapper
+    probe = Probe(monkeypatch)
     # every elimination runs the rref kernel of its field's op table
-    for table in (fields.FieldOps, fields._PrimeOps):
-        monkeypatch.setattr(table, "rref", counting(table.rref))
-    split, per_split = algebra_module._annihilator_split, []
-
-    def windowed(E, zero):
-        before = counts[0]
-        out = split(E, zero)
-        if out is not None:
-            per_split.append(counts[0] - before)
-        return out
-    monkeypatch.setattr(algebra_module, "_annihilator_split", windowed)
+    probe.kernel("rref")
+    splits = probe.window(importlib.import_module("evoalg.algebra"),
+                          "_annihilator_split")
     classify = importlib.import_module("evoalg.classify").classify
     rng = random.Random(11)
     for field in (GF(5), F13, QQ(), QI()):
@@ -1134,7 +1108,20 @@ def test_an_annihilator_split_takes_two_eliminations(monkeypatch):
                 classify(random_nilpotent(rng.randrange(2, 6), rng, field))
             except SqrtUnavailable:
                 pass
+    per_split = [c.delta["rref"] for c in splits if c.out is not None]
     assert len(per_split) >= 100
+    assert max(per_split) <= 2
+    # Q(i) scalars a + bi with an i part, which the draws above lack
+    splits.clear()
+    rng = random.Random(11)
+    for _ in range(600):
+        try:
+            classify(random_nilpotent(rng.randrange(2, 6), rng, QI(),
+                                      draw=gaussian_scalar))
+        except SqrtUnavailable:
+            pass
+    per_split = [c.delta["rref"] for c in splits if c.out is not None]
+    assert len(per_split) >= 80
     assert max(per_split) <= 2
 
 
@@ -1144,14 +1131,10 @@ def test_every_summand_inherits_what_its_split_proved(E):
     # the one-index summands of a split never reach _classify, and
     # every summand that does comes with its own series
     classify_module = importlib.import_module("evoalg.classify")
-    inner = classify_module._classify
     calls = []
-
-    def recording(A, series=None):
-        calls.append((A, series))
-        return inner(A, series)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(classify_module, "_classify", recording)
+        Probe(mp).count(classify_module, "_classify",
+                        hook=lambda A, series=None: calls.append((A, series)))
         try:
             classify_module.classify(E)
         except (NotNilpotent, SqrtUnavailable):
@@ -1171,42 +1154,31 @@ def test_summands_skip_the_split_stages_their_split_proved(monkeypatch):
     # a pair of the pairing, taken as the two-element chain's label, runs
     # no split stage and no normalizer at all
     classify_module = importlib.import_module("evoalg.classify")
-    natural_split, gather, normalize = (classify_module._natural_split,
-                                        classify_module._gather,
-                                        classify_module._normalize)
+    gather = classify_module._gather
     repeats, taken = collections.Counter(), collections.Counter()
-    last_split, ran = [None], collections.Counter()
-
-    def stage(A, *series):
-        # _classify hands a split's summands to _gather right after
-        # the split stage returns it
-        ran["_natural_split"] += 1
-        split = natural_split(A, *series)
-        last_split[0] = None if split is None else (split[0], A.field)
-        return split
+    probe = Probe(monkeypatch)
+    ran = probe.counts
+    splits = probe.window(classify_module, "_natural_split")
+    probe.count(classify_module, "_normalize")
 
     def gathering(parts):
+        # _classify hands a split's summands to _gather right after
+        # the split stage returns it
         parts = list(parts)
-        if last_split[0] is None or last_split[0][0] != _LARGE_ANN:
+        split = splits[-1]
+        if split.out[0] != _LARGE_ANN:
             return gather(parts)
-        field = last_split[0][1]
-        last_split[0] = None
+        field = split.args[0].field
         Z, one = field.ops.zero, field.ops.one
         for part in parts:
             assert _part_rows(part, field) == [[Z, one], [Z, Z]]
-        before = dict(ran)
+        before = ran.copy()
         out = gather(parts)
         if ran != before:
             repeats["pair"] += 1
         taken["pair"] += len(parts)
         return out
-
-    def normalized(E, series):
-        ran["_normalize"] += 1
-        return normalize(E, series)
-    monkeypatch.setattr(classify_module, "_natural_split", stage)
     monkeypatch.setattr(classify_module, "_gather", gathering)
-    monkeypatch.setattr(classify_module, "_normalize", normalized)
     rng = random.Random(12)
     for field in (GF(5), F13, QQ(), QI()):
         for _ in range(300):
@@ -1361,17 +1333,10 @@ def test_labelled_summands_run_no_classification(monkeypatch, rows,
     # split 3 with 2 and the [2,3] split 3 with 2; before the components
     # of type [1,...,1] were, the chain components 3 with 2
     classify_module = importlib.import_module("evoalg.classify")
-    counts = collections.Counter()
-
-    def counted(name):
-        fn = getattr(classify_module, name)
-
-        def wrapper(*args):
-            counts[name] += 1
-            return fn(*args)
-        monkeypatch.setattr(classify_module, name, wrapper)
+    probe = Probe(monkeypatch)
+    counts = probe.counts
     for name in ("_classify", "_witness_basis"):
-        counted(name)
+        probe.count(classify_module, name)
     out = classify_module.classify(EvolutionAlgebra.from_ints(rows, F13))
     assert isinstance(out, Decomposed)
     assert counts["_classify"] == classified
@@ -1499,11 +1464,9 @@ def test_no_type_2111_input_reaches_a_normalizer(monkeypatch):
     # exists for that type
     classify_module = importlib.import_module("evoalg.classify")
     normalize, reached = classify_module._normalize, collections.Counter()
-
-    def counting(E, series):
-        reached[tuple(series.type_vector)] += 1
-        return normalize(E, series)
-    monkeypatch.setattr(classify_module, "_normalize", counting)
+    Probe(monkeypatch).count(
+        classify_module, "_normalize",
+        hook=lambda E, series: reached.update([tuple(series.type_vector)]))
     labels = []
 
     def record(E):

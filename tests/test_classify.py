@@ -1,5 +1,6 @@
 """Canonical labels, classification, and witness isomorphisms."""
 
+import collections
 import importlib
 import itertools
 import random
@@ -17,11 +18,12 @@ from evoalg.errors import (EvoalgError, MixedFields, NotNilpotent,
 from evoalg.fields import GF, QI, QQ, FieldElement
 from evoalg.linalg import Matrix
 from evoalg.oracle import verify_hom
-from evoalg.tables import ENTRIES, canonical_table, find_entry
+from evoalg.tables import ENTRIES, ClassEntry, canonical_table, find_entry
 
 from helpers import (F13, gaussian_scalar, random_block_basis_change,
                      random_monomial_relabelling, random_nilpotent,
                      random_nilpotent_of_type)
+from probes import Probe
 
 
 def test_label_serialization():
@@ -374,28 +376,14 @@ def test_witness_isomorphism_fallback_tests_at_most_200000_matrices(
     E2 = e.template((F13.from_int(7),), F13)
     # each matrix the fallback tests is one call of the realizes kernel;
     # the witness checks of classify, before it, are not counted
-    fields = importlib.import_module("evoalg.fields")
-    classify_module = importlib.import_module("evoalg.classify")
-    tests, searching = [], []
-    realizes = fields._PrimeOps.realizes
-    bounded_iso = classify_module._bounded_iso
-
-    def counted(*args):
-        if searching:
-            tests.append(1)
-        return realizes(*args)
-
-    def search(*args):
-        searching.append(1)
-        try:
-            return bounded_iso(*args)
-        finally:
-            searching.clear()
-    monkeypatch.setattr(fields._PrimeOps, "realizes", counted)
-    monkeypatch.setattr(classify_module, "_bounded_iso", search)
+    probe = Probe(monkeypatch)
+    probe.kernel("realizes")
+    searches = probe.window(importlib.import_module("evoalg.classify"),
+                            "_bounded_iso")
     with pytest.raises(SqrtUnavailable):
         witness_isomorphism(E1, E2)
-    assert 0 < len(tests) <= 200000
+    tests = sum(c.delta["realizes"] for c in searches)
+    assert 0 < tests <= 200000
 
 
 @pytest.mark.parametrize("field", [GF(5), F13, QI()])
@@ -562,20 +550,33 @@ def test_the_normalizers_are_the_table_types():
 
 def test_witness_isomorphism_normalizes_each_input_once(monkeypatch):
     classify_module = importlib.import_module("evoalg.classify")
-    calls = []
-    for tv, handler in list(classify_module._HANDLERS.items()):
-        def counted(Ead, tv, handler=handler):
-            calls.append(tv)
-            return handler(Ead, tv)
-        monkeypatch.setitem(classify_module._HANDLERS, tv, counted)
+    handled, _ = Probe(monkeypatch).candidates(classify_module._HANDLERS)
     e = find_entry(5, (1, 2, 2), 1)
     E1 = e.template((F13.from_int(2),), F13)
     E2 = e.template((F13.from_int(11),), F13)
     assert not classify(E1).no_witness and not classify(E2).no_witness
-    calls.clear()
+    handled.clear()
     m = witness_isomorphism(E1, E2)
     assert m is not None and verify_hom(E1, E2, m)
+    calls = [c.args[1] for c in handled]
     assert calls == [(1, 2, 2), (1, 2, 2)]
+
+
+def test_a_failing_composed_witness_is_a_fault_not_a_search(monkeypatch):
+    # two witnessed labels compose to an isomorphism, so a composition
+    # that fails verify_hom is reported, not searched around: here E2 is
+    # given E1's witness, and the composition is the identity
+    classify_module = importlib.import_module("evoalg.classify")
+    e = find_entry(5, (1, 2, 2), 1)
+    E1 = e.template((F13.from_int(2),), F13)
+    E2 = e.template((F13.from_int(11),), F13)
+    first = normal_form(E1)
+    monkeypatch.setattr(classify_module, "normal_form", lambda E: first)
+    probe = Probe(monkeypatch)
+    probe.count(classify_module, "_bounded_iso")
+    with pytest.raises(AssertionError, match="re-verification"):
+        witness_isomorphism(E1, E2)
+    assert probe.counts["_bounded_iso"] == 0
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 31, 109])
@@ -662,58 +663,19 @@ def test_series_and_basis_changes_skip_redundant_elimination(monkeypatch):
     # (no change of natural basis, and the 2 x 2 coordinates of the
     # normalizers are closed forms), and the witness search runs exactly
     # one rank test per candidate basis, inside the realizes kernel
-    linalg = importlib.import_module("evoalg.linalg")
     classify_module = importlib.import_module("evoalg.classify")
     algebra = importlib.import_module("evoalg.algebra")
-    counts = {"rref": 0, "rank": 0, "candidates": 0}
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    # every elimination runs the rref kernel of its field's op table
-    fields = importlib.import_module("evoalg.fields")
-    for table in (fields.FieldOps, fields._PrimeOps):
-        monkeypatch.setattr(table, "rref", counting("rref", table.rref))
-    for table in (fields.FieldOps, fields._PrimeOps):
-        monkeypatch.setattr(table, "realizes",
-                            counting("rank", table.realizes))
-
-    def windowed(name, fn, per_call):
-        # per_call(before, after) records what happened inside one call
-        def wrapper(*args):
-            before = dict(counts)
-            try:
-                return fn(*args)
-            finally:
-                per_call.append((before, dict(counts)))
-        monkeypatch.setattr(classify_module, name, wrapper)
-
+    probe = Probe(monkeypatch)
+    counts = probe.counts
+    # every elimination runs the rref kernel of its field's op table, and
+    # every rank test the realizes kernel
+    probe.kernel("rref")
+    probe.kernel("realizes")
     inverted = []
-    inverse_rows = linalg._inverse_rows
-
-    def inverting(rows, ops):
-        inverted.append(len(rows))
-        return inverse_rows(rows, ops)
-    monkeypatch.setattr(linalg, "_inverse_rows", inverting)
-    witness_searches = []
-    windowed("_witness_basis", classify_module._witness_basis,
-             witness_searches)
-    for tv, handler in list(classify_module._HANDLERS.items()):
-        def counted(Ead, tv, handler=handler):
-            out = handler(Ead, tv)
-            if isinstance(out, list):
-                return out
-            variant, params, boundary, builder = out
-
-            def build(Ead, params):
-                for cols in builder(Ead, params):
-                    counts["candidates"] += 1
-                    yield cols
-            return variant, params, boundary, build
-        monkeypatch.setitem(classify_module._HANDLERS, tv, counted)
+    probe.count(importlib.import_module("evoalg.linalg"), "_inverse_rows",
+                hook=lambda rows, ops: inverted.append(len(rows)))
+    witness_searches = probe.window(classify_module, "_witness_basis")
+    probe.candidates(classify_module._HANDLERS)
 
     rng = random.Random(5)
     for _ in range(60):
@@ -727,32 +689,25 @@ def test_series_and_basis_changes_skip_redundant_elimination(monkeypatch):
             except SqrtUnavailable:
                 pass
     assert inverted == []
-    assert sum(after["candidates"] - before["candidates"]
-               for before, after in witness_searches) >= 20
-    for before, after in witness_searches:
-        assert after["rank"] - before["rank"] \
-            == after["candidates"] - before["candidates"]
+    assert sum(c.delta["candidates"] for c in witness_searches) >= 20
+    for c in witness_searches:
+        assert c.delta["realizes"] == c.delta["candidates"]
 
 
 def test_no_split_stage_runs_on_a_one_dimensional_annihilator(monkeypatch):
     # the one-dimensional annihilator lemma of algebra._natural_split: a
     # top-level input and a summand with dim ann = 1 run no split stage
     classify_module = importlib.import_module("evoalg.classify")
-    algebra_module = importlib.import_module("evoalg.algebra")
+    zero_rows = importlib.import_module("evoalg.algebra")._zero_rows
     seen, staged = {"top": 0, "summand": 0}, []
-    natural_split = classify_module._natural_split
-
-    def stage(A, *series):
-        staged.append(len(algebra_module._zero_rows(A)))
-        return natural_split(A, *series)
-    monkeypatch.setattr(classify_module, "_natural_split", stage)
-    inner = classify_module._classify
 
     def watched(A, series=None):
-        if len(algebra_module._zero_rows(A)) == 1:
+        if len(zero_rows(A)) == 1:
             seen["top" if series is None else "summand"] += 1
-        return inner(A, series)
-    monkeypatch.setattr(classify_module, "_classify", watched)
+    probe = Probe(monkeypatch)
+    probe.count(classify_module, "_natural_split",
+                hook=lambda A, *series: staged.append(len(zero_rows(A))))
+    probe.count(classify_module, "_classify", hook=watched)
     rng = random.Random(27)
     for field in (F13, GF(3), QQ(), QI()):
         for _ in range(150):
@@ -767,53 +722,19 @@ def test_no_split_stage_runs_on_a_one_dimensional_annihilator(monkeypatch):
 
 @pytest.fixture
 def template_builds(monkeypatch):
-    """Counts entry.build calls per (entry key, field, params), with the
-    template cache emptied; yields the counts and the per-search windows
-    of _witness_basis as (builds, candidates) pairs."""
+    """Counts template builds (entry.template_rows, the one caller of
+    entry.build) per (entry key, field, params), with the template cache
+    emptied; returns the counts and the Calls of _witness_basis, whose
+    deltas count the builds ("template_rows") and the candidates."""
     classify_module = importlib.import_module("evoalg.classify")
     monkeypatch.setattr(classify_module, "_TEMPLATE_ROWS", {})
-    builds, candidates, searches = {}, [0], []
-
-    def counting(entry, build):
-        def wrapper(params, field):
-            key = (entry.key(), field, tuple(params))
-            builds[key] = builds.get(key, 0) + 1
-            return build(params, field)
-        return wrapper
-
-    for tv, handler in list(classify_module._HANDLERS.items()):
-        def counted(Ead, tv, handler=handler):
-            out = handler(Ead, tv)
-            if isinstance(out, list):
-                return out
-            variant, params, boundary, builder = out
-
-            def build(Ead, params):
-                for cols in builder(Ead, params):
-                    candidates[0] += 1
-                    yield cols
-            return variant, params, boundary, build
-        monkeypatch.setitem(classify_module._HANDLERS, tv, counted)
-
-    witness_basis = classify_module._witness_basis
-
-    def windowed(*args):
-        before = (sum(builds.values()), candidates[0])
-        try:
-            return witness_basis(*args)
-        finally:
-            searches.append((sum(builds.values()) - before[0],
-                             candidates[0] - before[1]))
-    monkeypatch.setattr(classify_module, "_witness_basis", windowed)
-    # entries are frozen, so their build slot is swapped past __setattr__
-    originals = [(entry, entry.build) for entry in ENTRIES]
-    for entry, build in originals:
-        object.__setattr__(entry, "build", counting(entry, build))
-    try:
-        yield builds, searches
-    finally:
-        for entry, build in originals:
-            object.__setattr__(entry, "build", build)
+    builds = collections.Counter()
+    probe = Probe(monkeypatch)
+    probe.count(ClassEntry, "template_rows",
+                hook=lambda entry, params, field: builds.update(
+                    [(entry.key(), field, tuple(params))]))
+    probe.candidates(classify_module._HANDLERS)
+    return builds, probe.window(classify_module, "_witness_basis")
 
 
 def test_parameter_free_templates_are_built_once_per_field(template_builds):
@@ -844,10 +765,10 @@ def test_witness_search_without_candidates_builds_no_template(
             normal_form(random_nilpotent(5, rng, F13))
         except SqrtUnavailable:
             pass
-    empty = [n_builds for n_builds, n_candidates in searches
-             if n_candidates == 0]
+    empty = [c.delta["template_rows"] for c in searches
+             if c.delta["candidates"] == 0]
     assert len(empty) >= 5 and set(empty) == {0}
-    assert any(n_builds for n_builds, _ in searches)
+    assert any(c.delta["template_rows"] for c in searches)
 
 
 def test_normalizers_builders_and_witness_search_build_no_field_element(
@@ -864,61 +785,24 @@ def test_normalizers_builders_and_witness_search_build_no_field_element(
         E = random_nilpotent(5, rng)
         algebras += [E, random_monomial_relabelling(E, rng)]
 
-    made = [0]
-    init = FieldElement.__init__
-
-    def counting_init(self, field, value):
-        made[0] += 1
-        init(self, field, value)
-    monkeypatch.setattr(FieldElement, "__init__", counting_init)
-
-    windows = {"handler": [], "builder": [], "search": []}
-
-    def counted_builder(builder):
-        def build(Ead, params):
-            it = builder(Ead, params)
-            while True:
-                before = made[0]
-                try:
-                    cols = next(it)
-                except StopIteration:
-                    return
-                finally:
-                    windows["builder"].append(made[0] - before)
-                yield cols
-        return build
-
-    for tv, handler in list(classify_module._HANDLERS.items()):
-        def counted(Ead, tv, handler=handler):
-            before = made[0]
-            out = handler(Ead, tv)
-            windows["handler"].append(made[0] - before)
-            if isinstance(out, list):
-                return out
-            variant, params, boundary, builder = out
-            return variant, params, boundary, counted_builder(builder)
-        monkeypatch.setitem(classify_module._HANDLERS, tv, counted)
-
-    witness_basis = classify_module._witness_basis
-
-    def windowed(*args):
-        before = made[0]
-        try:
-            return witness_basis(*args)
-        finally:
-            windows["search"].append(made[0] - before)
-    monkeypatch.setattr(classify_module, "_witness_basis", windowed)
+    probe = Probe(monkeypatch)
+    probe.count(FieldElement, "__init__")
+    handled, steps = probe.candidates(classify_module._HANDLERS)
+    searches = probe.window(classify_module, "_witness_basis")
 
     free = 0
     for A in algebras:
-        before = made[0]
+        before = probe.counts["__init__"]
         try:
             label = classify(A)
         except SqrtUnavailable:
             continue
         if not any(l.params for l in _summands(label)):
-            assert made[0] == before, label
+            assert probe.counts["__init__"] == before, label
             free += 1
+    windows = {"handler": [c.delta["__init__"] for c in handled],
+               "builder": [d["__init__"] for d in steps],
+               "search": [c.delta["__init__"] for c in searches]}
     for where, counts in windows.items():
         assert len(counts) >= 100 and set(counts) == {0}, where
     assert free >= 100

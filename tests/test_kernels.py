@@ -21,6 +21,7 @@ from evoalg.fields import (_SQRT_MEMO, QI, QQ, FieldOps, _PrimeOps,
 from evoalg.linalg import _rank
 
 from helpers import gaussian_scalar
+from probes import Probe
 
 PRIMES = [2, 3, 13, 1000033]
 
@@ -209,22 +210,17 @@ def _check_realizes(ops, cases, monkeypatch):
     with no row list mutated; the rank is read without elimination for
     the monomial columns and eliminated once where two columns share
     their lead row.  Returns the kinds seen."""
-    calls = []
-    rref = ops.rref
-
-    def counted(rows, ncols):
-        calls.append(1)
-        return rref(rows, ncols)
-    monkeypatch.setattr(ops, "rref", counted, raising=False)
+    probe = Probe(monkeypatch)
+    probe.count(ops, "rref")
     seen = set()
     for kind, A1, A2, cols, verdict in cases:
         kept = _unmutated(A1 + A2 + cols)
-        calls.clear()
+        probe.counts.clear()
         assert ops.realizes(A1, A2, cols) == verdict, kind
         if kind == "natural":
-            assert not calls
+            assert not probe.counts["rref"]
         elif kind in ("shared", "dependent"):
-            assert len(calls) == 1
+            assert probe.counts["rref"] == 1
         assert _unskipped_realizes(ops, A1, A2, cols) == verdict, kind
         assert all(r == old for r, old in kept)
         seen.add(kind)

@@ -320,3 +320,63 @@ def test_the_lint_sees_a_private_package_name():
     assert _private_uses(tree) == [
         "evoalg._values (line 2)", "_classify (line 3)",
         "evoalg._values (line 5)", "_classify (line 6)", "_rows (line 7)"]
+
+
+TESTS = Path(__file__).resolve().parent
+# probes.py patches the op tables for the white-box tests, and
+# test_kernels.py tests the op tables themselves
+OP_TABLE_USERS = ("probes.py", "test_kernels.py")
+
+
+def _op_tables(tree: ast.Module) -> set[str]:
+    """FieldOps and the classes of the module that derive from it (a
+    base is defined before its subclasses)."""
+    tables = {"FieldOps"}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(b, ast.Name) and b.id in tables
+                for b in node.bases):
+            tables.add(node.name)
+    return tables
+
+
+def _op_table_names(tree: ast.Module, tables: set[str]) -> list[str]:
+    """The places, in line order, where a module names an op-table class:
+    as a name, an attribute or an imported name.  A test that patches one
+    class by name misses the others (GF(p) runs its own kernels, Q and
+    Q(i) the generic ones); the probe of tests/probes.py patches them
+    all."""
+    found = []
+    for node in ast.walk(tree):
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.alias) else None)
+        if name in tables:
+            found.append((node.lineno, name))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in TESTS.glob("*.py")
+                   if p.name not in OP_TABLE_USERS),
+    ids=lambda p: p.name)
+def test_only_the_probe_patches_the_op_tables(path):
+    tables = _op_tables(ast.parse((SRC / "fields.py").read_text()))
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _op_table_names(tree, tables) == []
+
+
+def test_the_lint_sees_an_op_table_name():
+    tables = _op_tables(ast.parse(
+        "class FieldOps:\n    pass\nclass _PrimeOps(FieldOps):\n    pass\n"
+        "class _RationalOps(_PrimeOps):\n    pass\nclass Other(Base):\n"
+        "    pass\n"))
+    assert tables == {"FieldOps", "_PrimeOps", "_RationalOps"}
+    tree = ast.parse(
+        "from evoalg.fields import GF, FieldOps\nimport evoalg.fields\n"
+        "for table in (fields.FieldOps, fields._PrimeOps):\n"
+        "    patch(table, 'rref')\n"
+        "ops = type(GF(3).ops)\nx = _RationalOps\n")
+    assert _op_table_names(tree, tables) == [
+        "FieldOps (line 1)", "FieldOps (line 3)", "_PrimeOps (line 3)",
+        "_RationalOps (line 6)"]

@@ -31,6 +31,7 @@ from evoalg.linalg import _kernel_rows
 from evoalg.tables import ENTRIES, find_entry
 
 from helpers import random_monomial_relabelling, random_nilpotent_of_type
+from probes import Probe
 
 _FRACTION = st.builds(Fraction, st.integers(-8, 8), st.integers(1, 3))
 FIELDS = [(GF(5), st.integers(0, 4)), (GF(13), st.integers(0, 12)),
@@ -191,20 +192,10 @@ def test_the_221_builder_has_one_candidate_and_it_realizes(monkeypatch):
     # L5: an unsplit [2,2,1] algebra gets its witness from the first
     # candidate, so one call of the realizes kernel per witness search,
     # and never no_witness
-    classify_module = importlib.import_module("evoalg.classify")
-    fields = importlib.import_module("evoalg.fields")
-    calls = collections.Counter()
-
-    def counted(owner, name, key):
-        fn = getattr(owner, name)
-
-        def wrapper(*args):
-            calls[key] += 1
-            return fn(*args)
-        monkeypatch.setattr(owner, name, wrapper)
-    counted(classify_module, "_witness_basis", "_witness_basis")
-    for table in (fields.FieldOps, fields._PrimeOps):
-        counted(table, "realizes", "realizes")
+    probe = Probe(monkeypatch)
+    calls = probe.counts
+    probe.count(importlib.import_module("evoalg.classify"), "_witness_basis")
+    probe.kernel("realizes")
     rng = random.Random(221)
     inputs = [random_nilpotent_of_type([2, 2, 1], rng, field)
               for field, _ in FIELDS for _ in range(150)]
