@@ -95,7 +95,7 @@ an algebra has no split (the one-dimensional annihilator lemma of
 ``algebra._natural_split``).  A template's payload rows are built
 only once a builder yields its first candidate, and those of a
 parameter-free template once per field.  Cube roots over
-Q and Q(i) are exact at any size (``fields._frac_cbrt``: an integer cube
+Q and Q(i) are exact at any size (``fields._frac_root``: an integer cube
 root of the numerator and of the denominator).
 """
 
@@ -104,7 +104,7 @@ from __future__ import annotations
 import itertools
 from operator import itemgetter
 
-from ._values import Frozen, Value
+from ._values import Frozen, Value, set_fields
 from .errors import (
     NotNilpotent,
     SpecMismatch,
@@ -133,15 +133,8 @@ class CanonicalLabel(Frozen):
     def __init__(self, dim: int, type_vector: tuple, variant: int,
                  params: tuple = (), boundary: bool = False,
                  no_witness: bool = False):
-        # one label per classified summand: the slots directly, past the
-        # frozen __setattr__
-        setattr_ = object.__setattr__
-        setattr_(self, "dim", dim)
-        setattr_(self, "type_vector", type_vector)
-        setattr_(self, "variant", variant)
-        setattr_(self, "params", params)
-        setattr_(self, "boundary", boundary)
-        setattr_(self, "no_witness", no_witness)
+        set_fields(self, dim, type_vector, variant, params, boundary,
+                   no_witness)
 
     def serialize(self) -> str:
         tv = ",".join(str(k) for k in self.type_vector)
@@ -211,16 +204,6 @@ def _placed(ops, n, start, coords, last=None):
     if last is not None:
         v[n - 1] = last
     return v
-
-
-def _sum(ops, u, v):
-    add = ops.add
-    return [add(a, b) for a, b in zip(u, v)]
-
-
-def _diff(ops, u, v):
-    sub = ops.sub
-    return [sub(a, b) for a, b in zip(u, v)]
 
 
 def _power(ops, x, k):
@@ -330,7 +313,8 @@ class _DiagForm:
                 # q(u + v) = 2 b(u, v)
                 for i, j in itertools.combinations(range(len(basis)), 2):
                     if self.b(basis[i], basis[j]) != Z:
-                        pick = basis[i] = _sum(ops, basis[i], basis[j])
+                        pick = basis[i] = ops.addmul(basis[i], ops.one,
+                                                     basis[j])
                         break
             basis.remove(pick)
             out.append(pick)
@@ -363,9 +347,9 @@ class _DiagForm:
         common value q(u) = q(v) = delta b(a, d) on them, and b(u, v) = 0."""
         ops = self.ops
         half_a = ops.scale(ops.div(ops.one, ops.of_int(2)), a)
-        dd = ops.scale(delta, d)
-        return (_sum(ops, half_a, dd),
-                ops.scale(ops.neg(ops.i), _diff(ops, half_a, dd)))
+        return (ops.addmul(half_a, delta, d),
+                ops.scale(ops.neg(ops.i),
+                          ops.addmul(half_a, ops.neg(delta), d)))
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +541,12 @@ def witness_isomorphism(E1: EvolutionAlgebra, E2: EvolutionAlgebra):
     c1, c2 = normal_form(E1), normal_form(E2)
     if not labels_equal(c1.label, c2.label):
         return None
+    return _compose(E1, E2, c1, c2)
+
+
+def _compose(E1, E2, c1, c2):
+    """``witness_isomorphism``'s answer for E1 and E2 over one field,
+    from their normal forms c1 and c2, whose labels agree."""
     if E1 == E2:
         return Matrix.identity(E1.dim, E1.field)
     if c1.witness is not None and c2.witness is not None:
@@ -1181,9 +1171,8 @@ def _h_221(Ead, tv):
     al, be = S[0][1], S[0][2]
 
     def build(Ead, params):
-        ann_part = _placed(ops, n, 3, Ead._rows[0][3:])
         x = _unit_row(0, n, ops)
-        an = _sum(ops, _placed(ops, n, 1, [al]), ann_part)
+        an = [ops.zero, al, ops.zero, *Ead._rows[0][3:]]
         bn = _placed(ops, n, 2, [be])
         yield [x, an, bn, _sq(Ead, an), _sq(Ead, bn)]
     return 1, (), False, build
@@ -1200,7 +1189,7 @@ def _h_212(Ead, tv):
         un = _sq(Ead, an)
         for s in _roots(ops, ops.div(cx, cy)):
             yn = _placed(ops, n, 1, [s])
-            vn = _diff(ops, _sq(Ead, yn), an)
+            vn = ops.addmul(_sq(Ead, yn), ops.neg(ops.one), an)
             yield [_unit_row(0, n, ops), yn, an, un, vn]
     return 1, (), False, build
 

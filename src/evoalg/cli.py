@@ -23,7 +23,7 @@ from .fields import _INT, GF, QI, QQ, FieldDescriptor, _int, parse_element
 from .linalg import Matrix
 from .algebra import (EvolutionAlgebra, WeightedGraph, decomposability_check,
                       graph_of, upper_series)
-from .classify import classify, labels_equal, witness_isomorphism
+from .classify import _compose, classify, labels_equal, normal_form
 from .families import (UB, UBFG, UBG, UBU, FamilySpec, build)
 from .oracle import SearchBudget, exhaustive_iso, randomized_iso
 
@@ -220,14 +220,15 @@ def _cmd_iso(args) -> int:
             print("witness:")
             print(m)
         return 0
-    l1, l2 = classify(E1), classify(E2)
-    if not labels_equal(l1, l2):
+    E1.field.require(E2.field)
+    c1, c2 = normal_form(E1), normal_form(E2)
+    if not labels_equal(c1.label, c2.label):
         print("labels differ")
-        print(f"  {l1.serialize()}")
-        print(f"  {l2.serialize()}")
+        print(f"  {c1.label.serialize()}")
+        print(f"  {c2.label.serialize()}")
         return 0
-    print(f"labels equal: {l1.serialize()}")
-    m = witness_isomorphism(E1, E2)
+    print(f"labels equal: {c1.label.serialize()}")
+    m = _compose(E1, E2, c1, c2)
     print("witness:")
     print(m)
     return 0

@@ -13,7 +13,7 @@ import operator
 import re
 from fractions import Fraction
 
-from ._values import Frozen, frozen_error, set_fields
+from ._values import Frozen, set_fields
 from .errors import (
     DivisionByZero,
     DomainError,
@@ -260,13 +260,9 @@ class FieldOps:
     def product(self, rows: list[list], x: list, y: list) -> list:
         """sum_i x_i y_i rows[i]: the product of x and y in the evolution
         algebra whose structure rows (rows[i] = e_i^2) are ``rows``."""
-        Z, mul, addmul = self.zero, self.mul, self.addmul
-        out = [Z] * len(rows)
-        for a, b, row in zip(x, y, rows):
-            c = mul(a, b)
-            if c != Z:
-                out = addmul(out, c, row)
-        return out
+        mul = self.mul
+        return self.combine([mul(a, b) for a, b in zip(x, y)], rows,
+                            len(rows))
 
     def combine(self, coefs: list, rows: list[list], ncols: int) -> list:
         """sum_k coefs[k] rows[k] as one row of length ``ncols``."""
@@ -347,7 +343,7 @@ class _PrimeOps(FieldOps):
     at the first column that fails.  ``div`` multiplies by one modular
     inverse, and ``sqrt`` keeps the root (or None) of the first
     ``_SQRT_MEMO`` residues it is asked for, so a field of at most that
-    many elements runs Tonelli-Shanks once per residue."""
+    many elements takes each residue's root once."""
 
     def __init__(self, p):
         # first: FieldOps.__init__ takes the root of -1 by _sqrt
@@ -356,7 +352,7 @@ class _PrimeOps(FieldOps):
             0, 1, lambda n: n % p, lambda a, b: (a + b) % p,
             lambda a, b: (a - b) % p, lambda a: -a % p,
             lambda a, b: a * b % p, lambda a: pow(a, -1, p),
-            self._sqrt, lambda a: _cube_root_mod(a, p))
+            self._sqrt, lambda a: _root_mod(a, 3, p))
 
     def _sqrt(self, a):
         """The smaller of the two roots, or None."""
@@ -364,10 +360,7 @@ class _PrimeOps(FieldOps):
         r = roots.get(a, _MISSING)
         if r is not _MISSING:
             return r
-        p = self.p
-        r = _tonelli_shanks(a, p)
-        if r is not None:
-            r = min(r, p - r)
+        r = _root_mod(a, 2, self.p)
         if len(roots) < _SQRT_MEMO:
             roots[a] = r
         return r
@@ -519,7 +512,7 @@ def _ginv(x):
     return (a / n, -b / n)
 
 
-class FieldElement:
+class FieldElement(Frozen):
     """An exact scalar.  The payload depends on the field kind:
 
     Q      -> Fraction
@@ -529,20 +522,11 @@ class FieldElement:
     Elements are immutable, compare by field and payload and hash alike.
     """
 
-    __slots__ = ("field", "value")
+    __slots__ = _fields = ("field", "value")
 
     def __init__(self, field: FieldDescriptor, value):
         _set_field(self, field)
         _set_value(self, value)
-
-    def __setattr__(self, name, value):
-        frozen_error("assign to", name)
-
-    def __delattr__(self, name):
-        frozen_error("delete", name)
-
-    def __reduce__(self):
-        return FieldElement, (self.field, self.value)
 
     def __eq__(self, other):
         if other.__class__ is not FieldElement:
@@ -747,78 +731,56 @@ def order_key(a: FieldElement):
     return a.value
 
 
-def _frac_sqrt(q: Fraction) -> Fraction | None:
-    if q < 0:
-        return None
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
+def _root_mod(a: int, k: int, p: int) -> int | None:
+    """The smallest residue r with r^k = a mod p, for k = 2 or 3, or None.
 
-
-def _tonelli_shanks(n: int, p: int) -> int | None:
-    n %= p
-    if n == 0:
-        return 0
-    if pow(n, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(n, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
-    while t != 1:
-        t2, i = t, 0
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
-
-
-def _cube_root_mod(a: int, p: int) -> int | None:
-    """The smallest residue r with r^3 = a mod p, or None.
-
-    For p = 3 cubing is the identity, and for p = 2 mod 3 it is a
-    bijection inverted by x^((2p-1)/3).  For p = 1 mod 3 a nonzero cube
-    has three roots r, rw, rw^2 with w a primitive cube root of unity;
-    one is found by the Adleman-Manders-Miller method: write
-    p - 1 = 3^s t with 3 not dividing t and take x = a^(1/3 mod t); then
-    a / x^3 lies in the cyclic 3-Sylow subgroup, and a discrete logarithm
-    there, taken one base-3 digit at a time, gives its cube root z, so
-    that xz is a root.
+    Adleman-Manders-Miller: write p - 1 = k^s t with k not dividing t.
+    For s = 0 the map x -> x^k is a bijection, inverted by the exponent
+    1/k mod p - 1 (cubes for p = 3 and p = 2 mod 3).  Else a nonzero a
+    is a k-th power exactly when a^((p-1)/k) = 1, and then r =
+    a^(1/k mod t) has r^k = a h with h in the cyclic k-Sylow subgroup,
+    as a k-th power there; for s = 1 h is 1.  Else a discrete logarithm
+    of h, taken one nonzero base-k digit at a time as Tonelli and Shanks
+    do for k = 2, divides h out.  The k roots are the root times the
+    powers of a primitive k-th root of unity w, which is p - 1 for
+    k = 2, so a square root with s = 1 needs no non-residue.
     """
     a %= p
-    if a == 0 or p == 3:
-        return a
-    if p % 3 == 2:
-        return pow(a, (2 * p - 1) // 3, p)
-    if pow(a, (p - 1) // 3, p) != 1:
-        return None
+    if a == 0:
+        return 0
     s, t = 0, p - 1
-    while t % 3 == 0:
-        s, t = s + 1, t // 3
-    x = pow(a, pow(3, -1, t), p)
-    b = 2
-    while pow(b, (p - 1) // 3, p) == 1:
+    while t % k == 0:
+        s, t = s + 1, t // k
+    if s == 0:
+        return pow(a, pow(k, -1, p - 1), p)
+    e = (p - 1) // k
+    if pow(a, e, p) != 1:
+        return None
+    r = pow(a, pow(k, -1, t), p)
+    if k == 2 and s == 1:
+        return min(r, p - r)
+    # w = b^((p-1)/k) is a k-th root of unity, primitive once b is not a
+    # k-th power
+    b, w = 2, pow(2, e, p)
+    while w == 1:
         b += 1
-    g = pow(b, t, p)                 # generates the 3-Sylow subgroup
-    w = pow(g, 3 ** (s - 1), p)      # a primitive cube root of unity
-    h = a * pow(x, -3, p) % p        # want z in <g> with z^3 = h
-    log = 0                          # g^log = h, found digit by digit
-    for k in range(s):
-        y = pow(h * pow(g, -log, p) % p, 3 ** (s - 1 - k), p)
-        log += (0 if y == 1 else 1 if y == w else 2) * 3 ** k
-    r = x * pow(g, log // 3, p) % p
-    return min(r, r * w % p, r * w * w % p)
+        w = pow(b, e, p)
+    # r^k = a h with h in <c>, of order k^m; each pass multiplies h by
+    # x^(kd), which lowers its order, and r by x^d, which keeps r^k = a h
+    h, c, m = pow(r, k, p) * pow(a, -1, p) % p, pow(b, t, p), s
+    while h != 1:
+        y, i = h, 0                    # h has order k^i, 0 < i < m
+        while y != 1:
+            y = pow(y, k, p)
+            i += 1
+        # h^(k^(i-1)) w^d = 1: always w w = 1 for k = 2
+        d = 2 if k == 3 and pow(h, 3 ** (i - 1), p) == w else 1
+        x = pow(c, k ** (m - i - 1), p)
+        c, m = pow(x, k, p), i         # c^(k^(i-1)) = w
+        h = h * pow(c, d, p) % p
+        r = r * pow(x, d, p) % p
+    rw = r * w % p
+    return min(r, rw) if k == 2 else min(r, rw, rw * w % p)
 
 
 def _gauss_sqrt(a):
@@ -826,19 +788,20 @@ def _gauss_sqrt(a):
     rational payload, or None."""
     re_, im = a
     if im == 0:
-        r = _frac_sqrt(re_)
+        r = _frac_root(re_, 2)
         if r is not None:
             return (r, _Q0)
-        r = _frac_sqrt(-re_)
+        r = _frac_root(-re_, 2)
         if r is not None:
             return (_Q0, r)
         return None
     # solve (x + yi)^2 = re + im*i: x^2 - y^2 = re, 2xy = im
-    t = _frac_sqrt(re_ * re_ + im * im)
+    t = _frac_root(re_ * re_ + im * im, 2)
     if t is None:
         return None
-    # _frac_sqrt's root is nonnegative, so x > 0 makes (x, y) canonical
-    x = _frac_sqrt((re_ + t) / 2)
+    # the rational square root is nonnegative, so x > 0 makes (x, y)
+    # canonical
+    x = _frac_root((re_ + t) / 2, 2)
     if x is None or x == 0:
         return None
     return (x, im / (2 * x))
@@ -857,13 +820,16 @@ def _icbrt(m: int) -> int:
         x = y
 
 
-def _frac_cbrt(q: Fraction) -> Fraction | None:
-    """The rational cube root of q, or None: a fraction in lowest terms
-    is a cube exactly when its numerator and its denominator are, so it
-    is exact at any size."""
+def _frac_root(q: Fraction, k: int) -> Fraction | None:
+    """The rational k-th root of q, for k = 2 (the nonnegative one) or
+    3, or None: a fraction in lowest terms is a k-th power exactly when
+    its numerator and its denominator are, so it is exact at any size."""
+    if k == 2 and q < 0:
+        return None
+    root = math.isqrt if k == 2 else _icbrt
     num, den = abs(q.numerator), q.denominator
-    rn, rd = _icbrt(num), _icbrt(den)
-    if rn ** 3 != num or rd ** 3 != den:
+    rn, rd = root(num), root(den)
+    if rn ** k != num or rd ** k != den:
         return None
     return Fraction(-rn if q < 0 else rn, rd)
 
@@ -873,14 +839,15 @@ def _gauss_cbrt(a):
     root of a payload with nonzero imaginary part is sought."""
     if a[1] != 0:
         return None
-    r = _frac_cbrt(a[0])
+    r = _frac_root(a[0], 3)
     return None if r is None else (r, _Q0)
 
 
 _Q0 = Fraction(0)
 _RATIONAL_OPS = FieldOps(_Q0, Fraction(1), Fraction, operator.add,
                          operator.sub, operator.neg, operator.mul,
-                         lambda a: 1 / a, _frac_sqrt, _frac_cbrt)
+                         lambda a: 1 / a, lambda q: _frac_root(q, 2),
+                         lambda q: _frac_root(q, 3))
 _GAUSSIAN_OPS = FieldOps(
     (_Q0, _Q0), (Fraction(1), _Q0), lambda n: (Fraction(n), _Q0),
     lambda x, y: (x[0] + y[0], x[1] + y[1]),

@@ -10,15 +10,12 @@ invariance of the canonical label.
 import random
 import time
 
-import pytest
-
 from evoalg.algebra import (DECOMPOSABLE, PLENARY, RIGHT,
                             decomposability_check, invariant_profile,
                             is_ideal, power_nilpotency, relative_annihilator,
                             upper_series)
 from evoalg.classify import (CanonicalLabel, Decomposed, classify,
                              labels_equal)
-from evoalg.errors import SqrtUnavailable
 from evoalg.fields import GF, PRIME, QI
 from evoalg.linalg import Subspace
 from evoalg.oracle import (SearchBudget, exhaustive_iso, randomized_iso,

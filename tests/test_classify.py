@@ -579,17 +579,23 @@ def test_a_failing_composed_witness_is_a_fault_not_a_search(monkeypatch):
     assert probe.counts["_bounded_iso"] == 0
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 31, 109])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 31, 37, 41, 73,
+                               97, 109, 163, 193])
 def test_cbrt_matches_brute_force_scan(p):
-    # the smallest residue root, as a scan over 0..p-1 finds it; 109 - 1
-    # = 4 * 27 takes several base-3 digits of the discrete logarithm
-    cbrt = GF(p).ops.cbrt
-    for a in range(p):
-        scan = next((r for r in range(p) if r ** 3 % p == a), None)
-        if scan is None:
-            assert cbrt(a) is None
-        else:
-            assert cbrt(a) == scan
+    # the smallest residue root, as a scan over 0..p-1 finds it, for cube
+    # roots and square roots alike.  Writing p - 1 = k^s t with k not
+    # dividing t, the primes cover s = 1 and s >= 2 for each k, and s = 0
+    # for k = 3: up to s = 6 (193 - 1 = 64 * 3) for k = 2 and s = 4
+    # (163 - 1 = 2 * 81) for k = 3, which take several base-k digits of
+    # the discrete logarithm
+    ops = GF(p).ops
+    for k, root in ((3, ops.cbrt), (2, ops.sqrt)):
+        for a in range(p):
+            scan = next((r for r in range(p) if r ** k % p == a), None)
+            if scan is None:
+                assert root(a) is None
+            else:
+                assert root(a) == scan
 
 
 def test_cbrt_near_1e9_is_fast():
@@ -607,6 +613,21 @@ def test_cbrt_near_1e9_is_fast():
             assert pow(r, 3, p) == a
             # the smallest of the roots r, rw, rw^2
             assert r == min(r, r * w % p, r * w * w % p)
+    assert time.monotonic() - start < 5.0
+
+
+def test_sqrt_near_1e9_is_fast():
+    # 998244353 - 1 = 2^23 * 119 takes 22 base-2 digits of the discrete
+    # logarithm
+    start = time.monotonic()
+    p = 998244353
+    sqrt = GF(p).ops.sqrt
+    for a in range(2, 400):
+        r = sqrt(a)
+        if r is None:
+            assert pow(a, (p - 1) // 2, p) != 1
+            continue
+        assert r * r % p == a and r <= p - r
     assert time.monotonic() - start < 5.0
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: file format, subcommands, exit codes."""
 
+import importlib
 import os
 import random
 import subprocess
@@ -18,6 +19,10 @@ from evoalg.errors import AlgebraSyntaxError, DomainError
 from evoalg.fields import GF, QI, QQ
 from evoalg.linalg import Matrix
 
+from probes import Probe
+
+# the module, which the package's classify function shadows as an attribute
+classify_module = importlib.import_module("evoalg.classify")
 CHAIN4 = "field Q\ndim 4\nrow 0 1 0 0\nrow 0 0 1 0\nrow 0 0 0 1\nrow 0 0 0 0\n"
 
 
@@ -225,6 +230,41 @@ def test_cmd_iso_equal_and_differ(tmp_path, capsys):
                  "row 0 0 0 1\nrow 0 0 0 0\n", "c.alg")
     assert dispatch(["iso", f1, f3]) == 0
     assert "labels differ" in capsys.readouterr().out
+
+
+# the rows of d5:[1,1,3]:v3 at a = 2
+V3_AT_2 = ("dim 5\nrow 0 0 0 1 2\nrow 0 0 0 1 0\nrow 0 0 0 1 1\n"
+           "row 0 0 0 0 1\nrow 0 0 0 0 0\n")
+
+
+@pytest.mark.parametrize("rows", [V3_AT_2, CHAIN4.split("\n", 1)[1]],
+                         ids=["v3-at-2", "chain4"])
+def test_cmd_iso_refuses_mixed_fields_before_classifying(
+        tmp_path, capsys, monkeypatch, rows):
+    # one pair whose labels differ over the two fields, one whose labels
+    # agree: both are refused as witness_isomorphism refuses them
+    f1 = algfile(tmp_path, "field Q\n" + rows, "q.alg")
+    f2 = algfile(tmp_path, "field GF 13\n" + rows, "gf.alg")
+    probe = Probe(monkeypatch)
+    probe.count(classify_module, "_classify")
+    assert dispatch(["iso", f1, f2]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: Q vs GF(13)\n"
+    assert probe.counts["_classify"] == 0
+
+
+def test_cmd_iso_classifies_each_file_once(tmp_path, capsys, monkeypatch):
+    t = CHAIN4.replace("field Q", "field GF 13")
+    f1 = algfile(tmp_path, t, "a.alg")
+    f2 = algfile(tmp_path, t.replace("row 0 1 0 0", "row 0 5 0 0"), "b.alg")
+    probe = Probe(monkeypatch)
+    probe.count(classify_module, "_classify")
+    assert dispatch(["iso", f1, f2]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("labels equal: d4:[1,1,1,1]:v1\nwitness:\n")
+    # one normal form per file, and no second classification for the
+    # witness
+    assert probe.counts["_classify"] == 2
 
 
 def test_cmd_iso_oracle(tmp_path, capsys):

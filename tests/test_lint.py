@@ -6,10 +6,15 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "evoalg"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "evoalg"
 
 # __init__.py imports names to re-export them
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TOOLS = sorted((ROOT / "tools").glob("*.py"))
+# every module the unused-import lint reads: the package's (by name),
+# the tests' and the tools' (by path)
+IMPORTING = MODULES + sorted((ROOT / "tests").glob("*.py")) + TOOLS
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -29,7 +34,9 @@ def _unused_imports(tree: ast.Module) -> list[str]:
             if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", IMPORTING,
+    ids=lambda p: p.name if p.parent == SRC else str(p.relative_to(ROOT)))
 def test_no_unused_top_level_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _unused_imports(tree) == []
@@ -263,9 +270,6 @@ def test_the_lint_sees_a_dead_local():
     assert _dead_locals(tree) == [
         "f: dead (line 2)", "g: x (line 6)", "outer: inner_dead (line 17)",
         "inner: gone (line 21)", "m: late (line 28)"]
-
-
-TOOLS = sorted((SRC.parent.parent / "tools").glob("*.py"))
 
 
 def _private_uses(tree: ast.Module) -> list[str]:

@@ -14,7 +14,7 @@ from evoalg.algebra import (AnnSeries, DecompVerdict, EvolutionAlgebra,
 from evoalg.classify import (CanonicalLabel, Classification, Decomposed,
                              classify, normal_form)
 from evoalg.families import UBG, FamilySpec
-from evoalg.fields import GF, PRIME, QI, QQ, FieldDescriptor
+from evoalg.fields import GF, PRIME, QI, QQ, FieldDescriptor, FieldElement
 from evoalg.oracle import SearchBudget
 from evoalg.tables import ClassEntry, canonical_table
 
@@ -36,6 +36,7 @@ def gauss(re, im):
 # Each factory builds a fresh value; two calls give equal, distinct values.
 FACTORIES = {
     "FieldDescriptor": lambda: FieldDescriptor(PRIME, 13),
+    "FieldElement": lambda: gauss(1, 2),
     "AnnSeries": lambda: upper_series(alg(CHAIN)),
     "WeightedGraph": lambda: graph_of(alg(CHAIN, QQ())),
     "DecompVerdict": lambda: decomposability_check(alg(SPLIT)),
@@ -51,15 +52,16 @@ FACTORIES = {
     "ClassEntry": lambda: canonical_table(3, F13)[-1],
 }
 CLASSES = {
-    "FieldDescriptor": FieldDescriptor, "AnnSeries": AnnSeries,
+    "FieldDescriptor": FieldDescriptor, "FieldElement": FieldElement,
+    "AnnSeries": AnnSeries,
     "WeightedGraph": WeightedGraph, "DecompVerdict": DecompVerdict,
     "InvariantProfile": InvariantProfile, "CanonicalLabel": CanonicalLabel,
     "Decomposed": Decomposed, "Classification": Classification,
     "FamilySpec": FamilySpec,
     "SearchBudget": SearchBudget, "ClassEntry": ClassEntry,
 }
-FROZEN = ("FieldDescriptor", "CanonicalLabel", "FamilySpec", "SearchBudget",
-          "ClassEntry")
+FROZEN = ("FieldDescriptor", "FieldElement", "CanonicalLabel", "FamilySpec",
+          "SearchBudget", "ClassEntry")
 MUTABLE = tuple(name for name in FACTORIES if name not in FROZEN)
 # ClassEntry holds the closures that build its templates
 PICKLABLE = tuple(name for name in FACTORIES if name != "ClassEntry")
@@ -109,7 +111,8 @@ def test_mutable_values_are_unhashable(name):
 @pytest.mark.parametrize("name", FROZEN)
 def test_frozen_fields_refuse_assignment_and_deletion(name):
     value = FACTORIES[name]()
-    field = {"FieldDescriptor": "kind", "CanonicalLabel": "params",
+    field = {"FieldDescriptor": "kind", "FieldElement": "value",
+             "CanonicalLabel": "params",
              "FamilySpec": "b_diag", "SearchBudget": "seed",
              "ClassEntry": "build"}[name]
     before = getattr(value, field)
